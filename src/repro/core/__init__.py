@@ -32,7 +32,7 @@ from repro.core.scheduler import SchedulePlan, schedule_components, SCHEDULER_PO
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig, ProposalResult
 from repro.core.blockstm import BlockSTMProposer
 from repro.core.strategies import STRATEGY_CHOICES, TwoPhaseProposer, build_proposer
-from repro.core.proposer import seal_block, finalize_fees, SealedProposal
+from repro.core.proposer import seal_block, SealedProposal
 from repro.core.applier import Applier, ProfileMismatch, ValidationOutcome
 from repro.core.validator import ParallelValidator, ValidatorConfig, ValidationResult
 from repro.core.pipeline import ValidatorPipeline, PipelineConfig, PipelineResult
@@ -57,7 +57,6 @@ __all__ = [
     "ProposerConfig",
     "ProposalResult",
     "seal_block",
-    "finalize_fees",
     "SealedProposal",
     "Applier",
     "ProfileMismatch",

@@ -1,19 +1,18 @@
-"""Reusable preparation-phase artifacts (profile footprints, graphs, plans).
+"""The validator's one plan artifact (profile footprints, graph, plans).
 
-The validator derives the same objects from a block's profile in several
-places: ``validate_block`` builds footprints → dependency graph → schedule
-for the timing simulation, and the real-core path in
-:mod:`repro.exec.validating` rebuilds the identical graph (plus a plan for
-the backend's worker count) to partition components.  DiPETrans makes the
-case that the dependency-analysis artifact is worth computing once and
-shipping around; this module is that artifact.
+DiPETrans makes the case that the dependency-analysis artifact is worth
+computing once and shipping to local and remote executors alike; this
+module is that artifact, and the only caller of
+``build_dependency_graph`` / ``schedule_components``.  ``validate_block``
+obtains it through :func:`artifacts_for` and every consumer — the timing
+simulation's lanes, backend workers, follower shards — plans from it.
 
 :class:`BlockArtifacts` bundles everything derivable from one block profile
 at one conflict granularity.  Schedules are memoized per
 ``(lanes, policy, seed)`` — the graph is lane-count independent, plans are
-not.  :class:`ArtifactCache` keys artifacts by block hash so the pipeline
-computes them once per block no matter how many phases (or backends) ask,
-and **invalidates on fork-sibling divergence**: once a sibling commits at a
+not.  :class:`ArtifactCache` keys artifacts by block hash so they survive
+across validations of the same block (lane sweeps, re-validation), and
+**invalidates on fork-sibling divergence**: once a sibling commits at a
 height, the losing blocks' artifacts are dead weight and are dropped.
 
 Everything here is wall-clock optimisation only.  The simulated cost model
@@ -48,7 +47,7 @@ def profile_footprints(
     """Per-transaction conflict footprints from a block profile.
 
     ``"account"`` is the paper's granularity (§4.3); ``"key"`` is the
-    ablation.  Mirrors the inline derivation ``validate_block`` used to do.
+    ablation.
     """
     if granularity == "account":
         return tuple(e.rw.touched_addresses() for e in profile.entries)
@@ -126,12 +125,10 @@ class BlockArtifacts:
         """
         gas = self._comp_gas
         if gas is None:
-            estimates = self.gas_estimates
-            gas = tuple(
-                sum(estimates[i] for i in component)
-                for component in self.graph.components
+            graph = self.graph
+            gas = self._comp_gas = tuple(
+                graph.component_gas(c) for c in range(len(graph.components))
             )
-            self._comp_gas = gas
         return gas
 
 
@@ -140,19 +137,16 @@ def artifacts_for(
     granularity: str,
     cache: Optional["ArtifactCache"] = None,
 ) -> Optional[BlockArtifacts]:
-    """Component-extraction entry point: artifacts for one block.
+    """The one entry point to a block's plan artifacts.
 
-    Consults ``cache`` when given (sharing derivations with the pipeline's
-    other phases), otherwise derives standalone.  Returns ``None`` exactly
-    when the cache would: profile-less blocks and profiles whose entry
-    count mismatches the transaction list.
+    Consults ``cache`` when given (sharing derivations across validations
+    of the block), otherwise derives standalone through a throwaway cache
+    so the "can this block be planned from its profile" check
+    (:meth:`ArtifactCache.get`) exists once.  ``None`` means it cannot.
     """
-    if cache is not None:
-        return cache.get(block, granularity)
-    profile = block.profile
-    if profile is None or len(profile.entries) != len(block.transactions):
-        return None
-    return BlockArtifacts(profile, granularity)
+    if cache is None:
+        cache = ArtifactCache(maxsize=1)
+    return cache.get(block, granularity)
 
 
 class ArtifactCache:

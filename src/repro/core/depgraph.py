@@ -17,7 +17,7 @@ never the reverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.types import Address
 
@@ -84,7 +84,7 @@ class DependencyGraph:
             return 0
         return max(self.component_gas(i) for i in range(len(self.components)))
 
-    def to_networkx(self):
+    def to_networkx(self) -> Any:
         """Export the conflict graph for analysis (nodes = tx indices).
 
         Edges connect consecutive transactions within each subgraph — the

@@ -489,15 +489,6 @@ def _skipped(block: Block, reason: str, code: FailureReason) -> ValidationResult
     return ValidationResult(
         accepted=False,
         reason=reason,
-        post_state=None,
-        graph=None,
-        plan=None,
-        tx_costs=[],
-        tx_results=[],
-        tx_rwsets=[],
-        phases=None,
-        serial_time=0.0,
-        stats=None,
         failure=ValidationFailure(code, detail=reason),
     )
 

@@ -27,7 +27,7 @@ from repro.common.types import Address
 from repro.core.occ_wsi import ProposalResult
 from repro.state.statedb import StateDB, StateSnapshot
 
-__all__ = ["SealedProposal", "seal_block", "finalize_fees", "finalize_block_state"]
+__all__ = ["SealedProposal", "seal_block", "finalize_block_state"]
 
 
 def finalize_block_state(
@@ -62,15 +62,6 @@ def finalize_block_state(
         if reward:
             db.add_balance(uncle_coinbase, reward)
     return db.commit()
-
-
-def finalize_fees(
-    snapshot: StateSnapshot, coinbase: Address, total_fees: int
-) -> StateSnapshot:
-    """Back-compat shim: fee-only finalization (zero-reward params)."""
-    return finalize_block_state(
-        snapshot, coinbase=coinbase, total_fees=total_fees
-    )
 
 
 @dataclass(frozen=True)

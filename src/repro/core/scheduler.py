@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.depgraph import DependencyGraph
 
@@ -72,7 +72,7 @@ def _order_random(graph: DependencyGraph, lanes: int, seed: int) -> List[int]:
     return order
 
 
-_ORDERINGS: Dict[str, Callable] = {
+_ORDERINGS: Dict[str, Callable[[DependencyGraph, int, int], List[int]]] = {
     "gas_lpt": _order_gas_lpt,
     "count_lpt": _order_count_lpt,
     "block_order": _order_block,
@@ -91,7 +91,7 @@ def schedule_components(
     lanes: int,
     policy: str = "gas_lpt",
     seed: int = 0,
-    metrics=None,
+    metrics: Any = None,
 ) -> SchedulePlan:
     """Assign subgraphs to ``lanes`` threads under the given policy.
 

@@ -25,18 +25,21 @@ state any conflict-respecting parallel interleaving would produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, List, NamedTuple, Optional, Protocol, Tuple
 
-from repro.chain.block import Block, Receipt
+from repro.chain.block import Block, BlockProfile, Receipt, TxProfileEntry
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.applier import Applier, ProfileMismatch
-from repro.core.artifacts import ArtifactCache
-from repro.core.depgraph import DependencyGraph, build_dependency_graph
+from repro.core.artifacts import ArtifactCache, BlockArtifacts, artifacts_for
+from repro.core.depgraph import DependencyGraph
 from repro.core.proposer import finalize_block_state
-from repro.core.scheduler import SchedulePlan, schedule_components
+from repro.core.scheduler import SchedulePlan
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, TxResult
-from repro.faults.errors import FailureReason, ValidationFailure, WorkerFault
+from repro.exec.backend import ExecutionBackend
+from repro.exec.tasks import ValidateShared
+from repro.exec.validating import ParallelExecOutcome, execute_block_parallel
+from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -45,7 +48,14 @@ from repro.simcore.stats import RunStats
 from repro.state.access import ReadWriteSet, RecordingState
 from repro.state.statedb import StateDB, StateSnapshot
 
-__all__ = ["ValidatorConfig", "PhaseTimes", "ValidationResult", "ParallelValidator"]
+__all__ = [
+    "ValidatorConfig",
+    "PhaseTimes",
+    "ValidationResult",
+    "FaultLadder",
+    "Distributor",
+    "ParallelValidator",
+]
 
 #: Fixed buckets (simulated µs) for per-phase duration histograms.
 PHASE_US_EDGES = (
@@ -80,8 +90,8 @@ class ValidatorConfig:
     #: exact state keys as the unit — finer, more parallel, but unsound
     #: for account-root maintenance; provided as an ablation.
     granularity: str = "account"
-    #: How many times a block whose execution hit a transient
-    #: :class:`~repro.faults.errors.WorkerFault` is re-attempted in
+    #: How many times a block whose execution hit a transient worker
+    #: fault (an injected lane crash) is re-attempted in
     #: parallel (with exponential ``CostModel.retry_backoff``) before
     #: degrading.
     max_parallel_retries: int = 2
@@ -93,6 +103,12 @@ class ValidatorConfig:
     #: disables the check.  A block whose commit time exceeds it is
     #: rejected with TIMEOUT — stalled workers can push a block over.
     timeout_us: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # a local misconfiguration, not any block's fault: refuse it here
+        # rather than rejecting every block after executing it
+        if self.granularity not in ("account", "key"):
+            raise ValueError(f"unknown conflict granularity {self.granularity!r}")
 
 
 @dataclass(frozen=True)
@@ -115,15 +131,17 @@ class ValidationResult:
 
     accepted: bool
     reason: Optional[str]
-    post_state: Optional[StateSnapshot]
-    graph: Optional[DependencyGraph]
-    plan: Optional[SchedulePlan]
-    tx_costs: List[float]
-    tx_results: List[TxResult]
-    tx_rwsets: List[ReadWriteSet]
-    phases: Optional[PhaseTimes]
-    serial_time: float
-    stats: Optional[RunStats]
+    # everything below defaults to "not produced": a rejection carries
+    # whatever the phases that ran before it filled in
+    post_state: Optional[StateSnapshot] = None
+    graph: Optional[DependencyGraph] = None
+    plan: Optional[SchedulePlan] = None
+    tx_costs: List[float] = field(default_factory=list)
+    tx_results: List[TxResult] = field(default_factory=list)
+    tx_rwsets: List[ReadWriteSet] = field(default_factory=list)
+    phases: Optional[PhaseTimes] = None
+    serial_time: float = 0.0
+    stats: Optional[RunStats] = None
     prep_cost: float = 0.0
     #: Typed classification of the rejection (None when accepted or when
     #: the failure is a local misconfiguration rather than the block's).
@@ -149,6 +167,55 @@ class ValidationResult:
         return self.serial_time / self.phases.commit_end
 
 
+class FaultLadder(NamedTuple):
+    """Where one block's injected-crash retry ladder ended.
+
+    Computed once per block (:meth:`ParallelValidator._fault_ladder`)
+    before anything executes — the injector's keyed RNG is call-order-free
+    — so every execution substrate runs at most one, already-decided,
+    attempt.
+    """
+
+    #: index of the attempt that executes (= crashed attempts before it)
+    attempt: int
+    worker_faults: int
+    #: simulated backoff the crashed attempts cost (µs)
+    retry_penalty: float
+    #: per-transaction injected stall on the executing attempt (µs)
+    stalls: Tuple[float, ...]
+    #: set when ``max_parallel_retries`` ran out: the first crashing
+    #: transaction of the last crashed attempt
+    crash_tx: Optional[int] = None
+    #: an execution-fault injector was consulted at all
+    consulted: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        """Only serial degradation (or rejection) is left."""
+        return self.crash_tx is not None
+
+
+class Distributor(Protocol):
+    """A shard coordinator :class:`ParallelValidator` can hand a block to.
+
+    :mod:`repro.distributed` implements it; core never imports that
+    package.  ``(outcome, None)`` is consumed exactly like a backend
+    result; ``(None, None)`` declines the block (the local paths own it);
+    ``(None, failure)`` means follower faults exhausted re-assignment —
+    the validator re-executes locally, or rejects with ``failure`` when
+    ``serial_fallback`` is off.
+    """
+
+    def execute(
+        self,
+        validator: "ParallelValidator",
+        block: Block,
+        parent_state: StateSnapshot,
+        ctx: ExecutionContext,
+        art: BlockArtifacts,
+    ) -> Tuple[Optional[ParallelExecOutcome], Optional[ValidationFailure]]: ...
+
+
 class ParallelValidator:
     """BlockPilot's validator for a single block."""
 
@@ -158,13 +225,13 @@ class ParallelValidator:
         config: Optional[ValidatorConfig] = None,
         cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
-        tracer=None,
+        tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend=None,
+        backend: Optional[ExecutionBackend] = None,
         artifacts: Optional[ArtifactCache] = None,
-        check_log=None,
-        probe=None,
-        distributor=None,
+        check_log: Any = None,
+        probe: Any = None,
+        distributor: Optional[Distributor] = None,
     ) -> None:
         self.evm = evm or EVM()
         self.config = config or ValidatorConfig()
@@ -180,13 +247,13 @@ class ParallelValidator:
         #: execute on actual cores, all anomalies fall back to the serial
         #: reference loop below so results stay backend-independent.
         self.backend = backend
-        #: Cached per-session shared object for the backend (see
-        #: repro.exec.validating); typed wide so the exec island can swap it.
-        self._exec_shared: Optional[object] = None
+        #: Per-session shared object the backend's workers were opened with
+        #: (see :func:`repro.exec.validating.execute_block_parallel`).
+        self._exec_shared: Optional[ValidateShared] = None
         #: Optional shared preparation-artifact cache (footprints, dep
-        #: graph, schedules).  The pipeline supplies one so validation
-        #: phases and exec backends reuse one derivation per block; without
-        #: it every phase derives its own (the seed behaviour).
+        #: graph, schedules).  The pipeline supplies one so a block's
+        #: artifacts survive across validations (lane sweeps, re-validation);
+        #: without it each ``validate_block`` derives them once.
         self.artifacts = artifacts
         #: Optional :class:`~repro.check.report.CheckLog`: the footprint
         #: race detector.  When attached, backend component tasks run in
@@ -197,13 +264,10 @@ class ParallelValidator:
         #: component driver's scheduling decisions (conformance fuzzing).
         #: ``None`` means every decision takes its production default.
         self.probe = probe
-        #: Optional distributed shard coordinator (:mod:`repro.distributed`):
-        #: when attached, execution is sharded across follower nodes first;
-        #: a declined/failed distribution falls back to the local paths
-        #: below (backend, then the serial reference loop).  Duck-typed —
-        #: anything with ``execute(validator, block, parent_state, ctx) ->
-        #: (outcome | None, failure | None)`` works; core never imports
-        #: repro.distributed.
+        #: Optional shard coordinator: when attached, components are run
+        #: across follower nodes first; a declined/failed distribution
+        #: falls back to the local paths (backend, then the serial
+        #: reference loop).
         self.distributor = distributor
 
     # ------------------------------------------------------------------ #
@@ -228,14 +292,19 @@ class ParallelValidator:
                 gas_limit=block.header.gas_limit,
             )
         model = self.cost_model
+        config = self.config
         n = len(block.transactions)
         tracer = self.tracer
-        trace_on = tracer.enabled
         metrics = self.metrics
 
-        def rejected(reason: str, **kwargs) -> ValidationResult:
-            failure = kwargs.get("failure")
-            if trace_on:
+        # the verdict, filled in as the phases complete: a rejection returns
+        # it as far as it got, acceptance completes it
+        result = ValidationResult(accepted=False, reason=None)
+
+        def rejected(
+            reason: str, failure: Optional[ValidationFailure] = None
+        ) -> ValidationResult:
+            if tracer.enabled:
                 # failure spans carry the typed FailureReason so fault
                 # injection runs are diffable from the trace alone
                 tracer.instant(
@@ -250,30 +319,15 @@ class ParallelValidator:
                 metrics.counter("validator.blocks_rejected").inc()
                 if failure is not None:
                     metrics.counter("validator.failure", failure.reason.value).inc()
-            return ValidationResult(
-                accepted=False,
-                reason=reason,
-                post_state=None,
-                graph=kwargs.get("graph"),
-                plan=kwargs.get("plan"),
-                tx_costs=kwargs.get("tx_costs", []),
-                tx_results=kwargs.get("tx_results", []),
-                tx_rwsets=kwargs.get("tx_rwsets", []),
-                phases=None,
-                serial_time=kwargs.get("serial_time", 0.0),
-                stats=None,
-                failure=kwargs.get("failure"),
-                worker_faults=kwargs.get("worker_faults", 0),
-                exec_attempts=kwargs.get("exec_attempts", 1),
-            )
+            result.reason, result.failure = reason, failure
+            return result
 
-        def malformed(reason: str, tx_index: Optional[int] = None, **kwargs):
+        def malformed(reason: str, tx_index: Optional[int] = None) -> ValidationResult:
             return rejected(
                 reason,
-                failure=ValidationFailure(
+                ValidationFailure(
                     FailureReason.MALFORMED_BLOCK, tx_index=tx_index, detail=reason
                 ),
-                **kwargs,
             )
 
         try:
@@ -281,7 +335,7 @@ class ParallelValidator:
         except ValueError as exc:
             return malformed(f"structure: {exc}")
 
-        params = self.config.params
+        params = config.params
         if block.header.gas_used > block.header.gas_limit:
             return malformed(
                 f"block gas {block.header.gas_used} exceeds limit "
@@ -295,141 +349,76 @@ class ParallelValidator:
                     f"uncle at height {uncle.number} invalid for block {block.number}"
                 )
 
-        # ----- real execution (block order; subgraphs are disjoint) ------ #
-        # Transient worker faults abort the attempt — partial results are
-        # discarded (the fresh StateDB per attempt is what guarantees "no
-        # partial commits leak") and the block is re-attempted after a
-        # deterministic backoff.  When parallel retries are exhausted the
-        # validator degrades to injector-free serial re-execution (Block-STM's
-        # guarantee: a faulty lane costs throughput, never correctness).
-        consult = (
-            self.injector
-            if self.injector is not None and self.injector.injects_execution_faults
-            else None
-        )
-        attempt = 0
-        worker_faults = 0
-        retry_penalty = 0.0
-        used_serial = False
-        used_distributed = False
-        outcome = None
-        if self.distributor is not None:
-            outcome, dist_failure = self.distributor.execute(
-                self, block, parent_state, ctx
+        # ----- execute: one fault ladder, one plan, any substrate --------- #
+        # Injected worker crashes are resolved first (no partial commits can
+        # leak: nothing has executed yet).  A healed ladder executes once,
+        # on whichever substrate is attached; an exhausted one degrades to
+        # the injector-free serial reference loop (Block-STM's guarantee: a
+        # faulty lane costs throughput, never correctness) or rejects.
+        ladder = self._fault_ladder(block)
+        result.worker_faults = ladder.worker_faults
+        result.exec_attempts = ladder.attempt + 1
+        if ladder.exhausted and not config.serial_fallback:
+            return rejected(
+                f"worker fault at tx {ladder.crash_tx} persisted through "
+                f"{ladder.attempt + 1} parallel attempts",
+                ValidationFailure(
+                    FailureReason.WORKER_FAULT,
+                    tx_index=ladder.crash_tx,
+                    detail="injected worker crash",
+                ),
             )
-            if outcome is not None:
-                used_distributed = True
-            elif dist_failure is not None and not self.config.serial_fallback:
-                # follower faults exhausted re-assignment and local
-                # re-execution is disabled: surface the typed failure
-                return rejected(
-                    f"distributed validation failed: {dist_failure.detail}",
-                    failure=dist_failure,
+        # the one eligibility gate for component execution: a substrate to
+        # run on, a profile to plan from (``art`` is None without one), and
+        # the account-level partition — key-granular components may share
+        # accounts, so isolating them is unsound
+        art: Optional[BlockArtifacts] = None
+        if (
+            (self.distributor is not None or self.backend is not None)
+            and n > 0
+            and config.granularity == "account"
+            and not ladder.exhausted
+        ):
+            art = artifacts_for(block, "account", cache=self.artifacts)
+        outcome: Optional[ParallelExecOutcome] = None
+        used_distributed = False
+        if art is not None:
+            # under local fault injection the in-node paths own the retry
+            # semantics: mixing them with follower scheduling would change
+            # observable fault behaviour, so followers are skipped
+            if self.distributor is not None and not ladder.consulted:
+                outcome, dist_failure = self.distributor.execute(
+                    self, block, parent_state, ctx, art
                 )
-        if outcome is None and self.backend is not None:
-            from repro.exec.validating import execute_block_parallel
-
-            outcome = execute_block_parallel(self, block, parent_state, ctx, self.backend)
-        if outcome is not None:
-            # component-parallel execution on real cores succeeded; its merge
-            # is equivalent to the serial loop (account-disjoint components,
-            # commit order enforced in the parent), so everything downstream
-            # consumes it unchanged
-            db = outcome.db
-            tx_results = outcome.tx_results
-            tx_rwsets = outcome.tx_rwsets
-            tx_costs = [
-                model.tx_cost(result.trace) + stall
-                for result, stall in zip(tx_results, outcome.stalls)
-            ]
-            total_fees = outcome.total_fees
-            total_gas = outcome.total_gas
-            worker_faults = outcome.worker_faults
-            attempt = outcome.attempt
-            retry_penalty = outcome.retry_penalty
-        while outcome is None:
-            db = StateDB(parent_state)
-            tx_results: List[TxResult] = []
-            tx_rwsets: List[ReadWriteSet] = []
-            tx_costs: List[float] = []
-            total_fees = 0
-            total_gas = 0
-            crashed: Optional[WorkerFault] = None
-            for index, tx in enumerate(block.transactions):
-                stall = 0.0
-                if consult is not None:
-                    fault = consult.execution_fault(block.hash, attempt, index)
-                    if fault.crash:
-                        crashed = WorkerFault(index, "injected worker crash")
-                        break
-                    stall = fault.stall_us
-                rec = RecordingState(db)
-                try:
-                    result = self.evm.apply_transaction(rec, tx, ctx)
-                except InvalidTransaction as exc:
-                    return malformed(
-                        f"invalid tx {index}: {exc}",
-                        tx_index=index,
-                        tx_results=tx_results,
-                        tx_rwsets=tx_rwsets,
-                        tx_costs=tx_costs,
-                        worker_faults=worker_faults,
-                        exec_attempts=attempt + 1,
+                used_distributed = outcome is not None
+                if dist_failure is not None and not config.serial_fallback:
+                    # follower faults exhausted re-assignment and local
+                    # re-execution is disabled: surface the typed failure
+                    return rejected(
+                        f"distributed validation failed: {dist_failure.detail}",
+                        dist_failure,
                     )
-                tx_results.append(result)
-                tx_rwsets.append(rec.rw)
-                tx_costs.append(model.tx_cost(result.trace) + stall)
-                total_fees += result.fee
-                total_gas += result.gas_used
-            if crashed is None:
-                break
-            worker_faults += 1
-            if trace_on:
-                tracer.instant(
-                    "worker_fault",
-                    0.0,
-                    block=block.hash.hex()[:8],
-                    attempt=attempt,
-                    tx=crashed.tx_index,
-                    reason=FailureReason.WORKER_FAULT.value,
+            if outcome is None and self.backend is not None:
+                outcome = execute_block_parallel(
+                    self, block, parent_state, ctx, self.backend, art
                 )
-            if metrics is not None:
-                metrics.counter("validator.worker_faults").inc()
-            retry_penalty += model.abort_overhead + model.retry_backoff * (2**attempt)
-            if attempt < self.config.max_parallel_retries:
-                attempt += 1
-                continue
-            if not self.config.serial_fallback:
-                return rejected(
-                    f"worker fault at tx {crashed.tx_index} persisted through "
-                    f"{attempt + 1} parallel attempts",
-                    failure=ValidationFailure(
-                        FailureReason.WORKER_FAULT,
-                        tx_index=crashed.tx_index,
-                        detail=crashed.detail,
-                    ),
-                    worker_faults=worker_faults,
-                    exec_attempts=attempt + 1,
-                )
-            # degrade: one final serial pass, fault hooks disabled
-            used_serial = True
-            if trace_on:
-                tracer.instant(
-                    "serial_fallback", 0.0, block=block.hash.hex()[:8], attempts=attempt + 1
-                )
-            if metrics is not None:
-                metrics.counter("validator.serial_fallbacks").inc()
-            consult = None
-            attempt += 1
+        if outcome is None:
+            # every anomaly above funnels here: the authoritative answer
+            outcome = self._execute_reference(block, parent_state, ctx)
+        tx_results = result.tx_results = outcome.tx_results
+        tx_rwsets = result.tx_rwsets = outcome.tx_rwsets
+        tx_costs = result.tx_costs = [
+            model.tx_cost(tx_result.trace) + stall
+            for tx_result, stall in zip(tx_results, ladder.stalls)
+        ]
+        if outcome.invalid is not None:
+            index, detail = outcome.invalid
+            return malformed(f"invalid tx {index}: {detail}", tx_index=index)
 
         # storage I/O model (§5.4): either the preparation phase prefetches
         # every slot the profile names, or each read pays the cold path
-        storage_reads = [
-            sum(1 for key in rw.reads if key.kind == "storage")
-            for rw in tx_rwsets
-        ]
         prefetch_cost = 0.0
-        if self.config.prefetch:
+        if config.prefetch:
             distinct_slots = {
                 key
                 for rw in tx_rwsets
@@ -438,14 +427,16 @@ class ParallelValidator:
             }
             prefetch_cost = model.prefetch_per_slot * len(distinct_slots)
         else:
-            tx_costs = [
-                cost + model.cold_storage_read * reads
-                for cost, reads in zip(tx_costs, storage_reads)
+            tx_costs = result.tx_costs = [
+                cost
+                + model.cold_storage_read
+                * sum(1 for key in rw.reads if key.kind == "storage")
+                for cost, rw in zip(tx_costs, tx_rwsets)
             ]
 
         # the serial baseline also runs the prefetcher (§5.4: "to ensure a
         # fair comparison"), so it pays the same prefetch cost
-        serial_time = (
+        result.serial_time = (
             prefetch_cost
             + sum(tx_costs)
             + model.applier_per_tx * n
@@ -454,128 +445,79 @@ class ParallelValidator:
         )
 
         # ----- preparation phase: dependency graph + schedule ------------- #
+        # (simulated prep_cost is the same whether the artifacts were
+        # cached or derived: the cache saves host CPU, not scheduler time)
         profile = block.profile
         prep_cost = model.schedule_per_tx * n + prefetch_cost
-        granularity = self.config.granularity
-        if granularity not in ("account", "key"):
-            return rejected(f"unknown conflict granularity {granularity!r}")
-
-        def footprint_of(read_keys, write_keys, addresses):
-            if granularity == "account":
-                return addresses
-            return frozenset(read_keys) | frozenset(write_keys)
-
-        art = (
-            self.artifacts.get(block, granularity)
-            if self.artifacts is not None and profile is not None
-            else None
-        )
-        if art is not None:
-            # preparation artifacts reused (simulated prep_cost unchanged:
-            # the cache saves host CPU, not modelled scheduler time)
-            footprints = list(art.footprints)
-            gas_estimates = list(art.gas_estimates)
-        elif profile is not None:
-            footprints = [
-                footprint_of(
-                    e.rw.read_keys(), e.rw.write_keys(), e.rw.touched_addresses()
-                )
-                for e in profile.entries
-            ]
-            gas_estimates = [e.gas_used for e in profile.entries]
-        elif self.config.preexecute_fallback:
+        if art is None:
+            art = artifacts_for(block, config.granularity, cache=self.artifacts)
+        if art is None and config.preexecute_fallback:
             # no profile: the validator pays a serial pre-execution to learn
             # the footprints (legacy-block path)
-            footprints = [
-                footprint_of(rw.reads.keys(), rw.writes.keys(), rw.touched_addresses())
-                for rw in tx_rwsets
-            ]
-            gas_estimates = [r.gas_used for r in tx_results]
-            prep_cost += sum(tx_costs)
-        else:
-            return malformed(
-                "missing block profile",
-                tx_results=tx_results,
-                tx_rwsets=tx_rwsets,
-                tx_costs=tx_costs,
-                serial_time=serial_time,
+            executed = BlockProfile(
+                tuple(
+                    TxProfileEntry(tx.hash, rw.freeze(), res.gas_used, res.success)
+                    for tx, rw, res in zip(block.transactions, tx_rwsets, tx_results)
+                )
             )
+            art = BlockArtifacts(executed, config.granularity)
+            prep_cost += sum(tx_costs)
+        if art is None:
+            return malformed("missing block profile")
 
         # retry backoff delays everything downstream of preparation; a
         # serial-fallback block runs its whole execution on one lane
-        prep_cost += retry_penalty
-        lanes = 1 if used_serial else self.config.lanes
-        if art is not None:
-            graph = art.graph
-            plan = art.plan_for(
-                lanes, self.config.policy, self.config.seed, metrics=metrics
-            )
-        else:
-            graph = build_dependency_graph(footprints, gas_estimates)
-            plan = schedule_components(
-                graph, lanes, self.config.policy, self.config.seed, metrics=metrics
-            )
+        prep_cost += ladder.retry_penalty
+        result.graph = art.graph
+        plan = result.plan = art.plan_for(
+            1 if ladder.exhausted else config.lanes,
+            config.policy,
+            config.seed,
+            metrics=metrics,
+        )
 
         # ----- profile verification (Algorithm 2) -------------------------- #
-        if profile is not None and self.config.verify_profile:
+        if profile is not None and config.verify_profile:
             try:
                 for index in range(n):
                     self.applier.verify_tx(
                         index, profile.entries[index], tx_rwsets[index], tx_results[index]
                     )
             except ProfileMismatch as exc:
-                return rejected(
-                    f"profile mismatch: {exc}",
-                    failure=exc.failure(),
-                    graph=graph,
-                    plan=plan,
-                    tx_results=tx_results,
-                    tx_rwsets=tx_rwsets,
-                    tx_costs=tx_costs,
-                    serial_time=serial_time,
-                    worker_faults=worker_faults,
-                    exec_attempts=attempt + 1,
-                )
+                return rejected(f"profile mismatch: {exc}", exc.failure())
 
         # ----- block-level checks ------------------------------------------ #
         post_state = finalize_block_state(
-            db.commit(),
+            outcome.db.commit(),
             coinbase=block.header.coinbase,
-            total_fees=total_fees,
+            total_fees=sum(tx_result.fee for tx_result in tx_results),
             block_number=block.number,
             uncles=block.uncles,
             params=params,
         )
-        receipts = _rebuild_receipts(block, tx_results)
-        all_logs = [log for r in tx_results for log in r.logs]
-        outcome = self.applier.verify_block(
-            block, post_state, receipts, total_gas, computed_logs=all_logs
+        verdict = self.applier.verify_block(
+            block,
+            post_state,
+            _rebuild_receipts(block, tx_results),
+            sum(tx_result.gas_used for tx_result in tx_results),
+            computed_logs=[log for r in tx_results for log in r.logs],
         )
-        if not outcome.accepted:
+        if not verdict.accepted:
             return rejected(
-                outcome.reason or "block verification failed",
-                failure=outcome.failure,
-                graph=graph,
-                plan=plan,
-                tx_results=tx_results,
-                tx_rwsets=tx_rwsets,
-                tx_costs=tx_costs,
-                serial_time=serial_time,
-                worker_faults=worker_faults,
-                exec_attempts=attempt + 1,
+                verdict.reason or "block verification failed", verdict.failure
             )
 
         # ----- timing simulation ------------------------------------------- #
         phases, stats = self._simulate_timing(plan, tx_costs, prep_cost)
-        stats.worker_faults = worker_faults
-        stats.exec_retries = attempt
-        stats.serial_fallbacks = 1 if used_serial else 0
-        if trace_on:
+        stats.worker_faults = ladder.worker_faults
+        stats.exec_retries = ladder.attempt
+        stats.serial_fallbacks = 1 if ladder.exhausted else 0
+        if tracer.enabled:
             self._emit_block_trace(
                 block, phases, plan, tx_costs, prep_cost,
                 prefetch_cost=prefetch_cost,
-                retry_penalty=retry_penalty,
-                used_serial=used_serial,
+                retry_penalty=ladder.retry_penalty,
+                used_serial=ladder.exhausted,
             )
         if metrics is not None:
             metrics.counter("validator.blocks_accepted").inc()
@@ -593,45 +535,117 @@ class ParallelValidator:
             )
             metrics.merge_into(stats.extra)
 
-        if (
-            self.config.timeout_us is not None
-            and phases.commit_end > self.config.timeout_us
-        ):
+        if config.timeout_us is not None and phases.commit_end > config.timeout_us:
             return rejected(
                 f"validation timed out: {phases.commit_end:.1f}µs exceeds "
-                f"budget {self.config.timeout_us:.1f}µs",
-                failure=ValidationFailure(
+                f"budget {config.timeout_us:.1f}µs",
+                ValidationFailure(
                     FailureReason.TIMEOUT,
                     detail=f"makespan {phases.commit_end:.1f}µs",
                 ),
-                graph=graph,
-                plan=plan,
-                tx_results=tx_results,
-                tx_rwsets=tx_rwsets,
-                tx_costs=tx_costs,
-                serial_time=serial_time,
-                worker_faults=worker_faults,
-                exec_attempts=attempt + 1,
             )
 
-        return ValidationResult(
-            accepted=True,
-            reason=None,
-            post_state=post_state,
-            graph=graph,
-            plan=plan,
-            tx_costs=tx_costs,
-            tx_results=tx_results,
-            tx_rwsets=tx_rwsets,
-            phases=phases,
-            serial_time=serial_time,
-            stats=stats,
-            prep_cost=prep_cost,
-            worker_faults=worker_faults,
-            exec_attempts=attempt + 1,
-            used_serial_fallback=used_serial,
-            used_distributed=used_distributed,
+        result.accepted = True
+        result.post_state = post_state
+        result.phases = phases
+        result.stats = stats
+        result.prep_cost = prep_cost
+        result.used_serial_fallback = ladder.exhausted
+        result.used_distributed = used_distributed
+        return result
+
+    # ------------------------------------------------------------------ #
+
+    def _fault_ladder(self, block: Block) -> FaultLadder:
+        """Walk the injected-crash retry ladder for ``block``, once.
+
+        The only place the injector's execution faults are consulted and
+        the only place ``worker_fault`` / ``serial_fallback`` instants and
+        counters are emitted.  The keyed RNG is call-order-free, so the
+        first crash per attempt in block order is what interleaving the
+        consults with execution would observe.  Each crashed attempt costs
+        ``abort_overhead`` plus an exponential ``retry_backoff``; past
+        ``max_parallel_retries`` the ladder is exhausted and (when serial
+        fallback is on) one further, injector-free attempt is granted.
+        """
+        n = len(block.transactions)
+        injector = self.injector
+        if injector is None or not injector.injects_execution_faults:
+            return FaultLadder(0, 0, 0.0, (0.0,) * n)
+        model = self.cost_model
+        tracer = self.tracer
+        metrics = self.metrics
+        attempt = 0
+        worker_faults = 0
+        retry_penalty = 0.0
+        while True:
+            stalls: List[float] = []
+            crash_tx: Optional[int] = None
+            for index in range(n):
+                fault = injector.execution_fault(block.hash, attempt, index)
+                if fault.crash:
+                    crash_tx = index
+                    break
+                stalls.append(fault.stall_us)
+            if crash_tx is None:
+                return FaultLadder(
+                    attempt, worker_faults, retry_penalty, tuple(stalls),
+                    consulted=True,
+                )
+            worker_faults += 1
+            if tracer.enabled:
+                tracer.instant(
+                    "worker_fault",
+                    0.0,
+                    block=block.hash.hex()[:8],
+                    attempt=attempt,
+                    tx=crash_tx,
+                    reason=FailureReason.WORKER_FAULT.value,
+                )
+            if metrics is not None:
+                metrics.counter("validator.worker_faults").inc()
+            retry_penalty += model.abort_overhead + model.retry_backoff * (2**attempt)
+            if attempt >= self.config.max_parallel_retries:
+                break
+            attempt += 1
+        if self.config.serial_fallback:
+            # degrade: one final serial pass, fault hooks disabled
+            if tracer.enabled:
+                tracer.instant(
+                    "serial_fallback", 0.0, block=block.hash.hex()[:8], attempts=attempt + 1
+                )
+            if metrics is not None:
+                metrics.counter("validator.serial_fallbacks").inc()
+            attempt += 1
+        return FaultLadder(
+            attempt, worker_faults, retry_penalty, (0.0,) * n,
+            crash_tx=crash_tx, consulted=True,
         )
+
+    def _execute_reference(
+        self,
+        block: Block,
+        parent_state: StateSnapshot,
+        ctx: ExecutionContext,
+    ) -> ParallelExecOutcome:
+        """The block-order serial reference loop.
+
+        Subgraphs are account-disjoint, so block order yields the identical
+        state any conflict-respecting parallel interleaving would; this is
+        the simulated lanes' execution and the fallback every component
+        substrate's anomalies funnel into.
+        """
+        outcome = ParallelExecOutcome(StateDB(parent_state), [], [])
+        for index, tx in enumerate(block.transactions):
+            rec = RecordingState(outcome.db)
+            try:
+                tx_result = self.evm.apply_transaction(rec, tx, ctx)
+            except InvalidTransaction as exc:
+                outcome.invalid = (index, str(exc))
+                break
+            outcome.tx_results.append(tx_result)
+            outcome.tx_rwsets.append(rec.rw)
+        return outcome
 
     # ------------------------------------------------------------------ #
 

@@ -23,15 +23,19 @@ owns every failure mode:
 Failures surface as ``(None, ValidationFailure)`` from
 :meth:`ShardCoordinator.execute`; the validator then falls back to local
 re-execution (serial fallback), so follower faults cost throughput, never
-correctness.  The coordinator also *declines* — ``(None, None)`` — blocks
-it cannot distribute soundly (no/mismatched profile, non-account
-granularity, active local execution-fault injection whose semantics the
-local paths own); declined blocks take the local path unchanged.
+correctness.  The coordinator also *declines* — ``(None, None)`` — a
+block whose shard could not execute cleanly (lying profile, invalid
+transaction): that is the block's fault, and the local reference path
+classifies it.  Whether a block is handed over at all is the validator's
+gate, not the coordinator's (it needs a plannable profile, account
+granularity, and no local execution-fault injection, whose retry
+semantics the in-node paths own); the coordinator receives the block's
+:class:`~repro.core.artifacts.BlockArtifacts` ready-made.
 
-Merging mirrors :func:`repro.exec.validating.execute_block_parallel`:
-components are account-disjoint, so applying per-component overlays in
-component-index order reproduces the block-order serial state bit for
-bit — the distributed state root is *identical by construction*.
+Followers run the same :class:`~repro.exec.tasks.ComponentTask`s backend
+workers do, and replies are merged by the same
+:func:`repro.exec.validating.merge_components` — the distributed state
+root is *identical by construction*.
 
 Timing runs on the simulated clock: dispatch/ship/execute/reply times are
 derived from the :class:`~repro.simcore.costmodel.CostModel`'s shard
@@ -46,18 +50,18 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
 from repro.core.applier import ProfileMismatch
-from repro.core.artifacts import artifacts_for
+from repro.core.artifacts import BlockArtifacts
+from repro.core.validator import ParallelValidator
 from repro.distributed.partition import ShardPlan, partition_components
 from repro.evm.interpreter import ExecutionContext
-from repro.exec.sharding import ShardWork, build_shard_work
-from repro.exec.tasks import ComponentOutcome
-from repro.exec.validating import ParallelExecOutcome
+from repro.exec.tasks import build_component_tasks
+from repro.exec.validating import ParallelExecOutcome, merge_components
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.state.statedb import StateDB, StateSnapshot
+from repro.state.statedb import StateSnapshot
 
 __all__ = [
     "DistributedConfig",
@@ -118,8 +122,8 @@ class ShardCoordinator:
     """Master role: shard, ship, verify, aggregate, re-assign, degrade.
 
     Plugs into :class:`~repro.core.validator.ParallelValidator` as its
-    ``distributor`` (duck-typed ``execute(validator, block, parent_state,
-    ctx)``).  Follower nodes are built lazily from the validator's EVM
+    ``distributor`` (the :class:`~repro.core.validator.Distributor`
+    protocol).  Follower nodes are built lazily from the validator's EVM
     config so follower execution is configured identically to the master.
     """
 
@@ -153,7 +157,7 @@ class ShardCoordinator:
 
     # ------------------------------------------------------------------ #
 
-    def _followers_for(self, validator: Any) -> List[FollowerNode]:
+    def _followers_for(self, validator: ParallelValidator) -> List[FollowerNode]:
         evm_config = validator.evm.config
         if not self.followers or self._evm_config is not evm_config:
             self._evm_config = evm_config
@@ -171,46 +175,18 @@ class ShardCoordinator:
 
     def execute(
         self,
-        validator: Any,
+        validator: ParallelValidator,
         block: Block,
         parent_state: StateSnapshot,
         ctx: ExecutionContext,
+        art: BlockArtifacts,
     ) -> Tuple[Optional[ParallelExecOutcome], Optional[ValidationFailure]]:
-        """Validate ``block``'s execution across the follower pool.
-
-        Returns ``(outcome, None)`` on success — ``outcome`` is consumed by
-        ``validate_block`` exactly like a backend result; ``(None, None)``
-        when the block cannot be distributed (the local path owns it); and
-        ``(None, failure)`` when follower faults exhausted re-assignment
-        (the local path re-executes, or rejects when serial fallback is
-        off).
-        """
-        n = len(block.transactions)
-        profile = block.profile
-        if n == 0 or profile is None or len(profile.entries) != n:
-            return None, None
-        if validator.config.granularity != "account":
-            return None, None
-        if (
-            validator.injector is not None
-            and validator.injector.injects_execution_faults
-        ):
-            # local worker crash/stall semantics (retry ladder, serial
-            # degradation) are owned by the in-node paths; mixing them with
-            # follower scheduling would change observable fault behaviour
-            return None, None
-        art = artifacts_for(block, "account", cache=validator.artifacts)
-        if art is None:
-            return None, None
-
+        """Validate ``block``'s execution across the follower pool (the
+        :class:`~repro.core.validator.Distributor` contract)."""
         cfg = self.config
         model = validator.cost_model
-        graph = art.graph
-        component_footprints = art.component_footprints()
-        component_gas = art.component_gas()
-        plan: ShardPlan = partition_components(component_gas, cfg.n_followers)
-        if plan.n_shards == 0:
-            return None, None
+        n = len(block.transactions)
+        plan: ShardPlan = partition_components(art.component_gas(), cfg.n_followers)
         followers = self._followers_for(validator)
 
         record = DistributedRecord(
@@ -222,17 +198,10 @@ class ShardCoordinator:
         )
         self.last_record = record
 
-        shard_works: List[Tuple[ShardWork, ...]] = [
-            tuple(
-                build_shard_work(
-                    block,
-                    parent_state,
-                    comp,
-                    graph.components[comp],
-                    component_footprints[comp],
-                    component_gas[comp],
-                )
-                for comp in comps
+        # shipped tasks carry state slices, never the master's snapshot
+        shard_works = [
+            build_component_tasks(
+                block, parent_state, ctx, art, comps, share_base=False
             )
             for comps in plan.shards
         ]
@@ -251,11 +220,20 @@ class ShardCoordinator:
         if self.metrics is not None:
             self.metrics.counter("dist.blocks").inc()
 
+        round_dispatch: Dict[int, float] = {}
+
+        def note(sid: int, attempt: int, reply_at: Optional[float], status: str) -> None:
+            record.attempts.append(
+                ShardAttempt(
+                    sid, attempt, followers[assigned[sid]].follower_id,
+                    round_dispatch[sid], reply_at, status,
+                )
+            )
+
         for attempt in range(cfg.max_reassignments + 1):
             if not pending:
                 break
             round_ok: Dict[int, Tuple[float, ShardReply]] = {}
-            round_dispatch: Dict[int, float] = {}
             for sid in list(pending):
                 f = assigned[sid]
                 follower = followers[f]
@@ -264,7 +242,6 @@ class ShardCoordinator:
                     shard_id=sid,
                     attempt=attempt,
                     works=shard_works[sid],
-                    ctx=ctx,
                 )
                 dispatch = max(busy[f], t0)
                 round_dispatch[sid] = dispatch
@@ -278,17 +255,12 @@ class ShardCoordinator:
                     busy[f] = float("inf")
                     fail_kind[sid] = "crash"
                     record.follower_faults += 1
-                    record.attempts.append(
-                        ShardAttempt(
-                            sid, attempt, follower.follower_id, dispatch, None, "crash"
-                        )
-                    )
+                    note(sid, attempt, None, "crash")
                     continue
                 if self.metrics is not None:
                     self.metrics.counter("dist.replies").inc()
                 verdict = self._verify_reply(
-                    validator, block, graph, component_footprints,
-                    plan.shards[sid], reply,
+                    validator, block, art, plan.shards[sid], reply
                 )
                 if verdict == "anomaly":
                     # the shard itself could not execute cleanly (lying
@@ -313,12 +285,7 @@ class ShardCoordinator:
                 if verdict == "byzantine":
                     fail_kind[sid] = "byzantine"
                     record.follower_faults += 1
-                    record.attempts.append(
-                        ShardAttempt(
-                            sid, attempt, follower.follower_id,
-                            dispatch, reply_at, "byzantine",
-                        )
-                    )
+                    note(sid, attempt, reply_at, "byzantine")
                     continue
                 round_ok[sid] = (reply_at, reply)
 
@@ -334,36 +301,17 @@ class ShardCoordinator:
 
             for sid, (reply_at, reply) in round_ok.items():
                 follower_id = followers[assigned[sid]].follower_id
-                if reply_at > deadline_at and attempt < cfg.max_reassignments:
-                    # verified but late: treat as lost, race a re-assignment
-                    fail_kind[sid] = "straggler"
-                    record.attempts.append(
-                        ShardAttempt(
-                            sid, attempt, follower_id,
-                            round_dispatch[sid], reply_at, "straggler",
-                        )
-                    )
-                    continue
                 if reply_at > deadline_at:
-                    # out of re-assignment budget: the deadline stands
+                    # verified but late: treat as lost and race a
+                    # re-assignment; out of budget, the deadline stands
                     fail_kind[sid] = "straggler"
-                    record.attempts.append(
-                        ShardAttempt(
-                            sid, attempt, follower_id,
-                            round_dispatch[sid], reply_at, "straggler",
-                        )
-                    )
+                    note(sid, attempt, reply_at, "straggler")
                     continue
                 resolved[sid] = reply
                 reply_at_of[sid] = reply_at
                 pending.remove(sid)
                 fail_kind.pop(sid, None)
-                record.attempts.append(
-                    ShardAttempt(
-                        sid, attempt, follower_id,
-                        round_dispatch[sid], reply_at, "ok",
-                    )
-                )
+                note(sid, attempt, reply_at, "ok")
                 if self.tracer.enabled:
                     self.tracer.record(
                         "dist.shard",
@@ -407,7 +355,11 @@ class ShardCoordinator:
             return None, failure
 
         # ---- aggregate: merge per-shard outcomes in component order ------ #
-        outcome = self._merge(validator, block, parent_state, graph, resolved)
+        outcome = merge_components(
+            parent_state,
+            art.graph.components,
+            (o for reply in resolved.values() for o in reply.outcomes),
+        )
         record.makespan_us = (
             max(reply_at_of.values()) + model.dist_merge_per_tx * n
         )
@@ -466,10 +418,9 @@ class ShardCoordinator:
 
     def _verify_reply(
         self,
-        validator: Any,
+        validator: ParallelValidator,
         block: Block,
-        graph: Any,
-        component_footprints: Tuple[Any, ...],
+        art: BlockArtifacts,
         expected_components: Tuple[int, ...],
         reply: ShardReply,
     ) -> str:
@@ -485,15 +436,16 @@ class ShardCoordinator:
         if got != set(expected_components):
             return "byzantine"
         profile = block.profile
+        assert profile is not None  # the artifacts were planned from it
         for outcome in reply.outcomes:
             if outcome.anomaly is not None:
                 return "anomaly"
-            tx_indices = graph.components[outcome.component]
+            tx_indices = art.graph.components[outcome.component]
             if len(outcome.results) != len(tx_indices) or len(
                 outcome.rwsets
             ) != len(tx_indices):
                 return "byzantine"
-            footprint = component_footprints[outcome.component]
+            footprint = art.component_footprints()[outcome.component]
             if not set(outcome.overlay) <= set(footprint):
                 return "byzantine"
             for position, tx_index in enumerate(tx_indices):
@@ -507,51 +459,3 @@ class ShardCoordinator:
                 except ProfileMismatch:
                     return "byzantine"
         return "ok"
-
-    @staticmethod
-    def _merge(
-        validator: Any,
-        block: Block,
-        parent_state: StateSnapshot,
-        graph: Any,
-        resolved: Dict[int, ShardReply],
-    ) -> ParallelExecOutcome:
-        """Rebuild the single-node execution outcome from shard replies.
-
-        Identical to the backend merge in
-        :func:`repro.exec.validating.execute_block_parallel`: overlays are
-        applied in ascending component order (components are
-        account-disjoint, so this reproduces block-order serial state),
-        and results are re-indexed to block order.
-        """
-        from repro.exec.tasks import apply_overlay
-
-        n = len(block.transactions)
-        by_component: Dict[int, ComponentOutcome] = {}
-        for reply in resolved.values():
-            for outcome in reply.outcomes:
-                by_component[outcome.component] = outcome
-        db = StateDB(parent_state)
-        by_index: Dict[int, Tuple[Any, Any]] = {}
-        for comp_index in range(len(graph.components)):
-            outcome = by_component[comp_index]
-            apply_overlay(db, outcome.overlay)
-            for position, tx_index in enumerate(graph.components[comp_index]):
-                by_index[tx_index] = (
-                    outcome.results[position],
-                    outcome.rwsets[position],
-                )
-        tx_results = [by_index[i][0] for i in range(n)]
-        tx_rwsets = [by_index[i][1] for i in range(n)]
-        return ParallelExecOutcome(
-            db=db,
-            tx_results=tx_results,
-            tx_rwsets=tx_rwsets,
-            stalls=[0.0] * n,
-            total_fees=sum(r.fee for r in tx_results),
-            total_gas=sum(r.gas_used for r in tx_results),
-            worker_faults=0,
-            attempt=0,
-            retry_penalty=0.0,
-            wall_us=0.0,
-        )

@@ -33,7 +33,7 @@ class DistributedValidator:
 
     ``injector`` feeds *follower* faults (crash/stall/byzantine) into the
     pool; local worker-fault injection keeps its existing semantics — the
-    coordinator declines such blocks and the local paths handle them.
+    validator keeps such blocks off the pool and the local paths handle them.
     """
 
     def __init__(

@@ -25,7 +25,7 @@ Two task families:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common.types import Address
 from repro.evm.interpreter import (
@@ -49,6 +49,10 @@ from repro.state.statedb import StateDB, StateSnapshot
 from repro.state.versioned import OCCStateView, read_base_value
 from repro.txpool.transaction import Transaction
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.chain.block import Block
+    from repro.core.artifacts import BlockArtifacts
+
 __all__ = [
     "FootprintMiss",
     "GuardedSnapshot",
@@ -69,6 +73,7 @@ __all__ = [
     "ValidateShared",
     "ComponentTask",
     "ComponentOutcome",
+    "build_component_tasks",
     "run_validate_lane",
     "install_shared",
     "call_with_shared",
@@ -583,7 +588,8 @@ class ValidateShared(NamedTuple):
 
 
 class ComponentTask(NamedTuple):
-    """One dependency-graph component, self-contained for any backend."""
+    """One dependency-graph component, self-contained for any executor
+    (sim lane, backend worker or follower node) — the one plan shape."""
 
     component: int
     tx_indices: Tuple[int, ...]
@@ -592,9 +598,10 @@ class ComponentTask(NamedTuple):
     #: account footprint (in-memory backends guard the shared snapshot)
     allowed: FrozenSet[Address]
     #: in-memory backends: the parent snapshot by reference; process
-    #: workers get ``None`` here and read ``slice_accounts`` instead
+    #: workers and followers get ``None`` here and read ``slice_accounts``
     base: Optional[StateSnapshot]
-    #: pickle-able account slice (process backend only)
+    #: pickle-able account slice (process backend and followers): nothing
+    #: in the task then references the parent's memory
     slice_accounts: Optional[Dict[Address, Optional[AccountData]]]
     #: race-detector mode: enumerate every out-of-footprint access (the
     #: in-memory guard then serves true values past the first miss)
@@ -615,6 +622,45 @@ class ComponentOutcome(NamedTuple):
     #: out-of-footprint addresses observed (deduplicated, access order);
     #: non-empty exactly when a footprint guard fired or recorded
     misses: Tuple[Address, ...] = ()
+
+
+def build_component_tasks(
+    block: "Block",
+    parent_state: StateSnapshot,
+    ctx: ExecutionContext,
+    art: "BlockArtifacts",
+    components: Iterable[int],
+    *,
+    share_base: bool,
+    record_misses: bool = False,
+) -> Tuple[ComponentTask, ...]:
+    """Package dependency-graph components for one lane, worker or shard.
+
+    ``share_base`` hands the task the parent snapshot by reference (guarded
+    by the footprint); otherwise it carries the state slice for exactly
+    the accounts its profile footprint names, so any access outside it
+    surfaces as a ``footprint_miss`` anomaly on whichever executor ran it.
+    """
+    footprints = art.component_footprints()
+    tasks = []
+    for comp in components:
+        tx_indices = art.graph.components[comp]
+        allowed = footprints[comp]
+        tasks.append(
+            ComponentTask(
+                component=comp,
+                tx_indices=tx_indices,
+                txs=tuple(block.transactions[i] for i in tx_indices),
+                ctx=ctx,
+                allowed=allowed,
+                base=parent_state if share_base else None,
+                slice_accounts=(
+                    None if share_base else build_state_slice(parent_state, allowed)
+                ),
+                record_misses=record_misses,
+            )
+        )
+    return tuple(tasks)
 
 
 def _dedup_addresses(addresses: List[Address]) -> Tuple[Address, ...]:
@@ -644,27 +690,14 @@ def _run_component(evm: EVM, task: ComponentTask) -> ComponentOutcome:
             rec = RecordingState(db)
             results.append(evm.apply_transaction(rec, tx, task.ctx))
             rwsets.append(rec.rw)
-    except InvalidTransaction as exc:
+    except (InvalidTransaction, FootprintMiss) as exc:
         elapsed_us = (time.perf_counter() - start) * 1e6
+        kind = "invalid"
+        if isinstance(exc, FootprintMiss):
+            kind = "footprint_miss"
+            misses.append(exc.address)
         return ComponentOutcome(
-            task.component,
-            ("invalid", str(exc)),
-            (),
-            (),
-            {},
-            elapsed_us,
-            _dedup_addresses(misses),
-        )
-    except FootprintMiss as exc:
-        elapsed_us = (time.perf_counter() - start) * 1e6
-        misses.append(exc.address)
-        return ComponentOutcome(
-            task.component,
-            ("footprint_miss", str(exc)),
-            (),
-            (),
-            {},
-            elapsed_us,
+            task.component, (kind, str(exc)), (), (), {}, elapsed_us,
             _dedup_addresses(misses),
         )
     elapsed_us = (time.perf_counter() - start) * 1e6

@@ -1,4 +1,4 @@
-"""Component-parallel block validation on real execution backends.
+"""Component-parallel block validation: one plan shape, one merge.
 
 The validator's dependency graph (§4.3) partitions a block into
 account-disjoint connected components; inside a component transactions
@@ -6,34 +6,33 @@ run serially in block order, across components nothing is shared.  That
 makes each component an independently submittable unit: executing every
 component against an isolated view of the parent state and merging the
 (disjoint) write overlays reproduces exactly the state of the block-order
-serial loop — the commit order is enforced at the applier/merge step in
-the parent, not by the workers.
+serial loop — the commit order is enforced at the merge step in the
+parent, not by whoever ran the components.
+
+Every executor consumes the same artifact
+(:class:`~repro.core.artifacts.BlockArtifacts` →
+:class:`~repro.exec.tasks.ComponentTask`) and hands back
+:class:`~repro.exec.tasks.ComponentOutcome`s; :func:`merge_components`
+is the only place they become a :class:`ParallelExecOutcome`, whether
+they ran on backend workers (:func:`execute_block_parallel`) or on
+follower nodes (:mod:`repro.distributed.coordinator`).
 
 The partition comes from the **block profile**, which a byzantine
 proposer can fake.  Every component view is therefore guarded: a read or
 write outside the component's profile-derived account footprint raises
 :class:`~repro.exec.tasks.FootprintMiss`, the parallel attempt is
 discarded, and the caller falls back to the authoritative serial
-reference loop (same funnel as ``InvalidTransaction``).  Anomalies,
-injected worker faults that exhaust retries, missing profiles and
-non-account conflict granularity all take that same fallback — which is
-what keeps the three backends (and the simulator) byte-identical on every
-input, honest or hostile.
-
-Fault injection composes deterministically: the injector's keyed RNG is
-call-order-free, so crash/stall decisions are precomputed per attempt in
-block order — identical to the serial loop's interleaved consults.
+reference loop (same funnel as ``InvalidTransaction``) — which is what
+keeps every substrate byte-identical on every input, honest or hostile.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.chain.block import Block
-from repro.core.depgraph import build_dependency_graph
-from repro.core.scheduler import schedule_components
 from repro.evm.interpreter import ExecutionContext, TxResult
 from repro.state.access import ReadWriteSet
 from repro.state.statedb import StateDB, StateSnapshot
@@ -42,38 +41,67 @@ from repro.exec.backend import ExecutionBackend
 from repro.exec.hooks import apply_order
 from repro.exec.tasks import (
     ComponentOutcome,
-    ComponentTask,
     ValidateShared,
     apply_overlay,
-    build_state_slice,
+    build_component_tasks,
     run_validate_lane,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.artifacts import BlockArtifacts
     from repro.core.validator import ParallelValidator
 
-__all__ = ["ParallelExecOutcome", "execute_block_parallel"]
+__all__ = [
+    "ParallelExecOutcome",
+    "merge_components",
+    "execute_block_parallel",
+]
 
 
 @dataclass
 class ParallelExecOutcome:
-    """Everything the serial reference loop would have produced.
+    """What executing one block's transactions produced, on any substrate.
 
-    ``validate_block`` consumes this in place of its inline re-execution
-    loop; all downstream phases (storage model, Algorithm 2, state root,
-    timing simulation) run unchanged.
+    The serial reference loop, the backend workers and the follower pool
+    all return this; ``validate_block``'s downstream phases (storage
+    model, Algorithm 2, state root, timing simulation) consume it
+    unchanged.
     """
 
     db: StateDB
     tx_results: List[TxResult]
     tx_rwsets: List[ReadWriteSet]
-    stalls: List[float]
-    total_fees: int
-    total_gas: int
-    worker_faults: int
-    attempt: int
-    retry_penalty: float
-    wall_us: float
+    #: ``(tx_index, detail)`` when the reference loop stopped at an invalid
+    #: transaction — the lists then hold the partial prefix before it
+    invalid: Optional[Tuple[int, str]] = None
+
+
+def merge_components(
+    parent_state: StateSnapshot,
+    components: Tuple[Tuple[int, ...], ...],
+    outcomes: Iterable[ComponentOutcome],
+) -> ParallelExecOutcome:
+    """Rebuild the block-order execution outcome from component outcomes.
+
+    Commit order is enforced here, in the parent: overlays are applied in
+    ascending component index (components are account-disjoint, so this
+    reproduces block-order serial state bit for bit, whoever executed
+    them and in whatever order), and results are re-indexed to block order.
+    """
+    by_component = {outcome.component: outcome for outcome in outcomes}
+    db = StateDB(parent_state)
+    by_index: Dict[int, Tuple[TxResult, ReadWriteSet]] = {}
+    for comp_index, tx_indices in enumerate(components):
+        outcome = by_component[comp_index]
+        apply_overlay(db, outcome.overlay)
+        for position, tx_index in enumerate(tx_indices):
+            by_index[tx_index] = (outcome.results[position], outcome.rwsets[position])
+    n = len(by_index)
+    return ParallelExecOutcome(
+        db=db,
+        tx_results=[by_index[i][0] for i in range(n)],
+        tx_rwsets=[by_index[i][1] for i in range(n)],
+    )
 
 
 def execute_block_parallel(
@@ -82,133 +110,47 @@ def execute_block_parallel(
     parent_state: StateSnapshot,
     ctx: ExecutionContext,
     backend: ExecutionBackend,
+    art: "BlockArtifacts",
 ) -> Optional[ParallelExecOutcome]:
-    """Execute one block's transactions component-parallel on ``backend``.
+    """Execute one block's components on ``backend``'s workers.
 
-    Returns ``None`` whenever the parallel path cannot guarantee
-    equivalence with the serial reference loop — the caller then runs the
-    inline loop, whose decisions are deterministic and injector-keyed, so
-    every backend (and the simulator) converges on the identical result.
+    Returns ``None`` when a component reports an anomaly (lying profile,
+    invalid transaction): the caller then runs the reference loop, whose
+    decisions are deterministic, so every substrate converges on the
+    identical result.
     """
-    profile = block.profile
-    n = len(block.transactions)
-    if n == 0 or profile is None or len(profile.entries) != n:
-        return None
-    if validator.config.granularity != "account":
-        # key-granular components may share accounts; component isolation
-        # is only sound for the account-level partition the paper uses
-        return None
-
-    model = validator.cost_model
-    consult = (
-        validator.injector
-        if validator.injector is not None
-        and validator.injector.injects_execution_faults
-        else None
+    graph = art.graph
+    plan = art.plan_for(
+        max(1, backend.workers), validator.config.policy, validator.config.seed
     )
 
-    # ----- fault pre-pass: replay the retry ladder without executing ----- #
-    # The keyed RNG makes consult calls order-free, so the first crash per
-    # attempt (in block order) matches what the serial loop would observe.
-    attempt = 0
-    worker_faults = 0
-    retry_penalty = 0.0
-    stalls = [0.0] * n
-    if consult is not None:
-        while True:
-            crashed = any(
-                consult.execution_fault(block.hash, attempt, index).crash
-                for index in range(n)
-            )
-            if not crashed:
-                break
-            worker_faults += 1
-            if validator.metrics is not None:
-                validator.metrics.counter("validator.worker_faults").inc()
-            retry_penalty += model.abort_overhead + model.retry_backoff * (2**attempt)
-            if attempt < validator.config.max_parallel_retries:
-                attempt += 1
-                continue
-            # retries exhausted: rejection or serial degradation — either
-            # way the reference loop owns the decision
-            return None
-        stalls = [
-            consult.execution_fault(block.hash, attempt, index).stall_us
-            for index in range(n)
-        ]
-
-    # ----- partition from the (unverified) profile ----------------------- #
-    # The pipeline's artifact cache (when attached) owns this derivation:
-    # the same footprints/graph serve the preparation phase afterwards, so
-    # the partition is computed once per block instead of once per phase.
-    art = (
-        validator.artifacts.get(block, "account")
-        if validator.artifacts is not None
-        else None
-    )
-    if art is not None:
-        graph = art.graph
-        plan = art.plan_for(
-            max(1, backend.workers),
-            validator.config.policy,
-            validator.config.seed,
-        )
-        component_addresses = list(art.component_footprints())
-    else:
-        footprints = [entry.rw.touched_addresses() for entry in profile.entries]
-        gas_estimates = [entry.gas_used for entry in profile.entries]
-        graph = build_dependency_graph(footprints, gas_estimates)
-        plan = schedule_components(
-            graph,
-            max(1, backend.workers),
-            validator.config.policy,
-            validator.config.seed,
-        )
-        component_addresses = [
-            frozenset().union(*(footprints[i] for i in component))
-            for component in graph.components
-        ]
-
-    shared = getattr(validator, "_exec_shared", None)
+    shared = validator._exec_shared
     if shared is None or shared.evm_config is not validator.evm.config:
-        shared = ValidateShared(evm_config=validator.evm.config)
-        validator._exec_shared = shared
+        shared = validator._exec_shared = ValidateShared(validator.evm.config)
     backend.open(shared)
 
     check_log = validator.check_log
-    lane_payloads: List[Tuple[ComponentTask, ...]] = []
-    for lane_components in plan.lane_components:
-        if not lane_components:
-            continue
-        lane: List[ComponentTask] = []
-        for comp in lane_components:
-            tx_indices = graph.components[comp]
-            allowed = component_addresses[comp]
-            lane.append(
-                ComponentTask(
-                    component=comp,
-                    tx_indices=tx_indices,
-                    txs=tuple(block.transactions[i] for i in tx_indices),
-                    ctx=ctx,
-                    allowed=allowed,
-                    base=parent_state if backend.shares_memory else None,
-                    slice_accounts=(
-                        None
-                        if backend.shares_memory
-                        else build_state_slice(parent_state, allowed)
-                    ),
-                    # race-detector mode: enumerate every out-of-footprint
-                    # access instead of stopping at the first miss
-                    record_misses=check_log is not None,
-                )
-            )
-        lane_payloads.append(tuple(lane))
+    lane_payloads = [
+        build_component_tasks(
+            block,
+            parent_state,
+            ctx,
+            art,
+            lane_components,
+            share_base=backend.shares_memory,
+            # race-detector mode: enumerate every out-of-footprint access
+            # instead of stopping at the first miss
+            record_misses=check_log is not None,
+        )
+        for lane_components in plan.lane_components
+        if lane_components
+    ]
 
     # conformance yield points: lane submission order and per-lane component
     # order model the pool handing tasks to differently-loaded workers.
-    # Components are account-disjoint and the merge below walks component
-    # indices, so any permutation here must reproduce the identical state —
-    # the property the fuzzer (repro.check.fuzzer) exercises.
+    # Components are account-disjoint and the merge walks component indices,
+    # so any permutation here must reproduce the identical state — the
+    # property the fuzzer (repro.check.fuzzer) exercises.
     probe = validator.probe
     if probe is not None:
         lane_order = apply_order(probe.lane_order(len(lane_payloads)), len(lane_payloads))
@@ -226,7 +168,6 @@ def execute_block_parallel(
     wall_us = (time.perf_counter() - wall0) * 1e6
 
     anomalous = False
-    outcomes: Dict[int, ComponentOutcome] = {}
     for lane_result in lane_outcomes:
         for outcome in lane_result:
             if outcome.misses and check_log is not None:
@@ -242,7 +183,9 @@ def execute_block_parallel(
                             component=outcome.component,
                             tx_indices=tuple(graph.components[outcome.component]),
                             address=address,
-                            declared=len(component_addresses[outcome.component]),
+                            declared=len(
+                                art.component_footprints()[outcome.component]
+                            ),
                         )
                     )
                 if validator.metrics is not None:
@@ -258,27 +201,17 @@ def execute_block_parallel(
                     ).inc()
                 if check_log is None:
                     return None
+                # with a check log attached every lane is drained first so
+                # the violation report is complete; the decision is unchanged
                 anomalous = True
-                continue
-            outcomes[outcome.component] = outcome
     if anomalous:
-        # with a check log attached every lane is drained first so the
-        # violation report is complete; the fallback decision is unchanged
         return None
 
-    # ----- merge: commit order enforced here, in the parent -------------- #
-    db = StateDB(parent_state)
-    by_index: Dict[int, Tuple[TxResult, ReadWriteSet]] = {}
-    for comp_index in range(len(graph.components)):
-        outcome = outcomes[comp_index]
-        apply_overlay(db, outcome.overlay)
-        for position, tx_index in enumerate(graph.components[comp_index]):
-            by_index[tx_index] = (outcome.results[position], outcome.rwsets[position])
-
-    tx_results = [by_index[i][0] for i in range(n)]
-    tx_rwsets = [by_index[i][1] for i in range(n)]
-    total_fees = sum(result.fee for result in tx_results)
-    total_gas = sum(result.gas_used for result in tx_results)
+    merged = merge_components(
+        parent_state,
+        graph.components,
+        (outcome for lane_result in lane_outcomes for outcome in lane_result),
+    )
 
     tracer = validator.tracer
     if tracer.enabled:
@@ -309,16 +242,4 @@ def execute_block_parallel(
             len(graph.components)
         )
         validator.metrics.gauge("validator.backend_wall_us").set(wall_us)
-
-    return ParallelExecOutcome(
-        db=db,
-        tx_results=tx_results,
-        tx_rwsets=tx_rwsets,
-        stalls=stalls,
-        total_fees=total_fees,
-        total_gas=total_gas,
-        worker_faults=worker_faults,
-        attempt=attempt,
-        retry_penalty=retry_penalty,
-        wall_us=wall_us,
-    )
+    return merged

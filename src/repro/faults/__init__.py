@@ -21,14 +21,13 @@ Layout:
   flips, lost fsync windows) for recovery-detection tests.
 """
 
-from repro.faults.errors import FailureReason, ValidationFailure, WorkerFault
+from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultConfig, FaultInjector, FaultyChannel
 from repro.faults.storage import CrashPlan
 
 __all__ = [
     "FailureReason",
     "ValidationFailure",
-    "WorkerFault",
     "FaultConfig",
     "FaultInjector",
     "FaultyChannel",

@@ -21,7 +21,6 @@ from typing import Optional
 __all__ = [
     "FailureReason",
     "ValidationFailure",
-    "WorkerFault",
     "BYZANTINE_REASONS",
 ]
 
@@ -87,18 +86,3 @@ class ValidationFailure:
         where = f" @tx {self.tx_index}" if self.tx_index is not None else ""
         suffix = f": {self.detail}" if self.detail else ""
         return f"{self.reason.value}{where}{suffix}"
-
-
-class WorkerFault(Exception):
-    """A worker lane crashed mid-execution (transient unless it recurs).
-
-    Raised from inside the validator's execution phase — by the fault
-    injector in tests/benchmarks, or by any future real worker backend.
-    The validator catches it, discards the attempt's partial state, and
-    retries with deterministic backoff.
-    """
-
-    def __init__(self, tx_index: int, detail: str = "") -> None:
-        super().__init__(f"worker fault at tx {tx_index}" + (f": {detail}" if detail else ""))
-        self.tx_index = tx_index
-        self.detail = detail

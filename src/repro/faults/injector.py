@@ -13,7 +13,7 @@ Three fault families:
   entries (add/remove/swap accounts, wrong values), a mutated claimed
   state root, a truncated or reordered transaction list.
 * **Execution faults** — :meth:`FaultInjector.execution_fault` makes a
-  worker lane crash (:class:`~repro.faults.errors.WorkerFault`) on a
+  worker lane crash (``FailureReason.WORKER_FAULT``) on a
   chosen transaction for its first ``worker_fault_attempts`` attempts
   (transient), or stall for a configurable simulated delay.
 * **Network faults** — :class:`FaultyChannel` wraps block delivery with

@@ -1,12 +1,13 @@
 """Shard RPC messages and the follower-node loop (distributed validation).
 
 The wire protocol of :mod:`repro.distributed`, DiPETrans-shaped: the
-master ships a :class:`ShardAssignment` (a set of self-contained component
-work units plus the execution context) to one follower; the follower
-executes it with the same task bodies a local validator lane would use and
-returns a :class:`ShardReply` with per-component outcomes.  Both messages
-are frozen dataclasses of pickle-able pieces — nothing in them references
-the master's memory, so they model real network messages faithfully.
+master ships a :class:`ShardAssignment` (the same
+:class:`~repro.exec.tasks.ComponentTask`s a local validator lane runs,
+built with state slices instead of the master's snapshot) to one
+follower; the follower executes it with the lane task body and returns a
+:class:`ShardReply` with per-component outcomes.  Both messages are frozen
+dataclasses of pickle-able pieces — nothing in them references the
+master's memory, so they model real network messages faithfully.
 
 :class:`FollowerNode` is the server side of that exchange.  It optionally
 consults a :class:`~repro.faults.injector.FaultInjector` before replying:
@@ -20,14 +21,17 @@ proposers.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.common.types import Hash32
-from repro.evm.interpreter import EVMConfig, ExecutionContext
-from repro.exec.sharding import ShardWork, execute_shard
-from repro.exec.tasks import ComponentOutcome, ValidateShared
+from repro.evm.interpreter import EVMConfig
+from repro.exec.tasks import (
+    ComponentOutcome,
+    ComponentTask,
+    ValidateShared,
+    run_validate_lane,
+)
 from repro.faults.injector import FaultInjector, _keyed_rng
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -44,12 +48,7 @@ class ShardAssignment:
     #: re-assignment round (0 = first dispatch); part of the fault key so
     #: a re-assigned shard rolls fresh faults on its new follower
     attempt: int
-    works: Tuple[ShardWork, ...]
-    ctx: ExecutionContext
-
-    @property
-    def n_txs(self) -> int:
-        return sum(len(w.tx_indices) for w in self.works)
+    works: Tuple[ComponentTask, ...]
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,6 @@ class ShardReply:
     outcomes: Tuple[ComponentOutcome, ...]
     #: injected stall charged to this reply's simulated latency (µs)
     stall_us: float
-    #: host wall-clock the follower spent executing (µs; observability only)
-    wall_us: float
 
 
 class FollowerNode:
@@ -117,9 +114,7 @@ class FollowerNode:
                 )
             return None
 
-        start = time.perf_counter()
-        outcomes = execute_shard(self._shared, assignment.works, assignment.ctx)
-        wall_us = (time.perf_counter() - start) * 1e6
+        outcomes = run_validate_lane(self._shared, assignment.works)
 
         stall_us = 0.0
         if fault is not None and fault.stall_us > 0.0:
@@ -137,7 +132,6 @@ class FollowerNode:
             follower_id=self.follower_id,
             outcomes=outcomes,
             stall_us=stall_us,
-            wall_us=wall_us,
         )
 
     def _tamper(

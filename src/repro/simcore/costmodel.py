@@ -80,7 +80,7 @@ class CostModel:
     #: re-executes, which is why this is ~25x cheaper than an SLOAD.
     validate_per_read: float = 0.08
     #: Base backoff before re-attempting a block after a transient
-    #: :class:`~repro.faults.errors.WorkerFault` (doubles per retry, so a
+    #: worker fault (doubles per retry, so a
     #: block that retries k times is delayed Σ backoff·2^i — deterministic,
     #: keeping Fig-9-style timing meaningful under injected faults).
     retry_backoff: float = 40.0

@@ -22,11 +22,12 @@ from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.distributed import (
     DistributedConfig,
     DistributedValidator,
-    ShardCoordinator,
     partition_components,
 )
 from repro.evm.interpreter import ExecutionContext
-from repro.exec.sharding import build_shard_work
+from repro.exec import SerialBackend
+from repro.exec.tasks import ValidateShared, build_component_tasks, run_validate_lane
+from repro.exec.validating import merge_components
 from repro.faults.errors import FailureReason
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.node import ProposerNode
@@ -164,11 +165,14 @@ class TestBitIdentity:
     def test_any_partition_reproduces_reference(
         self, small_universe, data
     ):
-        """Arbitrary component->shard maps merge to the reference result.
+        """Arbitrary component->executor maps merge to the reference result.
 
-        Bypasses the coordinator's LPT planner entirely: hypothesis draws
-        the partition, honest followers execute it, and the coordinator's
-        merge must still reproduce the single-node outcome bit for bit.
+        Bypasses both planners (the coordinator's LPT packer and the
+        backend's lane scheduler): hypothesis draws the partition, and the
+        same drawn map is run once as shards on an honest follower (state
+        slices, shard RPC) and once as lanes on a backend (shared guarded
+        snapshot).  The single ``merge_components`` must reproduce the
+        single-node outcome bit for bit from either set of outcomes.
         """
         # fresh nonce map per example: block building must not depend on
         # what previous examples generated, or draw bounds shift
@@ -183,10 +187,7 @@ class TestBitIdentity:
         assert reference.accepted
 
         art = artifacts_for(block, "account")
-        graph = art.graph
-        footprints = art.component_footprints()
-        gas = art.component_gas()
-        n_components = len(graph.components)
+        n_components = len(art.graph.components)
         n_shards = data.draw(st.integers(min_value=1, max_value=n_components))
         assignment = data.draw(
             st.lists(
@@ -199,56 +200,59 @@ class TestBitIdentity:
         shards = {}
         for comp, shard in enumerate(assignment):
             shards.setdefault(shard, []).append(comp)
-        follower = FollowerNode("prop-follower")
         ctx = ExecutionContext(
             block_number=block.header.number,
             timestamp=block.header.timestamp,
             coinbase=block.header.coinbase,
             gas_limit=block.header.gas_limit,
         )
-        resolved = {}
-        for shard_id, comps in sorted(shards.items()):
-            works = tuple(
-                build_shard_work(
-                    block,
-                    universe.genesis,
-                    comp,
-                    graph.components[comp],
-                    footprints[comp],
-                    gas[comp],
-                )
-                for comp in comps
+
+        def tasks_for(comps, share_base):
+            return build_component_tasks(
+                block, universe.genesis, ctx, art, comps, share_base=share_base
             )
+
+        follower = FollowerNode("prop-follower")
+        follower_outcomes = []
+        for shard_id, comps in sorted(shards.items()):
+            works = tasks_for(comps, share_base=False)
+            assert all(w.base is None for w in works)  # nothing of the master's
             reply = follower.handle(
                 ShardAssignment(
-                    block_hash=block.hash,
-                    shard_id=shard_id,
-                    attempt=0,
-                    works=works,
-                    ctx=ctx,
+                    block_hash=block.hash, shard_id=shard_id, attempt=0, works=works
                 )
             )
             assert reply is not None
-            resolved[shard_id] = reply
+            follower_outcomes.extend(reply.outcomes)
 
-        outcome = ShardCoordinator._merge(
-            None, block, universe.genesis, graph, resolved
-        )
+        with SerialBackend() as backend:
+            backend.open(ValidateShared(None))
+            lane_outcomes = [
+                outcome
+                for lane in backend.map(
+                    run_validate_lane,
+                    [tasks_for(comps, share_base=True) for comps in shards.values()],
+                )
+                for outcome in lane
+            ]
+
         from repro.chain.params import DEFAULT_CHAIN_PARAMS
         from repro.core.proposer import finalize_block_state
 
-        post_state = finalize_block_state(
-            outcome.db.commit(),
-            coinbase=block.header.coinbase,
-            total_fees=outcome.total_fees,
-            block_number=block.number,
-            uncles=block.uncles,
-            params=DEFAULT_CHAIN_PARAMS,
-        )
-        assert post_state.state_root() == reference.post_state.state_root()
-        assert [
-            (r.gas_used, r.success, r.fee) for r in outcome.tx_results
-        ] == [(r.gas_used, r.success, r.fee) for r in reference.tx_results]
+        for outcomes in (follower_outcomes, lane_outcomes):
+            outcome = merge_components(universe.genesis, art.graph.components, outcomes)
+            post_state = finalize_block_state(
+                outcome.db.commit(),
+                coinbase=block.header.coinbase,
+                total_fees=sum(r.fee for r in outcome.tx_results),
+                block_number=block.number,
+                uncles=block.uncles,
+                params=DEFAULT_CHAIN_PARAMS,
+            )
+            assert post_state.state_root() == reference.post_state.state_root()
+            assert [
+                (r.gas_used, r.success, r.fee) for r in outcome.tx_results
+            ] == [(r.gas_used, r.success, r.fee) for r in reference.tx_results]
 
     def test_simnet_followers_match_baseline(self, small_universe):
         def run(followers):

@@ -13,13 +13,19 @@ import dataclasses
 
 import pytest
 
+from repro.chain.block import BlockProfile, transactions_root
 from repro.chain.blockchain import Blockchain
+from repro.check.fuzzer import forge_lying_profile_block
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
+from repro.distributed import DistributedValidator
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
+from repro.faults.errors import FailureReason
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.node import ProposerNode
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 
@@ -54,6 +60,23 @@ def _sealed_block(universe, txs):
     chain = Blockchain(universe.genesis)
     node = ProposerNode("equiv-proposer")
     return node.build_block(chain.head.header, universe.genesis, txs).block
+
+
+def _with_invalid_tx(block, index):
+    """Re-seal ``block`` structurally intact but with a nonce gap at ``index``."""
+    txs = list(block.transactions)
+    txs[index] = dataclasses.replace(txs[index], nonce=txs[index].nonce + 7)
+    entries = list(block.profile.entries)
+    entries[index] = dataclasses.replace(entries[index], tx_hash=txs[index].hash)
+    return dataclasses.replace(
+        block,
+        header=dataclasses.replace(
+            block.header, transactions_root=transactions_root(tuple(txs))
+        ),
+        transactions=tuple(txs),
+        receipts=(),
+        profile=BlockProfile(entries=tuple(entries)),
+    )
 
 
 class TestProposerEquivalence:
@@ -165,6 +188,120 @@ class TestFaultEquivalence:
                 )
                 results[name] = validator.validate_block(block, universe.genesis)
         return results
+
+    def _observe_everywhere(self, block, universe, fault_config, **cfg):
+        """Validate on sim | serial | thread | 2 followers, each with its own
+        registry and tracer; returns ``{substrate: (result, worker_faults
+        counter, fault-ladder trace instants)}``."""
+        config = ValidatorConfig(lanes=4, **cfg)
+        observed = {}
+
+        def observe(name, validate):
+            metrics, tracer = MetricsRegistry(), Tracer()
+            result = validate(
+                injector=FaultInjector(fault_config), metrics=metrics, tracer=tracer
+            )
+            instants = [
+                (span.name, span.attrs)
+                for span in tracer.spans
+                if span.name in ("worker_fault", "serial_fallback")
+            ]
+            counter = metrics.snapshot()["counters"].get("validator.worker_faults", 0)
+            observed[name] = (result, counter, instants)
+
+        observe(
+            "sim",
+            lambda **kw: ParallelValidator(config=config, **kw).validate_block(
+                block, universe.genesis
+            ),
+        )
+        for name, factory in BACKEND_FACTORIES[:2]:
+            with factory() as backend:
+                observe(
+                    name,
+                    lambda **kw: ParallelValidator(
+                        config=config, backend=backend, **kw
+                    ).validate_block(block, universe.genesis),
+                )
+        observe(
+            "followers",
+            lambda **kw: DistributedValidator(2, config=config, **kw).validate(
+                block, universe.genesis
+            ),
+        )
+        return observed
+
+    @pytest.mark.parametrize(
+        "case, fault_config, cfg, expected_faults",
+        [
+            # (a) transient: heals on the second attempt
+            ("heals", dict(worker_fault_rate=1.0, worker_fault_attempts=1), {}, 1),
+            # (b) exhausted ladder, serial fallback on / off — the parent
+            # commit counted 6 on every backend here, 3 on the sim path
+            ("exhausted", dict(worker_fault_rate=0.2, worker_fault_attempts=10), {}, 3),
+            (
+                "exhausted-reject",
+                dict(worker_fault_rate=0.2, worker_fault_attempts=10),
+                {"serial_fallback": False},
+                3,
+            ),
+            # (c) transient fault, then the component attempt trips over a
+            # lying profile and the reference loop takes the block
+            ("lying", dict(worker_fault_rate=1.0, worker_fault_attempts=1), {}, 1),
+        ],
+    )
+    def test_worker_faults_counted_once_on_every_substrate(
+        self, small_universe, case, fault_config, cfg, expected_faults
+    ):
+        if case == "lying":
+            block = forge_lying_profile_block(small_universe)
+        else:
+            block = _sealed_block(small_universe, _txs(small_universe, n=40))
+        observed = self._observe_everywhere(
+            block, small_universe, FaultConfig(seed=0, **fault_config), **cfg
+        )
+        ref_result, ref_counter, ref_instants = observed["sim"]
+        assert ref_result.worker_faults == expected_faults
+        assert ref_counter == expected_faults
+        assert sum(1 for name, _ in ref_instants if name == "worker_fault") == (
+            expected_faults
+        )
+        for name, (result, counter, instants) in observed.items():
+            assert result.accepted == ref_result.accepted, name
+            assert result.worker_faults == expected_faults, name
+            assert result.exec_attempts == ref_result.exec_attempts, name
+            assert counter == expected_faults, name
+            assert instants == ref_instants, name
+
+    def test_invalid_tx_under_crash_reports_ladder_first(self, small_universe):
+        """The ladder is walked before anything executes, so a MALFORMED_BLOCK
+        rejection carries the whole ladder's counters — on every substrate —
+        even when the invalid transaction sits before the crashing one."""
+        honest = _sealed_block(small_universe, _txs(small_universe, n=20))
+        fault_config = FaultConfig(seed=0, worker_fault_rate=0.3, worker_fault_attempts=2)
+        injector = FaultInjector(fault_config)
+
+        def first_crash(block):
+            return next(
+                (i for i in range(20) if injector.execution_fault(block.hash, 0, i).crash),
+                None,
+            )
+
+        # the crash schedule is keyed by block hash, which the forged
+        # transaction changes: pick an index the new schedule crashes after
+        invalid_at, block = next(
+            (k, forged)
+            for k in range(20)
+            for forged in [_with_invalid_tx(honest, k)]
+            if (first_crash(forged) or 0) > k
+        )
+        observed = self._observe_everywhere(block, small_universe, fault_config)
+        for name, (result, counter, _) in observed.items():
+            assert not result.accepted, name
+            assert result.failure.reason is FailureReason.MALFORMED_BLOCK, name
+            assert result.failure.tx_index == invalid_at, name
+            assert (result.worker_faults, result.exec_attempts) == (2, 3), name
+            assert counter == 2, name
 
     def test_transient_crash_retry_ladder_matches(self, small_universe):
         block = _sealed_block(small_universe, _txs(small_universe, n=20))

@@ -52,9 +52,8 @@ class TestGranularity:
             account.post_state.state_root() == key.post_state.state_root()
         )
 
-    def test_unknown_granularity_rejected(self, sealed, small_universe):
-        res = ParallelValidator(
-            config=ValidatorConfig(granularity="molecule")
-        ).validate_block(sealed.block, small_universe.genesis)
-        assert not res.accepted
-        assert "granularity" in res.reason
+    def test_unknown_granularity_rejected(self):
+        """A local misconfiguration is refused at construction — it is not
+        any block's fault, so no block is executed and then rejected for it."""
+        with pytest.raises(ValueError, match="unknown conflict granularity 'molecule'"):
+            ValidatorConfig(granularity="molecule")

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare trace-demo examples clean
+.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare bench-e2e-quick bench-e2e-compare trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -131,6 +131,16 @@ bench-compare:
 		--old-dir benchmarks/results --new-dir benchmarks/results/.fresh \
 		--names fig6_proposer fig7a_scalability fig9_multiblock hotpath obs_live \
 		scenarios
+
+# node-lifecycle wall-clock benchmark (benchmarks/e2e/README.md): a 2-block
+# pass of every workload with every check on, ~20 s
+bench-e2e-quick:
+	$(PYTHON) -m benchmarks.e2e run --quick
+
+# judge result file B against A (both written by `python -m benchmarks.e2e
+# run --out FILE`): make bench-e2e-compare A=parent.json B=change.json
+bench-e2e-compare:
+	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
 
 trace-demo:
 	$(PYTHON) -m repro --txs-per-block 60 trace --mode round --rounds 2 \

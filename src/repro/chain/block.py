@@ -76,7 +76,8 @@ class Receipt:
     log_count: int
     logs: Tuple[Log, ...] = ()
 
-    def encode(self) -> bytes:
+    @cached_property
+    def _encoded(self) -> bytes:
         return rlp_encode(
             [
                 bytes(self.tx_hash),
@@ -94,6 +95,12 @@ class Receipt:
                 ],
             ]
         )
+
+    def encode(self) -> bytes:
+        """The receipt's wire form: the receipts-trie value and, spliced
+        verbatim, its entry in a block-log record.  Computed once per
+        (immutable) receipt."""
+        return self._encoded
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,6 @@ class BlockProfile:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def entry_for(self, tx_hash: Hash32) -> Optional[TxProfileEntry]:
-        for entry in self.entries:
-            if entry.tx_hash == tx_hash:
-                return entry
-        return None
 
 
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:

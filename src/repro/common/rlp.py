@@ -18,48 +18,69 @@ exercise via round-trip properties.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterable, Union
 
 RLPItem = Union[bytes, int, str, list, tuple]
 
-__all__ = ["rlp_encode", "rlp_decode", "RLPDecodeError"]
+__all__ = ["rlp_encode", "rlp_string", "rlp_list", "rlp_decode", "RLPDecodeError"]
 
 
 class RLPDecodeError(ValueError):
     """Raised when a byte string is not valid canonical RLP."""
 
 
-def _encode_int(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("RLP cannot encode negative integers")
-    if value == 0:
-        return b""
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
-
-
 def _encode_length(length: int, offset: int) -> bytes:
     if length < 56:
         return bytes([offset + length])
-    raw = _encode_int(length)
+    raw = length.to_bytes((length.bit_length() + 7) // 8, "big")
     return bytes([offset + 55 + len(raw)]) + raw
+
+
+#: the one-byte prefixes of strings shorter than 56 bytes, by length
+_SHORT_STRING_PREFIX = [bytes([0x80 + n]) for n in range(56)]
+
+
+def rlp_string(data: bytes) -> bytes:
+    """Encode one byte string (the item rule, without type dispatch)."""
+    n = len(data)
+    if n >= 56:
+        return _encode_length(n, 0x80) + data
+    if n == 1 and data[0] < 0x80:
+        return data
+    return _SHORT_STRING_PREFIX[n] + data
+
+
+def rlp_list(encoded_items: Iterable[bytes]) -> bytes:
+    """Wrap items that are *already RLP-encoded* under a list prefix."""
+    body = b"".join(encoded_items)
+    return _encode_length(len(body), 0xC0) + body
 
 
 def rlp_encode(item: RLPItem) -> bytes:
     """Encode bytes / int / str / nested lists into canonical RLP."""
+    kind = type(item)
+    if kind is bytes:
+        return rlp_string(item)
+    if kind is int:
+        if item < 0x80:
+            if item < 0:
+                raise ValueError("RLP cannot encode negative integers")
+            return bytes((item,)) if item else b"\x80"
+        return rlp_string(item.to_bytes((item.bit_length() + 7) // 8, "big"))
+    if kind is list or kind is tuple:
+        return rlp_list([rlp_encode(sub) for sub in item])
+    # everything else: subclasses (``Address``, ``Hash32``), ``bytearray``,
+    # ``str`` -- normalised to one of the exact types above
     if isinstance(item, (bytes, bytearray)):
-        data = bytes(item)
-        if len(data) == 1 and data[0] < 0x80:
-            return data
-        return _encode_length(len(data), 0x80) + data
+        return rlp_string(bytes(item))
     if isinstance(item, bool):
         raise TypeError("RLP does not define a boolean encoding")
     if isinstance(item, int):
-        return rlp_encode(_encode_int(item))
+        return rlp_encode(int(item))
     if isinstance(item, str):
-        return rlp_encode(item.encode("utf-8"))
+        return rlp_string(item.encode("utf-8"))
     if isinstance(item, (list, tuple)):
-        body = b"".join(rlp_encode(sub) for sub in item)
-        return _encode_length(len(body), 0xC0) + body
+        return rlp_encode(list(item))
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 

@@ -7,7 +7,7 @@ Three cache primitives back the hot-path layer (ISSUE 4 / ARCHITECTURE §11):
 * :func:`keccak_cached` — a process-wide memo of ``keccak(key)`` for the
   secure trie.  Account addresses and storage-slot keys are re-hashed on
   every trie get/set; the key space a workload touches is small and stable,
-  so the memo turns the dominant commit cost into a dict lookup;
+  so the memo turns each of those hashes into a dict lookup;
 * :class:`ReadThroughCache` — a loader-backed LRU used by
   :class:`repro.state.versioned.MultiVersionStore` for base-snapshot reads
   shared across every optimistic transaction in a block.

@@ -22,6 +22,7 @@ from repro.state.trie import (
     EMPTY_ROOT,
     MPT,
     SecureMPT,
+    _node_ref,
     _node_rlp,
     bytes_to_nibbles,
 )
@@ -37,15 +38,11 @@ def _hp_decode(encoded: bytes) -> Tuple[Tuple[int, ...], bool]:
     """Inverse hex-prefix: returns (nibbles, is_leaf)."""
     if not encoded:
         raise ProofError("empty hex-prefix path")
-    nibbles = []
-    for b in encoded:
-        nibbles.append(b >> 4)
-        nibbles.append(b & 0x0F)
+    nibbles = bytes_to_nibbles(encoded)
     flag = nibbles[0]
     is_leaf = flag >= 2
     odd = flag % 2 == 1
-    path = nibbles[1:] if odd else nibbles[2:]
-    return tuple(path), is_leaf
+    return (nibbles[1:] if odd else nibbles[2:]), is_leaf
 
 
 def prove(trie: MPT, key: bytes) -> List[bytes]:
@@ -82,8 +79,9 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
             if child is None:
                 break  # exclusion: no child on the path
             path = path[1:]
-        # children with short RLP are embedded in the parent encoding
-        append_next = len(_node_rlp(child)) >= 32
+        # children with short RLP are embedded in the parent encoding;
+        # a hashed reference is 33 bytes
+        append_next = len(_node_ref(child)) >= 32
         node = child
     return proof
 

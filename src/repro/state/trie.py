@@ -13,8 +13,9 @@ Design choices:
 * **Yellow-paper encoding.**  Leaf/extension paths use hex-prefix (HP)
   encoding; node references embed the RLP of nodes shorter than 32 bytes
   and the Keccak hash otherwise; the root hash is always the hash of the
-  root node's RLP.  Hashes are cached per node and never recomputed thanks
-  to immutability.
+  root node's RLP.  Each node caches that reference once it has been
+  computed (:func:`_node_ref`); immutability means it can never go stale,
+  so a commit hashes only the nodes on the paths it rewrote.
 * **byte-string keys and values.**  Callers hash/serialise their own keys
   (see :class:`SecureMPT` for the keccak-keyed variant used by the state).
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.common.hashing import keccak
-from repro.common.rlp import rlp_encode
+from repro.common.rlp import rlp_list, rlp_string
 from repro.common.types import Hash32
 from repro.state.cache import keccak_cached
 
@@ -33,24 +34,24 @@ __all__ = ["MPT", "SecureMPT", "EMPTY_ROOT"]
 Nibbles = Tuple[int, ...]
 
 
+#: maps an ASCII hex digit to its value, for :func:`bytes_to_nibbles`
+_HEX_DIGIT_VALUE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def bytes_to_nibbles(key: bytes) -> Nibbles:
-    out = []
-    for b in key:
-        out.append(b >> 4)
-        out.append(b & 0x0F)
-    return tuple(out)
+    return tuple(key.hex().encode().translate(_HEX_DIGIT_VALUE))
+
+
+def nibbles_to_bytes(nibbles: Nibbles) -> bytes:
+    """Pack an even-length nibble path back into bytes."""
+    return bytes.fromhex(bytes(nibbles).hex()[1::2])
 
 
 def hp_encode(path: Nibbles, is_leaf: bool) -> bytes:
     """Hex-prefix encode a nibble path with the leaf/extension flag."""
-    flag = 2 if is_leaf else 0
-    if len(path) % 2 == 1:
-        nibbles = (flag + 1,) + path
-    else:
-        nibbles = (flag, 0) + path
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-    )
+    if len(path) % 2:
+        return nibbles_to_bytes((3 if is_leaf else 1,) + path)
+    return (b"\x20" if is_leaf else b"\x00") + nibbles_to_bytes(path)
 
 
 def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
@@ -62,32 +63,32 @@ def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
 
 
 class _Leaf:
-    __slots__ = ("path", "value", "_enc")
+    __slots__ = ("path", "value", "_ref")
 
     def __init__(self, path: Nibbles, value: bytes) -> None:
         self.path = path
         self.value = value
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 class _Extension:
-    __slots__ = ("path", "child", "_enc")
+    __slots__ = ("path", "child", "_ref")
 
     def __init__(self, path: Nibbles, child: "_Node") -> None:
         self.path = path
         self.child = child
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 class _Branch:
-    __slots__ = ("children", "value", "_enc")
+    __slots__ = ("children", "value", "_ref")
 
     def __init__(
         self, children: Tuple[Optional["_Node"], ...], value: Optional[bytes]
     ) -> None:
         self.children = children
         self.value = value
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 _Node = Union[_Leaf, _Extension, _Branch]
@@ -95,54 +96,31 @@ _Node = Union[_Leaf, _Extension, _Branch]
 _EMPTY_CHILDREN: Tuple[Optional[_Node], ...] = (None,) * 16
 
 #: Root hash of the empty trie: hash of the RLP of the empty byte string.
-EMPTY_ROOT = keccak(rlp_encode(b""))
+EMPTY_ROOT = keccak(rlp_string(b""))
 
 
 def _node_rlp(node: _Node) -> bytes:
-    """Canonical RLP of a node (cached; nodes are immutable)."""
-    enc = node._enc
-    if enc is not None:
-        return enc
+    """Canonical RLP of a node, assembled from its children's references."""
     if isinstance(node, _Leaf):
-        enc = rlp_encode([hp_encode(node.path, True), node.value])
-    elif isinstance(node, _Extension):
-        enc = rlp_encode([hp_encode(node.path, False), _node_ref(node.child)])
-    else:  # branch
-        items: list = [
-            (b"" if c is None else _node_ref(c)) for c in node.children
-        ]
-        items.append(node.value if node.value is not None else b"")
-        enc = rlp_encode(items)
-    node._enc = enc
-    return enc
-
-
-def _node_ref(node: _Node):
-    """Reference used inside a parent: inline structure if RLP < 32 bytes,
-    otherwise the 32-byte hash.  To keep things simple (and still
-    canonical) we inline the *encoded* RLP via a raw-passthrough trick:
-    since ``rlp_encode`` would re-encode a list, we return the hash when
-    long, else the decoded structural form is unnecessary — we embed the
-    already-encoded bytes by returning a special marker handled in
-    ``rlp_encode``.  Instead of complicating the encoder, we conservatively
-    return the hash whenever the RLP is 32 bytes or longer, and for shorter
-    nodes we return their *structural list*, rebuilt cheaply below.
-    """
-    enc = _node_rlp(node)
-    if len(enc) >= 32:
-        return keccak(enc)
-    return _node_struct(node)
-
-
-def _node_struct(node: _Node):
-    """Structural (list) form of a node for inline embedding."""
-    if isinstance(node, _Leaf):
-        return [hp_encode(node.path, True), node.value]
+        return rlp_list((rlp_string(hp_encode(node.path, True)), rlp_string(node.value)))
     if isinstance(node, _Extension):
-        return [hp_encode(node.path, False), _node_ref(node.child)]
-    items: list = [(b"" if c is None else _node_ref(c)) for c in node.children]
-    items.append(node.value if node.value is not None else b"")
-    return items
+        return rlp_list((rlp_string(hp_encode(node.path, False)), _node_ref(node.child)))
+    parts = [b"\x80" if c is None else _node_ref(c) for c in node.children]
+    parts.append(b"\x80" if node.value is None else rlp_string(node.value))
+    return rlp_list(parts)
+
+
+def _node_ref(node: _Node) -> bytes:
+    """The node as it appears, already encoded, inside its parent: its RLP
+    when that is shorter than 32 bytes, else ``0xa0 || keccak(RLP)`` (yellow
+    paper, appendix D).  Cached on the node; the write is an idempotent store
+    of a pure function of immutable fields, hence safe under ``ThreadBackend``.
+    """
+    ref = node._ref
+    if ref is None:
+        rlp = _node_rlp(node)
+        ref = node._ref = rlp if len(rlp) < 32 else b"\xa0" + keccak(rlp)
+    return ref
 
 
 def _get(node: Optional[_Node], path: Nibbles) -> Optional[bytes]:
@@ -322,7 +300,9 @@ class MPT:
     def root_hash(self) -> Hash32:
         if self._root is None:
             return EMPTY_ROOT
-        return keccak(_node_rlp(self._root))
+        ref = _node_ref(self._root)
+        # a hashed reference is 33 bytes, an inline one under 32
+        return Hash32(ref[1:]) if len(ref) == 33 else keccak(ref)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate ``(key, value)`` pairs in lexicographic key order.
@@ -331,10 +311,7 @@ class MPT:
         representable; all keys inserted through :meth:`set` qualify.
         """
         for nibbles, value in _iter_items(self._root, ()):
-            key = bytes(
-                (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-            )
-            yield key, value
+            yield nibbles_to_bytes(nibbles), value
 
     def __len__(self) -> int:
         return sum(1 for _ in _iter_items(self._root, ()))
@@ -353,8 +330,8 @@ class SecureMPT:
 
     Key hashing goes through the process-wide :func:`keccak_cached` memo —
     commits re-hash the same addresses and slot keys block after block, so
-    memoizing the preimage→digest map removes the dominant hashing cost
-    without changing any root (the memo is a pure-function cache).
+    memoizing the preimage→digest map saves one hash per access without
+    changing any root (the memo is a pure-function cache).
     """
 
     __slots__ = ("_trie",)

@@ -183,10 +183,13 @@ class DiskStore:
         height = block.number
         crash = self.crash
 
+        # encoded once: the self-check reads, and the append writes, these bytes
+        payload = encode_block(block)
+
         # 0. codec self-check: a block that cannot be re-read from its own
         #    encoding must fail here, at append time, not at recovery time
         if self.verify_writes:
-            problem = verify_roundtrip(block)
+            problem = verify_roundtrip(block, payload)
             if problem is not None:
                 raise StoreError(
                     f"block {height} fails codec round-trip: {problem}"
@@ -194,11 +197,13 @@ class DiskStore:
 
         # 1. block record → log (durable before anything references it)
         if crash is not None and crash.is_armed("torn_append", height):
-            record_len = len(encode_block(block)) + RECORD_HEADER.size
-            self.log.append(block, tear_after=crash.tear_bytes(height, record_len))
+            record_len = len(payload) + RECORD_HEADER.size
+            self.log.append_payload(
+                payload, tear_after=crash.tear_bytes(height, record_len)
+            )
             crash.fire("torn_append", height)  # always exits here
         before = self.log.size
-        self.log.append(block)
+        self.log.append_payload(payload)
         appended = self.log.size - before
         self._count("store.blocks_appended")
         self._count("store.bytes_appended", appended)

@@ -133,10 +133,17 @@ class BlockLog:
         return self._fh.seek(0, os.SEEK_END)
 
     def append(self, block: Block, *, tear_after: Optional[int] = None) -> int:
-        """Append one block; returns the offset the record starts at.
+        """Encode and append one block (see :meth:`append_payload`)."""
+        return self.append_payload(encode_block(block), tear_after=tear_after)
+
+    def append_payload(
+        self, payload: bytes, *, tear_after: Optional[int] = None
+    ) -> int:
+        """Append one record holding ``payload`` (an ``encode_block``
+        result); returns the offset the record starts at.
 
         The record is flushed and (by default) fsynced before returning,
-        so a successful ``append`` means the block is durable.
+        so a successful append means the block is durable.
 
         ``tear_after`` is the fault-injection hook: write only the first
         ``tear_after`` bytes of the record, make *that* durable, and
@@ -146,7 +153,6 @@ class BlockLog:
         assert self._fh is not None
         metrics = self.metrics
         started = time.perf_counter() if metrics is not None else 0.0
-        payload = encode_block(block)
         record = RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         offset = self._fh.seek(0, os.SEEK_END)
         if tear_after is not None:

@@ -28,7 +28,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader, Receipt
 from repro.common.hashing import Hash32
-from repro.common.rlp import rlp_decode, rlp_encode
+from repro.common.rlp import rlp_decode, rlp_encode, rlp_list
 from repro.common.types import Address
 from repro.evm.interpreter import Log
 from repro.txpool.transaction import Transaction
@@ -164,26 +164,10 @@ def decode_transaction(data: bytes) -> Transaction:
 # --------------------------------------------------------------------------- #
 
 
-def receipt_to_items(receipt: Receipt) -> List[Any]:
-    return [
-        bytes(receipt.tx_hash),
-        1 if receipt.success else 0,
-        receipt.gas_used,
-        receipt.cumulative_gas,
-        receipt.log_count,
-        [
-            [
-                bytes(log.address),
-                [topic.to_bytes(32, "big") for topic in log.topics],
-                log.data,
-            ]
-            for log in receipt.logs
-        ],
-    ]
-
-
 def encode_receipt(receipt: Receipt) -> bytes:
-    return rlp_encode(receipt_to_items(receipt))
+    """``Receipt.encode`` owns the wire layout (it is what the receipts
+    root commits to); the log stores those same bytes."""
+    return receipt.encode()
 
 
 def receipt_from_items(items: Sequence[Any]) -> Receipt:
@@ -224,12 +208,12 @@ def decode_receipt(data: bytes) -> Receipt:
 
 def encode_block(block: Block) -> bytes:
     """One log record's payload: ``[header, [tx...], [receipt...]]``."""
-    return rlp_encode(
-        [
-            header_to_items(block.header),
-            [tx_to_items(tx) for tx in block.transactions],
-            [receipt_to_items(r) for r in block.receipts],
-        ]
+    return rlp_list(
+        (
+            encode_header(block.header),
+            rlp_encode([tx_to_items(tx) for tx in block.transactions]),
+            rlp_list([r.encode() for r in block.receipts]),
+        )
     )
 
 
@@ -268,18 +252,19 @@ def chain_digest(blocks: Sequence[Block], *, skip: int = 0) -> str:
     return digest.hexdigest()
 
 
-def verify_roundtrip(block: Block) -> Optional[str]:
-    """Append-time self-check: does the block survive the codec?
+def verify_roundtrip(block: Block, payload: bytes) -> Optional[str]:
+    """Append-time self-check: does ``payload`` (``encode_block(block)``,
+    the bytes about to be appended) decode back to ``block``?
 
     :meth:`DiskStore.on_block` runs this before every append (disable
     with ``DiskStore(verify_writes=False)``) and refuses to persist a
-    block that fails it.  Returns ``None`` when encode→decode reproduces
+    block that fails it.  Returns ``None`` when decoding reproduces
     the header hash, every transaction hash and the receipt encodings;
     otherwise a human-readable description of the first divergence.
     Cheap insurance that a block with an unserialisable quirk fails
     loudly at *append* time, not at recovery time.
     """
-    decoded = decode_block(encode_block(block))
+    decoded = decode_block(payload)
     if decoded.header.hash != block.header.hash:
         return "header hash changed across encode/decode"
     if len(decoded.transactions) != len(block.transactions):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.rlp import RLPDecodeError, rlp_decode, rlp_encode
+from repro.common.rlp import RLPDecodeError, rlp_decode, rlp_encode, rlp_list, rlp_string
+from repro.common.types import Address, Hash32
 
 
 class TestKnownVectors:
@@ -81,6 +82,132 @@ class TestRoundTrip:
     def test_int_round_trip_via_bytes(self, value):
         decoded = rlp_decode(rlp_encode(value))
         assert int.from_bytes(decoded, "big") == value
+
+
+def reference_encode(item):
+    """The encoder as it was before the exact-type fast paths: one
+    ``isinstance`` ladder, every byte string copied, ints through bytes."""
+
+    def length_prefix(length, offset):
+        if length < 56:
+            return bytes([offset + length])
+        raw = length.to_bytes((length.bit_length() + 7) // 8, "big")
+        return bytes([offset + 55 + len(raw)]) + raw
+
+    if isinstance(item, (bytes, bytearray)):
+        data = bytes(item)
+        if len(data) == 1 and data[0] < 0x80:
+            return data
+        return length_prefix(len(data), 0x80) + data
+    if isinstance(item, bool):
+        raise TypeError("RLP does not define a boolean encoding")
+    if isinstance(item, int):
+        if item < 0:
+            raise ValueError("RLP cannot encode negative integers")
+        return reference_encode(item.to_bytes((item.bit_length() + 7) // 8, "big"))
+    if isinstance(item, str):
+        return reference_encode(item.encode("utf-8"))
+    if isinstance(item, (list, tuple)):
+        body = b"".join(reference_encode(sub) for sub in item)
+        return length_prefix(len(body), 0xC0) + body
+    raise TypeError(f"cannot RLP-encode {type(item).__name__}")
+
+
+class _Bytes(bytes):
+    """A ``bytes`` subclass with no length rule (``Address``/``Hash32`` have one)."""
+
+
+class _Int(int):
+    pass
+
+
+mixed_items = st.recursive(
+    st.one_of(
+        st.binary(max_size=70),
+        st.binary(max_size=70).map(bytearray),
+        st.binary(max_size=3).map(_Bytes),
+        st.integers(min_value=0, max_value=(1 << 256) - 1),
+        st.text(max_size=8),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6), st.lists(children, max_size=6).map(tuple)
+    ),
+    max_leaves=25,
+)
+
+
+class TestFastPathsEqualReference:
+    @pytest.mark.parametrize(
+        "item",
+        [
+            Address(b"\x11" * 20),
+            Hash32(b"\x22" * 32),
+            _Bytes(b"\x05"),
+            _Bytes(b"\x80"),
+            bytearray(b"\x05"),
+            bytearray(b"dog"),
+            bytearray(b"a" * 56),
+            "dog",
+            "",
+            0,
+            1,
+            0x7F,
+            0x80,
+            0xFF,
+            0x100,
+            (1 << 256) - 1,
+            _Int(0x7F),
+            _Int(1024),
+            b"a" * 55,
+            b"a" * 56,
+            [b"a" * 54],  # 55-byte list payload: short form
+            [b"a" * 55],  # 56-byte list payload: long form
+            (b"cat", b"dog"),
+            [Address(b"\x11" * 20), (0, 0x80, [Hash32(b"\x22" * 32)]), "x", bytearray(b"\x7f")],
+        ],
+        ids=repr,
+    )
+    def test_literal_cases(self, item):
+        encoded = rlp_encode(item)
+        assert encoded == reference_encode(item)
+        assert type(encoded) is bytes
+
+    def test_tuple_and_list_encode_alike(self):
+        assert rlp_encode((b"cat", (1, 2))) == rlp_encode([b"cat", [1, 2]])
+
+    def test_list_length_boundary_forms(self):
+        assert rlp_encode([b"a" * 54])[0] == 0xC0 + 55
+        assert rlp_encode([b"a" * 55])[:2] == bytes([0xF8, 56])
+
+    @given(mixed_items)
+    def test_any_mix_of_types(self, item):
+        assert rlp_encode(item) == reference_encode(item)
+
+    @pytest.mark.parametrize("item", [True, False, [1, True], (b"x", [False])])
+    def test_bool_still_rejected_at_any_depth(self, item):
+        with pytest.raises(TypeError):
+            rlp_encode(item)
+
+    @pytest.mark.parametrize("item", [-1, -(1 << 70), [0, -1], _Int(-5)])
+    def test_negative_still_rejected_at_any_depth(self, item):
+        with pytest.raises(ValueError):
+            rlp_encode(item)
+
+
+class TestPrimitives:
+    """``rlp_string`` / ``rlp_list``: what the trie and the block codec use to
+    splice already-encoded pieces."""
+
+    @given(st.binary(max_size=70))
+    def test_string_is_the_bytes_rule(self, data):
+        assert rlp_string(data) == rlp_encode(data)
+
+    @given(st.lists(nested_items, max_size=6))
+    def test_list_of_encoded_items_is_the_list_rule(self, items):
+        assert rlp_list([rlp_encode(item) for item in items]) == rlp_encode(items)
+
+    def test_list_accepts_any_iterable(self):
+        assert rlp_list(iter([b"\x83cat", b"\x83dog"])) == rlp_encode([b"cat", b"dog"])
 
 
 class TestStrictDecoding:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
+from repro.common.rlp import rlp_encode
 from repro.state.proofs import (
     ProofError,
     prove,
@@ -335,3 +336,226 @@ class TestSecureMPT:
         for k in reversed(keys):
             t2 = t2.set(k, b"v")
         assert t1.root_hash() == t2.root_hash()
+
+
+# --------------------------------------------------------------------------- #
+# an independent root calculator, and literal roots pinned at the commit before
+# node references were cached
+# --------------------------------------------------------------------------- #
+
+
+def _ref_nibbles(key):
+    out = []
+    for byte in key:
+        out += [byte >> 4, byte & 0x0F]
+    return out
+
+
+def _ref_hp(path, is_leaf):
+    flag = 2 if is_leaf else 0
+    nibbles = [flag + 1] + path if len(path) % 2 else [flag, 0] + path
+    return bytes(
+        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
+    )
+
+
+def _ref_struct(items):
+    """Yellow-paper node of ``[(nibble list, value)]`` (sorted, distinct
+    paths) as nested lists for the generic encoder — shares no code with
+    ``repro.state.trie``."""
+    if len(items) == 1:
+        path, value = items[0]
+        return [_ref_hp(path, True), value]
+    shared = 0
+    first, last = items[0][0], items[-1][0]
+    while shared < len(first) and first[shared] == last[shared]:
+        shared += 1
+    if shared:
+        rest = [(path[shared:], value) for path, value in items]
+        return [_ref_hp(first[:shared], False), _ref_child(rest)]
+    slots = [
+        _ref_child([(p[1:], v) for p, v in items if p and p[0] == nibble])
+        for nibble in range(16)
+    ]
+    return slots + [items[0][1] if not items[0][0] else b""]
+
+
+def _ref_child(items):
+    if not items:
+        return b""
+    struct = _ref_struct(items)
+    encoded = rlp_encode(struct)
+    return struct if len(encoded) < 32 else bytes(keccak(encoded))
+
+
+def reference_root(mapping):
+    if not mapping:
+        return EMPTY_ROOT
+    items = sorted((_ref_nibbles(k), v) for k, v in mapping.items())
+    return keccak(rlp_encode(_ref_struct(items)))
+
+
+#: keys over a two-nibble alphabet, 0-3 bytes long: they share prefixes, end
+#: inside each other (branch values) and keep paths short
+_short_keys = st.binary(max_size=3).map(lambda b: bytes(x & 0x11 for x in b))
+#: 1-3 byte values, so that leaves, extensions and whole branches stay under
+#: 32 bytes and are inlined, or values that put a leaf within a few bytes of
+#: the 32-byte boundary on either side
+_values = st.one_of(st.binary(min_size=1, max_size=3), st.binary(min_size=24, max_size=34))
+_op_sequences = st.lists(st.tuples(st.booleans(), _short_keys, _values), max_size=30)
+
+
+def _apply(trie, ops):
+    """Run ``(is_delete, key, value)`` ops on ``trie`` and on a dict."""
+    model = {}
+    for is_delete, key, value in ops:
+        if is_delete:
+            trie = trie.delete(key)
+            model.pop(key, None)
+        else:
+            trie = trie.set(key, value)
+            model[key] = value
+    return trie, model
+
+
+class TestAgainstIndependentReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_op_sequences)
+    def test_mpt_root_and_proofs(self, ops):
+        trie, model = _apply(MPT(), ops)
+        root = trie.root_hash()
+        assert root == reference_root(model)
+        for key, value in model.items():
+            assert verify_proof(root, key, prove(trie, key)) == value
+        for _, key, _ in ops:
+            if key not in model:
+                assert verify_proof(root, key, prove(trie, key)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(_op_sequences)
+    def test_secure_root_and_proofs(self, ops):
+        trie, model = _apply(SecureMPT(), ops)
+        root = trie.root_hash()
+        assert root == reference_root({keccak(k): v for k, v in model.items()})
+        for key, value in model.items():
+            assert verify_secure(root, key, prove_secure(trie, key)) == value
+
+    def test_roots_are_read_before_and_after_an_update(self):
+        """A cached reference must not leak into the rewritten path."""
+        trie, model = _apply(MPT(), [(False, bytes([i, i]), b"v" * 40) for i in range(40)])
+        assert trie.root_hash() == reference_root(model)  # fills every cache
+        trie = trie.set(b"\x07\x07", b"w").delete(b"\x08\x08")
+        model[b"\x07\x07"] = b"w"
+        del model[b"\x08\x08"]
+        assert trie.root_hash() == reference_root(model)
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {b"\x01": b"a"},  # a lone leaf: the root itself is < 32 bytes
+            {b"\x01\x02": b"a", b"\x01\x03": b"b"},  # extension -> inline branch
+            {b"": b"r", b"\x01": b"a", b"\x11": b"b"},  # branch with a value
+            {bytes([i]): b"x" for i in range(0, 256, 16)},  # full inline-leaf branch
+        ],
+    )
+    def test_inline_shapes(self, mapping):
+        trie, _ = _apply(MPT(), [(False, k, v) for k, v in mapping.items()])
+        assert trie.root_hash() == reference_root(mapping)
+        for key, value in mapping.items():
+            assert verify_proof(trie.root_hash(), key, prove(trie, key)) == value
+
+    @pytest.mark.parametrize("value_len", range(26, 33))
+    def test_leaf_at_the_32_byte_boundary(self, value_len):
+        # a one-nibble leaf under the root branch encodes to value_len + 3
+        # bytes: inline up to 31, hashed from 32
+        mapping = {b"\x01": b"v" * value_len, b"\x11": b"w"}
+        trie, _ = _apply(MPT(), [(False, k, v) for k, v in mapping.items()])
+        assert trie.root_hash() == reference_root(mapping)
+        assert verify_proof(trie.root_hash(), b"\x01", prove(trie, b"\x01")) == mapping[b"\x01"]
+
+    def test_the_strategy_reaches_inline_nodes_at_and_below_the_root(self):
+        assert len(rlp_encode(_ref_struct([(_ref_nibbles(b"\x01"), b"a")]))) < 32
+        two = sorted((_ref_nibbles(k), b"a") for k in (b"\x01\x02", b"\x01\x03"))
+        extension = _ref_struct(two)
+        assert isinstance(extension[1], list)  # the branch is embedded, not hashed
+
+
+class TestPinnedRoots:
+    """Literal roots and head hashes computed at the parent of the commit that
+    introduced cached node references (04fb2d2): byte identity of the state
+    commitment across that change, and across any later one."""
+
+    SCENARIO_GENESIS = {
+        "counter-shared": "83cd5522f28be4b0969c36f86126540a92028bddd1c6069995f57d79944dc1b9",
+        "counter-partitioned": "83cd5522f28be4b0969c36f86126540a92028bddd1c6069995f57d79944dc1b9",
+        "airdrop-storm": "6b13a7a479520ce406ce042d2b19194b597a3ba78fcc01405a3786e49b60258b",
+        "nft-mint-rush": "6b13a7a479520ce406ce042d2b19194b597a3ba78fcc01405a3786e49b60258b",
+        "mev-bundles": "6b13a7a479520ce406ce042d2b19194b597a3ba78fcc01405a3786e49b60258b",
+        "long-tail": "cf53c35b328bac18a446a1808c6f8a33b9fbdf489fd0f2f9ff0b285da8cdc7c8",
+        "day-in-the-life": "6b13a7a479520ce406ce042d2b19194b597a3ba78fcc01405a3786e49b60258b",
+    }
+
+    #: benchmarks/e2e workload -> (scenario, backend, head after 5 OCC-WSI
+    #: blocks of 132 txs at seed 42).  ``mainnet-process`` runs on the serial
+    #: backend, which seals the same chain as the process pool.
+    E2E_HEADS = {
+        "mainnet": (None, None, "a54ed49edea077ff19b7e17ef250b756974356eaa61d09610ac4f5e91189739d"),
+        "longtail-payments": ("long-tail", None, "a6488cccd4304b33e60a90aebc98a08e1f374be59c7dd706eac16dc56162a2f4"),
+        "mint-rush": ("nft-mint-rush", None, "e63f87e14d1e1dca8e8348be2c76a63b986b8cc5f590072d38e37136e58411b8"),
+        "mainnet-process": (None, "serial", "f87a3fc32f10ac1ec7e9a8645f56971012a0cde6825a9c1658d4ae81b5bbd8f5"),
+    }
+
+    @pytest.fixture(scope="class")
+    def default_universe(self):
+        from repro.workload.universe import build_universe
+
+        return build_universe()
+
+    def test_default_universe_genesis_root(self, default_universe):
+        assert bytes(default_universe.genesis.state_root()).hex() == (
+            "90f0f65580f96820578e1ba68e997eca3e44dec3d2af85ec639d51fc16e486e3"
+        )
+
+    def test_every_scenario_is_pinned(self):
+        from repro.workload.scenarios import scenario_names
+
+        assert sorted(scenario_names()) == sorted(self.SCENARIO_GENESIS)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_GENESIS))
+    def test_scenario_genesis_root(self, name):
+        from repro.workload.scenarios import get_scenario
+
+        stream = get_scenario(name, seed=42, txs_per_block=132)
+        assert bytes(stream.universe.genesis.state_root()).hex() == self.SCENARIO_GENESIS[name]
+
+    @pytest.mark.parametrize("workload", sorted(E2E_HEADS))
+    def test_head_after_five_blocks(self, workload, default_universe):
+        import dataclasses
+
+        from repro.exec.backend import get_backend
+        from repro.network.node import ProposerNode, ValidatorNode
+        from repro.workload.generator import BlockWorkloadGenerator
+        from repro.workload.scenarios import get_scenario, mainnet_scenario
+
+        scenario, backend_name, expected = self.E2E_HEADS[workload]
+        if scenario is None:
+            universe = dataclasses.replace(default_universe, nonces={})
+            config = dataclasses.replace(mainnet_scenario(seed=42), txs_per_block=132)
+            stream = BlockWorkloadGenerator(universe, config)
+        else:
+            stream = get_scenario(scenario, seed=42, txs_per_block=132)
+            universe = stream.universe
+        backend = get_backend(backend_name, 1)
+        proposer = ProposerNode("serve-proposer", backend=backend)
+        validator = ValidatorNode("serve-validator", universe.genesis, backend=backend)
+        chain = validator.chain
+        for _ in range(5):
+            head = chain.head
+            sealed = proposer.build_block(
+                head.header,
+                chain.state_at(head.hash),
+                stream.generate_block_txs(),
+                timestamp=head.header.timestamp + 12,
+            )
+            assert validator.receive_blocks([sealed.block]).accepted
+        assert bytes(chain.head.hash).hex() == expected

@@ -189,7 +189,7 @@ class TestVerifyWrites:
             tmp_path / "node", small_universe.genesis, snapshot_interval=0
         )
         monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block: "forced divergence"
+            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
         )
         block, post_state = build_chain(1)[0]
         with pytest.raises(StoreError, match="codec round-trip"):
@@ -212,11 +212,41 @@ class TestVerifyWrites:
             verify_writes=False,
         )
         monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block: "forced divergence"
+            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
         )
         block, post_state = build_chain(1)[0]
         assert chain.add_block(block, post_state) is True
         assert [b.number for b in store.log.read_all()] == [1]
+        store.close()
+
+
+    @pytest.mark.parametrize("verify_writes", [True, False])
+    def test_block_is_encoded_once_per_commit(
+        self, tmp_path, small_universe, build_chain, monkeypatch, verify_writes
+    ):
+        """The self-check and the append share one ``encode_block`` result."""
+        import repro.store.backend as backend_mod
+        import repro.store.blocklog as blocklog_mod
+        from repro.store.codec import encode_block
+
+        calls = []
+
+        def counting(block):
+            calls.append(block.number)
+            return encode_block(block)
+
+        monkeypatch.setattr(backend_mod, "encode_block", counting)
+        monkeypatch.setattr(blocklog_mod, "encode_block", counting)
+        chain, store = _open_disk_chain(
+            tmp_path / "node",
+            small_universe.genesis,
+            snapshot_interval=0,
+            verify_writes=verify_writes,
+        )
+        for block, post_state in build_chain(3):
+            chain.add_block(block, post_state)
+        assert calls == [1, 2, 3]
+        assert [b.number for b in store.log.read_all()] == [1, 2, 3]
         store.close()
 
 

@@ -127,7 +127,25 @@ class TestBlockCodec:
 
     def test_verify_roundtrip_clean_block(self, build_chain):
         block, _ = build_chain(1)[0]
-        assert verify_roundtrip(block) is None
+        assert verify_roundtrip(block, encode_block(block)) is None
+
+    def test_receipt_section_is_the_concatenated_receipt_encodings(self, build_chain):
+        """One wire layout: what the receipts root commits to is, byte for
+        byte, what the block log stores."""
+        from repro.common.rlp import rlp_list
+        from repro.store.codec import decode_receipt, encode_receipt
+
+        for block, _ in build_chain(2):
+            assert any(r.logs for r in block.receipts), "want receipts with logs"
+            body = b"".join(r.encode() for r in block.receipts)
+            assert encode_block(block).endswith(rlp_list([body]))
+            for receipt in block.receipts:
+                assert encode_receipt(receipt) == receipt.encode()
+                assert decode_receipt(receipt.encode()) == receipt
+
+    def test_verify_roundtrip_reports_a_foreign_payload(self, build_chain):
+        (first, _), (second, _) = build_chain(2)
+        assert "header hash" in verify_roundtrip(first, encode_block(second))
 
     def test_encode_is_deterministic(self, build_chain):
         block, _ = build_chain(1)[0]

@@ -6,15 +6,19 @@ on the proposer side: round barriers waste the tail of every round (lanes
 idle while the slowest transaction finishes), while OCC-WSI's lanes pull
 new work the moment they free up; in exchange, the round design makes
 abort decisions replayable.  Both pack identical transaction sets.
+
+The round-based comparator is OCC-WSI's own wave schedule — the one
+``OCCWSIProposer`` runs whenever a backend is attached — so the ablation
+compares two schedules of one conflict rule on the simulated clock.
 """
 
 
 from benchmarks.conftest import THREAD_SWEEP, emit
 from repro.analysis.report import format_table
 from repro.core.baselines import SerialExecutor
-from repro.core.batchocc import BatchOCCConfig, BatchOCCProposer
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.evm.interpreter import ExecutionContext
+from repro.exec import SerialBackend
 from repro.txpool.pool import TxPool
 
 
@@ -44,7 +48,9 @@ def test_ablation_occ_variants(bench_chain, benchmark, capsys):
     rows = []
     for lanes in THREAD_SWEEP:
         wsi_engine = OCCWSIProposer(config=ProposerConfig(lanes=lanes))
-        batch_engine = BatchOCCProposer(config=BatchOCCConfig(lanes=lanes))
+        batch_engine = OCCWSIProposer(
+            config=ProposerConfig(lanes=lanes), backend=SerialBackend()
+        )
         wsi_speedups, batch_speedups, batch_rounds = [], [], []
         for serial_time, entry in zip(serial_times, chain):
             wsi = wsi_engine.propose(entry.parent_state, _pool(entry), _ctx(entry))
@@ -52,7 +58,7 @@ def test_ablation_occ_variants(bench_chain, benchmark, capsys):
             assert len(wsi.committed) == len(batch.committed) == len(entry.txs)
             wsi_speedups.append(serial_time / wsi.stats.makespan)
             batch_speedups.append(serial_time / batch.stats.makespan)
-            batch_rounds.append(batch.rounds)
+            batch_rounds.append(batch.stats.extra["waves"])
         rows.append(
             {
                 "lanes": lanes,
@@ -76,7 +82,7 @@ def test_ablation_occ_variants(bench_chain, benchmark, capsys):
         assert row["occ_wsi"] > row["batch_occ_da"]
 
     entry = chain[0]
-    engine = BatchOCCProposer(config=BatchOCCConfig(lanes=16))
+    engine = OCCWSIProposer(config=ProposerConfig(lanes=16), backend=SerialBackend())
     benchmark.pedantic(
         lambda: engine.propose(entry.parent_state, _pool(entry), _ctx(entry)),
         rounds=3,

@@ -19,7 +19,10 @@ All subcommands run on a freshly generated universe; ``--seed``,
 ``--backend sim|serial|thread|process`` selects the execution substrate:
 ``sim`` (default) keeps the simulated-clock event loop every figure script
 uses; the other three run the same algorithms on real cores (see
-:mod:`repro.exec`), turning makespans into wall-clock microseconds.
+:mod:`repro.exec`).  Proposer makespans stay simulated microseconds on
+every backend (:mod:`repro.core.session`, "the clock rule"), so the
+``proposer`` table is deterministic; OCC-WSI switches to its wave
+schedule there, which seals a different block than the async lanes.
 
 ``--strategy occ-wsi|two-phase|block-stm`` picks the proposer engine
 (see :mod:`repro.core.strategies`); every subcommand that builds blocks

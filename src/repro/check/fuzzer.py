@@ -1,6 +1,6 @@
 """Deterministic schedule fuzzer for the real-parallelism drivers.
 
-The wave driver (proposing) and component driver (validating) are
+The wave schedule (proposing) and component driver (validating) are
 deterministic *given their scheduling decisions*; the decisions themselves
 are exactly where OS nondeterminism would enter on real hardware.  The
 fuzzer explores that space through the yield points of

@@ -2,6 +2,9 @@
 
 This package implements the paper's contribution proper:
 
+* :mod:`repro.core.session` -- the proposing session every strategy
+  drives: multi-version store, block budget, pool hand-off, task
+  execution, the simulated clock and the stats/metrics epilogue.
 * :mod:`repro.core.occ_wsi` -- Algorithm 1: the proposer's optimistic
   Write-Snapshot-Isolation execution that produces a serializable packing
   order, with aborted transactions returned to the pool.

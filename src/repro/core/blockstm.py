@@ -41,31 +41,19 @@ except that reads carry true **per-key version witnesses** (the oracle's
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.occ_wsi import (
-    CommittedTx,
-    ProposalResult,
-    ProposerConfig,
-    run_strict_checks,
-)
-from repro.evm.interpreter import EVM, ExecutionContext
+from repro.core.session import ProposalResult, ProposerEngine, ProposeSession
+from repro.evm.interpreter import ExecutionContext
 from repro.exec.hooks import apply_order
 from repro.exec.tasks import (
     BlockSTMTask,
     BlockSTMTaskResult,
     MVEntry,
-    ProposeShared,
     run_blockstm_task,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
-from repro.simcore.stats import RunStats
 from repro.state.access import ReadWriteSet, StateKey
 from repro.state.statedb import StateSnapshot
-from repro.state.versioned import MultiVersionStore
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
 
@@ -138,75 +126,42 @@ class _MVMemory:
 
 
 class _ChunkOutcome:
-    """Converged chunk: final per-transaction results plus counters."""
+    """Converged chunk: final per-transaction results plus the rule's own
+    tallies (executions and aborts go straight to the session)."""
 
-    __slots__ = (
-        "final",
-        "sim_time",
-        "waves",
-        "executions",
-        "suspensions",
-        "aborts",
-        "total_work",
-        "max_incarnation",
-    )
+    __slots__ = ("final", "sim_time", "total_work", "waves", "suspensions", "max_incarnation")
 
     def __init__(self, n: int) -> None:
         self.final: List[Optional[BlockSTMTaskResult]] = [None] * n
         self.sim_time = 0.0
-        self.waves = 0
-        self.executions = 0
-        self.suspensions = 0
-        self.aborts = 0
         self.total_work = 0.0
+        self.waves = 0
+        self.suspensions = 0
         self.max_incarnation = 0
 
 
-class BlockSTMProposer:
+class BlockSTMProposer(ProposerEngine):
     """Block-STM driver with the same surface as :class:`OCCWSIProposer`.
 
-    One instance is reusable across blocks; each :meth:`propose` call is
-    independent.  Use :func:`repro.core.strategies.build_proposer` to
-    select an engine by :attr:`ProposerConfig.strategy`.
+    With no backend the tasks run inline; either way the scheduler's
+    decisions and the barrier-free lane schedule charged to the clock are
+    identical, so blocks and timings are bit-identical across
+    sim/serial/thread/process.  The ``probe`` steers wave width and
+    execution order (conformance fuzzing only).
     """
 
-    def __init__(
-        self,
-        evm: Optional[EVM] = None,
-        config: Optional[ProposerConfig] = None,
-        cost_model: Optional[CostModel] = None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        backend=None,
-        probe=None,
-    ) -> None:
-        self.evm = evm or EVM()
-        self.config = config or ProposerConfig(strategy="block-stm")
-        self.cost_model = cost_model or CostModel()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        #: Optional real-parallelism backend; ``None`` runs tasks inline
-        #: and charges a barrier-free lane schedule on the simulated
-        #: clock.  Either way the scheduler's decisions are identical, so
-        #: block contents are bit-identical across sim/serial/thread/process.
-        self.backend = backend
-        #: Optional :class:`~repro.exec.hooks.ScheduleProbe` steering wave
-        #: width and execution order (conformance fuzzing only).
-        self.probe = probe
-
-    # ------------------------------------------------------------------ #
+    strategy = "block-stm"
 
     def _run_chunk(
         self,
+        session: ProposeSession,
         chunk: List[Transaction],
-        shared: ProposeShared,
         overlay: Dict[StateKey, Any],
         wave_base: int,
     ) -> _ChunkOutcome:
         """Converge one chunk: execute/suspend/validate to a fixpoint."""
         cfg = self.config
         model = self.cost_model
-        backend = self.backend
         probe = self.probe
         tracer = self.tracer
         trace_on = tracer.enabled
@@ -262,10 +217,7 @@ class BlockSTMProposer:
                 BlockSTMTask(chunk[i], i, incarnations[i], mv_snapshot, overlay)
                 for i in picked
             ]
-            if backend is not None:
-                results = backend.map(run_blockstm_task, tasks)
-            else:
-                results = [run_blockstm_task(shared, task) for task in tasks]
+            results: List[BlockSTMTaskResult] = session.run(run_blockstm_task, tasks)
 
             # simulated lane scheduling (list scheduling, longest first):
             # completed incarnations cost their trace, suspensions only
@@ -311,7 +263,7 @@ class BlockSTMProposer:
                     else:
                         ready[i] = max(ready[i], completion[res.dep])
                     continue
-                out.executions += 1
+                session.executions += 1
                 if res.invalid is None:
                     assert res.result is not None
                     out.total_work += model.tx_cost(res.result.trace)
@@ -350,7 +302,7 @@ class BlockSTMProposer:
                         break
                 if ok:
                     continue
-                out.aborts += 1
+                session.aborts += 1
                 memory.mark_estimates(i)
                 executed[i] = False
                 out.final[i] = None
@@ -379,70 +331,29 @@ class BlockSTMProposer:
     # ------------------------------------------------------------------ #
 
     def propose(
-        self,
-        base: StateSnapshot,
-        pool: TxPool,
-        ctx: ExecutionContext,
+        self, base: StateSnapshot, pool: TxPool, ctx: ExecutionContext
     ) -> ProposalResult:
         """Build one block under the Block-STM collaborative scheduler."""
         cfg = self.config
         model = self.cost_model
-        tracer = self.tracer
-        trace_on = tracer.enabled
-        metrics = self.metrics
-        backend = self.backend
-
-        store = MultiVersionStore(base)
-        committed: List[CommittedTx] = []
-        cur_gas = 0
-        total_fees = 0
-        invalid_dropped = 0
-        executions = 0
+        session = ProposeSession(self, base, pool, ctx)
+        store = session.store
         suspensions = 0
-        aborts = 0
         waves = 0
         chunks = 0
-        total_work = 0.0
-        clock = 0.0
         max_incarnation = 0
         chunk_cap = max(32, cfg.lanes * 8)
 
-        shared = ProposeShared(evm_config=self.evm.config, base=base, ctx=ctx)
-        if backend is not None:
-            backend.open(shared)
-        wall0 = time.perf_counter()
-
-        def block_full() -> bool:
-            if cur_gas >= cfg.gas_limit:
-                return True
-            return cfg.max_txs is not None and len(committed) >= cfg.max_txs
-
-        propose_scope = (
-            tracer.scope("propose", 0.0, lanes=cfg.lanes, strategy="block-stm")
-            if trace_on
-            else None
-        )
-        if propose_scope is not None:
-            propose_scope.__enter__()
-
-        while not block_full():
-            chunk: List[Transaction] = []
-            while len(chunk) < chunk_cap:
-                tx = pool.pop_best()
-                if tx is None:
-                    break
-                chunk.append(tx)
+        while not session.full():
+            chunk = session.pop_batch(chunk_cap)
             if not chunk:
                 break
             chunks += 1
-            overlay = store.final_values()
-            outcome = self._run_chunk(chunk, shared, overlay, waves)
+            outcome = self._run_chunk(session, chunk, store.final_values(), waves)
             waves += outcome.waves
-            executions += outcome.executions
             suspensions += outcome.suspensions
-            aborts += outcome.aborts
-            total_work += outcome.total_work
-            clock += outcome.sim_time
+            session.clock += outcome.sim_time
+            session.total_work += outcome.total_work
             max_incarnation = max(max_incarnation, outcome.max_incarnation)
 
             # committed-prefix versions of keys this chunk read from the
@@ -458,24 +369,18 @@ class BlockSTMProposer:
             # -- commit the converged prefix in preset order ------------- #
             version_of: Dict[int, int] = {}
             for i, tx in enumerate(chunk):
-                if block_full():
+                if session.full():
                     # gas/tx budget cut: everything at or past the cut
                     # returns to the pool for the next block (the prefix
                     # below the cut only ever read inside itself)
-                    pool.push_back(tx)
+                    session.defer(tx)
                     continue
                 res = outcome.final[i]
                 assert res is not None
-                if res.invalid is not None:
-                    pool.drop(tx)
-                    invalid_dropped += 1
-                    if trace_on:
-                        tracer.instant("invalid_tx", clock, tx=tx.hash.hex()[:8])
+                if res.result is None:
+                    session.drop_invalid(tx)
+                    session.trace("invalid_tx", tx, session.clock)
                     continue
-                assert res.result is not None
-                version = store.committed_version + 1
-                store.apply(res.writes, version)
-                version_of[i] = version
                 reads_global: Dict[StateKey, int] = {}
                 for key, src_index, _ in res.reads:
                     if src_index >= 0:
@@ -485,80 +390,24 @@ class BlockSTMProposer:
                 rw = ReadWriteSet(reads=reads_global, writes=dict(res.rw_writes))
                 # lazy commit: no serial section — marking a converged
                 # transaction COMMITTED parallelises across the lanes
-                clock += model.commit_overhead / cfg.lanes
-                committed.append(
-                    CommittedTx(
-                        tx=tx,
-                        result=res.result,
-                        rw=rw,
-                        version=version,
-                        snapshot_version=version - 1,
-                        commit_time=clock,
-                        cost=model.tx_cost(res.result.trace),
-                    )
+                session.clock += model.commit_overhead / cfg.lanes
+                # reads carry per-key witnesses, so the snapshot is simply
+                # the position below this one
+                version_of[i] = session.commit(
+                    tx, res.result, rw, res.writes, store.committed_version
                 )
-                cur_gas += res.result.gas_used
-                total_fees += res.result.fee
-                pool.mark_packed(tx)
-                if trace_on:
-                    tracer.instant(
-                        "commit", clock, tx=tx.hash.hex()[:8], version=version
-                    )
+                session.trace("commit", tx, session.clock, version=version_of[i])
 
-        makespan = clock if backend is None else (time.perf_counter() - wall0) * 1e6
-        if propose_scope is not None:
-            propose_scope.span.end = makespan
-            propose_scope.span.attrs.update(
-                committed=len(committed),
-                aborts=aborts,
-                executions=executions,
-                suspensions=suspensions,
-                waves=waves,
-            )
-            propose_scope.__exit__(None, None, None)
-
-        stats = RunStats(
-            makespan=makespan,
-            total_work=total_work,
-            lanes=cfg.lanes,
-            tasks=executions,
-            aborts=aborts,
-            extra={
-                "committed": len(committed),
-                "invalid_dropped": invalid_dropped,
-                "abort_rate": aborts / executions if executions else 0.0,
-                "strategy": "block-stm",
+        return session.finish(
+            {
                 "waves": waves,
                 "chunks": chunks,
                 "suspensions": suspensions,
                 "max_incarnation": max_incarnation,
             },
-        )
-        if backend is not None:
-            stats.extra["backend"] = backend.name
-            stats.extra["backend_workers"] = backend.workers
-        if metrics is not None:
-            metrics.counter("proposer.executions").inc(executions)
-            metrics.counter("proposer.aborts").inc(aborts)
-            metrics.counter("proposer.commits").inc(len(committed))
-            metrics.counter("proposer.invalid_dropped").inc(invalid_dropped)
-            metrics.counter("blockstm.waves").inc(waves)
-            metrics.counter("blockstm.suspensions").inc(suspensions)
-            metrics.counter("blockstm.validation_aborts").inc(aborts)
-            gauge = "proposer.makespan_us" if backend is None else "proposer.wall_us"
-            metrics.gauge(gauge).set(makespan)
-            metrics.merge_into(stats.extra)
-        return run_strict_checks(
-            ProposalResult(
-                committed=committed,
-                stats=stats,
-                store=store,
-                base=base,
-                total_fees=total_fees,
-                invalid_dropped=invalid_dropped,
-                retries_exhausted=0,
-                strategy="block-stm",
-            ),
-            enabled=cfg.strict_checks,
-            metrics=metrics,
+            {
+                "blockstm.waves": waves,
+                "blockstm.suspensions": suspensions,
+                "blockstm.validation_aborts": session.aborts,
+            },
         )

@@ -8,252 +8,114 @@ snapshot, the transaction aborts back to the pool (``PushHeap``).
 Write-write conflicts do not abort — that is the Write-Snapshot-Isolation
 relaxation (§4.2): blind writes still serialize in commit order.
 
-The run is a discrete-event simulation over simulated lanes, but every
-transaction *really executes* (through the EVM against a multi-version
-view), so aborts, retries, read/write sets and the final state are real;
-only durations are modelled.  The committed sequence is serializable by
+Every transaction *really executes* (through the EVM against a
+multi-version view), so aborts, retries, read/write sets and the final
+state are real; only durations are modelled
+(:class:`~repro.core.session.ProposeSession` owns the clock and all the
+block-building bookkeeping).  The committed sequence is serializable by
 construction: each committed transaction read only data at or before its
 snapshot version and nothing it read changed before its commit — replaying
 commits serially in commit order reproduces the identical state (a
 property the test suite checks).
 
-Commits are serialised through a single critical section ("Synchronize
-with all worker threads", Algorithm 1 line 23); that serial section plus
-wasted aborted work is what bends the proposer's scaling curve (Fig. 6).
+The rule runs under one of two **schedules**, chosen by the executor:
+
+* **async lanes** (no backend): a discrete-event loop over simulated
+  lanes that free-run — a lane pops its next transaction the moment it
+  commits or aborts.  Commits are serialised through a single critical
+  section ("Synchronize with all worker threads", Algorithm 1 line 23);
+  that serial section plus wasted aborted work is what bends the
+  proposer's scaling curve (Fig. 6).
+* **waves** (a real backend): on real cores the async interleaving would
+  depend on OS scheduling and the block would differ run to run, so the
+  rule proceeds in deterministic barrier rounds — pop up to ``lanes``
+  transactions (the *logical* width, independent of ``backend.workers``),
+  speculate them in parallel against one snapshot, then walk the wave in
+  batch order through the same commit rule.  Only intra-wave commits can
+  conflict and the first valid member always commits, so the pool drains;
+  block contents, roots and abort/commit decisions are bit-identical
+  across serial, thread and process backends.  The barrier wastes the
+  tail of every round, which is the deterministic-abort OCC shape the
+  §2.3 ablation (``bench_ablation_occ_variants``) contrasts with the
+  free-running lanes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, TxResult
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
+from repro.core.session import (
+    ProposalResult,
+    ProposerConfig,
+    ProposerEngine,
+    ProposeSession,
+)
+from repro.evm.interpreter import ExecutionContext
+from repro.exec.hooks import apply_order
+from repro.exec.tasks import ProposeTaskResult
 from repro.simcore.events import EventQueue
-from repro.simcore.stats import RunStats
-from repro.state.access import ReadWriteSet, RecordingState, StateKey
-from repro.state.statedb import StateDB, StateSnapshot
-from repro.state.versioned import MultiVersionStore, OCCStateView
+from repro.state.access import StateKey
+from repro.state.statedb import StateSnapshot
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
 
-__all__ = [
-    "ProposerConfig",
-    "CommittedTx",
-    "ProposalResult",
-    "OCCWSIProposer",
-    "materialize_store",
-    "run_strict_checks",
-]
-
-#: Fixed buckets for the txpool-depth-over-time histogram (clamped tails).
-_DEPTH_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1 << 30)
-#: Fixed buckets for per-transaction abort/retry counts.
-_RETRY_EDGES = (0, 1, 2, 3, 4, 6, 8, 12, 16, 32, 1 << 20)
+# ProposerConfig / ProposalResult live with the session; re-exported here
+# because this module is where callers have always imported them from
+__all__ = ["ProposerConfig", "ProposalResult", "OCCWSIProposer"]
 
 
-@dataclass(frozen=True)
-class ProposerConfig:
-    """Proposer knobs: strategy, worker thread count and block capacity."""
+class _ReserveTable:
+    """Algorithm 1's ``Table``: the version of the last commit that wrote
+    each key — the whole of OCC-WSI's conflict rule, on either schedule."""
 
-    lanes: int = 16
-    gas_limit: int = 30_000_000
-    max_txs: Optional[int] = None
-    #: Intra-block execution strategy (``repro.core.strategies``):
-    #: ``"occ-wsi"`` (Algorithm 1, this module), ``"two-phase"`` (Saraph &
-    #: Herlihy speculative rounds) or ``"block-stm"`` (multi-version
-    #: suspend-on-ESTIMATE, :mod:`repro.core.blockstm`).  Consumed by
-    #: :func:`repro.core.strategies.build_proposer`; this class ignores it.
-    strategy: str = "occ-wsi"
-    #: Safety valve: abandon a transaction after this many aborts (a real
-    #: proposer would rather ship the block than spin; never hit in
-    #: practice because the pool drains).
-    max_retries: int = 1000
-    #: Run the serializability oracle (:mod:`repro.check.oracle`) over every
-    #: proposal before returning it, raising
-    #: :class:`~repro.check.oracle.ScheduleViolationError` if the committed
-    #: order is not provably conflict-serializable.  Off by default: the
-    #: check is O(committed rw-set size) per block — cheap, but not free.
-    strict_checks: bool = False
+    def __init__(self, session: ProposeSession) -> None:
+        self._session = session
+        self._versions: Dict[StateKey, int] = {}
+
+    def stale(self, out: ProposeTaskResult, snapshot_version: int) -> bool:
+        """Whether anything ``out`` read was committed after its snapshot."""
+        assert out.rw is not None
+        versions = self._versions
+        return any(versions.get(key, 0) > snapshot_version for key in out.rw.reads)
+
+    def commit(self, tx: Transaction, out: ProposeTaskResult, snapshot_version: int) -> int:
+        """Pack ``tx`` and reserve every key it wrote at its version."""
+        assert out.result is not None and out.rw is not None
+        version = self._session.commit(tx, out.result, out.rw, out.writes, snapshot_version)
+        for key in out.rw.writes:
+            self._versions[key] = version
+        return version
 
 
-@dataclass
-class CommittedTx:
-    """One transaction packed into the block, in commit order."""
+class OCCWSIProposer(ProposerEngine):
+    """Algorithm 1 driver (see the module docstring for the two schedules)."""
 
-    tx: Transaction
-    result: TxResult
-    rw: ReadWriteSet
-    version: int  # 1-based position in the block
-    snapshot_version: int
-    commit_time: float
-    cost: float
-
-
-@dataclass
-class ProposalResult:
-    """Outcome of one proposing run (any strategy)."""
-
-    committed: List[CommittedTx]
-    stats: RunStats
-    store: MultiVersionStore
-    base: StateSnapshot
-    total_fees: int
-    invalid_dropped: int
-    retries_exhausted: int = 0
-    #: Which proposer strategy produced this result — carried into the
-    #: conformance oracles so violation reports name their producer.
-    strategy: str = "occ-wsi"
-
-    @property
-    def gas_used(self) -> int:
-        return sum(c.result.gas_used for c in self.committed)
-
-    def final_state(self, coinbase=None) -> StateSnapshot:
-        """Materialise the committed writes (plus deferred fees) onto the base."""
-        snapshot = materialize_store(self.base, self.store)
-        if coinbase is not None and self.total_fees:
-            db = StateDB(snapshot)
-            db.add_balance(coinbase, self.total_fees)
-            snapshot = db.commit()
-        return snapshot
-
-
-def materialize_store(base: StateSnapshot, store: MultiVersionStore) -> StateSnapshot:
-    """Apply the latest committed value of every key onto ``base``."""
-    db = StateDB(base)
-    for key, value in store.final_values().items():
-        if key.kind == "balance":
-            db.set_balance(key.address, value)
-        elif key.kind == "nonce":
-            db.set_nonce(key.address, value)
-        elif key.kind == "storage":
-            db.set_storage(key.address, key.slot, value)
-        elif key.kind == "code":
-            db.set_code(key.address, value)
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown key kind {key.kind}")
-    return db.commit()
-
-
-def run_strict_checks(
-    result: "ProposalResult",
-    *,
-    enabled: bool,
-    metrics: Optional[MetricsRegistry],
-) -> "ProposalResult":
-    """Post-propose serializability gate shared by every proposer strategy.
-
-    Runs :func:`repro.check.oracle.verify_commit_order` over the fresh
-    result (which picks the version semantics matching
-    ``result.strategy``) and raises
-    :class:`~repro.check.oracle.ScheduleViolationError` on any violation.
-    """
-    if not enabled:
-        return result
-    # local import: repro.check re-executes through the core pipeline,
-    # so a module-level import would be circular
-    from repro.check.oracle import ScheduleViolationError, verify_commit_order
-
-    report = verify_commit_order(result)
-    if metrics is not None:
-        metrics.counter("check.schedules_verified").inc()
-        if not report.ok:
-            metrics.counter("check.schedule_violations").inc(len(report.violations))
-    if not report.ok:
-        raise ScheduleViolationError(report)
-    return result
-
-
-class OCCWSIProposer:
-    """Algorithm 1 driver.
-
-    One instance is reusable across blocks; each :meth:`propose` call is
-    independent (the multi-version store and reserve table are per-run).
-    """
-
-    def __init__(
-        self,
-        evm: Optional[EVM] = None,
-        config: Optional[ProposerConfig] = None,
-        cost_model: Optional[CostModel] = None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        backend=None,
-        probe=None,
-    ) -> None:
-        self.evm = evm or EVM()
-        self.config = config or ProposerConfig()
-        self.cost_model = cost_model or CostModel()
-        #: Span sink on the simulated clock; the NullTracer default keeps
-        #: the hot loop at one hoisted flag check per run.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        #: Optional real-parallelism backend (:mod:`repro.exec`).  ``None``
-        #: keeps the simulated-clock event loop below; a backend switches
-        #: :meth:`propose` to the deterministic wave driver on real cores.
-        self.backend = backend
-        #: Optional :class:`~repro.exec.hooks.ScheduleProbe` steering the
-        #: wave driver's scheduling decisions (conformance fuzzing only;
-        #: ``None`` keeps every decision at its production default).
-        self.probe = probe
-
-    def _checked(self, result: "ProposalResult") -> "ProposalResult":
-        """Post-propose oracle gate (``ProposerConfig.strict_checks``)."""
-        return run_strict_checks(
-            result, enabled=self.config.strict_checks, metrics=self.metrics
-        )
+    strategy = "occ-wsi"
 
     def propose(
-        self,
-        base: StateSnapshot,
-        pool: TxPool,
-        ctx: ExecutionContext,
+        self, base: StateSnapshot, pool: TxPool, ctx: ExecutionContext
     ) -> ProposalResult:
         """Run parallel block building until the gas limit or pool exhaustion."""
-        if self.backend is not None:
-            from repro.exec.proposing import propose_with_backend
+        session = ProposeSession(self, base, pool, ctx)
+        # free-running lanes exist only on the simulated clock; real
+        # workers get the schedule whose outcome no OS interleaving moves
+        if self.backend is None:
+            return self._propose_async(session)
+        return self._propose_waves(session)
 
-            return self._checked(
-                propose_with_backend(self, base, pool, ctx, self.backend)
-            )
-        cfg = self.config
+    def _propose_async(self, session: ProposeSession) -> ProposalResult:
+        """Free-running simulated lanes over a discrete-event queue."""
+        lanes = self.config.lanes
         model = self.cost_model
-        tracer = self.tracer
-        trace_on = tracer.enabled  # hoisted: the hot loop pays one check
-        metrics = self.metrics
-        depth_hist = (
-            metrics.histogram("proposer.txpool_depth", _DEPTH_EDGES)
-            if metrics is not None
-            else None
-        )
-
-        store = MultiVersionStore(base)
-        reserve: Dict[StateKey, int] = {}  # Algorithm 1's Table
-        committed: List[CommittedTx] = []
-        retry_counts: Dict[object, int] = {}
+        pool = session.pool
+        trace_on = session.trace_on  # hoisted: the hot loop pays one check
+        reserve = _ReserveTable(session)
 
         queue = EventQueue()
         idle: Set[int] = set()
-        for lane in range(cfg.lanes):
+        for lane in range(lanes):
             queue.push(0.0, ("free", lane))
-
-        cur_gas = 0
-        total_fees = 0
-        invalid_dropped = 0
-        retries_exhausted = 0
-        aborts = 0
-        executions = 0
-        total_work = 0.0
-        last_commit_end = 0.0
         commit_free = 0.0
-
-        def block_full() -> bool:
-            if cur_gas >= cfg.gas_limit:
-                return True
-            return cfg.max_txs is not None and len(committed) >= cfg.max_txs
 
         def wake_idle(now: float) -> None:
             while idle and pool.has_ready():
@@ -261,89 +123,45 @@ class OCCWSIProposer:
                 idle.discard(lane)
                 queue.push(now, ("free", lane))
 
-        # one "propose" span parents every per-tx span of this run; opened
-        # manually so the event loop below keeps its indentation
-        propose_scope = tracer.scope("propose", 0.0, lanes=cfg.lanes) if trace_on else None
-        if propose_scope is not None:
-            propose_scope.__enter__()
-
         for event in queue.drain():
             now = event.time
             payload = event.payload
-            kind = payload[0]
 
-            if kind == "free":
+            if payload[0] == "free":
                 lane = payload[1]
-                if block_full():
-                    idle.add(lane)
-                    continue
-                if depth_hist is not None:
-                    depth_hist.observe(len(pool))
-                tx = pool.pop_best()
+                tx = None if session.full() else session.pop()
                 if tx is None:
                     idle.add(lane)
                     continue
-                snapshot_version = store.committed_version
-                view = OCCStateView(store, snapshot_version)
-                rec = RecordingState(view, version=snapshot_version)
-                try:
-                    result = self.evm.apply_transaction(rec, tx, ctx)
-                except InvalidTransaction:
-                    pool.drop(tx)
-                    invalid_dropped += 1
-                    if trace_on:
-                        tracer.instant("invalid_tx", now, lane=lane, tx=tx.hash.hex()[:8])
+                snapshot_version = session.store.committed_version
+                out = session.speculate(tx)
+                if out.invalid is not None:
+                    session.drop_invalid(tx)
+                    session.trace("invalid_tx", tx, now, lane=lane)
                     queue.push(now + model.tx_overhead, ("free", lane))
                     continue
-                executions += 1
-                cost = model.tx_cost(result.trace)
-                total_work += cost
+                cost = session.charge(out)
                 if trace_on:
-                    tracer.record(
-                        "execute",
-                        now,
-                        now + cost,
-                        lane=lane,
-                        tx=tx.hash.hex()[:8],
-                        snapshot=snapshot_version,
+                    session.trace(
+                        "execute", tx, now, now + cost, lane=lane, snapshot=snapshot_version
                     )
-                queue.push(
-                    now + cost,
-                    ("finish", lane, tx, view, rec, result, snapshot_version),
-                )
+                queue.push(now + cost, ("finish", lane, tx, out, snapshot_version))
                 continue
 
-            # kind == "finish"
-            _, lane, tx, view, rec, result, snapshot_version = payload
+            _, lane, tx, out, snapshot_version = payload  # "finish"
 
-            if block_full():
-                # block sealed while this execution was in flight: the work
-                # is wasted; the transaction returns to the pool for the
-                # next block
-                pool.push_back(tx)
+            if session.full():
+                # sealed while this execution was in flight
+                session.defer(tx)
                 idle.add(lane)
                 continue
 
-            conflict = any(
-                reserve.get(key, 0) > snapshot_version for key in rec.rw.reads
-            )
-            if conflict:
-                aborts += 1
-                retry_counts[tx.hash] = retry_counts.get(tx.hash, 0) + 1
+            if reserve.stale(out, snapshot_version):
+                retries = session.abort(tx)
                 if trace_on:
-                    tracer.instant(
-                        "abort",
-                        now,
-                        lane=lane,
-                        tx=tx.hash.hex()[:8],
-                        retries=retry_counts[tx.hash],
-                        snapshot=snapshot_version,
+                    session.trace(
+                        "abort", tx, now, lane=lane, retries=retries, snapshot=snapshot_version
                     )
-                if retry_counts[tx.hash] >= cfg.max_retries:
-                    pool.drop(tx)
-                    retries_exhausted += 1
-                else:
-                    pool.push_back(tx)
                 queue.push(now + model.abort_overhead, ("free", lane))
                 wake_idle(now)
                 continue
@@ -351,89 +169,93 @@ class OCCWSIProposer:
             # commit: serialised critical section plus the line-23 barrier,
             # whose cost scales with the worker count
             commit_start = max(now, commit_free)
-            commit_end = (
-                commit_start
-                + model.commit_overhead
-                + model.commit_sync_per_lane * cfg.lanes
+            commit_free = session.clock = (
+                commit_start + model.commit_overhead + model.commit_sync_per_lane * lanes
             )
-            commit_free = commit_end
-            last_commit_end = commit_end
-
-            version = store.committed_version + 1
-            store.apply(view.buffered_writes, version)
-            for key in rec.rw.writes:
-                reserve[key] = version
-            committed.append(
-                CommittedTx(
-                    tx=tx,
-                    result=result,
-                    rw=rec.rw,
-                    version=version,
-                    snapshot_version=snapshot_version,
-                    commit_time=commit_end,
-                    cost=model.tx_cost(result.trace),
-                )
-            )
-            cur_gas += result.gas_used
-            total_fees += result.fee
-            pool.mark_packed(tx)
+            version = reserve.commit(tx, out, snapshot_version)
             if trace_on:
-                tracer.record(
-                    "commit",
-                    commit_start,
-                    commit_end,
-                    lane=lane,
-                    tx=tx.hash.hex()[:8],
-                    version=version,
+                session.trace(
+                    "commit", tx, commit_start, commit_free, lane=lane, version=version
                 )
-            queue.push(commit_end, ("free", lane))
-            wake_idle(commit_end)
+            queue.push(commit_free, ("free", lane))
+            wake_idle(commit_free)
 
-        if propose_scope is not None:
-            propose_scope.span.end = last_commit_end
-            propose_scope.span.attrs.update(
-                committed=len(committed), aborts=aborts, executions=executions
-            )
-            propose_scope.__exit__(None, None, None)
+        return session.finish()
 
-        stats = RunStats(
-            makespan=last_commit_end,
-            total_work=total_work,
-            lanes=cfg.lanes,
-            tasks=executions,
-            aborts=aborts,
-            extra={
-                "committed": len(committed),
-                "invalid_dropped": invalid_dropped,
-                "abort_rate": aborts / executions if executions else 0.0,
-            },
-        )
-        if metrics is not None:
-            metrics.counter("proposer.executions").inc(executions)
-            metrics.counter("proposer.aborts").inc(aborts)
-            metrics.counter("proposer.commits").inc(len(committed))
-            metrics.counter("proposer.invalid_dropped").inc(invalid_dropped)
-            metrics.counter("proposer.retries_exhausted").inc(retries_exhausted)
-            retry_hist = metrics.histogram("proposer.tx_aborts", _RETRY_EDGES)
-            for count in retry_counts.values():
-                retry_hist.observe(count)
-            metrics.gauge("proposer.makespan_us").set(last_commit_end)
-            # NOTE: the global keccak memo is deliberately NOT published
-            # here — it persists across runs, so its cumulative counters
-            # would break metrics-replay determinism.  Use
-            # repro.state.cache.keccak_cache_stats() for ad-hoc inspection.
-            base_stats = store.base_cache.stats
-            metrics.counter("state.base_cache.hits").inc(base_stats.hits)
-            metrics.counter("state.base_cache.misses").inc(base_stats.misses)
-            metrics.merge_into(stats.extra)
-        return self._checked(
-            ProposalResult(
-                committed=committed,
-                stats=stats,
-                store=store,
-                base=base,
-                total_fees=total_fees,
-                invalid_dropped=invalid_dropped,
-                retries_exhausted=retries_exhausted,
-            )
+    def _propose_waves(self, session: ProposeSession) -> ProposalResult:
+        """Deterministic barrier rounds for real backends.
+
+        The clock pays what the round costs on ``lanes`` simulated lanes
+        (:meth:`ProposeSession.speculative_round`) plus the serial
+        ``commit_overhead`` per commit.  Trace spans alone are placed on
+        wall time: workers report elapsed wall time and have no shared
+        clock origin, so a wave's executions all start at the wave start.
+        """
+        lanes = self.config.lanes
+        model = self.cost_model
+        # conformance yield points (repro.exec.hooks); None = production defaults
+        probe = self.probe
+        reserve = _ReserveTable(session)
+
+        while not session.full():
+            # yield point: a narrower wave models workers that started late
+            # and popped nothing before the wave's snapshot was taken
+            width = lanes
+            if probe is not None:
+                width = max(1, min(lanes, probe.wave_width(session.rounds, lanes)))
+            wave_start = session.wall_us()
+            wave = session.speculative_round(width)
+            if wave is None:
+                break
+            batch, outs, snapshot_version = wave
+
+            # -- deterministic commit section (parent only, batch order) -- #
+            # yield point: any permutation of the wave's slots models workers
+            # racing into Algorithm 1's critical section in a different order
+            slot_order: List[int] = list(range(len(batch)))
+            if probe is not None:
+                permuted = apply_order(
+                    probe.wave_commit_order(session.rounds - 1, len(batch)), len(batch)
+                )
+                if permuted is not None:
+                    slot_order = permuted
+            for slot in slot_order:
+                tx, out = batch[slot], outs[slot]
+                if out.invalid is not None:
+                    session.drop_invalid(tx)
+                    session.trace("invalid_tx", tx, wave_start, lane=slot)
+                    continue
+                session.trace(
+                    "execute",
+                    tx,
+                    wave_start,
+                    wave_start + out.elapsed_us,
+                    lane=slot,
+                    snapshot=snapshot_version,
+                )
+                if session.full():
+                    # sealed earlier in this wave
+                    session.defer(tx)
+                    continue
+                if reserve.stale(out, snapshot_version):
+                    # some earlier wave member wrote a key this one read:
+                    # first-committer-wins
+                    retries = session.abort(tx)
+                    session.trace(
+                        "abort",
+                        tx,
+                        session.wall_us(),
+                        lane=slot,
+                        retries=retries,
+                        snapshot=snapshot_version,
+                    )
+                    continue
+                session.clock += model.commit_overhead
+                version = reserve.commit(tx, out, snapshot_version)
+                session.trace("commit", tx, session.wall_us(), lane=slot, version=version)
+
+        return session.finish(
+            {"waves": session.rounds},
+            {"proposer.waves": session.rounds},
+            trace_end=session.wall_us(),
         )

@@ -24,26 +24,23 @@ semantics and names the engine in violation reports.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Type
 
 from repro.core.blockstm import BlockSTMProposer
-from repro.core.occ_wsi import (
-    CommittedTx,
-    OCCWSIProposer,
+from repro.core.occ_wsi import OCCWSIProposer
+from repro.core.session import (
     ProposalResult,
     ProposerConfig,
-    run_strict_checks,
+    ProposerEngine,
+    ProposeSession,
 )
-from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
-from repro.exec.tasks import ProposeShared, ProposeTask, ProposeTaskResult, run_propose_task
+from repro.evm.interpreter import EVM, ExecutionContext
+from repro.exec.backend import ExecutionBackend
+from repro.exec.hooks import ScheduleProbe
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
-from repro.simcore.stats import RunStats
-from repro.state.access import ReadWriteSet, RecordingState
+from repro.state.access import ReadWriteSet
 from repro.state.statedb import StateSnapshot
-from repro.state.versioned import MultiVersionStore, OCCStateView
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
 
@@ -57,26 +54,15 @@ __all__ = [
 STRATEGY_CHOICES = ("occ-wsi", "two-phase", "block-stm")
 
 
-def _lpt_makespan(durations: List[float], lanes: int) -> float:
-    """Simulated phase-1 duration: LPT assignment onto ``lanes``."""
-    if not durations:
-        return 0.0
-    finish = [0.0] * max(1, lanes)
-    for duration in sorted(durations, reverse=True):
-        slot = min(range(len(finish)), key=lambda j: (finish[j], j))
-        finish[slot] += duration
-    return max(finish)
-
-
-class TwoPhaseProposer:
+class TwoPhaseProposer(ProposerEngine):
     """Two-phase OCC: speculate a batch in parallel, redo conflicts serially.
 
     Each *round* pops up to ``lanes`` ready transactions:
 
     1. **Phase 1** executes the whole batch against the round snapshot
-       (committed state at round start) — inline in sim mode, via
-       ``backend.map`` otherwise; the task inputs are identical either
-       way, so block contents never depend on the backend.
+       (:meth:`ProposeSession.speculative_round`); the task inputs are the
+       same on every executor, so block contents never depend on the
+       backend.
     2. A greedy pass in batch order accepts every transaction whose
        read/write set does not conflict (rw, wr or ww) with an
        already-accepted member: the accepted set is pairwise
@@ -90,255 +76,75 @@ class TwoPhaseProposer:
     ``commit_sync_per_lane * lanes`` synchronisation per round plus the
     fully serial phase 2 — exactly the shape the ablation benchmark
     contrasts against OCC-WSI's abort storms and Block-STM's suspensions.
+
+    The ``probe`` is accepted for constructor parity only: phase 1 is a
+    barrier over the whole batch and both the greedy pass and phase 2 are
+    defined in batch order, so there is no worker race to steer.
     """
 
-    def __init__(
-        self,
-        evm: Optional[EVM] = None,
-        config: Optional[ProposerConfig] = None,
-        cost_model: Optional[CostModel] = None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        backend=None,
-        probe=None,
-    ) -> None:
-        self.evm = evm or EVM()
-        self.config = config or ProposerConfig(strategy="two-phase")
-        self.cost_model = cost_model or CostModel()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.backend = backend
-        #: Accepted for constructor parity with the other engines.  The
-        #: two-phase driver has no worker races to steer: phase 1 is a
-        #: barrier over the whole batch and both the greedy pass and
-        #: phase 2 are defined in batch order.
-        self.probe = probe
+    strategy = "two-phase"
 
     def propose(
-        self,
-        base: StateSnapshot,
-        pool: TxPool,
-        ctx: ExecutionContext,
+        self, base: StateSnapshot, pool: TxPool, ctx: ExecutionContext
     ) -> ProposalResult:
         """Run speculative rounds until the gas limit or pool exhaustion."""
-        cfg = self.config
         model = self.cost_model
-        tracer = self.tracer
-        trace_on = tracer.enabled
-        metrics = self.metrics
-        backend = self.backend
-
-        store = MultiVersionStore(base)
-        committed: List[CommittedTx] = []
-        cur_gas = 0
-        total_fees = 0
-        invalid_dropped = 0
-        executions = 0
-        aborts = 0  # phase-1 results discarded to phase 2
-        rounds = 0
+        session = ProposeSession(self, base, pool, ctx)
         phase2_runs = 0
-        total_work = 0.0
-        clock = 0.0
-
-        shared = ProposeShared(evm_config=self.evm.config, base=base, ctx=ctx)
-        if backend is not None:
-            backend.open(shared)
-        wall0 = time.perf_counter()
-
-        def block_full() -> bool:
-            if cur_gas >= cfg.gas_limit:
-                return True
-            return cfg.max_txs is not None and len(committed) >= cfg.max_txs
-
-        propose_scope = (
-            tracer.scope("propose", 0.0, lanes=cfg.lanes, strategy="two-phase")
-            if trace_on
-            else None
-        )
-        if propose_scope is not None:
-            propose_scope.__enter__()
 
         stop = False
-        while not stop and not block_full():
-            batch: List[Transaction] = []
-            while len(batch) < cfg.lanes:
-                tx = pool.pop_best()
-                if tx is None:
-                    break
-                batch.append(tx)
-            if not batch:
+        while not stop and not session.full():
+            round_ = session.speculative_round(self.config.lanes)
+            if round_ is None:
                 break
-            rounds += 1
-            snapshot_version = store.committed_version
-            overlay = store.final_values()
-            tasks = [ProposeTask(tx, overlay, snapshot_version) for tx in batch]
-            if backend is not None:
-                outs: List[ProposeTaskResult] = backend.map(run_propose_task, tasks)
-            else:
-                outs = [run_propose_task(shared, task) for task in tasks]
-
-            durations = []
-            for out in outs:
-                if out.invalid is not None:
-                    durations.append(model.tx_overhead)
-                else:
-                    assert out.result is not None
-                    cost = model.tx_cost(out.result.trace)
-                    durations.append(cost)
-                    total_work += cost
-                    executions += 1
-            clock += _lpt_makespan(durations, cfg.lanes)
-            # the inter-phase barrier: every lane synchronises once per
-            # round before conflicts are resolved
-            clock += model.commit_sync_per_lane * cfg.lanes
+            batch, outs, snapshot_version = round_
 
             # -- greedy conflict-free prefix (batch order) -------------- #
             accepted_sets: List[ReadWriteSet] = []
             retry: List[Transaction] = []
             for tx, out in zip(batch, outs):
-                if stop:
-                    pool.push_back(tx)
-                    continue
-                if block_full():
+                if stop or session.full():
                     stop = True
-                    pool.push_back(tx)
+                    session.defer(tx)
                     continue
-                if (
-                    out.invalid is not None
-                    or out.rw is None
-                    or any(out.rw.conflicts_with(prev) for prev in accepted_sets)
-                ):
-                    if out.invalid is None:
-                        aborts += 1
-                        if trace_on:
-                            tracer.instant(
-                                "two_phase_conflict", clock, tx=tx.hash.hex()[:8]
-                            )
+                if out.result is None or out.rw is None:
+                    retry.append(tx)  # looked invalid at the round snapshot
+                    continue
+                if any(out.rw.conflicts_with(prev) for prev in accepted_sets):
+                    session.aborts += 1  # phase-1 result discarded to phase 2
+                    session.trace("two_phase_conflict", tx, session.clock)
                     retry.append(tx)
                     continue
-                assert out.result is not None and out.rw is not None
                 accepted_sets.append(out.rw)
-                version = store.committed_version + 1
-                store.apply(out.writes, version)
-                clock += model.commit_overhead
-                committed.append(
-                    CommittedTx(
-                        tx=tx,
-                        result=out.result,
-                        rw=out.rw,
-                        version=version,
-                        snapshot_version=snapshot_version,
-                        commit_time=clock,
-                        cost=model.tx_cost(out.result.trace),
-                    )
-                )
-                cur_gas += out.result.gas_used
-                total_fees += out.result.fee
-                pool.mark_packed(tx)
-                if trace_on:
-                    tracer.instant("commit", clock, tx=tx.hash.hex()[:8], version=version)
+                session.clock += model.commit_overhead
+                version = session.commit(tx, out.result, out.rw, out.writes, snapshot_version)
+                session.trace("commit", tx, session.clock, version=version)
 
             # -- phase 2: serial re-execution of the rejects ------------ #
             for tx in retry:
-                if stop or block_full():
+                if stop or session.full():
                     stop = True
-                    pool.push_back(tx)
+                    session.defer(tx)
                     continue
-                phase2_version = store.committed_version
-                view = OCCStateView(store, phase2_version)
-                rec = RecordingState(view, version=phase2_version)
-                try:
-                    result = self.evm.apply_transaction(rec, tx, ctx)
-                except InvalidTransaction:
-                    pool.drop(tx)
-                    invalid_dropped += 1
-                    clock += model.tx_overhead
-                    if trace_on:
-                        tracer.instant("invalid_tx", clock, tx=tx.hash.hex()[:8])
+                snapshot_version = session.store.committed_version
+                out = session.speculate(tx)
+                if out.result is None or out.rw is None:
+                    session.drop_invalid(tx)
+                    session.clock += model.tx_overhead
+                    session.trace("invalid_tx", tx, session.clock)
                     continue
-                executions += 1
                 phase2_runs += 1
-                cost = model.tx_cost(result.trace)
-                total_work += cost
-                clock += cost + model.commit_overhead
-                version = store.committed_version + 1
-                store.apply(view.buffered_writes, version)
-                committed.append(
-                    CommittedTx(
-                        tx=tx,
-                        result=result,
-                        rw=rec.rw,
-                        version=version,
-                        snapshot_version=phase2_version,
-                        commit_time=clock,
-                        cost=cost,
-                    )
-                )
-                cur_gas += result.gas_used
-                total_fees += result.fee
-                pool.mark_packed(tx)
-                if trace_on:
-                    tracer.instant(
-                        "commit", clock, tx=tx.hash.hex()[:8], version=version, phase=2
-                    )
+                session.clock += session.charge(out) + model.commit_overhead
+                version = session.commit(tx, out.result, out.rw, out.writes, snapshot_version)
+                session.trace("commit", tx, session.clock, version=version, phase=2)
 
-        makespan = clock if backend is None else (time.perf_counter() - wall0) * 1e6
-        if propose_scope is not None:
-            propose_scope.span.end = makespan
-            propose_scope.span.attrs.update(
-                committed=len(committed),
-                aborts=aborts,
-                executions=executions,
-                rounds=rounds,
-                phase2=phase2_runs,
-            )
-            propose_scope.__exit__(None, None, None)
-
-        stats = RunStats(
-            makespan=makespan,
-            total_work=total_work,
-            lanes=cfg.lanes,
-            tasks=executions,
-            aborts=aborts,
-            extra={
-                "committed": len(committed),
-                "invalid_dropped": invalid_dropped,
-                "abort_rate": aborts / executions if executions else 0.0,
-                "strategy": "two-phase",
-                "rounds": rounds,
-                "phase2_serial": phase2_runs,
-            },
-        )
-        if backend is not None:
-            stats.extra["backend"] = backend.name
-            stats.extra["backend_workers"] = backend.workers
-        if metrics is not None:
-            metrics.counter("proposer.executions").inc(executions)
-            metrics.counter("proposer.aborts").inc(aborts)
-            metrics.counter("proposer.commits").inc(len(committed))
-            metrics.counter("proposer.invalid_dropped").inc(invalid_dropped)
-            metrics.counter("two_phase.rounds").inc(rounds)
-            metrics.counter("two_phase.serial_retries").inc(phase2_runs)
-            gauge = "proposer.makespan_us" if backend is None else "proposer.wall_us"
-            metrics.gauge(gauge).set(makespan)
-            metrics.merge_into(stats.extra)
-        return run_strict_checks(
-            ProposalResult(
-                committed=committed,
-                stats=stats,
-                store=store,
-                base=base,
-                total_fees=total_fees,
-                invalid_dropped=invalid_dropped,
-                retries_exhausted=0,
-                strategy="two-phase",
-            ),
-            enabled=cfg.strict_checks,
-            metrics=metrics,
+        return session.finish(
+            {"rounds": session.rounds, "phase2_serial": phase2_runs},
+            {"two_phase.rounds": session.rounds, "two_phase.serial_retries": phase2_runs},
         )
 
 
-_ENGINES = {
+_ENGINES: Dict[str, Type[ProposerEngine]] = {
     "occ-wsi": OCCWSIProposer,
     "two-phase": TwoPhaseProposer,
     "block-stm": BlockSTMProposer,
@@ -350,11 +156,11 @@ def build_proposer(
     *,
     evm: Optional[EVM] = None,
     cost_model: Optional[CostModel] = None,
-    tracer=None,
+    tracer: Any = None,
     metrics: Optional[MetricsRegistry] = None,
-    backend=None,
-    probe=None,
-):
+    backend: Optional[ExecutionBackend] = None,
+    probe: Optional[ScheduleProbe] = None,
+) -> ProposerEngine:
     """Instantiate the proposer engine selected by ``config.strategy``.
 
     Every engine shares the constructor surface, so call sites

@@ -2,8 +2,8 @@
 
 The discrete-event simulator (:mod:`repro.simcore`) *models* lanes; the
 backends here run worker tasks on actual cores.  All three share one tiny
-contract so the proposer/validator drivers in :mod:`repro.exec.proposing`
-and :mod:`repro.exec.validating` are backend-agnostic:
+contract so the proposing session (:mod:`repro.core.session`) and the
+validator driver (:mod:`repro.exec.validating`) are backend-agnostic:
 
 * :meth:`ExecutionBackend.open` installs an immutable *shared* object that
   every task of the session may read (EVM config, base snapshot, context).

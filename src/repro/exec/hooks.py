@@ -1,7 +1,7 @@
 """Injectable yield points for the real-parallelism drivers.
 
-The wave driver (:mod:`repro.exec.proposing`) and the component driver
-(:mod:`repro.exec.validating`) make a small number of *scheduling
+OCC-WSI's wave schedule (:mod:`repro.core.occ_wsi`) and the component
+driver (:mod:`repro.exec.validating`) make a small number of *scheduling
 decisions* per run: how many transactions a wave pops, in which order a
 wave's speculative results enter the commit section, how worker lanes are
 ordered, and in which order a lane walks its components.  In production

@@ -63,6 +63,7 @@ __all__ = [
     "ProposeShared",
     "ProposeTask",
     "ProposeTaskResult",
+    "speculate",
     "run_propose_task",
     "EstimateRead",
     "MVEntry",
@@ -290,8 +291,8 @@ class ProposeTaskResult(NamedTuple):
 class _WaveOverlayStore:
     """Duck-typed ``MultiVersionStore`` over (base snapshot, overlay dict).
 
-    The wave driver snapshots the committed writes *once* per wave; every
-    worker of the wave reads through the same immutable overlay, so all
+    A speculative round snapshots the committed writes *once*; every
+    worker of the round reads through the same immutable overlay, so all
     backends observe the identical snapshot regardless of scheduling.
     """
 
@@ -307,20 +308,39 @@ class _WaveOverlayStore:
         return read_base_value(self._base, key)
 
 
-def run_propose_task(shared: ProposeShared, task: ProposeTask) -> ProposeTaskResult:
-    """Execute one transaction speculatively against the wave snapshot."""
-    evm = _evm_for(shared.evm_config)
-    store = _WaveOverlayStore(shared.base, task.overlay)
-    view = OCCStateView(store, task.snapshot_version)
-    rec = RecordingState(view, version=task.snapshot_version)
+def speculate(
+    evm: EVM, store: Any, tx: Transaction, ctx: ExecutionContext, snapshot_version: int
+) -> ProposeTaskResult:
+    """Execute one transaction against ``store`` as of ``snapshot_version``.
+
+    The one speculate-one-transaction body of the propose path: workers
+    reach it through :func:`run_propose_task` (``store`` is the round's
+    overlay), the proposing session calls it directly for in-parent
+    executions against the live :class:`MultiVersionStore`.  Writes stay
+    in the view's buffer; an invalid transaction is an outcome, not an
+    error.
+    """
+    view = OCCStateView(store, snapshot_version)
+    rec = RecordingState(view, version=snapshot_version)
     start = time.perf_counter()
     try:
-        result = evm.apply_transaction(rec, task.tx, shared.ctx)
+        result = evm.apply_transaction(rec, tx, ctx)
     except InvalidTransaction as exc:
         elapsed_us = (time.perf_counter() - start) * 1e6
         return ProposeTaskResult(str(exc), None, None, {}, elapsed_us)
     elapsed_us = (time.perf_counter() - start) * 1e6
     return ProposeTaskResult(None, result, rec.rw, view.buffered_writes, elapsed_us)
+
+
+def run_propose_task(shared: ProposeShared, task: ProposeTask) -> ProposeTaskResult:
+    """Execute one transaction speculatively against the round snapshot."""
+    return speculate(
+        _evm_for(shared.evm_config),
+        _WaveOverlayStore(shared.base, task.overlay),
+        task.tx,
+        shared.ctx,
+        task.snapshot_version,
+    )
 
 
 # --------------------------------------------------------------------- #

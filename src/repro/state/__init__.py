@@ -19,7 +19,7 @@ Layering (bottom up):
 from repro.state.trie import MPT, EMPTY_ROOT
 from repro.state.account import AccountData, EMPTY_ACCOUNT
 from repro.state.statedb import StateDB, StateSnapshot, genesis_snapshot
-from repro.state.versioned import MultiVersionStore, OCCStateView, OCCConflict
+from repro.state.versioned import MultiVersionStore, OCCStateView
 from repro.state.proofs import prove, verify_proof, prove_secure, verify_secure, ProofError
 from repro.state.serialize import snapshot_to_json, snapshot_from_json, SnapshotFormatError
 from repro.state.access import (
@@ -42,7 +42,6 @@ __all__ = [
     "genesis_snapshot",
     "MultiVersionStore",
     "OCCStateView",
-    "OCCConflict",
     "StateKey",
     "RecordingState",
     "ReadWriteSet",

@@ -30,11 +30,7 @@ from repro.state.access import (
 from repro.state.cache import ReadThroughCache
 from repro.state.statedb import StateSnapshot
 
-__all__ = ["MultiVersionStore", "OCCStateView", "OCCConflict", "read_base_value"]
-
-
-class OCCConflict(Exception):
-    """Raised when OCC-WSI validation rejects a commit (stale read)."""
+__all__ = ["MultiVersionStore", "OCCStateView", "read_base_value"]
 
 
 def read_base_value(base: StateSnapshot, key: StateKey) -> Any:

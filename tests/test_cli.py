@@ -67,6 +67,17 @@ class TestCommands:
         assert "Fig. 6" in out
         assert out.count("\n") >= 4
 
+    def test_proposer_sweep_on_a_backend_is_simulated_on_both_sides(self, capsys):
+        """sim serial µs / sim makespan µs: the table replays exactly and a
+        wave of 4 beats serial (a wall-clock denominator gives ~0.05x)."""
+        argv = [*self.ARGS, "--backend", "serial", "proposer", "--lanes", "1", "4"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        speedup_at_4 = float(first.strip().splitlines()[-1].split()[-1])
+        assert speedup_at_4 > 1.0
+
     def test_validator_sweep(self, capsys):
         assert main([*self.ARGS, "validator", "--lanes", "1", "4"]) == 0
         assert "Fig. 7a" in capsys.readouterr().out

@@ -1,11 +1,12 @@
 """Cross-backend equivalence: same workload + seed => identical outcomes.
 
-The whole point of the deterministic wave/merge drivers in ``repro.exec``
-is that switching execution substrate never changes a single decision:
-block contents, state roots, abort/commit/drop choices and fault-handling
-paths must be byte-identical across serial, thread and process backends —
-and, for the validator, identical to the simulated-clock path too (the
-proposer's wave schedule legitimately differs from the sim event loop, so
+The whole point of the deterministic wave schedule and merge driver is
+that switching execution substrate never changes a single decision:
+block contents, state roots, abort/commit/drop choices, simulated timings
+and fault-handling paths must be byte-identical across serial, thread and
+process backends — and, for the validator and the one-schedule proposer
+strategies (two-phase, Block-STM), identical with no backend too
+(OCC-WSI's wave schedule legitimately differs from its async lanes, so
 its equivalence class is the three real backends).
 """
 
@@ -16,9 +17,12 @@ import pytest
 from repro.chain.block import BlockProfile, transactions_root
 from repro.chain.blockchain import Blockchain
 from repro.check.fuzzer import forge_lying_profile_block
+from repro.common.types import Address
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
+from repro.core.proposer import seal_block
+from repro.core.strategies import STRATEGY_CHOICES, build_proposer
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.evm.interpreter import ExecutionContext
+from repro.evm.interpreter import EVM, ExecutionContext
 from repro.distributed import DistributedValidator
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
@@ -26,7 +30,10 @@ from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.node import ProposerNode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.state.account import AccountData
+from repro.state.statedb import StateDB, genesis_snapshot
 from repro.txpool.pool import TxPool
+from repro.txpool.transaction import Transaction
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 
 BACKEND_FACTORIES = (
@@ -35,10 +42,10 @@ BACKEND_FACTORIES = (
     ("process", lambda: ProcessBackend(2)),
 )
 
+ETHER = 10**18
+
 
 def _coinbase():
-    from repro.common.types import Address
-
     return Address(b"\xcc" * 20)
 
 
@@ -79,8 +86,105 @@ def _with_invalid_tx(block, index):
     )
 
 
+def _world(n=10):
+    eoas = [Address.from_int(0x900 + i) for i in range(n)]
+    return eoas, genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
+
+
+def _payment(sender, to, nonce=0, price=10, value=100):
+    return Transaction(sender, to, value, b"", 60_000, price, nonce)
+
+
+def _propose(strategy, base, txs, ctx, *, backend=None, lanes=4, **cfg):
+    pool = TxPool()
+    pool.add_many(sorted(txs, key=lambda t: t.nonce))
+    engine = build_proposer(
+        ProposerConfig(lanes=lanes, strategy=strategy, **cfg), backend=backend
+    )
+    return engine.propose(base, pool, ctx), pool
+
+
+def _observe(result, ctx, parent_header):
+    """Everything about a proposal that must not depend on the executor."""
+    sealed = seal_block(
+        result,
+        parent_header,
+        coinbase=ctx.coinbase,
+        timestamp=ctx.timestamp,
+        gas_limit=ctx.gas_limit,
+    )
+    extra = {
+        k: v
+        for k, v in result.stats.extra.items()
+        if k not in ("backend", "backend_workers")
+    }
+    return (
+        bytes(sealed.block.hash),
+        [(c.tx.hash, c.version, c.snapshot_version, c.commit_time) for c in result.committed],
+        dataclasses.replace(result.stats, extra=extra),
+        result.invalid_dropped,
+        result.retries_exhausted,
+    )
+
+
+#: The wave schedule's behavioural cases: ``(id, txs(eoas), lanes, config,
+#: expected)``.  ``expected`` pins exact figures where the input fixes
+#: them and a ``min_`` bound where only the direction matters.
+WAVE_CASES = [
+    (
+        "packs-everything",
+        lambda e: [_payment(e[i], e[i + 5]) for i in range(5)],
+        4,
+        {},
+        {"committed": 5, "pool_left": 0},
+    ),
+    (
+        "disjoint-one-wave",
+        lambda e: [_payment(e[i], e[i + 5]) for i in range(4)],
+        4,
+        {},
+        {"committed": 4, "waves": 1, "aborts": 0},
+    ),
+    (
+        "hot-spills-waves",  # one hot receiver: more waves, aborts, all commit
+        lambda e: [_payment(e[i], e[9]) for i in range(6)],
+        6,
+        {},
+        {"committed": 6, "min_waves": 2, "min_aborts": 1},
+    ),
+    (
+        "hot-narrow-waves",
+        lambda e: [_payment(e[i], e[9]) for i in range(6)],
+        4,
+        {},
+        {"committed": 6, "min_waves": 2, "min_aborts": 1},
+    ),
+    (
+        "hot-by-price",
+        lambda e: [_payment(e[i], e[9], price=10 + i) for i in range(6)],
+        4,
+        {},
+        {"committed": 6, "min_aborts": 1},
+    ),
+    (
+        "gas-limit-respected",
+        lambda e: [_payment(e[i], e[i + 5]) for i in range(5)],
+        4,
+        {"gas_limit": 21000 * 2 + 1},
+        {"committed": 3, "pool_left": 2},
+    ),
+    (
+        "invalid-dropped",
+        lambda e: [_payment(e[0], e[1], value=5 * ETHER), _payment(e[2], e[3])],
+        4,
+        {},
+        {"committed": 1, "invalid_dropped": 1},
+    ),
+]
+
+
 class TestProposerEquivalence:
-    def test_identical_blocks_across_backends(self, small_universe):
+    def test_identical_blocks_across_backends(self, small_universe, genesis_chain):
         txs = _txs(small_universe)
         ctx = _ctx()
         outcomes = {}
@@ -96,16 +200,49 @@ class TestProposerEquivalence:
         reference = outcomes["serial"]
         ref_hashes = [c.tx.hash for c in reference.committed]
         ref_root = reference.final_state(coinbase=ctx.coinbase).state_root()
+        ref_observed = _observe(reference, ctx, genesis_chain.genesis.header)
         assert ref_hashes, "workload committed nothing"
         for name, result in outcomes.items():
             assert [c.tx.hash for c in result.committed] == ref_hashes, name
-            assert [c.version for c in result.committed] == [
-                c.version for c in reference.committed
-            ], name
             assert result.final_state(coinbase=ctx.coinbase).state_root() == ref_root, name
-            assert result.invalid_dropped == reference.invalid_dropped, name
-            assert result.retries_exhausted == reference.retries_exhausted, name
             assert result.stats.aborts == reference.stats.aborts, name
+            assert _observe(result, ctx, genesis_chain.genesis.header) == ref_observed, name
+
+    @pytest.mark.parametrize("strategy", STRATEGY_CHOICES)
+    def test_executor_independent_timings(self, small_universe, genesis_chain, strategy):
+        """The clock rule: the sealed block hash, every ``commit_time`` and
+        the whole ``RunStats`` (bar the backend labels) agree on serial |
+        thread — and, where the strategy has one schedule, on no backend."""
+        self._assert_executors_agree(
+            small_universe, genesis_chain, strategy, BACKEND_FACTORIES[:2]
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("strategy", ("two-phase", "block-stm"))
+    def test_process_backend_agrees_too(self, small_universe, genesis_chain, strategy):
+        # occ-wsi on processes is in test_identical_blocks_across_backends
+        self._assert_executors_agree(
+            small_universe, genesis_chain, strategy, BACKEND_FACTORIES[2:]
+        )
+
+    def _assert_executors_agree(self, universe, chain, strategy, factories):
+        txs = _txs(universe)
+        ctx = _ctx()
+        parent = chain.genesis.header
+        observed = {}
+        if strategy != "occ-wsi":  # its async lanes are a schedule of their own
+            result, _ = _propose(strategy, universe.genesis, txs, ctx)
+            observed["none"] = _observe(result, ctx, parent)
+        for name, factory in factories:
+            with factory() as backend:
+                result, _ = _propose(strategy, universe.genesis, txs, ctx, backend=backend)
+            assert result.stats.extra["backend"] == name
+            observed[name] = _observe(result, ctx, parent)
+        reference = next(iter(observed.values()))
+        assert reference[1], "workload committed nothing"
+        assert reference[2].makespan > 0
+        for name, seen in observed.items():
+            assert seen == reference, (strategy, name)
 
     def test_wave_snapshots_respect_dependencies(self, small_universe):
         # nonce chains force cross-wave ordering: every backend must pack
@@ -128,6 +265,61 @@ class TestProposerEquivalence:
                 by_sender[sender] = c.tx.nonce
             roots.add(result.final_state(coinbase=ctx.coinbase).state_root())
         assert len(roots) == 1
+
+    @pytest.mark.parametrize(
+        "make_txs, lanes, cfg, expected",
+        [case[1:] for case in WAVE_CASES],
+        ids=[case[0] for case in WAVE_CASES],
+    )
+    def test_wave_schedule_cases(self, make_txs, lanes, cfg, expected):
+        """OCC-WSI's wave schedule is the round-based deterministic-abort
+        OCC of Garamvölgyi et al.: a transaction commits iff nothing it
+        read was written by an earlier commit of its round.  Every case
+        must also replay exactly and match a serial replay of its block."""
+        eoas, base = _world()
+        ctx = _ctx()
+        txs = make_txs(eoas)
+
+        def run():
+            return _propose("occ-wsi", base, txs, ctx, backend=SerialBackend(), lanes=lanes, **cfg)
+
+        (result, pool), (again, _) = run(), run()
+        seen = {
+            "committed": len(result.committed),
+            "pool_left": len(pool),
+            "waves": result.stats.extra["waves"],
+            "aborts": result.stats.aborts,
+            "invalid_dropped": result.invalid_dropped,
+        }
+        for key, want in expected.items():
+            if key.startswith("min_"):
+                assert seen[key[4:]] >= want, (key, seen)
+            else:
+                assert seen[key] == want, (key, seen)
+
+        # deterministic, makespan included
+        assert [c.tx.hash for c in again.committed] == [c.tx.hash for c in result.committed]
+        assert again.stats == result.stats
+        # serializable: a serial replay in commit order reproduces the state
+        db = StateDB(base)
+        evm = EVM()
+        for c in result.committed:
+            evm.apply_transaction(db, c.tx, ctx)
+        assert db.commit().state_root() == result.final_state().state_root()
+
+    def test_async_lanes_beat_waves_under_contention(
+        self, small_universe, small_generator
+    ):
+        """The barrier wastes lane time every round; OCC-WSI's free-running
+        lanes finish the same transactions sooner (the §2.3 ablation)."""
+        txs = small_generator.generate_block_txs()
+        ctx = _ctx()
+        lanes, _ = _propose("occ-wsi", small_universe.genesis, txs, ctx, lanes=16)
+        waves, _ = _propose(
+            "occ-wsi", small_universe.genesis, txs, ctx, lanes=16, backend=SerialBackend()
+        )
+        assert len(lanes.committed) == len(waves.committed) == len(txs)
+        assert lanes.stats.makespan < waves.stats.makespan
 
 
 class TestValidatorEquivalence:

@@ -198,9 +198,9 @@ class TestBackendDeterminism:
     """Same seed + same backend => byte-identical decisions (ISSUE 5, S1).
 
     Extends the sim-clock contracts above to the real-parallelism drivers:
-    block contents, sealed header hashes, state roots, RunStats counters
-    and the normalized Chrome trace must all replay exactly, on every
-    backend."""
+    block contents, sealed header hashes, state roots, the whole RunStats
+    (its makespan is simulated on every executor) and the normalized
+    Chrome trace must all replay exactly, on every backend."""
 
     def _ctx(self):
         return ExecutionContext(
@@ -233,12 +233,11 @@ class TestBackendDeterminism:
                 timestamp=ctx.timestamp,
                 gas_limit=ctx.gas_limit,
             )
-            stats = dataclasses.replace(result.stats, makespan=0.0)
             return (
                 bytes(sealed.block.hash),
                 [c.tx.hash for c in result.committed],
                 bytes(result.final_state(coinbase=ctx.coinbase).state_root()),
-                stats,
+                result.stats,
                 _normalized_trace(tracer),
             )
 

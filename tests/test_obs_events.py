@@ -14,6 +14,7 @@ import stat
 import pytest
 
 from repro.exec import get_backend
+from repro.obs import MetricsRegistry
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
@@ -197,6 +198,34 @@ class TestCrossBackendDeterminism:
         assert reference  # produced something
         for name, stream in streams.items():
             assert stream == reference, f"{name} backend diverged"
+
+    def test_seal_latency_on_a_backend_includes_the_proposer(self, tmp_path):
+        """``block_sealed.latency_us`` is proposer + pipeline simulated
+        makespan; the proposer half must not vanish when a backend is
+        attached.  The chain grows one block per ``run()`` so the two
+        gauges read after it belong to exactly that block."""
+        for height in range(1, self.BLOCKS):
+            metrics = MetricsRegistry()
+            cfg = ServeConfig(
+                data_dir=str(tmp_path / "node"),
+                txs_per_block=12,
+                max_height=height,
+                snapshot_interval=4,
+                fsync=False,
+                events=True,
+            )
+            with get_backend("serial") as backend:
+                NodeService(cfg, backend=backend, metrics=metrics).run(handle_signals=False)
+            proposer_us = metrics.gauge("proposer.makespan_us").value
+            pipeline_us = metrics.gauge("pipeline.makespan_us").value
+            (event,) = [
+                e
+                for e in read_events(str(tmp_path / "node" / "events.jsonl"))
+                if e["kind"] == "block_sealed" and e["height"] == height
+            ]
+            assert proposer_us > 0
+            assert event["latency_us"] > round(pipeline_us, 3)
+            assert event["latency_us"] == round(proposer_us + pipeline_us, 3)
 
     def test_sim_backend_stream_reproducible(self, tmp_path):
         first = self._stream(tmp_path, "sim-a", "sim")

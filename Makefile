@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare bench-e2e-quick bench-e2e-compare trace-demo examples clean
+.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare bench-e2e-quick bench-e2e-compare profile-e2e trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -141,6 +141,12 @@ bench-e2e-quick:
 # run --out FILE`): make bench-e2e-compare A=parent.json B=change.json
 bench-e2e-compare:
 	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
+
+# where a block's CPU time goes: an ITIMER_PROF sampler over one e2e block
+# loop, inclusive and self share per function (cProfile mis-ranks this code
+# base's layers): make profile-e2e W=mint-rush
+profile-e2e:
+	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet)
 
 trace-demo:
 	$(PYTHON) -m repro --txs-per-block 60 trace --mode round --rounds 2 \

@@ -14,7 +14,6 @@ from repro import StateDB, genesis_snapshot
 from repro.common.types import Address
 from repro.evm.asm import Assembler
 from repro.evm.interpreter import EVM, ExecutionContext
-from repro.state.access import RecordingState
 from repro.state.account import AccountData
 from repro.state.versioned import MultiVersionStore, OCCStateView
 from repro.txpool.transaction import Transaction
@@ -99,7 +98,7 @@ def main() -> None:
     # --- same bytecode under an OCC snapshot view -------------------------- #
     committed = db.commit()
     store = MultiVersionStore(committed)
-    view = RecordingState(OCCStateView(store, snapshot_version=0))
+    view = OCCStateView(store, snapshot_version=0)  # buffers writes, records the rw-set
     tx = Transaction(voters[1], contract, 0, vote_calldata(0), 200_000, 1, 1)
     res = evm.apply_transaction(view, tx, CTX)
     assert res.success

@@ -6,7 +6,8 @@ SLOAD/SSTORE, counter races through balances and nonces (§2.3, §3.1) —
 arises from real bytecode execution.  This package provides that substrate:
 
 * a 256-bit stack machine with ~70 opcodes, byte-addressed memory,
-  journaled storage access and inter-contract ``CALL``;
+  journaled storage access and inter-contract ``CALL``, run as a flat
+  loop over a per-code-blob analysis (:func:`analyse`);
 * an Ethereum-style gas schedule (:mod:`repro.evm.gas`) whose heavy
   storage costs make gas the scheduling proxy §4.3 relies on;
 * per-category execution tracing feeding the simulated cost model;
@@ -29,6 +30,7 @@ from repro.evm.interpreter import (
     TxResult,
     Log,
     InvalidTransaction,
+    analyse,
 )
 from repro.evm.asm import Assembler, asm
 
@@ -47,6 +49,7 @@ __all__ = [
     "TxResult",
     "Log",
     "InvalidTransaction",
+    "analyse",
     "Assembler",
     "asm",
 ]

@@ -1,17 +1,19 @@
 """Bytecode disassembler — debugging/tooling companion to the assembler.
 
-``disassemble`` walks code the same way the interpreter's jump-dest scan
-does: PUSH immediates are consumed as data; anything not in the opcode
-table is rendered as ``INVALID(0xXX)``.  ``format_disassembly`` renders a
-listing with program counters, which the test-suite and docs use to make
-contract bytecode inspectable.
+``disassemble`` renders the interpreter's own analysis
+(:func:`repro.evm.interpreter.analyse`), so a listing shows exactly the
+instruction starts the dispatch loop can reach: PUSH immediates are data;
+anything not in the opcode table is rendered as ``INVALID(0xXX)``.
+``format_disassembly`` renders a listing with program counters, which the
+test-suite and docs use to make contract bytecode inspectable.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.evm.opcodes import OPCODES
+from repro.evm.interpreter import analyse
+from repro.evm.opcodes import OPCODES, opcode_by_name
 
 __all__ = ["Instruction", "disassemble", "format_disassembly"]
 
@@ -32,23 +34,15 @@ class Instruction(NamedTuple):
 def disassemble(code: bytes) -> List[Instruction]:
     """Decode bytecode into a flat instruction list."""
     out: List[Instruction] = []
-    i = 0
-    n = len(code)
-    while i < n:
-        byte = code[i]
-        op = OPCODES.get(byte)
+    starts = [*analyse(code).starts(), len(code)]
+    for pc, next_pc in zip(starts, starts[1:]):
+        op = OPCODES.get(code[pc])
         if op is None:
-            out.append(Instruction(i, f"INVALID(0x{byte:02x})", None))
-            i += 1
-            continue
-        if 0x60 <= byte <= 0x7F:
-            width = byte - 0x60 + 1
-            immediate = code[i + 1 : i + 1 + width]
-            out.append(Instruction(i, op.name, immediate))
-            i += 1 + width
+            out.append(Instruction(pc, f"INVALID(0x{code[pc]:02x})", None))
+        elif op.name.startswith("PUSH"):
+            out.append(Instruction(pc, op.name, code[pc + 1 : next_pc]))
         else:
-            out.append(Instruction(i, op.name, None))
-            i += 1
+            out.append(Instruction(pc, op.name, None))
     return out
 
 
@@ -68,8 +62,6 @@ def reassembles_identically(code: bytes) -> bool:
         if ins.name.startswith("INVALID"):
             out.append(int(ins.name[10:-1], 16))
             continue
-        from repro.evm.opcodes import opcode_by_name
-
         out.append(opcode_by_name(ins.name).code)
         if ins.immediate is not None:
             out += ins.immediate

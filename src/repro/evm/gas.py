@@ -88,6 +88,5 @@ def intrinsic_gas(schedule: GasSchedule, data: bytes, is_create: bool) -> int:
     gas = schedule.tx_base
     if is_create:
         gas += schedule.tx_create
-    for byte in data:
-        gas += schedule.tx_data_nonzero if byte else schedule.tx_data_zero
-    return gas
+    zeros = data.count(0)
+    return gas + schedule.tx_data_zero * zeros + schedule.tx_data_nonzero * (len(data) - zeros)

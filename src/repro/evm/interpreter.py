@@ -7,9 +7,23 @@ execution context the paper distinguishes:
 
 * serial baseline execution over a :class:`~repro.state.statedb.StateDB`;
 * proposer OCC execution over an
-  :class:`~repro.state.versioned.OCCStateView` snapshot;
-* validator re-execution over a recording wrapper that captures the
+  :class:`~repro.state.versioned.OCCStateView`, the keyed speculative view
+  that records the rw-set itself;
+* validator re-execution over a
+  :class:`~repro.state.access.RecordingState` that captures the
   read/write sets Algorithm 2 verifies.
+
+Bytecode is decoded once.  :func:`analyse` turns a code blob into a
+:class:`Program` — one :class:`Instr` per instruction start (handler,
+static gas, trace category, stack arity, decoded PUSH immediate, next pc)
+plus the valid jump destinations — cached per ``bytes`` value, and
+``_run_frame`` is a flat loop over that table: it counts the category,
+charges the static gas and checks the stack bounds once per instruction,
+runs the stack-shuffling and control-flow families inline, and hands every
+other opcode to a handler that works on the operand list directly
+(ARCHITECTURE §11).  Words on the operand stack are plain ints in
+``[0, 2**256)``; handlers mask exactly where arithmetic can leave that
+range.
 
 Failure semantics follow the yellow paper: a failing frame (out of gas,
 stack error, invalid jump, write protection) consumes its gas and reverts
@@ -21,9 +35,20 @@ transactions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_encode
@@ -31,19 +56,17 @@ from repro.common.types import (
     Address,
     U256_MASK,
     signed_to_u256,
-    u256_add,
-    u256_div,
     u256_exp,
-    u256_mod,
-    u256_mul,
-    u256_sub,
     u256_to_signed,
 )
 from repro.evm.gas import DEFAULT_GAS_SCHEDULE, GasSchedule, OutOfGas, intrinsic_gas
 from repro.evm.memory import Memory
-from repro.evm.opcodes import OPCODES
-from repro.evm.stack import Stack, StackError
+from repro.evm.opcodes import LOG0, OPCODES, PUSH1, opcode_by_name
 from repro.simcore.costmodel import TraceCosts
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.state.statedb import StateSnapshot
+    from repro.txpool.transaction import Transaction
 
 __all__ = [
     "EVM",
@@ -54,7 +77,17 @@ __all__ = [
     "TxResult",
     "Log",
     "InvalidTransaction",
+    "Instr",
+    "Program",
+    "analyse",
 ]
+
+#: Yellow-paper operand stack limit.
+MAX_STACK_DEPTH = 1024
+
+#: Any object with the StateDB interface (duck-typed on purpose: StateDB,
+#: the keyed speculative views, RecordingState all qualify).
+State = Any
 
 
 class InvalidTransaction(Exception):
@@ -97,8 +130,7 @@ class ExecutionContext:
         return 0
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One message call (top-level transaction or internal CALL)."""
 
     sender: Address
@@ -163,66 +195,172 @@ class EVMConfig:
 
 @dataclass
 class _TxEnv:
+    """What every frame of one transaction shares."""
+
+    evm: "EVM"
+    ctx: ExecutionContext
+    schedule: GasSchedule
     origin: Address
     gas_price: int
+    #: executed-work counts per category, in first-occurrence order (the
+    #: cost model sums in that order and the sim goldens pin the last bit)
+    trace: Dict[str, int]
     #: gas-refund ledger (SSTORE clears); entries from reverted frames are
     #: discarded, mirroring geth's journaled refund counter
     refunds: List[int] = field(default_factory=list)
 
 
 class _Frame:
+    """One executing message: everything a handler can touch except the
+    operand stack, which the loop hands over as a plain list."""
+
     __slots__ = (
-        "stack",
-        "memory",
-        "pc",
-        "code",
+        "state",
+        "env",
+        "depth",
         "msg",
+        "code",
         "address",
+        "static",
         "gas",
+        "memory",
         "returndata",
         "output",
-        "jumpdests",
         "logs",
-        "static",
     )
 
-    def __init__(self, msg: Message, code: bytes, address: Address, static: bool) -> None:
-        self.stack = Stack()
-        self.memory = Memory()
-        self.pc = 0
-        self.code = code
+    def __init__(
+        self,
+        state: State,
+        env: _TxEnv,
+        depth: int,
+        msg: Message,
+        code: bytes,
+        address: Address,
+        static: bool,
+    ) -> None:
+        self.state = state
+        self.env = env
+        self.depth = depth
         self.msg = msg
+        self.code = code
         self.address = address
+        self.static = static
+        #: gas left; the loop keeps it in a local between handler calls and
+        #: writes it back before each one
         self.gas = msg.gas
+        self.memory = Memory()
         self.returndata = b""  # output of the most recent child call
         self.output = b""  # this frame's own return value
-        self.jumpdests = _valid_jumpdests(code)
         self.logs: List[Log] = []
-        self.static = static
 
     def use_gas(self, amount: int) -> None:
         if amount > self.gas:
-            self.gas = 0
             raise OutOfGas(f"need {amount} gas")
         self.gas -= amount
 
+    def charge_memory(self, offset: int, size: int) -> None:
+        """Charge the expansion gas for touching ``[offset, offset+size)``.
 
-@lru_cache(maxsize=4096)
-def _valid_jumpdests(code: bytes) -> frozenset:
-    """Positions of JUMPDEST bytes that are not PUSH immediates."""
-    dests = set()
-    i = 0
+        Charges only — memory itself grows when the access happens, so two
+        charges before one access are both priced from the current size."""
+        if size:
+            end = offset + size
+            current = len(self.memory)
+            if end > current:
+                self.use_gas(
+                    self.env.schedule.memory_expansion_cost(current // 32, (end + 31) // 32)
+                )
+
+
+# ---------------------------------------------------------------------- #
+# analysed programs                                                      #
+# ---------------------------------------------------------------------- #
+
+#: A handler executes one instruction on ``(frame, operand stack)``.  The
+#: loop has already counted it, charged its static gas and checked the
+#: stack against its arity, so handlers pop without looking.  A truthy
+#: return halts the frame successfully (RETURN).
+Handler = Callable[[_Frame, List[int]], Optional[bool]]
+
+# Instruction families of the dispatch loop, most frequent first.
+_PUSH, _HANDLER, _DUP, _SWAP, _JUMPI, _JUMPDEST, _POP, _STOP, _JUMP, _UNDEFINED, _END = range(11)
+
+_INLINE_KINDS = {"JUMPI": _JUMPI, "JUMPDEST": _JUMPDEST, "POP": _POP, "STOP": _STOP, "JUMP": _JUMP}
+
+
+def _no_handler(f: _Frame, s: List[int]) -> None:
+    raise AssertionError("inline instruction family reached a handler call")
+
+
+#: One decoded instruction, exactly as the dispatch loop unpacks it — a plain
+#: tuple, which CPython unpacks several times faster than a NamedTuple
+#: instance: ``(kind, handler, gas, category, pops, room, arg, next_pc)``.
+#:
+#: * ``kind`` — dispatch family; ``handler`` is called exactly when it is
+#:   ``_HANDLER``;
+#: * ``gas`` — static gas; ``category`` — trace category, ``""`` for what
+#:   cannot execute (undefined opcode, PUSH data, end of code), so the
+#:   loop's count lookup is also its validity check;
+#: * ``pops`` — operands required; ``room`` — deepest stack at which the
+#:   result still fits;
+#: * ``arg`` — PUSH immediate (a truncated tail zero-padded on the right),
+#:   DUP depth, SWAP index from the top, the PC value, an undefined byte.
+Instr = Tuple[int, Handler, int, str, int, int, int, int]
+
+
+class Program(NamedTuple):
+    """Analysis of one code blob: instruction table and jump targets."""
+
+    #: indexed by pc, one entry more than the code is long: instruction
+    #: starts chain through ``next_pc`` from 0 to the end-of-code marker at
+    #: ``len(code)``; PUSH data positions are marked undefined (control
+    #: flow never reaches them)
+    instrs: Tuple[Instr, ...]
+    #: positions of JUMPDEST bytes that are not PUSH data
+    jumpdests: FrozenSet[int]
+
+    def starts(self) -> Iterator[int]:
+        """Program counters of the instruction starts, in code order."""
+        pc, end = 0, len(self.instrs) - 1
+        while pc < end:
+            yield pc
+            pc = self.instrs[pc][-1]
+
+
+@lru_cache(maxsize=512)
+def analyse(code: bytes) -> Program:
+    """Decode ``code`` once; the only walk of raw bytecode in the package."""
     n = len(code)
-    while i < n:
-        op = code[i]
-        if op == 0x5B:
-            dests.add(i)
-            i += 1
-        elif 0x60 <= op <= 0x7F:
-            i += 2 + (op - 0x60)
-        else:
-            i += 1
-    return frozenset(dests)
+    instrs: List[Instr] = [
+        (_UNDEFINED, _no_handler, 0, "", 0, 0, byte, pc + 1) for pc, byte in enumerate(code)
+    ]
+    instrs.append((_END, _no_handler, 0, "", 0, 0, 0, n))
+    jumpdests = set()
+    pc = 0
+    while pc < n:
+        op = OPCODES.get(code[pc])
+        next_pc = pc + 1
+        if op is not None:
+            kind, arg = _INLINE_KINDS.get(op.name, _HANDLER), 0
+            if op.name.startswith("PUSH"):
+                width = op.code - PUSH1 + 1
+                kind = _PUSH
+                arg = int.from_bytes(code[next_pc : next_pc + width].ljust(width, b"\x00"), "big")
+                next_pc = min(next_pc + width, n)
+            elif op.name == "PC":
+                kind, arg = _PUSH, pc
+            elif op.name.startswith("DUP"):
+                kind, arg = _DUP, op.pops
+            elif op.name.startswith("SWAP"):
+                kind, arg = _SWAP, -op.pops
+            elif op.name == "JUMPDEST":
+                jumpdests.add(pc)
+            handler = _HANDLERS[op.code] if kind == _HANDLER else _no_handler
+            room = MAX_STACK_DEPTH - max(0, op.pushes - op.pops)
+            instrs[pc] = (kind, handler, op.gas, op.category, op.pops, room, arg, next_pc)
+        pc = next_pc
+    return Program(tuple(instrs), frozenset(jumpdests))
 
 
 def _address_from_word(word: int) -> Address:
@@ -252,13 +390,14 @@ class EVM:
 
     def __init__(self, config: Optional[EVMConfig] = None) -> None:
         self.config = config or EVMConfig()
-        self._dispatch = _build_dispatch()
 
     # ------------------------------------------------------------------ #
     # transaction entry point                                            #
     # ------------------------------------------------------------------ #
 
-    def apply_transaction(self, state, tx, ctx: ExecutionContext) -> TxResult:
+    def apply_transaction(
+        self, state: State, tx: "Transaction", ctx: ExecutionContext
+    ) -> TxResult:
         """Validate and execute one transaction against ``state``.
 
         Raises :class:`InvalidTransaction` for transactions that may not be
@@ -267,13 +406,11 @@ class EVM:
         reverted/out-of-gas executions) with the sender charged.
         """
         schedule = self.config.schedule
-        trace: Dict[str, int] = {}
         sender = tx.sender
 
-        if state.get_nonce(sender) != tx.nonce:
-            raise InvalidTransaction(
-                f"nonce mismatch: tx {tx.nonce}, account {state.get_nonce(sender)}"
-            )
+        nonce = state.get_nonce(sender)
+        if nonce != tx.nonce:
+            raise InvalidTransaction(f"nonce mismatch: tx {tx.nonce}, account {nonce}")
         is_create = tx.to is None
         ig = intrinsic_gas(schedule, tx.data, is_create)
         if ig > tx.gas_limit:
@@ -286,7 +423,7 @@ class EVM:
         if upfront:
             state.sub_balance(sender, upfront)
 
-        env = _TxEnv(origin=sender, gas_price=tx.gas_price)
+        env = _TxEnv(self, ctx, schedule, sender, tx.gas_price, {})
         msg = Message(
             sender=sender,
             to=tx.to,
@@ -294,7 +431,7 @@ class EVM:
             data=tx.data,
             gas=tx.gas_limit - ig,
         )
-        result = self._execute_message(state, msg, env, ctx, trace, depth=0)
+        result = self._execute_message(state, msg, env, depth=0)
 
         gas_used = tx.gas_limit - result.gas_left
         if result.success and env.refunds:
@@ -315,12 +452,14 @@ class EVM:
             output=result.output,
             logs=result.logs if result.success else [],
             error=result.error,
-            trace=TraceCosts(trace, gas_used=gas_used),
+            trace=TraceCosts(env.trace, gas_used=gas_used),
             created=result.created,
             fee=fee,
         )
 
-    def estimate_gas(self, state_snapshot, tx, ctx: ExecutionContext) -> int:
+    def estimate_gas(
+        self, state_snapshot: "StateSnapshot", tx: "Transaction", ctx: ExecutionContext
+    ) -> int:
         """Binary-search the lowest gas limit at which ``tx`` succeeds.
 
         The eth_estimateGas pattern: execution is retried against fresh
@@ -331,10 +470,8 @@ class EVM:
         """
         from repro.state.statedb import StateDB
 
-        import dataclasses
-
         def succeeds(gas_limit: int) -> bool:
-            probe = dataclasses.replace(tx, gas_limit=gas_limit)
+            probe = replace(tx, gas_limit=gas_limit)
             try:
                 result = self.apply_transaction(StateDB(state_snapshot), probe, ctx)
             except InvalidTransaction:
@@ -358,14 +495,7 @@ class EVM:
     # ------------------------------------------------------------------ #
 
     def _execute_message(
-        self,
-        state,
-        msg: Message,
-        env: _TxEnv,
-        ctx: ExecutionContext,
-        trace: Dict[str, int],
-        depth: int,
-        static: bool = False,
+        self, state: State, msg: Message, env: _TxEnv, depth: int, static: bool = False
     ) -> MessageResult:
         if depth > self.config.max_call_depth:
             return MessageResult(False, b"", 0, error="call depth exceeded")
@@ -373,7 +503,7 @@ class EVM:
         mark = state.snapshot()
 
         if msg.to is None:
-            return self._execute_create(state, msg, env, ctx, trace, depth, mark)
+            return self._execute_create(state, msg, env, depth, mark)
 
         # value transfer (balance checked by callers; defensive check here)
         if msg.value:
@@ -382,18 +512,18 @@ class EVM:
                 return MessageResult(False, b"", msg.gas, error="insufficient balance")
             state.sub_balance(msg.sender, msg.value)
             state.add_balance(msg.to, msg.value)
-            trace["transfer"] = trace.get("transfer", 0) + 1
+            env.trace["transfer"] = env.trace.get("transfer", 0) + 1
 
         code = state.get_code(msg.to)
         if not code:
             return MessageResult(True, b"", msg.gas)
 
-        frame = _Frame(msg, code, msg.to, static)
-        return self._run_frame(state, frame, env, ctx, trace, depth, mark)
+        return self._run_frame(_Frame(state, env, depth, msg, code, msg.to, static), mark)
 
     def _execute_create(
-        self, state, msg: Message, env, ctx, trace, depth: int, mark: int
+        self, state: State, msg: Message, env: _TxEnv, depth: int, mark: int
     ) -> MessageResult:
+        trace = env.trace
         if msg.create2_salt is not None:
             new_address = contract_address2(msg.sender, msg.create2_salt, msg.data)
             if depth > 0:
@@ -418,11 +548,11 @@ class EVM:
             state.add_balance(new_address, msg.value)
             trace["transfer"] = trace.get("transfer", 0) + 1
 
-        init_msg = Message(msg.sender, new_address, 0, b"", msg.gas)
-        frame = _Frame(init_msg, msg.data, new_address, static=False)
         # initcode reads calldata of the outer message per convention: we
         # pass empty data; deployment parameters are baked into initcode.
-        result = self._run_frame(state, frame, env, ctx, trace, depth, mark)
+        init_msg = Message(msg.sender, new_address, 0, b"", msg.gas)
+        frame = _Frame(state, env, depth, init_msg, msg.data, new_address, static=False)
+        result = self._run_frame(frame, mark)
         if not result.success:
             return MessageResult(
                 False, result.output, result.gas_left, error=result.error
@@ -440,43 +570,78 @@ class EVM:
             created=new_address,
         )
 
-    def _run_frame(
-        self, state, frame: _Frame, env, ctx, trace, depth: int, mark: int
-    ) -> MessageResult:
-        schedule = self.config.schedule
-        dispatch = self._dispatch
-        code = frame.code
-        code_len = len(code)
+    def _run_frame(self, frame: _Frame, mark: int) -> MessageResult:
+        """The dispatch loop: walk the analysed program of ``frame.code``.
+
+        Per instruction, in the order a failure must observe them: count
+        the trace category (so the failing instruction is counted), charge
+        the static gas, check the stack once against the table's arity
+        (every family needs ``pops`` operands and leaves at most
+        ``MAX_STACK_DEPTH`` words, and nothing observable happens between
+        an instruction's pops and its push), then execute.  ``pc`` is
+        unpacked straight to the next instruction; jumps overwrite it.
+        """
+        env = frame.env
+        trace = env.trace
+        instrs, jumpdests = analyse(frame.code)
+        stack: List[int] = []
+        gas = frame.gas
+        pc = 0
         refund_mark = len(env.refunds)
         try:
             while True:
-                if frame.pc >= code_len:
-                    break  # implicit STOP
-                opbyte = code[frame.pc]
-                op = OPCODES.get(opbyte)
-                if op is None:
-                    raise _FrameFailure(f"invalid opcode 0x{opbyte:02x}")
-                trace[op.category] = trace.get(op.category, 0) + 1
-                if op.gas:
-                    frame.use_gas(op.gas)
-                frame.pc += 1
-                handler = dispatch.get(opbyte)
-                if handler is None:
-                    # data-less simple ops handled inline below
-                    raise AssertionError(f"no handler for {op.name}")
-                stop = handler(self, state, frame, env, ctx, trace, depth, schedule)
-                if stop is not None:
-                    if stop == "stop":
+                kind, handler, cost, category, pops, room, arg, pc = instrs[pc]
+                try:
+                    trace[category] += 1
+                except KeyError:
+                    if not category:
+                        if kind == _END:
+                            break  # ran off the code: implicit STOP
+                        raise _FrameFailure(f"invalid opcode 0x{arg:02x}") from None
+                    trace[category] = 1
+                if cost > gas:
+                    raise OutOfGas(f"need {cost} gas")
+                gas -= cost
+                height = len(stack)
+                if height < pops:
+                    raise _FrameFailure("stack underflow")
+                if height > room:
+                    raise _FrameFailure("stack overflow")
+                if kind == _PUSH:
+                    stack.append(arg)
+                elif kind == _HANDLER:
+                    frame.gas = gas
+                    halt = handler(frame, stack)
+                    gas = frame.gas
+                    if halt:
                         break
-                    if stop == "return":
-                        break
-            return MessageResult(True, frame.output, frame.gas, logs=frame.logs)
+                elif kind == _DUP:
+                    stack.append(stack[-arg])
+                elif kind == _SWAP:
+                    stack[-1], stack[arg] = stack[arg], stack[-1]
+                elif kind == _JUMPI:
+                    dest = stack.pop()
+                    if stack.pop():
+                        if dest not in jumpdests:
+                            raise _FrameFailure(f"invalid jump destination {dest}")
+                        pc = dest
+                elif kind == _JUMPDEST:
+                    continue
+                elif kind == _POP:
+                    stack.pop()
+                elif kind == _STOP:
+                    break
+                else:  # _JUMP
+                    pc = stack.pop()
+                    if pc not in jumpdests:
+                        raise _FrameFailure(f"invalid jump destination {pc}")
+            return MessageResult(True, frame.output, gas, logs=frame.logs)
         except _Revert as rv:
-            state.revert_to(mark)
+            frame.state.revert_to(mark)
             del env.refunds[refund_mark:]
             return MessageResult(False, rv.output, frame.gas, error="revert")
-        except (OutOfGas, StackError, _FrameFailure, MemoryError, ValueError) as exc:
-            state.revert_to(mark)
+        except (OutOfGas, _FrameFailure, MemoryError, ValueError) as exc:
+            frame.state.revert_to(mark)
             del env.refunds[refund_mark:]
             return MessageResult(False, b"", 0, error=str(exc) or type(exc).__name__)
 
@@ -485,484 +650,433 @@ class EVM:
 # opcode handlers                                                        #
 # ---------------------------------------------------------------------- #
 
-Handler = Callable
+def _build_handlers() -> Dict[int, Handler]:
+    """opcode byte -> handler; called once, at import."""
+    table: Dict[int, Handler] = {}
 
+    def h(name: str) -> Callable[[Handler], Handler]:
+        code = opcode_by_name(name).code
 
-def _build_dispatch() -> Dict[int, Handler]:
-    d: Dict[int, Handler] = {}
-
-    def h(name: str):
-        code = next(op.code for op in OPCODES.values() if op.name == name)
-
-        def register(fn):
-            d[code] = fn
+        def register(fn: Handler) -> Handler:
+            table[code] = fn
             return fn
 
         return register
 
-    # --- halt ---------------------------------------------------------- #
-
-    @h("STOP")
-    def stop(evm, state, f, env, ctx, trace, depth, sch):
-        f.output = b""
-        return "stop"
+    # --- halt ---------------------------------------------------------------- #
 
     @h("RETURN")
-    def ret(evm, state, f, env, ctx, trace, depth, sch):
-        offset, size = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, size)))
+    def _return(f: _Frame, s: List[int]) -> bool:
+        offset, size = s.pop(), s.pop()
+        f.charge_memory(offset, size)
         f.output = f.memory.read(offset, size)
-        return "return"
+        return True
 
     @h("REVERT")
-    def revert(evm, state, f, env, ctx, trace, depth, sch):
-        offset, size = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, size)))
+    def _revert(f: _Frame, s: List[int]) -> None:
+        offset, size = s.pop(), s.pop()
+        f.charge_memory(offset, size)
         raise _Revert(f.memory.read(offset, size))
 
-    # --- arithmetic ----------------------------------------------------- #
+    # --- arithmetic ------------------------------------------------------------ #
+    # Binary operators pop the top operand and overwrite the second in place.
 
     @h("ADD")
-    def add(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(u256_add(f.stack.pop(), f.stack.pop()))
+    def _add(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = (a + s[-1]) & U256_MASK
 
     @h("MUL")
-    def mul(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(u256_mul(f.stack.pop(), f.stack.pop()))
+    def _mul(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = (a * s[-1]) & U256_MASK
 
     @h("SUB")
-    def sub(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = f.stack.pop(), f.stack.pop()
-        f.stack.push(u256_sub(a, b))
+    def _sub(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = (a - s[-1]) & U256_MASK
 
     @h("DIV")
-    def div(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = f.stack.pop(), f.stack.pop()
-        f.stack.push(u256_div(a, b))
+    def _div(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        b = s[-1]
+        s[-1] = a // b if b else 0
 
     @h("SDIV")
-    def sdiv(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = u256_to_signed(f.stack.pop()), u256_to_signed(f.stack.pop())
+    def _sdiv(f: _Frame, s: List[int]) -> None:
+        a, b = u256_to_signed(s.pop()), u256_to_signed(s[-1])
         if b == 0:
-            f.stack.push(0)
+            s[-1] = 0
         else:
             q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            f.stack.push(signed_to_u256(q))
+            s[-1] = signed_to_u256(-q if (a < 0) != (b < 0) else q)
 
     @h("MOD")
-    def mod(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = f.stack.pop(), f.stack.pop()
-        f.stack.push(u256_mod(a, b))
+    def _mod(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        b = s[-1]
+        s[-1] = a % b if b else 0
 
     @h("SMOD")
-    def smod(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = u256_to_signed(f.stack.pop()), u256_to_signed(f.stack.pop())
+    def _smod(f: _Frame, s: List[int]) -> None:
+        a, b = u256_to_signed(s.pop()), u256_to_signed(s[-1])
         if b == 0:
-            f.stack.push(0)
+            s[-1] = 0
         else:
             r = abs(a) % abs(b)
-            if a < 0:
-                r = -r
-            f.stack.push(signed_to_u256(r))
+            s[-1] = signed_to_u256(-r if a < 0 else r)
 
     @h("ADDMOD")
-    def addmod(evm, state, f, env, ctx, trace, depth, sch):
-        a, b, n = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.stack.push(0 if n == 0 else (a + b) % n)
+    def _addmod(f: _Frame, s: List[int]) -> None:
+        a, b = s.pop(), s.pop()
+        n = s[-1]
+        s[-1] = (a + b) % n if n else 0
 
     @h("MULMOD")
-    def mulmod(evm, state, f, env, ctx, trace, depth, sch):
-        a, b, n = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.stack.push(0 if n == 0 else (a * b) % n)
+    def _mulmod(f: _Frame, s: List[int]) -> None:
+        a, b = s.pop(), s.pop()
+        n = s[-1]
+        s[-1] = (a * b) % n if n else 0
 
     @h("EXP")
-    def exp(evm, state, f, env, ctx, trace, depth, sch):
-        base, exponent = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.exp_cost(exponent))
-        f.stack.push(u256_exp(base, exponent))
+    def _exp(f: _Frame, s: List[int]) -> None:
+        base = s.pop()
+        exponent = s[-1]
+        f.use_gas(f.env.schedule.exp_cost(exponent))
+        s[-1] = u256_exp(base, exponent)
 
     @h("SIGNEXTEND")
-    def signextend(evm, state, f, env, ctx, trace, depth, sch):
-        b, x = f.stack.pop(), f.stack.pop()
-        if b >= 31:
-            f.stack.push(x)
-        else:
+    def _signextend(f: _Frame, s: List[int]) -> None:
+        b = s.pop()
+        if b < 31:
+            x = s[-1]
             bit = 8 * b + 7
             mask = (1 << (bit + 1)) - 1
-            if x & (1 << bit):
-                f.stack.push(x | (U256_MASK ^ mask))
-            else:
-                f.stack.push(x & mask)
+            s[-1] = x | (U256_MASK ^ mask) if x & (1 << bit) else x & mask
 
-    # --- comparison / bitwise -------------------------------------------- #
+    # --- comparison / bitwise ---------------------------------------------------- #
 
     @h("LT")
-    def lt(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = f.stack.pop(), f.stack.pop()
-        f.stack.push(1 if a < b else 0)
+    def _lt(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = 1 if a < s[-1] else 0
 
     @h("GT")
-    def gt(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = f.stack.pop(), f.stack.pop()
-        f.stack.push(1 if a > b else 0)
+    def _gt(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = 1 if a > s[-1] else 0
 
     @h("SLT")
-    def slt(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = u256_to_signed(f.stack.pop()), u256_to_signed(f.stack.pop())
-        f.stack.push(1 if a < b else 0)
+    def _slt(f: _Frame, s: List[int]) -> None:
+        a = u256_to_signed(s.pop())
+        s[-1] = 1 if a < u256_to_signed(s[-1]) else 0
 
     @h("SGT")
-    def sgt(evm, state, f, env, ctx, trace, depth, sch):
-        a, b = u256_to_signed(f.stack.pop()), u256_to_signed(f.stack.pop())
-        f.stack.push(1 if a > b else 0)
+    def _sgt(f: _Frame, s: List[int]) -> None:
+        a = u256_to_signed(s.pop())
+        s[-1] = 1 if a > u256_to_signed(s[-1]) else 0
 
     @h("EQ")
-    def eq(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(1 if f.stack.pop() == f.stack.pop() else 0)
+    def _eq(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] = 1 if a == s[-1] else 0
 
     @h("ISZERO")
-    def iszero(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(1 if f.stack.pop() == 0 else 0)
+    def _iszero(f: _Frame, s: List[int]) -> None:
+        s[-1] = 0 if s[-1] else 1
 
     @h("AND")
-    def and_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.stack.pop() & f.stack.pop())
+    def _and(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] &= a
 
     @h("OR")
-    def or_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.stack.pop() | f.stack.pop())
+    def _or(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] |= a
 
     @h("XOR")
-    def xor(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.stack.pop() ^ f.stack.pop())
+    def _xor(f: _Frame, s: List[int]) -> None:
+        a = s.pop()
+        s[-1] ^= a
 
     @h("NOT")
-    def not_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push((~f.stack.pop()) & U256_MASK)
+    def _not(f: _Frame, s: List[int]) -> None:
+        s[-1] ^= U256_MASK
 
     @h("BYTE")
-    def byte_(evm, state, f, env, ctx, trace, depth, sch):
-        i, x = f.stack.pop(), f.stack.pop()
-        f.stack.push((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
+    def _byte(f: _Frame, s: List[int]) -> None:
+        i = s.pop()
+        s[-1] = (s[-1] >> (8 * (31 - i))) & 0xFF if i < 32 else 0
 
     @h("SHL")
-    def shl(evm, state, f, env, ctx, trace, depth, sch):
-        shift, value = f.stack.pop(), f.stack.pop()
-        f.stack.push((value << shift) & U256_MASK if shift < 256 else 0)
+    def _shl(f: _Frame, s: List[int]) -> None:
+        shift = s.pop()
+        s[-1] = (s[-1] << shift) & U256_MASK if shift < 256 else 0
 
     @h("SHR")
-    def shr(evm, state, f, env, ctx, trace, depth, sch):
-        shift, value = f.stack.pop(), f.stack.pop()
-        f.stack.push(value >> shift if shift < 256 else 0)
+    def _shr(f: _Frame, s: List[int]) -> None:
+        shift = s.pop()
+        s[-1] = s[-1] >> shift if shift < 256 else 0
 
     @h("SAR")
-    def sar(evm, state, f, env, ctx, trace, depth, sch):
-        shift, value = f.stack.pop(), u256_to_signed(f.stack.pop())
+    def _sar(f: _Frame, s: List[int]) -> None:
+        shift, value = s.pop(), u256_to_signed(s[-1])
         if shift >= 256:
-            f.stack.push(0 if value >= 0 else U256_MASK)
+            s[-1] = 0 if value >= 0 else U256_MASK
         else:
-            f.stack.push(signed_to_u256(value >> shift))
+            s[-1] = signed_to_u256(value >> shift)
 
-    # --- hashing ---------------------------------------------------------- #
+    # --- hashing ------------------------------------------------------------------ #
 
     @h("SHA3")
-    def sha3(evm, state, f, env, ctx, trace, depth, sch):
-        offset, size = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.sha3_cost(size))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, size)))
+    def _sha3(f: _Frame, s: List[int]) -> None:
+        offset = s.pop()
+        size = s[-1]
+        f.use_gas(f.env.schedule.sha3_cost(size))
+        f.charge_memory(offset, size)
+        trace = f.env.trace
         trace["sha3_word"] = trace.get("sha3_word", 0) + (size + 31) // 32
-        f.stack.push(int.from_bytes(keccak(f.memory.read(offset, size)), "big"))
+        s[-1] = int.from_bytes(keccak(f.memory.read(offset, size)), "big")
 
-    # --- environment -------------------------------------------------------- #
+    # --- environment ---------------------------------------------------------------- #
+    # Balances come from unbounded state arithmetic, so they are masked here;
+    # every other pushed quantity is a length, a gas figure or a block field.
 
     @h("ADDRESS")
-    def address(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.address.to_int())
+    def _address(f: _Frame, s: List[int]) -> None:
+        s.append(f.address.to_int())
 
     @h("BALANCE")
-    def balance(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(state.get_balance(_address_from_word(f.stack.pop())))
+    def _balance(f: _Frame, s: List[int]) -> None:
+        s[-1] = f.state.get_balance(_address_from_word(s[-1])) & U256_MASK
 
     @h("SELFBALANCE")
-    def selfbalance(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(state.get_balance(f.address))
+    def _selfbalance(f: _Frame, s: List[int]) -> None:
+        s.append(f.state.get_balance(f.address) & U256_MASK)
 
     @h("EXTCODEHASH")
-    def extcodehash(evm, state, f, env, ctx, trace, depth, sch):
-        code = state.get_code(_address_from_word(f.stack.pop()))
-        f.stack.push(int.from_bytes(keccak(code), "big") if code else 0)
+    def _extcodehash(f: _Frame, s: List[int]) -> None:
+        code = f.state.get_code(_address_from_word(s[-1]))
+        s[-1] = int.from_bytes(keccak(code), "big") if code else 0
 
     @h("ORIGIN")
-    def origin(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(env.origin.to_int())
+    def _origin(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.origin.to_int())
 
     @h("CALLER")
-    def caller(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.msg.sender.to_int())
+    def _caller(f: _Frame, s: List[int]) -> None:
+        s.append(f.msg.sender.to_int())
 
     @h("CALLVALUE")
-    def callvalue(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.msg.value)
+    def _callvalue(f: _Frame, s: List[int]) -> None:
+        s.append(f.msg.value & U256_MASK)
 
     @h("CALLDATALOAD")
-    def calldataload(evm, state, f, env, ctx, trace, depth, sch):
-        offset = f.stack.pop()
-        data = f.msg.data[offset : offset + 32]
-        f.stack.push(int.from_bytes(data.ljust(32, b"\x00"), "big"))
+    def _calldataload(f: _Frame, s: List[int]) -> None:
+        offset = s[-1]
+        s[-1] = int.from_bytes(f.msg.data[offset : offset + 32].ljust(32, b"\x00"), "big")
 
     @h("CALLDATASIZE")
-    def calldatasize(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(len(f.msg.data))
+    def _calldatasize(f: _Frame, s: List[int]) -> None:
+        s.append(len(f.msg.data))
+
+    def _copy_to_memory(f: _Frame, s: List[int], source: bytes) -> None:
+        """The shared body of the ``*COPY`` family: zero-padded slice of
+        ``source`` into memory, copy gas then expansion gas."""
+        dst, src, size = s.pop(), s.pop(), s.pop()
+        f.use_gas(f.env.schedule.copy_cost(size))
+        f.charge_memory(dst, size)
+        f.memory.write(dst, source[src : src + size].ljust(size, b"\x00"))
 
     @h("CALLDATACOPY")
-    def calldatacopy(evm, state, f, env, ctx, trace, depth, sch):
-        dst, src, size = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.copy_cost(size))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(dst, size)))
-        data = f.msg.data[src : src + size].ljust(size, b"\x00")
-        f.memory.write(dst, data)
+    def _calldatacopy(f: _Frame, s: List[int]) -> None:
+        _copy_to_memory(f, s, f.msg.data)
 
     @h("CODESIZE")
-    def codesize(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(len(f.code))
+    def _codesize(f: _Frame, s: List[int]) -> None:
+        s.append(len(f.code))
 
     @h("CODECOPY")
-    def codecopy(evm, state, f, env, ctx, trace, depth, sch):
-        dst, src, size = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.copy_cost(size))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(dst, size)))
-        data = f.code[src : src + size].ljust(size, b"\x00")
-        f.memory.write(dst, data)
+    def _codecopy(f: _Frame, s: List[int]) -> None:
+        _copy_to_memory(f, s, f.code)
 
     @h("GASPRICE")
-    def gasprice(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(env.gas_price)
+    def _gasprice(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.gas_price)
 
     @h("EXTCODESIZE")
-    def extcodesize(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(len(state.get_code(_address_from_word(f.stack.pop()))))
+    def _extcodesize(f: _Frame, s: List[int]) -> None:
+        s[-1] = len(f.state.get_code(_address_from_word(s[-1])))
 
     @h("EXTCODECOPY")
-    def extcodecopy(evm, state, f, env, ctx, trace, depth, sch):
-        addr = _address_from_word(f.stack.pop())
-        dst, src, size = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.copy_cost(size))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(dst, size)))
-        code = state.get_code(addr)
+    def _extcodecopy(f: _Frame, s: List[int]) -> None:
+        address = _address_from_word(s.pop())
+        dst, src, size = s.pop(), s.pop(), s.pop()
+        f.use_gas(f.env.schedule.copy_cost(size))
+        f.charge_memory(dst, size)
+        code = f.state.get_code(address)
         f.memory.write(dst, code[src : src + size].ljust(size, b"\x00"))
 
     @h("BLOCKHASH")
-    def blockhash(evm, state, f, env, ctx, trace, depth, sch):
-        number = f.stack.pop()
+    def _blockhash(f: _Frame, s: List[int]) -> None:
+        number, ctx = s[-1], f.env.ctx
         if number >= ctx.block_number or ctx.block_number - number > 256:
-            f.stack.push(0)
+            s[-1] = 0
         else:
-            f.stack.push(ctx.block_hash(number))
+            s[-1] = ctx.block_hash(number)
 
     @h("RETURNDATASIZE")
-    def returndatasize(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(len(f.returndata))
+    def _returndatasize(f: _Frame, s: List[int]) -> None:
+        s.append(len(f.returndata))
 
     @h("RETURNDATACOPY")
-    def returndatacopy(evm, state, f, env, ctx, trace, depth, sch):
-        dst, src, size = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        if src + size > len(f.returndata):
+    def _returndatacopy(f: _Frame, s: List[int]) -> None:
+        if s[-2] + s[-3] > len(f.returndata):
             raise _FrameFailure("returndata out of bounds")
-        f.use_gas(sch.copy_cost(size))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(dst, size)))
-        f.memory.write(dst, f.returndata[src : src + size])
+        _copy_to_memory(f, s, f.returndata)
 
     @h("COINBASE")
-    def coinbase(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.coinbase.to_int())
+    def _coinbase(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.ctx.coinbase.to_int())
 
     @h("TIMESTAMP")
-    def timestamp(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.timestamp)
+    def _timestamp(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.ctx.timestamp)
 
     @h("NUMBER")
-    def number(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.block_number)
+    def _number(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.ctx.block_number)
 
     @h("GASLIMIT")
-    def gaslimit(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.gas_limit)
+    def _gaslimit(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.ctx.gas_limit)
 
     @h("CHAINID")
-    def chainid(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.chain_id)
+    def _chainid(f: _Frame, s: List[int]) -> None:
+        s.append(f.env.ctx.chain_id)
 
-    # --- stack / memory / storage ------------------------------------------ #
-
-    @h("POP")
-    def pop_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.pop()
+    # --- memory / storage ------------------------------------------------------------ #
 
     @h("MLOAD")
-    def mload(evm, state, f, env, ctx, trace, depth, sch):
-        offset = f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, 32)))
-        f.stack.push(f.memory.read_word(offset))
+    def _mload(f: _Frame, s: List[int]) -> None:
+        offset = s[-1]
+        f.charge_memory(offset, 32)
+        s[-1] = f.memory.read_word(offset)
 
     @h("MSTORE")
-    def mstore(evm, state, f, env, ctx, trace, depth, sch):
-        offset, value = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, 32)))
+    def _mstore(f: _Frame, s: List[int]) -> None:
+        offset, value = s.pop(), s.pop()
+        f.charge_memory(offset, 32)
         f.memory.write_word(offset, value)
 
     @h("MSTORE8")
-    def mstore8(evm, state, f, env, ctx, trace, depth, sch):
-        offset, value = f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, 1)))
+    def _mstore8(f: _Frame, s: List[int]) -> None:
+        offset, value = s.pop(), s.pop()
+        f.charge_memory(offset, 1)
         f.memory.write_byte(offset, value)
 
     @h("SLOAD")
-    def sload(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(state.get_storage(f.address, f.stack.pop()))
+    def _sload(f: _Frame, s: List[int]) -> None:
+        s[-1] = f.state.get_storage(f.address, s[-1])
 
     @h("SSTORE")
-    def sstore(evm, state, f, env, ctx, trace, depth, sch):
+    def _sstore(f: _Frame, s: List[int]) -> None:
         if f.static:
             raise _FrameFailure("write protection: SSTORE in static call")
-        slot, value = f.stack.pop(), f.stack.pop()
+        slot, value = s.pop(), s.pop()
+        state, schedule = f.state, f.env.schedule
         current = state.get_storage(f.address, slot)
-        f.use_gas(sch.sstore_cost(current, value))
+        f.use_gas(schedule.sstore_cost(current, value))
         if current != 0 and value == 0:
-            env.refunds.append(sch.sstore_clear_refund)
+            f.env.refunds.append(schedule.sstore_clear_refund)
         state.set_storage(f.address, slot, value)
 
-    @h("JUMP")
-    def jump(evm, state, f, env, ctx, trace, depth, sch):
-        dest = f.stack.pop()
-        if dest not in f.jumpdests:
-            raise _FrameFailure(f"invalid jump destination {dest}")
-        f.pc = dest
-
-    @h("JUMPI")
-    def jumpi(evm, state, f, env, ctx, trace, depth, sch):
-        dest, cond = f.stack.pop(), f.stack.pop()
-        if cond:
-            if dest not in f.jumpdests:
-                raise _FrameFailure(f"invalid jump destination {dest}")
-            f.pc = dest
-
-    @h("PC")
-    def pc_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.pc - 1)
-
     @h("MSIZE")
-    def msize(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(len(f.memory))
+    def _msize(f: _Frame, s: List[int]) -> None:
+        s.append(len(f.memory))
 
     @h("GAS")
-    def gas_(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.gas)
+    def _gas(f: _Frame, s: List[int]) -> None:
+        s.append(f.gas)
 
-    @h("JUMPDEST")
-    def jumpdest(evm, state, f, env, ctx, trace, depth, sch):
-        return None
+    # --- calls / create ---------------------------------------------------------------- #
 
-    # --- calls / create ------------------------------------------------------ #
-
-    def _do_create(evm, state, f, env, ctx, trace, depth, sch, salt):
+    def _do_create(f: _Frame, s: List[int], salted: bool) -> None:
         if f.static:
             raise _FrameFailure("write protection: CREATE in static call")
-        value, offset, size = f.stack.pop(), f.stack.pop(), f.stack.pop()
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, size)))
+        value, offset, size = s.pop(), s.pop(), s.pop()
+        salt = s.pop() if salted else None
+        schedule = f.env.schedule
+        f.charge_memory(offset, size)
         initcode = f.memory.read(offset, size)
-        if salt is not None:
-            f.use_gas(sch.sha3_cost(len(initcode)))  # address-derivation hash
-        gas_for_child = sch.max_call_gas(f.gas)
+        if salted:
+            f.use_gas(schedule.sha3_cost(len(initcode)))  # address-derivation hash
+        gas_for_child = schedule.max_call_gas(f.gas)
         f.use_gas(gas_for_child)
-        msg = Message(
-            f.address, None, value, initcode, gas_for_child, create2_salt=salt
-        )
-        result = evm._execute_message(state, msg, env, ctx, trace, depth + 1)
+        msg = Message(f.address, None, value, initcode, gas_for_child, create2_salt=salt)
+        result = f.env.evm._execute_message(f.state, msg, f.env, f.depth + 1)
         f.gas += result.gas_left
         f.returndata = b"" if result.success else result.output
         f.logs.extend(result.logs)
-        f.stack.push(result.created.to_int() if result.created else 0)
+        s.append(result.created.to_int() if result.created else 0)
 
     @h("CREATE")
-    def create(evm, state, f, env, ctx, trace, depth, sch):
-        _do_create(evm, state, f, env, ctx, trace, depth, sch, salt=None)
+    def _create(f: _Frame, s: List[int]) -> None:
+        _do_create(f, s, salted=False)
 
     @h("CREATE2")
-    def create2(evm, state, f, env, ctx, trace, depth, sch):
-        # stack: value, offset, size, salt  (salt deepest of the four)
-        # pop order per spec: value, offset, size, salt — but _do_create
-        # pops value/offset/size itself, so lift the salt out first by
-        # reordering: CREATE2 pops value, offset, size, salt
-        value, offset, size, salt = (
-            f.stack.pop(),
-            f.stack.pop(),
-            f.stack.pop(),
-            f.stack.pop(),
-        )
-        # re-push in _do_create's expected order
-        f.stack.push(size)
-        f.stack.push(offset)
-        f.stack.push(value)
-        _do_create(evm, state, f, env, ctx, trace, depth, sch, salt=salt)
+    def _create2(f: _Frame, s: List[int]) -> None:
+        _do_create(f, s, salted=True)
 
-    def _do_call(evm, state, f, env, ctx, trace, depth, sch, *, kind: str):
-        stack = f.stack
-        gas_req = stack.pop()
-        to = _address_from_word(stack.pop())
-        value = stack.pop() if kind == "call" else 0
-        in_off, in_size = stack.pop(), stack.pop()
-        out_off, out_size = stack.pop(), stack.pop()
+    def _do_call(f: _Frame, s: List[int], kind: str) -> None:
+        gas_req = s.pop()
+        to = _address_from_word(s.pop())
+        value = s.pop() if kind == "call" else 0
+        in_off, in_size = s.pop(), s.pop()
+        out_off, out_size = s.pop(), s.pop()
+        state, env, schedule = f.state, f.env, f.env.schedule
 
         if value and f.static:
             raise _FrameFailure("write protection: value transfer in static call")
 
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(in_off, in_size)))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(out_off, out_size)))
+        f.charge_memory(in_off, in_size)
+        f.charge_memory(out_off, out_size)
         extra = 0
         if value:
-            extra += sch.call_value_transfer
+            extra += schedule.call_value_transfer
             if not state.account_exists(to):
-                extra += sch.call_new_account
+                extra += schedule.call_new_account
         f.use_gas(extra)
 
-        gas_for_child = min(gas_req, sch.max_call_gas(f.gas))
+        gas_for_child = min(gas_req, schedule.max_call_gas(f.gas))
         f.use_gas(gas_for_child)
         if value:
-            gas_for_child += sch.call_stipend
+            gas_for_child += schedule.call_stipend
 
         data = f.memory.read(in_off, in_size)
 
         if value and state.get_balance(f.address) < value:
             f.gas += gas_for_child
             f.returndata = b""
-            stack.push(0)
+            s.append(0)
             return
 
         if kind == "delegatecall":
             # runs callee code in *this* contract's storage context
-            child_msg = Message(f.msg.sender, f.address, f.msg.value, data, gas_for_child)
             code = state.get_code(to)
             if not code:
                 f.gas += gas_for_child
                 f.returndata = b""
-                stack.push(1)
+                s.append(1)
                 return
-            child_frame = _Frame(child_msg, code, f.address, f.static)
-            mark = state.snapshot()
-            result = evm._run_frame(state, child_frame, env, ctx, trace, depth + 1, mark)
+            child_msg = Message(f.msg.sender, f.address, f.msg.value, data, gas_for_child)
+            child = _Frame(state, env, f.depth + 1, child_msg, code, f.address, f.static)
+            result = env.evm._run_frame(child, state.snapshot())
         else:
-            sender = f.address
-            child_msg = Message(sender, to, value, data, gas_for_child)
-            result = evm._execute_message(
-                state,
-                child_msg,
-                env,
-                ctx,
-                trace,
-                depth + 1,
-                static=f.static or kind == "staticcall",
+            child_msg = Message(f.address, to, value, data, gas_for_child)
+            result = env.evm._execute_message(
+                state, child_msg, env, f.depth + 1, static=f.static or kind == "staticcall"
             )
 
         f.gas += result.gas_left
@@ -971,71 +1085,38 @@ def _build_dispatch() -> Dict[int, Handler]:
             f.logs.extend(result.logs)
         if out_size and result.output:
             f.memory.write(out_off, result.output[:out_size])
-        stack.push(1 if result.success else 0)
+        s.append(1 if result.success else 0)
 
     @h("CALL")
-    def call(evm, state, f, env, ctx, trace, depth, sch):
-        _do_call(evm, state, f, env, ctx, trace, depth, sch, kind="call")
+    def _call(f: _Frame, s: List[int]) -> None:
+        _do_call(f, s, "call")
 
     @h("STATICCALL")
-    def staticcall(evm, state, f, env, ctx, trace, depth, sch):
-        _do_call(evm, state, f, env, ctx, trace, depth, sch, kind="staticcall")
+    def _staticcall(f: _Frame, s: List[int]) -> None:
+        _do_call(f, s, "staticcall")
 
     @h("DELEGATECALL")
-    def delegatecall(evm, state, f, env, ctx, trace, depth, sch):
-        _do_call(evm, state, f, env, ctx, trace, depth, sch, kind="delegatecall")
+    def _delegatecall(f: _Frame, s: List[int]) -> None:
+        _do_call(f, s, "delegatecall")
 
-    # --- push / dup / swap / log --------------------------------------------- #
+    # --- log -------------------------------------------------------------------------- #
 
-    def make_push(n: int):
-        def push_n(evm, state, f, env, ctx, trace, depth, sch):
-            data = f.code[f.pc : f.pc + n]
-            f.pc += n
-            f.stack.push(int.from_bytes(data.ljust(n, b"\x00"), "big"))
-
-        return push_n
-
-    for n in range(1, 33):
-        d[0x60 + n - 1] = make_push(n)
-
-    def make_dup(n: int):
-        def dup_n(evm, state, f, env, ctx, trace, depth, sch):
-            f.stack.dup(n)
-
-        return dup_n
-
-    for n in range(1, 17):
-        d[0x80 + n - 1] = make_dup(n)
-
-    def make_swap(n: int):
-        def swap_n(evm, state, f, env, ctx, trace, depth, sch):
-            f.stack.swap(n)
-
-        return swap_n
-
-    for n in range(1, 17):
-        d[0x90 + n - 1] = make_swap(n)
-
-    def make_log(n: int):
-        def log_n(evm, state, f, env, ctx, trace, depth, sch):
+    def make_log(n: int) -> Handler:
+        def log_n(f: _Frame, s: List[int]) -> None:
             if f.static:
                 raise _FrameFailure("write protection: LOG in static call")
-            offset, size = f.stack.pop(), f.stack.pop()
-            topics = tuple(f.stack.pop() for _ in range(n))
-            f.use_gas(sch.log_data_byte * size)
-            f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(offset, size)))
+            offset, size = s.pop(), s.pop()
+            topics = tuple([s.pop() for _ in range(n)])
+            f.use_gas(f.env.schedule.log_data_byte * size)
+            f.charge_memory(offset, size)
             f.logs.append(Log(f.address, topics, f.memory.read(offset, size)))
 
         return log_n
 
     for n in range(5):
-        d[0xA0 + n] = make_log(n)
+        table[LOG0 + n] = make_log(n)
 
-    return d
+    return table
 
 
-def _words(offset: int, size: int) -> int:
-    """Word count needed to cover a memory access (0 when size is 0)."""
-    if size == 0:
-        return 0
-    return (offset + size + 31) // 32
+_HANDLERS = _build_handlers()

@@ -42,20 +42,27 @@ class Memory:
             self._data.extend(b"\x00" * (new_len - len(self._data)))
         return self.words
 
+    def _cover(self, offset: int, end: int) -> None:
+        """Expand (or reject) unless ``[offset, end)`` is already backed."""
+        if end > len(self._data) or offset < 0:
+            self.touch(offset, end - offset)
+
     def read(self, offset: int, size: int) -> bytes:
         if size == 0:
             return b""
-        self.touch(offset, size)
+        self._cover(offset, offset + size)
         return bytes(self._data[offset : offset + size])
 
     def write(self, offset: int, data: bytes) -> None:
         if not data:
             return
-        self.touch(offset, len(data))
-        self._data[offset : offset + len(data)] = data
+        end = offset + len(data)
+        self._cover(offset, end)
+        self._data[offset:end] = data
 
     def read_word(self, offset: int) -> int:
-        return int.from_bytes(self.read(offset, 32), "big")
+        self._cover(offset, offset + 32)
+        return int.from_bytes(self._data[offset : offset + 32], "big")
 
     def write_word(self, offset: int, value: int) -> None:
         self.write(offset, value.to_bytes(32, "big"))

@@ -27,7 +27,7 @@ class Op(NamedTuple):
 def _ops() -> Dict[int, Op]:
     table: Dict[int, Op] = {}
 
-    def op(code: int, name: str, gas: int, pops: int, pushes: int, category: str):
+    def op(code: int, name: str, gas: int, pops: int, pushes: int, category: str) -> None:
         if code in table:
             raise ValueError(f"duplicate opcode 0x{code:02x}")
         table[code] = Op(code, name, gas, pops, pushes, category)

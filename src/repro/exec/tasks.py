@@ -3,10 +3,8 @@
 Everything here must be importable by name from a fresh process: the
 ``ProcessBackend`` pickles functions *by reference* and payloads *by
 value*, so task functions are module-level, payloads are small NamedTuples
-of pickle-able pieces, and the EVM (whose dispatch table holds local
-closures and therefore cannot be pickled) is rebuilt inside each worker
-from its pickled :class:`~repro.evm.interpreter.EVMConfig` and cached per
-process.
+of pickle-able pieces, and the EVM is rebuilt inside each worker from its
+pickled :class:`~repro.evm.interpreter.EVMConfig` and cached per process.
 
 Two task families:
 
@@ -35,18 +33,10 @@ from repro.evm.interpreter import (
     InvalidTransaction,
     TxResult,
 )
-from repro.state.access import (
-    ReadWriteSet,
-    RecordingState,
-    StateKey,
-    balance_key,
-    code_key,
-    nonce_key,
-    storage_key,
-)
+from repro.state.access import ReadWriteSet, RecordingState, StateKey
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, StateSnapshot
-from repro.state.versioned import OCCStateView, read_base_value
+from repro.state.versioned import KeyedView, OCCStateView, read_base_value
 from repro.txpool.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -222,8 +212,8 @@ def _evm_for(config: Optional[EVMConfig]) -> EVM:
 
     Identity-keyed: the shared object (and thus its config) is stable for
     the lifetime of a backend session, so each worker builds one EVM.  The
-    EVM is stateless across transactions (config + dispatch table only),
-    which also makes one instance safe to share between threads.
+    EVM is stateless across transactions (its config only), which also
+    makes one instance safe to share between threads.
     """
     if _EVM_CACHE[0] is config:
         return _EVM_CACHE[1]
@@ -321,15 +311,14 @@ def speculate(
     error.
     """
     view = OCCStateView(store, snapshot_version)
-    rec = RecordingState(view, version=snapshot_version)
     start = time.perf_counter()
     try:
-        result = evm.apply_transaction(rec, tx, ctx)
+        result = evm.apply_transaction(view, tx, ctx)
     except InvalidTransaction as exc:
         elapsed_us = (time.perf_counter() - start) * 1e6
         return ProposeTaskResult(str(exc), None, None, {}, elapsed_us)
     elapsed_us = (time.perf_counter() - start) * 1e6
-    return ProposeTaskResult(None, result, rec.rw, view.buffered_writes, elapsed_us)
+    return ProposeTaskResult(None, result, view.rw, view.buffered_writes, elapsed_us)
 
 
 def run_propose_task(shared: ProposeShared, task: ProposeTask) -> ProposeTaskResult:
@@ -369,23 +358,22 @@ class EstimateRead(Exception):
 MVEntry = Tuple[int, int, Any, bool]
 
 
-class BlockSTMView:
-    """StateDB-compatible multi-version read view for one Block-STM task.
+#: witness of a read served below the multi-version memory (committed
+#: prefix or base snapshot)
+_BASE_READ = (-1, 0)
 
-    Reads resolve in Block-STM order: the task's own write buffer
-    (read-your-own-write), then the highest-indexed multi-version entry
-    below the task's preset position (raising :class:`EstimateRead` when
-    that entry is an ESTIMATE left by an aborted incarnation), then the
+
+class BlockSTMView(KeyedView[Tuple[int, int]]):
+    """Multi-version read view for one Block-STM task.
+
+    The shared :class:`~repro.state.versioned.KeyedView` serves the task's
+    own writes and records the rw-set; unbuffered reads resolve in
+    Block-STM order: the highest-indexed multi-version entry below the
+    task's preset position (raising :class:`EstimateRead` when that entry
+    is an ESTIMATE left by an aborted incarnation), then the
     committed-prefix overlay, then the base snapshot.  Every external read
     records its source ``(writer_index, incarnation)`` — the read set the
     parent's cooperative re-validation checks against current memory.
-
-    Write/record semantics deliberately mirror
-    :class:`~repro.state.access.RecordingState` over
-    :class:`~repro.state.versioned.OCCStateView` (first-read-wins, reads
-    of self-written keys unrecorded even after a revert, rw-set writes
-    retained across reverts, code values hashed to ints) so Block-STM
-    profiles diff cleanly against the serial replay's recorded sets.
     """
 
     def __init__(
@@ -395,128 +383,32 @@ class BlockSTMView:
         mv: Dict[StateKey, Tuple[MVEntry, ...]],
         index: int,
     ) -> None:
+        super().__init__()
         self._base = base
         self._overlay = overlay
         self._mv = mv
         self._index = index
-        self._buffer: Dict[StateKey, Any] = {}
-        self._journal: List[Tuple[StateKey, Any, bool]] = []
-        #: key -> (writer_index, incarnation) of the first external read
-        self.reads: Dict[StateKey, Tuple[int, int]] = {}
-        #: rw-set writes (encoded like RecordingState; never rolled back)
-        self.rw_writes: Dict[StateKey, int] = {}
 
-    # -- read/write plumbing -------------------------------------------- #
-
-    def _read(self, key: StateKey, record: bool = True) -> Any:
-        if key in self._buffer:
-            return self._buffer[key]
-        entries = self._mv.get(key)
-        if entries:
-            source: Optional[MVEntry] = None
-            for entry in entries:
-                if entry[0] < self._index:
-                    source = entry
-                else:
-                    break
-            if source is not None:
-                writer, incarnation, value, is_estimate = source
-                if is_estimate:
-                    raise EstimateRead(writer)
-                if record:
-                    self._note_read(key, writer, incarnation)
-                return value
-        if record:
-            self._note_read(key, -1, 0)
+    def _load(self, key: StateKey) -> Tuple[Any, Tuple[int, int]]:
+        source: Optional[MVEntry] = None
+        for entry in self._mv.get(key, ()):
+            if entry[0] >= self._index:
+                break
+            source = entry
+        if source is not None:
+            writer, incarnation, value, is_estimate = source
+            if is_estimate:
+                raise EstimateRead(writer)
+            return value, (writer, incarnation)
         if key in self._overlay:
-            return self._overlay[key]
-        return read_base_value(self._base, key)
-
-    def _note_read(self, key: StateKey, writer: int, incarnation: int) -> None:
-        if key not in self.rw_writes and key not in self.reads:
-            self.reads[key] = (writer, incarnation)
-
-    def _write(self, key: StateKey, value: Any, encoded: int) -> None:
-        self.rw_writes[key] = encoded
-        had = key in self._buffer
-        old = self._buffer.get(key)
-        self._journal.append((key, old, had))
-        self._buffer[key] = value
+            return self._overlay[key], _BASE_READ
+        return read_base_value(self._base, key), _BASE_READ
 
     def reads_tuple(self) -> Tuple[Tuple[StateKey, int, int], ...]:
         """Recorded reads as ``(key, writer_index, incarnation)`` triples."""
         return tuple(
             (key, src[0], src[1]) for key, src in self.reads.items()
         )
-
-    # -- StateDB interface ---------------------------------------------- #
-
-    def account_exists(self, address: Address) -> bool:
-        # mirror RecordingState.account_exists: only the nonce read is
-        # recorded as the external dependency
-        return (
-            self._read(nonce_key(address)) != 0
-            or self._read(balance_key(address), record=False) != 0
-            or self._read(code_key(address), record=False) != b""
-        )
-
-    def get_balance(self, address: Address) -> int:
-        return int(self._read(balance_key(address)))
-
-    def get_nonce(self, address: Address) -> int:
-        return int(self._read(nonce_key(address)))
-
-    def get_code(self, address: Address) -> bytes:
-        value = self._read(code_key(address))
-        return bytes(value)
-
-    def get_storage(self, address: Address, slot: int) -> int:
-        return int(self._read(storage_key(address, slot)))
-
-    def set_balance(self, address: Address, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"negative balance for {address.hex()}")
-        self._write(balance_key(address), value, value)
-
-    def add_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) + amount)
-
-    def sub_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) - amount)
-
-    def set_nonce(self, address: Address, value: int) -> None:
-        self._write(nonce_key(address), value, value)
-
-    def increment_nonce(self, address: Address) -> None:
-        self.set_nonce(address, self.get_nonce(address) + 1)
-
-    def set_code(self, address: Address, code: bytes) -> None:
-        encoded = int.from_bytes(code[:8].ljust(8, b"\0"), "big")
-        self._write(code_key(address), code, encoded)
-
-    def set_storage(self, address: Address, slot: int, value: int) -> None:
-        self._write(storage_key(address, slot), value, value)
-
-    def create_account(self, address: Address) -> None:
-        # existence is implied by the first write, as in OCCStateView
-        return None
-
-    def snapshot(self) -> int:
-        return len(self._journal)
-
-    def revert_to(self, mark: int) -> None:
-        if mark < 0 or mark > len(self._journal):
-            raise ValueError(f"invalid journal mark {mark}")
-        while len(self._journal) > mark:
-            key, old, had = self._journal.pop()
-            if had:
-                self._buffer[key] = old
-            else:
-                self._buffer.pop(key, None)
-
-    @property
-    def buffered_writes(self) -> Dict[StateKey, Any]:
-        return dict(self._buffer)
 
 
 class BlockSTMTask(NamedTuple):
@@ -551,7 +443,7 @@ class BlockSTMTaskResult(NamedTuple):
     reads: Tuple[Tuple[StateKey, int, int], ...]
     #: journal-correct buffered writes (actual values, applied at commit)
     writes: Dict[StateKey, Any]
-    #: rw-set writes (RecordingState encoding, kept across reverts)
+    #: rw-set writes (the view's recording rule: kept across reverts)
     rw_writes: Dict[StateKey, int]
     elapsed_us: float
 
@@ -590,7 +482,7 @@ def run_blockstm_task(shared: ProposeShared, task: BlockSTMTask) -> BlockSTMTask
         result,
         view.reads_tuple(),
         view.buffered_writes,
-        dict(view.rw_writes),
+        dict(view.writes),
         elapsed_us,
     )
 

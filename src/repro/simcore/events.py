@@ -9,46 +9,47 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled occurrence at simulated ``time`` carrying ``payload``."""
+class Event(NamedTuple):
+    """A scheduled occurrence at simulated ``time`` carrying ``payload``.
+
+    The event is its own heap entry: ``seq`` is unique per queue, so tuple
+    ordering is decided by ``(time, seq)`` and never reaches the payload.
+    """
 
     time: float
     seq: int
-    payload: Any = field(compare=False)
+    payload: Any
 
 
 class EventQueue:
     """Min-heap of :class:`Event` with deterministic FIFO tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
+        self._heap: List[Event] = []
         self._counter = itertools.count()
 
     def push(self, time: float, payload: Any) -> Event:
         """Schedule ``payload`` at ``time``; returns the created event."""
         if time != time or time < 0:  # NaN or negative
             raise ValueError(f"invalid event time: {time!r}")
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (time, seq, payload))
-        return Event(time, seq, payload)
+        event = Event(time, next(self._counter), payload)
+        heapq.heappush(self._heap, event)
+        return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event (FIFO among equal times)."""
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
-        time, seq, payload = heapq.heappop(self._heap)
-        return Event(time, seq, payload)
+        return heapq.heappop(self._heap)
 
     def peek_time(self) -> float:
         """Time of the earliest pending event."""
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
-        return self._heap[0][0]
+        return self._heap[0].time
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -11,15 +11,16 @@ Layering (bottom up):
   undo journal (transaction revert), commitment to immutable
   :class:`~repro.state.statedb.StateSnapshot` objects, and root hashing.
 * :mod:`repro.state.versioned` -- the multi-version key/value store and
-  per-transaction snapshot views used by the proposer's OCC-WSI algorithm.
-* :mod:`repro.state.access` -- the recording wrapper that captures
-  read/write sets for any underlying state.
+  the keyed speculative view (buffer, journal, rw-set recording) the
+  proposer engines execute against.
+* :mod:`repro.state.access` -- state keys, read/write sets and the
+  recording wrapper that captures them for address-keyed states.
 """
 
 from repro.state.trie import MPT, EMPTY_ROOT
 from repro.state.account import AccountData, EMPTY_ACCOUNT
 from repro.state.statedb import StateDB, StateSnapshot, genesis_snapshot
-from repro.state.versioned import MultiVersionStore, OCCStateView
+from repro.state.versioned import KeyedView, MultiVersionStore, OCCStateView
 from repro.state.proofs import prove, verify_proof, prove_secure, verify_secure, ProofError
 from repro.state.serialize import snapshot_to_json, snapshot_from_json, SnapshotFormatError
 from repro.state.access import (
@@ -41,6 +42,7 @@ __all__ = [
     "StateSnapshot",
     "genesis_snapshot",
     "MultiVersionStore",
+    "KeyedView",
     "OCCStateView",
     "StateKey",
     "RecordingState",

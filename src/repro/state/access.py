@@ -17,7 +17,7 @@ slot.  Account-level conflict grouping (used by the validator's scheduler,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, NamedTuple, Optional
+from typing import Any, Dict, FrozenSet, NamedTuple, Optional
 
 from repro.common.types import Address
 
@@ -54,6 +54,12 @@ def code_key(address: Address) -> StateKey:
 
 def storage_key(address: Address, slot: int) -> StateKey:
     return StateKey("storage", address, slot)
+
+
+def recorded_code(code: bytes) -> int:
+    """How rw-sets record a code write: its first 8 bytes as an int, so
+    recorded values stay comparably small."""
+    return int.from_bytes(code[:8].ljust(8, b"\0"), "big")
 
 
 @dataclass
@@ -134,14 +140,18 @@ class FrozenRWSet(NamedTuple):
 
 
 class RecordingState:
-    """Wrap any state object and capture its read/write set.
+    """Wrap an address-keyed state object and capture its read/write set.
 
-    The wrapped object must expose the StateDB read/write interface.  All
-    mutations pass through; reads of keys this transaction already wrote
-    are served by the underlying state but not recorded as external reads.
+    The wrapped object must expose the StateDB read/write interface
+    (``StateDB``, also over a guarded or sliced snapshot — the validator's
+    re-execution path).  All mutations pass through; reads of keys this
+    transaction already wrote are served by the underlying state but not
+    recorded as external reads.  The proposer's speculative views are keyed
+    already and apply the same recording rule themselves
+    (:class:`repro.state.versioned.KeyedView`), so they are never wrapped.
     """
 
-    def __init__(self, inner, version: int = 0) -> None:
+    def __init__(self, inner: Any, version: int = 0) -> None:
         self._inner = inner
         self._version = version
         self.rw = ReadWriteSet()
@@ -175,22 +185,29 @@ class RecordingState:
         self._inner.set_balance(address, value)
 
     def add_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) + amount)
+        # read-modify-write calls build their key once, as the keyed views do
+        key = balance_key(address)
+        self.rw.record_read(key, self._version)
+        value = self._inner.get_balance(address) + amount
+        self.rw.record_write(key, value)
+        self._inner.set_balance(address, value)
 
     def sub_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) - amount)
+        self.add_balance(address, -amount)
 
     def set_nonce(self, address: Address, value: int) -> None:
         self.rw.record_write(nonce_key(address), value)
         self._inner.set_nonce(address, value)
 
     def increment_nonce(self, address: Address) -> None:
-        self.set_nonce(address, self.get_nonce(address) + 1)
+        key = nonce_key(address)
+        self.rw.record_read(key, self._version)
+        value = self._inner.get_nonce(address) + 1
+        self.rw.record_write(key, value)
+        self._inner.set_nonce(address, value)
 
     def set_code(self, address: Address, code: bytes) -> None:
-        self.rw.record_write(
-            code_key(address), int.from_bytes(code[:8].ljust(8, b"\0"), "big")
-        )
+        self.rw.record_write(code_key(address), recorded_code(code))
         self._inner.set_code(address, code)
 
     def set_storage(self, address: Address, slot: int, value: int) -> None:

@@ -8,29 +8,39 @@ set at version ``v``, and a reader at snapshot version ``s`` sees, for each
 key, the latest value written at any version ``<= s`` (falling back to the
 base snapshot, version 0).
 
-:class:`OCCStateView` adapts the store to the StateDB interface the EVM
-expects, buffering this transaction's own writes locally (read-your-own-
-write, invisible to others until commit) with journal support so reverted
-call frames roll the buffer back.
+:class:`KeyedView` is the speculative view every proposer engine executes
+against: the StateDB interface the EVM expects over a local write buffer
+with journal support, recording the transaction's read/write set as it
+goes.  :class:`OCCStateView` reads through it from the store at a snapshot
+version; Block-STM's view (:mod:`repro.exec.tasks`) reads through it from
+multi-version memory.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Generic, List, Tuple, TypeVar
 
 from repro.common.types import Address
 from repro.state.access import (
+    ReadWriteSet,
     StateKey,
     balance_key,
     code_key,
     nonce_key,
+    recorded_code,
     storage_key,
 )
 from repro.state.cache import ReadThroughCache
 from repro.state.statedb import StateSnapshot
 
-__all__ = ["MultiVersionStore", "OCCStateView", "read_base_value"]
+__all__ = ["MultiVersionStore", "KeyedView", "OCCStateView", "read_base_value"]
+
+#: what a view records for an external read (OCC: the snapshot version;
+#: Block-STM: the ``(writer, incarnation)`` that produced the value)
+W = TypeVar("W")
+
+#: "no buffered value" marker: buffered values are ints and bytes
+_ABSENT: Any = object()
 
 
 def read_base_value(base: StateSnapshot, key: StateKey) -> Any:
@@ -65,7 +75,10 @@ class MultiVersionStore:
 
     def __init__(self, base: StateSnapshot) -> None:
         self.base = base
-        self._versions: Dict[StateKey, Tuple[List[int], List[Any]]] = {}
+        #: per written key one flat list ``[version, value, version, value,
+        #: ...]`` in commit order — most keys are written once per block, and
+        #: one list costs a third of the objects of a (versions, values) pair
+        self._versions: Dict[StateKey, List[Any]] = {}
         self.committed_version = 0
         # Base-snapshot reads repeat across every optimistic transaction in
         # a block (hot contracts, funded senders); the snapshot is immutable
@@ -79,25 +92,21 @@ class MultiVersionStore:
     def _load_base(self, key: StateKey) -> Any:
         return read_base_value(self.base, key)
 
-    def _base_value(self, key: StateKey) -> Any:
-        return self.base_cache.get(key)
-
     def read_at(self, key: StateKey, version: int) -> Any:
         """Value of ``key`` as of snapshot ``version``."""
         entry = self._versions.get(key)
         if entry is not None:
-            versions, values = entry
-            idx = bisect_right(versions, version) - 1
-            if idx >= 0:
-                return values[idx]
-        return self._base_value(key)
+            # newest first: a snapshot is at most a few commits old, so the
+            # scan stops within a step or two even on a hot key
+            for i in range(len(entry) - 2, -1, -2):
+                if entry[i] <= version:
+                    return entry[i + 1]
+        return self.base_cache.get(key)
 
     def latest_version(self, key: StateKey) -> int:
         """Version of the most recent committed write to ``key`` (0 if none)."""
         entry = self._versions.get(key)
-        if entry is None or not entry[0]:
-            return 0
-        return entry[0][-1]
+        return entry[-2] if entry else 0
 
     def apply(self, writes: Dict[StateKey, Any], version: int) -> None:
         """Append a committed transaction's writes at ``version``.
@@ -110,18 +119,18 @@ class MultiVersionStore:
                 f"out-of-order commit: version {version}, "
                 f"expected {self.committed_version + 1}"
             )
+        versions = self._versions
         for key, value in writes.items():
-            entry = self._versions.get(key)
+            entry = versions.get(key)
             if entry is None:
-                entry = ([], [])
-                self._versions[key] = entry
-            entry[0].append(version)
-            entry[1].append(value)
+                versions[key] = [version, value]
+            else:
+                entry += (version, value)
         self.committed_version = version
 
     def final_values(self) -> Dict[StateKey, Any]:
         """Latest value of every key ever written (for state materialise)."""
-        return {key: values[-1] for key, (_, values) in self._versions.items()}
+        return {key: entry[-1] for key, entry in self._versions.items()}
 
     def key_versions(self) -> Dict[StateKey, List[int]]:
         """Every key's committed write versions, in commit order.
@@ -131,37 +140,56 @@ class MultiVersionStore:
         between what the store holds and what the bookkeeping claims means
         a driver applied writes it never recorded (or vice versa).
         """
-        return {key: list(versions) for key, (versions, _) in self._versions.items()}
+        return {key: entry[0::2] for key, entry in self._versions.items()}
 
 
-class OCCStateView:
-    """StateDB-compatible view for one optimistic transaction.
+class KeyedView(Generic[W]):
+    """The one keyed speculative view: StateDB interface over a write
+    buffer, a journal and the rw-set recording rule.
 
-    Reads come from the multi-version store at ``snapshot_version``;
-    writes go to a local buffer with journal marks so reverting call
-    frames restores the buffer exactly.  On successful execution the
-    proposer applies :attr:`buffered_writes` to the store at the
-    transaction's commit version.
+    Every interface call builds its :class:`StateKey` once and crosses one
+    layer.  Writes go to a local buffer (read-your-own-write, invisible to
+    others until commit) with journal marks, so reverting call frames
+    restores the buffer exactly.  Recording follows the rule the validator's
+    :class:`~repro.state.access.RecordingState` applies, so speculative
+    profiles diff cleanly against the serial replay's recorded sets: the
+    first external read of a key wins; a key this transaction wrote is never
+    recorded as read, even after the write was reverted; :attr:`writes`
+    survives reverts (a read that steered control flow matters even if its
+    frame rolled back, and a kept write can cause a false conflict, never a
+    missed one); code is recorded as a short int; ``account_exists``
+    records the nonce key only.
+
+    Subclasses supply :meth:`_load` — where an unbuffered read comes from
+    and the witness ``W`` recorded for it.
     """
 
-    def __init__(self, store: MultiVersionStore, snapshot_version: int) -> None:
-        self.store = store
-        self.snapshot_version = snapshot_version
+    def __init__(self) -> None:
         self._buffer: Dict[StateKey, Any] = {}
-        self._journal: list[tuple] = []
+        self._journal: List[Tuple[StateKey, Any]] = []
+        #: key -> witness of the first external read
+        self.reads: Dict[StateKey, W] = {}
+        #: rw-set writes (code as an int; kept across reverts)
+        self.writes: Dict[StateKey, int] = {}
 
-    # -- helpers --------------------------------------------------------- #
+    def _load(self, key: StateKey) -> Tuple[Any, W]:
+        """``(value, witness)`` of ``key`` as this transaction sees it."""
+        raise NotImplementedError
 
-    def _read(self, key: StateKey) -> Any:
-        if key in self._buffer:
-            return self._buffer[key]
-        return self.store.read_at(key, self.snapshot_version)
+    def _read(self, key: StateKey, record: bool = True) -> Any:
+        value = self._buffer.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
+        value, witness = self._load(key)
+        if record and key not in self.reads and key not in self.writes:
+            self.reads[key] = witness
+        return value
 
-    def _write(self, key: StateKey, value: Any) -> None:
-        had = key in self._buffer
-        old = self._buffer.get(key)
-        self._journal.append((key, old, had))
-        self._buffer[key] = value
+    def _write(self, key: StateKey, value: Any, recorded: int) -> None:
+        self.writes[key] = recorded
+        buffer = self._buffer
+        self._journal.append((key, buffer.get(key, _ABSENT)))
+        buffer[key] = value
 
     # -- StateDB interface ------------------------------------------------ #
 
@@ -170,8 +198,8 @@ class OCCStateView:
         # system accounts are funded at genesis or created by CREATE.
         return (
             self._read(nonce_key(address)) != 0
-            or self._read(balance_key(address)) != 0
-            or self._read(code_key(address)) != b""
+            or self._read(balance_key(address), record=False) != 0
+            or self._read(code_key(address), record=False) != b""
         )
 
     def get_balance(self, address: Address) -> int:
@@ -186,28 +214,35 @@ class OCCStateView:
     def get_storage(self, address: Address, slot: int) -> int:
         return self._read(storage_key(address, slot))
 
-    def set_balance(self, address: Address, value: int) -> None:
+    def _set_balance(self, key: StateKey, value: int) -> None:
         if value < 0:
-            raise ValueError(f"negative balance for {address.hex()}")
-        self._write(balance_key(address), value)
+            raise ValueError(f"negative balance for {key.address.hex()}")
+        self._write(key, value, value)
+
+    def set_balance(self, address: Address, value: int) -> None:
+        self._set_balance(balance_key(address), value)
 
     def add_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) + amount)
+        key = balance_key(address)
+        self._set_balance(key, self._read(key) + amount)
 
     def sub_balance(self, address: Address, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) - amount)
+        key = balance_key(address)
+        self._set_balance(key, self._read(key) - amount)
 
     def set_nonce(self, address: Address, value: int) -> None:
-        self._write(nonce_key(address), value)
+        self._write(nonce_key(address), value, value)
 
     def increment_nonce(self, address: Address) -> None:
-        self.set_nonce(address, self.get_nonce(address) + 1)
+        key = nonce_key(address)
+        value = self._read(key) + 1
+        self._write(key, value, value)
 
     def set_code(self, address: Address, code: bytes) -> None:
-        self._write(code_key(address), code)
+        self._write(code_key(address), code, recorded_code(code))
 
     def set_storage(self, address: Address, slot: int, value: int) -> None:
-        self._write(storage_key(address, slot), value)
+        self._write(storage_key(address, slot), value, value)
 
     def create_account(self, address: Address) -> None:
         # No-op: existence is implied by the first write to the account.
@@ -217,17 +252,39 @@ class OCCStateView:
         return len(self._journal)
 
     def revert_to(self, mark: int) -> None:
-        if mark < 0 or mark > len(self._journal):
+        journal, buffer = self._journal, self._buffer
+        if mark < 0 or mark > len(journal):
             raise ValueError(f"invalid journal mark {mark}")
-        while len(self._journal) > mark:
-            key, old, had = self._journal.pop()
-            if had:
-                self._buffer[key] = old
+        while len(journal) > mark:
+            key, old = journal.pop()
+            if old is _ABSENT:
+                del buffer[key]
             else:
-                self._buffer.pop(key, None)
+                buffer[key] = old
 
     # -- commit support ---------------------------------------------------- #
 
     @property
     def buffered_writes(self) -> Dict[StateKey, Any]:
         return dict(self._buffer)
+
+
+class OCCStateView(KeyedView[int]):
+    """One optimistic transaction's view of a multi-version store.
+
+    Unbuffered reads come from ``store`` at ``snapshot_version`` and record
+    that version.  On successful execution the proposer applies
+    :attr:`buffered_writes` to the store at the transaction's commit
+    version and validates :attr:`rw` against the reserve table.
+    """
+
+    def __init__(self, store: Any, snapshot_version: int) -> None:
+        super().__init__()
+        #: a :class:`MultiVersionStore` or anything with its ``read_at``
+        self.store = store
+        self.snapshot_version = snapshot_version
+        self.rw = ReadWriteSet(self.reads, self.writes)
+
+    def _load(self, key: StateKey) -> Tuple[Any, int]:
+        version = self.snapshot_version
+        return self.store.read_at(key, version), version

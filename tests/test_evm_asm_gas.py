@@ -1,10 +1,13 @@
 """Tests for the assembler DSL and the gas schedule helpers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.evm.asm import Assembler, AssemblyError, asm
 from repro.evm.gas import DEFAULT_GAS_SCHEDULE, GasSchedule, intrinsic_gas
 from repro.evm.opcodes import OPCODES, opcode_by_name
+from tests.evm_oracle import intrinsic_gas_per_byte
 
 
 class TestOpcodeTable:
@@ -141,3 +144,13 @@ class TestGasSchedule:
             g.tx_base + g.tx_data_zero + g.tx_data_nonzero
         )
         assert intrinsic_gas(g, b"", True) == g.tx_base + g.tx_create
+
+    @given(st.binary(max_size=300), st.booleans())
+    def test_intrinsic_gas_equals_the_per_byte_definition(self, data, is_create):
+        g = DEFAULT_GAS_SCHEDULE
+        assert intrinsic_gas(g, data, is_create) == intrinsic_gas_per_byte(g, data, is_create)
+        skewed = GasSchedule(tx_data_zero=7, tx_data_nonzero=11, tx_create=5, tx_base=3)
+        assert intrinsic_gas(skewed, data, is_create) == intrinsic_gas_per_byte(
+            skewed, data, is_create
+        )
+

@@ -9,7 +9,7 @@ from repro.common.hashing import hash_of
 from repro.common.types import Address
 from repro.evm.asm import asm
 from repro.evm.disasm import disassemble, format_disassembly, reassembles_identically
-from repro.evm.interpreter import EVM, ExecutionContext
+from repro.evm.interpreter import EVM, ExecutionContext, analyse
 from repro.state.account import AccountData
 from repro.txpool.transaction import Transaction
 from tests.test_evm_interpreter import (
@@ -160,3 +160,38 @@ class TestDisassembler:
     @given(st.binary(max_size=200))
     def test_reassembly_identity_on_arbitrary_bytes(self, code):
         assert reassembles_identically(code)
+
+
+class TestOneBytecodeWalk:
+    """``analyse`` is the only walk of raw bytecode; the disassembler and
+    the dispatch loop both read its result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_disassembly_starts_are_the_analysed_starts(self, code):
+        program = analyse(code)
+        starts = list(program.starts())
+        assert [i.pc for i in disassemble(code)] == starts
+        assert len(program.instrs) == len(code) + 1
+        assert program.jumpdests == {pc for pc in starts if code[pc] == 0x5B}
+
+    def test_push_data_is_not_a_jump_destination(self):
+        code = bytes([0x60, 0x5B, 0x5B, 0x61, 0x5B, 0x5B, 0x5B])
+        assert analyse(code).jumpdests == {2, 6}
+
+    def test_truncated_push_is_zero_padded_on_the_right(self):
+        code = bytes([0x63, 0xAA, 0xBB])  # PUSH4 with two bytes left
+        *_, immediate, next_pc = analyse(code).instrs[0]
+        assert immediate == 0xAABB0000 and next_pc == len(code)
+        assert run_code(code)[0].success  # then runs off the end: implicit STOP
+
+    def test_jump_into_an_immediate_fails_the_frame(self):
+        # PUSH1 4, JUMP, PUSH1 0x5b (the 0x5b at pc 4 is data), STOP
+        code = bytes([0x60, 0x04, 0x56, 0x60, 0x5B, 0x00])
+        result, _ = run_code(code, gas=100_000)
+        assert not result.success
+        assert "jump" in result.error and result.gas_used == 100_000
+        # one byte further is a real JUMPDEST
+        code = bytes([0x60, 0x05, 0x56, 0x60, 0x5B, 0x5B, 0x00])
+        assert run_code(code)[0].success
+

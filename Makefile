@@ -144,9 +144,10 @@ bench-e2e-compare:
 
 # where a block's CPU time goes: an ITIMER_PROF sampler over one e2e block
 # loop, inclusive and self share per function (cProfile mis-ranks this code
-# base's layers): make profile-e2e W=mint-rush
+# base's layers), calibration-kernel samples dropped: make profile-e2e
+# W=mint-rush, or as a call tree: make profile-e2e W=mainnet ARGS="--tree --min 2"
 profile-e2e:
-	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet)
+	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet) $(ARGS)
 
 trace-demo:
 	$(PYTHON) -m repro --txs-per-block 60 trace --mode round --rounds 2 \

@@ -1,14 +1,21 @@
 """Sample one ``benchmarks.e2e`` block loop with ``setitimer(ITIMER_PROF)``.
 
     python scripts/profile_e2e.py --workload mint-rush [--seed 42] [--top 30]
+    python scripts/profile_e2e.py --workload mainnet --tree [--min 2.0]
 
 Prints, per function, the share of CPU-time samples with it on the stack
-(inclusive) and at the top (self).  A sampler charges no per-call cost, so
-— unlike cProfile, which inflates this code base's many small calls and
-mis-ranks its layers — the shares are those of an unprofiled run.  Only
-the block loop is sampled (not boot, genesis, shutdown, recovery), and only
-this process (not a pool's workers).  The timer ticks with the scheduler
-(~4 ms), so one pass gives a few hundred samples: read shares, not digits.
+(inclusive) and at the top (self); with ``--tree``, the inclusive shares as
+a call tree under the block loop, children by weight, cut below ``--min``
+percent — the flat list cannot show that ``receipts_root`` is reached from
+three callers per block, the tree can.  A sampler charges no per-call
+cost, so — unlike cProfile, which inflates this code base's many small
+calls and mis-ranks its layers — the shares are those of an unprofiled run.
+Only the block loop is sampled (not boot, genesis, shutdown, recovery), and
+only this process (not a pool's workers).  Samples that land in the
+benchmark's calibration kernel (``kernel.py``, a fifth of a ``mainnet``
+pass) are the instrument, not the program: they are dropped, so shares are
+of the node's own time.  The timer ticks with the scheduler (~4 ms), so one
+pass gives a few hundred samples: read shares, not digits.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import shutil
 import signal
 import sys
 from types import FrameType
-from typing import Any, Counter, Optional
+from typing import Any, Counter, Dict, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
@@ -30,24 +37,60 @@ from benchmarks.e2e.kernel import Kernel  # noqa: E402
 from benchmarks.e2e.spec import WORKLOADS  # noqa: E402
 
 
+class Node:
+    """One frame of the call tree: samples at or below it, and its callees."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.children: Dict[str, Node] = {}
+
+
+def print_tree(stacks: Counter[Tuple[str, ...]], total: int, min_pct: float) -> None:
+    """Inclusive shares as a call tree rooted at the block loop."""
+    root = Node()
+    for stack, count in stacks.items():
+        names = [name.split(":", 1)[1] for name in stack]
+        if "_drive_blocks" not in names:
+            continue  # the tick fell between arming the timer and the loop
+        node = root
+        node.count += count
+        for name in stack[names.index("_drive_blocks") + 1 :]:
+            node = node.children.setdefault(name, Node())
+            node.count += count
+
+    def walk(node: Node, depth: int) -> None:
+        for name, child in sorted(node.children.items(), key=lambda kv: -kv[1].count):
+            if 100 * child.count / total >= min_pct:
+                print(f"{100 * child.count / total:6.1f}  {'  ' * depth}{name}")
+                walk(child, depth + 1)
+
+    print(f"{'incl%':>6}  call tree under _drive_blocks ({100 * root.count / total:.1f}% of samples)")
+    walk(root, 0)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="mainnet")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--tree", action="store_true", help="call tree instead of the flat list")
+    parser.add_argument("--min", type=float, default=1.0, help="smallest share the tree prints (percent)")
     args = parser.parse_args()
 
-    inclusive: Counter[str] = collections.Counter()
-    own: Counter[str] = collections.Counter()
+    stacks: Counter[Tuple[str, ...]] = collections.Counter()  # outermost frame first
+    in_kernel = 0
 
     def on_tick(signum: int, frame: Optional[FrameType]) -> None:
+        nonlocal in_kernel
         stack = []
         while frame is not None:
             code = frame.f_code
             stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
             frame = frame.f_back
-        own[stack[0]] += 1
-        inclusive.update(set(stack))
+        if any(name.startswith("kernel.py:") for name in stack):
+            in_kernel += 1
+        else:
+            stacks[tuple(reversed(stack))] += 1
 
     drive = lifecycle._drive_blocks
 
@@ -67,11 +110,23 @@ def main() -> int:
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    total = sum(own.values()) or 1
-    print(f"{args.workload} seed {args.seed}: {total} samples over {len(result.blocks)} blocks")
-    print(f"{'incl%':>6} {'self%':>6}  function")
-    for name, count in inclusive.most_common(args.top):
-        print(f"{100 * count / total:6.1f} {100 * own[name] / total:6.1f}  {name}")
+    total = sum(stacks.values()) or 1
+    print(
+        f"{args.workload} seed {args.seed}: {total} samples over {len(result.blocks)} blocks"
+        f" (+{in_kernel} in the calibration kernel, dropped)"
+    )
+    if args.tree:
+        print_tree(stacks, total, args.min)
+    else:
+        inclusive: Counter[str] = collections.Counter()
+        own: Counter[str] = collections.Counter()
+        for stack, count in stacks.items():
+            own[stack[-1]] += count
+            for name in set(stack):
+                inclusive[name] += count
+        print(f"{'incl%':>6} {'self%':>6}  function")
+        for name, count in inclusive.most_common(args.top):
+            print(f"{100 * count / total:6.1f} {100 * own[name] / total:6.1f}  {name}")
     return 1 if result.problems else 0
 
 

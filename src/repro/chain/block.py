@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.common.hashing import Hash32, hash_of
 from repro.common.rlp import rlp_encode
@@ -129,17 +129,19 @@ class BlockProfile:
 
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:
     """Trie root over the block's transactions, keyed by index (yellow paper)."""
-    trie = MPT()
-    for index, tx in enumerate(transactions):
-        trie = trie.set(rlp_encode(index), bytes(tx.hash))
-    return trie.root_hash()
+    return _index_root(bytes(tx.hash) for tx in transactions)
 
 
 def receipts_root(receipts: Sequence[Receipt]) -> Hash32:
-    trie = MPT()
-    for index, receipt in enumerate(receipts):
-        trie = trie.set(rlp_encode(index), receipt.encode())
-    return trie.root_hash()
+    return _index_root(receipt.encode() for receipt in receipts)
+
+
+def _index_root(values: Iterable[bytes]) -> Hash32:
+    """Root of the trie that maps ``rlp(index)`` to the index-th value,
+    built in one batch."""
+    return MPT().update_many(
+        (rlp_encode(index), value) for index, value in enumerate(values)
+    ).root_hash()
 
 
 @dataclass(frozen=True)

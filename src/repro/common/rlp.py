@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 RLPItem = Union[bytes, int, str, list, tuple]
 
-__all__ = ["rlp_encode", "rlp_string", "rlp_list", "rlp_decode", "RLPDecodeError"]
+__all__ = ["rlp_encode", "rlp_string", "rlp_list", "rlp_decode", "rlp_decode_first", "RLPDecodeError"]
 
 
 class RLPDecodeError(ValueError):
@@ -157,3 +157,14 @@ def rlp_decode(data: bytes):
     if pos != len(data):
         raise RLPDecodeError(f"{len(data) - pos} trailing bytes after RLP item")
     return item
+
+
+def rlp_decode_first(data: bytes):
+    """Decode only the first item of the list that ``data`` encodes.  What
+    follows that item is neither decoded nor checked: a peek into bytes
+    whose integrity is established some other way.  Raises
+    :class:`RLPDecodeError` unless a whole well-formed item is there."""
+    if not data or data[0] < 0xC0:
+        raise RLPDecodeError("not an RLP list")
+    # the payload starts after one byte (short list) or after the length field
+    return _decode_at(data, 1 if data[0] <= 0xF7 else data[0] - 0xF6)[0]

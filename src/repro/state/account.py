@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Mapping
 
-from repro.common.hashing import EMPTY_HASH, keccak
+from repro.common.hashing import EMPTY_HASH
 from repro.common.rlp import rlp_encode
 from repro.common.types import Hash32
+from repro.state.cache import keccak_cached
 
 __all__ = ["AccountData", "EMPTY_ACCOUNT", "encode_account"]
 
@@ -44,7 +45,9 @@ class AccountData:
 
     @property
     def code_hash(self) -> Hash32:
-        return keccak(self.code) if self.code else EMPTY_HASH
+        # memoised: every commit re-encodes every dirty contract, and a
+        # contract's code does not change from one block to the next
+        return keccak_cached(self.code) if self.code else EMPTY_HASH
 
     @property
     def is_contract(self) -> bool:
@@ -59,7 +62,7 @@ class AccountData:
             and not self.storage
         )
 
-    def with_(self, **kwargs) -> "AccountData":
+    def with_(self, **kwargs: Any) -> "AccountData":
         return replace(self, **kwargs)
 
 

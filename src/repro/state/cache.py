@@ -5,9 +5,10 @@ Three cache primitives back the hot-path layer (ISSUE 4 / ARCHITECTURE §11):
 * :class:`BoundedCache` — a dict-ordered LRU map with hit/miss/eviction
   counters, the building block for the others;
 * :func:`keccak_cached` — a process-wide memo of ``keccak(key)`` for the
-  secure trie.  Account addresses and storage-slot keys are re-hashed on
-  every trie get/set; the key space a workload touches is small and stable,
-  so the memo turns each of those hashes into a dict lookup;
+  secure trie (and for contract code hashes).  Account addresses and
+  storage-slot keys are re-hashed on every trie get/set; the key space a
+  workload touches is small and stable, so the memo turns each of those
+  hashes into a dict lookup;
 * :class:`ReadThroughCache` — a loader-backed LRU used by
   :class:`repro.state.versioned.MultiVersionStore` for base-snapshot reads
   shared across every optimistic transaction in a block.
@@ -106,8 +107,9 @@ class BoundedCache(Generic[K, V]):
 # keccak memo
 # --------------------------------------------------------------------------- #
 
-#: Preimages are 20-byte addresses and 32-byte slot keys; at ~64 bytes per
-#: entry this caps the memo around 4 MB.
+#: Preimages are 20-byte addresses and 32-byte slot keys, plus one code blob
+#: per deployed contract; at ~64 bytes per entry this caps the memo around
+#: 4 MB.
 _KECCAK_MEMO_MAX = 65536
 
 _keccak_memo: Dict[bytes, Hash32] = {}

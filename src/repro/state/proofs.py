@@ -17,11 +17,15 @@ from typing import List, Optional, Tuple
 
 from repro.common.hashing import keccak
 from repro.common.rlp import RLPDecodeError, rlp_decode
-from repro.common.types import Hash32
+from repro.common.types import Address, Hash32
+from repro.state.statedb import StateSnapshot
 from repro.state.trie import (
     EMPTY_ROOT,
     MPT,
     SecureMPT,
+    _Extension,
+    _Leaf,
+    _Node,
     _node_ref,
     _node_rlp,
     bytes_to_nibbles,
@@ -34,8 +38,8 @@ class ProofError(ValueError):
     """The proof does not authenticate against the given root."""
 
 
-def _hp_decode(encoded: bytes) -> Tuple[Tuple[int, ...], bool]:
-    """Inverse hex-prefix: returns (nibbles, is_leaf)."""
+def _hp_decode(encoded: bytes) -> Tuple[bytes, bool]:
+    """Inverse hex-prefix: returns (nibble path, is_leaf)."""
     if not encoded:
         raise ProofError("empty hex-prefix path")
     nibbles = bytes_to_nibbles(encoded)
@@ -53,8 +57,6 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
     embedded inline in their parent's encoding (yellow-paper node refs),
     so they never appear as separate proof elements.
     """
-    from repro.state.trie import _Extension, _Leaf
-
     proof: List[bytes] = []
     node = trie._root
     if node is None:
@@ -67,11 +69,10 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
         if isinstance(node, _Leaf):
             break
         if isinstance(node, _Extension):
-            k = len(node.path)
-            if path[:k] != node.path:
+            if not path.startswith(node.path):
                 break  # exclusion: the path diverges here
-            path = path[k:]
-            child = node.child
+            path = path[len(node.path) :]
+            child: Optional[_Node] = node.child
         else:  # branch
             if not path:
                 break
@@ -100,7 +101,7 @@ def verify_proof(
         raise ProofError("empty proof for non-empty root")
 
     expected: object = bytes(root)  # expectation: 32-byte hash or inline struct
-    path = list(bytes_to_nibbles(key))
+    path = bytes_to_nibbles(key)
     index = 0
 
     node_struct = _take_node(proof, index, expected)
@@ -112,19 +113,20 @@ def verify_proof(
         if len(node_struct) == 2:
             nibbles, is_leaf = _hp_decode(node_struct[0])
             if is_leaf:
-                if tuple(path) == nibbles:
+                if path == nibbles:
                     return node_struct[1]
                 return None  # valid exclusion
             # extension
-            if tuple(path[: len(nibbles)]) != nibbles:
+            if not path.startswith(nibbles):
                 return None  # exclusion: path diverges
-            del path[: len(nibbles)]
+            path = path[len(nibbles) :]
             expected = node_struct[1]
         else:  # branch
             if not path:
                 value = node_struct[16]
                 return value if value != b"" else None
-            child = node_struct[path.pop(0)]
+            child = node_struct[path[0]]
+            path = path[1:]
             if child == b"":
                 return None  # exclusion: no child on the path
             expected = child
@@ -140,7 +142,7 @@ def verify_proof(
         index += 1
 
 
-def _take_node(proof: List[bytes], index: int, expected) -> list:
+def _take_node(proof: List[bytes], index: int, expected: object) -> list:
     encoding = proof[index]
     if isinstance(expected, (bytes, bytearray)):
         if len(expected) != 32:
@@ -156,12 +158,14 @@ def _take_node(proof: List[bytes], index: int, expected) -> list:
     return decoded
 
 
-def prove_account(snapshot, address) -> List[bytes]:
+def prove_account(snapshot: StateSnapshot, address: Address) -> List[bytes]:
     """Account proof against a snapshot's world-state root (eth_getProof)."""
     return prove(snapshot._account_trie._trie, keccak(bytes(address)))
 
 
-def prove_storage(snapshot, address, slot: int) -> Tuple[List[bytes], List[bytes]]:
+def prove_storage(
+    snapshot: StateSnapshot, address: Address, slot: int
+) -> Tuple[List[bytes], List[bytes]]:
     """Combined (account_proof, storage_proof) for one slot.
 
     The account proof authenticates the account body (which embeds the
@@ -178,7 +182,7 @@ def prove_storage(snapshot, address, slot: int) -> Tuple[List[bytes], List[bytes
 
 def verify_storage_proof(
     state_root: Hash32,
-    address,
+    address: Address,
     slot: int,
     account_proof: List[bytes],
     storage_proof: List[bytes],
@@ -189,8 +193,6 @@ def verify_storage_proof(
     of the whole account).  Raises :class:`ProofError` if either proof
     fails to authenticate.
     """
-    from repro.common.rlp import rlp_decode
-
     body = verify_proof(state_root, keccak(bytes(address)), account_proof)
     if body is None:
         if storage_proof:

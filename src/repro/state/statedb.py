@@ -15,12 +15,12 @@ only for dirty entries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.common.rlp import rlp_encode
 from repro.common.types import Address, Hash32
 from repro.state.account import AccountData, encode_account
-from repro.state.trie import EMPTY_ROOT, SecureMPT
+from repro.state.trie import SecureMPT
 
 __all__ = ["StateSnapshot", "StateDB", "genesis_snapshot"]
 
@@ -32,6 +32,10 @@ def _storage_value_bytes(value: int) -> bytes:
 
 def _slot_key(slot: int) -> bytes:
     return slot.to_bytes(32, "big")
+
+
+#: the (immutable) trie of an account without storage, and of no accounts
+_EMPTY_TRIE = SecureMPT()
 
 
 class StateSnapshot:
@@ -60,8 +64,7 @@ class StateSnapshot:
         return self._root
 
     def storage_root(self, address: Address) -> Hash32:
-        trie = self._storage_tries.get(address)
-        return trie.root_hash() if trie is not None else EMPTY_ROOT
+        return self._storage_tries.get(address, _EMPTY_TRIE).root_hash()
 
     def __contains__(self, address: Address) -> bool:
         return address in self.accounts
@@ -75,25 +78,24 @@ def genesis_snapshot(
 ) -> StateSnapshot:
     """Build the initial snapshot from an allocation of pre-funded accounts."""
     accounts: Dict[Address, AccountData] = {}
-    account_trie = SecureMPT()
     storage_tries: Dict[Address, SecureMPT] = {}
-    if alloc:
-        for address, data in alloc.items():
-            if data.is_empty():
-                continue
-            accounts[address] = data
-            storage_trie = SecureMPT()
-            for slot, value in data.storage.items():
-                if value:
-                    storage_trie = storage_trie.set(
-                        _slot_key(slot), _storage_value_bytes(value)
-                    )
-            if not storage_trie.is_empty():
-                storage_tries[address] = storage_trie
-            account_trie = account_trie.set(
-                bytes(address), encode_account(data, storage_trie.root_hash())
-            )
-    return StateSnapshot(accounts, account_trie, storage_tries)
+    bodies = []
+    for address, data in (alloc or {}).items():
+        if data.is_empty():
+            continue
+        accounts[address] = data
+        # each trie is one bottom-up build from its sorted run of keys
+        storage_trie = _EMPTY_TRIE.update_many(
+            (_slot_key(slot), _storage_value_bytes(value))
+            for slot, value in data.storage.items()
+            if value
+        )
+        if not storage_trie.is_empty():
+            storage_tries[address] = storage_trie
+        bodies.append(
+            (bytes(address), encode_account(data, storage_trie.root_hash()))
+        )
+    return StateSnapshot(accounts, _EMPTY_TRIE.update_many(bodies), storage_tries)
 
 
 class _Overlay:
@@ -298,25 +300,29 @@ class StateDB:
         *effectively* dirty storage slots into the storage tries, so commit
         cost is proportional to the net write set — the property that makes
         block-level state roots affordable (paper §5.2 checks roots per
-        block).  Three batching rules keep the trie work minimal without
+        block).  Four batching rules keep the trie work minimal without
         changing any root:
 
         * overlay slots whose value equals the base value are dropped
           (writing an identical trie value cannot move the root);
-        * the surviving slots of each account go through one sorted
-          :meth:`SecureMPT.update_many` pass instead of per-slot calls;
+        * the surviving slots of each account go into its storage trie as
+          one :meth:`SecureMPT.update_many` batch, which shares one sorted
+          descent between them;
         * an account whose nonce/balance/code match base and whose storage
-          batch came out empty keeps its base trie entry untouched.
+          batch came out empty keeps its base trie entry untouched;
+        * every re-encoded account body and every EIP-158 delete, across
+          all overlays, goes into the account trie as one such batch.
         """
         accounts: Dict[Address, AccountData] = dict(self._base.accounts)
-        account_trie = self._base._account_trie
+        account_updates: list[Tuple[bytes, bytes]] = []
         storage_tries: Dict[Address, SecureMPT] = dict(self._base._storage_tries)
 
         for address, ov in self._overlays.items():
             base_acct = self._base.account(address)
             if not ov.exists:
                 continue
-            base_storage = base_acct.storage if base_acct else {}
+            base_storage: Mapping[int, int] = base_acct.storage if base_acct else {}
+            storage = base_storage
             # net storage delta: sorted slots, no-op writes dropped
             changed = [
                 (slot, value)
@@ -335,15 +341,12 @@ class StateDB:
                     else:
                         merged.pop(slot, None)
                         updates.append((_slot_key(slot), b""))
-                storage_trie = storage_tries.get(address, SecureMPT())
-                storage_trie = storage_trie.update_many(updates)
+                storage_trie = storage_tries.get(address, _EMPTY_TRIE).update_many(updates)
                 if storage_trie.is_empty():
                     storage_tries.pop(address, None)
                 else:
                     storage_tries[address] = storage_trie
                 storage = merged
-            else:
-                storage = base_storage
 
             if (
                 not changed
@@ -361,25 +364,14 @@ class StateDB:
             if new_acct.is_empty():
                 # EIP-158 pruning: drop empty accounts entirely
                 accounts.pop(address, None)
-                account_trie = account_trie.delete(bytes(address))
+                account_updates.append((bytes(address), b""))
                 storage_tries.pop(address, None)
                 continue
             accounts[address] = new_acct
-            storage_root = (
-                storage_tries[address].root_hash()
-                if address in storage_tries
-                else EMPTY_ROOT
-            )
-            account_trie = account_trie.set(
-                bytes(address), encode_account(new_acct, storage_root)
+            storage_root = storage_tries.get(address, _EMPTY_TRIE).root_hash()
+            account_updates.append(
+                (bytes(address), encode_account(new_acct, storage_root))
             )
 
+        account_trie = self._base._account_trie.update_many(account_updates)
         return StateSnapshot(accounts, account_trie, storage_tries)
-
-    # convenient for tests
-    def apply_writes(
-        self, writes: Iterable[Tuple[Address, int, int]]
-    ) -> None:
-        """Apply raw ``(address, slot, value)`` storage writes (test helper)."""
-        for address, slot, value in writes:
-            self.set_storage(address, slot, value)

@@ -6,23 +6,38 @@ MPT roots match, which is exactly how §5.2 validates correctness).
 
 Design choices:
 
-* **Immutable nodes with structural sharing.**  ``insert``/``delete``
-  return a new root and copy only the path they touch, so snapshotting a
-  trie is free — which is what lets the chain layer keep the state of every
-  block (including fork siblings) alive simultaneously.
+* **Immutable nodes with structural sharing.**  A mutation returns a new
+  root and rebuilds only the nodes on the way to what it changed, so
+  snapshotting a trie is free — which is what lets the chain layer keep the
+  state of every block (including fork siblings) alive simultaneously.
+* **Batch-first.**  :meth:`MPT.update_many` is the one mutation; ``set``
+  and ``delete`` are its one-item case.  A batch is de-duplicated, sorted
+  once and applied in one descent (:func:`_update`): at a branch the sorted
+  run splits by nibble, so a node that a hundred of the batch's keys pass
+  through is rebuilt once, not copied a hundred times; an empty slot (or an
+  empty trie: genesis, a block's index tries) gets its run built bottom-up
+  (:func:`_build`); a subtree in which nothing changed comes back as is.
+* **Byte-string paths.**  A nibble path is ``bytes``, one nibble per byte
+  (``hexlify`` + ``translate``), in the batch — the descent passes an index
+  into its paths instead of cutting them up — and in the nodes, so paths are
+  compared, joined and hex-prefix packed by ``bytes`` methods.
 * **Yellow-paper encoding.**  Leaf/extension paths use hex-prefix (HP)
   encoding; node references embed the RLP of nodes shorter than 32 bytes
   and the Keccak hash otherwise; the root hash is always the hash of the
-  root node's RLP.  Each node caches that reference once it has been
-  computed (:func:`_node_ref`); immutability means it can never go stale,
-  so a commit hashes only the nodes on the paths it rewrote.
+  root node's RLP.  Each node caches exactly that reference — ``_ref``, its
+  bytes as they appear inside its parent — once it has been computed
+  (:func:`_node_ref`), so a parent's RLP is a concatenation of ``_ref``s;
+  immutability means it can never go stale, so a commit hashes only the
+  nodes it rebuilt.
 * **byte-string keys and values.**  Callers hash/serialise their own keys
   (see :class:`SecureMPT` for the keccak-keyed variant used by the state).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple, Union
+import hashlib
+from binascii import hexlify, unhexlify
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_list, rlp_string
@@ -31,41 +46,33 @@ from repro.state.cache import keccak_cached
 
 __all__ = ["MPT", "SecureMPT", "EMPTY_ROOT"]
 
-Nibbles = Tuple[int, ...]
+#: ASCII hex digit <-> nibble value, for the two path conversions
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+#: the hex-prefix flag nibbles, by ``[is_leaf][path length is odd]``
+_HP_FLAG = ((b"\x00\x00", b"\x01"), (b"\x02\x00", b"\x03"))
 
 
-#: maps an ASCII hex digit to its value, for :func:`bytes_to_nibbles`
-_HEX_DIGIT_VALUE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+def bytes_to_nibbles(key: bytes) -> bytes:
+    """The key's nibble path: one byte per nibble, each in ``range(16)``."""
+    return hexlify(key).translate(_HEX_TO_NIBBLE)
 
 
-def bytes_to_nibbles(key: bytes) -> Nibbles:
-    return tuple(key.hex().encode().translate(_HEX_DIGIT_VALUE))
-
-
-def nibbles_to_bytes(nibbles: Nibbles) -> bytes:
+def nibbles_to_bytes(nibbles: bytes) -> bytes:
     """Pack an even-length nibble path back into bytes."""
-    return bytes.fromhex(bytes(nibbles).hex()[1::2])
+    return unhexlify(nibbles.translate(_NIBBLE_TO_HEX))
 
 
-def hp_encode(path: Nibbles, is_leaf: bool) -> bytes:
+def hp_encode(path: bytes, is_leaf: bool) -> bytes:
     """Hex-prefix encode a nibble path with the leaf/extension flag."""
-    if len(path) % 2:
-        return nibbles_to_bytes((3 if is_leaf else 1,) + path)
-    return (b"\x20" if is_leaf else b"\x00") + nibbles_to_bytes(path)
-
-
-def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    return nibbles_to_bytes(_HP_FLAG[is_leaf][len(path) & 1] + path)
 
 
 class _Leaf:
     __slots__ = ("path", "value", "_ref")
 
-    def __init__(self, path: Nibbles, value: bytes) -> None:
+    def __init__(self, path: bytes, value: bytes) -> None:
         self.path = path
         self.value = value
         self._ref: Optional[bytes] = None
@@ -74,7 +81,7 @@ class _Leaf:
 class _Extension:
     __slots__ = ("path", "child", "_ref")
 
-    def __init__(self, path: Nibbles, child: "_Node") -> None:
+    def __init__(self, path: bytes, child: "_Node") -> None:
         self.path = path
         self.child = child
         self._ref: Optional[bytes] = None
@@ -93,7 +100,10 @@ class _Branch:
 
 _Node = Union[_Leaf, _Extension, _Branch]
 
-_EMPTY_CHILDREN: Tuple[Optional[_Node], ...] = (None,) * 16
+#: One update of a sorted run, ``(nibble path, value)`` (``b""`` deletes), and
+#: what :func:`_build` places: an update or an existing ``(path, subtree)``.
+_Entry = Tuple[bytes, bytes]
+_Item = Tuple[bytes, Union[bytes, _Node]]
 
 #: Root hash of the empty trie: hash of the RLP of the empty byte string.
 EMPTY_ROOT = keccak(rlp_string(b""))
@@ -105,7 +115,7 @@ def _node_rlp(node: _Node) -> bytes:
         return rlp_list((rlp_string(hp_encode(node.path, True)), rlp_string(node.value)))
     if isinstance(node, _Extension):
         return rlp_list((rlp_string(hp_encode(node.path, False)), _node_ref(node.child)))
-    parts = [b"\x80" if c is None else _node_ref(c) for c in node.children]
+    parts = [b"\x80" if c is None else c._ref or _node_ref(c) for c in node.children]
     parts.append(b"\x80" if node.value is None else rlp_string(node.value))
     return rlp_list(parts)
 
@@ -119,155 +129,164 @@ def _node_ref(node: _Node) -> bytes:
     ref = node._ref
     if ref is None:
         rlp = _node_rlp(node)
-        ref = node._ref = rlp if len(rlp) < 32 else b"\xa0" + keccak(rlp)
+        ref = node._ref = (
+            rlp if len(rlp) < 32 else b"\xa0" + hashlib.sha3_256(rlp).digest()
+        )
     return ref
 
 
-def _get(node: Optional[_Node], path: Nibbles) -> Optional[bytes]:
+def _get(node: Optional[_Node], path: bytes) -> Optional[bytes]:
+    depth = 0
     while node is not None:
-        if isinstance(node, _Leaf):
-            return node.value if node.path == path else None
-        if isinstance(node, _Extension):
-            k = len(node.path)
-            if path[:k] != node.path:
+        if isinstance(node, _Branch):
+            if depth == len(path):
+                return node.value
+            node = node.children[path[depth]]
+            depth += 1
+        elif isinstance(node, _Leaf):
+            return node.value if path[depth:] == node.path else None
+        else:
+            if not path.startswith(node.path, depth):
                 return None
-            path = path[k:]
+            depth += len(node.path)
             node = node.child
-            continue
-        # branch
-        if not path:
-            return node.value
-        child = node.children[path[0]]
-        path = path[1:]
-        node = child
     return None
 
 
-def _insert(node: Optional[_Node], path: Nibbles, value: bytes) -> _Node:
-    if node is None:
-        return _Leaf(path, value)
-    if isinstance(node, _Leaf):
-        if node.path == path:
-            return _Leaf(path, value)
-        common = _common_prefix_len(node.path, path)
-        old_rest = node.path[common:]
-        new_rest = path[common:]
-        children = list(_EMPTY_CHILDREN)
-        branch_value: Optional[bytes] = None
-        if old_rest:
-            children[old_rest[0]] = _Leaf(old_rest[1:], node.value)
-        else:
-            branch_value = node.value
-        if new_rest:
-            children[new_rest[0]] = _Leaf(new_rest[1:], value)
-        else:
-            branch_value = value
-        branch = _Branch(tuple(children), branch_value)
-        if common:
-            return _Extension(path[:common], branch)
-        return branch
-    if isinstance(node, _Extension):
-        common = _common_prefix_len(node.path, path)
-        if common == len(node.path):
-            child = _insert(node.child, path[common:], value)
-            return _Extension(node.path, child)
-        # split the extension
-        ext_rest = node.path[common:]
-        new_rest = path[common:]
-        children = list(_EMPTY_CHILDREN)
-        branch_value = None
-        sub = (
-            node.child
-            if len(ext_rest) == 1
-            else _Extension(ext_rest[1:], node.child)
-        )
-        children[ext_rest[0]] = sub
-        if new_rest:
-            children[new_rest[0]] = _Leaf(new_rest[1:], value)
-        else:
-            branch_value = value
-        branch = _Branch(tuple(children), branch_value)
-        if common:
-            return _Extension(path[:common], branch)
-        return branch
-    # branch
-    if not path:
-        return _Branch(node.children, value)
-    idx = path[0]
-    child = _insert(node.children[idx], path[1:], value)
-    children = list(node.children)
-    children[idx] = child
-    return _Branch(tuple(children), node.value)
+def _build(items: Sequence[_Item], lo: int, hi: int, depth: int) -> _Node:
+    """Bottom-up construction of the subtree that holds ``items[lo:hi]``: a
+    non-empty sorted run of distinct paths that agree on their first
+    ``depth`` nibbles, none of them a delete.  Each node is built once."""
+    first, payload = items[lo]
+    if hi - lo == 1:
+        rest = first[depth:]
+        if isinstance(payload, bytes):
+            return _Leaf(rest, payload)
+        # an existing subtree, ``rest`` further down than it was: a leaf or
+        # an extension absorbs the nibbles, a branch gets an extension
+        if not rest:
+            return payload
+        if isinstance(payload, _Leaf):
+            return _Leaf(rest + payload.path, payload.value)
+        if isinstance(payload, _Extension):
+            return _Extension(rest + payload.path, payload.child)
+        return _Extension(rest, payload)
+    # sorted: what the two ends share, everything between them shares
+    last = items[hi - 1][0]
+    split = depth
+    while split < len(first) and first[split] == last[split]:
+        split += 1
+    if split > depth:
+        return _Extension(first[depth:split], _build(items, lo, hi, split))
+    children: List[Optional[_Node]] = [None] * 16
+    value: Optional[bytes] = None
+    if len(first) == depth:  # the path that ends here sorts first
+        assert isinstance(payload, bytes)
+        value = payload
+        lo += 1
+    while lo < hi:
+        nibble = items[lo][0][depth]
+        end = lo + 1
+        while end < hi and items[end][0][depth] == nibble:
+            end += 1
+        children[nibble] = _build(items, lo, end, depth + 1)
+        lo = end
+    return _Branch(tuple(children), value)
 
 
-def _normalize_branch(node: _Branch) -> Optional[_Node]:
-    """Collapse a branch left with <2 meaningful entries after a delete."""
-    live = [(i, c) for i, c in enumerate(node.children) if c is not None]
-    if node.value is not None:
-        if live:
+def _update(
+    node: Optional[_Node], items: Sequence[_Entry], lo: int, hi: int, depth: int
+) -> Optional[_Node]:
+    """``node`` with ``items[lo:hi]`` applied, in one descent.
+
+    The run is sorted, its paths distinct and equal over their first
+    ``depth`` nibbles (the way down to ``node``), ``lo < hi``.  A branch
+    hands each slot its stretch of the run and is rebuilt once if any slot
+    changed; whatever else the run meets — nothing, a leaf, an extension, a
+    branch that deletes left with fewer than two entries — joins the run as
+    one more item and :func:`_build` places the merged run.  ``node`` itself
+    comes back when nothing under it changed (deletes of absent keys,
+    rewrites of an equal value).
+    """
+    first = items[lo][0]
+    run: List[_Item]
+    if isinstance(node, _Branch):
+        value = node.value
+        if len(first) == depth:
+            value = items[lo][1] or None
+            lo += 1
+        shrunk = value is None and node.value is not None
+        children: Optional[List[Optional[_Node]]] = None
+        while lo < hi:
+            nibble = items[lo][0][depth]
+            end = lo + 1
+            while end < hi and items[end][0][depth] == nibble:
+                end += 1
+            old = node.children[nibble]
+            new = _update(old, items, lo, end, depth + 1)
+            if new is not old:
+                if children is None:
+                    children = list(node.children)
+                children[nibble] = new
+                shrunk = shrunk or new is None
+            lo = end
+        if children is None and value == node.value:
             return node
-        return _Leaf((), node.value)
-    if len(live) > 1:
-        return node
-    if not live:
-        return None
-    idx, child = live[0]
-    # merge the branch slot nibble into the surviving child
-    if isinstance(child, _Leaf):
-        return _Leaf((idx,) + child.path, child.value)
-    if isinstance(child, _Extension):
-        return _Extension((idx,) + child.path, child.child)
-    return _Extension((idx,), child)
-
-
-def _delete(node: Optional[_Node], path: Nibbles) -> Optional[_Node]:
-    if node is None:
-        return None
-    if isinstance(node, _Leaf):
-        return None if node.path == path else node
-    if isinstance(node, _Extension):
-        k = len(node.path)
-        if path[:k] != node.path:
+        if not shrunk:
+            return _Branch(tuple(children or node.children), value)
+        # a delete emptied a slot and a branch needs two entries: what is
+        # left is placed anew (one survivor merges into what is below it)
+        run = [] if value is None else [(first[:depth], value)]
+        for nibble, child in enumerate(children or node.children):
+            if child is not None:
+                run.append((first[:depth] + bytes((nibble,)), child))
+    elif node is None:
+        run = [item for item in items[lo:hi] if item[1]]
+    elif isinstance(node, _Leaf):
+        if hi - lo == 1 and first[depth:] == node.path:
+            value = items[lo][1]  # the common case: one overwrite, or one delete
+            if value == node.value:
+                return node
+            return _Leaf(node.path, value) if value else None
+        own = first[:depth] + node.path
+        merged = {own: node.value}
+        merged.update(items[lo:hi])
+        run = sorted(item for item in merged.items() if item[1])
+        if run == [(own, node.value)]:
             return node
-        child = _delete(node.child, path[k:])
-        if child is node.child:
+    else:
+        # the items below the whole of the extension's path are one stretch
+        # of the sorted run and go down to its child ...
+        own = first[:depth] + node.path
+        start = lo
+        while start < hi and not items[start][0].startswith(own):
+            start += 1
+        end = start
+        while end < hi and items[end][0].startswith(own):
+            end += 1
+        below: Optional[_Node] = node.child
+        if start < end:
+            below = _update(below, items, start, end, len(own))
+        # ... the others leave it part-way: deletes among them name absent keys
+        run = [item for item in (*items[lo:start], *items[end:hi]) if item[1]]
+        if below is node.child and not run:
             return node
-        if child is None:
-            return None
-        if isinstance(child, _Leaf):
-            return _Leaf(node.path + child.path, child.value)
-        if isinstance(child, _Extension):
-            return _Extension(node.path + child.path, child.child)
-        return _Extension(node.path, child)
-    # branch
-    if not path:
-        if node.value is None:
-            return node
-        return _normalize_branch(_Branch(node.children, None))
-    idx = path[0]
-    old_child = node.children[idx]
-    child = _delete(old_child, path[1:])
-    if child is old_child:
-        return node
-    children = list(node.children)
-    children[idx] = child
-    return _normalize_branch(_Branch(tuple(children), node.value))
+        if below is not None:
+            run.append((own, below))
+            run.sort()
+    return _build(run, 0, len(run), depth) if run else None
 
 
-def _iter_items(node: Optional[_Node], prefix: Nibbles) -> Iterator[tuple[Nibbles, bytes]]:
-    if node is None:
-        return
-    if isinstance(node, _Leaf):
+def _iter_items(node: Optional[_Node], prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
+    if isinstance(node, _Branch):
+        if node.value is not None:
+            yield prefix, node.value
+        for nibble, child in enumerate(node.children):
+            yield from _iter_items(child, prefix + bytes((nibble,)))
+    elif isinstance(node, _Leaf):
         yield prefix + node.path, node.value
-        return
-    if isinstance(node, _Extension):
+    elif node is not None:
         yield from _iter_items(node.child, prefix + node.path)
-        return
-    if node.value is not None:
-        yield prefix, node.value
-    for i, child in enumerate(node.children):
-        if child is not None:
-            yield from _iter_items(child, prefix + (i,))
 
 
 class MPT:
@@ -286,16 +305,26 @@ class MPT:
     def get(self, key: bytes) -> Optional[bytes]:
         return _get(self._root, bytes_to_nibbles(key))
 
+    def update_many(self, items: Iterable[Tuple[bytes, bytes]]) -> "MPT":
+        """Apply a batch of ``(key, value)`` updates: the one mutation.
+
+        ``b""`` values delete; of several pairs for one key the last wins.
+        One sort, one descent, each node on the way to a changed entry
+        rebuilt once (:func:`_update`).  Returns ``self`` when nothing
+        changed — an empty batch, deletes of absent keys, equal values.
+        """
+        batch = dict(items)
+        if not batch:
+            return self
+        run = sorted((bytes_to_nibbles(key), value) for key, value in batch.items())
+        root = _update(self._root, run, 0, len(run), 0)
+        return self if root is self._root else MPT(root)
+
     def set(self, key: bytes, value: bytes) -> "MPT":
-        if value == b"":
-            return self.delete(key)
-        return MPT(_insert(self._root, bytes_to_nibbles(key), value))
+        return self.update_many(((key, value),))
 
     def delete(self, key: bytes) -> "MPT":
-        new_root = _delete(self._root, bytes_to_nibbles(key))
-        if new_root is self._root:
-            return self
-        return MPT(new_root)
+        return self.update_many(((key, b""),))
 
     def root_hash(self) -> Hash32:
         if self._root is None:
@@ -310,11 +339,11 @@ class MPT:
         Only keys with an even nibble count (i.e. whole bytes) are
         representable; all keys inserted through :meth:`set` qualify.
         """
-        for nibbles, value in _iter_items(self._root, ()):
+        for nibbles, value in _iter_items(self._root, b""):
             yield nibbles_to_bytes(nibbles), value
 
     def __len__(self) -> int:
-        return sum(1 for _ in _iter_items(self._root, ()))
+        return sum(1 for _ in _iter_items(self._root, b""))
 
     def is_empty(self) -> bool:
         return self._root is None
@@ -342,30 +371,21 @@ class SecureMPT:
     def get(self, key: bytes) -> Optional[bytes]:
         return self._trie.get(keccak_cached(key))
 
+    def update_many(self, items: Iterable[Tuple[bytes, bytes]]) -> "SecureMPT":
+        """:meth:`MPT.update_many` over the hashed keys: the batch shares one
+        sorted descent, ``b""`` values delete (Ethereum zero-storage
+        semantics), and ``self`` comes back when nothing changed, so
+        snapshots that share a trie keep sharing it."""
+        trie = self._trie.update_many(
+            (keccak_cached(key), value) for key, value in items
+        )
+        return self if trie is self._trie else SecureMPT(trie)
+
     def set(self, key: bytes, value: bytes) -> "SecureMPT":
-        return SecureMPT(self._trie.set(keccak_cached(key), value))
+        return self.update_many(((key, value),))
 
     def delete(self, key: bytes) -> "SecureMPT":
-        return SecureMPT(self._trie.delete(keccak_cached(key)))
-
-    def update_many(self, items: Iterable[Tuple[bytes, bytes]]) -> "SecureMPT":
-        """Apply a batch of ``(key, value)`` updates in one pass.
-
-        ``b""`` values delete (Ethereum zero-storage semantics), matching
-        :meth:`set`.  Returns ``self`` unchanged when every update is a
-        no-op, preserving structural sharing for snapshot identity checks.
-        The batch amortises the per-call ``SecureMPT`` wrapper allocation
-        that ``StateDB.commit()`` previously paid per storage slot.
-        """
-        trie = self._trie
-        for key, value in items:
-            if value == b"":
-                trie = trie.delete(keccak_cached(key))
-            else:
-                trie = trie.set(keccak_cached(key), value)
-        if trie is self._trie:
-            return self
-        return SecureMPT(trie)
+        return self.update_many(((key, b""),))
 
     def root_hash(self) -> Hash32:
         return self._trie.root_hash()

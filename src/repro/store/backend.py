@@ -34,8 +34,14 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol
 from repro.chain.block import Block
 from repro.obs.events import NULL_EMITTER, EventEmitter
 from repro.state.statedb import StateSnapshot
-from repro.store.blocklog import RECORD_HEADER, BlockLog
-from repro.store.codec import encode_block, encode_header, verify_roundtrip
+from repro.store.blocklog import RECORD_HEADER, BlockLog, decode_record, write_log
+from repro.store.codec import (
+    decode_block,
+    encode_block,
+    encode_header,
+    peek_block_number,
+    verify_roundtrip,
+)
 from repro.store.errors import StoreError
 from repro.store.manifest import Manifest, SnapshotRef
 from repro.store.snapshots import write_snapshot
@@ -293,10 +299,17 @@ class DiskStore:
         """
         assert self.log is not None
         old_path = self.log.path
-        survivors = [b for _, b in self.log.scan() if b.number > horizon]
+        # Every record is checksum-verified; one above the horizon is carried
+        # forward byte for byte, once it has been seen to decode still.
+        survivors = []
+        for offset, payload in self.log.scan_records():
+            if decode_record(payload, offset, peek_block_number) > horizon:
+                decode_record(payload, offset, decode_block)
+                survivors.append(payload)
         new_name = f"blocks_{horizon:08d}.log"
         new_path = os.path.join(self.data_dir, new_name)
-        new_log = BlockLog.write_new(new_path, survivors, fsync=self.fsync)
+        write_log(new_path, survivors, fsync=self.fsync)
+        new_log = BlockLog(new_path, fsync=self.fsync)
         if self.crash is not None:
             # new generation durable, manifest still naming the old one —
             # a retry after this crash must clobber, not extend, new_path

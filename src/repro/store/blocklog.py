@@ -27,7 +27,7 @@ import os
 import struct
 import time
 import zlib
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.chain.block import Block
 from repro.store.codec import decode_block, encode_block
@@ -36,7 +36,9 @@ from repro.store.errors import BlockLogCorruptError, TornTailError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["BlockLog", "LOG_MAGIC", "RECORD_HEADER", "IO_US_EDGES"]
+__all__ = ["BlockLog", "LOG_MAGIC", "RECORD_HEADER", "IO_US_EDGES", "decode_record", "write_log"]
+
+_T = TypeVar("_T")
 
 LOG_MAGIC = b"RPBLKLG1"
 RECORD_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
@@ -57,6 +59,41 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _record(payload: bytes) -> bytes:
+    return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def write_log(path: str, payloads: Iterable[bytes], *, fsync: bool = True) -> None:
+    """Make ``path`` a log holding exactly ``payloads`` (one ``encode_block``
+    result per record), atomically: the records are fully written (and
+    fsynced) to a temp file which is then renamed over ``path``, so a crash
+    leaves the old file or the new one, and any remnant there from a crashed
+    earlier attempt (e.g. a torn, half-written compaction generation) is
+    discarded rather than appended to."""
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "wb") as fh:
+        fh.write(LOG_MAGIC)
+        for payload in payloads:
+            fh.write(_record(payload))
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+    os.replace(tmp_path, path)
+    if fsync:
+        _fsync_dir(os.path.dirname(path) or ".")
+
+
+def decode_record(payload: bytes, offset: int, decode: Callable[[bytes], _T]) -> _T:
+    """``decode(payload)`` for the record at ``offset``: a payload that
+    passed its checksum and still does not decode is corruption."""
+    try:
+        return decode(payload)
+    except ValueError as exc:
+        raise BlockLogCorruptError(
+            f"record does not decode: {exc}", offset=offset
+        ) from exc
 
 
 class BlockLog:
@@ -85,33 +122,6 @@ class BlockLog:
         else:
             self._check_magic()
         self._fh.seek(0, os.SEEK_END)
-
-    @classmethod
-    def write_new(
-        cls, path: str, blocks: List[Block], *, fsync: bool = True
-    ) -> "BlockLog":
-        """Create a log at ``path`` holding exactly ``blocks``, atomically.
-
-        The records are fully written (and fsynced) to a temp file which
-        is then renamed over ``path`` — any remnant there from a crashed
-        earlier attempt (e.g. a torn, half-written compaction generation)
-        is discarded rather than appended to.  Returns the opened log.
-        """
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "wb") as fh:
-            fh.write(LOG_MAGIC)
-            for block in blocks:
-                payload = encode_block(block)
-                fh.write(
-                    RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-        if fsync:
-            _fsync_dir(os.path.dirname(path) or ".")
-        return cls(path, fsync=fsync)
 
     def _check_magic(self) -> None:
         assert self._fh is not None
@@ -153,7 +163,7 @@ class BlockLog:
         assert self._fh is not None
         metrics = self.metrics
         started = time.perf_counter() if metrics is not None else 0.0
-        record = RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        record = _record(payload)
         offset = self._fh.seek(0, os.SEEK_END)
         if tear_after is not None:
             record = record[: max(0, min(tear_after, len(record) - 1))]
@@ -199,8 +209,9 @@ class BlockLog:
     # reads
     # ------------------------------------------------------------------ #
 
-    def scan(self, *, start: int = 0) -> Iterator[Tuple[int, Block]]:
-        """Yield ``(offset, block)`` for every intact record.
+    def scan_records(self, *, start: int = 0) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(offset, payload)`` for every intact record: framed whole
+        and checksum-verified, not decoded.
 
         Raises :class:`TornTailError` when the final record is incomplete
         or checksum-broken (carries the offset to truncate back to), and
@@ -244,13 +255,14 @@ class BlockLog:
                 raise BlockLogCorruptError(
                     "record fails checksum", offset=record_start
                 )
-            try:
-                block = decode_block(payload)
-            except ValueError as exc:
-                raise BlockLogCorruptError(
-                    f"record does not decode: {exc}", offset=record_start
-                ) from exc
-            yield record_start, block
+            yield record_start, payload
+
+    def scan(self, *, start: int = 0) -> Iterator[Tuple[int, Block]]:
+        """Yield ``(offset, block)`` for every intact record: decoding over
+        :meth:`scan_records`, whose errors it shares; a verified payload
+        that does not decode raises :class:`BlockLogCorruptError` too."""
+        for offset, payload in self.scan_records(start=start):
+            yield offset, decode_record(payload, offset, decode_block)
 
     def read_all(self) -> List[Block]:
         """Every intact block in append order (strict: any tail damage raises)."""
@@ -261,28 +273,12 @@ class BlockLog:
     # ------------------------------------------------------------------ #
 
     def rewrite(self, blocks: List[Block]) -> int:
-        """Atomically replace the log's contents with ``blocks``.
-
-        Used by compaction: the surviving tail is written to a temp file,
-        fsynced, and renamed over the live log, so a crash leaves either
-        the old log or the new one — never a half-compacted hybrid.
+        """Atomically replace the log's contents with ``blocks`` (a crash
+        leaves either the old log or the new one — never a hybrid).
         Returns the new file size.
         """
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as fh:
-            fh.write(LOG_MAGIC)
-            for block in blocks:
-                payload = encode_block(block)
-                fh.write(
-                    RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+        write_log(self.path, map(encode_block, blocks), fsync=self.fsync)
         if self._fh is not None:
             self._fh.close()
-        os.replace(tmp_path, self.path)
-        if self.fsync:
-            _fsync_dir(os.path.dirname(self.path) or ".")
         self._fh = open(self.path, "a+b")
         return self._fh.seek(0, os.SEEK_END)

@@ -28,7 +28,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader, Receipt
 from repro.common.hashing import Hash32
-from repro.common.rlp import rlp_decode, rlp_encode, rlp_list
+from repro.common.rlp import rlp_decode, rlp_decode_first, rlp_encode, rlp_list
 from repro.common.types import Address
 from repro.evm.interpreter import Log
 from repro.txpool.transaction import Transaction
@@ -42,6 +42,7 @@ __all__ = [
     "decode_receipt",
     "encode_block",
     "decode_block",
+    "peek_block_number",
     "chain_digest",
 ]
 
@@ -236,6 +237,14 @@ def decode_block(data: bytes) -> Block:
     )
 
 
+def peek_block_number(data: bytes) -> int:
+    """The height of the block ``data`` encodes, read from its header alone
+    (compaction wants one integer per record, not every transaction and
+    receipt).  Raises ``ValueError``, as :func:`decode_block` would, unless
+    ``data`` starts with a well-formed header."""
+    return header_from_items(_as_list(rlp_decode_first(data))).number
+
+
 def chain_digest(blocks: Sequence[Block], *, skip: int = 0) -> str:
     """SHA-256 over the canonical encodings of ``blocks[skip:]``.
 
@@ -258,23 +267,25 @@ def verify_roundtrip(block: Block, payload: bytes) -> Optional[str]:
 
     :meth:`DiskStore.on_block` runs this before every append (disable
     with ``DiskStore(verify_writes=False)``) and refuses to persist a
-    block that fails it.  Returns ``None`` when decoding reproduces
-    the header hash, every transaction hash and the receipt encodings;
-    otherwise a human-readable description of the first divergence.
+    block that fails it.  Returns ``None`` when the decoded header, every
+    transaction and every receipt equal the originals, otherwise a
+    human-readable description of the first divergence.  Equality is the
+    dataclasses' own: over exactly the fields that the header hash, the
+    transaction hash (so not ``tag``) and the receipt encoding cover,
+    compared as held instead of re-hashed and re-encoded.
     Cheap insurance that a block with an unserialisable quirk fails
     loudly at *append* time, not at recovery time.
     """
     decoded = decode_block(payload)
-    if decoded.header.hash != block.header.hash:
+    if decoded.header != block.header:
         return "header hash changed across encode/decode"
-    if len(decoded.transactions) != len(block.transactions):
-        return "transaction count changed across encode/decode"
-    for index, (a, b) in enumerate(zip(block.transactions, decoded.transactions)):
-        if a.hash != b.hash:
-            return f"transaction {index} hash changed across encode/decode"
-    if len(decoded.receipts) != len(block.receipts):
-        return "receipt count changed across encode/decode"
-    for index, (ra, rb) in enumerate(zip(block.receipts, decoded.receipts)):
-        if ra.encode() != rb.encode():
-            return f"receipt {index} encoding changed across encode/decode"
+    for name, witness, ours, theirs in (
+        ("transaction", "hash", block.transactions, decoded.transactions),
+        ("receipt", "encoding", block.receipts, decoded.receipts),
+    ):
+        if len(ours) != len(theirs):
+            return f"{name} count changed across encode/decode"
+        for index, (a, b) in enumerate(zip(ours, theirs)):
+            if a != b:
+                return f"{name} {index} {witness} changed across encode/decode"
     return None

@@ -19,6 +19,7 @@ insufficiency, double claims), which is realistic and exercised.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -128,16 +129,19 @@ class BlockWorkloadGenerator:
             )
         self._config = value
         self._kind_weights = kind_weights
-        # precomputed Zipf-like weights over EOAs for receiver popularity
+        # Zipf-like weights over EOAs for receiver popularity, accumulated
+        # once here: ``random.choices(weights=)`` would on every draw
         skew = value.receiver_skew
-        self._receiver_weights = [
-            1.0 / (rank + 1) ** skew for rank in range(len(universe.eoas))
-        ]
+        self._receiver_cum_weights = list(
+            itertools.accumulate(1.0 / (rank + 1) ** skew for rank in range(len(universe.eoas)))
+        )
 
     # ------------------------------------------------------------------ #
 
     def _pick_receiver(self) -> Address:
-        return self.rng.choices(self.universe.eoas, self._receiver_weights)[0]
+        return self.rng.choices(
+            self.universe.eoas, cum_weights=self._receiver_cum_weights
+        )[0]
 
     def _pick_hot_or_uniform(self, instances: Sequence) -> object:
         """The family hotspot with probability ``hotspot_intensity``.

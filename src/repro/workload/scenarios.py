@@ -281,7 +281,7 @@ class CounterTokenStream(ScenarioStream):
             is_payment = rng.random() < self.payment_fraction
             sender = rng.choice(uni.eoas)
             token = self.tokens[rng.randrange(len(self.tokens))]
-            to = rng.choices(uni.eoas, self.generator._receiver_weights)[0]
+            to = self.generator._pick_receiver()
             amount = rng.randint(1, 10**6)
             gas_price = rng.randint(cfg.gas_price_min, cfg.gas_price_max)
             nonce = uni.next_nonce(sender)

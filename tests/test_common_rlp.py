@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.rlp import RLPDecodeError, rlp_decode, rlp_encode, rlp_list, rlp_string
+from repro.common.rlp import (
+    RLPDecodeError,
+    rlp_decode,
+    rlp_decode_first,
+    rlp_encode,
+    rlp_list,
+    rlp_string,
+)
 from repro.common.types import Address, Hash32
 
 
@@ -242,6 +249,43 @@ class TestStrictDecoding:
     def test_empty_input_rejected(self):
         with pytest.raises(RLPDecodeError):
             rlp_decode(b"")
+
+
+class TestDecodeFirst:
+    """``rlp_decode_first`` peeks at the head of a list in bytes that are
+    otherwise unchecked: a value or ``RLPDecodeError``, whatever it is fed."""
+
+    @given(st.lists(nested_items, min_size=1, max_size=5), st.binary(max_size=20))
+    def test_first_item_of_a_list_whatever_follows_it(self, items, damage):
+        encoded = rlp_encode(items)
+        assert rlp_decode_first(encoded) == rlp_decode(encoded)[0] == items[0]
+        # the tail is not looked at: cut it short or overwrite it
+        head = len(encoded) - len(b"".join(rlp_encode(item) for item in items[1:]))
+        assert rlp_decode_first(encoded[:head] + damage) == items[0]
+
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes_give_a_value_or_the_typed_error(self, data):
+        try:
+            rlp_decode_first(data)
+        except RLPDecodeError:
+            pass
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x05",  # a single byte, not a list
+            b"\x83dog",  # a string
+            b"\xc0",  # a list with nothing in it
+            b"\xf8",  # a long list cut off inside its length field
+            b"\xc4\x83do",  # the first item runs past the end
+            b"\xc3\xb8\x01\x00",  # the first item is non-canonical
+            rlp_encode([[b"a" * 60, b"b"], b"c"])[:30],  # cut off inside a nested first item
+        ],
+    )
+    def test_malformed_heads_are_rejected(self, data):
+        with pytest.raises(RLPDecodeError):
+            rlp_decode_first(data)
 
 
 class TestHeaderRoundTripProperty:

@@ -480,6 +480,222 @@ class TestAgainstIndependentReference:
         assert isinstance(extension[1], list)  # the branch is embedded, not hashed
 
 
+#: ``(key, value)`` batches over the same short keys; ``b""`` deletes, and a
+#: key may come up several times
+_batches = st.lists(st.tuples(_short_keys, st.one_of(st.just(b""), _values)), max_size=30)
+
+
+def _fold(trie, batch):
+    for key, value in batch:
+        trie = trie.set(key, value)
+    return trie
+
+
+def _after(model, batch):
+    model = dict(model)
+    for key, value in batch:
+        if value:
+            model[key] = value
+        else:
+            model.pop(key, None)
+    return model
+
+
+class TestBatchEqualsFold:
+    """``update_many(batch)`` is the one mutation; ``set``/``delete`` are its
+    one-item case.  A batch must leave the trie a left fold of its pairs
+    leaves — over keys that end inside each other (branch values), split
+    extensions and collapse branches when deleted — and both must agree with
+    the from-scratch calculator above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_op_sequences, _batches, st.booleans())
+    def test_mpt(self, ops, batch, hashed_first):
+        base, model = _apply(MPT(), ops)
+        if hashed_first:
+            base.root_hash()  # the batch then meets cached references
+        batched = base.update_many(batch)
+        folded = _fold(base, batch)
+        expected = _after(model, batch)
+        root = batched.root_hash()
+        assert root == folded.root_hash() == reference_root(expected)
+        assert list(batched.items()) == list(folded.items()) == sorted(expected.items())
+        assert len(batched) == len(expected)
+        for key in set(expected).union(key for key, _ in batch):
+            assert batched.get(key) == expected.get(key)
+            assert verify_proof(root, key, prove(batched, key)) == expected.get(key)
+        # the receiver is untouched, whatever it shares with the result
+        assert base.root_hash() == reference_root(model)
+        assert list(base.items()) == sorted(model.items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(_op_sequences, _batches)
+    def test_secure(self, ops, batch):
+        base, model = _apply(SecureMPT(), ops)
+        batched = base.update_many(batch)
+        expected = _after(model, batch)
+        root = batched.root_hash()
+        assert root == _fold(base, batch).root_hash()
+        assert root == reference_root({keccak(k): v for k, v in expected.items()})
+        for key, _ in batch:
+            assert verify_secure(root, key, prove_secure(batched, key)) == expected.get(key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_op_sequences, st.lists(_short_keys, max_size=10))
+    def test_a_batch_that_changes_nothing_returns_the_receiver(self, ops, absent):
+        base, model = _apply(MPT(), ops)
+        assert base.update_many([]) is base
+        assert base.update_many(iter(())) is base
+        deletes = [(key, b"") for key in absent if key not in model]
+        assert base.update_many(deletes) is base
+        # so does rewriting what is there, and an insert a later pair undoes
+        assert base.update_many(list(model.items())) is base
+        undone = [(key, b"x") for key, _ in deletes] + deletes
+        assert base.update_many(undone) is base
+        secure = SecureMPT().update_many(model.items())
+        assert secure.update_many(deletes) is secure
+        assert secure.update_many([]) is secure
+
+    def test_the_last_pair_for_a_key_wins(self):
+        base = MPT().set(b"\x01\x01", b"old")
+        batch = [(b"\x01\x01", b"a"), (b"\x01\x00", b"b"), (b"\x01\x01", b""), (b"\x01\x00", b"c")]
+        assert dict(base.update_many(batch).items()) == {b"\x01\x00": b"c"}
+        assert dict(base.update_many(batch[:3]).items()) == {b"\x01\x00": b"b"}
+
+    @pytest.mark.parametrize(
+        "before,batch",
+        [
+            # a two-leaf branch loses one: what is left is a single leaf
+            ({b"\x01\x00": b"a", b"\x01\x10": b"b"}, [(b"\x01\x10", b"")]),
+            # a branch with a value loses its only child: a leaf for the value
+            ({b"\x01": b"a", b"\x01\x10": b"b"}, [(b"\x01\x10", b"")]),
+            # ... or loses the value: the child absorbs the branch's nibble
+            ({b"\x01": b"a", b"\x01\x10": b"b"}, [(b"\x01", b"")]),
+            # the surviving child is a branch: an extension appears above it
+            (
+                {b"\x00": b"a", b"\x10\x00": b"b", b"\x10\x10": b"c"},
+                [(b"\x00", b"")],
+            ),
+            # the surviving child is an extension: the two paths merge
+            (
+                {b"\x00": b"a", b"\x11\x10\x00": b"b", b"\x11\x10\x01": b"c"},
+                [(b"\x00", b"")],
+            ),
+            # a collapse below an extension, and an insert that splits it, at once
+            (
+                {b"\x11\x10\x00": b"b", b"\x11\x10\x01": b"c"},
+                [(b"\x11\x10\x01", b""), (b"\x10", b"d")],
+            ),
+            # everything under an extension goes while a new key leaves its path
+            (
+                {b"\x11\x10\x00": b"b", b"\x11\x10\x01": b"c"},
+                [(b"\x11\x10\x01", b""), (b"\x11\x10\x00", b""), (b"\x11\x00", b"d")],
+            ),
+            # deletes of absent keys beside a real insert under one extension
+            (
+                {b"\x11\x10\x00": b"b", b"\x11\x10\x01": b"c"},
+                [(b"\x10", b""), (b"\x11\x11", b""), (b"\x11\x10\x11", b"d")],
+            ),
+            # the whole trie goes
+            ({b"\x01": b"a", b"\x11": b"b", b"": b"r"}, [(b"\x01", b""), (b"", b""), (b"\x11", b"")]),
+        ],
+    )
+    def test_collapses(self, before, batch):
+        base = MPT().update_many(before.items())
+        assert base.root_hash() == reference_root(before)
+        expected = _after(before, batch)
+        batched = base.update_many(batch)
+        assert batched.root_hash() == _fold(base, batch).root_hash() == reference_root(expected)
+        assert dict(batched.items()) == expected
+        assert batched.is_empty() == (not expected)
+
+
+def _nodes(node):
+    """Every node under (and including) ``node``."""
+    from repro.state.trie import _Branch, _Extension
+
+    if node is None:
+        return
+    yield node
+    if isinstance(node, _Extension):
+        yield from _nodes(node.child)
+    elif isinstance(node, _Branch):
+        for child in node.children:
+            yield from _nodes(child)
+
+
+class TestBatchBudget:
+    """What one batch may cost, counted in objects and calls instead of timed."""
+
+    @pytest.fixture()
+    def constructed(self, monkeypatch):
+        """Every trie node constructed while the test runs, in order."""
+        from repro.state.trie import _Branch, _Extension, _Leaf
+
+        built = []
+        for cls in (_Leaf, _Extension, _Branch):
+
+            def counting(self, *args, _init=cls.__init__):
+                built.append(self)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    def test_a_batch_constructs_only_the_nodes_it_leaves_dirty(self, constructed):
+        """300 keys (half new, half overwrites) into a 1 542-key trie: each
+        node on the way to a changed entry is rebuilt once, however many of
+        the batch's keys pass through it, and nothing is built and dropped."""
+        rng = random.Random(19)
+        keys = [bytes(keccak(rng.randbytes(20))) for _ in range(1542)]
+        base = MPT().update_many((key, rng.randbytes(70)) for key in keys)
+        assert len(constructed) == sum(1 for _ in _nodes(base._root))
+        base.root_hash()  # every node of the base now holds its reference
+        batch = [
+            (keys[i] if i % 2 else bytes(keccak(rng.randbytes(20))), rng.randbytes(70))
+            for i in range(300)
+        ]
+        del constructed[:]
+        updated = base.update_many(batch)
+        dirty = [node for node in _nodes(updated._root) if node._ref is None]
+        assert len(constructed) == len(dirty)
+        assert {id(node) for node in constructed} == {id(node) for node in dirty}
+        # the same pairs one at a time copy the path from the root per key
+        del constructed[:]
+        assert _fold(base, batch).root_hash() == updated.root_hash()
+        assert len(constructed) > 2 * len(dirty)
+
+    def test_a_transfer_only_commit_is_one_account_trie_batch(self, monkeypatch):
+        from repro.common.types import Address
+        from repro.state.account import AccountData
+        from repro.state.statedb import StateDB, genesis_snapshot
+
+        alloc = {Address(bytes([i + 1]) * 20): AccountData(balance=10**9) for i in range(40)}
+        genesis = genesis_snapshot(alloc)
+        batches = []
+        real = MPT.update_many
+
+        def counting(self, items):
+            batches.append(list(items))
+            return real(self, batches[-1])
+
+        monkeypatch.setattr(MPT, "update_many", counting)
+        db = StateDB(genesis)
+        senders = list(alloc)[:25]
+        receivers = list(alloc)[20:] + [Address(b"\xee" * 20)]  # one fresh account
+        for sender, receiver in zip(senders, receivers):
+            db.sub_balance(sender, 1000)
+            db.add_balance(receiver, 1000)
+            db.increment_nonce(sender)
+        db.add_balance(Address(b"\xdd" * 20), 0)  # touched and empty: an EIP-158 delete
+        committed = db.commit()
+        touched = set(senders) | set(receivers) | {Address(b"\xdd" * 20)}
+        assert [len(batch) for batch in batches] == [len(touched)]
+        assert sum(1 for _, value in batches[0] if not value) == 1
+        monkeypatch.undo()
+        assert committed.state_root() == genesis_snapshot(dict(committed.accounts)).state_root()
+
+
 class TestPinnedRoots:
     """Literal roots and head hashes computed at the parent of the commit that
     introduced cached node references (04fb2d2): byte identity of the state

@@ -7,6 +7,7 @@ import pytest
 from repro.chain.blockchain import Blockchain
 from repro.obs.metrics import MetricsRegistry
 from repro.store import (
+    BlockLogCorruptError,
     DiskStore,
     Manifest,
     MemoryStore,
@@ -15,6 +16,7 @@ from repro.store import (
     recover,
 )
 from repro.store.blocklog import LOG_MAGIC
+from repro.store.codec import decode_block, encode_block
 
 pytestmark = pytest.mark.store
 
@@ -174,6 +176,111 @@ class TestCompaction:
             chain.add_block(block, post_state)
         assert [b.number for b in store.log.read_all()] == [1, 2, 3, 4]
         assert Manifest.load(str(tmp_path / "node")).log_file == "blocks.log"
+        store.close()
+
+
+class TestCompactionCopiesBytes:
+    """Compaction reads one integer per record and moves survivors as the
+    bytes they are; what it carries forward it has still seen decode."""
+
+    def _store_at_a_compaction_height(self, tmp_path, small_universe, pairs):
+        """Blocks 1-3 committed (horizon-2 compaction done), then block 5
+        as a fork sibling *before* block 4: block 4's snapshot compacts a
+        log that holds [3, 5, 4] and must keep the 5 alone."""
+        chain, store = _open_disk_chain(
+            tmp_path / "node", small_universe.genesis, snapshot_interval=2
+        )
+        for pair in pairs[:3]:
+            chain.add_block(*pair)
+        store.on_block(*pairs[4], head=False)
+        return store
+
+    def test_survivors_are_copied_verbatim_and_decoded_once_each(
+        self, tmp_path, small_universe, build_chain, monkeypatch
+    ):
+        import repro.store.backend as backend_mod
+        import repro.store.blocklog as blocklog_mod
+        import repro.store.codec as codec_mod
+
+        pairs = build_chain(5)
+        store = self._store_at_a_compaction_height(tmp_path, small_universe, pairs)
+        before = open(store.log.path, "rb").read()
+        offsets = [offset for offset, _ in store.log.scan_records()]
+        assert len(offsets) == 2  # block 3, then the sibling at height 5
+        sibling_record = before[offsets[1] :]
+
+        decoded = []
+
+        def counting(payload):
+            block = decode_block(payload)
+            decoded.append(block.number)
+            return block
+
+        for module in (backend_mod, blocklog_mod, codec_mod):
+            monkeypatch.setattr(module, "decode_block", counting)
+        monkeypatch.setattr(
+            backend_mod,
+            "encode_block",
+            lambda block: (decoded.append("encode"), encode_block(block))[1],
+        )
+        store.on_block(*pairs[3], head=True)
+        # the append-time round trip of block 4, then the one survivor;
+        # blocks 3 and 4 are dropped on their header alone, and nothing is
+        # re-encoded on the way into the new generation
+        assert decoded == ["encode", 4, 5]
+        assert store.manifest.log_file == "blocks_00000004.log"
+        assert open(store.log.path, "rb").read() == LOG_MAGIC + sibling_record
+        assert [b.hash for b in store.log.read_all()] == [pairs[4][0].hash]
+        store.close()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x00garbage that is no rlp at all",
+            b"\x83abc",  # a string, not a list
+            b"\xc0",  # a list with no header in it
+            b"\xc3\xc2\x01\x02",  # a two-field header
+            None,  # a real record cut off inside its header
+        ],
+        ids=["garbage", "non-list", "empty-list", "short-header", "truncated"],
+    )
+    def test_a_record_without_a_readable_header_is_corruption(
+        self, tmp_path, small_universe, build_chain, payload
+    ):
+        """The header peek runs on bytes that passed their checksum but may
+        be anything: a typed error carrying the record's offset, never an
+        ``IndexError`` or a bare ``RLPDecodeError``."""
+        pairs = build_chain(5)
+        store = self._store_at_a_compaction_height(tmp_path, small_universe, pairs)
+        if payload is None:
+            payload = encode_block(pairs[4][0])[:40]
+        offset = store.log.append_payload(payload)
+        with pytest.raises(BlockLogCorruptError) as excinfo:
+            store.on_block(*pairs[3], head=True)
+        assert excinfo.value.offset == offset
+        assert type(excinfo.value) is BlockLogCorruptError
+        store.close()
+
+    def test_a_survivor_that_no_longer_decodes_is_not_carried_forward(
+        self, tmp_path, small_universe, build_chain
+    ):
+        """A readable header above the horizon is not enough: the whole
+        record must decode before a new generation may hold it."""
+        pairs = build_chain(5)
+        store = self._store_at_a_compaction_height(tmp_path, small_universe, pairs)
+        good = encode_block(pairs[4][0])
+        # same header, transaction section replaced by a string: the peek
+        # reads height 5, ``decode_block`` refuses
+        from repro.common.rlp import rlp_list
+        from repro.store.codec import encode_header
+
+        bad = rlp_list((encode_header(pairs[4][0].header), b"\x83abc", b"\xc0"))
+        assert bad != good
+        offset = store.log.append_payload(bad)
+        with pytest.raises(BlockLogCorruptError) as excinfo:
+            store.on_block(*pairs[3], head=True)
+        assert excinfo.value.offset == offset
+        assert store.manifest.log_file == "blocks_00000002.log"  # not repointed
         store.close()
 
 

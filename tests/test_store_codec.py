@@ -1,5 +1,7 @@
 """Codec round trips: headers, transactions, receipts, blocks, digests."""
 
+import dataclasses
+
 import pytest
 
 from repro.chain.block import BlockHeader
@@ -150,6 +152,181 @@ class TestBlockCodec:
     def test_encode_is_deterministic(self, build_chain):
         block, _ = build_chain(1)[0]
         assert encode_block(block) == encode_block(block)
+
+
+def _altered(value):
+    """A different value of the same type and, for fixed-width types, length."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value + value[:1]
+    return type(value)(bytes([value[0] ^ 1]) + value[1:])
+
+
+def _dropped(value):
+    """What a decoder that forgot the field would leave: the type's zero."""
+    if isinstance(value, (Hash32, Address)):
+        return type(value)(bytes(len(value)))
+    return type(value)()
+
+
+_HEADER_FIELDS = [f.name for f in dataclasses.fields(BlockHeader)]
+_TX_FIELDS = [f.name for f in dataclasses.fields(Transaction) if f.compare]
+_RECEIPT_FIELDS = ["tx_hash", "success", "gas_used", "cumulative_gas", "log_count", "logs"]
+_LOG_FIELDS = ["address", "topics", "data"]
+
+
+class TestVerifyRoundtripCoversEveryField:
+    """``verify_roundtrip`` compares what it decoded with what it was given
+    by dataclass equality.  That has to reject whatever the header hash,
+    the transaction hashes and the receipt encodings rejected: a decoder
+    that loses or changes any one field they cover."""
+
+    @pytest.fixture()
+    def sealed(self):
+        """A block whose every field is non-zero — second transaction and
+        second receipt, the latter with a log with topics — and the index
+        of those two."""
+        from repro.chain.block import Block, Receipt
+        from repro.evm.interpreter import Log
+
+        txs = tuple(
+            Transaction(
+                sender=Address(bytes([n]) * 20),
+                to=Address(bytes([n + 1]) * 20),
+                value=n + 5,
+                data=b"\xa9\x05\x9c\xbb" + bytes([n]) * 8,
+                gas_limit=60_000 + n,
+                gas_price=7 + n,
+                nonce=n,
+                tag="payment",
+            )
+            for n in (1, 2)
+        )
+        receipts = tuple(
+            Receipt(
+                tx_hash=tx.hash,
+                success=True,
+                gas_used=21_000 + n,
+                cumulative_gas=21_000 * (n + 1),
+                log_count=1,
+                logs=(Log(address=tx.to, topics=(3, 2**255 + n), data=b"\x01" * 40),),
+            )
+            for n, tx in enumerate(txs)
+        )
+        header = _header(logs_bloom=b"\x01" * 256)
+        return Block(header, txs, receipts), 1, 1
+
+    def _verify_with(self, monkeypatch, block, mutate):
+        import repro.store.codec as codec_mod
+
+        payload = encode_block(block)
+        assert verify_roundtrip(block, payload) is None
+        monkeypatch.setattr(
+            codec_mod, "decode_block", lambda data: mutate(decode_block(data))
+        )
+        return verify_roundtrip(block, payload)
+
+    @pytest.mark.parametrize("change", [_altered, _dropped])
+    @pytest.mark.parametrize("field", _HEADER_FIELDS)
+    def test_header_field(self, sealed, monkeypatch, field, change):
+        block, _, _ = sealed
+
+        def mutate(decoded):
+            new = change(getattr(decoded.header, field))
+            assert new != getattr(block.header, field)
+            return dataclasses.replace(
+                decoded, header=dataclasses.replace(decoded.header, **{field: new})
+            )
+
+        assert "header hash" in self._verify_with(monkeypatch, block, mutate)
+
+    @pytest.mark.parametrize(
+        "field,change",
+        [
+            (field, change)
+            for field in _TX_FIELDS
+            for change in (_altered, _dropped)
+            # a zero gas limit is not a constructible transaction
+            if (field, change) != ("gas_limit", _dropped)
+        ],
+    )
+    def test_transaction_field(self, sealed, monkeypatch, field, change):
+        block, index, _ = sealed
+
+        def mutate(decoded):
+            txs = list(decoded.transactions)
+            new = change(getattr(txs[index], field))
+            assert new != getattr(block.transactions[index], field)
+            txs[index] = dataclasses.replace(txs[index], **{field: new})
+            return dataclasses.replace(decoded, transactions=tuple(txs))
+
+        message = self._verify_with(monkeypatch, block, mutate)
+        assert f"transaction {index} hash" in message
+
+    def test_a_decoder_that_loses_the_recipient_is_caught(self, sealed, monkeypatch):
+        block, index, _ = sealed
+
+        def mutate(decoded):
+            txs = list(decoded.transactions)
+            txs[index] = dataclasses.replace(txs[index], to=None)
+            return dataclasses.replace(decoded, transactions=tuple(txs))
+
+        assert "hash" in self._verify_with(monkeypatch, block, mutate)
+
+    def test_a_tag_only_difference_passes(self, sealed, monkeypatch):
+        """The tag is not in the transaction hash, so it never failed the
+        round trip; it is not in the dataclass comparison either."""
+        block, index, _ = sealed
+
+        def mutate(decoded):
+            txs = [dataclasses.replace(tx, tag="") for tx in decoded.transactions]
+            assert txs[index].tag != block.transactions[index].tag
+            assert txs[index].hash == block.transactions[index].hash
+            return dataclasses.replace(decoded, transactions=tuple(txs))
+
+        assert self._verify_with(monkeypatch, block, mutate) is None
+
+    @pytest.mark.parametrize("change", [_altered, _dropped])
+    @pytest.mark.parametrize(
+        "kind,field",
+        [("receipt", f) for f in _RECEIPT_FIELDS] + [("log", f) for f in _LOG_FIELDS],
+    )
+    def test_receipt_and_log_field(self, sealed, monkeypatch, kind, field, change):
+        block, _, index = sealed
+
+        def mutate(decoded):
+            receipts = list(decoded.receipts)
+            target = receipts[index] if kind == "receipt" else receipts[index].logs[0]
+            new = change(getattr(target, field))
+            assert new != getattr(target, field)
+            target = dataclasses.replace(target, **{field: new})
+            if kind == "log":
+                logs = (target,) + receipts[index].logs[1:]
+                target = dataclasses.replace(receipts[index], logs=logs)
+            receipts[index] = target
+            return dataclasses.replace(decoded, receipts=tuple(receipts))
+
+        message = self._verify_with(monkeypatch, block, mutate)
+        assert f"receipt {index} encoding" in message
+
+    @pytest.mark.parametrize("section", ["transactions", "receipts"])
+    def test_a_lost_or_extra_item_is_caught(self, sealed, monkeypatch, section):
+        block, _, _ = sealed
+        for resize in (lambda items: items[:-1], lambda items: items + items[-1:]):
+            with monkeypatch.context() as patch:
+                message = self._verify_with(
+                    patch,
+                    block,
+                    lambda decoded: dataclasses.replace(
+                        decoded, **{section: resize(getattr(decoded, section))}
+                    ),
+                )
+            assert f"{section[:-1]} count" in message
 
 
 class TestChainDigest:

@@ -392,6 +392,25 @@ class TestGeneratorEdgeCases:
         txs = small_generator.generate_block_txs(count=20)
         assert {t.tag for t in txs} == {"payment"}
 
+    def test_receiver_draws_equal_the_weights_form_across_a_config_swap(
+        self, small_generator
+    ):
+        """The cumulative weights are accumulated once per config, not per
+        draw; ``random.choices`` consumes the same ``random()`` and bisects
+        the same floats either way, so the stream must not move by a draw."""
+        import random
+
+        eoas = small_generator.universe.eoas
+        shadow = random.Random()
+        shadow.setstate(small_generator.rng.getstate())
+        for skew in (small_generator.config.receiver_skew, 2.5, 0.0):
+            small_generator.config = WorkloadConfig(receiver_skew=skew)
+            weights = [1.0 / (rank + 1) ** skew for rank in range(len(eoas))]
+            drawn = [small_generator._pick_receiver() for _ in range(700)]
+            assert drawn == [shadow.choices(eoas, weights)[0] for _ in range(700)]
+            assert len(set(drawn)) > 1
+        assert small_generator.rng.getstate() == shadow.getstate()
+
     def test_config_swap_rejects_bad_mix_and_keeps_old(self, small_generator):
         before = small_generator.config
         with pytest.raises(ValueError):

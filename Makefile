@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare bench-e2e-quick bench-e2e-compare profile-e2e trace-demo examples clean
+.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios test-exec serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare bench-e2e-quick bench-e2e-compare profile-e2e trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -40,6 +40,12 @@ test-distributed:
 # per-scenario bench (everything tagged @pytest.mark.scenarios)
 test-scenarios:
 	$(PYTHON) -m pytest tests benchmarks -m scenarios -q
+
+# real-core backends: the backend contract, resident process workers (churn,
+# lost workers, what crosses the boundary) and the cross-backend identity
+# matrix (everything tagged @pytest.mark.exec)
+test-exec:
+	$(PYTHON) -m pytest tests benchmarks -m exec -q
 
 # run a persistent node for 20 blocks against ./serve-demo-data, then resume
 # it (second run recovers from disk and produces nothing new)

@@ -41,10 +41,10 @@ from repro.evm.interpreter import EVM, ExecutionContext, TxResult
 from repro.exec.backend import ExecutionBackend
 from repro.exec.hooks import ScheduleProbe
 from repro.exec.tasks import (
+    ProposeChunk,
     ProposeShared,
-    ProposeTask,
     ProposeTaskResult,
-    run_propose_task,
+    run_propose_chunk,
     speculate,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -280,10 +280,13 @@ class ProposeSession:
         self.total_work = 0.0
         #: speculative rounds run so far (:meth:`speculative_round`)
         self.rounds = 0
+        #: committed version the previous round's snapshot was taken at
+        self._round_version = 0
         self._retry_counts: Dict[bytes, int] = {}
         self._evm = engine.evm
-        self._shared = ProposeShared(evm_config=engine.evm.config, base=base, ctx=ctx)
+        self._shared = ProposeShared(engine.evm.config, base, ctx, kept=[0, {}])
         if self.backend is not None:
+            self._exec_stats0 = self.backend.stats.copy()
             self.backend.open(self._shared)
         self._depth_hist = (
             self.metrics.histogram("proposer.txpool_depth", _DEPTH_EDGES)
@@ -370,16 +373,24 @@ class ProposeSession:
         every lane synchronises before conflicts are resolved.  Returns
         ``(batch, results, snapshot_version)``; ``None`` once the pool has
         nothing ready.
+
+        Workers sharing the parent's memory read the overlay by reference,
+        one transaction per task; the others keep it and get one chunk each:
+        a share of the batch plus the writes committed since the last round.
         """
         batch = self.pop_batch(width)
         if not batch:
             return None
+        seq: Optional[int] = None
+        since, n = 0, len(batch)
+        if self.backend is not None and not self.backend.shares_memory:
+            seq, since, n = self.rounds, self._round_version, self.backend.workers
         self.rounds += 1
-        snapshot_version = self.store.committed_version
-        overlay = self.store.final_values()
-        outs: List[ProposeTaskResult] = self.run(
-            run_propose_task, [ProposeTask(tx, overlay, snapshot_version) for tx in batch]
-        )
+        snapshot_version = self._round_version = self.store.committed_version
+        writes = self.store.final_values(since)
+        chunks = [ProposeChunk(tuple(batch[w::n]), snapshot_version, writes, seq) for w in range(n)]
+        shares = self.run(run_propose_chunk, chunks)
+        outs: List[ProposeTaskResult] = [shares[i % n][i // n] for i in range(len(batch))]
         durations = [
             self.model.tx_overhead if out.invalid is not None else self.charge(out)
             for out in outs
@@ -513,6 +524,7 @@ class ProposeSession:
             metrics.gauge("proposer.makespan_us").set(self.clock)
             if backend is not None:
                 metrics.gauge("proposer.wall_us").set(self.wall_us())
+                backend.publish(metrics, self._exec_stats0)
             # NOTE: the global keccak memo is deliberately NOT published
             # here — it persists across runs, so its cumulative counters
             # would break metrics-replay determinism.  Use

@@ -37,7 +37,6 @@ from repro.core.proposer import finalize_block_state
 from repro.core.scheduler import SchedulePlan
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, TxResult
 from repro.exec.backend import ExecutionBackend
-from repro.exec.tasks import ValidateShared
 from repro.exec.validating import ParallelExecOutcome, execute_block_parallel
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
@@ -247,9 +246,6 @@ class ParallelValidator:
         #: execute on actual cores, all anomalies fall back to the serial
         #: reference loop below so results stay backend-independent.
         self.backend = backend
-        #: Per-session shared object the backend's workers were opened with
-        #: (see :func:`repro.exec.validating.execute_block_parallel`).
-        self._exec_shared: Optional[ValidateShared] = None
         #: Optional shared preparation-artifact cache (footprints, dep
         #: graph, schedules).  The pipeline supplies one so a block's
         #: artifacts survive across validations (lane sweeps, re-validation);

@@ -200,9 +200,7 @@ class ShardCoordinator:
 
         # shipped tasks carry state slices, never the master's snapshot
         shard_works = [
-            build_component_tasks(
-                block, parent_state, ctx, art, comps, share_base=False
-            )
+            build_component_tasks(block, ctx, art, comps, slice_from=parent_state)
             for comps in plan.shards
         ]
         shard_txs = [sum(len(w.tx_indices) for w in works) for works in shard_works]

@@ -1,17 +1,20 @@
 """Worker-side task bodies for the real-parallelism backends.
 
-Everything here must be importable by name from a fresh process: the
-``ProcessBackend`` pickles functions *by reference* and payloads *by
-value*, so task functions are module-level, payloads are small NamedTuples
-of pickle-able pieces, and the EVM is rebuilt inside each worker from its
-pickled :class:`~repro.evm.interpreter.EVMConfig` and cached per process.
+The ``ProcessBackend`` pickles functions *by reference* and payloads *by
+value*, so task functions are module-level and payloads are small
+NamedTuples of pickle-able pieces.  No payload reaches a world state: the
+base snapshot rides on the session's *shared* object, which a process
+worker receives as a reference to a state it already holds
+(:mod:`repro.exec.backend`).
 
 Two task families:
 
-* :func:`run_propose_task` — one speculative OCC-WSI execution: read the
-  base snapshot through the committed-writes overlay at the transaction's
+* :func:`run_propose_chunk` — speculative OCC-WSI executions: read the
+  base snapshot through the committed-writes overlay at the round's
   snapshot version, buffer writes locally, return the rw-set and buffered
   writes for the parent to conflict-check and commit deterministically.
+  In-memory workers get the round's overlay by reference; a process worker
+  keeps it and gets the writes committed since the previous round.
 * :func:`run_validate_lane` — one validator worker lane: execute each
   assigned dependency-graph component against an isolated view of the
   parent state, guarded so any access outside the component's
@@ -26,6 +29,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common.types import Address
+from repro.exec.backend import BackendError
 from repro.evm.interpreter import (
     EVM,
     EVMConfig,
@@ -51,10 +55,10 @@ __all__ = [
     "export_overlay",
     "apply_overlay",
     "ProposeShared",
-    "ProposeTask",
+    "ProposeChunk",
     "ProposeTaskResult",
     "speculate",
-    "run_propose_task",
+    "run_propose_chunk",
     "EstimateRead",
     "MVEntry",
     "BlockSTMView",
@@ -66,8 +70,6 @@ __all__ = [
     "ComponentOutcome",
     "build_component_tasks",
     "run_validate_lane",
-    "install_shared",
-    "call_with_shared",
 ]
 
 
@@ -89,9 +91,10 @@ class FootprintMiss(Exception):
 class GuardedSnapshot:
     """Read-only snapshot view restricted to an account footprint.
 
-    Used by the in-memory backends (serial/thread): workers share the one
-    parent :class:`StateSnapshot`, and the guard turns any access that
-    would break component isolation into a :class:`FootprintMiss`.
+    Used by every backend worker: the component reads the session's one
+    base state (the parent's :class:`StateSnapshot`, or a process worker's
+    resident copy of it), and the guard turns any access that would break
+    component isolation into a :class:`FootprintMiss`.
 
     ``recorder`` (when set) observes every out-of-footprint address; with
     ``strict=False`` the guard *records instead of raising* and serves the
@@ -105,7 +108,7 @@ class GuardedSnapshot:
 
     def __init__(
         self,
-        base: StateSnapshot,
+        base: Any,
         allowed: FrozenSet[Address],
         recorder: Optional[Callable[[Address], None]] = None,
         strict: bool = True,
@@ -125,7 +128,7 @@ class GuardedSnapshot:
 
 
 class SliceSnapshot:
-    """Pickle-able state slice for process workers.
+    """Pickle-able state slice for follower nodes (shard RPC).
 
     Holds exactly the accounts named by the component's profile footprint
     (present-but-``None`` marks an account that does not exist in the
@@ -197,75 +200,38 @@ def apply_overlay(db: StateDB, overlay: Dict[Address, OverlayEntry]) -> None:
 
 
 # --------------------------------------------------------------------- #
-# per-process EVM cache                                                 #
-# --------------------------------------------------------------------- #
-
-#: [config identity, EVM instance].  The sentinel is a private object, not
-#: None: ``None`` is a *valid* config (EVM defaults), and using it as the
-#: empty marker would make ``_evm_for(None)`` return the uninitialised slot.
-_EVM_UNSET = object()
-_EVM_CACHE: List[Any] = [_EVM_UNSET, None]
-
-
-def _evm_for(config: Optional[EVMConfig]) -> EVM:
-    """EVM for this worker, rebuilt only when the config object changes.
-
-    Identity-keyed: the shared object (and thus its config) is stable for
-    the lifetime of a backend session, so each worker builds one EVM.  The
-    EVM is stateless across transactions (its config only), which also
-    makes one instance safe to share between threads.
-    """
-    if _EVM_CACHE[0] is config:
-        return _EVM_CACHE[1]
-    evm = EVM(config)
-    _EVM_CACHE[0] = config
-    _EVM_CACHE[1] = evm
-    return evm
-
-
-# --------------------------------------------------------------------- #
-# process-pool shared-state plumbing                                    #
-# --------------------------------------------------------------------- #
-
-_PROCESS_SHARED: Any = None
-
-
-def install_shared(shared: Any) -> None:
-    """Pool initializer: stash the session's shared object in this worker."""
-    global _PROCESS_SHARED
-    _PROCESS_SHARED = shared
-
-
-def call_with_shared(fn: Callable[[Any, Any], Any], payload: Any) -> Any:
-    """Trampoline run inside process workers: inject the installed shared."""
-    return fn(_PROCESS_SHARED, payload)
-
-
-# --------------------------------------------------------------------- #
 # proposer tasks (OCC-WSI speculative execution)                        #
 # --------------------------------------------------------------------- #
 
 
 class ProposeShared(NamedTuple):
-    """Per-proposal session state, shipped once per worker.
+    """Per-proposal session state, installed once per ``propose()``.
 
-    The base snapshot rides here (not in payloads) — for the process
-    backend that is the one big pickle, paid per worker per block.
+    The base snapshot rides here (not in payloads): in-memory workers read
+    it in place, process workers resolve it to the copy they hold — what
+    crosses per block is the state's root and, once, its delta.
     """
 
     evm_config: Optional[EVMConfig]
     base: StateSnapshot
     ctx: ExecutionContext
+    #: ``[next expected round, overlay]``: what a process worker keeps
+    #: between the session's rounds, in its own unpickled copy of this object
+    kept: List[Any]
 
 
-class ProposeTask(NamedTuple):
-    """One speculative execution: a transaction plus its read snapshot."""
+class ProposeChunk(NamedTuple):
+    """One task of a speculative round: transactions plus their read snapshot."""
 
-    tx: Transaction
-    #: Latest committed value per written key as of the wave start —
-    #: exactly ``MultiVersionStore.final_values()`` at ``snapshot_version``.
-    overlay: Dict[StateKey, Any]
+    txs: Tuple[Transaction, ...]
     snapshot_version: int
+    #: In-memory workers (``seq`` None): the latest committed value per written
+    #: key as of the round start, by reference.  Process workers: what was
+    #: committed since the previous round — each folds it into the overlay it
+    #: keeps, so every worker gets a chunk every round, and refuses one whose
+    #: ``seq`` (the round's position in its session) is not the next.
+    writes: Dict[StateKey, Any]
+    seq: Optional[int] = None
 
 
 class ProposeTaskResult(NamedTuple):
@@ -304,7 +270,7 @@ def speculate(
     """Execute one transaction against ``store`` as of ``snapshot_version``.
 
     The one speculate-one-transaction body of the propose path: workers
-    reach it through :func:`run_propose_task` (``store`` is the round's
+    reach it through :func:`run_propose_chunk` (``store`` is the round's
     overlay), the proposing session calls it directly for in-parent
     executions against the live :class:`MultiVersionStore`.  Writes stay
     in the view's buffer; an invalid transaction is an outcome, not an
@@ -321,15 +287,19 @@ def speculate(
     return ProposeTaskResult(None, result, view.rw, view.buffered_writes, elapsed_us)
 
 
-def run_propose_task(shared: ProposeShared, task: ProposeTask) -> ProposeTaskResult:
-    """Execute one transaction speculatively against the round snapshot."""
-    return speculate(
-        _evm_for(shared.evm_config),
-        _WaveOverlayStore(shared.base, task.overlay),
-        task.tx,
-        shared.ctx,
-        task.snapshot_version,
-    )
+def run_propose_chunk(shared: ProposeShared, chunk: ProposeChunk) -> List[ProposeTaskResult]:
+    """Execute the chunk's transactions speculatively against the round snapshot
+    (a process worker first folds the round's delta into the overlay it keeps)."""
+    overlay = chunk.writes
+    if chunk.seq is not None:
+        if chunk.seq != shared.kept[0]:
+            raise BackendError(f"round {chunk.seq} out of sequence: expected {shared.kept[0]}")
+        shared.kept[0] += 1
+        shared.kept[1].update(overlay)
+        overlay = shared.kept[1]
+    evm = EVM(shared.evm_config)
+    store = _WaveOverlayStore(shared.base, overlay)
+    return [speculate(evm, store, tx, shared.ctx, chunk.snapshot_version) for tx in chunk.txs]
 
 
 # --------------------------------------------------------------------- #
@@ -420,7 +390,7 @@ class BlockSTMTask(NamedTuple):
     incarnation: int
     #: multi-version memory snapshot at wave start (shared per wave; the
     #: in-memory backends pass it by reference, the process backend once
-    #: per task by value)
+    #: per worker message by value)
     mv: Dict[StateKey, Tuple[MVEntry, ...]]
     #: committed values from earlier chunks of this block
     overlay: Dict[StateKey, Any]
@@ -450,7 +420,7 @@ class BlockSTMTaskResult(NamedTuple):
 
 def run_blockstm_task(shared: ProposeShared, task: BlockSTMTask) -> BlockSTMTaskResult:
     """Execute one incarnation against the wave's multi-version snapshot."""
-    evm = _evm_for(shared.evm_config)
+    evm = EVM(shared.evm_config)
     view = BlockSTMView(shared.base, task.overlay, task.mv, task.index)
     start = time.perf_counter()
     try:
@@ -493,10 +463,12 @@ def run_blockstm_task(shared: ProposeShared, task: BlockSTMTask) -> BlockSTMTask
 
 
 class ValidateShared(NamedTuple):
-    """Validator session state: stable across blocks, so the process pool
-    survives a whole pipeline run (only the EVM config crosses once)."""
+    """Per-block validator session state: the EVM config and the parent
+    state every component of the block reads through its footprint guard
+    (``None`` on follower nodes, whose tasks carry state slices)."""
 
     evm_config: Optional[EVMConfig]
+    base: Optional[StateSnapshot] = None
 
 
 class ComponentTask(NamedTuple):
@@ -507,14 +479,11 @@ class ComponentTask(NamedTuple):
     tx_indices: Tuple[int, ...]
     txs: Tuple[Transaction, ...]
     ctx: ExecutionContext
-    #: account footprint (in-memory backends guard the shared snapshot)
+    #: account footprint: backend workers guard the shared base with it
     allowed: FrozenSet[Address]
-    #: in-memory backends: the parent snapshot by reference; process
-    #: workers and followers get ``None`` here and read ``slice_accounts``
-    base: Optional[StateSnapshot]
-    #: pickle-able account slice (process backend and followers): nothing
-    #: in the task then references the parent's memory
-    slice_accounts: Optional[Dict[Address, Optional[AccountData]]]
+    #: followers only: the pickle-able account slice the component runs on
+    #: (backend workers get ``None`` and read :attr:`ValidateShared.base`)
+    slice_accounts: Optional[Dict[Address, Optional[AccountData]]] = None
     #: race-detector mode: enumerate every out-of-footprint access (the
     #: in-memory guard then serves true values past the first miss)
     record_misses: bool = False
@@ -538,20 +507,19 @@ class ComponentOutcome(NamedTuple):
 
 def build_component_tasks(
     block: "Block",
-    parent_state: StateSnapshot,
     ctx: ExecutionContext,
     art: "BlockArtifacts",
     components: Iterable[int],
     *,
-    share_base: bool,
+    slice_from: Optional[StateSnapshot] = None,
     record_misses: bool = False,
 ) -> Tuple[ComponentTask, ...]:
     """Package dependency-graph components for one lane, worker or shard.
 
-    ``share_base`` hands the task the parent snapshot by reference (guarded
-    by the footprint); otherwise it carries the state slice for exactly
-    the accounts its profile footprint names, so any access outside it
-    surfaces as a ``footprint_miss`` anomaly on whichever executor ran it.
+    A task names its footprint and reads the session's base state through a
+    guard; given ``slice_from`` (follower shards hold no state) it carries
+    that state's slice for exactly those accounts instead.  Either way an
+    access outside the footprint is a ``footprint_miss`` anomaly on any executor.
     """
     footprints = art.component_footprints()
     tasks = []
@@ -565,9 +533,8 @@ def build_component_tasks(
                 txs=tuple(block.transactions[i] for i in tx_indices),
                 ctx=ctx,
                 allowed=allowed,
-                base=parent_state if share_base else None,
                 slice_accounts=(
-                    None if share_base else build_state_slice(parent_state, allowed)
+                    None if slice_from is None else build_state_slice(slice_from, allowed)
                 ),
                 record_misses=record_misses,
             )
@@ -582,17 +549,17 @@ def _dedup_addresses(addresses: List[Address]) -> Tuple[Address, ...]:
     return tuple(seen)
 
 
-def _run_component(evm: EVM, task: ComponentTask) -> ComponentOutcome:
+def _run_component(evm: EVM, shared_base: Any, task: ComponentTask) -> ComponentOutcome:
     misses: List[Address] = []
     recorder: Optional[Callable[[Address], None]] = (
         misses.append if task.record_misses else None
     )
-    if task.base is not None:
-        base: Any = GuardedSnapshot(
-            task.base, task.allowed, recorder=recorder, strict=not task.record_misses
-        )
+    if task.slice_accounts is not None:
+        base: Any = SliceSnapshot(task.slice_accounts, recorder=recorder)
     else:
-        base = SliceSnapshot(task.slice_accounts or {}, recorder=recorder)
+        base = GuardedSnapshot(
+            shared_base, task.allowed, recorder=recorder, strict=not task.record_misses
+        )
     db = StateDB(base)
     results: List[TxResult] = []
     rwsets: List[ReadWriteSet] = []
@@ -637,5 +604,5 @@ def run_validate_lane(
     shared: ValidateShared, lane: Tuple[ComponentTask, ...]
 ) -> Tuple[ComponentOutcome, ...]:
     """Execute one worker lane's components sequentially (gas-LPT batch)."""
-    evm = _evm_for(shared.evm_config)
-    return tuple(_run_component(evm, task) for task in lane)
+    evm = EVM(shared.evm_config)
+    return tuple(_run_component(evm, shared.base, task) for task in lane)

@@ -37,7 +37,7 @@ from repro.evm.interpreter import ExecutionContext, TxResult
 from repro.state.access import ReadWriteSet
 from repro.state.statedb import StateDB, StateSnapshot
 
-from repro.exec.backend import ExecutionBackend
+from repro.exec.backend import BackendError, ExecutionBackend
 from repro.exec.hooks import apply_order
 from repro.exec.tasks import (
     ComponentOutcome,
@@ -115,29 +115,22 @@ def execute_block_parallel(
     """Execute one block's components on ``backend``'s workers.
 
     Returns ``None`` when a component reports an anomaly (lying profile,
-    invalid transaction): the caller then runs the reference loop, whose
-    decisions are deterministic, so every substrate converges on the
-    identical result.
+    invalid transaction) or the backend loses a worker: the caller then
+    runs the reference loop, whose decisions are deterministic, so every
+    substrate converges on the identical result.
     """
     graph = art.graph
     plan = art.plan_for(
         max(1, backend.workers), validator.config.policy, validator.config.seed
     )
 
-    shared = validator._exec_shared
-    if shared is None or shared.evm_config is not validator.evm.config:
-        shared = validator._exec_shared = ValidateShared(validator.evm.config)
-    backend.open(shared)
-
     check_log = validator.check_log
     lane_payloads = [
         build_component_tasks(
             block,
-            parent_state,
             ctx,
             art,
             lane_components,
-            share_base=backend.shares_memory,
             # race-detector mode: enumerate every out-of-footprint access
             # instead of stopping at the first miss
             record_misses=check_log is not None,
@@ -163,8 +156,21 @@ def execute_block_parallel(
             if comp_order is not None:
                 lane_payloads[lane_index] = tuple(lane_tasks[i] for i in comp_order)
 
+    stats0 = backend.stats.copy()
     wall0 = time.perf_counter()
-    lane_outcomes = backend.map(run_validate_lane, lane_payloads)
+    try:
+        # the parent state rides on the shared object: in-memory workers read it
+        # in place, process workers hold it by root (and were sent its delta)
+        backend.open(ValidateShared(validator.evm.config, parent_state))
+        lane_outcomes = backend.map(run_validate_lane, lane_payloads)
+    except BackendError:
+        # a lost or wedged worker is a substrate anomaly like any other
+        if validator.metrics is not None:
+            validator.metrics.counter("validator.backend_worker_lost").inc()
+        return None
+    finally:
+        if validator.metrics is not None:
+            backend.publish(validator.metrics, stats0)
     wall_us = (time.perf_counter() - wall0) * 1e6
 
     anomalous = False

@@ -128,9 +128,9 @@ class MultiVersionStore:
                 entry += (version, value)
         self.committed_version = version
 
-    def final_values(self) -> Dict[StateKey, Any]:
-        """Latest value of every key ever written (for state materialise)."""
-        return {key: entry[-1] for key, entry in self._versions.items()}
+    def final_values(self, since: int = 0) -> Dict[StateKey, Any]:
+        """Latest value of every key written after version ``since`` (0: ever written)."""
+        return {key: entry[-1] for key, entry in self._versions.items() if entry[-2] > since}
 
     def key_versions(self) -> Dict[StateKey, List[int]]:
         """Every key's committed write versions, in commit order.

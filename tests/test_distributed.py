@@ -207,16 +207,14 @@ class TestBitIdentity:
             gas_limit=block.header.gas_limit,
         )
 
-        def tasks_for(comps, share_base):
-            return build_component_tasks(
-                block, universe.genesis, ctx, art, comps, share_base=share_base
-            )
+        def tasks_for(comps, slice_from=None):
+            return build_component_tasks(block, ctx, art, comps, slice_from=slice_from)
 
         follower = FollowerNode("prop-follower")
         follower_outcomes = []
         for shard_id, comps in sorted(shards.items()):
-            works = tasks_for(comps, share_base=False)
-            assert all(w.base is None for w in works)  # nothing of the master's
+            works = tasks_for(comps, slice_from=universe.genesis)
+            assert all(w.slice_accounts is not None for w in works)  # self-contained
             reply = follower.handle(
                 ShardAssignment(
                     block_hash=block.hash, shard_id=shard_id, attempt=0, works=works
@@ -226,12 +224,12 @@ class TestBitIdentity:
             follower_outcomes.extend(reply.outcomes)
 
         with SerialBackend() as backend:
-            backend.open(ValidateShared(None))
+            backend.open(ValidateShared(None, universe.genesis))
             lane_outcomes = [
                 outcome
                 for lane in backend.map(
                     run_validate_lane,
-                    [tasks_for(comps, share_base=True) for comps in shards.values()],
+                    [tasks_for(comps) for comps in shards.values()],
                 )
                 for outcome in lane
             ]

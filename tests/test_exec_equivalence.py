@@ -27,7 +27,7 @@ from repro.distributed import DistributedValidator
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.network.node import ProposerNode
+from repro.network.node import ProposerNode, ValidatorNode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.state.account import AccountData
@@ -35,6 +35,8 @@ from repro.state.statedb import StateDB, genesis_snapshot
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
+
+pytestmark = pytest.mark.exec
 
 BACKEND_FACTORIES = (
     ("serial", lambda: SerialBackend()),
@@ -320,6 +322,115 @@ class TestProposerEquivalence:
         )
         assert len(lanes.committed) == len(waves.committed) == len(txs)
         assert lanes.stats.makespan < waves.stats.makespan
+
+
+def _seen_of(sealed):
+    """What a sealed proposal must not owe to its executor: block bytes'
+    hash, every commit with its rw-set, the ``RunStats`` bar backend labels."""
+    proposal = sealed.proposal
+    extra = {
+        k: v for k, v in proposal.stats.extra.items() if k not in ("backend", "backend_workers")
+    }
+    return (
+        bytes(sealed.block.hash),
+        [
+            (c.tx.hash, c.version, c.snapshot_version, c.commit_time, c.rw.reads, c.rw.writes)
+            for c in proposal.committed
+        ],
+        dataclasses.replace(proposal.stats, extra=extra),
+        bytes(sealed.block.header.state_root),
+    )
+
+
+class _TwoRoles:
+    """A proposer and a validator node on one backend, as ``serve`` pairs them."""
+
+    def __init__(self, universe, backend, strategy="occ-wsi", seed=5):
+        self.chain = Blockchain(universe.genesis)
+        self.generator = BlockWorkloadGenerator(
+            dataclasses.replace(universe, nonces={}),
+            WorkloadConfig(txs_per_block=30, tx_count_jitter=0.0, seed=seed),
+        )
+        self.proposer = ProposerNode(
+            "equiv-proposer", config=ProposerConfig(lanes=4, strategy=strategy), backend=backend
+        )
+        self.validator = ValidatorNode(
+            "equiv-validator", universe.genesis, chain=self.chain, backend=backend
+        )
+
+    def build(self, parent=None):
+        """Seal the next batch of transactions on ``parent`` (default: the head)."""
+        parent = parent or self.chain.head
+        return self.proposer.build_block(
+            parent.header, self.chain.state_at(parent.hash), self.generator.generate_block_txs()
+        )
+
+    def accept(self, *sealed):
+        """Validate, all in one batch; returns their post-state roots."""
+        outcome = self.validator.receive_blocks([s.block for s in sealed])
+        assert len(outcome.accepted) == len(sealed), outcome.failures
+        return [bytes(self.chain.state_at(s.block.hash).state_root()) for s in sealed]
+
+    def extend(self, blocks):
+        seen = []
+        for _ in range(blocks):
+            sealed = self.build()
+            seen.append((_seen_of(sealed), self.accept(sealed)))
+        return seen
+
+
+class TestResidentIdentity:
+    """Workers that hold the state across blocks, roles, forks and restarts
+    seal and accept exactly what ``SerialBackend`` does."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_CHOICES)
+    def test_chain_on_one_process_backend_matches_serial(self, small_universe, strategy):
+        with SerialBackend() as serial, ProcessBackend(2) as process:
+            reference = _TwoRoles(small_universe, serial, strategy).extend(6)
+            assert _TwoRoles(small_universe, process, strategy).extend(6) == reference
+            gained = process.stats
+            assert (gained["workers_forked"], gained["sync_fork"], gained["sync_delta"]) == (2, 1, 5)
+        assert len({seen[0][0] for seen in reference}) == 6
+        assert all(seen[0][1] for seen in reference), "a block committed nothing"
+
+    def test_forks_reorgs_and_restarts_are_just_another_diff(self, small_universe):
+        def jumps(backend):
+            roles = _TwoRoles(small_universe, backend)
+            seen = roles.extend(6)
+            syncs = [backend.stats.copy()]
+
+            def step(*sealed):
+                assert all(s.proposal.committed for s in sealed), "a jump sealed nothing"
+                seen.append(([_seen_of(s) for s in sealed], roles.accept(*sealed)))
+                syncs.append(backend.stats.copy())
+
+            canonical = roles.chain.canonical_chain()  # genesis .. block 6
+            # two siblings of the head, validated as one batch
+            step(roles.build(canonical[5]), roles.build(canonical[5]))
+            # a block on a parent three heights back
+            step(roles.build(canonical[3]))
+            # a second chain from genesis, other transactions, same backend
+            other = _TwoRoles(small_universe, backend, seed=6)
+            seen.extend(other.extend(2))
+            syncs.append(backend.stats.copy())
+            # close() and re-open
+            backend.close()
+            seen.extend(other.extend(1))
+            syncs.append(backend.stats.copy())
+            return seen, syncs
+
+        with SerialBackend() as serial, ProcessBackend(2) as process:
+            reference, _ = jumps(serial)
+            seen, syncs = jumps(process)
+        assert seen == reference
+        kinds = ("sync_fork", "sync_delta", "sync_full", "workers_forked")
+        assert [tuple(stats[kind] for kind in kinds) for stats in syncs] == [
+            (1, 5, 0, 2),  # genesis came with the fork, then one delta per new head
+            (1, 5, 0, 2),  # the last four parent states are held: siblings cost nothing,
+            (1, 5, 0, 2),  # nor does a parent three heights back
+            (1, 7, 0, 2),  # genesis again, long evicted, and the other chain's first head
+            (2, 7, 0, 4),  # fresh workers inherit the state they are first opened with
+        ]
 
 
 class TestValidatorEquivalence:

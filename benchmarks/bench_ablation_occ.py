@@ -13,35 +13,23 @@ Two design claims get quantified:
    cost the WSI read-set validation pays for lock freedom.
 """
 
+import dataclasses
 
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.evm.interpreter import ExecutionContext
-from repro.txpool.pool import TxPool
 
 
-def _ctx(entry):
-    return ExecutionContext(
-        block_number=entry.block.header.number,
-        timestamp=entry.block.header.timestamp,
-        coinbase=entry.block.header.coinbase,
-        gas_limit=entry.block.header.gas_limit,
-    )
-
-
-def test_ablation_profile_value(bench_chain, benchmark, capsys):
+def run_profile(world: World, blocks: int) -> Outcome:
     """Profile-assisted vs pre-execution-fallback validation."""
-    import dataclasses
-
     with_profile = ParallelValidator(config=ValidatorConfig(lanes=16))
     without_profile = ParallelValidator(
         config=ValidatorConfig(lanes=16, preexecute_fallback=True)
     )
 
     rows = []
-    for entry in bench_chain[:6]:
+    for entry in world.chain(blocks):
         res_with = with_profile.validate_block(entry.block, entry.parent_state)
         stripped = dataclasses.replace(entry.block, profile=None)
         res_without = without_profile.validate_block(stripped, entry.parent_state)
@@ -56,29 +44,22 @@ def test_ablation_profile_value(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "ablation_profile",
-        format_table(
-            rows,
-            title="Ablation — block profile (§4.2): profile-assisted vs serial pre-execution fallback",
-        ),
+    report = format_table(
+        rows,
+        title="Ablation — block profile (§4.2): profile-assisted vs serial pre-execution fallback",
     )
+    return Outcome({"rows": rows}, report)
 
-    for row in rows:
+
+def check_profile(headline: dict) -> None:
+    for row in headline["rows"]:
         assert row["with_profile"] > row["no_profile_fallback"]
         assert row["no_profile_fallback"] <= 1.05  # fallback ~ serial or worse
 
-    entry = bench_chain[0]
-    benchmark.pedantic(
-        lambda: with_profile.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )
 
-
-def test_ablation_occ_abort_rate(bench_chain, benchmark, capsys):
+def run_aborts(world: World, blocks: int) -> Outcome:
     """Abort rate and wasted work vs proposer thread count."""
+    bench_chain = world.chain(blocks)
     rows = []
     for lanes in (1, 2, 4, 8, 16):
         proposer = OCCWSIProposer(config=ProposerConfig(lanes=lanes))
@@ -86,10 +67,8 @@ def test_ablation_occ_abort_rate(bench_chain, benchmark, capsys):
         total_commits = 0
         wasted = 0.0
         useful = 0.0
-        for entry in bench_chain[:6]:
-            pool = TxPool()
-            pool.add_many(sorted(entry.txs, key=lambda t: t.nonce))
-            result = proposer.propose(entry.parent_state, pool, _ctx(entry))
+        for entry in bench_chain:
+            result = proposer.propose(entry.parent_state, entry.fresh_pool(), entry.ctx())
             total_aborts += result.stats.aborts
             total_commits += len(result.committed)
             useful += sum(c.cost for c in result.committed)
@@ -104,26 +83,15 @@ def test_ablation_occ_abort_rate(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "ablation_occ_aborts",
-        format_table(
-            rows,
-            title="Ablation — OCC-WSI abort rate vs proposer thread count (wasted optimistic work)",
-        ),
+    report = format_table(
+        rows,
+        title="Ablation — OCC-WSI abort rate vs proposer thread count (wasted optimistic work)",
     )
+    return Outcome({"rows": rows}, report)
 
+
+def check_aborts(headline: dict) -> None:
     # single lane never aborts; contention grows with concurrency
-    assert rows[0]["aborts"] == 0
-    abort_counts = [r["aborts"] for r in rows]
+    abort_counts = [row["aborts"] for row in headline["rows"]]
+    assert abort_counts[0] == 0
     assert abort_counts[-1] > abort_counts[1]
-
-    entry = bench_chain[0]
-    proposer16 = OCCWSIProposer(config=ProposerConfig(lanes=16))
-
-    def kernel():
-        pool = TxPool()
-        pool.add_many(sorted(entry.txs, key=lambda t: t.nonce))
-        return proposer16.propose(entry.parent_state, pool, _ctx(entry))
-
-    benchmark.pedantic(kernel, rounds=3, iterations=1)

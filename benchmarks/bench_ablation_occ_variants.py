@@ -12,37 +12,19 @@ The round-based comparator is OCC-WSI's own wave schedule — the one
 compares two schedules of one conflict rule on the simulated clock.
 """
 
-
-from benchmarks.conftest import THREAD_SWEEP, emit
+from benchmarks.world import THREAD_SWEEP, Outcome, World
 from repro.analysis.report import format_table
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
-from repro.evm.interpreter import ExecutionContext
 from repro.exec import SerialBackend
-from repro.txpool.pool import TxPool
 
 
-def _ctx(entry):
-    return ExecutionContext(
-        block_number=entry.block.header.number,
-        timestamp=entry.block.header.timestamp,
-        coinbase=entry.block.header.coinbase,
-        gas_limit=entry.block.header.gas_limit,
-    )
-
-
-def _pool(entry):
-    pool = TxPool()
-    pool.add_many(sorted(entry.txs, key=lambda t: t.nonce))
-    return pool
-
-
-def test_ablation_occ_variants(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
     serial = SerialExecutor()
-    chain = bench_chain[:6]
+    chain = world.chain(blocks)
     serial_times = []
     for entry in chain:
-        sres = serial.propose_serial(entry.parent_state, _pool(entry), _ctx(entry))
+        sres = serial.propose_serial(entry.parent_state, entry.fresh_pool(), entry.ctx())
         serial_times.append(sres.total_time)
 
     rows = []
@@ -53,8 +35,8 @@ def test_ablation_occ_variants(bench_chain, benchmark, capsys):
         )
         wsi_speedups, batch_speedups, batch_rounds = [], [], []
         for serial_time, entry in zip(serial_times, chain):
-            wsi = wsi_engine.propose(entry.parent_state, _pool(entry), _ctx(entry))
-            batch = batch_engine.propose(entry.parent_state, _pool(entry), _ctx(entry))
+            wsi = wsi_engine.propose(entry.parent_state, entry.fresh_pool(), entry.ctx())
+            batch = batch_engine.propose(entry.parent_state, entry.fresh_pool(), entry.ctx())
             assert len(wsi.committed) == len(batch.committed) == len(entry.txs)
             wsi_speedups.append(serial_time / wsi.stats.makespan)
             batch_speedups.append(serial_time / batch.stats.makespan)
@@ -68,23 +50,14 @@ def test_ablation_occ_variants(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "ablation_occ_variants",
-        format_table(
-            rows,
-            title="Ablation — proposer OCC variants: OCC-WSI (async lanes) vs round-based deterministic OCC",
-        ),
+    report = format_table(
+        rows,
+        title="Ablation — proposer OCC variants: OCC-WSI (async lanes) vs round-based deterministic OCC",
     )
+    return Outcome({"rows": rows}, report)
 
+
+def check(headline: dict) -> None:
     # OCC-WSI dominates at every lane count (the barrier penalty)
-    for row in rows:
+    for row in headline["rows"]:
         assert row["occ_wsi"] > row["batch_occ_da"]
-
-    entry = chain[0]
-    engine = OCCWSIProposer(config=ProposerConfig(lanes=16), backend=SerialBackend())
-    benchmark.pedantic(
-        lambda: engine.propose(entry.parent_state, _pool(entry), _ctx(entry)),
-        rounds=3,
-        iterations=1,
-    )

@@ -9,24 +9,21 @@ absolute block latency balloons, which is exactly why the paper
 normalises the comparison this way.
 """
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.validator import ParallelValidator, ValidatorConfig
 
 
-def test_ablation_prefetch(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
     warm = ParallelValidator(config=ValidatorConfig(lanes=16, prefetch=True))
     cold = ParallelValidator(config=ValidatorConfig(lanes=16, prefetch=False))
 
     rows = []
-    slowdowns = []
-    for entry in bench_chain[:8]:
+    for entry in world.chain(blocks):
         res_warm = warm.validate_block(entry.block, entry.parent_state)
         res_cold = cold.validate_block(entry.block, entry.parent_state)
         assert res_warm.accepted and res_cold.accepted
         slowdown = res_cold.makespan / res_warm.makespan
-        slowdowns.append(slowdown)
         rows.append(
             {
                 "height": entry.block.number,
@@ -38,24 +35,16 @@ def test_ablation_prefetch(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "ablation_prefetch",
-        format_table(
-            rows,
-            title="Ablation — storage prefetch (§5.4): warm (prefetched) vs cold SLOAD paths @16 threads",
-        ),
+    report = format_table(
+        rows,
+        title="Ablation — storage prefetch (§5.4): warm (prefetched) vs cold SLOAD paths @16 threads",
     )
+    return Outcome({"rows": rows}, report)
 
-    # cold execution is substantially slower in absolute terms...
-    assert all(s > 1.3 for s in slowdowns), slowdowns
-    # ...while relative speedup moves far less (both sides pay the I/O)
-    for row in rows:
+
+def check(headline: dict) -> None:
+    for row in headline["rows"]:
+        # cold execution is substantially slower in absolute terms...
+        assert row["latency_x"] > 1.3, row
+        # ...while relative speedup moves far less (both sides pay the I/O)
         assert abs(row["cold_speedup"] - row["warm_speedup"]) < 1.5
-
-    entry = bench_chain[0]
-    benchmark.pedantic(
-        lambda: cold.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )

@@ -7,17 +7,16 @@ threads — quantifying how much of BlockPilot's validator win comes from
 the gas heuristic versus mere parallel structure.
 """
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.metrics import SweepPoint
 from repro.analysis.report import format_table
 from repro.core.scheduler import SCHEDULER_POLICIES
 from repro.core.validator import ParallelValidator, ValidatorConfig
 
 
-def test_ablation_scheduler_policies(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
+    bench_chain = world.chain(blocks)
     rows = []
-    means = {}
     for policy in SCHEDULER_POLICIES:
         validator = ParallelValidator(
             config=ValidatorConfig(lanes=16, policy=policy, seed=5)
@@ -28,7 +27,6 @@ def test_ablation_scheduler_policies(bench_chain, benchmark, capsys):
             assert res.accepted, res.reason
             samples.append(res.speedup)
         point = SweepPoint.from_samples(0, samples)
-        means[policy] = point.summary.mean
         rows.append(
             {
                 "policy": policy,
@@ -39,23 +37,14 @@ def test_ablation_scheduler_policies(bench_chain, benchmark, capsys):
         )
     rows.sort(key=lambda r: -r["mean_speedup"])
 
-    emit(
-        capsys,
-        "ablation_scheduler",
-        format_table(
-            rows,
-            title="Ablation — validator scheduler policy @16 threads (paper uses gas-LPT)",
-        ),
+    report = format_table(
+        rows,
+        title="Ablation — validator scheduler policy @16 threads (paper uses gas-LPT)",
     )
+    return Outcome({row["policy"]: row["mean_speedup"] for row in rows}, report)
 
+
+def check(headline: dict) -> None:
     # gas-LPT must not lose to load-blind policies
-    assert means["gas_lpt"] >= means["round_robin"] * 0.999
-    assert means["gas_lpt"] >= means["block_order"] * 0.999
-
-    entry = bench_chain[0]
-    v = ParallelValidator(config=ValidatorConfig(lanes=16, policy="gas_lpt"))
-    benchmark.pedantic(
-        lambda: v.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )
+    assert headline["gas_lpt"] >= headline["round_robin"] * 0.999
+    assert headline["gas_lpt"] >= headline["block_order"] * 0.999

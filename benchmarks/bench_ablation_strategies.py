@@ -7,24 +7,15 @@ generated transactions per profile, so throughput differences are pure
 scheduling: abort-and-retry vs round barriers vs suspend-and-revalidate.
 
 The simulated clock makes every number bit-reproducible: the committed
-``BENCH_strategies.json`` golden is regenerated by ``make bench-strategies``
-and gated in CI (``strategy-ablation`` job) via ``repro.obs.baseline``.
-
-Runs two ways:
-
-* ``pytest benchmarks/bench_ablation_strategies.py`` — quick sweep, table +
-  JSON baseline, asserts Block-STM beats OCC-WSI on the hotspot profile;
-* ``python benchmarks/bench_ablation_strategies.py [--quick]`` — standalone
-  CLI for CI and ``make bench-strategies`` (no pytest session needed).
+``BENCH_strategies.json`` golden regenerates byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import pytest
-
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
@@ -32,22 +23,17 @@ from repro.evm.interpreter import ExecutionContext
 from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
-from repro.workload.universe import build_universe
+from repro.workload.universe import Universe
 
 #: conflict profiles: hotspot intensity of the generated workload
 CONFLICT_PROFILES = (("low", 0.0), ("medium", 0.5), ("hotspot", 0.9))
-
-#: the committed golden (and the CI gate) are generated with QUICK — the
-#: sim clock makes the numbers exact, so any drift is a real change
-QUICK = {"txs_per_block": 48, "blocks_per_point": 2}
-FULL = {"txs_per_block": 96, "blocks_per_point": 4}
 
 LANES = 16
 SEED = 42
 
 
 def _workloads(
-    txs_per_block: int, blocks_per_point: int, seed: int
+    universe: Universe, txs_per_block: int, blocks_per_point: int, seed: int
 ) -> Dict[str, Tuple[object, List[list]]]:
     """Per conflict profile: (genesis snapshot, list of tx batches).
 
@@ -55,7 +41,6 @@ def _workloads(
     scheduling-only.  Each batch is proposed from genesis (fresh nonces per
     profile), matching the ``hotspot`` CLI sweep's shape.
     """
-    universe = build_universe()
     out: Dict[str, Tuple[object, List[list]]] = {}
     for profile, intensity in CONFLICT_PROFILES:
         uni = dataclasses.replace(universe, nonces={})
@@ -71,16 +56,9 @@ def _workloads(
     return out
 
 
-def run_sweep(
-    *,
-    txs_per_block: int,
-    blocks_per_point: int,
-    lanes: int = LANES,
-    seed: int = SEED,
-) -> Tuple[List[dict], dict]:
-    """The sweep proper: rows for the table, nested headline for the JSON."""
+def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
     ctx = ExecutionContext(block_number=1, timestamp=12)
-    workloads = _workloads(txs_per_block, blocks_per_point, seed)
+    workloads = _workloads(world.universe, txs_per_block, blocks_per_point, SEED)
 
     rows: List[dict] = []
     headline: dict = {}
@@ -92,7 +70,7 @@ def run_sweep(
             # strict_checks runs the serializability oracle on every
             # proposal — a scheduling bug fails the sweep, not the golden
             engine = build_proposer(
-                ProposerConfig(lanes=lanes, strategy=strategy, strict_checks=True)
+                ProposerConfig(lanes=LANES, strategy=strategy, strict_checks=True)
             )
             committed = 0
             makespan = 0.0
@@ -142,84 +120,22 @@ def run_sweep(
         / headline["occ-wsi"]["hotspot"]["throughput_tps"],
         3,
     )
-    return rows, headline
-
-
-def _render(rows: List[dict]) -> str:
-    return format_table(
+    report = format_table(
         rows,
         title="Ablation — proposer strategies × conflict profile "
         "(occ-wsi | two-phase | block-stm, sim clock)",
     )
+    config = {
+        "lanes": LANES, "seed": SEED,
+        "txs_per_block": txs_per_block, "blocks_per_point": blocks_per_point,
+    }
+    return Outcome(headline, report, config)
 
 
-def _emit_baseline(headline: dict, params: dict, directory: Optional[str] = None) -> str:
-    from repro.obs.baseline import write_baseline
-
-    return write_baseline(
-        "strategies",
-        headline,
-        config={"lanes": LANES, "seed": SEED, **params},
-        directory=directory,
-    )
-
-
-@pytest.mark.blockstm
-def test_ablation_strategies(benchmark, capsys):
-    """Three engines, three conflict profiles; Block-STM must win hotspot."""
-    from benchmarks.conftest import emit, emit_json
-
-    rows, headline = run_sweep(**QUICK)
-    emit(capsys, "ablation_strategies", _render(rows))
-    emit_json("strategies", headline, config={"lanes": LANES, "seed": SEED, **QUICK})
-
+def check(headline: dict) -> None:
     # the acceptance bar: suspend-and-revalidate beats abort-and-retry
     # where it matters — under hotspot contention
     assert headline["hotspot_blockstm_vs_occwsi_speedup"] >= 1.0
-
     # low conflict: every strategy commits everything with few aborts
     for strategy in STRATEGY_CHOICES:
-        low = headline[strategy]["low"]
-        assert low["throughput_tps"] > 0
-
-    benchmark.pedantic(
-        lambda: run_sweep(txs_per_block=24, blocks_per_point=1),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_ablation_strategies.py",
-        description="three-way proposer strategy ablation (table + JSON baseline)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="golden-sized sweep (what CI gates and make bench-strategies emits)",
-    )
-    parser.add_argument(
-        "--results-dir",
-        default=None,
-        help="where to write BENCH_strategies.json "
-        "(default: $REPRO_RESULTS_DIR or benchmarks/results)",
-    )
-    args = parser.parse_args(argv)
-
-    params = QUICK if args.quick else FULL
-    rows, headline = run_sweep(**params)
-    print(_render(rows), end="")
-    path = _emit_baseline(headline, params, directory=args.results_dir)
-    print(f"hotspot speedup (block-stm / occ-wsi): "
-          f"{headline['hotspot_blockstm_vs_occwsi_speedup']}x")
-    print(f"wrote {path}")
-    return 0 if headline["hotspot_blockstm_vs_occwsi_speedup"] >= 1.0 else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+        assert headline[strategy]["low"]["throughput_tps"] > 0

@@ -24,8 +24,7 @@ propagation, caps it.
 
 import dataclasses
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.metrics import throughput_tps
 from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
@@ -37,7 +36,8 @@ from repro.workload.scenarios import mainnet_scenario
 BLOCK_SIZES = (33, 66, 132, 264, 528)
 
 
-def test_blocksize_sweep(bench_universe, benchmark, capsys):
+def run(world: World) -> Outcome:
+    bench_universe = world.universe
     validator = ParallelValidator(config=ValidatorConfig(lanes=16))
     proposer = ProposerNode("size")
     chain = Blockchain(bench_universe.genesis)
@@ -69,18 +69,18 @@ def test_blocksize_sweep(bench_universe, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "blocksize",
-        format_table(
-            rows,
-            title=(
-                "Block-size sweep (§2.2): validation latency and implied "
-                "execution-layer TPS, serial vs BlockPilot @16 threads"
-            ),
+    report = format_table(
+        rows,
+        title=(
+            "Block-size sweep (§2.2): validation latency and implied "
+            "execution-layer TPS, serial vs BlockPilot @16 threads"
         ),
     )
+    return Outcome({"speedup_by_size": speedups}, report)
 
+
+def check(headline: dict) -> None:
+    speedups = headline["speedup_by_size"]
     # strong wins at/below the calibrated size...
     for size in (33, 66, 132):
         assert speedups[size] > 2.5, (size, speedups[size])
@@ -88,16 +88,3 @@ def test_blocksize_sweep(bench_universe, benchmark, capsys):
     # every transaction still accelerates, but the giant component binds
     assert speedups[528] < speedups[132]
     assert speedups[528] > 1.0
-
-    uni = dataclasses.replace(bench_universe, nonces={})
-    cfg = dataclasses.replace(mainnet_scenario(seed=31), txs_per_block=264)
-    generator = BlockWorkloadGenerator(uni, cfg)
-    txs = generator.generate_block_txs()
-
-    def kernel():
-        sealed = proposer.build_block(
-            chain.genesis.header, bench_universe.genesis, txs
-        )
-        return validator.validate_block(sealed.block, bench_universe.genesis)
-
-    benchmark.pedantic(kernel, rounds=3, iterations=1)

@@ -8,25 +8,21 @@ by key kind, the hottest keys, and the share of transactions entangled
 in at least one conflict.
 """
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.conflicts import analyze_block_conflicts
 from repro.analysis.report import format_table
 
 
-def test_conflict_sources(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
     totals = {}
     edges = 0
     conflicting_fractions = []
-    hot_samples = []
-    for entry in bench_chain:
+    for entry in world.chain(blocks):
         breakdown = analyze_block_conflicts(entry.block)
         edges += breakdown.total_edges
         for kind, count in breakdown.edges_by_kind.items():
             totals[kind] = totals.get(kind, 0) + count
         conflicting_fractions.append(breakdown.conflicting_tx_fraction)
-        if breakdown.hot_keys:
-            hot_samples.append(breakdown.hot_keys[0])
 
     rows = [
         {
@@ -44,16 +40,14 @@ def test_conflict_sources(bench_chain, benchmark, capsys):
             f"dominate); {mean_conflicting:.0%} of txs touch a conflict"
         ),
     )
-    emit(capsys, "conflict_study", report)
+    return Outcome({"edges": edges, "edges_by_kind": totals}, report)
 
+
+def check(headline: dict) -> None:
     # the study's claim holds on the calibrated workload
+    totals = headline["edges_by_kind"]
     counters = totals.get("balance", 0) + totals.get("nonce", 0)
     storage = totals.get("storage", 0)
-    assert (counters + storage) / edges > 0.95
+    assert (counters + storage) / headline["edges"] > 0.95
     assert storage > 0 and counters > 0
     assert totals.get("code", 0) == 0
-
-    entry = bench_chain[0]
-    benchmark.pedantic(
-        lambda: analyze_block_conflicts(entry.block), rounds=3, iterations=1
-    )

@@ -7,55 +7,41 @@ OCC-WSI proposer's materialised state, and BlockPilot's parallel validator
 must all produce the header root for every block in the chain.
 """
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.baselines import SerialExecutor, TwoPhaseOCCExecutor
 from repro.core.validator import ParallelValidator, ValidatorConfig
 
 
-def test_correctness_all_roots_match(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
     validator = ParallelValidator(config=ValidatorConfig(lanes=16))
     serial = SerialExecutor()
     occ = TwoPhaseOCCExecutor(lanes=16)
 
     rows = []
-    for entry in bench_chain:
+    for entry in world.chain(blocks):
         header_root = entry.block.header.state_root
         res = validator.validate_block(entry.block, entry.parent_state)
         assert res.accepted, res.reason
         sres = serial.execute_block(entry.block, entry.parent_state)
         ores = occ.execute_block(entry.block, entry.parent_state)
-        assert res.post_state.state_root() == header_root
-        assert sres.post_state.state_root() == header_root
-        assert ores.post_state.state_root() == header_root
         rows.append(
             {
                 "height": entry.block.number,
                 "txs": len(entry.block),
                 "root": header_root.hex()[:16] + "…",
-                "serial==header": True,
-                "parallel==header": True,
-                "occ==header": True,
+                "serial==header": sres.post_state.state_root() == header_root,
+                "parallel==header": res.post_state.state_root() == header_root,
+                "occ==header": ores.post_state.state_root() == header_root,
             }
         )
 
-    emit(
-        capsys,
-        "correctness",
-        format_table(
-            rows,
-            title=(
-                "§5.2 correctness: state roots across execution modes "
-                f"({len(rows)} blocks, all match)"
-            ),
-        ),
+    report = format_table(
+        rows, title=f"§5.2 correctness: state roots across execution modes ({len(rows)} blocks)"
     )
+    return Outcome({"rows": rows}, report)
 
-    # timed kernel: one full parallel validation of a representative block
-    entry = bench_chain[len(bench_chain) // 2]
-    benchmark.pedantic(
-        lambda: validator.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )
+
+def check(headline: dict) -> None:
+    for row in headline["rows"]:
+        assert row["serial==header"] and row["parallel==header"] and row["occ==header"], row

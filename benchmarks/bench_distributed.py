@@ -15,25 +15,16 @@ hotspot ceiling.
 Every validation is also checked bit-identical to a single-node reference
 (state root + per-tx gas/status/fee), so the golden can never drift into
 "fast but wrong".  The simulated clock makes every number exact: the
-committed ``BENCH_distributed.json`` golden is regenerated by
-``make bench-distributed`` and gated in CI via ``repro.obs.baseline``.
-
-Runs two ways:
-
-* ``pytest benchmarks/bench_distributed.py`` — quick sweep, table + JSON
-  baseline, asserts hotspot speedup at 4 followers over 1;
-* ``python benchmarks/bench_distributed.py [--quick]`` — standalone CLI
-  for CI and ``make bench-distributed``.
+committed ``BENCH_distributed.json`` golden regenerates byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from statistics import mean
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import pytest
-
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
@@ -41,29 +32,23 @@ from repro.distributed import DistributedValidator
 from repro.network.node import ProposerNode
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
-from repro.workload.universe import build_universe
+from repro.workload.universe import Universe
 
 #: conflict profiles: hotspot intensity of the generated workload
 CONFLICT_PROFILES = (("low", 0.0), ("medium", 0.5), ("hotspot", 0.9))
 FOLLOWER_SWEEP = (1, 2, 4, 8)
 
-#: the committed golden (and the CI gate) are generated with QUICK — the
-#: sim clock makes the numbers exact, so any drift is a real change
-QUICK = {"txs_per_block": 48, "blocks_per_point": 2}
-FULL = {"txs_per_block": 96, "blocks_per_point": 4}
-
 SEED = 42
 
 
 def _workloads(
-    txs_per_block: int, blocks_per_point: int, seed: int
+    universe: Universe, txs_per_block: int, blocks_per_point: int, seed: int
 ) -> Dict[str, Tuple[object, List[object]]]:
     """Per conflict profile: (genesis snapshot, sealed blocks).
 
     Every follower count validates the *same* blocks, so makespan
     differences are pure shard scheduling.
     """
-    universe = build_universe()
     chain = Blockchain(universe.genesis)
     out: Dict[str, Tuple[object, List[object]]] = {}
     for profile, intensity in CONFLICT_PROFILES:
@@ -95,14 +80,8 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def run_sweep(
-    *,
-    txs_per_block: int,
-    blocks_per_point: int,
-    seed: int = SEED,
-) -> Tuple[List[dict], dict]:
-    """The sweep proper: rows for the table, nested headline for the JSON."""
-    workloads = _workloads(txs_per_block, blocks_per_point, seed)
+def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
+    workloads = _workloads(world.universe, txs_per_block, blocks_per_point, SEED)
 
     rows: List[dict] = []
     headline: dict = {}
@@ -157,88 +136,20 @@ def run_sweep(
             / headline[profile]["4"]["makespan_us"],
             3,
         )
-    return rows, headline
-
-
-def _render(rows: List[dict]) -> str:
-    return format_table(
+    report = format_table(
         rows,
         title="Distributed validation — follower scaling × conflict profile "
         "(sim clock, bit-identity checked)",
     )
+    config = {
+        "seed": SEED, "followers": list(FOLLOWER_SWEEP),
+        "txs_per_block": txs_per_block, "blocks_per_point": blocks_per_point,
+    }
+    return Outcome(headline, report, config)
 
 
-def _emit_baseline(headline: dict, params: dict, directory: Optional[str] = None) -> str:
-    from repro.obs.baseline import write_baseline
-
-    return write_baseline(
-        "distributed",
-        headline,
-        config={"seed": SEED, "followers": list(FOLLOWER_SWEEP), **params},
-        directory=directory,
-    )
-
-
-@pytest.mark.distributed
-def test_bench_distributed(benchmark, capsys):
-    """Follower sweep across conflict profiles; hotspot must speed up."""
-    from benchmarks.conftest import emit, emit_json
-
-    rows, headline = run_sweep(**QUICK)
-    emit(capsys, "distributed_scaling", _render(rows))
-    emit_json(
-        "distributed",
-        headline,
-        config={"seed": SEED, "followers": list(FOLLOWER_SWEEP), **QUICK},
-    )
-
+def check(headline: dict) -> None:
     # the acceptance bar: sharding pays even on the adversarial profile
     assert headline["hotspot_speedup_4f_vs_1f"] >= 1.1
     # and low conflict scales at least as well as hotspot (no giant component)
-    assert (
-        headline["low_speedup_4f_vs_1f"] >= headline["hotspot_speedup_4f_vs_1f"]
-    )
-
-    benchmark.pedantic(
-        lambda: run_sweep(txs_per_block=24, blocks_per_point=1),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_distributed.py",
-        description="follower-count scaling sweep (table + JSON baseline)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="golden-sized sweep (what CI gates and make bench-distributed emits)",
-    )
-    parser.add_argument(
-        "--results-dir",
-        default=None,
-        help="where to write BENCH_distributed.json "
-        "(default: $REPRO_RESULTS_DIR or benchmarks/results)",
-    )
-    args = parser.parse_args(argv)
-
-    params = QUICK if args.quick else FULL
-    rows, headline = run_sweep(**params)
-    print(_render(rows), end="")
-    path = _emit_baseline(headline, params, directory=args.results_dir)
-    print(
-        "hotspot speedup (4 followers / 1): "
-        f"{headline['hotspot_speedup_4f_vs_1f']}x"
-    )
-    print(f"wrote {path}")
-    return 0 if headline["hotspot_speedup_4f_vs_1f"] >= 1.1 else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+    assert headline["low_speedup_4f_vs_1f"] >= headline["hotspot_speedup_4f_vs_1f"]

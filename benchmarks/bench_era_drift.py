@@ -13,8 +13,7 @@ it — the same downward trend the paper's argument rests on.
 
 import dataclasses
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.metrics import correlation
 from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
@@ -27,7 +26,8 @@ HEIGHTS = (0, 2_000_000, 4_000_000, 6_000_000, 8_000_000, 10_000_000)
 BLOCKS_PER_ERA = 2
 
 
-def test_era_drift(bench_universe, benchmark, capsys):
+def run(world: World) -> Outcome:
+    bench_universe = world.universe
     validator = ParallelValidator(config=ValidatorConfig(lanes=16))
     proposer = ProposerNode("era")
     chain = Blockchain(bench_universe.genesis)
@@ -62,31 +62,17 @@ def test_era_drift(bench_universe, benchmark, capsys):
         )
 
     r = correlation(pairs)
-    emit(
-        capsys,
-        "era_drift",
-        format_table(
-            rows,
-            title=(
-                "Era drift (§5.5) — parallelizability decays with chain age "
-                f"(height-vs-speedup Pearson r = {r:.2f})"
-            ),
+    report = format_table(
+        rows,
+        title=(
+            "Era drift (§5.5) — parallelizability decays with chain age "
+            f"(height-vs-speedup Pearson r = {r:.2f})"
         ),
     )
+    return Outcome({"pearson_r": r, "speedup_by_era": [row["speedup@16"] for row in rows]}, report)
 
+
+def check(headline: dict) -> None:
     # the longitudinal claim: clear downward trend
-    assert r < -0.8
-    assert rows[0]["speedup@16"] > rows[-1]["speedup@16"] * 1.5
-
-    cfg = era_profile(10_000_000, seed=29)
-    uni = dataclasses.replace(bench_universe, nonces={})
-    generator = BlockWorkloadGenerator(uni, cfg)
-    txs = generator.generate_block_txs()
-
-    def kernel():
-        sealed = proposer.build_block(
-            chain.genesis.header, bench_universe.genesis, txs
-        )
-        return validator.validate_block(sealed.block, bench_universe.genesis)
-
-    benchmark.pedantic(kernel, rounds=3, iterations=1)
+    assert headline["pearson_r"] < -0.8
+    assert headline["speedup_by_era"][0] > headline["speedup_by_era"][-1] * 1.5

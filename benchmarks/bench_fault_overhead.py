@@ -12,14 +12,9 @@ Two claims behind the robustness layer:
   honest state root, only simulated makespan grows.
 """
 
-import statistics
 import time
 
-import pytest
-
-pytestmark = pytest.mark.faults
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
@@ -37,14 +32,9 @@ def _one_wall(validator, entries):
     return time.perf_counter() - start
 
 
-def _median_wall(validator, entries):
-    """Median wall-clock seconds to validate the chain prefix."""
-    return statistics.median(_one_wall(validator, entries) for _ in range(REPEATS))
-
-
-def test_fault_hooks_overhead_when_disabled(bench_chain, capsys):
+def run_disabled(world: World, blocks: int) -> Outcome:
     """The fault machinery must be free when unused (<5% wall clock)."""
-    entries = bench_chain[:4]
+    entries = world.chain(blocks)
     baseline = ParallelValidator(config=ValidatorConfig(lanes=16))
     hooked = ParallelValidator(
         config=ValidatorConfig(lanes=16),
@@ -71,31 +61,27 @@ def test_fault_hooks_overhead_when_disabled(bench_chain, capsys):
     with_hooks = min(hook_samples)
     overhead = with_hooks / base - 1.0
 
-    emit(
-        capsys,
-        "fault_overhead_disabled",
-        format_table(
-            [
-                {
-                    "config": "no injector",
-                    "median_s": round(base, 4),
-                    "overhead": "—",
-                },
-                {
-                    "config": "zero-rate injector",
-                    "median_s": round(with_hooks, 4),
-                    "overhead": f"{overhead:+.1%}",
-                },
-            ],
-            title="Fault machinery overhead, faults disabled (4 blocks, 16 lanes)",
-        ),
+    report = format_table(
+        [
+            {"config": "no injector", "best_s": round(base, 4), "overhead": "—"},
+            {
+                "config": "zero-rate injector",
+                "best_s": round(with_hooks, 4),
+                "overhead": f"{overhead:+.1%}",
+            },
+        ],
+        title=f"Fault machinery overhead, faults disabled ({len(entries)} blocks, 16 lanes)",
     )
-    assert overhead < 0.05, f"disabled fault hooks cost {overhead:.1%}"
+    return Outcome({"overhead": overhead}, report)
 
 
-def test_degradation_curve_under_worker_faults(bench_chain, capsys):
+def check_disabled(headline: dict) -> None:
+    assert headline["overhead"] < 0.05, f"disabled fault hooks cost {headline['overhead']:.1%}"
+
+
+def run_degradation(world: World, blocks: int) -> Outcome:
     """Throughput degrades smoothly with fault rate; correctness never."""
-    entries = bench_chain[:4]
+    entries = world.chain(blocks)
     honest = ParallelValidator(config=ValidatorConfig(lanes=16))
     honest_makespan = sum(
         honest.validate_block(e.block, e.parent_state).phases.commit_end
@@ -112,7 +98,6 @@ def test_degradation_curve_under_worker_faults(bench_chain, capsys):
             "slowdown": "1.00×",
         }
     ]
-    prev_makespan = honest_makespan
     for rate in FAULT_RATES:
         injector = FaultInjector(
             FaultConfig(seed=7, worker_fault_rate=rate, stall_rate=rate)
@@ -143,14 +128,14 @@ def test_degradation_curve_under_worker_faults(bench_chain, capsys):
                 "slowdown": f"{makespan / honest_makespan:.2f}×",
             }
         )
-        assert makespan >= prev_makespan * 0.999  # monotone-ish degradation
-        prev_makespan = makespan
 
-    emit(
-        capsys,
-        "fault_degradation_curve",
-        format_table(
-            rows,
-            title="Graceful degradation vs worker-fault rate (4 blocks, 16 lanes)",
-        ),
+    report = format_table(
+        rows,
+        title=f"Graceful degradation vs worker-fault rate ({len(entries)} blocks, 16 lanes)",
     )
+    return Outcome({"makespan_us_by_rate": [row["makespan_us"] for row in rows]}, report)
+
+
+def check_degradation(headline: dict) -> None:
+    makespans = headline["makespan_us_by_rate"]
+    assert all(b >= a * 0.999 for a, b in zip(makespans, makespans[1:]))  # monotone-ish

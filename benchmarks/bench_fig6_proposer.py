@@ -8,38 +8,21 @@ Regenerated here: the same sweep over the generated chain.  The baseline
 is geth-style serial block building over the identical pending set.
 """
 
-
-from benchmarks.conftest import THREAD_SWEEP, emit, emit_json
+from benchmarks.world import THREAD_SWEEP, Outcome, World
 from repro.analysis.metrics import SweepPoint, scaling_sweep_table
 from repro.analysis.report import format_histogram, format_table
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
-from repro.evm.interpreter import ExecutionContext
-from repro.txpool.pool import TxPool
 
 PAPER_MEANS = {2: 1.82, 4: 2.60, 8: 3.56, 16: 4.89}
 
 
-def _ctx(entry):
-    return ExecutionContext(
-        block_number=entry.block.header.number,
-        timestamp=entry.block.header.timestamp,
-        coinbase=entry.block.header.coinbase,
-        gas_limit=entry.block.header.gas_limit,
-    )
-
-
-def _fresh_pool(entry):
-    pool = TxPool()
-    pool.add_many(sorted(entry.txs, key=lambda t: t.nonce))
-    return pool
-
-
-def test_fig6_proposer_scalability(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
+    bench_chain = world.chain(blocks)
     serial = SerialExecutor()
     serial_times = {}
     for i, entry in enumerate(bench_chain):
-        sres = serial.propose_serial(entry.parent_state, _fresh_pool(entry), _ctx(entry))
+        sres = serial.propose_serial(entry.parent_state, entry.fresh_pool(), entry.ctx())
         assert len(sres.packed) == len(entry.txs)
         serial_times[i] = sres.total_time
 
@@ -49,7 +32,7 @@ def test_fig6_proposer_scalability(bench_chain, benchmark, capsys):
         proposer = OCCWSIProposer(config=ProposerConfig(lanes=lanes))
         samples = []
         for i, entry in enumerate(bench_chain):
-            result = proposer.propose(entry.parent_state, _fresh_pool(entry), _ctx(entry))
+            result = proposer.propose(entry.parent_state, entry.fresh_pool(), entry.ctx())
             assert len(result.committed) == len(entry.txs)
             samples.append(serial_times[i] / result.stats.makespan)
         points.append(SweepPoint.from_samples(lanes, samples))
@@ -68,30 +51,21 @@ def test_fig6_proposer_scalability(bench_chain, benchmark, capsys):
         [1, 2, 3, 4, 5, 6, 7, 8],
         title="Fig. 6 histogram — per-block speedup distribution @16 threads",
     )
-    emit(capsys, "fig6_proposer", report)
-    emit_json(
-        "fig6_proposer",
-        {
-            "by_threads": {
-                str(int(p.x)): {"mean_speedup": p.summary.mean} for p in points
-            },
-            "accelerated_fraction_16": points[-1].summary.accelerated_fraction,
+    headline = {
+        "by_threads": {
+            str(int(p.x)): {"mean_speedup": p.summary.mean} for p in points
         },
-        config={"blocks": len(bench_chain), "thread_sweep": list(THREAD_SWEEP)},
+        "accelerated_fraction_16": points[-1].summary.accelerated_fraction,
+    }
+    return Outcome(
+        headline, report, {"blocks": len(bench_chain), "thread_sweep": list(THREAD_SWEEP)}
     )
 
-    # shape assertions: monotone scaling (within 5% sampling noise — at
-    # high lane counts abort pressure can sag individual samples), ~paper
-    # magnitude at 16 threads
-    means = [p.summary.mean for p in points]
+
+def check(headline: dict) -> None:
+    # monotone scaling (within 5% sampling noise — at high lane counts abort
+    # pressure can sag individual samples), ~paper magnitude at 16 threads
+    means = [headline["by_threads"][str(t)]["mean_speedup"] for t in THREAD_SWEEP]
     assert all(b >= a * 0.95 for a, b in zip(means, means[1:])), means
     assert 3.5 <= means[-1] <= 7.0
-    assert points[-1].summary.accelerated_fraction >= 0.95
-
-    entry = bench_chain[0]
-    proposer16 = OCCWSIProposer(config=ProposerConfig(lanes=16))
-    benchmark.pedantic(
-        lambda: proposer16.propose(entry.parent_state, _fresh_pool(entry), _ctx(entry)),
-        rounds=3,
-        iterations=1,
-    )
+    assert headline["accelerated_fraction_16"] >= 0.95

@@ -5,8 +5,7 @@ past ~6 threads (hotspot critical path); the two-phase OCC comparator
 [27] stays below BlockPilot throughout.
 """
 
-
-from benchmarks.conftest import emit, emit_json
+from benchmarks.world import Outcome, World
 from repro.analysis.metrics import SweepPoint
 from repro.analysis.report import format_table
 from repro.core.baselines import TwoPhaseOCCExecutor
@@ -16,9 +15,9 @@ SWEEP = (2, 4, 6, 8, 12, 16)
 PAPER_MEANS = {2: 1.7, 4: 2.5, 8: 3.03, 16: 3.18}
 
 
-def test_fig7a_validator_scalability(bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
+    bench_chain = world.chain(blocks)
     rows = []
-    bp_means = []
     for lanes in SWEEP:
         validator = ParallelValidator(config=ValidatorConfig(lanes=lanes))
         occ = TwoPhaseOCCExecutor(lanes=lanes)
@@ -33,7 +32,6 @@ def test_fig7a_validator_scalability(bench_chain, benchmark, capsys):
             )
         bp = SweepPoint.from_samples(lanes, bp_samples)
         oc = SweepPoint.from_samples(lanes, occ_samples)
-        bp_means.append(bp.summary.mean)
         rows.append(
             {
                 "threads": lanes,
@@ -44,40 +42,29 @@ def test_fig7a_validator_scalability(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "fig7a_scalability",
-        format_table(
-            rows,
-            title="Fig. 7(a) — single-block validator speedup vs threads (BlockPilot vs two-phase OCC)",
-        ),
+    report = format_table(
+        rows,
+        title="Fig. 7(a) — single-block validator speedup vs threads (BlockPilot vs two-phase OCC)",
     )
-    emit_json(
-        "fig7a_scalability",
-        {
-            "by_threads": {
-                str(row["threads"]): {
-                    "blockpilot_speedup": row["blockpilot"],
-                    "occ_2phase_speedup": row["occ_2phase"],
-                }
-                for row in rows
-            },
+    headline = {
+        "by_threads": {
+            str(row["threads"]): {
+                "blockpilot_speedup": row["blockpilot"],
+                "occ_2phase_speedup": row["occ_2phase"],
+            }
+            for row in rows
         },
-        config={"blocks": len(bench_chain), "thread_sweep": list(SWEEP)},
-    )
+    }
+    return Outcome(headline, report, {"blocks": len(bench_chain), "thread_sweep": list(SWEEP)})
 
-    # shape: monotone-ish rise with a knee (≤5% gain past 8 threads),
-    # BlockPilot dominates OCC at every point
+
+def check(headline: dict) -> None:
+    # monotone-ish rise with a knee (little gain past 8 threads), BlockPilot
+    # dominates OCC at every point
+    points = [headline["by_threads"][str(lanes)] for lanes in SWEEP]
+    bp_means = [point["blockpilot_speedup"] for point in points]
     assert all(b >= a * 0.98 for a, b in zip(bp_means, bp_means[1:]))
     knee_gain = bp_means[SWEEP.index(16)] / bp_means[SWEEP.index(8)]
     assert knee_gain < 1.15, "no knee: scaling should flatten past ~8 threads"
-    for row in rows:
-        assert row["blockpilot"] > row["occ_2phase"]
-
-    entry = bench_chain[0]
-    validator16 = ParallelValidator(config=ValidatorConfig(lanes=16))
-    benchmark.pedantic(
-        lambda: validator16.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )
+    for point in points:
+        assert point["blockpilot_speedup"] > point["occ_2phase_speedup"]

@@ -10,8 +10,7 @@ the tail is populated.
 
 import dataclasses
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_histogram, format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -21,7 +20,8 @@ from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
 
 
-def test_fig7b_speedup_distribution(bench_universe, bench_chain, benchmark, capsys):
+def run(world: World, blocks: int) -> Outcome:
+    bench_universe, bench_chain = world.universe, world.chain(blocks)
     validator = ParallelValidator(config=ValidatorConfig(lanes=16))
     samples = []
     ratios = []
@@ -72,14 +72,14 @@ def test_fig7b_speedup_distribution(bench_universe, bench_chain, benchmark, caps
         ],
         title="Fig. 7(b) summary",
     )
-    emit(capsys, "fig7b_distribution", report)
+    headline = {
+        "accelerated_fraction": summary.accelerated_fraction,
+        "min_speedup": summary.minimum,
+        "mean_speedup": summary.mean,
+    }
+    return Outcome(headline, report)
 
-    assert summary.accelerated_fraction >= 0.9
-    assert summary.minimum < summary.mean * 0.75, "expected a hotspot tail"
 
-    entry = bench_chain[0]
-    benchmark.pedantic(
-        lambda: validator.validate_block(entry.block, entry.parent_state),
-        rounds=3,
-        iterations=1,
-    )
+def check(headline: dict) -> None:
+    assert headline["accelerated_fraction"] >= 0.9
+    assert headline["min_speedup"] < headline["mean_speedup"] * 0.75, "expected a hotspot tail"

@@ -10,8 +10,7 @@ proposers race over the same pending set (ForkSimulator), giving B valid
 sibling blocks.
 """
 
-
-from benchmarks.conftest import emit, emit_json
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.pipeline import PipelineConfig, ValidatorPipeline
 from repro.network.dissemination import ForkSimulator
@@ -20,20 +19,20 @@ BLOCK_COUNTS = (1, 2, 3, 4, 5, 6, 8)
 PAPER = {1: 3.18, 2: "—", 4: 7.72, 8: "≈7 (slight dip)"}
 
 
-def test_fig9_multiblock_pipeline(bench_universe, bench_chain, benchmark, capsys):
-    entry = bench_chain[0]
+def run(world: World) -> Outcome:
+    entry = world.chain(1)[0]
     pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
     parent_states = {entry.parent_header.hash: entry.parent_state}
 
     rows = []
-    speedups = {}
+    peak = 0.0
     for count in BLOCK_COUNTS:
         forks = ForkSimulator(count, seed=21).propose_forks(
             entry.parent_header, entry.parent_state, entry.txs
         )
         res = pipe.process_blocks(forks.blocks, parent_states)
         assert res.all_accepted, [r.reason for r in res.results]
-        speedups[count] = res.speedup
+        peak = max(peak, res.speedup)
         rows.append(
             {
                 "blocks": count,
@@ -45,42 +44,29 @@ def test_fig9_multiblock_pipeline(bench_universe, bench_chain, benchmark, capsys
             }
         )
 
-    emit(
-        capsys,
-        "fig9_multiblock",
-        format_table(
-            rows,
-            title="Fig. 9 — pipeline speedup vs concurrent same-height blocks (16 worker lanes)",
-        ),
+    report = format_table(
+        rows,
+        title="Fig. 9 — pipeline speedup vs concurrent same-height blocks (16 worker lanes)",
     )
-    emit_json(
-        "fig9_multiblock",
-        {
-            "by_blocks": {
-                str(row["blocks"]): {
-                    "speedup": row["speedup"],
-                    "makespan_us": row["makespan_us"],
-                    "ctx_switches": row["ctx_switches"],
-                }
-                for row in rows
-            },
-            "peak_speedup": max(speedups.values()),
+    headline = {
+        "by_blocks": {
+            str(row["blocks"]): {
+                "speedup": row["speedup"],
+                "makespan_us": row["makespan_us"],
+                "ctx_switches": row["ctx_switches"],
+            }
+            for row in rows
         },
-        config={"block_counts": list(BLOCK_COUNTS), "worker_lanes": 16},
-    )
+        "peak_speedup": peak,
+    }
+    return Outcome(headline, report, {"block_counts": list(BLOCK_COUNTS), "worker_lanes": 16})
 
-    # shape: rises to a peak in the 4-6 block region, then declines at 8
+
+def check(headline: dict) -> None:
+    # rises to a peak in the 4-6 block region, then declines at 8
+    speedups = {count: headline["by_blocks"][str(count)]["speedup"] for count in BLOCK_COUNTS}
     peak_count = max(speedups, key=speedups.get)
     assert 3 <= peak_count <= 6, f"peak at {peak_count} blocks"
     assert speedups[peak_count] > 2 * speedups[1]
     assert speedups[8] < speedups[peak_count]
     assert 5.0 <= speedups[peak_count] <= 10.0
-
-    forks4 = ForkSimulator(4, seed=21).propose_forks(
-        entry.parent_header, entry.parent_state, entry.txs
-    )
-    benchmark.pedantic(
-        lambda: pipe.process_blocks(forks4.blocks, parent_states),
-        rounds=3,
-        iterations=1,
-    )

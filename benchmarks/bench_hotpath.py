@@ -11,16 +11,14 @@ so the committed golden can gate regressions without wall-clock noise:
 * ``artifacts.reuse_speedup`` — preparation-phase derivations (footprints
   → graph) per consumer vs once per block via :class:`ArtifactCache`.
 
-Wall-clock ratios ride along as informational ``wall_x`` keys (direction 0
-for :mod:`repro.obs.baseline`, so host noise never trips the gate).  Every
-legacy replica is checked for *equivalence* before its cost is counted —
-a fast wrong path is not a data point.
+Every legacy replica is checked for *equivalence* before its cost is
+counted — a fast wrong path is not a data point.  (What the layers cost in
+wall time is ``benchmarks/e2e``'s question, not this file's.)
 """
 
-import time
 import random
 
-from benchmarks.conftest import emit, emit_json
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.common.types import Address
 from repro.core.artifacts import ArtifactCache
@@ -155,20 +153,12 @@ def bench_txpool(rng):
     indexed_results, indexed_ops = run_indexed()
     assert legacy_results == indexed_results  # equivalence before speed
 
-    start = time.perf_counter()
-    run_legacy()
-    legacy_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    run_indexed()
-    indexed_wall = time.perf_counter() - start
-
     return {
         "pool_size": len(pool),
         "lookups": len(lookups),
         "ops_legacy": legacy_ops,
         "ops_indexed": indexed_ops,
         "scan_speedup": round(legacy_ops / indexed_ops, 2),
-        "wall_x": round(legacy_wall / indexed_wall, 2),
     }
 
 
@@ -258,8 +248,6 @@ def bench_commit(rng):
 
     legacy_ops_total = 0
     batched_ops_total = 0
-    legacy_wall = 0.0
-    batched_wall = 0.0
     for _round in range(COMMIT_ROUNDS):
         writes = {}
         balances = {}
@@ -283,14 +271,8 @@ def bench_commit(rng):
         for a, bal in balances.items():
             db.set_balance(a, bal)
 
-        start = time.perf_counter()
         batched = db.commit()
-        batched_wall += time.perf_counter() - start
-
-        start = time.perf_counter()
         legacy, legacy_ops = _legacy_commit(snapshot, writes, balances)
-        legacy_wall += time.perf_counter() - start
-
         assert batched.state_root() == legacy.state_root()  # equivalence
         legacy_ops_total += legacy_ops
         batched_ops_total += _batched_ops(snapshot, writes, balances)
@@ -303,7 +285,6 @@ def bench_commit(rng):
         "trie_ops_legacy": legacy_ops_total,
         "trie_ops_batched": batched_ops_total,
         "write_speedup": round(legacy_ops_total / batched_ops_total, 2),
-        "wall_x": round(legacy_wall / batched_wall, 2),
     }
 
 
@@ -312,27 +293,21 @@ def bench_commit(rng):
 # --------------------------------------------------------------------------- #
 
 
-def bench_artifacts(bench_chain):
-    entry = bench_chain[0]
+def bench_artifacts(entry):
     cache = ArtifactCache()
 
-    start = time.perf_counter()
     cached_results = [
         ParallelValidator(
             config=ValidatorConfig(lanes=lanes), artifacts=cache
         ).validate_block(entry.block, entry.parent_state)
         for lanes in LANE_SWEEP
     ]
-    cached_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
     plain_results = [
         ParallelValidator(config=ValidatorConfig(lanes=lanes)).validate_block(
             entry.block, entry.parent_state
         )
         for lanes in LANE_SWEEP
     ]
-    plain_wall = time.perf_counter() - start
 
     for cached_res, plain_res in zip(cached_results, plain_results):
         assert cached_res.accepted and plain_res.accepted
@@ -346,58 +321,38 @@ def bench_artifacts(bench_chain):
         "consumers": len(LANE_SWEEP),
         "graph_builds_cached": cache.misses,
         "reuse_speedup": round(derivations / cache.misses, 2),
-        "wall_x": round(plain_wall / cached_wall, 2),
     }
 
 
-def test_hotpath_microbench(bench_chain, capsys):
+def run(world: World) -> Outcome:
     rng = random.Random(4242)
-    txpool = bench_txpool(rng)
-    commit = bench_commit(rng)
-    artifacts = bench_artifacts(bench_chain)
+    headline = {
+        "txpool": bench_txpool(rng),
+        "commit": bench_commit(rng),
+        "artifacts": bench_artifacts(world.chain(1)[0]),
+    }
+    report = format_table(
+        [
+            {"layer": "txpool scan", "speedup": headline["txpool"]["scan_speedup"]},
+            {"layer": "state commit", "speedup": headline["commit"]["write_speedup"]},
+            {"layer": "artifacts", "speedup": headline["artifacts"]["reuse_speedup"]},
+        ],
+        title="Hot-path layers — deterministic op-count speedups",
+    )
+    config = {
+        "pool_senders": POOL_SENDERS,
+        "pool_nonces": POOL_NONCES,
+        "commit_accounts": COMMIT_ACCOUNTS,
+        "commit_slots": COMMIT_SLOTS,
+        "commit_rounds": COMMIT_ROUNDS,
+        "lane_sweep": list(LANE_SWEEP),
+        "seed": 4242,
+    }
+    return Outcome(headline, report, config)
 
+
+def check(headline: dict) -> None:
     # acceptance bar (ISSUE 4): ≥2x op reduction on every layer
-    assert txpool["scan_speedup"] >= 2.0
-    assert commit["write_speedup"] >= 2.0
-    assert artifacts["reuse_speedup"] >= 2.0
-
-    rows = [
-        {"layer": "txpool scan", **{k: v for k, v in txpool.items()}},
-        {"layer": "state commit", **{k: v for k, v in commit.items()}},
-        {"layer": "artifacts", **{k: v for k, v in artifacts.items()}},
-    ]
-    emit(
-        capsys,
-        "hotpath",
-        format_table(
-            [
-                {
-                    "layer": r["layer"],
-                    "speedup": r.get("scan_speedup")
-                    or r.get("write_speedup")
-                    or r.get("reuse_speedup"),
-                    "wall_x": r["wall_x"],
-                }
-                for r in rows
-            ],
-            title="Hot-path layers — deterministic op-count speedups "
-            "(wall_x informational)",
-        ),
-    )
-    emit_json(
-        "hotpath",
-        {
-            "txpool": txpool,
-            "commit": commit,
-            "artifacts": artifacts,
-        },
-        config={
-            "pool_senders": POOL_SENDERS,
-            "pool_nonces": POOL_NONCES,
-            "commit_accounts": COMMIT_ACCOUNTS,
-            "commit_slots": COMMIT_SLOTS,
-            "commit_rounds": COMMIT_ROUNDS,
-            "lane_sweep": list(LANE_SWEEP),
-            "seed": 4242,
-        },
-    )
+    assert headline["txpool"]["scan_speedup"] >= 2.0
+    assert headline["commit"]["write_speedup"] >= 2.0
+    assert headline["artifacts"]["reuse_speedup"] >= 2.0

@@ -1,59 +1,49 @@
-"""Observability overhead and export-contract benchmarks.
+"""Observability overhead, export-contract and live-telemetry benchmarks.
 
 Three claims behind the ``repro.obs`` layer:
 
 * **Off by default, free by default** — the production path runs with
   :data:`~repro.obs.tracer.NULL_TRACER` and no metrics registry, so the
   instrumentation reduces to boolean guards.  The guard microbenchmark
-  bounds their cost below 3% of a block's validation wall time, and the
-  traced run's *simulated* timing is bit-identical to the untraced run
-  (tracing re-walks timing separately; it never perturbs the model).
-* **Deterministic export** — same seed, same trace: the Chrome-trace JSON
-  of two identical traced runs is byte-identical and carries the
-  ``ph``/``ts``/``pid``/``tid``/``name`` keys Perfetto needs.
-* **Baselines round-trip** — numbers written with ``write_baseline`` load
-  back and self-compare with zero regressions.
+  bounds their cost below 3% of a block's validation wall time.
+* **Deterministic export** — the traced run's *simulated* timing is
+  bit-identical to the untraced run (tracing rides the one timing walk; it
+  never perturbs the model), the Chrome-trace JSON of two identical traced
+  runs is byte-identical, and it carries the ``ph``/``ts``/``pid``/``tid``/
+  ``name`` keys Perfetto needs.
+* **A replayable event stream** — a fixed-seed ``serve`` run with telemetry
+  on writes the same bytes every time; ``BENCH_obs_live.json`` pins its
+  shape.  (What telemetry costs in wall time is ``benchmarks/e2e``'s
+  ``trace.overhead_share``, not this file's.)
 """
 
-import statistics
+import json
+import tempfile
 import time
+from pathlib import Path
 
-from benchmarks.conftest import CHAIN_LENGTH, emit, emit_json
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.obs import (
-    MetricsRegistry,
-    NULL_EMITTER,
-    NULL_TRACER,
-    Tracer,
-    chrome_trace_json,
-    compare,
-    load_baseline,
-    write_baseline,
-)
+from repro.obs import NULL_EMITTER, NULL_TRACER, MetricsRegistry, Tracer, chrome_trace_json
+from repro.obs.events import read_events
+from repro.store.service import NodeService, ServeConfig
 
-REPEATS = 5
 GUARD_ITERATIONS = 200_000
 #: generous upper bound on NullTracer/metrics guard evaluations per tx
 #: (occ-wsi loop + validator phases + scheduler are each a handful)
 GUARDS_PER_TX = 32
 
 
-def _median_wall(validator, entries):
-    """Median wall-clock seconds to validate the chain prefix."""
-    samples = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for entry in entries:
-            result = validator.validate_block(entry.block, entry.parent_state)
-            assert result.accepted, result.reason
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+def _validate_all(validator, entries):
+    results = [validator.validate_block(entry.block, entry.parent_state) for entry in entries]
+    assert all(result.accepted for result in results)
+    return results
 
 
-def test_null_tracer_overhead(bench_chain, capsys):
+def run_guards(world: World, blocks: int) -> Outcome:
     """Default NullTracer instrumentation must cost <3% wall time."""
-    entries = bench_chain[:4]
+    entries = world.chain(blocks)
     untraced = ParallelValidator(config=ValidatorConfig(lanes=16))
 
     # Measure the primitive the production path actually pays: one
@@ -77,213 +67,118 @@ def test_null_tracer_overhead(bench_chain, capsys):
     empty_wall = time.perf_counter() - start
     guard_cost = max(guard_wall - empty_wall, 0.0) / GUARD_ITERATIONS
 
-    _median_wall(untraced, entries)  # warm up the interpreter path
-    base = _median_wall(untraced, entries)
+    _validate_all(untraced, entries)  # warm up the interpreter path
+    start = time.perf_counter()
+    _validate_all(untraced, entries)
+    base = time.perf_counter() - start
     txs = sum(len(e.block) for e in entries)
     guard_share = (guard_cost * GUARDS_PER_TX * txs) / base
 
-    traced = ParallelValidator(
-        config=ValidatorConfig(lanes=16),
-        tracer=Tracer(),
-        metrics=MetricsRegistry(),
+    report = format_table(
+        [
+            {
+                "config": "NullTracer (default)",
+                "validate_s": round(base, 4),
+                "guard_ns": round(guard_cost * 1e9, 1),
+                "overhead": f"{guard_share:+.2%} (guard bound)",
+            }
+        ],
+        title=f"Observability guards ({len(entries)} blocks, 16 lanes)",
     )
-    with_trace = _median_wall(traced, entries)
-    trace_cost = with_trace / base - 1.0
-
-    emit(
-        capsys,
-        "obs_overhead",
-        format_table(
-            [
-                {
-                    "config": "NullTracer (default)",
-                    "median_s": round(base, 4),
-                    "overhead": f"{guard_share:+.2%} (guard bound)",
-                },
-                {
-                    "config": "Tracer + metrics",
-                    "median_s": round(with_trace, 4),
-                    "overhead": f"{trace_cost:+.1%}",
-                },
-            ],
-            title="Observability overhead (4 blocks, 16 lanes)",
-        ),
-    )
-    assert guard_share < 0.03, (
-        f"NullTracer guards cost {guard_share:.2%} of validation wall time"
-    )
+    return Outcome({"guard_share": guard_share}, report)
 
 
-def test_tracing_never_perturbs_simulated_timing(bench_chain):
-    """Traced and untraced runs agree on every simulated phase boundary."""
-    entries = bench_chain[:4]
-    untraced = ParallelValidator(config=ValidatorConfig(lanes=16))
-    traced = ParallelValidator(
-        config=ValidatorConfig(lanes=16),
-        tracer=Tracer(),
-        metrics=MetricsRegistry(),
-    )
-    for entry in entries:
-        a = untraced.validate_block(entry.block, entry.parent_state)
-        b = traced.validate_block(entry.block, entry.parent_state)
-        assert a.phases.prep_end == b.phases.prep_end
-        assert a.phases.exec_end == b.phases.exec_end
-        assert a.phases.validate_end == b.phases.validate_end
-        assert a.phases.commit_end == b.phases.commit_end
-        assert a.post_state.state_root() == b.post_state.state_root()
+def check_guards(headline: dict) -> None:
+    share = headline["guard_share"]
+    assert share < 0.03, f"NullTracer guards cost {share:.2%} of validation wall time"
 
 
-def test_traced_run_exports_replayable_chrome_json(bench_chain):
-    """Same inputs, same trace — the export is byte-identical on replay."""
-    entries = bench_chain[:4]
+def run_export(world: World, blocks: int) -> Outcome:
+    """Tracing never perturbs simulated timing; the export replays byte for byte."""
+    entries = world.chain(blocks)
 
-    def run():
+    def traced_run():
         tracer = Tracer()
         validator = ParallelValidator(
-            config=ValidatorConfig(lanes=16),
-            tracer=tracer,
-            metrics=MetricsRegistry(),
+            config=ValidatorConfig(lanes=16), tracer=tracer, metrics=MetricsRegistry()
         )
-        for entry in entries:
-            validator.validate_block(entry.block, entry.parent_state)
-        return chrome_trace_json(tracer)
+        return _validate_all(validator, entries), chrome_trace_json(tracer)
 
-    first, second = run(), run()
-    assert first == second, "same-seed traced runs must export identical JSON"
-
-    import json
-
+    untraced = _validate_all(ParallelValidator(config=ValidatorConfig(lanes=16)), entries)
+    traced, first = traced_run()
+    _, second = traced_run()
     events = json.loads(first)["traceEvents"]
-    assert events, "traced run produced no events"
-    for event in events:
-        for key in ("ph", "ts", "pid", "tid", "name"):
-            assert key in event, f"trace event missing {key}: {event}"
-    assert any(e["ph"] == "X" for e in events)
+    headline = {
+        "timing_mismatches": sum(
+            a.phases != b.phases or a.post_state.state_root() != b.post_state.state_root()
+            for a, b in zip(untraced, traced)
+        ),
+        "export_replays": first == second,
+        "events": len(events),
+        "complete_events": sum(e["ph"] == "X" for e in events),
+        "events_missing_keys": sum(
+            any(key not in e for key in ("ph", "ts", "pid", "tid", "name")) for e in events
+        ),
+    }
+    report = format_table([headline], title=f"Trace export contract ({len(entries)} blocks)")
+    return Outcome(headline, report)
 
 
-def test_events_on_lane_and_baseline(tmp_path, capsys):
-    """Events-on serve lane: wall-cost table + sim-deterministic baseline.
+def check_export(headline: dict) -> None:
+    assert headline["timing_mismatches"] == 0, "tracing perturbed a phase boundary or a root"
+    assert headline["export_replays"], "same-seed traced runs must export identical JSON"
+    assert headline["events"] > 0 and headline["complete_events"] > 0
+    assert headline["events_missing_keys"] == 0
 
-    The committed ``BENCH_obs_live.json`` golden pins the *simulated*
-    shape of a fixed-seed serve run with telemetry on — event counts,
-    sequence numbers, narrated aborts, file bytes — so ``make
-    bench-compare`` catches any drift in the event schema or the abort
-    schedule.  Wall-clock medians ride along under informational key
-    names (never gated; machines differ).
-    """
-    from repro.obs.events import read_events
-    from repro.store.service import NodeService, ServeConfig
 
-    def serve(events: bool, tag: str):
-        data_dir = tmp_path / tag
+def run_live(world: World, blocks: int) -> Outcome:
+    """Events-on serve lane: the *simulated* shape of a fixed-seed serve run
+    with telemetry on — event counts, sequence numbers, narrated aborts, file
+    bytes — so the gate catches any drift in the event schema or the abort
+    schedule.  (``serve`` builds its own universe, so ``world`` goes unused.)"""
+
+    def serve(data_dir: Path, events: bool):
         config = ServeConfig(
             data_dir=str(data_dir),
             txs_per_block=12,
-            max_height=CHAIN_LENGTH,
+            max_height=blocks,
             snapshot_interval=4,
             fsync=False,
             events=events,
         )
-        start = time.perf_counter()
-        report = NodeService(config).run(handle_signals=False)
-        return time.perf_counter() - start, data_dir, report
+        return NodeService(config).run(handle_signals=False)
 
-    off_walls, on_walls = [], []
-    event_files = []
-    for repeat in range(REPEATS):
-        wall, _, off_report = serve(False, f"off{repeat}")
-        off_walls.append(wall)
-        assert off_report.events_written == 0
-        wall, data_dir, on_report = serve(True, f"on{repeat}")
-        on_walls.append(wall)
-        event_files.append(data_dir / "events.jsonl")
-    off_median = statistics.median(off_walls)
-    on_median = statistics.median(on_walls)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert serve(Path(tmp, "off"), False).events_written == 0
+        on_report = serve(Path(tmp, "on"), True)
+        serve(Path(tmp, "again"), True)
+        reference = Path(tmp, "on", "events.jsonl").read_bytes()
+        # same seed, same bytes: the event stream is part of the repro surface
+        replays = Path(tmp, "again", "events.jsonl").read_bytes() == reference
+        events = read_events(str(Path(tmp, "on", "events.jsonl")))
 
-    # same seed, same bytes: the event stream is part of the repro surface
-    reference = event_files[0].read_bytes()
-    for path in event_files[1:]:
-        assert path.read_bytes() == reference, "event streams diverged"
-
-    events = read_events(str(event_files[0]))
     kinds = [event["kind"] for event in events]
     sealed = [event for event in events if event["kind"] == "block_sealed"]
-    assert len(sealed) == CHAIN_LENGTH
+    assert replays, "event streams diverged"
+    assert len(sealed) == blocks
     assert on_report.events_written == len(events)
     assert [event["seq"] for event in events] == list(range(len(events)))
 
-    emit(
-        capsys,
-        "obs_live",
-        format_table(
-            [
-                {
-                    "config": "serve, events off",
-                    "median_s": round(off_median, 4),
-                    "events": 0,
-                },
-                {
-                    "config": "serve, events on",
-                    "median_s": round(on_median, 4),
-                    "events": len(events),
-                },
-            ],
-            title=f"Live telemetry lane ({CHAIN_LENGTH} blocks, sim backend)",
-        ),
+    headline = {
+        "events_total": len(events),
+        "sealed_events": len(sealed),
+        "append_events": kinds.count("store_append"),
+        "narrated_aborts": sum(e["aborts"] for e in sealed),
+        "final_seq": events[-1]["seq"],
+        "event_bytes": len(reference),
+    }
+    report = format_table(
+        [headline], title=f"Live telemetry lane ({blocks} blocks, sim backend)"
     )
-    emit_json(
-        "obs_live",
-        {
-            # deterministic under a fixed seed — gated by bench-compare
-            "events_total": len(events),
-            "sealed_events": len(sealed),
-            "append_events": kinds.count("store_append"),
-            "narrated_aborts": sum(e["aborts"] for e in sealed),
-            "final_seq": events[-1]["seq"],
-            "event_bytes": len(reference),
-            # wall clock — informational only, machines differ
-            "events_off_median_s": round(off_median, 4),
-            "events_on_median_s": round(on_median, 4),
-        },
-        config={
-            "blocks": CHAIN_LENGTH,
-            "txs_per_block": 12,
-            "seed": 42,
-            "backend": "sim",
-        },
-    )
+    config = {"blocks": blocks, "txs_per_block": 12, "seed": 42, "backend": "sim"}
+    return Outcome(headline, report, config)
 
 
-def test_baseline_roundtrip_zero_regressions(bench_chain, tmp_path):
-    """BENCH_*.json written from a real run self-compares clean."""
-    entries = bench_chain[:4]
-    metrics = MetricsRegistry()
-    validator = ParallelValidator(
-        config=ValidatorConfig(lanes=16), metrics=metrics
-    )
-    speedups = [
-        validator.validate_block(e.block, e.parent_state).speedup
-        for e in entries
-    ]
-    path = write_baseline(
-        "obs_roundtrip",
-        {
-            "mean_speedup": statistics.mean(speedups),
-            "blocks": len(entries),
-        },
-        metrics=metrics.snapshot(),
-        config={"lanes": 16},
-        directory=str(tmp_path),
-    )
-    document = load_baseline(path)
-    assert document["name"] == "obs_roundtrip"
-    result = compare(path, path)
-    assert result.ok and not result.regressions
-    assert result.improvements == []
-
-    # and the shared conftest helper lands one next to the text reports
-    emit_json(
-        "obs_overhead",
-        {"mean_speedup": statistics.mean(speedups)},
-        config={"lanes": 16, "blocks": len(entries)},
-    )
+def check_live(headline: dict) -> None:
+    assert headline["final_seq"] == headline["events_total"] - 1
+    assert headline["sealed_events"] == headline["append_events"] > 0

@@ -16,19 +16,18 @@ why §3.4 motivates the design with the Byzantium network's sibling
 blocks.
 """
 
-
-from benchmarks.conftest import emit
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.core.pipeline import PipelineConfig, ValidatorPipeline
 
 
-def test_pipeline_chain_sync(bench_chain, benchmark, capsys):
+def run(world: World) -> Outcome:
     pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
 
     rows = []
     speedups = {}
     for depth in (1, 2, 4, 8, 12):
-        segment = bench_chain[:depth]
+        segment = world.chain(depth)
         blocks = [e.block for e in segment]
         parent_states = {
             segment[0].parent_header.hash: segment[0].parent_state
@@ -45,18 +44,18 @@ def test_pipeline_chain_sync(bench_chain, benchmark, capsys):
             }
         )
 
-    emit(
-        capsys,
-        "pipeline_sync",
-        format_table(
-            rows,
-            title=(
-                "Chain sync — pipelining consecutive heights (Figure 5): "
-                "execution overlaps, validation serialises"
-            ),
+    report = format_table(
+        rows,
+        title=(
+            "Chain sync — pipelining consecutive heights (Figure 5): "
+            "execution overlaps, validation serialises"
         ),
     )
+    return Outcome({"speedup_by_depth": speedups}, report)
 
+
+def check(headline: dict) -> None:
+    speedups = headline["speedup_by_depth"]
     # the per-height execution dependency binds: throughput stays at the
     # single-block level regardless of depth (no multiplication, and no
     # collapse either — the validation-tail overlap offsets switch costs)
@@ -64,12 +63,3 @@ def test_pipeline_chain_sync(bench_chain, benchmark, capsys):
         assert 0.7 * speedups[1] <= value <= 1.3 * speedups[1], (depth, value)
     # and far below the same-height overlap of Fig. 9 at similar counts
     assert speedups[4] < 5.0
-
-    segment = bench_chain[:4]
-    blocks = [e.block for e in segment]
-    parent_states = {segment[0].parent_header.hash: segment[0].parent_state}
-    benchmark.pedantic(
-        lambda: pipe.process_blocks(blocks, parent_states),
-        rounds=3,
-        iterations=1,
-    )

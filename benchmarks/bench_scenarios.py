@@ -8,29 +8,19 @@ is the paper's headline metric.  Scenarios with per-height dynamics
 (bursts, the diurnal cycle) are swept across enough consecutive heights
 to cover both phases of their envelope.
 
-The committed ``BENCH_scenarios.json`` golden is regenerated bit-for-bit
-by ``make bench-scenarios`` and gated in CI (``scenarios`` job) via
-``repro.obs.baseline``.  The acceptance bar inside the bench itself: the
-partitioned-counter ERC-20 variant must beat the shared-counter variant
-on validator speedup *and* carry strictly fewer conflict edges — the
-semantic conflict-reduction result of Garamvölgyi et al. on identical
-traffic.
-
-Runs two ways:
-
-* ``pytest benchmarks/bench_scenarios.py`` — quick sweep, table + JSON
-  baseline, asserts the conflict-taming bar;
-* ``python benchmarks/bench_scenarios.py [--quick]`` — standalone CLI for
-  CI and ``make bench-scenarios`` (no pytest session needed).
+The committed ``BENCH_scenarios.json`` golden regenerates byte for byte.
+The acceptance bar: the partitioned-counter ERC-20 variant must beat the
+shared-counter variant on proposer speedup *and* carry strictly fewer
+conflict edges — the semantic conflict-reduction result of Garamvölgyi et
+al. on identical traffic.
 """
 
 from __future__ import annotations
 
 from statistics import mean
-from typing import List, Optional, Tuple
+from typing import List
 
-import pytest
-
+from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.check.oracle import verify_commit_order
@@ -40,35 +30,22 @@ from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
 from repro.workload.scenarios import get_scenario, scenario_names
 
-#: the committed golden (and the CI gate) are generated with QUICK — the
-#: sim clock makes the numbers exact, so any drift is a real change.
-#: blocks_per_point=4 covers both phases of the period-8 burst envelopes
-#: (heights 0-2 storm, height 3 calm).
-QUICK = {"txs_per_block": 48, "blocks_per_point": 4}
-FULL = {"txs_per_block": 96, "blocks_per_point": 8}
-
 LANES = 16
 SEED = 42
 
 
-def run_sweep(
-    *,
-    txs_per_block: int,
-    blocks_per_point: int,
-    lanes: int = LANES,
-    seed: int = SEED,
-) -> Tuple[List[dict], dict]:
-    """The sweep proper: rows for the table, nested headline for the JSON."""
+def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
+    """Every scenario builds its own universe, so ``world`` goes unused."""
     rows: List[dict] = []
     headline: dict = {}
     for name in scenario_names():
-        stream = get_scenario(name, seed=seed, txs_per_block=txs_per_block)
+        stream = get_scenario(name, seed=SEED, txs_per_block=txs_per_block)
         chain = Blockchain(stream.universe.genesis)
         proposer = ProposerNode(
             "bench",
-            config=ProposerConfig(lanes=lanes, strict_checks=True),
+            config=ProposerConfig(lanes=LANES, strict_checks=True),
         )
-        validator = ParallelValidator(config=ValidatorConfig(lanes=lanes))
+        validator = ParallelValidator(config=ValidatorConfig(lanes=LANES))
         serial = SerialExecutor()
         parent_header = chain.genesis.header
         parent_state = stream.universe.genesis
@@ -130,95 +107,25 @@ def run_sweep(
     headline["partitioned_vs_shared_edge_ratio"] = round(
         partitioned["conflict_edges"] / max(1, shared["conflict_edges"]), 3
     )
-    return rows, headline
+    report = format_table(
+        rows,
+        title="Scenario diversity sweep — per-scenario conflict shape (occ-wsi, sim clock)",
+    )
+    config = {
+        "lanes": LANES, "seed": SEED,
+        "txs_per_block": txs_per_block, "blocks_per_point": blocks_per_point,
+    }
+    return Outcome(headline, report, config)
 
 
-def conflict_taming_holds(headline: dict) -> bool:
-    """Partitioned counters must lift parallelism AND shed edges."""
-    return (
-        headline["partitioned_vs_shared_speedup"] > 1.0
-        and headline["counter-partitioned"]["conflict_edges"]
+def check(headline: dict) -> None:
+    # partitioned counters must lift parallelism AND shed edges
+    assert headline["partitioned_vs_shared_speedup"] > 1.0
+    assert (
+        headline["counter-partitioned"]["conflict_edges"]
         < headline["counter-shared"]["conflict_edges"]
     )
-
-
-def _render(rows: List[dict]) -> str:
-    return format_table(
-        rows,
-        title="Scenario diversity sweep — per-scenario conflict shape "
-        "(occ-wsi, sim clock)",
-    )
-
-
-def _emit_baseline(headline: dict, params: dict, directory: Optional[str] = None) -> str:
-    from repro.obs.baseline import write_baseline
-
-    return write_baseline(
-        "scenarios",
-        headline,
-        config={"lanes": LANES, "seed": SEED, **params},
-        directory=directory,
-    )
-
-
-@pytest.mark.scenarios
-def test_scenario_sweep(benchmark, capsys):
-    """Every registered scenario through propose/oracle/validate; the
-    partitioned-counter variant must beat the shared-counter one."""
-    from benchmarks.conftest import emit, emit_json
-
-    rows, headline = run_sweep(**QUICK)
-    emit(capsys, "scenario_sweep", _render(rows))
-    emit_json("scenarios", headline, config={"lanes": LANES, "seed": SEED, **QUICK})
-
-    assert conflict_taming_holds(headline), headline
-
     # every scenario commits work and parallelises at least a little
     for name in scenario_names():
         assert headline[name]["throughput_tps"] > 0, name
         assert headline[name]["validator_speedup"] >= 1.0, name
-
-    benchmark.pedantic(
-        lambda: run_sweep(txs_per_block=16, blocks_per_point=1),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_scenarios.py",
-        description="per-scenario conflict-shape sweep (table + JSON baseline)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="golden-sized sweep (what CI gates and make bench-scenarios emits)",
-    )
-    parser.add_argument(
-        "--results-dir",
-        default=None,
-        help="where to write BENCH_scenarios.json "
-        "(default: $REPRO_RESULTS_DIR or benchmarks/results)",
-    )
-    args = parser.parse_args(argv)
-
-    params = QUICK if args.quick else FULL
-    rows, headline = run_sweep(**params)
-    print(_render(rows), end="")
-    path = _emit_baseline(headline, params, directory=args.results_dir)
-    print(
-        "conflict taming (partitioned / shared): "
-        f"{headline['partitioned_vs_shared_speedup']}x speedup, "
-        f"{headline['partitioned_vs_shared_edge_ratio']}x edges"
-    )
-    print(f"wrote {path}")
-    return 0 if conflict_taming_holds(headline) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

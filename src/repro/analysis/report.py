@@ -104,11 +104,9 @@ def write_report(name: str, content: str, directory: Optional[str] = None) -> st
     """Persist a benchmark's rendered output under ``benchmarks/results/``.
 
     Returns the path written.  The directory defaults to
-    ``$REPRO_RESULTS_DIR`` or ``benchmarks/results`` relative to the cwd.
+    ``benchmarks/results`` relative to the cwd.
     """
-    directory = directory or os.environ.get(
-        "REPRO_RESULTS_DIR", os.path.join("benchmarks", "results")
-    )
+    directory = directory or os.path.join("benchmarks", "results")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as fh:

@@ -284,7 +284,6 @@ class ValidatorPipeline:
             metrics.counter("pipeline.worker_faults").inc(stats.worker_faults)
             metrics.gauge("pipeline.makespan_us").set(makespan)
             metrics.gauge("pipeline.pool_utilization").set(pool.utilization())
-            metrics.merge_into(stats.extra)
         return PipelineResult(
             results=[r for r in results],
             timings=timings,

@@ -532,7 +532,6 @@ class ProposeSession:
             base_stats = self.store.base_cache.stats
             metrics.counter("state.base_cache.hits").inc(base_stats.hits)
             metrics.counter("state.base_cache.misses").inc(base_stats.misses)
-            metrics.merge_into(stats.extra)
         return run_strict_checks(
             ProposalResult(
                 committed=self.committed,

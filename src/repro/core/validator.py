@@ -26,7 +26,7 @@ state any conflict-respecting parallel interleaving would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Optional, Protocol, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Protocol, Tuple
 
 from repro.chain.block import Block, BlockProfile, Receipt, TxProfileEntry
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
@@ -504,17 +504,9 @@ class ParallelValidator:
             )
 
         # ----- timing simulation ------------------------------------------- #
-        phases, stats = self._simulate_timing(plan, tx_costs, prep_cost)
-        stats.worker_faults = ladder.worker_faults
-        stats.exec_retries = ladder.attempt
-        stats.serial_fallbacks = 1 if ladder.exhausted else 0
-        if tracer.enabled:
-            self._emit_block_trace(
-                block, phases, plan, tx_costs, prep_cost,
-                prefetch_cost=prefetch_cost,
-                retry_penalty=ladder.retry_penalty,
-                used_serial=ladder.exhausted,
-            )
+        phases, stats = self._simulate_timing(
+            block, plan, tx_costs, prep_cost, prefetch_cost, ladder
+        )
         if metrics is not None:
             metrics.counter("validator.blocks_accepted").inc()
             metrics.histogram("validator.prep_us", PHASE_US_EDGES).observe(
@@ -529,7 +521,6 @@ class ParallelValidator:
             metrics.histogram("validator.commit_us", PHASE_US_EDGES).observe(
                 phases.commit_end - phases.validate_end
             )
-            metrics.merge_into(stats.extra)
 
         if config.timeout_us is not None and phases.commit_end > config.timeout_us:
             return rejected(
@@ -646,122 +637,79 @@ class ParallelValidator:
     # ------------------------------------------------------------------ #
 
     def _simulate_timing(
-        self,
-        plan: SchedulePlan,
-        tx_costs: List[float],
-        prep_cost: float,
+        self, block: Block, plan: SchedulePlan, tx_costs: List[float],
+        prep_cost: float, prefetch_cost: float, ladder: FaultLadder,
     ) -> Tuple[PhaseTimes, RunStats]:
-        """Derive the four phase-completion times for one standalone block."""
-        model = self.cost_model
-        n = len(tx_costs)
+        """Derive the four phase-completion times for one standalone block.
 
-        # execution phase: each lane runs its tx sequence after preparation
-        exec_end = [0.0] * n
-        lane_ends = []
-        for lane_sequence in plan.lane_txs:
-            t = prep_cost
-            for tx_index in lane_sequence:
-                t += tx_costs[tx_index]
-                exec_end[tx_index] = t
-            lane_ends.append(t)
-        exec_phase_end = max(lane_ends) if lane_ends else prep_cost
-
-        # validation phase: applier consumes results in block order
-        applied = prep_cost
-        for index in range(n):
-            applied = max(applied, exec_end[index]) + model.applier_per_tx
-        validate_end = applied + model.block_epilogue
-        commit_end = validate_end + model.block_commit
-
-        phases = PhaseTimes(
-            prep_end=prep_cost,
-            exec_end=exec_phase_end,
-            validate_end=validate_end,
-            commit_end=commit_end,
-        )
-        stats = RunStats(
-            makespan=commit_end,
-            total_work=sum(tx_costs),
-            lanes=plan.lanes,
-            tasks=n,
-        )
-        return phases, stats
-
-    def _emit_block_trace(
-        self,
-        block: Block,
-        phases: PhaseTimes,
-        plan: SchedulePlan,
-        tx_costs: List[float],
-        prep_cost: float,
-        *,
-        prefetch_cost: float = 0.0,
-        retry_penalty: float = 0.0,
-        used_serial: bool = False,
-    ) -> None:
-        """Re-walk the timing simulation as a span tree (tracing only).
-
-        Kept separate from :meth:`_simulate_timing` so the untraced path
-        stays byte-for-byte the seed loop; this duplicate walk only runs
-        when a real tracer is attached.
+        The one walk over the lanes and the applier chain: with a real
+        tracer attached it also records the span tree as it goes (a scope
+        opens without an end and is closed once the walk knows it).
         """
-        tracer = self.tracer
         model = self.cost_model
+        tracer = self.tracer
+        tracing = tracer.enabled
         n = len(tx_costs)
-        attrs = {
-            "block": block.hash.hex()[:8],
-            "number": block.number,
-            "txs": n,
-            "lanes": plan.lanes,
-            "policy": plan.policy,
-        }
-        if used_serial:
-            attrs["serial_fallback"] = True
-        with tracer.scope("validate_block", 0.0, phases.commit_end, **attrs):
+        attrs: Dict[str, Any] = {}
+        if tracing:
+            attrs = dict(
+                block=block.hash.hex()[:8], number=block.number, txs=n,
+                lanes=plan.lanes, policy=plan.policy,
+            )
+            if ladder.exhausted:
+                attrs["serial_fallback"] = True
+        with tracer.scope("validate_block", 0.0, **attrs) as block_span:
             # preparation phase: prefetch + (depgraph, LPT split evenly —
             # the cost model charges scheduling as one lump) + retry backoff
-            with tracer.scope("prepare", 0.0, phases.prep_end):
-                cursor = 0.0
-                if prefetch_cost > 0:
-                    tracer.record("prefetch", cursor, cursor + prefetch_cost)
-                    cursor += prefetch_cost
-                schedule_cost = model.schedule_per_tx * n
-                tracer.record("depgraph_build", cursor, cursor + schedule_cost / 2)
-                tracer.record(
-                    "lpt_assign", cursor + schedule_cost / 2, cursor + schedule_cost
-                )
-                cursor += schedule_cost
-                if retry_penalty > 0:
-                    tracer.record(
-                        "retry_backoff", cursor, cursor + retry_penalty
-                    )
-            with tracer.scope("execute", phases.prep_end, phases.exec_end):
+            with tracer.scope("prepare", 0.0, prep_cost):
+                if tracing:
+                    if prefetch_cost > 0:
+                        tracer.record("prefetch", 0.0, prefetch_cost)
+                    cursor = prefetch_cost
+                    schedule_cost = model.schedule_per_tx * n
+                    middle = cursor + schedule_cost / 2
+                    tracer.record("depgraph_build", cursor, middle)
+                    cursor += schedule_cost
+                    tracer.record("lpt_assign", middle, cursor)
+                    if ladder.retry_penalty > 0:
+                        tracer.record("retry_backoff", cursor, cursor + ladder.retry_penalty)
+
+            # execution phase: each lane runs its tx sequence after preparation
+            exec_end = [0.0] * n
+            exec_phase_end = prep_cost
+            with tracer.scope("execute", prep_cost) as exec_span:
                 for lane_index, lane_sequence in enumerate(plan.lane_txs):
                     t = prep_cost
                     for tx_index in lane_sequence:
-                        tracer.record(
-                            "execute_tx",
-                            t,
-                            t + tx_costs[tx_index],
-                            lane=lane_index,
-                            tx=tx_index,
-                        )
-                        t += tx_costs[tx_index]
-            with tracer.scope("validate", phases.prep_end, phases.validate_end):
-                # applier chain in block order (the phase-3 serial gate)
-                exec_end = [0.0] * n
-                for lane_sequence in plan.lane_txs:
-                    t = prep_cost
-                    for tx_index in lane_sequence:
-                        t += tx_costs[tx_index]
+                        start, t = t, t + tx_costs[tx_index]
                         exec_end[tx_index] = t
-                applied = prep_cost
+                        if tracing:
+                            tracer.record("execute_tx", start, t, lane=lane_index, tx=tx_index)
+                    exec_phase_end = max(exec_phase_end, t)
+                if tracing:
+                    exec_span.end = exec_phase_end
+
+            # validation phase: applier consumes results in block order
+            applied = prep_cost
+            with tracer.scope("validate", prep_cost) as validate_span:
                 for index in range(n):
                     start = max(applied, exec_end[index])
                     applied = start + model.applier_per_tx
-                    tracer.record("apply_tx", start, applied, tx=index)
-                tracer.record("block_epilogue", applied, phases.validate_end)
-            tracer.record("commit", phases.validate_end, phases.commit_end)
+                    if tracing:
+                        tracer.record("apply_tx", start, applied, tx=index)
+                validate_end = applied + model.block_epilogue
+                commit_end = validate_end + model.block_commit
+                if tracing:
+                    tracer.record("block_epilogue", applied, validate_end)
+                    validate_span.end, block_span.end = validate_end, commit_end
+            tracer.record("commit", validate_end, commit_end)
+
+        stats = RunStats(
+            makespan=commit_end, total_work=sum(tx_costs), lanes=plan.lanes, tasks=n,
+            worker_faults=ladder.worker_faults, exec_retries=ladder.attempt,
+            serial_fallbacks=1 if ladder.exhausted else 0,
+        )
+        return PhaseTimes(prep_cost, exec_phase_end, validate_end, commit_end), stats
 
 
 def _rebuild_receipts(block: Block, tx_results: List[TxResult]) -> List[Receipt]:

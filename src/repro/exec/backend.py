@@ -38,6 +38,7 @@ import pickle
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import TYPE_CHECKING, Any, Callable, Counter, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.types import Address
@@ -162,7 +163,8 @@ class ThreadBackend(ExecutionBackend):
     needed.  The GIL serialises pure-Python bytecode, so this backend
     mostly helps when execution releases the GIL (I/O, C extensions); it
     exists as the cheap-to-adopt middle step and as a concurrency-safety
-    testbed for the shared-snapshot discipline.
+    testbed for the shared-snapshot discipline.  A ``map`` is bounded like a
+    process worker's answer: past ``WORKER_WAIT_S`` it is a :class:`BackendError`.
     """
 
     name = "thread"
@@ -182,7 +184,14 @@ class ThreadBackend(ExecutionBackend):
     def map(self, fn: TaskFn, payloads: Sequence[Any]) -> List[Any]:
         pool = self._ensure_pool()
         shared = self._shared
-        return list(pool.map(functools.partial(fn, shared), payloads))
+        try:
+            return list(pool.map(functools.partial(fn, shared), payloads, timeout=WORKER_WAIT_S))
+        except FuturesTimeout:
+            # a thread cannot be killed: drop the pool (queued tasks cancelled, the
+            # wedged one left behind) so the next map builds a fresh one
+            self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise BackendError(f"a thread task gave no answer within {WORKER_WAIT_S:g} s") from None
 
     def close(self) -> None:
         if self._pool is not None:

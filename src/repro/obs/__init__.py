@@ -7,7 +7,7 @@ are bit-identical and diffable.  The pieces:
 * :mod:`repro.obs.tracer` — nested spans (``Tracer``) with a free
   ``NullTracer`` default so uninstrumented hot paths pay one branch.
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms with a
-  plain-dict ``snapshot()`` merged into ``RunStats.extra``.
+  plain-dict ``snapshot()``; the registry is the one place they live.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) and a text flame summary.
 * :mod:`repro.obs.baseline` — machine-readable ``BENCH_<name>.json``

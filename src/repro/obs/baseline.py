@@ -3,8 +3,8 @@
 Benchmarks historically printed text tables nothing could diff; this
 module gives each one a JSON artifact carrying its headline numbers
 (speedups, makespans, abort rates) plus an optional metrics snapshot, and
-a :func:`compare` helper that flags regressions between two baselines so
-CI can accumulate a perf trajectory.
+a :func:`compare` helper that flags regressions between two baselines.
+``python -m benchmarks --compare`` is the gate built on it.
 
 Direction heuristics: keys ending in ``speedup``/``tps``/``utilization``/
 ``accepted`` are higher-is-better; ``makespan``/``*_us``/``*_time``/
@@ -28,7 +28,6 @@ __all__ = [
     "Delta",
     "BaselineComparison",
     "baseline_path",
-    "main",
 ]
 
 SCHEMA_VERSION = 1
@@ -87,9 +86,7 @@ def flatten_numbers(headline: Mapping) -> Dict[str, float]:
 
 
 def baseline_path(name: str, directory: Optional[str] = None) -> str:
-    directory = directory or os.environ.get(
-        "REPRO_RESULTS_DIR", os.path.join("benchmarks", "results")
-    )
+    directory = directory or os.path.join("benchmarks", "results")
     return os.path.join(directory, f"BENCH_{name}.json")
 
 
@@ -228,64 +225,3 @@ def compare(
         else:
             result.improvements.append(delta)
     return result
-
-
-# ---------------------------------------------------------------------- #
-# CLI: the bench regression gate (`make bench-compare`, CI "bench-gate")  #
-# ---------------------------------------------------------------------- #
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Compare freshly emitted baselines against committed goldens.
-
-    Exit status 0 when every named baseline is regression-free, 1 when any
-    directional headline number moved past the tolerance in the bad
-    direction (or a baseline file is missing).
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.baseline",
-        description="diff BENCH_<name>.json baselines and fail on regressions",
-    )
-    parser.add_argument(
-        "--old-dir",
-        default=os.path.join("benchmarks", "results"),
-        help="directory holding the reference (golden) baselines",
-    )
-    parser.add_argument(
-        "--new-dir",
-        required=True,
-        help="directory holding the freshly emitted baselines",
-    )
-    parser.add_argument(
-        "--names",
-        nargs="+",
-        required=True,
-        help="baseline names to compare (BENCH_<name>.json must exist in both)",
-    )
-    parser.add_argument("--tolerance", type=float, default=0.05)
-    args = parser.parse_args(argv)
-
-    failed = False
-    for name in args.names:
-        old_path = baseline_path(name, args.old_dir)
-        new_path = baseline_path(name, args.new_dir)
-        try:
-            result = compare(old_path, new_path, args.tolerance)
-        except (OSError, ValueError) as exc:
-            print(f"baseline {name}: ERROR {exc}")
-            failed = True
-            continue
-        print(result.summary())
-        if result.missing_keys:
-            print(f"  missing keys vs golden: {', '.join(result.missing_keys)}")
-        if not result.ok or result.missing_keys:
-            failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    import sys
-
-    sys.exit(main())

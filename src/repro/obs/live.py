@@ -171,8 +171,7 @@ class MetricsDelta:
         self.rebase()
 
     def _read(self) -> Dict[str, int]:
-        counters = self.registry.snapshot()["counters"]
-        return {name: int(counters.get(name, 0)) for name in self.names}
+        return {name: self.registry.counter_value(name) for name in self.names}
 
     def rebase(self) -> None:
         """Forget history (e.g. after recovery replayed into the counters)."""

@@ -2,9 +2,10 @@
 
 A :class:`MetricsRegistry` is the single sink a run's instrumentation
 writes to; :meth:`MetricsRegistry.snapshot` renders everything as plain
-nested dicts (sorted keys) so snapshots can be merged into
-``RunStats.extra``, serialised into ``BENCH_*.json`` baselines, and
-compared for equality across same-seed runs.
+nested dicts (sorted keys) so snapshots can be served on ``/status``,
+serialised into ``BENCH_*.json`` baselines, and compared for equality
+across same-seed runs.  The registry is the one place a metric lives:
+nothing copies it onto ``RunStats``.
 
 Naming convention (see docs/ARCHITECTURE.md): dotted lowercase paths,
 ``<component>.<quantity>[_<unit>]`` — e.g. ``proposer.aborts``,
@@ -222,7 +223,7 @@ class MetricsRegistry:
         }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def merge_into(self, extra: dict) -> dict:
-        """Attach this registry's snapshot to a ``RunStats.extra`` dict."""
-        extra["metrics"] = self.snapshot()
-        return extra
+    def counter_value(self, name: str) -> int:
+        """One counter read by name, registering nothing (0 if it never moved)."""
+        metric = self._counters.get(name)
+        return metric.value if metric is not None else 0

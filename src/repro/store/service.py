@@ -448,10 +448,9 @@ class NodeService:
         elif metrics is not None:
             # non-instrumented serve: fall back to the raw counters so the
             # exit line still carries totals
-            counters = metrics.snapshot()["counters"]
             report.blocks_total = head.number
-            report.aborts = int(counters.get("proposer.aborts", 0))
-            report.fallbacks = int(counters.get("pipeline.serial_fallbacks", 0))
+            report.aborts = metrics.counter_value("proposer.aborts")
+            report.fallbacks = metrics.counter_value("pipeline.serial_fallbacks")
         else:
             report.blocks_total = head.number
         return report

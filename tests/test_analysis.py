@@ -82,11 +82,6 @@ class TestReport:
         assert os.path.exists(path)
         assert open(path).read() == "hello\n"
 
-    def test_write_report_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "envdir"))
-        path = write_report("unit2", "x")
-        assert str(tmp_path / "envdir") in path
-
     def test_format_failures_from_runstats(self):
         stats = RunStats(makespan=10.0, total_work=10.0, lanes=2)
         stats.failures = {"state_root_mismatch": 3, "profile_mismatch": 1}

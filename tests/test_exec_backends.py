@@ -6,6 +6,7 @@ import multiprocessing.process
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from repro.exec import (
     get_backend,
 )
 from repro.exec import backend as backend_module
+from repro.exec import validating as validating_module
 from repro.exec.backend import BackendError, apply_delta, diff_accounts
 from repro.exec.tasks import (
     ProposeChunk,
@@ -357,7 +359,8 @@ class TestResidentWorkers:
         assert {name: counters["exec." + name] for name in gained} == dict(gained)
         assert gained["messages"] == 2 * (1 + result.stats.extra["waves"])
         assert gained["bytes_out"] > 0 and gained["bytes_in"] > 0 and gained["sync_full"] == 1
-        assert result.stats.extra["metrics"]["counters"]["exec.messages"] == gained["messages"]
+        assert metrics.counter_value("exec.messages") == gained["messages"]
+        assert "metrics" not in result.stats.extra  # the registry is the one place they live
 
 
 class TestLostWorker:
@@ -397,6 +400,42 @@ class TestLostWorker:
             for pid in pids:  # killed and reaped, the sleeper included
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
+
+    def test_wedged_thread_times_out(self, monkeypatch, small_universe, small_generator):
+        monkeypatch.setattr(backend_module, "WORKER_WAIT_S", 0.3)
+        release = threading.Event()
+
+        def wedged(shared, payload):
+            release.wait(30)
+
+        genesis = small_universe.genesis
+        txs = small_generator.generate_block_txs()
+        block = ProposerNode("honest").build_block(Blockchain(genesis).head.header, genesis, txs).block
+        metrics = MetricsRegistry()
+        with ThreadBackend(2) as backend:
+            backend.open(None)
+            begun = time.monotonic()
+            with pytest.raises(BackendError, match=r"thread task gave no answer within 0.3 s"):
+                backend.map(wedged, range(3))
+            assert time.monotonic() - begun < 10
+            release.set()
+            assert backend.map(_misbehave, [1, 2, 3]) == [1, 2, 3]  # a fresh pool
+
+            validator = ParallelValidator(
+                config=ValidatorConfig(lanes=4), backend=backend, metrics=metrics
+            )
+            reference = validator.validate_block(block, genesis)
+            assert reference.accepted and metrics.counter_value("validator.backend_blocks") == 1
+            release.clear()
+            monkeypatch.setattr(validating_module, "run_validate_lane", wedged)
+            survived = validator.validate_block(block, genesis)
+            release.set()
+            assert survived.accepted, survived.reason
+            assert survived.post_state.state_root() == reference.post_state.state_root()
+            assert survived.tx_results == reference.tx_results
+            assert survived.phases == reference.phases
+            assert metrics.counter_value("validator.backend_worker_lost") == 1
+            assert metrics.counter_value("validator.backend_blocks") == 1  # the reference loop took it
 
     def test_task_exception_reaches_the_parent_and_spares_the_pool(self):
         with ProcessBackend(2) as backend:

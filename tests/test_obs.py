@@ -153,13 +153,12 @@ class TestMetrics:
         assert snap["histograms"]["c.us"]["counts"] == [0, 1]
         json.dumps(snap)  # must serialise without custom encoders
 
-    def test_merge_into_extra(self):
+    def test_counter_value_reads_without_registering(self):
         reg = MetricsRegistry()
         reg.counter("x").inc()
-        extra = {"existing": 1}
-        reg.merge_into(extra)
-        assert extra["existing"] == 1
-        assert extra["metrics"]["counters"] == {"x": 1}
+        assert reg.counter_value("x") == 1
+        assert reg.counter_value("never.moved") == 0
+        assert reg.snapshot()["counters"] == {"x": 1}
 
 
 class TestChromeExport:

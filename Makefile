@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint coverage bench bench-compare bench-e2e-quick bench-e2e-compare profile-e2e trace-demo examples clean
+.PHONY: install test test-all test-fast serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint coverage bench bench-compare bench-e2e-quick bench-e2e-compare ab-e2e profile-e2e trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -84,9 +84,16 @@ bench-e2e-quick:
 bench-e2e-compare:
 	$(PYTHON) -m benchmarks.e2e compare $(A) $(B)
 
+# the A/B behind a wall-clock claim: ten alternating runs of a checkout of the
+# parent commit (BASE) and of this tree, a fresh interpreter each, verdict per
+# end-to-end metric: make ab-e2e BASE=../parent W=longtail-payments
+ab-e2e:
+	$(PYTHON) scripts/ab_e2e.py $(BASE) $(if $(W),--workload $(W)) $(ARGS)
+
 # where a block's CPU time goes: an ITIMER_PROF sampler over one e2e block
 # loop, inclusive and self share per function (cProfile mis-ranks this code
-# base's layers), calibration-kernel samples dropped: make profile-e2e
+# base's layers), calibration-kernel samples dropped, the collector's three
+# generations timed on rows of their own: make profile-e2e
 # W=mint-rush, or as a call tree: make profile-e2e W=mainnet ARGS="--tree --min 2"
 profile-e2e:
 	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet) $(ARGS)

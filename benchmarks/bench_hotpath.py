@@ -20,6 +20,7 @@ import random
 
 from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
+from repro.common.rlp import rlp_int
 from repro.common.types import Address
 from repro.core.artifacts import ArtifactCache
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -28,7 +29,6 @@ from repro.state.statedb import (
     StateDB,
     StateSnapshot,
     _slot_key,
-    _storage_value_bytes,
     genesis_snapshot,
 )
 from repro.state.trie import EMPTY_ROOT, SecureMPT
@@ -188,7 +188,7 @@ def _legacy_commit(base: StateSnapshot, writes, balances):
             if value:
                 merged[slot] = value
                 storage_trie = storage_trie.set(
-                    _slot_key(slot), _storage_value_bytes(value)
+                    _slot_key(slot), rlp_int(value)
                 )
             else:
                 merged.pop(slot, None)

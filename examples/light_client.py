@@ -19,7 +19,7 @@ from repro.state.proofs import ProofError, prove, verify_proof
 
 def serve_account_proof(snapshot, address):
     """What a full node returns for eth_getProof(address)."""
-    return prove(snapshot._account_trie._trie, keccak(bytes(address)))
+    return prove(snapshot._account_trie, bytes(address))
 
 
 def main() -> None:

@@ -14,7 +14,14 @@ Only the block loop is sampled (not boot, genesis, shutdown, recovery), and
 only this process (not a pool's workers).  Samples that land in the
 benchmark's calibration kernel (``kernel.py``, a fifth of a ``mainnet``
 pass) are the instrument, not the program: they are dropped, so shares are
-of the node's own time.  The timer ticks with the scheduler (~4 ms), so one
+of the node's own time.  The collector is reported apart, too: a signal that
+arrives during a collection is handled at the first bytecode after it, which
+is a ``gc.callbacks`` hook — charged to whichever function that is, a whole
+generation-2 pause reads as that hook's "self" time and generations 0 and 1
+show nowhere.  So each collection is timed through ``gc.callbacks`` (CPU
+seconds) and printed as its own ``gc gen0|gen1|gen2`` row — count, total ms,
+share of the node's own CPU time in the loop — and ticks that fell into one
+are dropped from the function shares.  The timer ticks with the scheduler (~4 ms), so one
 pass gives a few hundred samples: read shares, not digits.
 """
 
@@ -22,10 +29,12 @@ from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import os
 import shutil
 import signal
 import sys
+import time
 from types import FrameType
 from typing import Any, Counter, Dict, Optional, Tuple
 
@@ -78,10 +87,25 @@ def main() -> int:
     args = parser.parse_args()
 
     stacks: Counter[Tuple[str, ...]] = collections.Counter()  # outermost frame first
-    in_kernel = 0
+    in_kernel = in_gc = 0
+    gc_runs, gc_cpu = [0, 0, 0], [0.0, 0.0, 0.0]  # collections and their CPU seconds, per generation
+    gc_started: Optional[float] = None
+    loop_cpu = 0.0
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        nonlocal gc_started
+        if phase == "start":
+            gc_started = time.process_time()
+        elif gc_started is not None:
+            gc_runs[info["generation"]] += 1
+            gc_cpu[info["generation"]] += time.process_time() - gc_started
+            gc_started = None
 
     def on_tick(signum: int, frame: Optional[FrameType]) -> None:
-        nonlocal in_kernel
+        nonlocal in_kernel, in_gc
+        if gc_started is not None:  # the tick fell into the collection just ending
+            in_gc += 1
+            return
         stack = []
         while frame is not None:
             code = frame.f_code
@@ -95,12 +119,17 @@ def main() -> int:
     drive = lifecycle._drive_blocks
 
     def sampled_drive(*a: Any, **kw: Any) -> None:
+        nonlocal loop_cpu
         signal.signal(signal.SIGPROF, on_tick)
+        gc.callbacks.append(on_gc)
+        started = time.process_time()
         signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
         try:
             drive(*a, **kw)
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
+            loop_cpu = time.process_time() - started
+            gc.callbacks.remove(on_gc)
 
     lifecycle._drive_blocks = sampled_drive  # run_pass looks the name up at call time
     workload = WORKLOADS[args.workload]
@@ -113,8 +142,14 @@ def main() -> int:
     total = sum(stacks.values()) or 1
     print(
         f"{args.workload} seed {args.seed}: {total} samples over {len(result.blocks)} blocks"
-        f" (+{in_kernel} in the calibration kernel, dropped)"
+        f" (+{in_kernel} in the calibration kernel, +{in_gc} in a collection, dropped)"
     )
+    # the loop's CPU seconds less the calibration kernel's, by its share of ticks
+    own_cpu = loop_cpu * (total + in_gc) / (total + in_gc + in_kernel)
+    print(f"{'runs':>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own")
+    for generation, (runs, seconds) in enumerate(zip(gc_runs, gc_cpu)):
+        share = 100 * seconds / own_cpu if own_cpu else 0.0
+        print(f"{runs:6d} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
     if args.tree:
         print_tree(stacks, total, args.min)
     else:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.common.hashing import Hash32, hash_of
-from repro.common.rlp import rlp_encode
+from repro.common.records import record
+from repro.common.rlp import rlp_int, rlp_list, rlp_string
 from repro.common.types import Address
 from repro.evm.interpreter import Log
 from repro.state.access import FrozenRWSet
@@ -61,7 +62,7 @@ class BlockHeader:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Receipt:
     """Per-transaction outcome included in the block's receipt trie.
 
@@ -75,35 +76,41 @@ class Receipt:
     cumulative_gas: int
     log_count: int
     logs: Tuple[Log, ...] = ()
-
-    @cached_property
-    def _encoded(self) -> bytes:
-        return rlp_encode(
-            [
-                bytes(self.tx_hash),
-                1 if self.success else 0,
-                self.gas_used,
-                self.cumulative_gas,
-                self.log_count,
-                [
-                    [
-                        bytes(log.address),
-                        [t.to_bytes(32, "big") for t in log.topics],
-                        log.data,
-                    ]
-                    for log in self.logs
-                ],
-            ]
-        )
+    _encoded: Optional[bytes] = field(default=None, compare=False, repr=False, init=False)
 
     def encode(self) -> bytes:
         """The receipt's wire form: the receipts-trie value and, spliced
         verbatim, its entry in a block-log record.  Computed once per
-        (immutable) receipt."""
-        return self._encoded
+        (immutable) receipt: ``rlp([tx_hash, success, gas_used,
+        cumulative_gas, log_count, [[address, [topic...], data]...]])``,
+        a topic being a 32-byte word."""
+        encoded = self._encoded
+        if encoded is None:
+            logs = [
+                rlp_list(
+                    (
+                        b"\x94" + log.address,
+                        rlp_list([b"\xa0" + topic.to_bytes(32, "big") for topic in log.topics]),
+                        rlp_string(log.data),
+                    )
+                )
+                for log in self.logs
+            ]
+            encoded = rlp_list(
+                (
+                    b"\xa0" + self.tx_hash,
+                    b"\x01" if self.success else b"\x80",
+                    rlp_int(self.gas_used),
+                    rlp_int(self.cumulative_gas),
+                    rlp_int(self.log_count),
+                    rlp_list(logs),
+                )
+            )
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
 
-@dataclass(frozen=True)
+@record
 class TxProfileEntry:
     """One transaction's execution details published by the proposer."""
 
@@ -140,7 +147,7 @@ def _index_root(values: Iterable[bytes]) -> Hash32:
     """Root of the trie that maps ``rlp(index)`` to the index-th value,
     built in one batch."""
     return MPT().update_many(
-        (rlp_encode(index), value) for index, value in enumerate(values)
+        (rlp_int(index), value) for index, value in enumerate(values)
     ).root_hash()
 
 

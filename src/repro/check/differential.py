@@ -200,7 +200,7 @@ def diff_block(
         )
 
     serial_post = finalize_block_state(
-        db.commit(),
+        db,
         coinbase=block.header.coinbase,
         total_fees=total_fees,
         block_number=block.number,

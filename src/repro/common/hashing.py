@@ -18,7 +18,7 @@ import hashlib
 
 from repro.common.types import Hash32
 
-__all__ = ["keccak", "hash_of", "EMPTY_HASH"]
+__all__ = ["keccak", "hash_of", "canonical_bytes", "canonical_int", "EMPTY_HASH"]
 
 
 def keccak(data: bytes) -> Hash32:
@@ -30,6 +30,18 @@ def keccak(data: bytes) -> Hash32:
 EMPTY_HASH = keccak(b"")
 
 
+def canonical_bytes(value: bytes) -> bytes:
+    """:func:`hash_of`'s serialisation of one byte string."""
+    return b"B" + len(value).to_bytes(8, "big") + value
+
+
+def canonical_int(value: int) -> bytes:
+    """:func:`hash_of`'s serialisation of one integer."""
+    mag = abs(value)
+    raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
+    return (b"I-" if value < 0 else b"I+") + len(raw).to_bytes(8, "big") + raw
+
+
 def _canonical(value) -> bytes:
     """Serialise a value into an unambiguous byte string for hashing.
 
@@ -39,17 +51,14 @@ def _canonical(value) -> bytes:
     different types can never collide.
     """
     if isinstance(value, (bytes, bytearray)):
-        return b"B" + len(value).to_bytes(8, "big") + bytes(value)
+        return canonical_bytes(bytes(value))
     if isinstance(value, str):
         raw = value.encode("utf-8")
         return b"S" + len(raw).to_bytes(8, "big") + raw
     if isinstance(value, bool):
         return b"O" + (b"\x01" if value else b"\x00")
     if isinstance(value, int):
-        sign = b"-" if value < 0 else b"+"
-        mag = abs(value)
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-        return b"I" + sign + len(raw).to_bytes(8, "big") + raw
+        return canonical_int(value)
     if isinstance(value, (tuple, list)):
         parts = [_canonical(v) for v in value]
         body = b"".join(parts)

@@ -22,7 +22,9 @@ from typing import Iterable, Union
 
 RLPItem = Union[bytes, int, str, list, tuple]
 
-__all__ = ["rlp_encode", "rlp_string", "rlp_list", "rlp_decode", "rlp_decode_first", "RLPDecodeError"]
+__all__ = [
+    "rlp_encode", "rlp_string", "rlp_int", "rlp_list", "rlp_decode", "rlp_decode_first", "RLPDecodeError",
+]
 
 
 class RLPDecodeError(ValueError):
@@ -36,24 +38,37 @@ def _encode_length(length: int, offset: int) -> bytes:
     return bytes([offset + 55 + len(raw)]) + raw
 
 
-#: the one-byte prefixes of strings shorter than 56 bytes, by length
-_SHORT_STRING_PREFIX = [bytes([0x80 + n]) for n in range(56)]
+#: the prefixes of strings and lists with a payload under 256 bytes, by
+#: length — nearly every item a block encodes (trie nodes, account bodies,
+#: receipts, transactions) is that short
+_STRING_PREFIX = [_encode_length(n, 0x80) for n in range(256)]
+_LIST_PREFIX = [_encode_length(n, 0xC0) for n in range(256)]
 
 
 def rlp_string(data: bytes) -> bytes:
     """Encode one byte string (the item rule, without type dispatch)."""
     n = len(data)
-    if n >= 56:
+    if n >= 256:
         return _encode_length(n, 0x80) + data
     if n == 1 and data[0] < 0x80:
         return data
-    return _SHORT_STRING_PREFIX[n] + data
+    return _STRING_PREFIX[n] + data
+
+
+def rlp_int(value: int) -> bytes:
+    """Encode one non-negative integer (big-endian, no leading zeros)."""
+    if value < 0x80:
+        if value < 0:
+            raise ValueError("RLP cannot encode negative integers")
+        return bytes((value,)) if value else b"\x80"
+    return rlp_string(value.to_bytes((value.bit_length() + 7) // 8, "big"))
 
 
 def rlp_list(encoded_items: Iterable[bytes]) -> bytes:
     """Wrap items that are *already RLP-encoded* under a list prefix."""
     body = b"".join(encoded_items)
-    return _encode_length(len(body), 0xC0) + body
+    n = len(body)
+    return (_LIST_PREFIX[n] if n < 256 else _encode_length(n, 0xC0)) + body
 
 
 def rlp_encode(item: RLPItem) -> bytes:
@@ -62,11 +77,7 @@ def rlp_encode(item: RLPItem) -> bytes:
     if kind is bytes:
         return rlp_string(item)
     if kind is int:
-        if item < 0x80:
-            if item < 0:
-                raise ValueError("RLP cannot encode negative integers")
-            return bytes((item,)) if item else b"\x80"
-        return rlp_string(item.to_bytes((item.bit_length() + 7) // 8, "big"))
+        return rlp_int(item)
     if kind is list or kind is tuple:
         return rlp_list([rlp_encode(sub) for sub in item])
     # everything else: subclasses (``Address``, ``Hash32``), ``bytearray``,
@@ -76,7 +87,7 @@ def rlp_encode(item: RLPItem) -> bytes:
     if isinstance(item, bool):
         raise TypeError("RLP does not define a boolean encoding")
     if isinstance(item, int):
-        return rlp_encode(int(item))
+        return rlp_int(int(item))
     if isinstance(item, str):
         return rlp_string(item.encode("utf-8"))
     if isinstance(item, (list, tuple)):

@@ -100,7 +100,7 @@ class SerialExecutor:
             total_fees += result.fee
         time += model.block_epilogue + model.block_commit
         post_state = finalize_block_state(
-            db.commit(),
+            db,
             coinbase=block.header.coinbase,
             total_fees=total_fees,
             block_number=block.number,
@@ -264,7 +264,7 @@ class TwoPhaseOCCExecutor:
             real_costs.append(model.tx_cost(result.trace))
             total_fees += result.fee
         post_state = finalize_block_state(
-            db.commit(),
+            db,
             coinbase=block.header.coinbase,
             total_fees=total_fees,
             block_number=block.number,

@@ -24,14 +24,14 @@ from repro.chain.block import (
 from repro.chain.bloom import bloom_from_logs
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.common.types import Address
-from repro.core.occ_wsi import ProposalResult
+from repro.core.session import ProposalResult, materialize_store
 from repro.state.statedb import StateDB, StateSnapshot
 
 __all__ = ["SealedProposal", "seal_block", "finalize_block_state"]
 
 
 def finalize_block_state(
-    snapshot: StateSnapshot,
+    db: StateDB,
     *,
     coinbase: Address,
     total_fees: int,
@@ -39,28 +39,25 @@ def finalize_block_state(
     uncles=(),
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
 ) -> StateSnapshot:
-    """Apply end-of-block value flows: deferred fees and rewards.
+    """Apply end-of-block value flows — deferred fees and rewards — to the
+    block's still-open ``db`` and commit it: one commit per block.
 
     Fee payment is aggregated outside per-transaction write sets (see
     :class:`~repro.evm.interpreter.EVMConfig`); block and uncle rewards
     follow :class:`~repro.chain.params.ChainParams`.  Proposers apply this
-    when sealing and validators apply the identical update after
-    re-execution, so state roots stay comparable.
+    when sealing (to the materialised proposal) and validators apply the
+    identical update after re-execution (to the overlay they executed
+    into), so state roots stay comparable.
     """
     proposer_credit = (
         total_fees + params.block_reward + params.nephew_reward(len(uncles))
     )
-    uncle_credits = [
-        (u.coinbase, params.uncle_reward(block_number, u.number)) for u in uncles
-    ]
-    if proposer_credit == 0 and not any(r for _, r in uncle_credits):
-        return snapshot
-    db = StateDB(snapshot)
     if proposer_credit:
         db.add_balance(coinbase, proposer_credit)
-    for uncle_coinbase, reward in uncle_credits:
+    for uncle in uncles:
+        reward = params.uncle_reward(block_number, uncle.number)
         if reward:
-            db.add_balance(uncle_coinbase, reward)
+            db.add_balance(uncle.coinbase, reward)
     return db.commit()
 
 
@@ -138,7 +135,7 @@ def seal_block(
                 f"uncle at height {uncle.number} out of range for block {block_number}"
             )
     post_state = finalize_block_state(
-        proposal.final_state(),
+        materialize_store(proposal.base, proposal.store),
         coinbase=coinbase,
         total_fees=proposal.total_fees,
         block_number=block_number,

@@ -133,16 +133,16 @@ class ProposalResult:
 
     def final_state(self, coinbase: Optional[Address] = None) -> StateSnapshot:
         """Materialise the committed writes (plus deferred fees) onto the base."""
-        snapshot = materialize_store(self.base, self.store)
+        db = materialize_store(self.base, self.store)
         if coinbase is not None and self.total_fees:
-            db = StateDB(snapshot)
             db.add_balance(coinbase, self.total_fees)
-            snapshot = db.commit()
-        return snapshot
+        return db.commit()
 
 
-def materialize_store(base: StateSnapshot, store: MultiVersionStore) -> StateSnapshot:
-    """Apply the latest committed value of every key onto ``base``."""
+def materialize_store(base: StateSnapshot, store: MultiVersionStore) -> StateDB:
+    """The latest committed value of every key, laid over ``base`` in a
+    still-open :class:`StateDB` — whoever credits the block's fees and
+    rewards does it there and commits once."""
     db = StateDB(base)
     for key, value in store.final_values().items():
         if key.kind == "balance":
@@ -155,7 +155,7 @@ def materialize_store(base: StateSnapshot, store: MultiVersionStore) -> StateSna
             db.set_code(key.address, value)
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown key kind {key.kind}")
-    return db.commit()
+    return db
 
 
 def run_strict_checks(
@@ -529,9 +529,6 @@ class ProposeSession:
             # here — it persists across runs, so its cumulative counters
             # would break metrics-replay determinism.  Use
             # repro.state.cache.keccak_cache_stats() for ad-hoc inspection.
-            base_stats = self.store.base_cache.stats
-            metrics.counter("state.base_cache.hits").inc(base_stats.hits)
-            metrics.counter("state.base_cache.misses").inc(base_stats.misses)
         return run_strict_checks(
             ProposalResult(
                 committed=self.committed,

@@ -484,7 +484,7 @@ class ParallelValidator:
 
         # ----- block-level checks ------------------------------------------ #
         post_state = finalize_block_state(
-            outcome.db.commit(),
+            outcome.db,
             coinbase=block.header.coinbase,
             total_fees=sum(tx_result.fee for tx_result in tx_results),
             block_number=block.number,

@@ -51,6 +51,7 @@ from typing import (
 )
 
 from repro.common.hashing import keccak
+from repro.common.records import record
 from repro.common.rlp import rlp_encode
 from repro.common.types import (
     Address,
@@ -142,7 +143,7 @@ class Message(NamedTuple):
     create2_salt: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record
 class Log:
     address: Address
     topics: Tuple[int, ...]

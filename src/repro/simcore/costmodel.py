@@ -17,7 +17,9 @@ All durations are in microseconds of simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping
+from typing import Any, Dict, Mapping
+
+from repro.common.records import record
 
 #: Categories the interpreter reports.  Anything not listed costs zero.
 DEFAULT_WEIGHTS: Dict[str, float] = {
@@ -37,7 +39,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class TraceCosts:
     """Executed-work summary for one transaction.
 
@@ -123,7 +125,7 @@ class CostModel:
     #: Per-category execution weights.
     weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
-    def with_overrides(self, **kwargs) -> "CostModel":
+    def with_overrides(self, **kwargs: Any) -> "CostModel":
         """Return a copy with selected fields replaced."""
         if "weights" in kwargs:
             merged = dict(self.weights)

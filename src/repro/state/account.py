@@ -10,21 +10,19 @@ it at commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
+from dataclasses import field, replace
 from typing import Any, Mapping
 
 from repro.common.hashing import EMPTY_HASH
-from repro.common.rlp import rlp_encode
+from repro.common.records import record
+from repro.common.rlp import rlp_int, rlp_list
 from repro.common.types import Hash32
 from repro.state.cache import keccak_cached
 
 __all__ = ["AccountData", "EMPTY_ACCOUNT", "encode_account"]
 
-_EMPTY_STORAGE: Mapping[int, int] = MappingProxyType({})
 
-
-@dataclass(frozen=True)
+@record
 class AccountData:
     """Immutable account state.
 
@@ -71,6 +69,12 @@ EMPTY_ACCOUNT = AccountData()
 
 def encode_account(account: AccountData, storage_root: Hash32) -> bytes:
     """Yellow-paper account body: rlp([nonce, balance, storage_root, code_hash])."""
-    return rlp_encode(
-        [account.nonce, account.balance, bytes(storage_root), bytes(account.code_hash)]
+    # two 32-byte strings: each is its one-byte prefix and its bytes
+    return rlp_list(
+        (
+            rlp_int(account.nonce),
+            rlp_int(account.balance),
+            b"\xa0" + storage_root,
+            b"\xa0" + account.code_hash,
+        )
     )

@@ -1,42 +1,34 @@
-"""Bounded caches for the state layer's hot paths.
+"""The keccak memo behind the secure trie's keys.
 
-Three cache primitives back the hot-path layer (ISSUE 4 / ARCHITECTURE §11):
-
-* :class:`BoundedCache` — a dict-ordered LRU map with hit/miss/eviction
-  counters, the building block for the others;
-* :func:`keccak_cached` — a process-wide memo of ``keccak(key)`` for the
-  secure trie (and for contract code hashes).  Account addresses and
-  storage-slot keys are re-hashed on every trie get/set; the key space a
-  workload touches is small and stable, so the memo turns each of those
-  hashes into a dict lookup;
-* :class:`ReadThroughCache` — a loader-backed LRU used by
-  :class:`repro.state.versioned.MultiVersionStore` for base-snapshot reads
-  shared across every optimistic transaction in a block.
+:func:`keccak_cached` is a process-wide memo of ``keccak(key)`` (ISSUE 4 /
+ARCHITECTURE §11).  Account addresses and storage-slot keys are re-hashed
+on every trie get/set and contract code on every re-encoded account body;
+the key space a workload touches is small and stable, so the memo turns
+each of those hashes into a dict lookup.  What the secure trie walks is the
+digest's *nibble path*, so the same entry keeps that too
+(:func:`keccak_path_cached`): one memo, one bound.
 
 This module deliberately imports nothing from ``statedb``/``versioned``/
 ``trie`` (they import *it*), keeping the state package's import DAG acyclic.
-All caches here are read-through over immutable data — snapshots and hash
-preimages never change — so no invalidation hooks are needed; boundedness
-alone controls memory.
+Hash preimages never change, so no invalidation hooks are needed;
+boundedness alone controls memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Generic, Tuple, TypeVar
+from binascii import hexlify
+from typing import Dict, Tuple
 
 from repro.common.types import Hash32
 
 __all__ = [
-    "BoundedCache",
     "CacheStats",
-    "ReadThroughCache",
+    "bytes_to_nibbles",
     "keccak_cached",
+    "keccak_path_cached",
     "keccak_cache_stats",
 ]
-
-K = TypeVar("K")
-V = TypeVar("V")
 
 
 class CacheStats:
@@ -57,50 +49,13 @@ class CacheStats:
         }
 
 
-class BoundedCache(Generic[K, V]):
-    """LRU map bounded at ``maxsize`` entries.
+#: ASCII hex digit -> nibble value
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
-    Exploits dict insertion order: a hit re-inserts the key at the end,
-    eviction removes the oldest (first) key.  All operations are O(1).
-    """
 
-    __slots__ = ("maxsize", "stats", "_data")
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self.stats = CacheStats()
-        self._data: Dict[K, V] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def get(self, key: K, default: V | None = None) -> V | None:
-        data = self._data
-        try:
-            value = data.pop(key)
-        except KeyError:
-            self.stats.misses += 1
-            return default
-        data[key] = value  # re-insert: most recently used
-        self.stats.hits += 1
-        return value
-
-    def put(self, key: K, value: V) -> None:
-        data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self.maxsize:
-            del data[next(iter(data))]
-            self.stats.evictions += 1
-        data[key] = value
-
-    def clear(self) -> None:
-        self._data.clear()
+def bytes_to_nibbles(key: bytes) -> bytes:
+    """The key's nibble path: one byte per nibble, each in ``range(16)``."""
+    return hexlify(key).translate(_HEX_TO_NIBBLE)
 
 
 # --------------------------------------------------------------------------- #
@@ -108,12 +63,28 @@ class BoundedCache(Generic[K, V]):
 # --------------------------------------------------------------------------- #
 
 #: Preimages are 20-byte addresses and 32-byte slot keys, plus one code blob
-#: per deployed contract; at ~64 bytes per entry this caps the memo around
-#: 4 MB.
+#: per deployed contract; at ~250 bytes per entry (preimage, digest, the
+#: digest's 64-nibble path) this caps the memo around 16 MB.
 _KECCAK_MEMO_MAX = 65536
 
-_keccak_memo: Dict[bytes, Hash32] = {}
+#: preimage -> (digest, nibble path of the digest)
+_keccak_memo: Dict[bytes, Tuple[Hash32, bytes]] = {}
 _keccak_stats = CacheStats()
+
+
+def _keccak_entry(data: bytes) -> Tuple[Hash32, bytes]:
+    memo = _keccak_memo
+    entry = memo.get(data)
+    if entry is not None:
+        _keccak_stats.hits += 1
+        return entry
+    _keccak_stats.misses += 1
+    if len(memo) >= _KECCAK_MEMO_MAX:
+        memo.clear()
+        _keccak_stats.evictions += 1
+    digest = hashlib.sha3_256(data).digest()
+    entry = memo[data] = (Hash32(digest), bytes_to_nibbles(digest))
+    return entry
 
 
 def keccak_cached(data: bytes) -> Hash32:
@@ -125,18 +96,13 @@ def keccak_cached(data: bytes) -> Hash32:
     within a workload, so epoch-style clearing beats per-entry LRU
     bookkeeping on this, the hottest path in ``StateDB.commit()``.
     """
-    memo = _keccak_memo
-    digest = memo.get(data)
-    if digest is not None:
-        _keccak_stats.hits += 1
-        return digest
-    _keccak_stats.misses += 1
-    if len(memo) >= _KECCAK_MEMO_MAX:
-        memo.clear()
-        _keccak_stats.evictions += 1
-    digest = Hash32(hashlib.sha3_256(data).digest())
-    memo[data] = digest
-    return digest
+    return _keccak_entry(data)[0]
+
+
+def keccak_path_cached(data: bytes) -> bytes:
+    """``bytes_to_nibbles(keccak(data))`` from the same memo entry: the path
+    under which the secure trie files ``data``."""
+    return _keccak_entry(data)[1]
 
 
 def keccak_cache_stats() -> Dict[str, int]:
@@ -144,45 +110,3 @@ def keccak_cache_stats() -> Dict[str, int]:
     stats = _keccak_stats.as_dict()
     stats["size"] = len(_keccak_memo)
     return stats
-
-
-# --------------------------------------------------------------------------- #
-# read-through cache
-# --------------------------------------------------------------------------- #
-
-#: Sentinel distinguishing "not cached" from a cached ``None`` value.
-_MISSING: Tuple[str] = ("missing",)
-
-
-class ReadThroughCache(Generic[K, V]):
-    """Bounded LRU in front of a loader function.
-
-    ``None`` (and any other falsy value) the loader returns is cached like
-    every other value — absence is tracked with a private sentinel, not by
-    value comparison.  Intended for immutable backing data (committed
-    snapshots); there is no invalidation API by design.
-    """
-
-    __slots__ = ("_loader", "_cache")
-
-    def __init__(self, loader: Callable[[K], V], maxsize: int = 8192) -> None:
-        self._loader = loader
-        self._cache: BoundedCache[K, object] = BoundedCache(maxsize)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def get(self, key: K) -> V:
-        cached = self._cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached  # type: ignore[return-value]
-        value = self._loader(key)
-        self._cache.put(key, value)
-        return value
-
-    def clear(self) -> None:
-        self._cache.clear()

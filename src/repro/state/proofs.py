@@ -50,7 +50,8 @@ def _hp_decode(encoded: bytes) -> Tuple[bytes, bool]:
 
 
 def prove(trie: MPT, key: bytes) -> List[bytes]:
-    """Produce the node-encoding path for ``key`` (inclusion or exclusion).
+    """Produce the node-encoding path for ``key`` (inclusion or exclusion);
+    ``key`` is what ``trie.get`` takes — a :class:`SecureMPT` hashes it.
 
     The returned list always starts with the root node's RLP; it is empty
     only for the empty trie.  Nodes whose RLP is shorter than 32 bytes are
@@ -61,7 +62,7 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
     node = trie._root
     if node is None:
         return proof
-    path = bytes_to_nibbles(key)
+    path = trie.key_path(key)
     append_next = True  # the root is always an explicit proof element
     while node is not None:
         if append_next:
@@ -160,7 +161,7 @@ def _take_node(proof: List[bytes], index: int, expected: object) -> list:
 
 def prove_account(snapshot: StateSnapshot, address: Address) -> List[bytes]:
     """Account proof against a snapshot's world-state root (eth_getProof)."""
-    return prove(snapshot._account_trie._trie, keccak(bytes(address)))
+    return prove(snapshot._account_trie, bytes(address))
 
 
 def prove_storage(
@@ -176,7 +177,7 @@ def prove_storage(
     if trie is None:
         storage_proof: List[bytes] = []
     else:
-        storage_proof = prove(trie._trie, keccak(slot.to_bytes(32, "big")))
+        storage_proof = prove(trie, slot.to_bytes(32, "big"))
     return account_proof, storage_proof
 
 
@@ -213,7 +214,7 @@ def verify_storage_proof(
 
 def prove_secure(trie: SecureMPT, key: bytes) -> List[bytes]:
     """Proof for a :class:`SecureMPT` entry (key hashed before lookup)."""
-    return prove(trie._trie, keccak(key))
+    return prove(trie, key)
 
 
 def verify_secure(root: Hash32, key: bytes, proof: List[bytes]) -> Optional[bytes]:

@@ -2,9 +2,10 @@
 
 Geth ships genesis allocations as JSON; this module does the same for
 :class:`~repro.state.statedb.StateSnapshot`, so worlds can be archived,
-diffed, or hand-authored.  Round-tripping preserves the state root
-exactly (the tests assert it), which makes exported snapshots usable as
-fixtures for cross-version regression checks.
+diffed (``python -m json.tool`` first: a document is one line), or
+hand-authored.  Round-tripping preserves the state root exactly (the
+tests assert it), which makes exported snapshots usable as fixtures for
+cross-version regression checks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class SnapshotFormatError(ValueError):
 
 
 def snapshot_to_json(snapshot: StateSnapshot, *, note: str = "") -> str:
-    """Serialise every account (balance, nonce, code, storage) to JSON."""
+    """Serialise every account (balance, nonce, code, storage) to JSON: one
+    line, because without ``indent`` the standard library encodes in C (the
+    default separators keep ``"stateRoot": "`` greppable)."""
     accounts = {}
     for address, data in sorted(snapshot.accounts.items()):
         entry: Dict[str, object] = {}
@@ -64,7 +67,7 @@ def snapshot_to_json(snapshot: StateSnapshot, *, note: str = "") -> str:
         "stateRoot": snapshot.state_root().hex(),
         "accounts": accounts,
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def snapshot_from_json(text: str, *, verify_root: bool = True) -> StateSnapshot:

@@ -17,17 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Set, Tuple
 
-from repro.common.rlp import rlp_encode
+from repro.common.rlp import rlp_int
 from repro.common.types import Address, Hash32
 from repro.state.account import AccountData, encode_account
 from repro.state.trie import SecureMPT
 
 __all__ = ["StateSnapshot", "StateDB", "genesis_snapshot"]
-
-
-def _storage_value_bytes(value: int) -> bytes:
-    """Trie encoding of a storage word: RLP of the minimal big-endian int."""
-    return rlp_encode(value)
 
 
 def _slot_key(slot: int) -> bytes:
@@ -86,7 +81,7 @@ def genesis_snapshot(
         accounts[address] = data
         # each trie is one bottom-up build from its sorted run of keys
         storage_trie = _EMPTY_TRIE.update_many(
-            (_slot_key(slot), _storage_value_bytes(value))
+            (_slot_key(slot), rlp_int(value))
             for slot, value in data.storage.items()
             if value
         )
@@ -336,7 +331,7 @@ class StateDB:
                     if value:
                         merged[slot] = value
                         updates.append(
-                            (_slot_key(slot), _storage_value_bytes(value))
+                            (_slot_key(slot), rlp_int(value))
                         )
                     else:
                         merged.pop(slot, None)
@@ -358,9 +353,7 @@ class StateDB:
                 # touched but unchanged: the base trie entry is still exact
                 continue
 
-            new_acct = AccountData(
-                nonce=ov.nonce, balance=ov.balance, code=ov.code, storage=storage
-            )
+            new_acct = AccountData(ov.nonce, ov.balance, ov.code, storage)
             if new_acct.is_empty():
                 # EIP-158 pruning: drop empty accounts entirely
                 accounts.pop(address, None)

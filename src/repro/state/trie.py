@@ -29,34 +29,29 @@ Design choices:
   (:func:`_node_ref`), so a parent's RLP is a concatenation of ``_ref``s;
   immutability means it can never go stale, so a commit hashes only the
   nodes it rebuilt.
-* **byte-string keys and values.**  Callers hash/serialise their own keys
-  (see :class:`SecureMPT` for the keccak-keyed variant used by the state).
+* **byte-string keys and values.**  A trie turns a key into its path
+  through :attr:`MPT.key_path`; :class:`SecureMPT`, the keccak-keyed variant
+  the state uses, overrides that and nothing else.
 """
 
 from __future__ import annotations
 
 import hashlib
-from binascii import hexlify, unhexlify
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from binascii import unhexlify
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_list, rlp_string
 from repro.common.types import Hash32
-from repro.state.cache import keccak_cached
+from repro.state.cache import bytes_to_nibbles, keccak_path_cached
 
 __all__ = ["MPT", "SecureMPT", "EMPTY_ROOT"]
 
-#: ASCII hex digit <-> nibble value, for the two path conversions
-_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+#: nibble value -> ASCII hex digit (the inverse of ``bytes_to_nibbles``)
 _NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
 #: the hex-prefix flag nibbles, by ``[is_leaf][path length is odd]``
 _HP_FLAG = ((b"\x00\x00", b"\x01"), (b"\x02\x00", b"\x03"))
-
-
-def bytes_to_nibbles(key: bytes) -> bytes:
-    """The key's nibble path: one byte per nibble, each in ``range(16)``."""
-    return hexlify(key).translate(_HEX_TO_NIBBLE)
 
 
 def nibbles_to_bytes(nibbles: bytes) -> bytes:
@@ -99,6 +94,7 @@ class _Branch:
 
 
 _Node = Union[_Leaf, _Extension, _Branch]
+_T = TypeVar("_T", bound="MPT")
 
 #: One update of a sorted run, ``(nibble path, value)`` (``b""`` deletes), and
 #: what :func:`_build` places: an update or an existing ``(path, subtree)``.
@@ -292,38 +288,43 @@ def _iter_items(node: Optional[_Node], prefix: bytes) -> Iterator[tuple[bytes, b
 class MPT:
     """Immutable Merkle-Patricia trie handle.
 
-    All mutating operations return a *new* :class:`MPT`; the receiver is
+    All mutating operations return a *new* trie; the receiver is
     unchanged.  Keys and values are ``bytes``; setting a key to the empty
     value deletes it (Ethereum semantics for zero-valued storage).
     """
 
     __slots__ = ("_root",)
 
+    #: how a key becomes its nibble path — the one thing a subclass changes
+    key_path = staticmethod(bytes_to_nibbles)
+
     def __init__(self, _root: Optional[_Node] = None) -> None:
         self._root = _root
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return _get(self._root, bytes_to_nibbles(key))
+        return _get(self._root, self.key_path(key))
 
-    def update_many(self, items: Iterable[Tuple[bytes, bytes]]) -> "MPT":
+    def update_many(self: _T, items: Iterable[Tuple[bytes, bytes]]) -> _T:
         """Apply a batch of ``(key, value)`` updates: the one mutation.
 
         ``b""`` values delete; of several pairs for one key the last wins.
         One sort, one descent, each node on the way to a changed entry
         rebuilt once (:func:`_update`).  Returns ``self`` when nothing
-        changed — an empty batch, deletes of absent keys, equal values.
+        changed — an empty batch, deletes of absent keys, equal values —
+        so snapshots that share a trie keep sharing it.
         """
-        batch = dict(items)
+        key_path = self.key_path
+        batch = {key_path(key): value for key, value in items}
         if not batch:
             return self
-        run = sorted((bytes_to_nibbles(key), value) for key, value in batch.items())
+        run = sorted(batch.items())
         root = _update(self._root, run, 0, len(run), 0)
-        return self if root is self._root else MPT(root)
+        return self if root is self._root else type(self)(root)
 
-    def set(self, key: bytes, value: bytes) -> "MPT":
+    def set(self: _T, key: bytes, value: bytes) -> _T:
         return self.update_many(((key, value),))
 
-    def delete(self, key: bytes) -> "MPT":
+    def delete(self: _T, key: bytes) -> _T:
         return self.update_many(((key, b""),))
 
     def root_hash(self) -> Hash32:
@@ -334,7 +335,8 @@ class MPT:
         return Hash32(ref[1:]) if len(ref) == 33 else keccak(ref)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        """Iterate ``(key, value)`` pairs in lexicographic key order.
+        """Iterate ``(key, value)`` pairs in lexicographic order of the keys
+        as stored (a :class:`SecureMPT` stores, and yields, hashed keys).
 
         Only keys with an even nibble count (i.e. whole bytes) are
         representable; all keys inserted through :meth:`set` qualify.
@@ -349,46 +351,22 @@ class MPT:
         return self._root is None
 
 
-class SecureMPT:
+class SecureMPT(MPT):
     """MPT variant that keys entries by ``keccak(key)``.
 
     This mirrors Ethereum's *secure trie*: it bounds path depth and
     prevents key-grinding attacks on the structure.  Iteration yields
     hashed keys, so callers that need reverse lookup keep their own index
-    (the :class:`~repro.state.statedb.StateDB` does).
+    (the :class:`~repro.state.statedb.StateDB` does); ``MPT(trie._root)``
+    is the same trie addressed by those hashed keys.
 
-    Key hashing goes through the process-wide :func:`keccak_cached` memo —
-    commits re-hash the same addresses and slot keys block after block, so
-    memoizing the preimage→digest map saves one hash per access without
-    changing any root (the memo is a pure-function cache).
+    The path of ``keccak(key)`` comes from the process-wide keccak memo
+    (:func:`~repro.state.cache.keccak_path_cached`) — commits file the same
+    addresses and slot keys block after block, so a memo hit saves the hash
+    *and* its conversion into nibbles without changing any root (the memo is
+    a pure-function cache).
     """
 
-    __slots__ = ("_trie",)
+    __slots__ = ()
 
-    def __init__(self, _trie: Optional[MPT] = None) -> None:
-        self._trie = _trie if _trie is not None else MPT()
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self._trie.get(keccak_cached(key))
-
-    def update_many(self, items: Iterable[Tuple[bytes, bytes]]) -> "SecureMPT":
-        """:meth:`MPT.update_many` over the hashed keys: the batch shares one
-        sorted descent, ``b""`` values delete (Ethereum zero-storage
-        semantics), and ``self`` comes back when nothing changed, so
-        snapshots that share a trie keep sharing it."""
-        trie = self._trie.update_many(
-            (keccak_cached(key), value) for key, value in items
-        )
-        return self if trie is self._trie else SecureMPT(trie)
-
-    def set(self, key: bytes, value: bytes) -> "SecureMPT":
-        return self.update_many(((key, value),))
-
-    def delete(self, key: bytes) -> "SecureMPT":
-        return self.update_many(((key, b""),))
-
-    def root_hash(self) -> Hash32:
-        return self._trie.root_hash()
-
-    def is_empty(self) -> bool:
-        return self._trie.is_empty()
+    key_path = staticmethod(keccak_path_cached)

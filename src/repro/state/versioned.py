@@ -30,7 +30,6 @@ from repro.state.access import (
     recorded_code,
     storage_key,
 )
-from repro.state.cache import ReadThroughCache
 from repro.state.statedb import StateSnapshot
 
 __all__ = ["MultiVersionStore", "KeyedView", "OCCStateView", "read_base_value"]
@@ -80,17 +79,6 @@ class MultiVersionStore:
         #: one list costs a third of the objects of a (versions, values) pair
         self._versions: Dict[StateKey, List[Any]] = {}
         self.committed_version = 0
-        # Base-snapshot reads repeat across every optimistic transaction in
-        # a block (hot contracts, funded senders); the snapshot is immutable
-        # for the store's lifetime, so a bounded read-through cache is safe.
-        self.base_cache: ReadThroughCache[StateKey, Any] = ReadThroughCache(
-            self._load_base, maxsize=8192
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _load_base(self, key: StateKey) -> Any:
-        return read_base_value(self.base, key)
 
     def read_at(self, key: StateKey, version: int) -> Any:
         """Value of ``key`` as of snapshot ``version``."""
@@ -101,7 +89,7 @@ class MultiVersionStore:
             for i in range(len(entry) - 2, -1, -2):
                 if entry[i] <= version:
                     return entry[i + 1]
-        return self.base_cache.get(key)
+        return read_base_value(self.base, key)
 
     def latest_version(self, key: StateKey) -> int:
         """Version of the most recent committed write to ``key`` (0 if none)."""

@@ -28,7 +28,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader, Receipt
 from repro.common.hashing import Hash32
-from repro.common.rlp import rlp_decode, rlp_decode_first, rlp_encode, rlp_list
+from repro.common.rlp import rlp_decode, rlp_decode_first, rlp_encode, rlp_int, rlp_list, rlp_string
 from repro.common.types import Address
 from repro.evm.interpreter import Log
 from repro.txpool.transaction import Transaction
@@ -121,23 +121,22 @@ def decode_header(data: bytes) -> BlockHeader:
 # --------------------------------------------------------------------------- #
 
 
-def tx_to_items(tx: Transaction) -> List[Any]:
-    # ``to=None`` (contract creation) rides as the empty string — an
-    # address is always exactly 20 bytes, so the encoding is unambiguous.
-    return [
-        bytes(tx.sender),
-        bytes(tx.to) if tx.to is not None else b"",
-        tx.value,
-        tx.data,
-        tx.gas_limit,
-        tx.gas_price,
-        tx.nonce,
-        tx.tag,
-    ]
-
-
 def encode_transaction(tx: Transaction) -> bytes:
-    return rlp_encode(tx_to_items(tx))
+    """``rlp([sender, to, value, data, gas_limit, gas_price, nonce, tag])``.
+    ``to=None`` (contract creation) rides as the empty string — an address
+    is always exactly 20 bytes (prefix ``0x94``), so that is unambiguous."""
+    return rlp_list(
+        (
+            b"\x94" + tx.sender,
+            b"\x94" + tx.to if tx.to is not None else b"\x80",
+            rlp_int(tx.value),
+            rlp_string(tx.data),
+            rlp_int(tx.gas_limit),
+            rlp_int(tx.gas_price),
+            rlp_int(tx.nonce),
+            rlp_string(tx.tag.encode("utf-8")),
+        )
+    )
 
 
 def tx_from_items(items: Sequence[Any]) -> Transaction:
@@ -212,7 +211,7 @@ def encode_block(block: Block) -> bytes:
     return rlp_list(
         (
             encode_header(block.header),
-            rlp_encode([tx_to_items(tx) for tx in block.transactions]),
+            rlp_list([encode_transaction(tx) for tx in block.transactions]),
             rlp_list([r.encode() for r in block.receipts]),
         )
     )

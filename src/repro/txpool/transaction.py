@@ -9,16 +9,20 @@ explicitly and folds signature-check cost into the cost model's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
-from repro.common.hashing import Hash32, hash_of
+from repro.common.hashing import Hash32, canonical_bytes, canonical_int, keccak
+from repro.common.records import record
 from repro.common.types import Address
 
 __all__ = ["Transaction"]
 
+#: ``hash_of``'s framing of a seven-value tuple
+_HASH_HEAD = b"L" + (7).to_bytes(8, "big")
 
-@dataclass(frozen=True)
+
+@record
 class Transaction:
     """An immutable transaction.
 
@@ -53,17 +57,19 @@ class Transaction:
     @property
     def hash(self) -> Hash32:
         # Memoized: the pool's hash index and the proposer consult the hash
-        # on every queue operation, and all hash inputs are frozen.
+        # on every queue operation, and all hash inputs are frozen.  The
+        # preimage is ``hash_of`` over the seven fields, composed directly.
         cached = self._hash
         if cached is None:
-            cached = hash_of(
-                bytes(self.sender),
-                bytes(self.to) if self.to is not None else None,
-                self.value,
-                self.data,
-                self.gas_limit,
-                self.gas_price,
-                self.nonce,
+            cached = keccak(
+                _HASH_HEAD
+                + canonical_bytes(self.sender)
+                + (canonical_bytes(self.to) if self.to is not None else b"N")
+                + canonical_int(self.value)
+                + canonical_bytes(self.data)
+                + canonical_int(self.gas_limit)
+                + canonical_int(self.gas_price)
+                + canonical_int(self.nonce)
             )
             object.__setattr__(self, "_hash", cached)
         return cached

@@ -240,7 +240,7 @@ class TestBitIdentity:
         for outcomes in (follower_outcomes, lane_outcomes):
             outcome = merge_components(universe.genesis, art.graph.components, outcomes)
             post_state = finalize_block_state(
-                outcome.db.commit(),
+                outcome.db,
                 coinbase=block.header.coinbase,
                 total_fees=sum(r.fee for r in outcome.tx_results),
                 block_number=block.number,

@@ -3,10 +3,10 @@
 Every cache here is an *optimisation over a pure function* — so the core of
 each test is equivalence against the uncached computation: ``keccak_cached``
 vs ``keccak``, ``update_many`` vs per-key set/delete, the batched
-``StateDB.commit`` vs a from-scratch trie rebuild, cached base-snapshot
-reads vs ``read_base_value``, and a validator with an :class:`ArtifactCache`
-attached vs one without.  Bookkeeping (LRU order, eviction, sentinel-cached
-``None``, fork-sibling invalidation, metrics counters) is checked alongside.
+``StateDB.commit`` vs a from-scratch trie rebuild, the store's base reads
+vs ``read_base_value``, and a validator with an :class:`ArtifactCache`
+attached vs one without.  Bookkeeping (LRU order, eviction, fork-sibling
+invalidation, metrics counters) is checked alongside.
 """
 
 import dataclasses
@@ -25,54 +25,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.state.access import balance_key, nonce_key, storage_key
 from repro.state.account import AccountData
 from repro.state.cache import (
-    BoundedCache,
-    ReadThroughCache,
+    bytes_to_nibbles,
     keccak_cache_stats,
     keccak_cached,
+    keccak_path_cached,
 )
 from repro.state.statedb import StateDB, genesis_snapshot
 from repro.state.trie import SecureMPT
 from repro.state.versioned import MultiVersionStore, read_base_value
-
-
-class TestBoundedCache:
-    def test_lru_eviction_order(self):
-        cache = BoundedCache(3)
-        for i in range(3):
-            cache.put(i, str(i))
-        # touching 0 makes it most recently used; 1 becomes the victim
-        assert cache.get(0) == "0"
-        cache.put(3, "3")
-        assert 1 not in cache
-        assert 0 in cache and 2 in cache and 3 in cache
-        assert cache.stats.evictions == 1
-
-    def test_hit_miss_counters(self):
-        cache = BoundedCache(2)
-        assert cache.get("absent") is None
-        assert cache.get("absent", default=7) == 7
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.stats.as_dict() == {"hits": 1, "misses": 2, "evictions": 0}
-
-    def test_put_existing_key_updates_without_eviction(self):
-        cache = BoundedCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 3)  # update, not insert: nothing evicted
-        assert len(cache) == 2
-        assert cache.stats.evictions == 0
-        assert cache.get("a") == 3
-
-    def test_maxsize_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BoundedCache(0)
-
-    def test_clear(self):
-        cache = BoundedCache(4)
-        cache.put(1, 1)
-        cache.clear()
-        assert len(cache) == 0 and 1 not in cache
 
 
 class TestKeccakMemo:
@@ -85,6 +45,8 @@ class TestKeccakMemo:
             assert keccak_cached(data) == keccak(data)
             # second call: served from the memo, still identical
             assert keccak_cached(data) == keccak(data)
+            # the same entry holds the digest's nibble path
+            assert keccak_path_cached(data) == bytes_to_nibbles(keccak(data))
 
     def test_stats_grow_and_report_size(self):
         before = keccak_cache_stats()
@@ -94,31 +56,6 @@ class TestKeccakMemo:
         after = keccak_cache_stats()
         assert after["hits"] >= before["hits"] + 1
         assert after["size"] >= 1
-
-
-class TestReadThroughCache:
-    def test_loader_called_once_per_key(self):
-        calls = []
-        cache = ReadThroughCache(lambda k: (calls.append(k), k * 2)[1])
-        assert cache.get(3) == 6
-        assert cache.get(3) == 6
-        assert calls == [3]
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_none_values_are_cached_via_sentinel(self):
-        calls = []
-        cache = ReadThroughCache(lambda k: calls.append(k))
-        assert cache.get("x") is None
-        assert cache.get("x") is None
-        assert calls == ["x"]  # absence cached, loader not re-consulted
-
-    def test_bounded_eviction_reloads(self):
-        calls = []
-        cache = ReadThroughCache(lambda k: (calls.append(k), k)[1], maxsize=2)
-        cache.get(1), cache.get(2), cache.get(3)  # evicts 1
-        cache.get(1)  # miss again: re-loaded, evicting 2 in turn
-        assert calls == [1, 2, 3, 1]
-        assert cache.stats.evictions == 2
 
 
 class TestUpdateMany:
@@ -225,6 +162,10 @@ class TestCommitEquivalence:
 
 
 class TestBaseReadCache:
+    """The store reads its base snapshot directly (the LRU that used to sit
+    in front cost more than the dict lookup it saved): below every committed
+    version, ``read_at`` *is* ``read_base_value``."""
+
     def test_cached_reads_match_read_base_value(self):
         rng = random.Random(3)
         addrs = [Address.from_int(10 + i) for i in range(4)]
@@ -242,9 +183,10 @@ class TestBaseReadCache:
         rng.shuffle(keys)
         for key in keys * 3:
             assert store.read_at(key, 0) == read_base_value(base, key)
-        stats = store.base_cache.stats
-        assert stats.misses == len(keys)
-        assert stats.hits == 2 * len(keys)
+        # a committed write shadows the base from its version on, not before
+        store.apply({keys[0]: 77}, 1)
+        assert store.read_at(keys[0], 0) == read_base_value(base, keys[0])
+        assert store.read_at(keys[0], 1) == 77
 
 
 @pytest.fixture()

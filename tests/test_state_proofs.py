@@ -157,7 +157,7 @@ class TestSecureProofs:
         snapshot = small_universe.genesis
         trie = snapshot._account_trie
         address = small_universe.eoas[0]
-        proof = prove(trie._trie, keccak(bytes(address)))
+        proof = prove(trie, bytes(address))
         body = verify_proof(
             snapshot.state_root(), keccak(bytes(address)), proof
         )

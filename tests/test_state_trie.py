@@ -319,8 +319,8 @@ class TestSecureMPT:
     def test_keys_are_hashed(self):
         t = SecureMPT().set(b"k", b"v")
         # the raw key is not reachable through the underlying trie
-        assert t._trie.get(b"k") is None
-        assert t._trie.get(keccak(b"k")) == b"v"
+        assert MPT(t._root).get(b"k") is None
+        assert MPT(t._root).get(keccak(b"k")) == b"v"
 
     def test_delete(self):
         t = SecureMPT().set(b"k", b"v").delete(b"k")
@@ -694,6 +694,59 @@ class TestBatchBudget:
         assert sum(1 for _, value in batches[0] if not value) == 1
         monkeypatch.undo()
         assert committed.state_root() == genesis_snapshot(dict(committed.accounts)).state_root()
+
+
+    def test_a_block_is_one_commit_and_one_account_batch_per_role(self, monkeypatch, tmp_path):
+        """Sealing a block and importing it each fold fees and rewards into
+        the block's one still-open ``StateDB``: one ``commit`` and one
+        account-trie batch per role, and a ``Receipt`` is built three times
+        per committed transaction (seal, the validator's rebuild, the store's
+        write-time round trip), never per root."""
+        from repro.chain import block as block_mod
+        from repro.common.types import Address
+        from repro.network.node import ProposerNode, ValidatorNode
+        from repro.state.account import AccountData
+        from repro.state.statedb import StateDB, genesis_snapshot
+        from repro.store import open_store
+        from repro.txpool.transaction import Transaction
+
+        accounts = [Address(bytes([i + 1]) * 20) for i in range(30)]
+        genesis = genesis_snapshot({a: AccountData(balance=10**18) for a in accounts})
+        txs = [
+            Transaction(sender, receiver, 1000 + i, b"", 21_000, 7, 0)
+            for i, (sender, receiver) in enumerate(zip(accounts[:15], accounts[15:]))
+        ]
+        chain, store, _ = open_store(str(tmp_path), genesis, fsync=False)
+        proposer = ProposerNode("budget-proposer")
+        validator = ValidatorNode("budget-validator", genesis, chain=chain)
+
+        calls = {"commit": 0, "account_batch": 0, "receipt": 0}
+
+        def counted(cls, name, key, applies=lambda self: True):
+            real = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[key] += applies(self)
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(StateDB, "commit", "commit")
+        counted(MPT, "update_many", "account_batch", lambda self: isinstance(self, SecureMPT))
+        counted(block_mod.Receipt, "__init__", "receipt")
+        try:
+            sealed = proposer.build_block(chain.genesis.header, genesis, txs)
+            assert len(sealed.block.transactions) == len(txs)
+            assert sealed.proposal.total_fees > 0
+            assert (calls["commit"], calls["account_batch"]) == (1, 1)
+            outcome = validator.receive_blocks([sealed.block])
+            assert len(outcome.accepted) == 1
+            assert (calls["commit"], calls["account_batch"]) == (2, 2)
+            assert calls["receipt"] <= 3 * len(txs)
+        finally:
+            validator.pipeline.close()
+            store.close()
+        assert chain.head_state.state_root() == sealed.post_state.state_root()
 
 
 class TestPinnedRoots:

@@ -154,6 +154,50 @@ class TestBlockCodec:
         assert encode_block(block) == encode_block(block)
 
 
+class TestDecodeBlockOnDamagedBytes:
+    """ROADMAP 7(c), the block codec's slice: whatever bytes arrive,
+    ``decode_block`` answers with a typed error (a ``ValueError`` —
+    ``RLPDecodeError`` and ``UnicodeDecodeError`` are subclasses, the record
+    constructors raise it for a zero gas limit) or with a valid value: a block
+    the codec round-trips.  Never a stray ``TypeError`` / ``IndexError`` /
+    ``OverflowError``, whichever way the records are built."""
+
+    MUTATIONS = 4000
+
+    def test_typed_error_or_valid_block(self, build_chain):
+        import random
+
+        block, _ = build_chain(1)[0]
+        payload = encode_block(block)
+        assert len(block.transactions) >= 20
+        rng = random.Random(22)
+        outcomes = {"decoded": 0, "rejected": 0}
+        for _ in range(self.MUTATIONS):
+            damaged = bytearray(payload)
+            for _ in range(rng.choice((1, 1, 1, 2, 4))):
+                at = rng.randrange(len(damaged))
+                kind = rng.random()
+                if kind < 0.6:
+                    damaged[at] = rng.randrange(256)
+                elif kind < 0.75:
+                    damaged[at] ^= 1 << rng.randrange(8)
+                elif kind < 0.85:
+                    del damaged[at]
+                elif kind < 0.95:
+                    damaged.insert(at, rng.randrange(256))
+                else:
+                    del damaged[at:]
+            try:
+                decoded = decode_block(bytes(damaged))
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["decoded"] += 1
+            assert verify_roundtrip(decoded, encode_block(decoded)) is None
+        # both branches are exercised: most damage lands in a payload field
+        assert outcomes["decoded"] > 100 and outcomes["rejected"] > 100, outcomes
+
+
 def _altered(value):
     """A different value of the same type and, for fixed-width types, length."""
     if isinstance(value, bool):

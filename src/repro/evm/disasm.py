@@ -5,14 +5,17 @@
 instruction starts the dispatch loop can reach: PUSH immediates are data;
 anything not in the opcode table is rendered as ``INVALID(0xXX)``.
 ``format_disassembly`` renders a listing with program counters, which the
-test-suite and docs use to make contract bytecode inspectable.
+test-suite and docs use to make contract bytecode inspectable;
+``show_runs=True`` brackets the straight-line runs the interpreter compiles
+(:func:`repro.evm.interpreter.compile_runs`) with what each run's single
+pre-check tests.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.evm.interpreter import analyse
+from repro.evm.interpreter import _JUMP, _JUMPI, _RUN, MAX_STACK_DEPTH, analyse, compile_runs
 from repro.evm.opcodes import OPCODES, opcode_by_name
 
 __all__ = ["Instruction", "disassemble", "format_disassembly"]
@@ -46,12 +49,29 @@ def disassemble(code: bytes) -> List[Instruction]:
     return out
 
 
-def format_disassembly(code: bytes, *, show_jumpdests: bool = True) -> str:
-    """Render a listing; jump destinations are marked for readability."""
-    lines = []
+def format_disassembly(
+    code: bytes, *, show_jumpdests: bool = True, show_runs: bool = False
+) -> str:
+    """Render a listing; jump destinations are marked for readability.
+
+    With ``show_runs`` every compiled run is bracketed: static gas charged,
+    entry height needed and peak growth allowed for — all in one check —
+    and whether a trailing jump was folded in."""
+    decoded = analyse(code).instrs
+    table = compile_runs(code) if show_runs else decoded
+    lines, end = [], 0
     for ins in disassemble(code):
         marker = ">" if show_jumpdests and ins.name == "JUMPDEST" else " "
-        lines.append(f"{marker}{ins.pc:5d}  {ins.render()}")
+        line = f"{marker}{ins.pc:5d}  {ins.render()}"
+        kind, _, gas, _, needs, room, _, next_pc = table[ins.pc]
+        if kind == _RUN:
+            end = next_pc
+            jump = OPCODES[code[end - 1]].name if decoded[end - 1][0] in (_JUMP, _JUMPI) else ""
+            line = f"{line:<28}┐ run: gas {gas}, needs {needs}, grows {MAX_STACK_DEPTH - room}"
+            line += f", {jump} folded" if jump else ""
+        elif ins.pc < end:
+            line = f"{line:<28}{'│' if next_pc < end else '┘'}"
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

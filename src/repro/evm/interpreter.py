@@ -21,9 +21,14 @@ plus the valid jump destinations — cached per ``bytes`` value, and
 charges the static gas and checks the stack bounds once per instruction,
 runs the stack-shuffling and control-flow families inline, and hands every
 other opcode to a handler that works on the operand list directly
-(ARCHITECTURE §11).  Words on the operand stack are plain ints in
-``[0, 2**256)``; handlers mask exactly where arithmetic can leave that
-range.
+(ARCHITECTURE §11).  A blob that executes a second time is compiled
+(:func:`compile_runs`): each straight-line run of opcodes whose only
+failure modes are static — gas, stack underflow, stack overflow — becomes
+one table entry that checks all three once and one generated function that
+does the run's work; when the check fails, the loop steps through the
+run's decoded entries instead, so what fails and how is the stepper's.
+Words on the operand stack are plain ints in ``[0, 2**256)``; handlers
+mask exactly where arithmetic can leave that range.
 
 Failure semantics follow the yellow paper: a failing frame (out of gas,
 stack error, invalid jump, write protection) consumes its gas and reverts
@@ -35,6 +40,8 @@ transactions.
 
 from __future__ import annotations
 
+import linecache
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import (
@@ -47,6 +54,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -81,6 +89,7 @@ __all__ = [
     "Instr",
     "Program",
     "analyse",
+    "compile_runs",
 ]
 
 #: Yellow-paper operand stack limit.
@@ -281,11 +290,13 @@ class _Frame:
 #: A handler executes one instruction on ``(frame, operand stack)``.  The
 #: loop has already counted it, charged its static gas and checked the
 #: stack against its arity, so handlers pop without looking.  A truthy
-#: return halts the frame successfully (RETURN).
-Handler = Callable[[_Frame, List[int]], Optional[bool]]
+#: return halts the frame successfully (RETURN).  A compiled run has the
+#: same shape and returns the pc to continue at.
+Handler = Callable[[_Frame, List[int]], Optional[int]]
 
 # Instruction families of the dispatch loop, most frequent first.
-_PUSH, _HANDLER, _DUP, _SWAP, _JUMPI, _JUMPDEST, _POP, _STOP, _JUMP, _UNDEFINED, _END = range(11)
+_RUN, _HANDLER, _PUSH, _DUP, _SWAP, _JUMPI, _JUMPDEST, _POP, _STOP, _JUMP = range(10)
+_UNDEFINED, _END = 10, 11
 
 _INLINE_KINDS = {"JUMPI": _JUMPI, "JUMPDEST": _JUMPDEST, "POP": _POP, "STOP": _STOP, "JUMP": _JUMP}
 
@@ -299,18 +310,25 @@ def _no_handler(f: _Frame, s: List[int]) -> None:
 #: instance: ``(kind, handler, gas, category, pops, room, arg, next_pc)``.
 #:
 #: * ``kind`` — dispatch family; ``handler`` is called exactly when it is
-#:   ``_HANDLER``;
+#:   ``_HANDLER`` or ``_RUN``;
 #: * ``gas`` — static gas; ``category`` — trace category, ``""`` for what
-#:   cannot execute (undefined opcode, PUSH data, end of code), so the
-#:   loop's count lookup is also its validity check;
+#:   cannot execute (undefined opcode, PUSH data, end of code);
 #: * ``pops`` — operands required; ``room`` — deepest stack at which the
 #:   result still fits;
 #: * ``arg`` — PUSH immediate (a truncated tail zero-padded on the right),
 #:   DUP depth, SWAP index from the top, the PC value, an undefined byte.
-Instr = Tuple[int, Handler, int, str, int, int, int, int]
+#:
+#: A ``_RUN`` entry (compiled tables only) is the same tuple over a whole
+#: straight-line run: ``gas`` summed, ``category`` the trace counts as
+#: ``((category, n), ...)`` in first-occurrence order (the cost model sums
+#: in insertion order), ``pops`` the least and ``room`` the greatest entry
+#: height at which no instruction of the run under- or overflows, ``arg``
+#: the decoded entry of the first instruction, ``next_pc`` the run's end.
+Instr = Tuple[int, Handler, int, Any, int, int, Any, int]
 
 
-class Program(NamedTuple):
+@dataclass(eq=False, slots=True, weakref_slot=True)
+class Program:
     """Analysis of one code blob: instruction table and jump targets."""
 
     #: indexed by pc, one entry more than the code is long: instruction
@@ -320,6 +338,11 @@ class Program(NamedTuple):
     instrs: Tuple[Instr, ...]
     #: positions of JUMPDEST bytes that are not PUSH data
     jumpdests: FrozenSet[int]
+    #: ``instrs`` with every run head replaced by its ``_RUN`` entry — what
+    #: the loop walks from the second execution on.  ``None`` until the
+    #: first, ``()`` until the second: initcode runs once, and compiling
+    #: costs ten decodes
+    compiled: Optional[Tuple[Instr, ...]] = None
 
     def starts(self) -> Iterator[int]:
         """Program counters of the instruction starts, in code order."""
@@ -362,6 +385,224 @@ def analyse(code: bytes) -> Program:
             instrs[pc] = (kind, handler, op.gas, op.category, op.pops, room, arg, next_pc)
         pc = next_pc
     return Program(tuple(instrs), frozenset(jumpdests))
+
+
+# ---------------------------------------------------------------------- #
+# compiled runs                                                          #
+# ---------------------------------------------------------------------- #
+
+def _sdiv(a: int, b: int) -> int:
+    a, b = u256_to_signed(a), u256_to_signed(b)
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return signed_to_u256(-q if (a < 0) != (b < 0) else q)
+
+
+def _smod(a: int, b: int) -> int:
+    a, b = u256_to_signed(a), u256_to_signed(b)
+    if b == 0:
+        return 0
+    r = abs(a) % abs(b)
+    return signed_to_u256(-r if a < 0 else r)
+
+
+def _signextend(b: int, x: int) -> int:
+    if b >= 31:
+        return x
+    bit = 8 * b + 7
+    mask = (1 << (bit + 1)) - 1
+    return x | (U256_MASK ^ mask) if x & (1 << bit) else x & mask
+
+
+def _code_hash(code: bytes) -> int:
+    return int.from_bytes(keccak(code), "big") if code else 0
+
+
+#: The one definition of every opcode that cannot fail once its static gas
+#: is paid and its operands are there, charges no dynamic gas, reads neither
+#: ``f.gas`` nor the trace and stays in its frame: one expression over the
+#: operands ``{a}`` (top), ``{b}``, ``{c}``, each a literal or a local name.
+#: Everything else is a handler below and ends a run.  Masks sit where a
+#: result can leave ``[0, 2**256)``: balances come from unbounded state
+#: arithmetic, every other pushed quantity is a length or a block field.
+_EXPRESSIONS = {
+    "ADD": "({a} + {b}) & U256_MASK",
+    "MUL": "({a} * {b}) & U256_MASK",
+    "SUB": "({a} - {b}) & U256_MASK",
+    "DIV": "{a} // {b} if {b} else 0",
+    "SDIV": "_sdiv({a}, {b})",
+    "MOD": "{a} % {b} if {b} else 0",
+    "SMOD": "_smod({a}, {b})",
+    "ADDMOD": "({a} + {b}) % {c} if {c} else 0",
+    "MULMOD": "({a} * {b}) % {c} if {c} else 0",
+    "SIGNEXTEND": "_signextend({a}, {b})",
+    "LT": "1 if {a} < {b} else 0",
+    "GT": "1 if {a} > {b} else 0",
+    "SLT": "1 if u256_to_signed({a}) < u256_to_signed({b}) else 0",
+    "SGT": "1 if u256_to_signed({a}) > u256_to_signed({b}) else 0",
+    "EQ": "1 if {a} == {b} else 0",
+    "ISZERO": "0 if {a} else 1",
+    "AND": "{a} & {b}",
+    "OR": "{a} | {b}",
+    "XOR": "{a} ^ {b}",
+    "NOT": "{a} ^ U256_MASK",
+    "BYTE": "({b} >> (8 * (31 - {a}))) & 0xFF if {a} < 32 else 0",
+    "SHL": "({b} << {a}) & U256_MASK if {a} < 256 else 0",
+    "SHR": "{b} >> {a} if {a} < 256 else 0",
+    "SAR": "signed_to_u256(u256_to_signed({b}) >> min({a}, 256))",
+    "ADDRESS": "f.address.to_int()",
+    "BALANCE": "f.state.get_balance(_address_from_word({a})) & U256_MASK",
+    "SELFBALANCE": "f.state.get_balance(f.address) & U256_MASK",
+    "EXTCODEHASH": "_code_hash(f.state.get_code(_address_from_word({a})))",
+    "ORIGIN": "f.env.origin.to_int()",
+    "CALLER": "f.msg.sender.to_int()",
+    "CALLVALUE": "f.msg.value & U256_MASK",
+    "CALLDATALOAD": "int.from_bytes(f.msg.data[{a} : {a} + 32].ljust(32, b'\\0'), 'big')",
+    "CALLDATASIZE": "len(f.msg.data)",
+    "CODESIZE": "len(f.code)",
+    "GASPRICE": "f.env.gas_price",
+    "EXTCODESIZE": "len(f.state.get_code(_address_from_word({a})))",
+    "BLOCKHASH": "f.env.ctx.block_hash({a}) if 0 < f.env.ctx.block_number - {a} <= 256 else 0",
+    "RETURNDATASIZE": "len(f.returndata)",
+    "COINBASE": "f.env.ctx.coinbase.to_int()",
+    "TIMESTAMP": "f.env.ctx.timestamp",
+    "NUMBER": "f.env.ctx.block_number",
+    "GASLIMIT": "f.env.ctx.gas_limit",
+    "CHAINID": "f.env.ctx.chain_id",
+    "SLOAD": "f.state.get_storage(f.address, {a})",
+    "MSIZE": "len(f.memory)",
+}
+
+
+class _SymbolicStack:
+    """The operand stack of one straight-line run, as source text.
+
+    The words found on entry are ``e1`` (top) … ``eN``, read from the real
+    list only if something uses them; PUSH is a literal, DUP / SWAP / POP
+    rename, an operator becomes one assignment ``t<pc> = <expression>`` —
+    in instruction order, so state reads are recorded in the order they ran
+    — and only the run's net effect touches the real list, at the end."""
+
+    def __init__(self) -> None:
+        self.words: List[str] = []  # bottom first
+        self.needs = 0  # entry words reached so far: the run's least entry height
+        self.read: Set[str] = set()
+        self.body: List[str] = []
+
+    def reach(self, depth: int) -> None:
+        while len(self.words) < depth:
+            self.needs += 1
+            self.words.insert(0, f"e{self.needs}")
+
+    def pop(self) -> str:
+        self.reach(1)
+        self.read.add(self.words[-1])
+        return self.words.pop()
+
+    def step(self, pc: int, kind: int, arg: int, pops: int, expression: str) -> None:
+        words = self.words
+        self.reach(pops)
+        if kind == _PUSH:
+            words.append(hex(arg))
+        elif kind == _DUP:
+            words.append(words[-arg])
+        elif kind == _SWAP:
+            words[-1], words[arg] = words[arg], words[-1]
+        elif kind == _HANDLER:
+            operands = dict(zip("abc", [self.pop() for _ in range(pops)]))
+            self.body.append(f"t{pc} = {expression.format(**operands)}")
+            words.append(f"t{pc}")
+        elif kind == _POP:
+            words.pop()
+
+    def function(self, name: str, result: str) -> str:
+        """Source of ``name(f, s)``: entry loads, body, net effect, result.
+        The list is touched a word at a time (a slice assignment costs
+        three of these): consumed entry words are popped, the others
+        indexed, changed slots stored, growth appended."""
+        words, needs = self.words, self.needs
+        shrink = max(0, needs - len(words))
+        moved = [(i, word) for i, word in enumerate(words) if word != f"e{needs - i}"]
+        self.read.update(word for _, word in moved)
+        lines = []
+        for k in range(1, needs + 1):
+            load = f"e{k} = " if f"e{k}" in self.read else ""
+            if k <= shrink:
+                lines.append(f"{load}s.pop()")
+            elif load:
+                lines.append(f"{load}s[-{k - shrink}]")
+        lines += self.body
+        for i, word in moved:
+            lines.append(f"s[-{needs - shrink - i}] = {word}" if i < needs else f"s.append({word})")
+        lines.append(result)
+        return f"def {name}(f, s):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _load(filename: str, source: str) -> Dict[str, Handler]:
+    """Execute generated source; ``linecache`` holds it under ``filename``
+    so tracebacks and profiles show the functions by name and line."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    functions: Dict[str, Handler] = {}
+    exec(compile(source, filename, "exec"), globals(), functions)
+    return functions
+
+
+def compile_runs(code: bytes) -> Tuple[Instr, ...]:
+    """``analyse(code).instrs`` with every straight-line run of two or more
+    ``_EXPRESSIONS`` / PUSH / DUP / SWAP / POP instructions, a JUMPDEST
+    first and a literal-destination JUMP / JUMPI last, headed by a ``_RUN``
+    entry.  Interior entries stay as decoded: the loop steps through them
+    when a run's pre-check fails.  One ``exec`` per blob; nothing of the
+    code reaches the source but ``hex()`` of PUSH immediates, and pcs.
+    """
+    program = analyse(code)
+    instrs, jumpdests = program.instrs, program.jumpdests
+    tag = keccak(code).hex()[:8]
+    table, heads, sources = list(instrs), [], []
+    pc, end = 0, len(code)
+    while pc < end:
+        head, stack = pc, _SymbolicStack()
+        cost, room, length, jump = 0, MAX_STACK_DEPTH, 0, ""
+        counts: Dict[str, int] = {}
+        while not jump:
+            kind, _, gas, category, pops, fits, arg, next_pc = instrs[pc]
+            expression = _EXPRESSIONS.get(OPCODES[code[pc]].name, "") if kind == _HANDLER else ""
+            growth = len(stack.words) - stack.needs  # height here, less the entry height
+            top = stack.words[-1] if stack.words else ""
+            if kind in (_JUMP, _JUMPI) and top.startswith("0x") and int(top, 16) in jumpdests:
+                stack.pop()
+                jump = f"return {top}"
+                if kind == _JUMPI:
+                    jump += f" if {stack.pop()} else {next_pc}"
+            elif (
+                expression
+                or kind in (_PUSH, _DUP, _SWAP, _POP)
+                or (kind == _JUMPDEST and pc == head)  # elsewhere it can be jumped to
+            ):
+                stack.step(pc, kind, arg, pops, expression)
+            else:
+                break
+            cost += gas
+            counts[category] = counts.get(category, 0) + 1
+            room = min(room, fits - growth)
+            length += 1
+            pc = next_pc
+        if length < 2:
+            pc = max(pc, instrs[head][-1])
+            continue
+        sources.append(stack.function(f"run_{tag}_{head}", jump or f"return {pc}"))
+        heads.append(head)
+        counted = tuple(counts.items())
+        table[head] = (_RUN, _no_handler, cost, counted, stack.needs, room, instrs[head], pc)
+    if not heads:
+        return instrs
+    filename = f"<evm runs {tag}>"
+    functions = _load(filename, "\n".join(sources))
+    weakref.finalize(program, linecache.cache.pop, filename, None)  # evicted with the program
+    for head in heads:
+        table[head] = (_RUN, functions[f"run_{tag}_{head}"]) + table[head][2:]
+    return tuple(table)
 
 
 def _address_from_word(word: int) -> Address:
@@ -425,13 +666,7 @@ class EVM:
             state.sub_balance(sender, upfront)
 
         env = _TxEnv(self, ctx, schedule, sender, tx.gas_price, {})
-        msg = Message(
-            sender=sender,
-            to=tx.to,
-            value=tx.value,
-            data=tx.data,
-            gas=tx.gas_limit - ig,
-        )
+        msg = Message(sender, tx.to, tx.value, tx.data, tx.gas_limit - ig)
         result = self._execute_message(state, msg, env, depth=0)
 
         gas_used = tx.gas_limit - result.gas_left
@@ -499,7 +734,7 @@ class EVM:
         self, state: State, msg: Message, env: _TxEnv, depth: int, static: bool = False
     ) -> MessageResult:
         if depth > self.config.max_call_depth:
-            return MessageResult(False, b"", 0, error="call depth exceeded")
+            return MessageResult(False, b"", msg.gas, error="call depth exceeded")
 
         mark = state.snapshot()
 
@@ -581,10 +816,22 @@ class EVM:
         ``MAX_STACK_DEPTH`` words, and nothing observable happens between
         an instruction's pops and its push), then execute.  ``pc`` is
         unpacked straight to the next instruction; jumps overwrite it.
+
+        A ``_RUN`` entry makes the same three checks for its whole run at
+        once and its function does the work.  When one fails, some
+        instruction inside is about to, and which one is observable: the
+        loop steps through the run's decoded entries, head first.
         """
         env = frame.env
         trace = env.trace
-        instrs, jumpdests = analyse(frame.code)
+        program = analyse(frame.code)
+        instrs = program.compiled
+        if not instrs:
+            if instrs is None:
+                instrs, program.compiled = program.instrs, ()
+            else:
+                instrs = program.compiled = compile_runs(frame.code)
+        jumpdests = program.jumpdests
         stack: List[int] = []
         gas = frame.gas
         pc = 0
@@ -592,14 +839,19 @@ class EVM:
         try:
             while True:
                 kind, handler, cost, category, pops, room, arg, pc = instrs[pc]
-                try:
-                    trace[category] += 1
-                except KeyError:
-                    if not category:
-                        if kind == _END:
-                            break  # ran off the code: implicit STOP
-                        raise _FrameFailure(f"invalid opcode 0x{arg:02x}") from None
-                    trace[category] = 1
+                if kind == _RUN:
+                    if cost <= gas and pops <= len(stack) <= room:
+                        gas -= cost
+                        for name, count in category:
+                            trace[name] = trace.get(name, 0) + count
+                        pc = handler(frame, stack)
+                        continue
+                    kind, handler, cost, category, pops, room, arg, pc = arg
+                if not category:
+                    if kind == _END:
+                        break  # ran off the code: implicit STOP
+                    raise _FrameFailure(f"invalid opcode 0x{arg:02x}")
+                trace[category] = trace.get(category, 0) + 1
                 if cost > gas:
                     raise OutOfGas(f"need {cost} gas")
                 gas -= cost
@@ -608,14 +860,14 @@ class EVM:
                     raise _FrameFailure("stack underflow")
                 if height > room:
                     raise _FrameFailure("stack overflow")
-                if kind == _PUSH:
-                    stack.append(arg)
-                elif kind == _HANDLER:
+                if kind == _HANDLER:
                     frame.gas = gas
                     halt = handler(frame, stack)
                     gas = frame.gas
                     if halt:
                         break
+                elif kind == _PUSH:
+                    stack.append(arg)
                 elif kind == _DUP:
                     stack.append(stack[-arg])
                 elif kind == _SWAP:
@@ -653,7 +905,14 @@ class EVM:
 
 def _build_handlers() -> Dict[int, Handler]:
     """opcode byte -> handler; called once, at import."""
-    table: Dict[int, Handler] = {}
+    # the expression table's opcodes: a compiled run of one instruction each
+    sources = {}
+    for name, expression in _EXPRESSIONS.items():
+        stack = _SymbolicStack()
+        stack.step(0, _HANDLER, 0, opcode_by_name(name).pops, expression)
+        sources[name] = stack.function(f"op_{name.lower()}", "return None")
+    single = _load("<evm ops>", "\n".join(sources.values()))
+    table = {opcode_by_name(name).code: single[f"op_{name.lower()}"] for name in sources}
 
     def h(name: str) -> Callable[[Handler], Handler]:
         code = opcode_by_name(name).code
@@ -679,65 +938,7 @@ def _build_handlers() -> Dict[int, Handler]:
         f.charge_memory(offset, size)
         raise _Revert(f.memory.read(offset, size))
 
-    # --- arithmetic ------------------------------------------------------------ #
-    # Binary operators pop the top operand and overwrite the second in place.
-
-    @h("ADD")
-    def _add(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = (a + s[-1]) & U256_MASK
-
-    @h("MUL")
-    def _mul(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = (a * s[-1]) & U256_MASK
-
-    @h("SUB")
-    def _sub(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = (a - s[-1]) & U256_MASK
-
-    @h("DIV")
-    def _div(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        b = s[-1]
-        s[-1] = a // b if b else 0
-
-    @h("SDIV")
-    def _sdiv(f: _Frame, s: List[int]) -> None:
-        a, b = u256_to_signed(s.pop()), u256_to_signed(s[-1])
-        if b == 0:
-            s[-1] = 0
-        else:
-            q = abs(a) // abs(b)
-            s[-1] = signed_to_u256(-q if (a < 0) != (b < 0) else q)
-
-    @h("MOD")
-    def _mod(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        b = s[-1]
-        s[-1] = a % b if b else 0
-
-    @h("SMOD")
-    def _smod(f: _Frame, s: List[int]) -> None:
-        a, b = u256_to_signed(s.pop()), u256_to_signed(s[-1])
-        if b == 0:
-            s[-1] = 0
-        else:
-            r = abs(a) % abs(b)
-            s[-1] = signed_to_u256(-r if a < 0 else r)
-
-    @h("ADDMOD")
-    def _addmod(f: _Frame, s: List[int]) -> None:
-        a, b = s.pop(), s.pop()
-        n = s[-1]
-        s[-1] = (a + b) % n if n else 0
-
-    @h("MULMOD")
-    def _mulmod(f: _Frame, s: List[int]) -> None:
-        a, b = s.pop(), s.pop()
-        n = s[-1]
-        s[-1] = (a * b) % n if n else 0
+    # --- dynamic gas --------------------------------------------------------- #
 
     @h("EXP")
     def _exp(f: _Frame, s: List[int]) -> None:
@@ -745,90 +946,6 @@ def _build_handlers() -> Dict[int, Handler]:
         exponent = s[-1]
         f.use_gas(f.env.schedule.exp_cost(exponent))
         s[-1] = u256_exp(base, exponent)
-
-    @h("SIGNEXTEND")
-    def _signextend(f: _Frame, s: List[int]) -> None:
-        b = s.pop()
-        if b < 31:
-            x = s[-1]
-            bit = 8 * b + 7
-            mask = (1 << (bit + 1)) - 1
-            s[-1] = x | (U256_MASK ^ mask) if x & (1 << bit) else x & mask
-
-    # --- comparison / bitwise ---------------------------------------------------- #
-
-    @h("LT")
-    def _lt(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = 1 if a < s[-1] else 0
-
-    @h("GT")
-    def _gt(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = 1 if a > s[-1] else 0
-
-    @h("SLT")
-    def _slt(f: _Frame, s: List[int]) -> None:
-        a = u256_to_signed(s.pop())
-        s[-1] = 1 if a < u256_to_signed(s[-1]) else 0
-
-    @h("SGT")
-    def _sgt(f: _Frame, s: List[int]) -> None:
-        a = u256_to_signed(s.pop())
-        s[-1] = 1 if a > u256_to_signed(s[-1]) else 0
-
-    @h("EQ")
-    def _eq(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] = 1 if a == s[-1] else 0
-
-    @h("ISZERO")
-    def _iszero(f: _Frame, s: List[int]) -> None:
-        s[-1] = 0 if s[-1] else 1
-
-    @h("AND")
-    def _and(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] &= a
-
-    @h("OR")
-    def _or(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] |= a
-
-    @h("XOR")
-    def _xor(f: _Frame, s: List[int]) -> None:
-        a = s.pop()
-        s[-1] ^= a
-
-    @h("NOT")
-    def _not(f: _Frame, s: List[int]) -> None:
-        s[-1] ^= U256_MASK
-
-    @h("BYTE")
-    def _byte(f: _Frame, s: List[int]) -> None:
-        i = s.pop()
-        s[-1] = (s[-1] >> (8 * (31 - i))) & 0xFF if i < 32 else 0
-
-    @h("SHL")
-    def _shl(f: _Frame, s: List[int]) -> None:
-        shift = s.pop()
-        s[-1] = (s[-1] << shift) & U256_MASK if shift < 256 else 0
-
-    @h("SHR")
-    def _shr(f: _Frame, s: List[int]) -> None:
-        shift = s.pop()
-        s[-1] = s[-1] >> shift if shift < 256 else 0
-
-    @h("SAR")
-    def _sar(f: _Frame, s: List[int]) -> None:
-        shift, value = s.pop(), u256_to_signed(s[-1])
-        if shift >= 256:
-            s[-1] = 0 if value >= 0 else U256_MASK
-        else:
-            s[-1] = signed_to_u256(value >> shift)
-
-    # --- hashing ------------------------------------------------------------------ #
 
     @h("SHA3")
     def _sha3(f: _Frame, s: List[int]) -> None:
@@ -840,47 +957,7 @@ def _build_handlers() -> Dict[int, Handler]:
         trace["sha3_word"] = trace.get("sha3_word", 0) + (size + 31) // 32
         s[-1] = int.from_bytes(keccak(f.memory.read(offset, size)), "big")
 
-    # --- environment ---------------------------------------------------------------- #
-    # Balances come from unbounded state arithmetic, so they are masked here;
-    # every other pushed quantity is a length, a gas figure or a block field.
-
-    @h("ADDRESS")
-    def _address(f: _Frame, s: List[int]) -> None:
-        s.append(f.address.to_int())
-
-    @h("BALANCE")
-    def _balance(f: _Frame, s: List[int]) -> None:
-        s[-1] = f.state.get_balance(_address_from_word(s[-1])) & U256_MASK
-
-    @h("SELFBALANCE")
-    def _selfbalance(f: _Frame, s: List[int]) -> None:
-        s.append(f.state.get_balance(f.address) & U256_MASK)
-
-    @h("EXTCODEHASH")
-    def _extcodehash(f: _Frame, s: List[int]) -> None:
-        code = f.state.get_code(_address_from_word(s[-1]))
-        s[-1] = int.from_bytes(keccak(code), "big") if code else 0
-
-    @h("ORIGIN")
-    def _origin(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.origin.to_int())
-
-    @h("CALLER")
-    def _caller(f: _Frame, s: List[int]) -> None:
-        s.append(f.msg.sender.to_int())
-
-    @h("CALLVALUE")
-    def _callvalue(f: _Frame, s: List[int]) -> None:
-        s.append(f.msg.value & U256_MASK)
-
-    @h("CALLDATALOAD")
-    def _calldataload(f: _Frame, s: List[int]) -> None:
-        offset = s[-1]
-        s[-1] = int.from_bytes(f.msg.data[offset : offset + 32].ljust(32, b"\x00"), "big")
-
-    @h("CALLDATASIZE")
-    def _calldatasize(f: _Frame, s: List[int]) -> None:
-        s.append(len(f.msg.data))
+    # --- copies ---------------------------------------------------------------------- #
 
     def _copy_to_memory(f: _Frame, s: List[int], source: bytes) -> None:
         """The shared body of the ``*COPY`` family: zero-padded slice of
@@ -894,21 +971,9 @@ def _build_handlers() -> Dict[int, Handler]:
     def _calldatacopy(f: _Frame, s: List[int]) -> None:
         _copy_to_memory(f, s, f.msg.data)
 
-    @h("CODESIZE")
-    def _codesize(f: _Frame, s: List[int]) -> None:
-        s.append(len(f.code))
-
     @h("CODECOPY")
     def _codecopy(f: _Frame, s: List[int]) -> None:
         _copy_to_memory(f, s, f.code)
-
-    @h("GASPRICE")
-    def _gasprice(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.gas_price)
-
-    @h("EXTCODESIZE")
-    def _extcodesize(f: _Frame, s: List[int]) -> None:
-        s[-1] = len(f.state.get_code(_address_from_word(s[-1])))
 
     @h("EXTCODECOPY")
     def _extcodecopy(f: _Frame, s: List[int]) -> None:
@@ -919,43 +984,11 @@ def _build_handlers() -> Dict[int, Handler]:
         code = f.state.get_code(address)
         f.memory.write(dst, code[src : src + size].ljust(size, b"\x00"))
 
-    @h("BLOCKHASH")
-    def _blockhash(f: _Frame, s: List[int]) -> None:
-        number, ctx = s[-1], f.env.ctx
-        if number >= ctx.block_number or ctx.block_number - number > 256:
-            s[-1] = 0
-        else:
-            s[-1] = ctx.block_hash(number)
-
-    @h("RETURNDATASIZE")
-    def _returndatasize(f: _Frame, s: List[int]) -> None:
-        s.append(len(f.returndata))
-
     @h("RETURNDATACOPY")
     def _returndatacopy(f: _Frame, s: List[int]) -> None:
         if s[-2] + s[-3] > len(f.returndata):
             raise _FrameFailure("returndata out of bounds")
         _copy_to_memory(f, s, f.returndata)
-
-    @h("COINBASE")
-    def _coinbase(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.ctx.coinbase.to_int())
-
-    @h("TIMESTAMP")
-    def _timestamp(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.ctx.timestamp)
-
-    @h("NUMBER")
-    def _number(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.ctx.block_number)
-
-    @h("GASLIMIT")
-    def _gaslimit(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.ctx.gas_limit)
-
-    @h("CHAINID")
-    def _chainid(f: _Frame, s: List[int]) -> None:
-        s.append(f.env.ctx.chain_id)
 
     # --- memory / storage ------------------------------------------------------------ #
 
@@ -977,10 +1010,6 @@ def _build_handlers() -> Dict[int, Handler]:
         f.charge_memory(offset, 1)
         f.memory.write_byte(offset, value)
 
-    @h("SLOAD")
-    def _sload(f: _Frame, s: List[int]) -> None:
-        s[-1] = f.state.get_storage(f.address, s[-1])
-
     @h("SSTORE")
     def _sstore(f: _Frame, s: List[int]) -> None:
         if f.static:
@@ -992,10 +1021,6 @@ def _build_handlers() -> Dict[int, Handler]:
         if current != 0 and value == 0:
             f.env.refunds.append(schedule.sstore_clear_refund)
         state.set_storage(f.address, slot, value)
-
-    @h("MSIZE")
-    def _msize(f: _Frame, s: List[int]) -> None:
-        s.append(len(f.memory))
 
     @h("GAS")
     def _gas(f: _Frame, s: List[int]) -> None:

@@ -95,9 +95,16 @@ class LaneGroup:
     def earliest(self, *, not_before: float = 0.0) -> Lane:
         """Lane that can start soonest at or after ``not_before``.
 
-        Ties break toward the lowest index for determinism.
+        Ties break toward the lowest index for determinism: lanes are held
+        in index order and only a strictly earlier start replaces the pick.
         """
-        return min(self.lanes, key=lambda l: (max(l.available_at, not_before), l.index))
+        best = self.lanes[0]
+        best_start = max(best.available_at, not_before)
+        for lane in self.lanes:
+            start = lane.available_at if lane.available_at > not_before else not_before
+            if start < best_start:
+                best, best_start = lane, start
+        return best
 
     def earliest_with_context(
         self, context: Hashable, *, not_before: float = 0.0
@@ -108,13 +115,18 @@ class LaneGroup:
         This models a scheduler with context affinity: it avoids gratuitous
         context switches but never delays work to preserve affinity.
         """
-        best = self.earliest(not_before=not_before)
+        best = self.lanes[0]
         best_start = max(best.available_at, not_before)
-        affine = [l for l in self.lanes if l.context == context]
-        if affine:
-            cand = min(affine, key=lambda l: (max(l.available_at, not_before), l.index))
-            if max(cand.available_at, not_before) <= best_start:
-                return cand
+        affine: Optional[Lane] = None
+        affine_start = 0.0
+        for lane in self.lanes:
+            start = lane.available_at if lane.available_at > not_before else not_before
+            if start < best_start:
+                best, best_start = lane, start
+            if lane.context == context and (affine is None or start < affine_start):
+                affine, affine_start = lane, start
+        if affine is not None and affine_start <= best_start:
+            return affine
         return best
 
     def run_on_earliest(

@@ -40,20 +40,23 @@ class StateKey(NamedTuple):
     slot: Optional[int]  # set only for kind == 'storage'
 
 
+# Built through ``tuple.__new__``: the NamedTuple's generated Python-level
+# ``__new__`` costs as much again, and an execution builds a dozen keys.
+
 def balance_key(address: Address) -> StateKey:
-    return StateKey("balance", address, None)
+    return tuple.__new__(StateKey, ("balance", address, None))
 
 
 def nonce_key(address: Address) -> StateKey:
-    return StateKey("nonce", address, None)
+    return tuple.__new__(StateKey, ("nonce", address, None))
 
 
 def code_key(address: Address) -> StateKey:
-    return StateKey("code", address, None)
+    return tuple.__new__(StateKey, ("code", address, None))
 
 
 def storage_key(address: Address, slot: int) -> StateKey:
-    return StateKey("storage", address, slot)
+    return tuple.__new__(StateKey, ("storage", address, slot))
 
 
 def recorded_code(code: bytes) -> int:

@@ -276,7 +276,7 @@ class OracleEVM:
         static: bool = False,
     ) -> MessageResult:
         if depth > self.config.max_call_depth:
-            return MessageResult(False, b"", 0, error="call depth exceeded")
+            return MessageResult(False, b"", msg.gas, error="call depth exceeded")
 
         mark = state.snapshot()
 

@@ -101,6 +101,16 @@ class TestReentrancy:
         result, _ = run_code(a.assemble(), gas=5_000_000)
         assert result.success  # outermost frame survives
 
+    def test_call_past_the_depth_limit_returns_its_gas(self):
+        """The refused call hands back what it was forwarded (yellow paper;
+        geth's ``return nil, gas, ErrDepth``), so 17 nested calls cost the
+        same whatever the gas limit — not a 64th of it per level."""
+        a = Assembler()
+        a.push(0).push(0).push(0).push(0).push(0)
+        a.push(CONTRACT.to_int()).op("GAS").op("CALL").op("STOP")
+        used = [run_code(a.assemble(), gas=gas)[0].gas_used for gas in (200_000, 2_000_000)]
+        assert used[0] == used[1] <= 40_000
+
 
 class TestStateDBJournalProperty:
     @settings(max_examples=50, deadline=None)

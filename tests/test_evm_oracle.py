@@ -210,7 +210,7 @@ class TestAgainstParentStepper:
         tx = make_tx(initcode, gas_limit + 32_000, value, 1, to=None)
         assert_same(make_genesis(b"", b""), tx)
 
-    @settings(max_examples=100, **COMMON)
+    @settings(max_examples=300, **COMMON)
     @given(programs, st.integers(0, 40))
     def test_gas_dies_at_every_point(self, code, shave):
         """Find the exact cost, then starve the run by 1..40 gas."""

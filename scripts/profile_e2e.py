@@ -21,7 +21,10 @@ generation-2 pause reads as that hook's "self" time and generations 0 and 1
 show nowhere.  So each collection is timed through ``gc.callbacks`` (CPU
 seconds) and printed as its own ``gc gen0|gen1|gen2`` row — count, total ms,
 share of the node's own CPU time in the loop — and ticks that fell into one
-are dropped from the function shares.  The timer ticks with the scheduler (~4 ms), so one
+are dropped from the function shares.  Under those rows, a census of the heap
+a collection walks: the objects the collector tracks when the loop starts
+(after boot) and when it ends, in all and for the eight most numerous types
+at the end.  The timer ticks with the scheduler (~4 ms), so one
 pass gives a few hundred samples: read shares, not digits.
 """
 
@@ -36,7 +39,7 @@ import signal
 import sys
 import time
 from types import FrameType
-from typing import Any, Counter, Dict, Optional, Tuple
+from typing import Any, Counter, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
@@ -77,6 +80,11 @@ def print_tree(stacks: Counter[Tuple[str, ...]], total: int, min_pct: float) -> 
     walk(root, 0)
 
 
+def census() -> Counter[str]:
+    """The objects the cyclic collector tracks right now, by type name."""
+    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="mainnet")
@@ -91,6 +99,7 @@ def main() -> int:
     gc_runs, gc_cpu = [0, 0, 0], [0.0, 0.0, 0.0]  # collections and their CPU seconds, per generation
     gc_started: Optional[float] = None
     loop_cpu = 0.0
+    censuses: List[Counter[str]] = []  # at the start and at the end of the loop
 
     def on_gc(phase: str, info: Dict[str, int]) -> None:
         nonlocal gc_started
@@ -120,6 +129,7 @@ def main() -> int:
 
     def sampled_drive(*a: Any, **kw: Any) -> None:
         nonlocal loop_cpu
+        censuses.append(census())
         signal.signal(signal.SIGPROF, on_tick)
         gc.callbacks.append(on_gc)
         started = time.process_time()
@@ -130,6 +140,7 @@ def main() -> int:
             signal.setitimer(signal.ITIMER_PROF, 0)
             loop_cpu = time.process_time() - started
             gc.callbacks.remove(on_gc)
+            censuses.append(census())
 
     lifecycle._drive_blocks = sampled_drive  # run_pass looks the name up at call time
     workload = WORKLOADS[args.workload]
@@ -150,6 +161,11 @@ def main() -> int:
     for generation, (runs, seconds) in enumerate(zip(gc_runs, gc_cpu)):
         share = 100 * seconds / own_cpu if own_cpu else 0.0
         print(f"{runs:6d} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
+    boot, end = censuses
+    print(f"{'boot':>8} {'end':>8}  objects the collector tracks at the start and end of the loop")
+    print(f"{sum(boot.values()):8d} {sum(end.values()):8d}  all")
+    for name, count in end.most_common(8):
+        print(f"{boot[name]:8d} {count:8d}  {name}")
     if args.tree:
         print_tree(stacks, total, args.min)
     else:

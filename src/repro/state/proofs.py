@@ -13,20 +13,19 @@ storage slot against a block header without holding the state.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.common.hashing import keccak
 from repro.common.rlp import RLPDecodeError, rlp_decode
 from repro.common.types import Address, Hash32
 from repro.state.statedb import StateSnapshot
 from repro.state.trie import (
+    _EXTENSION,
+    _LEAF,
     EMPTY_ROOT,
     MPT,
     SecureMPT,
-    _Extension,
-    _Leaf,
     _Node,
-    _node_ref,
     _node_rlp,
     bytes_to_nibbles,
 )
@@ -35,18 +34,18 @@ __all__ = ["prove", "verify_proof", "ProofError", "prove_account", "prove_storag
 
 
 class ProofError(ValueError):
-    """The proof does not authenticate against the given root."""
+    """The proof does not authenticate against the given root, or is malformed."""
 
 
-def _hp_decode(encoded: bytes) -> Tuple[bytes, bool]:
+def _hp_decode(encoded: object) -> Tuple[bytes, bool]:
     """Inverse hex-prefix: returns (nibble path, is_leaf)."""
-    if not encoded:
-        raise ProofError("empty hex-prefix path")
+    if not isinstance(encoded, bytes) or not encoded:
+        raise ProofError("hex-prefix path is not a non-empty byte string")
     nibbles = bytes_to_nibbles(encoded)
-    flag = nibbles[0]
-    is_leaf = flag >= 2
-    odd = flag % 2 == 1
-    return (nibbles[1:] if odd else nibbles[2:]), is_leaf
+    flag = nibbles[0]  # 0-3; an even path (flag 0 or 2) is padded with a 0
+    if flag > 3 or not flag & 1 and nibbles[1]:
+        raise ProofError(f"malformed hex-prefix flag {nibbles[:2].hex()}")
+    return nibbles[2 - (flag & 1) :], flag >= 2
 
 
 def prove(trie: MPT, key: bytes) -> List[bytes]:
@@ -67,23 +66,23 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
     while node is not None:
         if append_next:
             proof.append(_node_rlp(node))
-        if isinstance(node, _Leaf):
+        if node[0] == _LEAF:
             break
-        if isinstance(node, _Extension):
-            if not path.startswith(node.path):
+        if node[0] == _EXTENSION:
+            if not path.startswith(node[2]):
                 break  # exclusion: the path diverges here
-            path = path[len(node.path) :]
-            child: Optional[_Node] = node.child
+            path = path[len(node[2]) :]
+            child: _Node = node[3]
         else:  # branch
             if not path:
                 break
-            child = node.children[path[0]]
+            child = node[2 + path[0]]
             if child is None:
                 break  # exclusion: no child on the path
             path = path[1:]
         # children with short RLP are embedded in the parent encoding;
         # a hashed reference is 33 bytes
-        append_next = len(_node_ref(child)) >= 32
+        append_next = len(child[1]) >= 32
         node = child
     return proof
 
@@ -94,14 +93,15 @@ def verify_proof(
     """Verify ``proof`` for ``key`` against ``root``.
 
     Returns the proven value (``None`` for a valid exclusion proof).
-    Raises :class:`ProofError` when the proof does not authenticate.
+    Raises :class:`ProofError` when the proof does not authenticate or a
+    node on the path is not a well-formed trie node — whatever the bytes.
     """
     if not proof:
         if root == EMPTY_ROOT:
             return None
         raise ProofError("empty proof for non-empty root")
 
-    expected: object = bytes(root)  # expectation: 32-byte hash or inline struct
+    expected: Any = bytes(root)  # expectation: 32-byte hash or inline struct
     path = bytes_to_nibbles(key)
     index = 0
 
@@ -114,9 +114,10 @@ def verify_proof(
         if len(node_struct) == 2:
             nibbles, is_leaf = _hp_decode(node_struct[0])
             if is_leaf:
-                if path == nibbles:
-                    return node_struct[1]
-                return None  # valid exclusion
+                value = node_struct[1]
+                if not isinstance(value, bytes) or not value:
+                    raise ProofError("leaf value is not a non-empty byte string")
+                return value if path == nibbles else None  # else: valid exclusion
             # extension
             if not path.startswith(nibbles):
                 return None  # exclusion: path diverges
@@ -125,7 +126,9 @@ def verify_proof(
         else:  # branch
             if not path:
                 value = node_struct[16]
-                return value if value != b"" else None
+                if not isinstance(value, bytes):
+                    raise ProofError("branch value is not a byte string")
+                return value or None
             child = node_struct[path[0]]
             path = path[1:]
             if child == b"":
@@ -143,20 +146,23 @@ def verify_proof(
         index += 1
 
 
-def _take_node(proof: List[bytes], index: int, expected: object) -> list:
+def _take_node(proof: List[bytes], index: int, expected: bytes) -> list:
     encoding = proof[index]
-    if isinstance(expected, (bytes, bytearray)):
-        if len(expected) != 32:
-            raise ProofError("malformed node reference")
-        if keccak(encoding) != bytes(expected):
-            raise ProofError(f"proof node {index} hash mismatch")
-    try:
-        decoded = rlp_decode(encoding)
-    except RLPDecodeError as exc:
-        raise ProofError(f"proof node {index} is not valid RLP: {exc}") from exc
+    if len(expected) != 32:
+        raise ProofError("malformed node reference")
+    if keccak(encoding) != expected:
+        raise ProofError(f"proof node {index} hash mismatch")
+    decoded = _decode(encoding, f"proof node {index}")
     if not isinstance(decoded, list):
         raise ProofError("proof node is not a list")
     return decoded
+
+
+def _decode(data: bytes, what: str) -> Any:
+    try:
+        return rlp_decode(data)
+    except RLPDecodeError as exc:
+        raise ProofError(f"{what} is not valid RLP: {exc}") from exc
 
 
 def prove_account(snapshot: StateSnapshot, address: Address) -> List[bytes]:
@@ -199,16 +205,19 @@ def verify_storage_proof(
         if storage_proof:
             raise ProofError("storage proof supplied for a non-existent account")
         return 0
-    decoded = rlp_decode(body)
-    if not isinstance(decoded, list) or len(decoded) != 4:
+    decoded = _decode(body, "account body")
+    if not (isinstance(decoded, list) and len(decoded) == 4 and isinstance(decoded[2], bytes)):
         raise ProofError("malformed account body")
-    storage_root = Hash32(decoded[2])
+    if len(decoded[2]) != 32:
+        raise ProofError("malformed storage root in account body")
     value_bytes = verify_proof(
-        storage_root, keccak(slot.to_bytes(32, "big")), storage_proof
+        Hash32(decoded[2]), keccak(slot.to_bytes(32, "big")), storage_proof
     )
     if value_bytes is None:
         return 0
-    decoded_value = rlp_decode(value_bytes)
+    decoded_value = _decode(value_bytes, "storage value")
+    if not isinstance(decoded_value, bytes):
+        raise ProofError("storage value is not a byte string")
     return int.from_bytes(decoded_value, "big")
 
 

@@ -21,14 +21,16 @@ Design choices:
   (``hexlify`` + ``translate``), in the batch — the descent passes an index
   into its paths instead of cutting them up — and in the nodes, so paths are
   compared, joined and hex-prefix packed by ``bytes`` methods.
-* **Yellow-paper encoding.**  Leaf/extension paths use hex-prefix (HP)
-  encoding; node references embed the RLP of nodes shorter than 32 bytes
-  and the Keccak hash otherwise; the root hash is always the hash of the
-  root node's RLP.  Each node caches exactly that reference — ``_ref``, its
-  bytes as they appear inside its parent — once it has been computed
-  (:func:`_node_ref`), so a parent's RLP is a concatenation of ``_ref``s;
-  immutability means it can never go stale, so a commit hashes only the
-  nodes it rebuilt.
+* **Yellow-paper encoding, referenced at birth.**  Paths are hex-prefix
+  (HP) encoded; a node's reference is its RLP if under 32 bytes, else
+  ``0xa0 || keccak(RLP)``.  The constructors (:func:`_leaf`,
+  :func:`_extension`, :func:`_branch`) compute it from the children's
+  references and store it in the node: each node built is hashed once, no
+  memo is written later, so nodes are thread-safe by construction.
+* **Plain tuples** (layout at :data:`_Node`): CPython's collector untracks a
+  tuple whose items are all untracked, never a class instance.  So a node
+  holds only its tag, exact ``bytes``, ``None`` and nodes — a ``Hash32`` or
+  ``Address`` inside keeps it and its ancestors on the collector's walk.
 * **byte-string keys and values.**  A trie turns a key into its path
   through :attr:`MPT.key_path`; :class:`SecureMPT`, the keccak-keyed variant
   the state uses, overrides that and nothing else.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from binascii import unhexlify
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_list, rlp_string
@@ -64,36 +66,10 @@ def hp_encode(path: bytes, is_leaf: bool) -> bytes:
     return nibbles_to_bytes(_HP_FLAG[is_leaf][len(path) & 1] + path)
 
 
-class _Leaf:
-    __slots__ = ("path", "value", "_ref")
-
-    def __init__(self, path: bytes, value: bytes) -> None:
-        self.path = path
-        self.value = value
-        self._ref: Optional[bytes] = None
-
-
-class _Extension:
-    __slots__ = ("path", "child", "_ref")
-
-    def __init__(self, path: bytes, child: "_Node") -> None:
-        self.path = path
-        self.child = child
-        self._ref: Optional[bytes] = None
-
-
-class _Branch:
-    __slots__ = ("children", "value", "_ref")
-
-    def __init__(
-        self, children: Tuple[Optional["_Node"], ...], value: Optional[bytes]
-    ) -> None:
-        self.children = children
-        self.value = value
-        self._ref: Optional[bytes] = None
-
-
-_Node = Union[_Leaf, _Extension, _Branch]
+#: ``(_LEAF, ref, path, value)``, ``(_EXTENSION, ref, path, child)`` or
+#: ``(_BRANCH, ref, child_0, …, child_15, value or None)``, empty slots None
+_Node = Tuple[Any, ...]
+_LEAF, _EXTENSION, _BRANCH = 0, 1, 2
 _T = TypeVar("_T", bound="MPT")
 
 #: One update of a sorted run, ``(nibble path, value)`` (``b""`` deletes), and
@@ -105,47 +81,55 @@ _Item = Tuple[bytes, Union[bytes, _Node]]
 EMPTY_ROOT = keccak(rlp_string(b""))
 
 
-def _node_rlp(node: _Node) -> bytes:
-    """Canonical RLP of a node, assembled from its children's references."""
-    if isinstance(node, _Leaf):
-        return rlp_list((rlp_string(hp_encode(node.path, True)), rlp_string(node.value)))
-    if isinstance(node, _Extension):
-        return rlp_list((rlp_string(hp_encode(node.path, False)), _node_ref(node.child)))
-    parts = [b"\x80" if c is None else c._ref or _node_ref(c) for c in node.children]
-    parts.append(b"\x80" if node.value is None else rlp_string(node.value))
+def _reference(rlp: bytes) -> bytes:
+    """How a node with this RLP appears inside its parent (yellow paper, D)."""
+    return rlp if len(rlp) < 32 else b"\xa0" + hashlib.sha3_256(rlp).digest()
+
+
+def _leaf(path: bytes, value: bytes) -> _Node:
+    return (_LEAF, _reference(rlp_list((rlp_string(hp_encode(path, True)), rlp_string(value)))), path, value)
+
+
+def _extension(path: bytes, child: _Node) -> _Node:
+    return (_EXTENSION, _reference(rlp_list((rlp_string(hp_encode(path, False)), child[1]))), path, child)
+
+
+def _branch(children: Sequence[Optional[_Node]], value: Optional[bytes]) -> _Node:
+    return (_BRANCH, _reference(_branch_rlp(children, value)), *children, value)
+
+
+def _branch_rlp(children: Sequence[Optional[_Node]], value: Optional[bytes]) -> bytes:
+    parts = [b"\x80" if child is None else child[1] for child in children]
+    parts.append(b"\x80" if value is None else rlp_string(value))
     return rlp_list(parts)
 
 
-def _node_ref(node: _Node) -> bytes:
-    """The node as it appears, already encoded, inside its parent: its RLP
-    when that is shorter than 32 bytes, else ``0xa0 || keccak(RLP)`` (yellow
-    paper, appendix D).  Cached on the node; the write is an idempotent store
-    of a pure function of immutable fields, hence safe under ``ThreadBackend``.
-    """
-    ref = node._ref
-    if ref is None:
-        rlp = _node_rlp(node)
-        ref = node._ref = (
-            rlp if len(rlp) < 32 else b"\xa0" + hashlib.sha3_256(rlp).digest()
-        )
-    return ref
+def _node_rlp(node: _Node) -> bytes:
+    """Canonical RLP of a node — what its reference embeds or hashes; only
+    proofs, which carry node encodings, need it again."""
+    kind = node[0]
+    if kind == _BRANCH:
+        return _branch_rlp(node[2:18], node[18])
+    if kind == _LEAF:
+        return rlp_list((rlp_string(hp_encode(node[2], True)), rlp_string(node[3])))
+    return rlp_list((rlp_string(hp_encode(node[2], False)), node[3][1]))
 
 
 def _get(node: Optional[_Node], path: bytes) -> Optional[bytes]:
     depth = 0
     while node is not None:
-        if isinstance(node, _Branch):
+        if node[0] == _BRANCH:
             if depth == len(path):
-                return node.value
-            node = node.children[path[depth]]
+                return node[18]
+            node = node[2 + path[depth]]
             depth += 1
-        elif isinstance(node, _Leaf):
-            return node.value if path[depth:] == node.path else None
+        elif node[0] == _LEAF:
+            return node[3] if path[depth:] == node[2] else None
         else:
-            if not path.startswith(node.path, depth):
+            if not path.startswith(node[2], depth):
                 return None
-            depth += len(node.path)
-            node = node.child
+            depth += len(node[2])
+            node = node[3]
     return None
 
 
@@ -157,23 +141,23 @@ def _build(items: Sequence[_Item], lo: int, hi: int, depth: int) -> _Node:
     if hi - lo == 1:
         rest = first[depth:]
         if isinstance(payload, bytes):
-            return _Leaf(rest, payload)
+            return _leaf(rest, payload)
         # an existing subtree, ``rest`` further down than it was: a leaf or
         # an extension absorbs the nibbles, a branch gets an extension
         if not rest:
             return payload
-        if isinstance(payload, _Leaf):
-            return _Leaf(rest + payload.path, payload.value)
-        if isinstance(payload, _Extension):
-            return _Extension(rest + payload.path, payload.child)
-        return _Extension(rest, payload)
+        if payload[0] == _LEAF:
+            return _leaf(rest + payload[2], payload[3])
+        if payload[0] == _EXTENSION:
+            return _extension(rest + payload[2], payload[3])
+        return _extension(rest, payload)
     # sorted: what the two ends share, everything between them shares
     last = items[hi - 1][0]
     split = depth
     while split < len(first) and first[split] == last[split]:
         split += 1
     if split > depth:
-        return _Extension(first[depth:split], _build(items, lo, hi, split))
+        return _extension(first[depth:split], _build(items, lo, hi, split))
     children: List[Optional[_Node]] = [None] * 16
     value: Optional[bytes] = None
     if len(first) == depth:  # the path that ends here sorts first
@@ -187,7 +171,7 @@ def _build(items: Sequence[_Item], lo: int, hi: int, depth: int) -> _Node:
             end += 1
         children[nibble] = _build(items, lo, end, depth + 1)
         lo = end
-    return _Branch(tuple(children), value)
+    return _branch(children, value)
 
 
 def _update(
@@ -206,66 +190,66 @@ def _update(
     """
     first = items[lo][0]
     run: List[_Item]
-    if isinstance(node, _Branch):
-        value = node.value
+    if node is None:
+        run = [item for item in items[lo:hi] if item[1]]
+    elif node[0] == _BRANCH:
+        value = node[18]
         if len(first) == depth:
             value = items[lo][1] or None
             lo += 1
-        shrunk = value is None and node.value is not None
+        shrunk = value is None and node[18] is not None
         children: Optional[List[Optional[_Node]]] = None
         while lo < hi:
             nibble = items[lo][0][depth]
             end = lo + 1
             while end < hi and items[end][0][depth] == nibble:
                 end += 1
-            old = node.children[nibble]
+            old = node[2 + nibble]
             new = _update(old, items, lo, end, depth + 1)
             if new is not old:
                 if children is None:
-                    children = list(node.children)
+                    children = list(node[2:18])
                 children[nibble] = new
                 shrunk = shrunk or new is None
             lo = end
-        if children is None and value == node.value:
+        if children is None and value == node[18]:
             return node
         if not shrunk:
-            return _Branch(tuple(children or node.children), value)
+            return _branch(children or node[2:18], value)
         # a delete emptied a slot and a branch needs two entries: what is
         # left is placed anew (one survivor merges into what is below it)
         run = [] if value is None else [(first[:depth], value)]
-        for nibble, child in enumerate(children or node.children):
+        for nibble, child in enumerate(children or node[2:18]):
             if child is not None:
                 run.append((first[:depth] + bytes((nibble,)), child))
-    elif node is None:
-        run = [item for item in items[lo:hi] if item[1]]
-    elif isinstance(node, _Leaf):
-        if hi - lo == 1 and first[depth:] == node.path:
+    elif node[0] == _LEAF:
+        if hi - lo == 1 and first[depth:] == node[2]:
             value = items[lo][1]  # the common case: one overwrite, or one delete
-            if value == node.value:
+            if value == node[3]:
                 return node
-            return _Leaf(node.path, value) if value else None
-        own = first[:depth] + node.path
-        merged = {own: node.value}
+            return _leaf(node[2], value) if value else None
+        own = first[:depth] + node[2]
+        merged = {own: node[3]}
         merged.update(items[lo:hi])
         run = sorted(item for item in merged.items() if item[1])
-        if run == [(own, node.value)]:
+        if run == [(own, node[3])]:
             return node
     else:
         # the items below the whole of the extension's path are one stretch
         # of the sorted run and go down to its child ...
-        own = first[:depth] + node.path
+        own = first[:depth] + node[2]
         start = lo
         while start < hi and not items[start][0].startswith(own):
             start += 1
         end = start
         while end < hi and items[end][0].startswith(own):
             end += 1
-        below: Optional[_Node] = node.child
+        below: Optional[_Node] = node[3]
         if start < end:
             below = _update(below, items, start, end, len(own))
         # ... the others leave it part-way: deletes among them name absent keys
         run = [item for item in (*items[lo:start], *items[end:hi]) if item[1]]
-        if below is node.child and not run:
+        if below is node[3] and not run:
             return node
         if below is not None:
             run.append((own, below))
@@ -274,15 +258,17 @@ def _update(
 
 
 def _iter_items(node: Optional[_Node], prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
-    if isinstance(node, _Branch):
-        if node.value is not None:
-            yield prefix, node.value
-        for nibble, child in enumerate(node.children):
-            yield from _iter_items(child, prefix + bytes((nibble,)))
-    elif isinstance(node, _Leaf):
-        yield prefix + node.path, node.value
-    elif node is not None:
-        yield from _iter_items(node.child, prefix + node.path)
+    if node is None:
+        return
+    if node[0] == _BRANCH:
+        if node[18] is not None:
+            yield prefix, node[18]
+        for nibble in range(16):
+            yield from _iter_items(node[2 + nibble], prefix + bytes((nibble,)))
+    elif node[0] == _LEAF:
+        yield prefix + node[2], node[3]
+    else:
+        yield from _iter_items(node[3], prefix + node[2])
 
 
 class MPT:
@@ -330,7 +316,7 @@ class MPT:
     def root_hash(self) -> Hash32:
         if self._root is None:
             return EMPTY_ROOT
-        ref = _node_ref(self._root)
+        ref = self._root[1]
         # a hashed reference is 33 bytes, an inline one under 32
         return Hash32(ref[1:]) if len(ref) == 33 else keccak(ref)
 

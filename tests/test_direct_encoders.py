@@ -17,7 +17,7 @@ from repro.common.rlp import rlp_decode, rlp_encode, rlp_int, rlp_list, rlp_stri
 from repro.common.types import Address
 from repro.evm.interpreter import Log
 from repro.state.account import AccountData, encode_account
-from repro.state.trie import _Extension, _Leaf, _node_rlp, hp_encode
+from repro.state.trie import _extension, _leaf, _node_rlp, hp_encode
 from repro.store.codec import encode_transaction
 from repro.txpool.transaction import Transaction
 
@@ -97,14 +97,22 @@ class TestDirectEncoders:
     )
     @settings(max_examples=200, deadline=None)
     def test_trie_leaf_and_extension(self, path, value):
-        leaf = _Leaf(path, value or b"\x01")
-        assert _node_rlp(leaf) == rlp_encode([hp_encode(path, True), leaf.value])
+        """A node is born with its reference: its RLP when that is under 32
+        bytes, else ``0xa0 || keccak(RLP)``."""
+
+        def reference(rlp):
+            return rlp if len(rlp) < 32 else b"\xa0" + bytes(keccak(rlp))
+
+        leaf = _leaf(path, value or b"\x01")
+        rlp = rlp_encode([hp_encode(path, True), value or b"\x01"])
+        assert (_node_rlp(leaf), leaf[1]) == (rlp, reference(rlp))
         if path:
             # the child rides as a 32-byte reference once its RLP reaches 32
             # bytes, inline (as the list it is) below that
-            rlp = _node_rlp(leaf)
             child = bytes(keccak(rlp)) if len(rlp) >= 32 else rlp_decode(rlp)
-            assert _node_rlp(_Extension(path, leaf)) == rlp_encode([hp_encode(path, False), child])
+            extension = _extension(path, leaf)
+            rlp = rlp_encode([hp_encode(path, False), child])
+            assert (_node_rlp(extension), extension[1]) == (rlp, reference(rlp))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 55, 56, 57, 255, 256, 257, 65535, 65536])
     def test_length_prefixes_at_every_boundary(self, n):

@@ -15,7 +15,7 @@ from repro.state.proofs import (
     verify_proof,
     verify_secure,
 )
-from repro.state.trie import EMPTY_ROOT, MPT, SecureMPT
+from repro.state.trie import _BRANCH, _EXTENSION, EMPTY_ROOT, MPT, SecureMPT, _node_rlp
 
 
 class TestBasicSemantics:
@@ -612,15 +612,13 @@ class TestBatchEqualsFold:
 
 def _nodes(node):
     """Every node under (and including) ``node``."""
-    from repro.state.trie import _Branch, _Extension
-
     if node is None:
         return
     yield node
-    if isinstance(node, _Extension):
-        yield from _nodes(node.child)
-    elif isinstance(node, _Branch):
-        for child in node.children:
+    if node[0] == _EXTENSION:
+        yield from _nodes(node[3])
+    elif node[0] == _BRANCH:
+        for child in node[2:18]:
             yield from _nodes(child)
 
 
@@ -628,42 +626,58 @@ class TestBatchBudget:
     """What one batch may cost, counted in objects and calls instead of timed."""
 
     @pytest.fixture()
-    def constructed(self, monkeypatch):
-        """Every trie node constructed while the test runs, in order."""
-        from repro.state.trie import _Branch, _Extension, _Leaf
+    def counted(self, monkeypatch):
+        """Every trie node constructed, and every preimage hashed, while the
+        test runs, in order."""
+        import hashlib
 
-        built = []
-        for cls in (_Leaf, _Extension, _Branch):
+        from repro.state import trie
 
-            def counting(self, *args, _init=cls.__init__):
-                built.append(self)
-                _init(self, *args)
+        built, hashed = [], []
+        for name in ("_leaf", "_extension", "_branch"):
 
-            monkeypatch.setattr(cls, "__init__", counting)
-        return built
+            def counting(*args, _make=getattr(trie, name)):
+                built.append(_make(*args))
+                return built[-1]
 
-    def test_a_batch_constructs_only_the_nodes_it_leaves_dirty(self, constructed):
-        """300 keys (half new, half overwrites) into a 1 542-key trie: each
-        node on the way to a changed entry is rebuilt once, however many of
-        the batch's keys pass through it, and nothing is built and dropped."""
+            monkeypatch.setattr(trie, name, counting)
+        real_sha3 = hashlib.sha3_256
+
+        def sha3(data=b""):
+            hashed.append(data)
+            return real_sha3(data)
+
+        monkeypatch.setattr(hashlib, "sha3_256", sha3)
+        return built, hashed
+
+    def test_a_batch_constructs_only_the_nodes_it_leaves_dirty(self, counted):
+        """300 keys (half new, half overwrites) into a 1 542-key trie: the
+        batch builds exactly the nodes of the new trie it does not share with
+        the old one — each node on the way to a changed entry once, however
+        many of the batch's keys pass through it, nothing built and dropped —
+        and hashes each of them once, at birth, and nothing else."""
+        built, hashed = counted
         rng = random.Random(19)
         keys = [bytes(keccak(rng.randbytes(20))) for _ in range(1542)]
         base = MPT().update_many((key, rng.randbytes(70)) for key in keys)
-        assert len(constructed) == sum(1 for _ in _nodes(base._root))
-        base.root_hash()  # every node of the base now holds its reference
+        assert len(built) == sum(1 for _ in _nodes(base._root))
         batch = [
             (keys[i] if i % 2 else bytes(keccak(rng.randbytes(20))), rng.randbytes(70))
             for i in range(300)
         ]
-        del constructed[:]
+        del built[:], hashed[:]
         updated = base.update_many(batch)
-        dirty = [node for node in _nodes(updated._root) if node._ref is None]
-        assert len(constructed) == len(dirty)
-        assert {id(node) for node in constructed} == {id(node) for node in dirty}
+        updated.root_hash()  # reads the root's reference: hashes nothing
+        shared = {id(node) for node in _nodes(base._root)}
+        fresh = [node for node in _nodes(updated._root) if id(node) not in shared]
+        assert len(built) == len(fresh)
+        assert {id(node) for node in built} == {id(node) for node in fresh}
+        # every node here encodes to 32 bytes or more, so each is hashed
+        assert sorted(hashed) == sorted(_node_rlp(node) for node in fresh)
         # the same pairs one at a time copy the path from the root per key
-        del constructed[:]
+        del built[:]
         assert _fold(base, batch).root_hash() == updated.root_hash()
-        assert len(constructed) > 2 * len(dirty)
+        assert len(built) > 2 * len(fresh)
 
     def test_a_transfer_only_commit_is_one_account_trie_batch(self, monkeypatch):
         from repro.common.types import Address
@@ -747,6 +761,73 @@ class TestBatchBudget:
             validator.pipeline.close()
             store.close()
         assert chain.head_state.state_root() == sealed.post_state.state_root()
+
+
+def _tracked_for_good(*roots):
+    """How many nodes of these tries the cyclic collector still walks once
+    collections stop untracking any.  CPython untracks a tuple whose items
+    are all untracked, children before parents — one level per collection,
+    so it takes about as many collections as the trie is deep."""
+    import gc
+
+    nodes = [node for root in roots for node in _nodes(root)]
+    assert nodes
+    tracked = None
+    while True:
+        gc.collect()
+        now = sum(map(gc.is_tracked, nodes))
+        if now == tracked:
+            return now
+        tracked = now
+
+
+class TestNothingTracked:
+    """Trie nodes are plain tuples of plain ``bytes``, ``int``, ``None`` and
+    other nodes, so none stays on the collector's walk."""
+
+    def test_genesis_account_and_storage_tries(self, small_universe):
+        genesis = small_universe.genesis
+        assert genesis._storage_tries
+        assert _tracked_for_good(
+            genesis._account_trie._root, *(t._root for t in genesis._storage_tries.values())
+        ) == 0
+
+    def test_tries_committed_by_a_block_and_its_index_tries(self, small_universe, small_generator, monkeypatch):
+        from repro.chain import block as block_mod
+        from repro.network.node import ProposerNode, ValidatorNode
+
+        index_tries = []
+
+        class Recorded(MPT):
+            __slots__ = ()
+
+            def update_many(self, items):
+                index_tries.append(super().update_many(items))
+                return index_tries[-1]
+
+        monkeypatch.setattr(block_mod, "MPT", Recorded)
+        validator = ValidatorNode("untracked", small_universe.genesis)
+        head = validator.chain.head
+        sealed = ProposerNode("untracked").build_block(
+            head.header, validator.chain.state_at(head.hash), small_generator.generate_block_txs()
+        )
+        assert validator.receive_blocks([sealed.block]).accepted
+        header = sealed.block.header
+        assert {t.root_hash() for t in index_tries} >= {header.transactions_root, header.receipts_root}
+        genesis_tries = set(map(id, small_universe.genesis._storage_tries.values()))
+        for state in (sealed.post_state, validator.chain.head_state):
+            changed = [t for t in state._storage_tries.values() if id(t) not in genesis_tries]
+            assert changed
+            assert _tracked_for_good(state._account_trie._root, *(t._root for t in changed)) == 0
+        assert _tracked_for_good(*(t._root for t in index_tries)) == 0
+
+    def test_a_bytes_subclass_inside_keeps_its_node_and_every_node_above_it(self):
+        from repro.common.types import Hash32
+
+        # an extension (the shared first nibble) over a branch over two leaves
+        trie = MPT().update_many([(b"\x01", b"a" * 40), (b"\x02", Hash32(b"\x11" * 32))])
+        assert _tracked_for_good(trie._root) == 3  # all but the plain leaf
+        assert _tracked_for_good(trie.set(b"\x02", b"b" * 40)._root) == 0
 
 
 class TestPinnedRoots:

@@ -6,8 +6,9 @@
 Prints, per function, the share of CPU-time samples with it on the stack
 (inclusive) and at the top (self); with ``--tree``, the inclusive shares as
 a call tree under the block loop, children by weight, cut below ``--min``
-percent — the flat list cannot show that ``receipts_root`` is reached from
-three callers per block, the tree can.  A sampler charges no per-call
+percent — the flat list cannot show which callers reach a function (that
+``receipts_root`` runs once under the seal and once under the validator, for
+instance), the tree can.  A sampler charges no per-call
 cost, so — unlike cProfile, which inflates this code base's many small
 calls and mis-ranks its layers — the shares are those of an unprofiled run.
 Only the block loop is sampled (not boot, genesis, shutdown, recovery), and

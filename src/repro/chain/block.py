@@ -10,7 +10,7 @@ from repro.common.hashing import Hash32, hash_of
 from repro.common.records import record
 from repro.common.rlp import rlp_int, rlp_list, rlp_string
 from repro.common.types import Address
-from repro.evm.interpreter import Log
+from repro.evm.interpreter import Log, TxResult
 from repro.state.access import FrozenRWSet
 from repro.state.trie import MPT
 from repro.txpool.transaction import Transaction
@@ -21,6 +21,7 @@ __all__ = [
     "Receipt",
     "TxProfileEntry",
     "BlockProfile",
+    "build_receipts",
     "transactions_root",
     "receipts_root",
 ]
@@ -134,6 +135,28 @@ class BlockProfile:
         return len(self.entries)
 
 
+def build_receipts(
+    transactions: Sequence[Transaction], results: Iterable[TxResult]
+) -> Tuple[Receipt, ...]:
+    """The receipts of ``transactions`` executed with ``results``, in block
+    order — what the proposer seals and what every checker re-derives."""
+    receipts = []
+    cumulative = 0
+    for tx, result in zip(transactions, results):
+        cumulative += result.gas_used
+        receipts.append(
+            Receipt(
+                tx_hash=tx.hash,
+                success=result.success,
+                gas_used=result.gas_used,
+                cumulative_gas=cumulative,
+                log_count=len(result.logs),
+                logs=tuple(result.logs),
+            )
+        )
+    return tuple(receipts)
+
+
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:
     """Trie root over the block's transactions, keyed by index (yellow paper)."""
     return _index_root(bytes(tx.hash) for tx in transactions)
@@ -177,11 +200,11 @@ class Block:
         return len(self.transactions)
 
     def validate_structure(self) -> None:
-        """Internal consistency: tx root, receipt root, profile alignment."""
+        """Internal consistency: tx root, profile alignment.  Shipped
+        receipts are not checked here: only execution can confirm them
+        (:meth:`~repro.core.applier.Applier.verify_block`)."""
         if transactions_root(self.transactions) != self.header.transactions_root:
             raise ValueError("transactions root mismatch")
-        if self.receipts and receipts_root(self.receipts) != self.header.receipts_root:
-            raise ValueError("receipts root mismatch")
         if self.profile is not None and len(self.profile) != len(self.transactions):
             raise ValueError("profile entry count mismatch")
         if self.profile is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.chain.block import Block
+from repro.chain.block import Block, receipts_root
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.proposer import SealedProposal, finalize_block_state
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
@@ -100,6 +100,8 @@ def diff_block(
         block.validate_structure()
     except ValueError as exc:
         report.add("structure", -1, str(exc))
+    if block.receipts and receipts_root(block.receipts) != block.header.receipts_root:
+        report.add("structure", -1, "receipts root mismatch")
 
     ctx = ExecutionContext(
         block_number=block.header.number,

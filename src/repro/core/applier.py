@@ -14,14 +14,15 @@ The checks are exact:
   writes it did;
 * per-transaction gas and success flag must match the profile;
 * after all transactions, the recomputed state root must equal the
-  header's, and recomputed receipts must hash to the header's receipt
-  root.
+  header's, the recomputed receipts must hash to the header's receipt
+  root (and give its gas total and logs bloom), and receipts the block
+  ships must equal the recomputed ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 from repro.chain.block import Block, Receipt, TxProfileEntry, receipts_root
 from repro.chain.bloom import bloom_from_logs
@@ -113,29 +114,39 @@ class Applier:
         self,
         block: Block,
         computed_state: StateSnapshot,
-        computed_receipts: Sequence[Receipt],
-        total_gas: int,
-        computed_logs=None,
+        computed_receipts: Tuple[Receipt, ...],
     ) -> ValidationOutcome:
-        """Final block-level checks after all transactions verified."""
+        """Final block-level checks after all transactions verified.
+
+        The total gas and the logs bloom are derived from
+        ``computed_receipts`` (see :func:`~repro.chain.block.build_receipts`);
+        receipts the block ships must equal them field for field."""
 
         def failed(reason: str, code: FailureReason) -> ValidationOutcome:
             return ValidationOutcome(
                 False, reason, failure=ValidationFailure(code, detail=reason)
             )
 
-        if computed_logs is not None:
-            bloom = bloom_from_logs(computed_logs).to_bytes()
-            if bloom != block.header.logs_bloom:
-                return failed("logs bloom mismatch", FailureReason.RECEIPT_MISMATCH)
-        if total_gas != block.header.gas_used:
+        header = block.header
+        bloom = bloom_from_logs(
+            log for receipt in computed_receipts for log in receipt.logs
+        ).to_bytes()
+        if bloom != header.logs_bloom:
+            return failed("logs bloom mismatch", FailureReason.RECEIPT_MISMATCH)
+        total_gas = computed_receipts[-1].cumulative_gas if computed_receipts else 0
+        if total_gas != header.gas_used:
             return failed(
                 f"block gas mismatch: executed {total_gas}, "
-                f"header {block.header.gas_used}",
+                f"header {header.gas_used}",
                 FailureReason.RECEIPT_MISMATCH,
             )
-        if receipts_root(computed_receipts) != block.header.receipts_root:
+        if receipts_root(computed_receipts) != header.receipts_root:
             return failed("receipts root mismatch", FailureReason.RECEIPT_MISMATCH)
-        if computed_state.state_root() != block.header.state_root:
+        if block.receipts and block.receipts != computed_receipts:
+            return failed(
+                "shipped receipts differ from the executed ones",
+                FailureReason.RECEIPT_MISMATCH,
+            )
+        if computed_state.state_root() != header.state_root:
             return failed("state root mismatch", FailureReason.STATE_ROOT_MISMATCH)
         return ValidationOutcome(True)

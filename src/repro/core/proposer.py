@@ -16,8 +16,8 @@ from repro.chain.block import (
     Block,
     BlockHeader,
     BlockProfile,
-    Receipt,
     TxProfileEntry,
+    build_receipts,
     receipts_root,
     transactions_root,
 )
@@ -96,21 +96,7 @@ def seal_block(
     committed = proposal.committed
     txs = tuple(c.tx for c in committed)
 
-    receipts = []
-    cumulative = 0
-    for c in committed:
-        cumulative += c.result.gas_used
-        receipts.append(
-            Receipt(
-                tx_hash=c.tx.hash,
-                success=c.result.success,
-                gas_used=c.result.gas_used,
-                cumulative_gas=cumulative,
-                log_count=len(c.result.logs),
-                logs=tuple(c.result.logs),
-            )
-        )
-    receipts = tuple(receipts)
+    receipts = build_receipts(txs, [c.result for c in committed])
 
     profile: Optional[BlockProfile] = None
     if include_profile:
@@ -144,7 +130,7 @@ def seal_block(
     )
 
     logs_bloom = bloom_from_logs(
-        log for c in committed for log in c.result.logs
+        log for receipt in receipts for log in receipt.logs
     ).to_bytes()
 
     header = BlockHeader(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Protocol, Tuple
 
-from repro.chain.block import Block, BlockProfile, Receipt, TxProfileEntry
+from repro.chain.block import Block, BlockProfile, TxProfileEntry, build_receipts
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.applier import Applier, ProfileMismatch
 from repro.core.artifacts import ArtifactCache, BlockArtifacts, artifacts_for
@@ -492,11 +492,7 @@ class ParallelValidator:
             params=params,
         )
         verdict = self.applier.verify_block(
-            block,
-            post_state,
-            _rebuild_receipts(block, tx_results),
-            sum(tx_result.gas_used for tx_result in tx_results),
-            computed_logs=[log for r in tx_results for log in r.logs],
+            block, post_state, build_receipts(block.transactions, tx_results)
         )
         if not verdict.accepted:
             return rejected(
@@ -711,20 +707,3 @@ class ParallelValidator:
         )
         return PhaseTimes(prep_cost, exec_phase_end, validate_end, commit_end), stats
 
-
-def _rebuild_receipts(block: Block, tx_results: List[TxResult]) -> List[Receipt]:
-    receipts = []
-    cumulative = 0
-    for tx, result in zip(block.transactions, tx_results):
-        cumulative += result.gas_used
-        receipts.append(
-            Receipt(
-                tx_hash=tx.hash,
-                success=result.success,
-                gas_used=result.gas_used,
-                cumulative_gas=cumulative,
-                log_count=len(result.logs),
-                logs=tuple(result.logs),
-            )
-        )
-    return receipts

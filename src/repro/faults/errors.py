@@ -28,7 +28,7 @@ __all__ = [
 class FailureReason(enum.Enum):
     """Why a block was rejected (or abandoned) by the validator stack."""
 
-    #: Structural violation: tx/receipt root mismatch, profile misaligned,
+    #: Structural violation: tx root mismatch, profile misaligned,
     #: gas-limit overflow, bad uncles, invalid transaction, missing profile.
     MALFORMED_BLOCK = "malformed_block"
     #: Re-executed read key set disagrees with the block profile.
@@ -37,7 +37,8 @@ class FailureReason(enum.Enum):
     PROFILE_WRITE_MISMATCH = "profile_write_mismatch"
     #: Per-transaction gas or success flag disagrees with the profile.
     PROFILE_GAS_MISMATCH = "profile_gas_mismatch"
-    #: Recomputed receipts/bloom/total-gas disagree with the header.
+    #: Recomputed receipts/bloom/total-gas disagree with the header, or
+    #: the receipts the block ships differ from the recomputed ones.
     RECEIPT_MISMATCH = "receipt_mismatch"
     #: Recomputed state root disagrees with the header.
     STATE_ROOT_MISMATCH = "state_root_mismatch"

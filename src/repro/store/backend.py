@@ -35,14 +35,7 @@ from repro.chain.block import Block
 from repro.obs.events import NULL_EMITTER, EventEmitter
 from repro.state.statedb import StateSnapshot
 from repro.store.blocklog import RECORD_HEADER, BlockLog, decode_record, write_log
-from repro.store.codec import (
-    decode_block,
-    encode_block,
-    encode_header,
-    peek_block_number,
-    verify_roundtrip,
-)
-from repro.store.errors import StoreError
+from repro.store.codec import decode_block, encode_block, encode_header, peek_block_number
 from repro.store.manifest import Manifest, SnapshotRef
 from repro.store.snapshots import write_snapshot
 
@@ -104,7 +97,6 @@ class DiskStore:
         snapshot_interval: int = 64,
         compact: bool = True,
         fsync: bool = True,
-        verify_writes: bool = True,
         metrics: Optional["MetricsRegistry"] = None,
         emitter: EventEmitter = NULL_EMITTER,
         crash: Optional["CrashPlan"] = None,
@@ -113,7 +105,6 @@ class DiskStore:
         self.snapshot_interval = snapshot_interval
         self.compact = compact
         self.fsync = fsync
-        self.verify_writes = verify_writes
         self.metrics = metrics
         self.emitter = emitter
         self.crash = crash
@@ -189,17 +180,7 @@ class DiskStore:
         height = block.number
         crash = self.crash
 
-        # encoded once: the self-check reads, and the append writes, these bytes
         payload = encode_block(block)
-
-        # 0. codec self-check: a block that cannot be re-read from its own
-        #    encoding must fail here, at append time, not at recovery time
-        if self.verify_writes:
-            problem = verify_roundtrip(block, payload)
-            if problem is not None:
-                raise StoreError(
-                    f"block {height} fails codec round-trip: {problem}"
-                )
 
         # 1. block record → log (durable before anything references it)
         if crash is not None and crash.is_armed("torn_append", height):
@@ -302,10 +283,13 @@ class DiskStore:
         # Every record is checksum-verified; one above the horizon is carried
         # forward byte for byte, once it has been seen to decode still.
         survivors = []
+        dropped = 0
         for offset, payload in self.log.scan_records():
             if decode_record(payload, offset, peek_block_number) > horizon:
                 decode_record(payload, offset, decode_block)
                 survivors.append(payload)
+            else:
+                dropped += 1
         new_name = f"blocks_{horizon:08d}.log"
         new_path = os.path.join(self.data_dir, new_name)
         write_log(new_path, survivors, fsync=self.fsync)
@@ -314,7 +298,6 @@ class DiskStore:
             # new generation durable, manifest still naming the old one —
             # a retry after this crash must clobber, not extend, new_path
             self.crash.fire("in_compaction", self.manifest.height)
-        dropped = self.manifest.height - horizon  # informational only
         self.manifest.log_start_height = horizon + 1
         self.manifest.log_bytes = new_log.size
         self.manifest.log_file = new_name
@@ -326,20 +309,20 @@ class DiskStore:
         new_log.metrics = self.metrics
         self.generation += 1
         self._count("store.compactions")
-        self._count("store.compacted_blocks", max(dropped, 0))
+        self._count("store.compacted_blocks", dropped)
         if self.metrics is not None:
             # per-generation label (flat dotted key via the label helper):
             # store.compacted_blocks.gen.<n>
             self.metrics.counter(
                 "store.compacted_blocks", gen=self.generation
-            ).inc(max(dropped, 0))
+            ).inc(dropped)
         if self.emitter.enabled:
             self.emitter.emit(
                 "store_compaction",
                 ts,
                 horizon=horizon,
                 generation=self.generation,
-                dropped=max(dropped, 0),
+                dropped=dropped,
                 log_bytes=new_log.size,
             )
         self._prune_snapshots()

@@ -4,8 +4,10 @@ This is the block-log record format: one block encodes to one RLP list
 ``[header, transactions, receipts]`` and decodes back to structures whose
 hashes — header hash, transaction hashes, receipt encodings — are
 *byte-identical* to the originals.  That identity is what the
-kill-and-resume differential in ``tests/test_store_service.py`` asserts,
-and it hinges on two conventions:
+kill-and-resume differential in ``tests/test_store_service.py`` asserts
+(and ``tests/test_store_codec.py`` holds ``decode_block(encode_block(b))
+== b`` as a property; the log is appended without a self-check), and it
+hinges on two conventions:
 
 * integers ride through :mod:`repro.common.rlp` big-endian with no
   leading zeros (zero is the empty string), so ``decode(encode(0))`` is
@@ -24,7 +26,7 @@ the log has already been committed.  Decoded blocks carry
 from __future__ import annotations
 
 import hashlib
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader, Receipt
 from repro.common.hashing import Hash32
@@ -259,32 +261,3 @@ def chain_digest(blocks: Sequence[Block], *, skip: int = 0) -> str:
         digest.update(payload)
     return digest.hexdigest()
 
-
-def verify_roundtrip(block: Block, payload: bytes) -> Optional[str]:
-    """Append-time self-check: does ``payload`` (``encode_block(block)``,
-    the bytes about to be appended) decode back to ``block``?
-
-    :meth:`DiskStore.on_block` runs this before every append (disable
-    with ``DiskStore(verify_writes=False)``) and refuses to persist a
-    block that fails it.  Returns ``None`` when the decoded header, every
-    transaction and every receipt equal the originals, otherwise a
-    human-readable description of the first divergence.  Equality is the
-    dataclasses' own: over exactly the fields that the header hash, the
-    transaction hash (so not ``tag``) and the receipt encoding cover,
-    compared as held instead of re-hashed and re-encoded.
-    Cheap insurance that a block with an unserialisable quirk fails
-    loudly at *append* time, not at recovery time.
-    """
-    decoded = decode_block(payload)
-    if decoded.header != block.header:
-        return "header hash changed across encode/decode"
-    for name, witness, ours, theirs in (
-        ("transaction", "hash", block.transactions, decoded.transactions),
-        ("receipt", "encoding", block.receipts, decoded.receipts),
-    ):
-        if len(ours) != len(theirs):
-            return f"{name} count changed across encode/decode"
-        for index, (a, b) in enumerate(zip(ours, theirs)):
-            if a != b:
-                return f"{name} {index} {witness} changed across encode/decode"
-    return None

@@ -67,8 +67,9 @@ class StaleManifestError(StoreError):
 
 
 class ReplayDivergenceError(StoreError):
-    """Re-executing a logged block produced a state root different from
-    the one its stored header commits to."""
+    """Re-executing a logged block does not re-derive what the record
+    holds: the validator's block check (state root, receipts, gas, bloom)
+    failed on it."""
 
     def __init__(self, message: str, *, height: int) -> None:
         super().__init__(f"{message} (block {height})")

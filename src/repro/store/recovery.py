@@ -13,14 +13,16 @@ The recovery state machine (see docs/ARCHITECTURE.md §13)::
                        below manifest.logBytes → BlockLogCorruptError
                            (file left untouched — evidence preserved)
         parent known?  no → skip (fork loser below horizon; recorded)
-        re-execute; state root == header root?
+        re-execute; the applier's block check passes?
                                         no ───→ ReplayDivergenceError
         chain.add_block(...)
 
-Every replayed block is *re-executed serially* and its post-state root
-checked against the stored header — recovery trusts the log's bytes only
-after execution re-derives exactly what the header commits to.  That is
-the same differential standard ``repro.check`` enforces across backends,
+Every replayed block is *re-executed serially* and put through the
+validator's own block check (:meth:`Applier.verify_block`): state root,
+receipts root, gas total and logs bloom against the stored header, and the
+logged receipts against the re-derived ones — recovery trusts the log's
+bytes only after execution re-derives exactly what they hold.  That is the
+same differential standard ``repro.check`` enforces across backends,
 applied at the durability boundary.
 """
 
@@ -31,8 +33,9 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.chain.block import Block
+from repro.chain.block import Block, build_receipts
 from repro.chain.blockchain import Blockchain, ChainError
+from repro.core.applier import Applier
 from repro.core.baselines import SerialExecutor
 from repro.state.statedb import StateSnapshot
 from repro.store.blocklog import BlockLog
@@ -281,12 +284,12 @@ def _replay_one(
         raise ReplayDivergenceError(
             f"logged block does not re-execute: {exc}", height=block.number
         ) from exc
-    if sres.post_state.state_root() != block.header.state_root:
+    verdict = Applier().verify_block(
+        block, sres.post_state, build_receipts(block.transactions, sres.tx_results)
+    )
+    if not verdict.accepted:
         raise ReplayDivergenceError(
-            "re-executed state root "
-            f"{bytes(sres.post_state.state_root()).hex()[:16]}… does not match "
-            f"stored header root {bytes(block.header.state_root).hex()[:16]}…",
-            height=block.number,
+            f"logged block fails re-execution: {verdict.reason}", height=block.number
         )
     try:
         chain.add_block(block, sres.post_state)

@@ -22,7 +22,8 @@ pytestmark = pytest.mark.store
 
 
 def _open_disk_chain(data_dir, genesis_state, **kwargs):
-    store = DiskStore(str(data_dir), fsync=False, **kwargs)
+    kwargs.setdefault("fsync", False)
+    store = DiskStore(str(data_dir), **kwargs)
     chain = Blockchain(genesis_state, store=store)
     store.initialize(encode_header(chain.genesis.header), genesis_state)
     return chain, store
@@ -178,6 +179,34 @@ class TestCompaction:
         assert Manifest.load(str(tmp_path / "node")).log_file == "blocks.log"
         store.close()
 
+    def test_compaction_counts_the_records_it_drops(self, tmp_path):
+        """Each snapshot at 4, 8 and 12 leaves the four records below it
+        behind: the counters and the event say so, per generation."""
+        from repro.obs.events import read_events
+        from repro.store.service import NodeService, ServeConfig
+
+        metrics = MetricsRegistry()
+        cfg = ServeConfig(
+            data_dir=str(tmp_path / "node"),
+            txs_per_block=12,
+            max_height=12,
+            snapshot_interval=4,
+            fsync=False,
+            events=True,
+        )
+        NodeService(cfg, metrics=metrics).run(handle_signals=False)
+        counters = metrics.snapshot()["counters"]
+        assert counters["store.compactions"] == 3
+        assert counters["store.compacted_blocks"] == 12
+        for generation in (1, 2, 3):
+            assert counters[f"store.compacted_blocks.gen.{generation}"] == 4
+        events = read_events(str(tmp_path / "node" / "events.jsonl"))
+        assert [
+            (e["horizon"], e["generation"], e["dropped"])
+            for e in events
+            if e["kind"] == "store_compaction"
+        ] == [(4, 1, 4), (8, 2, 4), (12, 3, 4)]
+
 
 class TestCompactionCopiesBytes:
     """Compaction reads one integer per record and moves survivors as the
@@ -224,10 +253,10 @@ class TestCompactionCopiesBytes:
             lambda block: (decoded.append("encode"), encode_block(block))[1],
         )
         store.on_block(*pairs[3], head=True)
-        # the append-time round trip of block 4, then the one survivor;
+        # block 4 encoded once and appended, then the one survivor decoded;
         # blocks 3 and 4 are dropped on their header alone, and nothing is
         # re-encoded on the way into the new generation
-        assert decoded == ["encode", 4, 5]
+        assert decoded == ["encode", 5]
         assert store.manifest.log_file == "blocks_00000004.log"
         assert open(store.log.path, "rb").read() == LOG_MAGIC + sibling_record
         assert [b.hash for b in store.log.read_all()] == [pairs[4][0].hash]
@@ -285,56 +314,40 @@ class TestCompactionCopiesBytes:
 
 
 class TestVerifyWrites:
-    def test_unserialisable_block_refused_before_append(
+    def test_a_store_failure_leaves_the_head_unpublished(
         self, tmp_path, small_universe, build_chain, monkeypatch
     ):
-        """The codec self-check runs before the record hits the log, and
-        a store failure propagates with the head unpublished."""
-        import repro.store.backend as backend_mod
+        """A failed append propagates out of ``add_block`` with the head
+        unchanged: disk never trails the advertised canonical chain."""
+        from repro.store.blocklog import BlockLog
 
         chain, store = _open_disk_chain(
             tmp_path / "node", small_universe.genesis, snapshot_interval=0
         )
-        monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
-        )
+
+        def failing_append(self, payload, **kwargs):
+            raise StoreError("disk full")
+
+        monkeypatch.setattr(BlockLog, "append_payload", failing_append)
         block, post_state = build_chain(1)[0]
-        with pytest.raises(StoreError, match="codec round-trip"):
+        with pytest.raises(StoreError, match="disk full"):
             chain.add_block(block, post_state)
+        monkeypatch.undo()
         assert store.log.read_all() == []
+        assert Manifest.load(str(tmp_path / "node")).height == 0
         # the block is resident as a sibling, but never became canonical
         assert block.hash in chain
         assert chain.head.number == 0
         store.close()
 
-    def test_verify_writes_can_be_disabled(
-        self, tmp_path, small_universe, build_chain, monkeypatch
-    ):
-        import repro.store.backend as backend_mod
-
-        chain, store = _open_disk_chain(
-            tmp_path / "node",
-            small_universe.genesis,
-            snapshot_interval=0,
-            verify_writes=False,
-        )
-        monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
-        )
-        block, post_state = build_chain(1)[0]
-        assert chain.add_block(block, post_state) is True
-        assert [b.number for b in store.log.read_all()] == [1]
-        store.close()
-
-
-    @pytest.mark.parametrize("verify_writes", [True, False])
+    @pytest.mark.parametrize("fsync", [True, False])
     def test_block_is_encoded_once_per_commit(
-        self, tmp_path, small_universe, build_chain, monkeypatch, verify_writes
+        self, tmp_path, small_universe, build_chain, monkeypatch, fsync
     ):
-        """The self-check and the append share one ``encode_block`` result."""
+        """``on_block`` encodes once and appends those bytes; nothing
+        decodes them again on the commit path, durable or not."""
         import repro.store.backend as backend_mod
         import repro.store.blocklog as blocklog_mod
-        from repro.store.codec import encode_block
 
         calls = []
 
@@ -342,17 +355,23 @@ class TestVerifyWrites:
             calls.append(block.number)
             return encode_block(block)
 
+        def no_decode(data):
+            raise AssertionError("the commit path decoded a record")
+
         monkeypatch.setattr(backend_mod, "encode_block", counting)
         monkeypatch.setattr(blocklog_mod, "encode_block", counting)
+        monkeypatch.setattr(backend_mod, "decode_block", no_decode)
+        monkeypatch.setattr(blocklog_mod, "decode_block", no_decode)
         chain, store = _open_disk_chain(
             tmp_path / "node",
             small_universe.genesis,
             snapshot_interval=0,
-            verify_writes=verify_writes,
+            fsync=fsync,
         )
         for block, post_state in build_chain(3):
             chain.add_block(block, post_state)
         assert calls == [1, 2, 3]
+        monkeypatch.undo()
         assert [b.number for b in store.log.read_all()] == [1, 2, 3]
         store.close()
 

@@ -717,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-every",
         type=int,
         default=0,
-        help="print a progress line every N blocks (0 = quiet)",
+        help="every N blocks print height, blocks/s over those N blocks and "
+        "peak RSS (0 = quiet)",
     )
     p.add_argument(
         "--events",

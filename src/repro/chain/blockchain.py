@@ -1,9 +1,14 @@
 """The block store: canonical chain, forks, uncles, per-block state.
 
-Because snapshots share structure (immutable tries), the chain keeps the
-post-state of *every* known block alive — canonical or not — which is what
-the validator pipeline needs to execute same-height fork blocks
-concurrently against their common parent state (paper §4.3, Figure 5).
+The chain keeps a fixed window of heights resident: the post-state of
+every known block in the last :data:`RESIDENT_HEIGHTS` heights below the
+head — canonical or not — which is what the validator pipeline needs to
+execute same-height fork blocks concurrently against their common parent
+state (paper §4.3, Figure 5).  A height that leaves the window is final:
+its blocks, states and tx-index entries are dropped, a block whose parent
+left is refused as an unknown parent, and queries below the window return
+``None``.  History below the window is not queryable in memory; the block
+log of an attached store is durability, not a read path.
 
 Fork choice is longest-chain with first-seen tie-breaking (Ethereum PoW's
 effective behaviour for equal difficulty).  Siblings displaced from the
@@ -22,9 +27,14 @@ from repro.state.statedb import StateSnapshot
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.backend import StorageBackend
 
-__all__ = ["Blockchain", "ChainError"]
+__all__ = ["Blockchain", "ChainError", "RESIDENT_HEIGHTS"]
 
 GENESIS_PARENT = Hash32(b"\x00" * 32)
+
+#: Heights kept resident below the head (the head's height plus this many
+#: more).  Larger than ``DEFAULT_CHAIN_PARAMS.max_uncle_depth`` so every
+#: uncle a proposer may still include stays resident.
+RESIDENT_HEIGHTS = 8
 
 
 class ChainError(Exception):
@@ -70,10 +80,13 @@ class Blockchain:
         self._arrival: Dict[Hash32, int] = {base.hash: 0}
         self._arrival_counter = 1
         self._head: Hash32 = base.hash
-        #: base height of this view — 0 for full chains, the snapshot
-        #: height for checkpoint-bootstrapped chains (history below it
-        #: is durable on disk but not resident in memory)
+        #: oldest resident height — the genesis or snapshot height at
+        #: first, then advanced as the head leaves it RESIDENT_HEIGHTS
+        #: behind (history below it is not resident in memory)
         self.base_height: int = base.number
+        #: uncles and canonical transactions of heights below the base
+        self._final_uncles = 0
+        self._final_txs = 0
         self._store: Optional["StorageBackend"] = store
 
     @classmethod
@@ -133,7 +146,7 @@ class Blockchain:
         return len(self._blocks)
 
     def canonical_chain(self) -> List[Block]:
-        """Blocks from genesis to head, inclusive."""
+        """Resident canonical blocks, from the base height to head inclusive."""
         chain: List[Block] = []
         cursor: Optional[Block] = self.head
         while cursor is not None:
@@ -149,8 +162,7 @@ class Blockchain:
         if cursor is None or number > cursor.number:
             return None
         while cursor is not None and cursor.number > number:
-            # .get: checkpoint-bootstrapped chains hold no blocks below
-            # their base height
+            # .get: no block below the base height is resident
             cursor = self._blocks.get(cursor.header.parent_hash)
         return cursor.hash if cursor is not None else None
 
@@ -171,7 +183,7 @@ class Blockchain:
         from_block: int = 0,
         to_block: Optional[int] = None,
     ):
-        """Query logs on the canonical chain (eth_getLogs).
+        """Query logs on the resident canonical chain (eth_getLogs).
 
         Uses each header's logs bloom to skip blocks that definitely do
         not match — the standard light-scan path.  Returns
@@ -221,9 +233,14 @@ class Blockchain:
         return None
 
     def uncle_count(self) -> int:
-        return sum(
-            len(hashes) - 1 for hashes in self._by_height.values() if len(hashes) > 1
+        """Fork siblings seen over the whole run, resident or not."""
+        return self._final_uncles + sum(
+            len(hashes) - 1 for hashes in self._by_height.values()
         )
+
+    def canonical_tx_count(self) -> int:
+        """Transactions on the canonical chain over the whole run."""
+        return self._final_txs + sum(len(b) for b in self.canonical_chain())
 
     # ------------------------------------------------------------------ #
     # insertion                                                          #
@@ -267,4 +284,26 @@ class Blockchain:
             self._store.on_block(block, post_state, head=became_head)
         if became_head:
             self._head = block.hash
+            while block.number - self.base_height > RESIDENT_HEIGHTS:
+                self._drop_base()
         return became_head
+
+    def _drop_base(self) -> None:
+        """Finalise the base height: fold its totals, drop its blocks."""
+        number = self.base_height
+        canonical = self.canonical_hash_at(number)
+        hashes = self._by_height.pop(number)
+        self._final_uncles += len(hashes) - 1
+        tx_index = self._tx_index
+        for block_hash in hashes:
+            block = self._blocks.pop(block_hash)
+            if block_hash == canonical:
+                self._final_txs += len(block)
+            del self._states[block_hash]
+            del self._arrival[block_hash]
+            for index, tx in enumerate(block.transactions):
+                locations = tx_index[tx.hash]
+                locations.remove((block_hash, index))
+                if not locations:
+                    del tx_index[tx.hash]
+        self.base_height = number + 1

@@ -203,6 +203,8 @@ class ArtifactCache:
         if len(entries) >= self.maxsize:
             oldest = next(iter(entries))
             del entries[oldest]
+            if not any(k[0] == oldest[0] for k in entries):
+                self._heights.pop(oldest[0], None)
             self.evictions += 1
             self._count("evictions")
         entries[key] = art

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.chain.block import Block
+from repro.chain.blockchain import RESIDENT_HEIGHTS
 from repro.common.hashing import Hash32
 from repro.core.artifacts import ArtifactCache
 from repro.core.validator import ParallelValidator, ValidationResult, ValidatorConfig
@@ -140,8 +141,10 @@ class ValidatorPipeline:
         self.metrics = metrics
         #: Shared preparation-artifact cache: the exec backend and the
         #: validator's preparation phase both consume one derivation per
-        #: block, and losing fork siblings are invalidated on commit.
-        self.artifacts = ArtifactCache(metrics=metrics)
+        #: block, and losing fork siblings are invalidated on commit.  Sized
+        #: by the chain's resident window: a block below it has no parent
+        #: state left, so its artifacts can never be consulted again.
+        self.artifacts = ArtifactCache(maxsize=RESIDENT_HEIGHTS, metrics=metrics)
         self._validator = ParallelValidator(
             evm=self.evm,
             config=ValidatorConfig(

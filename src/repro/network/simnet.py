@@ -95,7 +95,7 @@ class NetworkResult:
     #: proposers validator 0 has quarantined by the end of the run
     quarantined: List[str] = field(default_factory=list)
     #: transactions actually on the reference chain at the end of the run
-    #: (summed over ``canonical_chain()``, not per-round guesses — under
+    #: (``Blockchain.canonical_tx_count()``, not per-round guesses — under
     #: reordering/corruption the round's first block need not be the one
     #: that committed)
     canonical_txs: int = 0
@@ -286,7 +286,7 @@ class NetworkSimulation:
             failure_counts=failure_counts,
             channel_counters=channel_counters,
             quarantined=sorted(self.validators[0].quarantined_proposers),
-            canonical_txs=sum(len(b) for b in reference.canonical_chain()),
+            canonical_txs=reference.canonical_tx_count(),
         )
 
     # ------------------------------------------------------------------ #

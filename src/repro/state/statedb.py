@@ -2,10 +2,11 @@
 
 :class:`StateSnapshot` is an immutable committed state: an account map plus
 the incrementally-maintained commitment tries (account trie and per-contract
-storage tries).  Keeping the state of every block — including fork siblings,
-which the validator pipeline processes concurrently (paper §4.3) — costs
-only the deltas in the tries, which share structure, but not in the maps:
-``commit`` copies ``accounts`` and every changed contract's storage dict.
+storage tries).  Keeping the state of every block in the chain's resident
+window — including fork siblings, which the validator pipeline processes
+concurrently (paper §4.3) — costs only the deltas in the tries, which share
+structure, but not in the maps: ``commit`` copies ``accounts`` and every
+changed contract's storage dict.
 
 :class:`StateDB` is the mutable overlay the EVM executes against.  It keeps
 an undo **journal** so a reverting call frame (or an aborted optimistic

@@ -9,7 +9,8 @@ Design choices:
 * **Immutable nodes with structural sharing.**  A mutation returns a new
   root and rebuilds only the nodes on the way to what it changed, so
   snapshotting a trie is free — which is what lets the chain layer keep the
-  state of every block (including fork siblings) alive simultaneously.
+  state of every block in its resident window (including fork siblings)
+  alive simultaneously.
 * **Batch-first.**  :meth:`MPT.update_many` is the one mutation; ``set``
   and ``delete`` are its one-item case.  A batch is de-duplicated, sorted
   once and applied in one descent (:func:`_update`): at a branch the sorted

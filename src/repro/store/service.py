@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import resource
 import signal
 import sys
 import time
@@ -77,7 +78,8 @@ class ServeConfig:
     snapshot_interval: int = 64
     compact: bool = True
     fsync: bool = True
-    #: print a progress line every N blocks (0 = quiet)
+    #: every N blocks print height, blocks/s over those N and peak RSS
+    #: (0 = quiet)
     report_every: int = 0
     # -- live telemetry (none of these pin the trajectory) -------------- #
     #: write a structured JSONL event log next to the block log
@@ -352,7 +354,7 @@ class NodeService:
 
         produced = 0
         sealed_ok = False
-        started = time.perf_counter()
+        reported = time.perf_counter()
         metrics = self.metrics
         try:
             while not self.stopping:
@@ -404,10 +406,15 @@ class NodeService:
                         resumed_from=resumed_from,
                     )
                 if cfg.report_every and produced % cfg.report_every == 0:
-                    elapsed = time.perf_counter() - started
+                    now = time.perf_counter()
+                    rate = cfg.report_every / max(now - reported, 1e-9)
+                    reported = now
+                    # ru_maxrss is KiB on Linux
+                    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                     print(
                         f"serve: height={chain.height()} produced={produced} "
-                        f"({produced / max(elapsed, 1e-9):.1f} blocks/s)",
+                        f"({rate:.1f} blocks/s over the last {cfg.report_every}, "
+                        f"peak rss {peak_mb:.1f} MB)",
                         file=sys.stderr,
                         flush=True,
                     )

@@ -266,6 +266,19 @@ class TestBlockArtifacts:
         cache.get(forks.blocks[0], "account")
         assert cache.misses == misses + 1
 
+    def test_eviction_forgets_the_height(self, sealed):
+        """An evicted block's height entry goes with its last entry, so
+        the height index stays bounded by ``maxsize``."""
+        cache = ArtifactCache(maxsize=4)
+        header = sealed.block.header
+        for number in range(1, cache.maxsize + 6):
+            block = dataclasses.replace(
+                sealed.block, header=dataclasses.replace(header, number=number)
+            )
+            cache.get(block, "account")
+        assert len(cache) == cache.maxsize
+        assert len(cache._heights) <= cache.maxsize
+
     def test_metrics_counters_published(self, sealed):
         metrics = MetricsRegistry()
         cache = ArtifactCache(metrics=metrics)

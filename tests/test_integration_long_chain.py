@@ -3,7 +3,9 @@
 Grows a 15-block chain through a ValidatorNode; every third height two
 proposers race (fork), siblings are pipelined together, and the chain
 reorgs when a branch extends.  At every height the canonical root must
-be reproducible by serial execution from genesis.
+be reproducible by serial execution from genesis.  The chain keeps only
+a window of heights resident, so the test collects the canonical blocks
+as it goes.
 """
 
 import pytest
@@ -22,6 +24,7 @@ def test_long_chain_with_periodic_forks(small_universe, small_generator):
     heights = 15
     fork_every = 3
     total_uncles = 0
+    canonical = []
 
     for height in range(1, heights + 1):
         parent = validator.chain.head
@@ -45,6 +48,7 @@ def test_long_chain_with_periodic_forks(small_universe, small_generator):
         # chain invariants at every step
         head = validator.chain.head
         assert head.number == height
+        canonical.append(head)
         assert (
             validator.chain.head_state.state_root() == head.header.state_root
         )
@@ -52,9 +56,13 @@ def test_long_chain_with_periodic_forks(small_universe, small_generator):
     assert validator.chain.height() == heights
     assert validator.chain.uncle_count() >= total_uncles
 
+    # every block was built on the head, so no later reorg replaced one
+    resident = validator.chain.canonical_chain()
+    assert resident == canonical[-len(resident):]
+
     # full serial replay of the canonical chain from genesis
     state = small_universe.genesis
-    for block in validator.chain.canonical_chain()[1:]:
+    for block in canonical:
         result = serial.execute_block(block, state)
         assert result.post_state.state_root() == block.header.state_root
         state = result.post_state

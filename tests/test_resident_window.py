@@ -1,0 +1,113 @@
+"""The resident window: the chain and the validator keep a fixed span of heights.
+
+A height that falls ``RESIDENT_HEIGHTS`` below the head is final: its
+blocks, states and transaction-index entries leave memory, queries about
+them answer ``None``, and a block built on one of them is an unknown
+parent.  Whole-run totals (uncles, canonical transactions) survive the
+drop.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.chain.blockchain import RESIDENT_HEIGHTS, Blockchain, ChainError
+from repro.chain.params import DEFAULT_CHAIN_PARAMS
+from repro.faults.errors import FailureReason
+from repro.network.node import ValidatorNode
+from repro.network.simnet import NetworkConfig, NetworkSimulation
+from repro.workload.generator import WorkloadConfig
+
+BLOCKS = 3 * RESIDENT_HEIGHTS
+
+
+@pytest.fixture()
+def pairs(build_chain):
+    return build_chain(BLOCKS)
+
+
+def _sibling(block):
+    """A same-parent, same-state block with a different hash."""
+    header = dataclasses.replace(block.header, proposer_id="sibling")
+    return dataclasses.replace(block, header=header)
+
+
+def test_window_is_larger_than_the_uncle_depth():
+    assert RESIDENT_HEIGHTS > DEFAULT_CHAIN_PARAMS.max_uncle_depth
+
+
+def test_chain_keeps_resident_heights_plus_the_head(small_universe, pairs):
+    chain = Blockchain(small_universe.genesis)
+    for block, post_state in pairs:
+        chain.add_block(block, post_state)
+    head = chain.height()
+    assert head == BLOCKS
+    assert chain.base_height == head - RESIDENT_HEIGHTS
+    resident = [n for n in range(head + 1) if chain.blocks_at_height(n)]
+    assert resident == list(range(head - RESIDENT_HEIGHTS, head + 1))
+    assert len(chain) == RESIDENT_HEIGHTS + 1
+    assert [b.number for b in chain.canonical_chain()] == resident
+
+    pruned = pairs[0][0]
+    assert chain.state_at(pruned.hash) is None
+    assert chain.block(pruned.hash) is None
+    assert chain.canonical_hash_at(pruned.number) is None
+    assert chain.find_transaction(pruned.transactions[0].hash) is None
+    # a resident block still answers every query
+    kept = pairs[-1][0]
+    assert chain.find_transaction(kept.transactions[0].hash)[0] is kept
+    assert chain.canonical_hash_at(kept.number) == kept.hash
+    # the whole run's canonical transactions, not only the resident ones
+    assert chain.canonical_tx_count() == sum(len(b) for b, _ in pairs)
+
+
+def test_uncle_totals_survive_the_window(small_universe, pairs):
+    chain = Blockchain(small_universe.genesis)
+    for block, post_state in pairs:
+        chain.add_block(block, post_state)
+        # first seen wins the tie: the sibling stays an uncle candidate
+        assert not chain.add_block(_sibling(block), post_state)
+    assert chain.uncle_count() == BLOCKS
+    depth = chain.height() - DEFAULT_CHAIN_PARAMS.max_uncle_depth
+    uncles = chain.uncles_at(depth)
+    assert [u.hash for u in uncles] == [_sibling(pairs[depth - 1][0]).hash]
+    assert chain.uncles_at(chain.base_height)
+    assert chain.uncles_at(chain.base_height - 1) == []
+
+
+def test_a_block_whose_parent_left_is_refused(small_universe, pairs):
+    validator = ValidatorNode("window", small_universe.genesis)
+    for block, post_state in pairs:
+        validator.chain.add_block(block, post_state)
+    orphan = _sibling(pairs[1][0])  # its parent, height 1, has left
+    with pytest.raises(ChainError, match="unknown parent"):
+        validator.chain.add_block(orphan, pairs[1][1])
+    outcome = validator.receive_blocks([orphan])
+    assert not outcome.accepted
+    assert outcome.failures[0].reason is FailureReason.UNKNOWN_PARENT
+
+
+def test_pipeline_artifacts_stay_inside_the_window(small_universe, pairs):
+    validator = ValidatorNode("window", small_universe.genesis)
+    for block, _ in pairs[: RESIDENT_HEIGHTS + 4]:
+        assert validator.receive_blocks([block]).accepted
+    artifacts = validator.pipeline.artifacts
+    assert artifacts.maxsize == RESIDENT_HEIGHTS
+    assert len(artifacts) <= RESIDENT_HEIGHTS
+    assert len(artifacts._heights) <= RESIDENT_HEIGHTS
+
+
+def test_network_totals_are_whole_run_numbers(small_universe):
+    """Every round forks: 24 rounds leave 24 uncles and 24 full blocks of
+    transactions, though only the last window of heights is resident."""
+    rounds = 3 * RESIDENT_HEIGHTS
+    sim = NetworkSimulation(
+        small_universe,
+        config=NetworkConfig(rounds=rounds, fork_probability=1.0, seed=2),
+        workload=WorkloadConfig(txs_per_block=30, tx_count_jitter=0.0, seed=3),
+    )
+    result = sim.run()
+    assert result.chains_agree
+    assert result.final_height == rounds
+    assert result.uncle_count == rounds
+    assert result.total_txs == rounds * 30

@@ -8,14 +8,22 @@ anything not in the opcode table is rendered as ``INVALID(0xXX)``.
 test-suite and docs use to make contract bytecode inspectable;
 ``show_runs=True`` brackets the straight-line runs the interpreter compiles
 (:func:`repro.evm.interpreter.compile_runs`) with what each run's single
-pre-check tests.
+pre-check tests — for a bounded run, also what it prices at its head.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.evm.interpreter import _JUMP, _JUMPI, _RUN, MAX_STACK_DEPTH, analyse, compile_runs
+from repro.evm.interpreter import (
+    _BOUNDED,
+    _JUMP,
+    _JUMPI,
+    _RUN,
+    MAX_STACK_DEPTH,
+    analyse,
+    compile_runs,
+)
 from repro.evm.opcodes import OPCODES, opcode_by_name
 
 __all__ = ["Instruction", "disassemble", "format_disassembly"]
@@ -56,7 +64,10 @@ def format_disassembly(
 
     With ``show_runs`` every compiled run is bracketed: static gas charged,
     entry height needed and peak growth allowed for — all in one check —
-    and whether a trailing jump was folded in."""
+    and whether a trailing jump was folded in.  A bounded run also shows
+    the memory end it expands to (a whole number of words), the SHA3 words
+    and LOG bytes it charges, the SSTOREs it reserves for, and ``not
+    static`` when it writes (it refuses in a static frame)."""
     decoded = analyse(code).instrs
     table = compile_runs(code) if show_runs else decoded
     lines, end = [], 0
@@ -64,10 +75,15 @@ def format_disassembly(
         marker = ">" if show_jumpdests and ins.name == "JUMPDEST" else " "
         line = f"{marker}{ins.pc:5d}  {ins.render()}"
         kind, _, gas, _, needs, room, _, next_pc = table[ins.pc]
-        if kind == _RUN:
+        if kind in (_RUN, _BOUNDED):
             end = next_pc
             jump = OPCODES[code[end - 1]].name if decoded[end - 1][0] in (_JUMP, _JUMPI) else ""
-            line = f"{line:<28}┐ run: gas {gas}, needs {needs}, grows {MAX_STACK_DEPTH - room}"
+            bounds = ""
+            if kind == _BOUNDED:
+                gas, words, hashed, logged, stores, writes = gas
+                bounds = f", memory {32 * words}, sha3 words {hashed}, log bytes {logged}, sstores {stores}"
+                bounds += ", not static" if writes else ""
+            line = f"{line:<28}┐ run: gas {gas}, needs {needs}, grows {MAX_STACK_DEPTH - room}{bounds}"
             line += f", {jump} folded" if jump else ""
         elif ins.pc < end:
             line = f"{line:<28}{'│' if next_pc < end else '┘'}"

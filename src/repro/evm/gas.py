@@ -47,6 +47,11 @@ class GasSchedule:
     call_stipend: int = 2300
     call_gas_retention: int = 64  # caller keeps 1/64 of remaining gas
 
+    def __post_init__(self) -> None:
+        # a compiled run reserves ``sstore_set`` per SSTORE at its head
+        if self.sstore_set < max(self.sstore_reset, self.sstore_noop):
+            raise ValueError("sstore_set must be the dearest SSTORE cost")
+
     def memory_cost(self, words: int) -> int:
         """Total cost of having ``words`` 32-byte words of memory."""
         return self.memory_word * words + (words * words) // self.memory_quad_divisor

@@ -22,11 +22,15 @@ charges the static gas and checks the stack bounds once per instruction,
 runs the stack-shuffling and control-flow families inline, and hands every
 other opcode to a handler that works on the operand list directly
 (ARCHITECTURE §11).  A blob that executes a second time is compiled
-(:func:`compile_runs`): each straight-line run of opcodes whose only
-failure modes are static — gas, stack underflow, stack overflow — becomes
-one table entry that checks all three once and one generated function that
-does the run's work; when the check fails, the loop steps through the
-run's decoded entries instead, so what fails and how is the stepper's.
+(:func:`compile_runs`): each straight-line run of opcodes whose failure
+modes can all be checked at its head — gas, stack underflow, stack
+overflow, and a static frame for a run that writes — becomes one table
+entry that checks them once and one generated function that does the
+run's work.  Memory at a literal offset, SHA3 and LOG over a literal
+range, and SSTORE join a run too: the head prices what they can cost under
+the executing schedule (an SSTORE at its dearest, charged exactly inside).
+When the check fails, the loop steps through the run's decoded entries
+instead, so what fails and how is the stepper's.
 Words on the operand stack are plain ints in ``[0, 2**256)``; handlers
 mask exactly where arithmetic can leave that range.
 
@@ -69,7 +73,7 @@ from repro.common.types import (
     u256_to_signed,
 )
 from repro.evm.gas import DEFAULT_GAS_SCHEDULE, GasSchedule, OutOfGas, intrinsic_gas
-from repro.evm.memory import Memory
+from repro.evm.memory import MAX_MEMORY_BYTES, Memory
 from repro.evm.opcodes import LOG0, OPCODES, PUSH1, opcode_by_name
 from repro.simcore.costmodel import TraceCosts
 
@@ -273,7 +277,9 @@ class _Frame:
         """Charge the expansion gas for touching ``[offset, offset+size)``.
 
         Charges only — memory itself grows when the access happens, so two
-        charges before one access are both priced from the current size."""
+        charges before one access would both be priced from the current
+        size: an instruction that touches two ranges charges once, for the
+        larger end."""
         if size:
             end = offset + size
             current = len(self.memory)
@@ -295,8 +301,8 @@ class _Frame:
 Handler = Callable[[_Frame, List[int]], Optional[int]]
 
 # Instruction families of the dispatch loop, most frequent first.
-_RUN, _HANDLER, _PUSH, _DUP, _SWAP, _JUMPI, _JUMPDEST, _POP, _STOP, _JUMP = range(10)
-_UNDEFINED, _END = 10, 11
+_RUN, _BOUNDED, _HANDLER, _PUSH, _DUP, _SWAP, _JUMPI, _JUMPDEST, _POP, _STOP, _JUMP = range(11)
+_UNDEFINED, _END = 11, 12
 
 _INLINE_KINDS = {"JUMPI": _JUMPI, "JUMPDEST": _JUMPDEST, "POP": _POP, "STOP": _STOP, "JUMP": _JUMP}
 
@@ -310,7 +316,7 @@ def _no_handler(f: _Frame, s: List[int]) -> None:
 #: instance: ``(kind, handler, gas, category, pops, room, arg, next_pc)``.
 #:
 #: * ``kind`` — dispatch family; ``handler`` is called exactly when it is
-#:   ``_HANDLER`` or ``_RUN``;
+#:   ``_HANDLER``, ``_RUN`` or ``_BOUNDED``;
 #: * ``gas`` — static gas; ``category`` — trace category, ``""`` for what
 #:   cannot execute (undefined opcode, PUSH data, end of code);
 #: * ``pops`` — operands required; ``room`` — deepest stack at which the
@@ -324,7 +330,11 @@ def _no_handler(f: _Frame, s: List[int]) -> None:
 #: in insertion order), ``pops`` the least and ``room`` the greatest entry
 #: height at which no instruction of the run under- or overflows, ``arg``
 #: the decoded entry of the first instruction, ``next_pc`` the run's end.
-Instr = Tuple[int, Handler, int, Any, int, int, Any, int]
+#: A ``_BOUNDED`` entry is a run that also holds ``_BOUNDED_STATEMENTS``;
+#: its ``gas`` is what the loop prices the run from under the executing
+#: schedule: ``(static gas, memory words the run expands to, SHA3 words,
+#: LOG data bytes, SSTOREs, whether it writes — holds an SSTORE or a LOG)``.
+Instr = Tuple[int, Handler, Any, Any, int, int, Any, int]
 
 
 @dataclass(eq=False, slots=True, weakref_slot=True)
@@ -423,7 +433,9 @@ def _code_hash(code: bytes) -> int:
 #: is paid and its operands are there, charges no dynamic gas, reads neither
 #: ``f.gas`` nor the trace and stays in its frame: one expression over the
 #: operands ``{a}`` (top), ``{b}``, ``{c}``, each a literal or a local name.
-#: Everything else is a handler below and ends a run.  Masks sit where a
+#: Memory at a literal offset, SHA3 and LOG over a literal range, and SSTORE
+#: may join a run too (``_BOUNDED_STATEMENTS``); everything else is a
+#: handler below and ends a run.  Masks sit where a
 #: result can leave ``[0, 2**256)``: balances come from unbounded state
 #: arithmetic, every other pushed quantity is a length or a block field.
 _EXPRESSIONS = {
@@ -474,6 +486,50 @@ _EXPRESSIONS = {
     "MSIZE": "len(f.memory)",
 }
 
+#: The opcodes whose dynamic gas a run's head can price, as statements: the
+#: memory ones at a literal offset, SHA3 and LOG over a literal range —
+#: ``{data}`` is that range of the backing memory ``m`` (grown a whole word
+#: at a time just before, so an in-run MSIZE reads what it reads
+#: unfused), ``b''`` when empty — and SSTORE with any operands, which
+#: charges its exact cost into ``f.gas`` under the schedule ``g`` (the
+#: head reserved ``sstore_set``, the most it can cost).  ``{t}`` is the
+#: instruction's local: its pushed result, or SSTORE's current value;
+#: ``{topics}`` is a LOG's topics as the body of a tuple.  A run holding
+#: one is a ``_BOUNDED`` run.  The handlers below remain the definition for
+#: operands that are not literals.
+_BOUNDED_STATEMENTS = {
+    "MLOAD": "{t} = int.from_bytes({data}, 'big')",
+    "MSTORE": "{data} = ({b}).to_bytes(32, 'big')",
+    "MSTORE8": "m[{a}] = {b} & 0xFF",
+    "SHA3": "{t} = int.from_bytes(keccak({data}), 'big')",
+    "LOG": "f.logs.append(Log(f.address, ({topics}), bytes({data})))",
+    "SSTORE": (
+        "{t} = f.state.get_storage(f.address, {a})\n"
+        "f.gas -= g.sstore_cost({t}, {b})\n"
+        "if {t} and not {b}: f.env.refunds.append(g.sstore_clear_refund)\n"
+        "f.state.set_storage(f.address, {a}, {b})"
+    ),
+}
+
+#: bytes a memory opcode touches at its literal offset; SHA3 and LOG take
+#: theirs from a literal size operand
+_ACCESS_SIZES = {"MLOAD": 32, "MSTORE": 32, "MSTORE8": 1}
+
+
+def _literal_range(name: str, words: List[str]) -> Optional[Tuple[int, int]]:
+    """``(offset, size)`` of the memory a bounded statement touches, given
+    the symbolic stack before it — ``(0, 0)`` for SSTORE — or None when an
+    operand that sizes it is not a literal or its end lies past the cap
+    (the handler then fails it, and ends the run)."""
+    if name == "SSTORE":
+        return 0, 0
+    top = [int(word, 16) if word.startswith("0x") else None for word in words[:-3:-1]]
+    offset = top[0] if top else None
+    size = _ACCESS_SIZES.get(name, top[1] if len(top) == 2 else None)
+    if offset is None or size is None or (size and offset + size > MAX_MEMORY_BYTES):
+        return None
+    return offset, size
+
 
 class _SymbolicStack:
     """The operand stack of one straight-line run, as source text.
@@ -510,11 +566,20 @@ class _SymbolicStack:
         elif kind == _SWAP:
             words[-1], words[arg] = words[arg], words[-1]
         elif kind == _HANDLER:
-            operands = dict(zip("abc", [self.pop() for _ in range(pops)]))
-            self.body.append(f"t{pc} = {expression.format(**operands)}")
-            words.append(f"t{pc}")
+            self.statement(pc, pops, 1, "{t} = " + expression)
         elif kind == _POP:
             words.pop()
+
+    def statement(self, pc: int, pops: int, pushes: int, template: str, data: str = "") -> None:
+        """One operator or ``_BOUNDED_STATEMENTS`` entry: its operands
+        popped, its lines appended, its result (if it pushes one) the local
+        ``t<pc>``."""
+        operands = [self.pop() for _ in range(pops)]
+        fields = dict(zip("abc", operands), t=f"t{pc}", data=data)
+        fields["topics"] = "".join(f"{word}, " for word in operands[2:])
+        self.body += template.format(**fields).split("\n")
+        if pushes:
+            self.words.append(f"t{pc}")
 
     def function(self, name: str, result: str) -> str:
         """Source of ``name(f, s)``: entry loads, body, net effect, result.
@@ -550,11 +615,12 @@ def _load(filename: str, source: str) -> Dict[str, Handler]:
 
 def compile_runs(code: bytes) -> Tuple[Instr, ...]:
     """``analyse(code).instrs`` with every straight-line run of two or more
-    ``_EXPRESSIONS`` / PUSH / DUP / SWAP / POP instructions, a JUMPDEST
-    first and a literal-destination JUMP / JUMPI last, headed by a ``_RUN``
-    entry.  Interior entries stay as decoded: the loop steps through them
-    when a run's pre-check fails.  One ``exec`` per blob; nothing of the
-    code reaches the source but ``hex()`` of PUSH immediates, and pcs.
+    ``_EXPRESSIONS`` / ``_BOUNDED_STATEMENTS`` / PUSH / DUP / SWAP / POP
+    instructions, a JUMPDEST first and a literal-destination JUMP / JUMPI
+    last, headed by a ``_RUN`` entry — a ``_BOUNDED`` one when it holds a
+    statement.  Interior entries stay as decoded: the loop steps through
+    them when a run's pre-check fails.  One ``exec`` per blob; nothing of
+    the code reaches the source but ``hex()`` of PUSH immediates, and pcs.
     """
     program = analyse(code)
     instrs, jumpdests = program.instrs, program.jumpdests
@@ -565,9 +631,16 @@ def compile_runs(code: bytes) -> Tuple[Instr, ...]:
         head, stack = pc, _SymbolicStack()
         cost, room, length, jump = 0, MAX_STACK_DEPTH, 0, ""
         counts: Dict[str, int] = {}
+        # memory words the run expands to (all backed from there on), LOG
+        # data bytes, whether it holds a statement at all
+        words = logged = 0
+        bounded = False
         while not jump:
             kind, _, gas, category, pops, fits, arg, next_pc = instrs[pc]
-            expression = _EXPRESSIONS.get(OPCODES[code[pc]].name, "") if kind == _HANDLER else ""
+            name = OPCODES[code[pc]].name if kind == _HANDLER else ""
+            expression = _EXPRESSIONS.get(name, "")
+            template = _BOUNDED_STATEMENTS.get("LOG" if name.startswith("LOG") else name)
+            span = _literal_range(name, stack.words) if template else None
             growth = len(stack.words) - stack.needs  # height here, less the entry height
             top = stack.words[-1] if stack.words else ""
             if kind in (_JUMP, _JUMPI) and top.startswith("0x") and int(top, 16) in jumpdests:
@@ -581,27 +654,44 @@ def compile_runs(code: bytes) -> Tuple[Instr, ...]:
                 or (kind == _JUMPDEST and pc == head)  # elsewhere it can be jumped to
             ):
                 stack.step(pc, kind, arg, pops, expression)
+            elif span is not None:
+                offset, size = span
+                if size and (offset + size + 31) // 32 > words:
+                    words = (offset + size + 31) // 32
+                    stack.body.append(f"if len(m) < {32 * words}: m.extend(bytes({32 * words} - len(m)))")
+                data = f"m[{hex(offset)} : {hex(offset + size)}]" if size else "b''"
+                stack.statement(pc, pops, OPCODES[code[pc]].pushes, template, data)
+                logged += size if name.startswith("LOG") else 0
+                bounded = True
             else:
                 break
             cost += gas
             counts[category] = counts.get(category, 0) + 1
+            if name == "SHA3":  # the handler's own count, right after the category
+                counts["sha3_word"] = counts.get("sha3_word", 0) + (span[1] + 31) // 32
             room = min(room, fits - growth)
             length += 1
             pc = next_pc
         if length < 2:
             pc = max(pc, instrs[head][-1])
             continue
+        if bounded:
+            stores = counts.get("storage_write", 0)
+            stack.body[:0] = ["m = f.memory.buffer"] * bool(words) + ["g = f.env.schedule"] * bool(stores)
+            bounds = (cost, words, counts.get("sha3_word", 0), logged, stores, bool(stores or "log" in counts))
+            entry = (_BOUNDED, _no_handler, bounds)
+        else:
+            entry = (_RUN, _no_handler, cost)
         sources.append(stack.function(f"run_{tag}_{head}", jump or f"return {pc}"))
         heads.append(head)
-        counted = tuple(counts.items())
-        table[head] = (_RUN, _no_handler, cost, counted, stack.needs, room, instrs[head], pc)
+        table[head] = entry + (tuple(counts.items()), stack.needs, room, instrs[head], pc)
     if not heads:
         return instrs
     filename = f"<evm runs {tag}>"
     functions = _load(filename, "\n".join(sources))
     weakref.finalize(program, linecache.cache.pop, filename, None)  # evicted with the program
     for head in heads:
-        table[head] = (_RUN, functions[f"run_{tag}_{head}"]) + table[head][2:]
+        table[head] = table[head][:1] + (functions[f"run_{tag}_{head}"],) + table[head][2:]
     return tuple(table)
 
 
@@ -818,12 +908,21 @@ class EVM:
         unpacked straight to the next instruction; jumps overwrite it.
 
         A ``_RUN`` entry makes the same three checks for its whole run at
-        once and its function does the work.  When one fails, some
-        instruction inside is about to, and which one is observable: the
-        loop steps through the run's decoded entries, head first.
+        once and its function does the work.  A ``_BOUNDED`` entry adds to
+        its static gas what its content can cost under ``env.schedule`` —
+        the memory expansion to its end from the current size (the charges
+        of its instructions telescope to that), SHA3 words and LOG bytes,
+        and ``sstore_set`` per SSTORE, reserved: the function charges each
+        SSTORE's exact cost into ``frame.gas``, which only GAS and the calls
+        read, and both end runs — and refuses in a static frame if it
+        writes.  When a check fails, some instruction inside may be about
+        to fail, and which one is observable: the loop steps through the
+        run's decoded entries, head first.
         """
         env = frame.env
         trace = env.trace
+        schedule = env.schedule
+        buffer = frame.memory.buffer
         program = analyse(frame.code)
         instrs = program.compiled
         if not instrs:
@@ -845,6 +944,25 @@ class EVM:
                         for name, count in category:
                             trace[name] = trace.get(name, 0) + count
                         pc = handler(frame, stack)
+                        continue
+                    kind, handler, cost, category, pops, room, arg, pc = arg
+                elif kind == _BOUNDED:
+                    cost, words, hashed, logged, stores, writes = cost
+                    cost += hashed * schedule.sha3_word + logged * schedule.log_data_byte
+                    current = len(buffer) >> 5
+                    if words > current:
+                        cost += schedule.memory_expansion_cost(current, words)
+                    if (
+                        cost + stores * schedule.sstore_set <= gas
+                        and pops <= len(stack) <= room
+                        and not (writes and frame.static)
+                    ):
+                        gas -= cost
+                        for name, count in category:
+                            trace[name] = trace.get(name, 0) + count
+                        frame.gas = gas
+                        pc = handler(frame, stack)
+                        gas = frame.gas
                         continue
                     kind, handler, cost, category, pops, room, arg, pc = arg
                 if not category:
@@ -1066,8 +1184,9 @@ def _build_handlers() -> Dict[int, Handler]:
         if value and f.static:
             raise _FrameFailure("write protection: value transfer in static call")
 
-        f.charge_memory(in_off, in_size)
-        f.charge_memory(out_off, out_size)
+        # one expansion, to the larger end of the two ranges (yellow paper
+        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing
+        f.charge_memory(0, max(in_off + in_size if in_size else 0, out_off + out_size if out_size else 0))
         extra = 0
         if value:
             extra += schedule.call_value_transfer

@@ -16,17 +16,20 @@ class Memory:
     charge the quadratic expansion gas *before* the access happens.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("buffer",)
 
     def __init__(self) -> None:
-        self._data = bytearray()
+        #: the backing store, always a whole number of words long; compiled
+        #: runs (``repro.evm.interpreter.compile_runs``) index it directly,
+        #: growing it in whole words before each access
+        self.buffer = bytearray()
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.buffer)
 
     @property
     def words(self) -> int:
-        return len(self._data) // 32
+        return len(self.buffer) // 32
 
     def touch(self, offset: int, size: int) -> int:
         """Expand to cover ``[offset, offset+size)``; return new word count."""
@@ -37,32 +40,32 @@ class Memory:
         end = offset + size
         if end > MAX_MEMORY_BYTES:
             raise MemoryError(f"memory access beyond cap: {end} bytes")
-        if end > len(self._data):
+        if end > len(self.buffer):
             new_len = ((end + 31) // 32) * 32
-            self._data.extend(b"\x00" * (new_len - len(self._data)))
+            self.buffer.extend(b"\x00" * (new_len - len(self.buffer)))
         return self.words
 
     def _cover(self, offset: int, end: int) -> None:
         """Expand (or reject) unless ``[offset, end)`` is already backed."""
-        if end > len(self._data) or offset < 0:
+        if end > len(self.buffer) or offset < 0:
             self.touch(offset, end - offset)
 
     def read(self, offset: int, size: int) -> bytes:
         if size == 0:
             return b""
         self._cover(offset, offset + size)
-        return bytes(self._data[offset : offset + size])
+        return bytes(self.buffer[offset : offset + size])
 
     def write(self, offset: int, data: bytes) -> None:
         if not data:
             return
         end = offset + len(data)
         self._cover(offset, end)
-        self._data[offset:end] = data
+        self.buffer[offset:end] = data
 
     def read_word(self, offset: int) -> int:
         self._cover(offset, offset + 32)
-        return int.from_bytes(self._data[offset : offset + 32], "big")
+        return int.from_bytes(self.buffer[offset : offset + 32], "big")
 
     def write_word(self, offset: int, value: int) -> None:
         self.write(offset, value.to_bytes(32, "big"))

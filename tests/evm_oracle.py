@@ -826,8 +826,10 @@ def _build_dispatch() -> Dict[int, Handler]:
         if value and f.static:
             raise _FrameFailure("write protection: value transfer in static call")
 
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(in_off, in_size)))
-        f.use_gas(sch.memory_expansion_cost(f.memory.words, _words(out_off, out_size)))
+        # one expansion, to the larger end of the two ranges (yellow paper
+        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing
+        needed = max(_words(in_off, in_size), _words(out_off, out_size))
+        f.use_gas(sch.memory_expansion_cost(f.memory.words, needed))
         extra = 0
         if value:
             extra += sch.call_value_transfer

@@ -127,6 +127,14 @@ class TestGasSchedule:
         assert g.sstore_cost(5, 0) == g.sstore_reset
         assert g.sstore_cost(5, 5) == g.sstore_noop
 
+    def test_sstore_set_is_the_dearest_store(self):
+        """Compiled runs reserve ``sstore_set`` per SSTORE: a schedule in
+        which another store costs more is refused."""
+        assert GasSchedule(sstore_reset=20_000).sstore_set == 20_000
+        for dearer in (dict(sstore_reset=20_001), dict(sstore_noop=20_001)):
+            with pytest.raises(ValueError):
+                GasSchedule(**dearer)
+
     def test_exp_cost_by_exponent_size(self):
         g = GasSchedule()
         assert g.exp_cost(0) == 0

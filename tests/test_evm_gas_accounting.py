@@ -55,6 +55,20 @@ class TestExactCharges:
         with_data = gas_of([32, 0, "LOG0"])
         assert with_data - empty == 32 * G.log_data_byte + G.memory_cost(1)
 
+    def test_call_expands_memory_once_to_the_larger_end(self):
+        """A call's in- and out-ranges are one expansion (yellow paper
+        μ′ᵢ = M(M(μᵢ, in), out)): both ``[0, 64)`` on fresh memory cost two
+        words, not two words twice; an empty range expands nothing, wherever
+        it points."""
+
+        def call(in_off, in_size, out_off, out_size):
+            return gas_of([out_size, out_off, in_size, in_off, 0, 0x99, 0, "CALL"]) - 7 * 3 - 700
+
+        assert call(0, 64, 0, 64) == G.memory_cost(2) == 6
+        assert call(0, 32, 0, 96) == call(0, 96, 0, 32) == G.memory_cost(3)
+        assert call(2**255, 0, 0, 32) == call(0, 32, 2**255, 0) == G.memory_cost(1)
+        assert call(0, 0, 0, 0) == 0
+
     def test_calldata_intrinsic_split(self):
         """Zero bytes cost 4, nonzero 16 (yellow paper G_txdatazero/nonzero)."""
         result_zero, _ = run_code(asm(["STOP"]), data=b"\x00" * 10)

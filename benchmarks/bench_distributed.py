@@ -28,7 +28,7 @@ from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
-from repro.distributed import DistributedValidator
+from repro.distributed import DistributedConfig, ShardCoordinator
 from repro.network.node import ProposerNode
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
@@ -96,10 +96,11 @@ def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
 
         per_count: dict = {}
         for followers in FOLLOWER_SWEEP:
-            dv = DistributedValidator(followers)
+            coordinator = ShardCoordinator(DistributedConfig(n_followers=followers))
+            pool = ParallelValidator(distributor=coordinator)
             makespans, shards, balances = [], [], []
             for block, expected in zip(blocks, fingerprints):
-                result = dv.validate(block, genesis)
+                result = pool.validate_block(block, genesis)
                 assert result.accepted and result.used_distributed, (
                     f"distributed validation declined on {profile}: {result.reason}"
                 )
@@ -107,7 +108,7 @@ def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
                 assert _fingerprint(result) == expected, (
                     f"distributed result diverged from reference on {profile}"
                 )
-                record = dv.last_record
+                record = coordinator.last_record
                 makespans.append(record.makespan_us)
                 shards.append(record.n_shards)
                 total = sum(record.shard_gas) or 1

@@ -12,7 +12,8 @@ sibling blocks.
 
 from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
+from repro.core.validator import ValidatorConfig
 from repro.network.dissemination import ForkSimulator
 
 BLOCK_COUNTS = (1, 2, 3, 4, 5, 6, 8)
@@ -21,7 +22,7 @@ PAPER = {1: 3.18, 2: "—", 4: 7.72, 8: "≈7 (slight dip)"}
 
 def run(world: World) -> Outcome:
     entry = world.chain(1)[0]
-    pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
+    pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16))
     parent_states = {entry.parent_header.hash: entry.parent_state}
 
     rows = []

@@ -18,11 +18,12 @@ blocks.
 
 from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
+from repro.core.validator import ValidatorConfig
 
 
 def run(world: World) -> Outcome:
-    pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
+    pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16))
 
     rows = []
     speedups = {}

@@ -16,7 +16,6 @@ Story in four acts:
 Run:  python examples/fault_injection.py
 """
 
-from repro.core.pipeline import PipelineConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.scenarios import build_env
@@ -44,7 +43,7 @@ def main() -> None:
     node = ValidatorNode(
         "validator-0",
         env.universe.genesis,
-        config=PipelineConfig(worker_lanes=8),
+        config=ValidatorConfig(lanes=8),
         quarantine_threshold=2,
         txpool=pool,
     )

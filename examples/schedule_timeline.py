@@ -13,7 +13,8 @@ Run:  python examples/schedule_timeline.py
 from repro import build_universe
 from repro.analysis.timeline import render_timeline
 from repro.chain.blockchain import Blockchain
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
+from repro.core.validator import ValidatorConfig
 from repro.network.dissemination import ForkSimulator
 from repro.workload.generator import BlockWorkloadGenerator
 
@@ -25,9 +26,7 @@ def main() -> None:
     txs = generator.generate_block_txs()
     parent_states = {chain.genesis.header.hash: universe.genesis}
 
-    pipe = ValidatorPipeline(
-        config=PipelineConfig(worker_lanes=16, record_trace=True)
-    )
+    pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16), record_trace=True)
 
     for count in (1, 4):
         forks = ForkSimulator(count, seed=13).propose_forks(

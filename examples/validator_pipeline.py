@@ -11,7 +11,8 @@ Run:  python examples/validator_pipeline.py
 
 from repro import build_universe
 from repro.chain.blockchain import Blockchain
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
+from repro.core.validator import ValidatorConfig
 from repro.network.dissemination import ForkSimulator
 from repro.workload.generator import BlockWorkloadGenerator
 
@@ -23,7 +24,7 @@ def main() -> None:
     txs = generator.generate_block_txs()
     parent_states = {chain.genesis.header.hash: universe.genesis}
 
-    pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
+    pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16))
 
     # --- one burst of 4 sibling blocks, phase by phase -------------------- #
     forks = ForkSimulator(4, seed=11).propose_forks(

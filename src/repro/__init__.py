@@ -31,7 +31,6 @@ from repro.core import (
     ParallelValidator,
     ValidatorConfig,
     ValidatorPipeline,
-    PipelineConfig,
     SerialExecutor,
     TwoPhaseOCCExecutor,
     build_dependency_graph,
@@ -67,7 +66,6 @@ __all__ = [
     "ParallelValidator",
     "ValidatorConfig",
     "ValidatorPipeline",
-    "PipelineConfig",
     "SerialExecutor",
     "TwoPhaseOCCExecutor",
     "build_dependency_graph",

@@ -48,7 +48,7 @@ from repro.chain.blockchain import Blockchain
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
 from repro.exec import BACKEND_CHOICES, get_backend
@@ -185,15 +185,16 @@ def cmd_validator(args) -> int:
     print(format_table(rows, title="validator scalability (Fig. 7a shape)"))
 
     if args.followers > 0:
-        from repro.distributed import DistributedValidator
+        from repro.distributed import DistributedConfig, ShardCoordinator
 
         dist_rows = []
         for n in range(1, args.followers + 1):
-            dv = DistributedValidator(n)
+            coordinator = ShardCoordinator(DistributedConfig(n_followers=n))
+            pool = ParallelValidator(distributor=coordinator)
             makespans, shards = [], []
             for block, state in blocks:
-                res = dv.validate(block, state)
-                rec = dv.last_record
+                res = pool.validate_block(block, state)
+                rec = coordinator.last_record
                 if not res.accepted or not res.used_distributed or rec is None:
                     print(f"distributed validation declined: {res.reason}")
                     return 1
@@ -265,9 +266,7 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     universe, generator, chain = _setup(args)
     txs = generator.generate_block_txs()
-    pipe = ValidatorPipeline(
-        config=PipelineConfig(worker_lanes=16), backend=args.exec_backend
-    )
+    pipe = ValidatorPipeline(backend=args.exec_backend)
     parent_states = {chain.genesis.header.hash: universe.genesis}
     rows = []
     for count in args.blocks:

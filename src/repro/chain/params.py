@@ -13,7 +13,9 @@ rather than discard them.  The reward schedule follows Ethereum PoW:
 The default ``block_reward`` is zero — the framework's correctness results
 are reward-agnostic, and zero keeps fee-only accounting front and centre —
 but the PoW schedule is fully implemented and tested; pass
-``ETHEREUM_POW_PARAMS`` to both proposer and validator to enable it.
+``ETHEREUM_POW_PARAMS`` to both roles to enable it — as
+``ProposerNode(params=...)`` and ``ValidatorNode(config=ValidatorConfig(
+params=...))`` (every validator role takes the same ``ValidatorConfig``).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.core.strategies import STRATEGY_CHOICES, TwoPhaseProposer, build_prop
 from repro.core.proposer import seal_block, SealedProposal
 from repro.core.applier import Applier, ProfileMismatch, ValidationOutcome
 from repro.core.validator import ParallelValidator, ValidatorConfig, ValidationResult
-from repro.core.pipeline import ValidatorPipeline, PipelineConfig, PipelineResult
+from repro.core.pipeline import ValidatorPipeline, PipelineResult
 from repro.core.baselines import (
     SerialExecutor,
     SerialResult,
@@ -68,7 +68,6 @@ __all__ = [
     "ValidatorConfig",
     "ValidationResult",
     "ValidatorPipeline",
-    "PipelineConfig",
     "PipelineResult",
     "SerialExecutor",
     "SerialResult",

@@ -119,9 +119,9 @@ class BlockArtifacts:
     def component_gas(self) -> Tuple[int, ...]:
         """Profile-gas total per dependency-graph component (memoized).
 
-        This is the weight the distributed coordinator's LPT bin-packing
-        balances across followers — components whose members burned more
-        gas take proportionally longer to re-execute.
+        The distributed coordinator sums it per follower shard — components
+        whose members burned more gas take proportionally longer to
+        re-execute.
         """
         gas = self._comp_gas
         if gas is None:

@@ -21,7 +21,7 @@ from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.proposer import finalize_block_state
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, TxResult
 from repro.simcore.costmodel import CostModel
-from repro.simcore.lanes import LaneGroup
+from repro.simcore.lanes import lpt_makespan
 from repro.state.access import ReadWriteSet, RecordingState
 from repro.state.statedb import StateDB, StateSnapshot
 from repro.txpool.pool import TxPool
@@ -248,10 +248,7 @@ class TwoPhaseOCCExecutor:
                     conflicted.add(j)
 
         # phase-1 timing: txs spread over lanes, LPT by speculative cost
-        group = LaneGroup(self.lanes)
-        for index in sorted(range(n), key=lambda i: (-spec_cost[i], i)):
-            group.run_on_earliest(spec_cost[index])
-        phase1 = group.makespan
+        phase1 = lpt_makespan(spec_cost, self.lanes)
 
         # ---- real execution, block order (ground-truth state) -------------- #
         db = StateDB(parent_state)

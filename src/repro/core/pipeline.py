@@ -27,14 +27,20 @@ composes the *timing* of those runs over shared resources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.blockchain import RESIDENT_HEIGHTS
 from repro.common.hashing import Hash32
 from repro.core.artifacts import ArtifactCache
-from repro.core.validator import ParallelValidator, ValidationResult, ValidatorConfig
+from repro.core.validator import (
+    Distributor,
+    ParallelValidator,
+    ValidationResult,
+    ValidatorConfig,
+)
 from repro.evm.interpreter import EVM, ExecutionContext
+from repro.exec.backend import ExecutionBackend
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import MetricsRegistry
@@ -44,28 +50,7 @@ from repro.simcore.lanes import LaneGroup
 from repro.simcore.stats import RunStats
 from repro.state.statedb import StateSnapshot
 
-__all__ = ["PipelineConfig", "BlockTiming", "PipelineResult", "ValidatorPipeline"]
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Pipeline knobs: shared worker pool size and scheduling policy."""
-
-    worker_lanes: int = 16
-    policy: str = "gas_lpt"
-    seed: int = 0
-    verify_profile: bool = True
-    #: record per-lane (start, end, tag) traces for timeline rendering
-    record_trace: bool = False
-    #: Once one fork sibling at a height commits, abandon the other
-    #: in-flight siblings at that height instead of validating them
-    #: (frees worker lanes; abandoned blocks get SIBLING_ABANDONED).
-    #: Off by default — uncle bookkeeping needs fully validated siblings.
-    abandon_siblings: bool = False
-    #: Fault-tolerance knobs forwarded to the per-block validator.
-    max_parallel_retries: int = 2
-    serial_fallback: bool = True
-    timeout_us: Optional[float] = None
+__all__ = ["BlockTiming", "PipelineResult", "ValidatorPipeline"]
 
 
 @dataclass
@@ -90,9 +75,9 @@ class PipelineResult:
     makespan: float
     serial_time: float
     context_switches: int
-    stats: RunStats = None
-    #: populated when PipelineConfig.record_trace is set — feed it to
-    #: repro.analysis.timeline.render_timeline for a Gantt view
+    stats: RunStats
+    #: populated when the pipeline was built with ``record_trace=True`` —
+    #: feed it to repro.analysis.timeline.render_timeline for a Gantt view
     lane_group: Optional[LaneGroup] = None
 
     @property
@@ -118,22 +103,36 @@ class PipelineResult:
 
 
 class ValidatorPipeline:
-    """Multi-block concurrent validation over a shared worker pool."""
+    """Multi-block concurrent validation over a shared worker pool.
+
+    ``config`` is the per-block validator's; its ``lanes`` is the width of
+    the pool every in-flight block shares.  ``abandon_siblings``: once one
+    fork sibling at a height commits, abandon the other in-flight siblings
+    at that height instead of validating them (frees worker lanes;
+    abandoned blocks get SIBLING_ABANDONED) — off by default, since uncle
+    bookkeeping needs fully validated siblings.  ``record_trace`` keeps
+    per-lane ``(start, end, tag)`` intervals for timeline rendering.
+    """
 
     def __init__(
         self,
         evm: Optional[EVM] = None,
-        config: Optional[PipelineConfig] = None,
+        config: Optional[ValidatorConfig] = None,
         cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
-        tracer=None,
+        tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend=None,
-        distributor=None,
+        backend: Optional[ExecutionBackend] = None,
+        distributor: Optional[Distributor] = None,
+        *,
+        abandon_siblings: bool = False,
+        record_trace: bool = False,
     ) -> None:
         self.evm = evm or EVM()
-        self.config = config or PipelineConfig()
+        self.config = config or ValidatorConfig()
         self.cost_model = cost_model or CostModel()
+        self.abandon_siblings = abandon_siblings
+        self.record_trace = record_trace
         #: Pipeline spans live on the *global* pipeline clock; the inner
         #: per-block validator keeps its own standalone clock, so it gets
         #: the metrics registry (counters accumulate) but not the tracer.
@@ -147,15 +146,7 @@ class ValidatorPipeline:
         self.artifacts = ArtifactCache(maxsize=RESIDENT_HEIGHTS, metrics=metrics)
         self._validator = ParallelValidator(
             evm=self.evm,
-            config=ValidatorConfig(
-                lanes=self.config.worker_lanes,
-                policy=self.config.policy,
-                seed=self.config.seed,
-                verify_profile=self.config.verify_profile,
-                max_parallel_retries=self.config.max_parallel_retries,
-                serial_fallback=self.config.serial_fallback,
-                timeout_us=self.config.timeout_us,
-            ),
+            config=self.config,
             cost_model=self.cost_model,
             injector=injector,
             metrics=metrics,
@@ -210,10 +201,7 @@ class ValidatorPipeline:
         for i in order:
             block = blocks[i]
             p = parent_index[i]
-            if (
-                self.config.abandon_siblings
-                and block.header.number in committed_heights
-            ):
+            if self.abandon_siblings and block.header.number in committed_heights:
                 # a sibling already committed at this height: abandon the
                 # in-flight fork block instead of burning lanes on it
                 results[i] = _abandoned_sibling(block)
@@ -225,13 +213,16 @@ class ValidatorPipeline:
                     results[i] = _rejected_for_parent(block)
                     continue
                 parent_state = parent_result.post_state
+                assert parent_state is not None  # accepted results carry it
             else:
                 parent_state = parent_states.get(block.header.parent_hash)
                 if parent_state is None:
                     results[i] = _rejected_unknown_parent(block)
                     continue
-            results[i] = self._validator.validate_block(block, parent_state, ctx)  # ctx=None derives from each header
-            if results[i].accepted:
+            result = results[i] = self._validator.validate_block(
+                block, parent_state, ctx  # ctx=None derives from each header
+            )
+            if result.accepted:
                 committed_heights.add(block.header.number)
                 # fork divergence: artifacts of losing siblings at this
                 # height can never be consulted again — drop them
@@ -254,20 +245,16 @@ class ValidatorPipeline:
         stats = RunStats(
             makespan=makespan,
             total_work=total_work,
-            lanes=self.config.worker_lanes,
+            lanes=self.config.lanes,
             tasks=sum(len(r.tx_costs) for r in results if r is not None),
             context_switches=switches,
         )
         for r in results:
             if r is None:
                 continue
-            if r.stats is not None:
-                stats.worker_faults += r.stats.worker_faults
-                stats.exec_retries += r.stats.exec_retries
-                stats.serial_fallbacks += r.stats.serial_fallbacks
-            else:
-                stats.worker_faults += r.worker_faults
-                stats.exec_retries += max(r.exec_attempts - 1, 0)
+            stats.worker_faults += r.worker_faults
+            stats.exec_retries += r.exec_attempts - 1
+            stats.serial_fallbacks += r.used_serial_fallback
             if r.failure is not None:
                 stats.count_failure(r.failure.reason)
         if self.metrics is not None:
@@ -294,7 +281,7 @@ class ValidatorPipeline:
             serial_time=serial_time,
             context_switches=switches,
             stats=stats,
-            lane_group=pool if self.config.record_trace else None,
+            lane_group=pool if self.record_trace else None,
         )
 
     # ------------------------------------------------------------------ #
@@ -334,13 +321,13 @@ class ValidatorPipeline:
         parent_index: List[Optional[int]],
         arrivals: Sequence[float],
         order: List[int],
-    ) -> tuple:
+    ) -> Tuple[List[BlockTiming], int, LaneGroup]:
         model = self.cost_model
         tracer = self.tracer
         trace_on = tracer.enabled
         pool = LaneGroup(
-            self.config.worker_lanes,
-            record_trace=self.config.record_trace,
+            self.config.lanes,
+            record_trace=self.record_trace,
             tracer=tracer if trace_on else None,
             span_namer=_subgraph_span_name,
         )
@@ -479,10 +466,10 @@ class ValidatorPipeline:
                 accepted=result.accepted,
             )
 
-        return [t for t in timings], pool.total_context_switches, pool
+        return [t for t in timings if t is not None], pool.total_context_switches, pool
 
 
-def _subgraph_span_name(tag) -> str:
+def _subgraph_span_name(tag: Any) -> str:
     """Lane-span name for one scheduled subgraph: ``exec_subgraph``."""
     return "exec_subgraph"
 

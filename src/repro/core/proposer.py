@@ -10,7 +10,7 @@ about their transactions in the block profile" (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.chain.block import (
     Block,
@@ -25,6 +25,7 @@ from repro.chain.bloom import bloom_from_logs
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.common.types import Address
 from repro.core.session import ProposalResult, materialize_store
+from repro.obs.metrics import MetricsRegistry
 from repro.state.statedb import StateDB, StateSnapshot
 
 __all__ = ["SealedProposal", "seal_block", "finalize_block_state"]
@@ -36,7 +37,7 @@ def finalize_block_state(
     coinbase: Address,
     total_fees: int,
     block_number: int = 0,
-    uncles=(),
+    uncles: Sequence[BlockHeader] = (),
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
 ) -> StateSnapshot:
     """Apply end-of-block value flows — deferred fees and rewards — to the
@@ -79,9 +80,9 @@ def seal_block(
     gas_limit: int,
     proposer_id: str = "",
     include_profile: bool = True,
-    uncles=(),
+    uncles: Sequence[BlockHeader] = (),
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
-    metrics=None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> SealedProposal:
     """Assemble header, receipts and profile from a proposing run.
 

@@ -50,6 +50,7 @@ from repro.exec.tasks import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
+from repro.simcore.lanes import lpt_makespan
 from repro.simcore.stats import RunStats
 from repro.state.access import ReadWriteSet, StateKey
 from repro.state.statedb import StateDB, StateSnapshot
@@ -185,15 +186,6 @@ def run_strict_checks(
     if not report.ok:
         raise ScheduleViolationError(report)
     return result
-
-
-def _lpt_makespan(durations: List[float], lanes: int) -> float:
-    """Simulated duration of one speculative round: LPT onto ``lanes``."""
-    finish = [0.0] * max(1, lanes)
-    for duration in sorted(durations, reverse=True):
-        slot = min(range(len(finish)), key=lambda j: (finish[j], j))
-        finish[slot] += duration
-    return max(finish)
 
 
 class ProposerEngine:
@@ -397,7 +389,7 @@ class ProposeSession:
         ]
         # two additions, in this order: float addition does not associate
         # and the sim goldens pin the last bit
-        self.clock += _lpt_makespan(durations, self.cfg.lanes)
+        self.clock += lpt_makespan(durations, self.cfg.lanes)
         self.clock += self.model.commit_sync_per_lane * self.cfg.lanes
         return batch, outs, snapshot_version
 

@@ -354,6 +354,7 @@ class ParallelValidator:
         ladder = self._fault_ladder(block)
         result.worker_faults = ladder.worker_faults
         result.exec_attempts = ladder.attempt + 1
+        result.used_serial_fallback = ladder.exhausted and config.serial_fallback
         if ladder.exhausted and not config.serial_fallback:
             return rejected(
                 f"worker fault at tx {ladder.crash_tx} persisted through "
@@ -533,7 +534,6 @@ class ParallelValidator:
         result.phases = phases
         result.stats = stats
         result.prep_cost = prep_cost
-        result.used_serial_fallback = ladder.exhausted
         result.used_distributed = used_distributed
         return result
 

@@ -1,8 +1,9 @@
 """Master-side shard coordination for distributed block validation.
 
 DiPETrans' master/follower loop over the repro fabric: the master
-partitions a received block's dependency-graph components into
-gas-weighted shards (:mod:`repro.distributed.partition`), ships each to a
+shards a received block's dependency-graph components by the gas-weighted
+LPT plan backend workers run (one non-empty lane of
+``plan_for(n_followers)`` per shard), ships each to a
 follower (:mod:`repro.network.shardrpc`), verifies and aggregates the
 replies into exactly what single-node validation would have produced, and
 owns every failure mode:
@@ -52,7 +53,6 @@ from repro.chain.block import Block
 from repro.core.applier import ProfileMismatch
 from repro.core.artifacts import BlockArtifacts
 from repro.core.validator import ParallelValidator
-from repro.distributed.partition import ShardPlan, partition_components
 from repro.evm.interpreter import ExecutionContext
 from repro.exec.tasks import build_component_tasks
 from repro.exec.validating import ParallelExecOutcome, merge_components
@@ -83,7 +83,6 @@ class DistributedConfig:
     #: deadline floor, µs past the dispatch round's start — keeps tiny
     #: blocks from declaring every follower a straggler
     min_deadline_us: float = 4000.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -186,22 +185,29 @@ class ShardCoordinator:
         cfg = self.config
         model = validator.cost_model
         n = len(block.transactions)
-        plan: ShardPlan = partition_components(art.component_gas(), cfg.n_followers)
+        # one shard per non-empty lane of the plan backend workers run
+        component_gas = art.component_gas()
+        shards = [
+            tuple(sorted(lane))
+            for lane in art.plan_for(cfg.n_followers, "gas_lpt", 0).lane_components
+            if lane
+        ]
+        shard_gas = tuple(sum(component_gas[c] for c in shard) for shard in shards)
         followers = self._followers_for(validator)
 
         record = DistributedRecord(
             block_hash_hex=block.hash.hex(),
             n_txs=n,
-            n_shards=plan.n_shards,
+            n_shards=len(shards),
             n_followers=cfg.n_followers,
-            shard_gas=plan.gas,
+            shard_gas=shard_gas,
         )
         self.last_record = record
 
         # shipped tasks carry state slices, never the master's snapshot
         shard_works = [
             build_component_tasks(block, ctx, art, comps, slice_from=parent_state)
-            for comps in plan.shards
+            for comps in shards
         ]
         shard_txs = [sum(len(w.tx_indices) for w in works) for works in shard_works]
 
@@ -209,8 +215,8 @@ class ShardCoordinator:
         t0 = model.schedule_per_tx * n  # partition happens in the prep phase
         busy = [t0] * cfg.n_followers
         dead: set = set()
-        assigned = {sid: sid % cfg.n_followers for sid in range(plan.n_shards)}
-        pending = list(range(plan.n_shards))
+        assigned = {sid: sid % cfg.n_followers for sid in range(len(shards))}
+        pending = list(range(len(shards)))
         resolved: Dict[int, ShardReply] = {}
         reply_at_of: Dict[int, float] = {}
         fail_kind: Dict[int, str] = {}
@@ -258,7 +264,7 @@ class ShardCoordinator:
                 if self.metrics is not None:
                     self.metrics.counter("dist.replies").inc()
                 verdict = self._verify_reply(
-                    validator, block, art, plan.shards[sid], reply
+                    validator, block, art, shards[sid], reply
                 )
                 if verdict == "anomaly":
                     # the shard itself could not execute cleanly (lying
@@ -319,7 +325,7 @@ class ShardCoordinator:
                         follower=follower_id,
                         attempt=attempt,
                         txs=shard_txs[sid],
-                        gas=plan.gas[sid],
+                        gas=shard_gas[sid],
                     )
 
             # re-assign whatever failed this round to the next live follower

@@ -52,7 +52,7 @@ class FailureReason(enum.Enum):
     #: The block's parent was itself rejected in the same batch.
     PARENT_REJECTED = "parent_rejected"
     #: A same-height sibling committed first and this block was abandoned
-    #: to free worker lanes (``PipelineConfig.abandon_siblings``).
+    #: to free worker lanes (``ValidatorPipeline(abandon_siblings=True)``).
     SIBLING_ABANDONED = "sibling_abandoned"
     #: The proposer was quarantined after repeated profile-check failures.
     PROPOSER_QUARANTINED = "proposer_quarantined"

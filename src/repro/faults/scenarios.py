@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.chain.blockchain import Blockchain
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
 from repro.core.proposer import SealedProposal
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.errors import FailureReason, ValidationFailure
@@ -190,7 +190,7 @@ def _run_timeout(env: ScenarioEnv) -> ScenarioOutcome:
 
 
 def _run_unknown_parent(env: ScenarioEnv) -> ScenarioOutcome:
-    pipeline = ValidatorPipeline(config=PipelineConfig(worker_lanes=_LANES))
+    pipeline = ValidatorPipeline(config=ValidatorConfig(lanes=_LANES))
     result = pipeline.process_blocks([env.honest.block], parent_states={})
     return ScenarioOutcome(
         name="unknown_parent",
@@ -209,7 +209,7 @@ def _run_parent_rejected(env: ScenarioEnv) -> ScenarioOutcome:
     ).block
     bad_parent = env.injector.corrupt_block(env.honest.block, "profile_write_value")
     assert bad_parent.hash == env.honest.block.hash  # profile is not sealed
-    pipeline = ValidatorPipeline(config=PipelineConfig(worker_lanes=_LANES))
+    pipeline = ValidatorPipeline(config=ValidatorConfig(lanes=_LANES))
     result = pipeline.process_blocks(
         [bad_parent, child], parent_states={env.genesis_hash: env.parent_state}
     )
@@ -229,7 +229,7 @@ def _run_sibling_abandoned(env: ScenarioEnv) -> ScenarioOutcome:
     first = env.proposer.build_block(env.parent_header, env.parent_state, txs).block
     second = rival.build_block(env.parent_header, env.parent_state, txs).block
     pipeline = ValidatorPipeline(
-        config=PipelineConfig(worker_lanes=_LANES, abandon_siblings=True)
+        config=ValidatorConfig(lanes=_LANES), abandon_siblings=True
     )
     result = pipeline.process_blocks(
         [first, second], parent_states={env.genesis_hash: env.parent_state}
@@ -247,7 +247,7 @@ def _run_proposer_quarantined(env: ScenarioEnv) -> ScenarioOutcome:
     node = ValidatorNode(
         "validator-0",
         env.universe.genesis,
-        config=PipelineConfig(worker_lanes=_LANES),
+        config=ValidatorConfig(lanes=_LANES),
         quarantine_threshold=2,
     )
     bad = env.injector.corrupt_block(env.honest.block, "profile_write_value")

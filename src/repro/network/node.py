@@ -21,8 +21,9 @@ from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.common.types import Address, Hash32
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import build_proposer
-from repro.core.pipeline import PipelineConfig, PipelineResult, ValidatorPipeline
+from repro.core.pipeline import PipelineResult, ValidatorPipeline
 from repro.core.proposer import SealedProposal, seal_block
+from repro.core.validator import Distributor, ValidatorConfig
 from repro.evm.interpreter import EVM, ExecutionContext
 from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
@@ -148,7 +149,7 @@ class ValidatorNode:
         node_id: str,
         genesis_state: StateSnapshot,
         *,
-        config: Optional[PipelineConfig] = None,
+        config: Optional[ValidatorConfig] = None,
         evm: Optional[EVM] = None,
         cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
@@ -158,7 +159,7 @@ class ValidatorNode:
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional["ExecutionBackend"] = None,
-        distributor: Any = None,
+        distributor: Optional[Distributor] = None,
     ) -> None:
         self.node_id = node_id
         # an injected chain lets long-running services hand the node a

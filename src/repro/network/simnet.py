@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.metrics import throughput_tps
 from repro.chain.block import Block
 from repro.core.occ_wsi import ProposerConfig
-from repro.core.pipeline import PipelineConfig
+from repro.core.validator import Distributor, ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector, FaultyChannel
 from repro.network.node import ProposerNode, ReceiveOutcome, ValidatorNode
 from repro.obs.metrics import MetricsRegistry
@@ -169,7 +169,7 @@ class NetworkSimulation:
             ValidatorNode(
                 f"validator-{i}",
                 universe.genesis,
-                config=PipelineConfig(worker_lanes=self.config.validator_lanes),
+                config=ValidatorConfig(lanes=self.config.validator_lanes),
                 quarantine_threshold=self.config.quarantine_threshold,
                 tracer=self.tracer,
                 metrics=metrics,
@@ -183,16 +183,14 @@ class NetworkSimulation:
             else None
         )
 
-    def _build_distributor(self, master_id: str) -> Any:
+    def _build_distributor(self, master_id: str) -> Optional[Distributor]:
         """A per-validator follower pool, or ``None`` when followers == 0."""
         if self.config.followers <= 0:
             return None
         from repro.distributed import DistributedConfig, ShardCoordinator
 
         return ShardCoordinator(
-            DistributedConfig(
-                n_followers=self.config.followers, seed=self.config.seed
-            ),
+            DistributedConfig(n_followers=self.config.followers),
             master_id=master_id,
             injector=self.injector if self.faults is not None else None,
             tracer=self.tracer,

@@ -13,7 +13,18 @@ multi-block pipeline's 4→8-block dip (paper §5.6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Optional, Sequence
+
+
+def lpt_makespan(durations: Sequence[float], lanes: int) -> float:
+    """Makespan of greedy LPT: longest task first onto the least-loaded of
+    ``lanes`` lanes (lowest index on ties) — what a :class:`LaneGroup`
+    fed the same tasks in that order would report, without its lanes."""
+    finish = [0.0] * max(1, lanes)
+    for duration in sorted(durations, reverse=True):
+        slot = min(range(len(finish)), key=lambda j: (finish[j], j))
+        finish[slot] += duration
+    return max(finish)
 
 
 @dataclass

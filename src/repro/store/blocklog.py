@@ -23,6 +23,7 @@ instead.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import struct
 import time
@@ -30,6 +31,7 @@ import zlib
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.chain.block import Block
+from repro.store.atomic import fsync_dir, publish
 from repro.store.codec import decode_block, encode_block
 from repro.store.errors import BlockLogCorruptError, TornTailError
 
@@ -52,15 +54,6 @@ IO_US_EDGES = (0.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 
-def _fsync_dir(path: str) -> None:
-    """fsync the directory so a rename/creation itself is durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _record(payload: bytes) -> bytes:
     return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -72,17 +65,7 @@ def write_log(path: str, payloads: Iterable[bytes], *, fsync: bool = True) -> No
     leaves the old file or the new one, and any remnant there from a crashed
     earlier attempt (e.g. a torn, half-written compaction generation) is
     discarded rather than appended to."""
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as fh:
-        fh.write(LOG_MAGIC)
-        for payload in payloads:
-            fh.write(_record(payload))
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    if fsync:
-        _fsync_dir(os.path.dirname(path) or ".")
+    publish(path, itertools.chain([LOG_MAGIC], map(_record, payloads)), fsync=fsync)
 
 
 def decode_record(payload: bytes, offset: int, decode: Callable[[bytes], _T]) -> _T:
@@ -118,7 +101,7 @@ class BlockLog:
             self._fh.flush()
             if fsync:
                 os.fsync(self._fh.fileno())
-                _fsync_dir(os.path.dirname(path) or ".")
+                fsync_dir(os.path.dirname(path) or ".")
         else:
             self._check_magic()
         self._fh.seek(0, os.SEEK_END)

@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.store.atomic import publish
 from repro.store.errors import ManifestError
 
 __all__ = ["SnapshotRef", "Manifest", "MANIFEST_NAME", "manifest_path"]
@@ -33,14 +34,6 @@ VERSION = 1
 
 def manifest_path(data_dir: str) -> str:
     return os.path.join(data_dir, MANIFEST_NAME)
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -127,16 +120,8 @@ class Manifest:
         body = self._body()
         body["checksum"] = self._checksum(self._body())
         path = manifest_path(data_dir)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if fsync:
-            _fsync_dir(data_dir)
+        text = json.dumps(body, indent=1, sort_keys=True) + "\n"
+        publish(path, [text.encode("utf-8")], fsync=fsync)
         return path
 
     @classmethod

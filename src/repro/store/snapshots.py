@@ -2,8 +2,8 @@
 
 A snapshot file is the JSON document
 :func:`repro.state.serialize.snapshot_to_json` produces (every account's
-balance/nonce/code/storage plus the recorded state root), written via the
-same atomic temp-file + rename + dir-fsync discipline as the manifest.
+balance/nonce/code/storage plus the recorded state root), published
+like the manifest, atomically (:func:`repro.store.atomic.publish`).
 Integrity is double-checked at load time:
 
 * the file's SHA-256 must match the digest the manifest recorded
@@ -27,6 +27,7 @@ from repro.state.serialize import (
     text_digest,
 )
 from repro.state.statedb import StateSnapshot
+from repro.store.atomic import publish
 from repro.store.errors import SnapshotCorruptError
 
 __all__ = ["snapshot_filename", "write_snapshot", "load_snapshot"]
@@ -34,14 +35,6 @@ __all__ = ["snapshot_filename", "write_snapshot", "load_snapshot"]
 
 def snapshot_filename(height: int) -> str:
     return f"snapshot_{height:08d}.json"
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def write_snapshot(
@@ -57,16 +50,7 @@ def write_snapshot(
     """
     name = snapshot_filename(height)
     text = snapshot_to_json(snapshot, note=f"height={height}")
-    path = os.path.join(data_dir, name)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    if fsync:
-        _fsync_dir(data_dir)
+    publish(os.path.join(data_dir, name), [text.encode("utf-8")], fsync=fsync)
     return name, text_digest(text)
 
 

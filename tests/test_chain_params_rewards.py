@@ -61,6 +61,27 @@ class TestRewardedChain:
         balance = res.post_state.account(proposer.coinbase).balance
         assert balance == sealed.proposal.total_fees + 2 * ETHER
 
+    def test_validator_node_takes_chain_params(self, small_universe, small_generator):
+        """Every validator role takes the same ``ValidatorConfig``: a node
+        given the PoW params accepts a PoW-sealed block and credits the
+        reward on its chain."""
+        proposer = ProposerNode("miner", params=ETHEREUM_POW_PARAMS)
+        node = ValidatorNode(
+            "val",
+            small_universe.genesis,
+            config=ValidatorConfig(params=ETHEREUM_POW_PARAMS),
+        )
+        sealed = proposer.build_block(
+            node.chain.genesis.header,
+            small_universe.genesis,
+            small_generator.generate_block_txs(),
+        )
+        outcome = node.receive_blocks([sealed.block])
+        assert [b.hash for b in outcome.accepted] == [sealed.block.hash]
+        assert node.chain.head.hash == sealed.block.hash
+        balance = node.chain.head_state.account(proposer.coinbase).balance
+        assert balance == sealed.proposal.total_fees + 2 * ETHER
+
     def test_params_mismatch_rejected(self, small_universe, small_generator):
         """A validator with different consensus params rejects the block —
         the root includes the reward the validator does not expect."""
@@ -87,7 +108,6 @@ class TestRewardedChain:
             "val",
             small_universe.genesis,
         )
-        # ValidatorNode pipelines with default params; use ParallelValidator
         checker = ParallelValidator(config=ValidatorConfig(params=params))
 
         genesis_header = validator.chain.genesis.header

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.baselines import SerialExecutor, TwoPhaseOCCExecutor
-from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
 from repro.network.dissemination import ForkSimulator
@@ -133,7 +133,7 @@ class TestPipeline:
         self, small_universe, small_generator, genesis_chain
     ):
         parent_states = {genesis_chain.genesis.header.hash: small_universe.genesis}
-        pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
+        pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16))
         forks1 = self.make_forks(small_universe, small_generator, genesis_chain, 1)
         r1 = pipe.process_blocks(forks1.blocks, parent_states)
         forks3 = ForkSimulator(3, seed=3).propose_forks(
@@ -214,7 +214,7 @@ class TestPipeline:
         self, small_universe, small_generator, genesis_chain
     ):
         parent_states = {genesis_chain.genesis.header.hash: small_universe.genesis}
-        pipe = ValidatorPipeline(config=PipelineConfig(worker_lanes=16))
+        pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16))
         txs = small_generator.generate_block_txs()
         r1 = pipe.process_blocks(
             ForkSimulator(1, seed=5)
@@ -235,7 +235,7 @@ class TestPipeline:
     ):
         forks = self.make_forks(small_universe, small_generator, genesis_chain, 3)
         res = ValidatorPipeline(
-            config=PipelineConfig(worker_lanes=4)
+            config=ValidatorConfig(lanes=4)
         ).process_blocks(
             forks.blocks,
             {genesis_chain.genesis.header.hash: small_universe.genesis},

@@ -1,5 +1,5 @@
-"""Distributed sharded validation: partition properties, bit-identity,
-and the follower fault matrix.
+"""Distributed sharded validation: follower shards as plan lanes,
+bit-identity, and the follower fault matrix.
 
 The load-bearing claim of :mod:`repro.distributed` is that *any* shard
 partitioning reproduces single-node validation bit for bit — same state
@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 from repro.chain.blockchain import Blockchain
 from repro.core.artifacts import artifacts_for
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.distributed import (
-    DistributedConfig,
-    DistributedValidator,
-    partition_components,
-)
+from repro.distributed import DistributedConfig, ShardCoordinator
 from repro.evm.interpreter import ExecutionContext
 from repro.exec import SerialBackend
 from repro.exec.tasks import ValidateShared, build_component_tasks, run_validate_lane
@@ -48,43 +44,90 @@ pytestmark = pytest.mark.distributed
 # --------------------------------------------------------------------- #
 
 
-class TestPartition:
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            partition_components([1, 2, 3], 0)
-
-    def test_empty_components(self):
-        plan = partition_components([], 4)
-        assert plan.shards == () and plan.gas == ()
-
-    def test_fewer_components_than_shards(self):
-        plan = partition_components([10, 20], 5)
-        assert plan.n_shards == 2
-        assert sorted(c for shard in plan.shards for c in shard) == [0, 1]
-
-    def test_lpt_balances_skewed_load(self):
-        # one heavy component cannot be split; the rest spread around it
-        plan = partition_components([100, 10, 10, 10, 10, 10, 10], 3)
-        assert plan.n_shards == 3
-        assert max(plan.gas) == 100  # heavy component alone in its shard
-
-    @given(
-        gas=st.lists(st.integers(min_value=0, max_value=10**6), max_size=40),
-        n_shards=st.integers(min_value=1, max_value=12),
+def _follower_pool(n_followers, *, injector=None, config=None, **dist):
+    """A master validator with ``n_followers`` followers attached; its
+    coordinator (and ``last_record``) is ``pool.distributor``."""
+    coordinator = ShardCoordinator(
+        DistributedConfig(n_followers=n_followers, **dist), injector=injector
     )
-    @settings(max_examples=100, deadline=None)
-    def test_partition_is_exact_cover(self, gas, n_shards):
-        plan = partition_components(gas, n_shards)
-        members = sorted(c for shard in plan.shards for c in shard)
-        assert members == list(range(len(gas)))  # every component, once
-        assert len(plan.gas) == plan.n_shards
-        for shard, load in zip(plan.shards, plan.gas):
-            assert load == sum(gas[c] for c in shard)
-        assert plan.n_shards == min(n_shards, len(gas)) or not gas
+    return ParallelValidator(config=config, injector=injector, distributor=coordinator)
 
-    def test_deterministic(self):
-        gas = [7, 3, 9, 1, 4, 4]
-        assert partition_components(gas, 3) == partition_components(gas, 3)
+
+def _plan_shards(block, n_followers):
+    """Component gas per non-empty lane of the plan backend workers run."""
+    art = artifacts_for(block, "account")
+    gas = art.component_gas()
+    lanes = art.plan_for(n_followers, "gas_lpt", 0).lane_components
+    return tuple(sum(gas[c] for c in lane) for lane in lanes if lane)
+
+
+class TestPartition:
+    """Follower shards are the non-empty lanes of ``plan_for(n_followers)``."""
+
+    def test_rejects_zero_shards(self):
+        with pytest.raises(ValueError, match="n_followers"):
+            ShardCoordinator(DistributedConfig(n_followers=0))
+
+    def test_empty_components(self, small_universe):
+        # no transactions, no components: nothing to shard, nothing shipped
+        block = _seal_txs(small_universe, [])
+        art = artifacts_for(block, "account")
+        assert not art.graph.components
+        assert not any(art.plan_for(4, "gas_lpt", 0).lane_components)
+        pool = _follower_pool(4)
+        result = pool.validate_block(block, small_universe.genesis)
+        assert result.accepted and not result.used_distributed
+        assert pool.distributor.last_record is None
+
+    def test_fewer_components_than_shards(self, small_universe):
+        block = _seal_block(
+            small_universe,
+            dataclasses.replace(
+                hotspot_scenario(0.9, seed=3), txs_per_block=20, tx_count_jitter=0.0
+            ),
+        )
+        n_components = len(artifacts_for(block, "account").graph.components)
+        pool = _follower_pool(n_components + 3)
+        assert pool.validate_block(block, small_universe.genesis).used_distributed
+        record = pool.distributor.last_record
+        assert record.n_shards == n_components
+        assert record.shard_gas == _plan_shards(block, n_components + 3)
+
+    def test_lpt_balances_skewed_load(self, small_universe):
+        # the hot component cannot be split: it fills a shard of its own
+        block = _seal_block(
+            small_universe,
+            dataclasses.replace(
+                hotspot_scenario(0.9, seed=3), txs_per_block=40, tx_count_jitter=0.0
+            ),
+        )
+        gas = artifacts_for(block, "account").component_gas()
+        pool = _follower_pool(3)
+        assert pool.validate_block(block, small_universe.genesis).used_distributed
+        record = pool.distributor.last_record
+        assert record.n_shards == 3
+        assert max(record.shard_gas) == max(gas)
+
+    def test_partition_is_exact_cover(self, small_universe, sealed_block):
+        gas = artifacts_for(sealed_block, "account").component_gas()
+        for n_followers in range(1, 9):
+            pool = _follower_pool(n_followers)
+            result = pool.validate_block(sealed_block, small_universe.genesis)
+            assert result.used_distributed
+            record = pool.distributor.last_record
+            assert record.shard_gas == _plan_shards(sealed_block, n_followers)
+            assert record.n_shards == len(record.shard_gas)
+            assert record.n_shards == min(n_followers, len(gas))
+            assert sum(record.shard_gas) == sum(gas)  # every component, once
+            assert all(load > 0 for load in record.shard_gas)
+
+    def test_deterministic(self, small_universe, sealed_block):
+        records = []
+        for _ in range(2):
+            pool = _follower_pool(3)
+            pool.validate_block(sealed_block, small_universe.genesis)
+            records.append(pool.distributor.last_record)
+        assert records[0] == records[1]
 
 
 # --------------------------------------------------------------------- #
@@ -92,14 +135,17 @@ class TestPartition:
 # --------------------------------------------------------------------- #
 
 
-def _seal_block(universe, workload_config):
-    generator = BlockWorkloadGenerator(universe, workload_config)
+def _seal_txs(universe, txs):
     chain = Blockchain(universe.genesis)
-    txs = generator.generate_block_txs()
     sealed = ProposerNode("dist-test").build_block(
         chain.genesis.header, universe.genesis, txs
     )
     return sealed.block
+
+
+def _seal_block(universe, workload_config):
+    generator = BlockWorkloadGenerator(universe, workload_config)
+    return _seal_txs(universe, generator.generate_block_txs())
 
 
 def _fingerprint(result):
@@ -131,11 +177,11 @@ class TestBitIdentity:
         )
         assert reference.accepted
 
-        dv = DistributedValidator(followers)
-        distributed = dv.validate(block, small_universe.genesis)
+        pool = _follower_pool(followers)
+        distributed = pool.validate_block(block, small_universe.genesis)
         assert distributed.accepted and distributed.used_distributed
         assert _fingerprint(distributed) == _fingerprint(reference)
-        record = dv.last_record
+        record = pool.distributor.last_record
         assert record is not None and record.fallback is None
         assert 1 <= record.n_shards <= followers
 
@@ -149,11 +195,11 @@ class TestBitIdentity:
         )
         art = artifacts_for(block, "account")
         n_components = len(art.graph.components)
-        dv = DistributedValidator(n_components + 8)
+        pool = _follower_pool(n_components + 8)
         reference = ParallelValidator().validate_block(block, small_universe.genesis)
-        distributed = dv.validate(block, small_universe.genesis)
+        distributed = pool.validate_block(block, small_universe.genesis)
         assert distributed.accepted and distributed.used_distributed
-        assert dv.last_record.n_shards == n_components
+        assert pool.distributor.last_record.n_shards == n_components
         assert _fingerprint(distributed) == _fingerprint(reference)
 
     @given(data=st.data())
@@ -167,12 +213,12 @@ class TestBitIdentity:
     ):
         """Arbitrary component->executor maps merge to the reference result.
 
-        Bypasses both planners (the coordinator's LPT packer and the
-        backend's lane scheduler): hypothesis draws the partition, and the
-        same drawn map is run once as shards on an honest follower (state
-        slices, shard RPC) and once as lanes on a backend (shared guarded
-        snapshot).  The single ``merge_components`` must reproduce the
-        single-node outcome bit for bit from either set of outcomes.
+        Bypasses the planner (the LPT plan both followers and backend lanes
+        run): hypothesis draws the partition, and the same drawn map is run
+        once as shards on an honest follower (state slices, shard RPC) and
+        once as lanes on a backend (shared guarded snapshot).  The single
+        ``merge_components`` must reproduce the single-node outcome bit for
+        bit from either set of outcomes.
         """
         # fresh nonce map per example: block building must not depend on
         # what previous examples generated, or draw bounds shift
@@ -288,41 +334,41 @@ def sealed_block(small_universe):
 class TestFollowerFaultMatrix:
     def test_total_crash_maps_to_worker_fault(self, small_universe, sealed_block):
         injector = FaultInjector(FaultConfig(seed=3, follower_crash_rate=1.0))
-        dv = DistributedValidator(
+        pool = _follower_pool(
             4, injector=injector, config=ValidatorConfig(serial_fallback=False)
         )
-        result = dv.validate(sealed_block, small_universe.genesis)
+        result = pool.validate_block(sealed_block, small_universe.genesis)
         assert not result.accepted
         assert result.failure is not None
         assert result.failure.reason is FailureReason.WORKER_FAULT
         assert "crash" in result.failure.detail
         # the whole pool died on first contact: one fault per follower
-        assert dv.last_record.follower_faults == 4
+        assert pool.distributor.last_record.follower_faults == 4
 
     def test_crash_degrades_to_serial_fallback(self, small_universe, sealed_block):
         reference = ParallelValidator().validate_block(
             sealed_block, small_universe.genesis
         )
         injector = FaultInjector(FaultConfig(seed=3, follower_crash_rate=1.0))
-        dv = DistributedValidator(4, injector=injector)
-        result = dv.validate(sealed_block, small_universe.genesis)
+        pool = _follower_pool(4, injector=injector)
+        result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted and not result.used_distributed
-        assert dv.last_record.fallback == "worker_fault"
+        assert pool.distributor.last_record.fallback == "worker_fault"
         assert _fingerprint(result) == _fingerprint(reference)
 
     def test_byzantine_reply_maps_to_worker_fault(
         self, small_universe, sealed_block
     ):
         injector = FaultInjector(FaultConfig(seed=3, follower_byzantine_rate=1.0))
-        dv = DistributedValidator(
+        pool = _follower_pool(
             4, injector=injector, config=ValidatorConfig(serial_fallback=False)
         )
-        result = dv.validate(sealed_block, small_universe.genesis)
+        result = pool.validate_block(sealed_block, small_universe.genesis)
         assert not result.accepted
         assert result.failure.reason is FailureReason.WORKER_FAULT
         assert "byzantine" in result.failure.detail
         # a lying follower must never strike the (honest) proposer
-        statuses = {a.status for a in dv.last_record.attempts}
+        statuses = {a.status for a in pool.distributor.last_record.attempts}
         assert statuses == {"byzantine"}
 
     def test_byzantine_reply_survived_by_fallback(
@@ -332,8 +378,8 @@ class TestFollowerFaultMatrix:
             sealed_block, small_universe.genesis
         )
         injector = FaultInjector(FaultConfig(seed=3, follower_byzantine_rate=1.0))
-        dv = DistributedValidator(4, injector=injector)
-        result = dv.validate(sealed_block, small_universe.genesis)
+        pool = _follower_pool(4, injector=injector)
+        result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted
         assert _fingerprint(result) == _fingerprint(reference)
 
@@ -343,13 +389,13 @@ class TestFollowerFaultMatrix:
         # seed chosen so some-but-not-most shards stall: the median-based
         # deadline then flags the stalled replies as stragglers
         injector = FaultInjector(FaultConfig(seed=1, follower_stall_rate=0.4))
-        dv = DistributedValidator(
+        pool = _follower_pool(
             4,
             injector=injector,
-            dist_config=DistributedConfig(n_followers=4, max_reassignments=0),
+            max_reassignments=0,
             config=ValidatorConfig(serial_fallback=False),
         )
-        result = dv.validate(sealed_block, small_universe.genesis)
+        result = pool.validate_block(sealed_block, small_universe.genesis)
         assert not result.accepted
         assert result.failure.reason is FailureReason.TIMEOUT
         assert "straggled" in result.failure.detail
@@ -365,9 +411,9 @@ class TestFollowerFaultMatrix:
             injector = FaultInjector(
                 FaultConfig(seed=seed, follower_crash_rate=0.3)
             )
-            dv = DistributedValidator(4, injector=injector)
-            result = dv.validate(sealed_block, small_universe.genesis)
-            record = dv.last_record
+            pool = _follower_pool(4, injector=injector)
+            result = pool.validate_block(sealed_block, small_universe.genesis)
+            record = pool.distributor.last_record
             assert result.accepted
             if result.used_distributed and record.reassignments > 0:
                 recovered += 1
@@ -401,8 +447,8 @@ class TestFollowerFaultMatrix:
         )
         injector = FaultInjector(FaultConfig(seed=3))
         corrupted = injector.corrupt_block(block, "profile_gas")
-        dv = DistributedValidator(4)
-        result = dv.validate(corrupted, small_universe.genesis)
+        pool = _follower_pool(4)
+        result = pool.validate_block(corrupted, small_universe.genesis)
         assert not result.accepted
         assert result.failure is not None
         assert result.failure.reason in {

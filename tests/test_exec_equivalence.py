@@ -23,7 +23,7 @@ from repro.core.proposer import seal_block
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import EVM, ExecutionContext
-from repro.distributed import DistributedValidator
+from repro.distributed import DistributedConfig, ShardCoordinator
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
 from repro.faults.injector import FaultConfig, FaultInjector
@@ -526,11 +526,13 @@ class TestFaultEquivalence:
                         config=config, backend=backend, **kw
                     ).validate_block(block, universe.genesis),
                 )
+        def follower_pool(**kw):
+            coordinator = ShardCoordinator(DistributedConfig(n_followers=2), **kw)
+            return ParallelValidator(config=config, distributor=coordinator, **kw)
+
         observe(
             "followers",
-            lambda **kw: DistributedValidator(2, config=config, **kw).validate(
-                block, universe.genesis
-            ),
+            lambda **kw: follower_pool(**kw).validate_block(block, universe.genesis),
         )
         return observed
 

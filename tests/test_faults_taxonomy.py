@@ -111,14 +111,14 @@ class TestQuarantine:
         assert outcome.failures[0].reason == FailureReason.PROPOSER_QUARANTINED
 
     def test_honest_proposer_never_quarantined(self):
-        from repro.core.pipeline import PipelineConfig
+        from repro.core.validator import ValidatorConfig
         from repro.network.node import ValidatorNode
 
         env = build_env(0)
         node = ValidatorNode(
             "validator-0",
             env.universe.genesis,
-            config=PipelineConfig(worker_lanes=4),
+            config=ValidatorConfig(lanes=4),
             quarantine_threshold=1,
         )
         outcome = node.receive_blocks([env.honest.block])
@@ -142,11 +142,12 @@ class TestDeterminism:
 class TestStatsCounters:
     def test_pipeline_aggregates_fault_counters(self):
         """RunStats carries typed failure counts through the pipeline."""
-        from repro.core.pipeline import PipelineConfig, ValidatorPipeline
+        from repro.core.pipeline import ValidatorPipeline
+        from repro.core.validator import ValidatorConfig
 
         env = build_env(0)
         bad = env.injector.corrupt_block(env.honest.block, "state_root")
-        pipeline = ValidatorPipeline(config=PipelineConfig(worker_lanes=4))
+        pipeline = ValidatorPipeline(config=ValidatorConfig(lanes=4))
         result = pipeline.process_blocks(
             [env.honest.block, bad],
             parent_states={env.genesis_hash: env.parent_state},
@@ -154,3 +155,32 @@ class TestStatsCounters:
         # honest sibling commits; the liar is counted under its reason
         assert result.stats.failures == {"state_root_mismatch": 1}
         assert result.rejection_rate == pytest.approx(0.5)
+
+    def test_pipeline_counts_serial_fallback_of_rejected_block(self):
+        """A block whose fault ladder ran out re-executes serially whatever
+        the verdict: the fallback is counted even when the block is then
+        rejected, by the pipeline exactly as by the validator."""
+        from repro.core.pipeline import ValidatorPipeline
+        from repro.core.validator import ValidatorConfig
+        from repro.faults.injector import FaultConfig, FaultInjector
+        from repro.obs.metrics import MetricsRegistry
+
+        env = build_env(0)
+        bad = env.injector.corrupt_block(env.honest.block, "state_root")
+        crashes = FaultConfig(seed=0, worker_fault_rate=1.0, worker_fault_attempts=100)
+        for serial_fallback, fallbacks in ((True, 1), (False, 0)):
+            metrics = MetricsRegistry()
+            pipeline = ValidatorPipeline(
+                config=ValidatorConfig(lanes=4, serial_fallback=serial_fallback),
+                injector=FaultInjector(crashes),
+                metrics=metrics,
+            )
+            result = pipeline.process_blocks(
+                [bad], parent_states={env.genesis_hash: env.parent_state}
+            )
+            (validation,) = result.results
+            assert not validation.accepted
+            assert validation.used_serial_fallback is serial_fallback
+            assert result.stats.serial_fallbacks == fallbacks
+            assert metrics.counter_value("pipeline.serial_fallbacks") == fallbacks
+            assert metrics.counter_value("validator.serial_fallbacks") == fallbacks

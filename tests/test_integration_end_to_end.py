@@ -96,7 +96,7 @@ class TestChainGrowth:
     ):
         """§3.3: the final result must not depend on the validator's
         parallelism level (2 vs 16 threads)."""
-        from repro.core.pipeline import PipelineConfig
+        from repro.core.validator import ValidatorConfig
 
         proposer = ProposerNode("alice")
         txs = small_generator.generate_block_txs()
@@ -106,10 +106,10 @@ class TestChainGrowth:
             txs,
         )
         v_small = ValidatorNode(
-            "bob", small_universe.genesis, config=PipelineConfig(worker_lanes=2)
+            "bob", small_universe.genesis, config=ValidatorConfig(lanes=2)
         )
         v_large = ValidatorNode(
-            "carol", small_universe.genesis, config=PipelineConfig(worker_lanes=16)
+            "carol", small_universe.genesis, config=ValidatorConfig(lanes=16)
         )
         for v in (v_small, v_large):
             assert v.receive_blocks([sealed.block]).accepted
@@ -121,7 +121,6 @@ class TestChainGrowth:
     def test_proposer_without_profile_still_validated_by_fallback(
         self, small_universe, small_generator
     ):
-        from repro.core.pipeline import PipelineConfig
         from repro.core.validator import ValidatorConfig
 
         proposer = ProposerNode("alice")

@@ -10,7 +10,7 @@ import pytest
 
 pytestmark = pytest.mark.faults
 
-from repro.core.pipeline import PipelineConfig
+from repro.core.validator import ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.scenarios import build_env
 from repro.network.dissemination import ForkSet, ForkSimulator
@@ -219,7 +219,7 @@ class TestTxRecovery:
         node = ValidatorNode(
             "validator-0",
             env.universe.genesis,
-            config=PipelineConfig(worker_lanes=4),
+            config=ValidatorConfig(lanes=4),
             txpool=pool,
         )
         bad = env.injector.corrupt_block(env.honest.block, "state_root")
@@ -240,7 +240,7 @@ class TestTxRecovery:
         node = ValidatorNode(
             "validator-0",
             env.universe.genesis,
-            config=PipelineConfig(worker_lanes=4),
+            config=ValidatorConfig(lanes=4),
             txpool=pool,
         )
         honest = env.honest.block

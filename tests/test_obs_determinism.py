@@ -13,7 +13,6 @@ import pytest
 
 from repro.common.types import Address
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
-from repro.core.pipeline import PipelineConfig
 from repro.core.proposer import seal_block
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
@@ -90,7 +89,7 @@ class TestPipelineDeterminism:
             node = ValidatorNode(
                 "val",
                 small_universe.genesis,
-                config=PipelineConfig(worker_lanes=8),
+                config=ValidatorConfig(lanes=8),
                 tracer=tracer,
                 metrics=metrics,
             )

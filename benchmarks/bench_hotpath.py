@@ -21,7 +21,7 @@ import random
 from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.common.rlp import rlp_int
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.artifacts import ArtifactCache
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.state.account import AccountData, encode_account
@@ -54,7 +54,7 @@ COMMIT_ROUNDS = 3
 def _mk_tx(sender, nonce, price):
     return Transaction(
         sender=sender,
-        to=Address.from_int(7),
+        to=address_from_int(7),
         value=0,
         data=b"",
         gas_limit=21000,
@@ -99,7 +99,7 @@ def _build_pool(rng):
     pool = TxPool()
     txs = []
     for i in range(POOL_SENDERS):
-        sender = Address.from_int(10_000 + i)
+        sender = address_from_int(10_000 + i)
         for nonce in range(POOL_NONCES):
             t = _mk_tx(sender, nonce, rng.randint(10, 500))
             pool.add(t)
@@ -107,7 +107,7 @@ def _build_pool(rng):
     # mild RBF churn: leaves lazily-cancelled entries in the heap, the
     # case the legacy has_ready scan pays for
     for i in range(0, POOL_SENDERS, 4):
-        sender = Address.from_int(10_000 + i)
+        sender = address_from_int(10_000 + i)
         old_price = pool._ready_entry[sender].gas_price
         bump = old_price + old_price * PRICE_BUMP_PERCENT // 100
         replacement = _mk_tx(sender, 0, max(bump, old_price + 1))
@@ -118,7 +118,7 @@ def _build_pool(rng):
 
 def bench_txpool(rng):
     pool, txs = _build_pool(rng)
-    absent = [_mk_tx(Address.from_int(99_000 + i), 0, 1).hash for i in range(50)]
+    absent = [_mk_tx(address_from_int(99_000 + i), 0, 1).hash for i in range(50)]
     lookups = []
     for _ in range(200):  # one "wake": a ready probe plus a few membership checks
         lookups.append(("ready", None))
@@ -234,7 +234,7 @@ def _batched_ops(base: StateSnapshot, writes, balances):
 
 
 def bench_commit(rng):
-    addrs = [Address.from_int(50_000 + i) for i in range(COMMIT_ACCOUNTS)]
+    addrs = [address_from_int(50_000 + i) for i in range(COMMIT_ACCOUNTS)]
     alloc = {
         a: AccountData(
             nonce=1,

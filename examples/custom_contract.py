@@ -11,7 +11,7 @@ Run:  python examples/custom_contract.py
 """
 
 from repro import StateDB, genesis_snapshot
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.evm.asm import Assembler
 from repro.evm.interpreter import EVM, ExecutionContext
 from repro.state.account import AccountData
@@ -51,8 +51,8 @@ def vote_calldata(option: int) -> bytes:
 
 
 def main() -> None:
-    deployer = Address.from_int(0xD0)
-    voters = [Address.from_int(0xE0 + i) for i in range(6)]
+    deployer = address_from_int(0xD0)
+    voters = [address_from_int(0xE0 + i) for i in range(6)]
     alloc = {a: AccountData(balance=10 * ETHER) for a in [deployer, *voters]}
     genesis = genesis_snapshot(alloc)
     evm = EVM()
@@ -102,14 +102,16 @@ def main() -> None:
     tx = Transaction(voters[1], contract, 0, vote_calldata(0), 200_000, 1, 1)
     res = evm.apply_transaction(view, tx, CTX)
     assert res.success
-    reads = [k for k in view.rw.reads if k.kind == "storage"]
-    writes = [k for k in view.rw.writes if k.kind == "storage"]
+    # a state key is a plain ``(kind, address, slot)`` tuple
+    reads = [k for k in view.rw.reads if k[0] == "storage"]
+    writes = [k for k in view.rw.writes if k[0] == "storage"]
     print(
         f"\nOCC execution recorded {len(reads)} storage read(s) and "
         f"{len(writes)} storage write(s):"
     )
     for key in writes:
-        print(f"  slot {key.slot} -> {view.rw.writes[key]}")
+        _, _, slot = key
+        print(f"  slot {slot} -> {view.rw.writes[key]}")
     print("(these are exactly the rw-sets a proposer would publish in the")
     print(" block profile and a validator would verify with Algorithm 2)")
 

@@ -89,11 +89,11 @@ def main() -> None:
     assert reserve == snapshot.account(pool).storage[AMM_RESERVE0_SLOT]
 
     # absence is provable too
-    from repro.common.types import Address
+    from repro.common.types import address_from_int
 
-    ghost = Address.from_int(0xDEAD_BEEF_0000)
+    ghost = address_from_int(0xDEAD_BEEF_0000)
     ghost_proof = serve_account_proof(snapshot, ghost)
-    assert verify_proof(head.header.state_root, keccak(bytes(ghost)), ghost_proof) is None
+    assert verify_proof(head.header.state_root, keccak(ghost), ghost_proof) is None
     print(f"exclusion proof verified: {ghost.hex()[:12]}… has no account")
 
 

@@ -24,8 +24,11 @@ seconds) and printed as its own ``gc gen0|gen1|gen2`` row — count, total ms,
 share of the node's own CPU time in the loop — and ticks that fell into one
 are dropped from the function shares.  Under those rows, a census of the heap
 a collection walks: the objects the collector tracks when the loop starts
-(after boot) and when it ends, in all and for the eight most numerous types
-at the end.  The timer ticks with the scheduler (~4 ms), so one
+(after boot) and when it ends, and the growth between the two, in all and
+for the eight types that grew most.  Each census first collects
+until a collection untracks nothing more, so it counts live objects only —
+not whatever garbage generation 0 held at that moment — and reads the same
+from run to run.  The timer ticks with the scheduler (~4 ms), so one
 pass gives a few hundred samples: read shares, not digits.
 """
 
@@ -82,8 +85,17 @@ def print_tree(stacks: Counter[Tuple[str, ...]], total: int, min_pct: float) -> 
 
 
 def census() -> Counter[str]:
-    """The objects the cyclic collector tracks right now, by type name."""
-    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+    """The live objects the cyclic collector tracks, by type name: collect
+    until the count stops falling (a collection frees garbage, and untracks
+    a tuple of untracked items one nesting level at a time), then count."""
+    tracked = -1
+    while True:
+        gc.collect()
+        objects = gc.get_objects()
+        if len(objects) == tracked:
+            return collections.Counter(type(obj).__name__ for obj in objects)
+        tracked = len(objects)
+        del objects  # else the next list holds this one, and the count grows by one a round
 
 
 def main() -> int:
@@ -163,10 +175,12 @@ def main() -> int:
         share = 100 * seconds / own_cpu if own_cpu else 0.0
         print(f"{runs:6d} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
     boot, end = censuses
-    print(f"{'boot':>8} {'end':>8}  objects the collector tracks at the start and end of the loop")
-    print(f"{sum(boot.values()):8d} {sum(end.values()):8d}  all")
-    for name, count in end.most_common(8):
-        print(f"{boot[name]:8d} {count:8d}  {name}")
+    print(f"{'boot':>8} {'end':>8} {'growth':>8}  live objects the collector tracks at the start and end of the loop")
+    print(f"{sum(boot.values()):8d} {sum(end.values()):8d} {sum(end.values()) - sum(boot.values()):+8d}  all")
+    growth = end.copy()
+    growth.subtract(boot)
+    for name, grew in growth.most_common(8):
+        print(f"{boot[name]:8d} {end[name]:8d} {grew:+8d}  {name}")
     if args.tree:
         print_tree(stacks, total, args.min)
     else:

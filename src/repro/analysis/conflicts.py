@@ -93,7 +93,7 @@ def analyze_block_conflicts(block: Block) -> ConflictBreakdown:
         # write-write pairs + read-write pairs (reader not itself a writer)
         edge_count = w * (w - 1) // 2 + r_only * w
         if edge_count:
-            edges_by_kind[key.kind] += edge_count
+            edges_by_kind[key[0]] += edge_count
             per_key[key] += edge_count
             involved = set(writer_list)
             if r_only:

@@ -48,14 +48,14 @@ class BlockHeader:
     @cached_property
     def hash(self) -> Hash32:
         return hash_of(
-            bytes(self.parent_hash),
+            self.parent_hash,
             self.number,
-            bytes(self.state_root),
-            bytes(self.transactions_root),
-            bytes(self.receipts_root),
+            self.state_root,
+            self.transactions_root,
+            self.receipts_root,
             self.gas_used,
             self.gas_limit,
-            bytes(self.coinbase),
+            self.coinbase,
             self.timestamp,
             self.proposer_id,
             self.extra,
@@ -159,7 +159,7 @@ def build_receipts(
 
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:
     """Trie root over the block's transactions, keyed by index (yellow paper)."""
-    return _index_root(bytes(tx.hash) for tx in transactions)
+    return _index_root(tx.hash for tx in transactions)
 
 
 def receipts_root(receipts: Sequence[Receipt]) -> Hash32:

@@ -103,7 +103,9 @@ class Blockchain:
         snapshot taken at height > 0: the checkpoint block becomes the
         oldest resident block (``genesis`` here means *base of the
         in-memory view*, not height 0).  Queries below the checkpoint
-        return ``None`` rather than walking off the resident window.
+        return ``None`` rather than walking off the resident window, and
+        :meth:`uncle_count` / :meth:`canonical_tx_count` start from zero
+        at it.
         """
         if state.state_root() != header.state_root:
             raise ChainError("checkpoint state does not match header root")
@@ -200,7 +202,7 @@ class Blockchain:
                 continue
             if address is not None or topic is not None:
                 bloom = Bloom.from_bytes(block.header.logs_bloom)
-                if address is not None and not bloom.might_contain(bytes(address)):
+                if address is not None and not bloom.might_contain(address):
                     continue
                 if topic is not None and not bloom.might_contain(
                     topic.to_bytes(32, "big")
@@ -233,13 +235,17 @@ class Blockchain:
         return None
 
     def uncle_count(self) -> int:
-        """Fork siblings seen over the whole run, resident or not."""
+        """Fork siblings seen above the chain's base, resident or not: over
+        the whole run from genesis, but only since the checkpoint for a
+        chain bootstrapped by :meth:`from_checkpoint` (the store's manifest
+        does not carry earlier totals)."""
         return self._final_uncles + sum(
             len(hashes) - 1 for hashes in self._by_height.values()
         )
 
     def canonical_tx_count(self) -> int:
-        """Transactions on the canonical chain over the whole run."""
+        """Transactions on the canonical chain above its base, counted from
+        the same point as :meth:`uncle_count`."""
         return self._final_txs + sum(len(b) for b in self.canonical_chain())
 
     # ------------------------------------------------------------------ #

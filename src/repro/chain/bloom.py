@@ -50,7 +50,7 @@ class Bloom:
         return all(self._bits & (1 << i) for i in self._bit_indexes(data))
 
     def add_log(self, log: Log) -> None:
-        self.add(bytes(log.address))
+        self.add(log.address)
         for topic in log.topics:
             self.add(topic.to_bytes(32, "big"))
 

@@ -215,7 +215,7 @@ def diff_block(
         report.add(
             "state_root",
             -1,
-            f"header root {bytes(block.header.state_root).hex()[:16]}… != "
+            f"header root {block.header.state_root.hex()[:16]}… != "
             f"serial root {bytes(serial_root).hex()[:16]}…",
         )
     return report

@@ -218,8 +218,8 @@ def forge_lying_profile_block(
     entries = list(block.profile.entries)
     honest = entries[target]
     lying_rw = FrozenRWSet(
-        reads=tuple((k, v) for k, v in honest.rw.reads if k.address != receiver),
-        writes=tuple((k, v) for k, v in honest.rw.writes if k.address != receiver),
+        reads=tuple((k, v) for k, v in honest.rw.reads if k[1] != receiver),
+        writes=tuple((k, v) for k, v in honest.rw.writes if k[1] != receiver),
     )
     entries[target] = TxProfileEntry(
         tx_hash=honest.tx_hash,

@@ -61,8 +61,8 @@ __all__ = [
 
 
 def _key_str(key: StateKey) -> str:
-    slot = f"[{key.slot}]" if key.slot is not None else ""
-    return f"{key.kind}:{key.address.hex()[:8]}{slot}"
+    kind, address, slot = key
+    return f"{kind}:{address.hex()[:8]}" + (f"[{slot}]" if slot is not None else "")
 
 
 @dataclass(frozen=True)

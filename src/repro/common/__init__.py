@@ -2,8 +2,9 @@
 
 This package is dependency-free (standard library only) and provides:
 
-* :mod:`repro.common.types` -- ``Address``, ``Hash32``, 256-bit integer
-  helpers and the word-size constants the EVM operates on.
+* :mod:`repro.common.types` -- ``Address``, ``Hash32`` (``NewType``s over
+  ``bytes``, built by validating constructors), 256-bit integer helpers
+  and the word-size constants the EVM operates on.
 * :mod:`repro.common.hashing` -- the commitment hash used throughout the
   repo (SHA3-256 standing in for Keccak-256; see module docs).
 * :mod:`repro.common.rlp` -- a complete RLP encoder/decoder compatible

@@ -42,7 +42,7 @@ def canonical_int(value: int) -> bytes:
     return (b"I-" if value < 0 else b"I+") + len(raw).to_bytes(8, "big") + raw
 
 
-def _canonical(value) -> bytes:
+def _canonical(value: object) -> bytes:
     """Serialise a value into an unambiguous byte string for hashing.
 
     Supports ``bytes``/``bytearray``, ``str`` (UTF-8), ``int`` (minimal
@@ -68,6 +68,6 @@ def _canonical(value) -> bytes:
     raise TypeError(f"hash_of cannot canonicalise {type(value).__name__}")
 
 
-def hash_of(*values) -> Hash32:
+def hash_of(*values: object) -> Hash32:
     """Hash an arbitrary tuple of primitive values canonically."""
     return keccak(_canonical(tuple(values)))

@@ -18,7 +18,7 @@ exercise via round-trip properties.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Any, Iterable, Tuple, Union
 
 RLPItem = Union[bytes, int, str, list, tuple]
 
@@ -80,8 +80,8 @@ def rlp_encode(item: RLPItem) -> bytes:
         return rlp_int(item)
     if kind is list or kind is tuple:
         return rlp_list([rlp_encode(sub) for sub in item])
-    # everything else: subclasses (``Address``, ``Hash32``), ``bytearray``,
-    # ``str`` -- normalised to one of the exact types above
+    # everything else: ``bytes`` / ``int`` subclasses, ``bytearray``, ``str``
+    # -- normalised to one of the exact types above
     if isinstance(item, (bytes, bytearray)):
         return rlp_string(bytes(item))
     if isinstance(item, bool):
@@ -95,7 +95,7 @@ def rlp_encode(item: RLPItem) -> bytes:
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 
-def _decode_at(data: bytes, pos: int):
+def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
     """Decode one item starting at ``pos``; return ``(item, next_pos)``."""
     if pos >= len(data):
         raise RLPDecodeError("unexpected end of input")
@@ -158,7 +158,7 @@ def _decode_list(data: bytes, start: int, end: int) -> list:
     return items
 
 
-def rlp_decode(data: bytes):
+def rlp_decode(data: bytes) -> Any:
     """Decode canonical RLP into nested lists of ``bytes``.
 
     Raises :class:`RLPDecodeError` on any malformed or non-canonical input,
@@ -170,7 +170,7 @@ def rlp_decode(data: bytes):
     return item
 
 
-def rlp_decode_first(data: bytes):
+def rlp_decode_first(data: bytes) -> Any:
     """Decode only the first item of the list that ``data`` encodes.  What
     follows that item is neither decoded nor checked: a peek into bytes
     whose integrity is established some other way.  Raises

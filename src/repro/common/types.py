@@ -6,12 +6,19 @@ the interpreter as plain ``int`` restricted to ``[0, 2**256)``; the helpers
 here implement the wrapping arithmetic and the signed/unsigned views the
 opcode handlers need.
 
-``Address`` and ``Hash32`` are thin ``bytes`` subclasses that enforce their
-length on construction, so malformed identifiers fail fast at the boundary
-instead of corrupting tries or read/write sets deep inside the system.
+``Address`` and ``Hash32`` are ``NewType``s over ``bytes``: distinct to a
+type checker, exact ``bytes`` at run time — so a tuple of them (a state
+key, an rw-set pair, a trie node) stays untracked by the cyclic collector,
+and pickles with no class reference.  The validating constructors
+(:func:`address`, :func:`hash32` and their ``_from_int`` / ``_from_hex``
+forms) enforce the length, so malformed identifiers fail fast at the
+boundary instead of corrupting tries or read/write sets deep inside the
+system; a bare ``Hash32(x)`` is a cast, for a length already known.
 """
 
 from __future__ import annotations
+
+from typing import NewType
 
 WORD_BYTES = 32
 ADDRESS_BYTES = 20
@@ -20,68 +27,50 @@ U256_MASK = (1 << U256_BITS) - 1
 MAX_U256 = U256_MASK
 _SIGN_BIT = 1 << (U256_BITS - 1)
 
-
-class Address(bytes):
-    """A 20-byte account identifier.
-
-    Construct from raw bytes (must be exactly 20), or via
-    :meth:`from_int` / :meth:`from_hex` for convenience.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: bytes) -> "Address":
-        if len(value) != ADDRESS_BYTES:
-            raise ValueError(
-                f"Address must be {ADDRESS_BYTES} bytes, got {len(value)}"
-            )
-        return super().__new__(cls, value)
-
-    @classmethod
-    def from_int(cls, value: int) -> "Address":
-        """Build an address from an integer (low 160 bits)."""
-        if value < 0:
-            raise ValueError("Address integers must be non-negative")
-        return cls(value.to_bytes(ADDRESS_BYTES, "big"))
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        """Parse a ``0x``-prefixed or bare 40-hex-character address."""
-        if text.startswith(("0x", "0X")):
-            text = text[2:]
-        return cls(bytes.fromhex(text))
-
-    def to_int(self) -> int:
-        return int.from_bytes(self, "big")
-
-    def hex0x(self) -> str:
-        return "0x" + self.hex()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Address({self.hex0x()})"
+#: A 20-byte account identifier.
+Address = NewType("Address", bytes)
+#: A 32-byte digest (state roots, block hashes, tx hashes).
+Hash32 = NewType("Hash32", bytes)
 
 
-class Hash32(bytes):
-    """A 32-byte digest (state roots, block hashes, tx hashes)."""
+def address(value: bytes) -> Address:
+    """``value`` as an :data:`Address`: exactly 20 bytes, as exact ``bytes``."""
+    if len(value) != ADDRESS_BYTES:
+        raise ValueError(f"Address must be {ADDRESS_BYTES} bytes, got {len(value)}")
+    return Address(bytes(value))
 
-    __slots__ = ()
 
-    def __new__(cls, value: bytes) -> "Hash32":
-        if len(value) != WORD_BYTES:
-            raise ValueError(f"Hash32 must be {WORD_BYTES} bytes, got {len(value)}")
-        return super().__new__(cls, value)
+def address_from_int(value: int) -> Address:
+    """Build an address from an integer in ``[0, 2**160)``."""
+    if value < 0:
+        raise ValueError("Address integers must be non-negative")
+    return Address(value.to_bytes(ADDRESS_BYTES, "big"))
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Hash32":
-        if text.startswith(("0x", "0X")):
-            text = text[2:]
-        return cls(bytes.fromhex(text))
 
-    def hex0x(self) -> str:
-        return "0x" + self.hex()
+def address_from_hex(text: str) -> Address:
+    """Parse a ``0x``-prefixed or bare 40-hex-character address."""
+    return address(bytes.fromhex(text[2:] if text[:2] in ("0x", "0X") else text))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Hash32({self.hex0x()})"
+
+def address_to_int(value: Address) -> int:
+    return int.from_bytes(value, "big")
+
+
+def hash32(value: bytes) -> Hash32:
+    """``value`` as a :data:`Hash32`: exactly 32 bytes, as exact ``bytes``."""
+    if len(value) != WORD_BYTES:
+        raise ValueError(f"Hash32 must be {WORD_BYTES} bytes, got {len(value)}")
+    return Hash32(bytes(value))
+
+
+def hash32_from_hex(text: str) -> Hash32:
+    """Parse a ``0x``-prefixed or bare 64-hex-character digest."""
+    return hash32(bytes.fromhex(text[2:] if text[:2] in ("0x", "0X") else text))
+
+
+def hex0x(value: bytes) -> str:
+    """``0x``-prefixed hex of an address or digest."""
+    return "0x" + value.hex()
 
 
 def to_u256(value: int) -> int:

@@ -189,7 +189,7 @@ class ArtifactCache:
         profile = block.profile
         if profile is None or len(profile.entries) != len(block.transactions):
             return None
-        key = (bytes(block.hash), granularity)
+        key = (block.hash, granularity)
         entries = self._entries
         art = entries.pop(key, None)
         if art is not None:

@@ -185,11 +185,11 @@ class ValidatorPipeline:
         # resolve each block's parent: either an in-batch index or a snapshot
         hash_to_index: Dict[bytes, int] = {}
         for i, block in enumerate(blocks):
-            hash_to_index.setdefault(bytes(block.hash), i)
+            hash_to_index.setdefault(block.hash, i)
 
         parent_index: List[Optional[int]] = []
         for block in blocks:
-            parent_index.append(hash_to_index.get(bytes(block.header.parent_hash)))
+            parent_index.append(hash_to_index.get(block.header.parent_hash))
 
         # topological execution order (parents before children); arrival
         # order breaks ties so the schedule is deterministic

@@ -145,17 +145,17 @@ def materialize_store(base: StateSnapshot, store: MultiVersionStore) -> StateDB:
     still-open :class:`StateDB` — whoever credits the block's fees and
     rewards does it there and commits once."""
     db = StateDB(base)
-    for key, value in store.final_values().items():
-        if key.kind == "balance":
-            db.set_balance(key.address, value)
-        elif key.kind == "nonce":
-            db.set_nonce(key.address, value)
-        elif key.kind == "storage":
-            db.set_storage(key.address, key.slot, value)
-        elif key.kind == "code":
-            db.set_code(key.address, value)
+    for (kind, address, slot), value in store.final_values().items():
+        if kind == "balance":
+            db.set_balance(address, value)
+        elif kind == "nonce":
+            db.set_nonce(address, value)
+        elif kind == "storage":
+            db.set_storage(address, slot, value)
+        elif kind == "code":
+            db.set_code(address, value)
         else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown key kind {key.kind}")
+            raise AssertionError(f"unknown key kind {kind}")
     return db
 
 

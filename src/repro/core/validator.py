@@ -420,14 +420,14 @@ class ParallelValidator:
                 key
                 for rw in tx_rwsets
                 for key in rw.reads
-                if key.kind == "storage"
+                if key[0] == "storage"
             }
             prefetch_cost = model.prefetch_per_slot * len(distinct_slots)
         else:
             tx_costs = result.tx_costs = [
                 cost
                 + model.cold_storage_read
-                * sum(1 for key in rw.reads if key.kind == "storage")
+                * sum(1 for key in rw.reads if key[0] == "storage")
                 for cost, rw in zip(tx_costs, tx_rwsets)
             ]
 

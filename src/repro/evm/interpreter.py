@@ -68,6 +68,7 @@ from repro.common.rlp import rlp_encode
 from repro.common.types import (
     Address,
     U256_MASK,
+    address_to_int,
     signed_to_u256,
     u256_exp,
     u256_to_signed,
@@ -463,12 +464,12 @@ _EXPRESSIONS = {
     "SHL": "({b} << {a}) & U256_MASK if {a} < 256 else 0",
     "SHR": "{b} >> {a} if {a} < 256 else 0",
     "SAR": "signed_to_u256(u256_to_signed({b}) >> min({a}, 256))",
-    "ADDRESS": "f.address.to_int()",
+    "ADDRESS": "int.from_bytes(f.address, 'big')",
     "BALANCE": "f.state.get_balance(_address_from_word({a})) & U256_MASK",
     "SELFBALANCE": "f.state.get_balance(f.address) & U256_MASK",
     "EXTCODEHASH": "_code_hash(f.state.get_code(_address_from_word({a})))",
-    "ORIGIN": "f.env.origin.to_int()",
-    "CALLER": "f.msg.sender.to_int()",
+    "ORIGIN": "int.from_bytes(f.env.origin, 'big')",
+    "CALLER": "int.from_bytes(f.msg.sender, 'big')",
     "CALLVALUE": "f.msg.value & U256_MASK",
     "CALLDATALOAD": "int.from_bytes(f.msg.data[{a} : {a} + 32].ljust(32, b'\\0'), 'big')",
     "CALLDATASIZE": "len(f.msg.data)",
@@ -477,7 +478,7 @@ _EXPRESSIONS = {
     "EXTCODESIZE": "len(f.state.get_code(_address_from_word({a})))",
     "BLOCKHASH": "f.env.ctx.block_hash({a}) if 0 < f.env.ctx.block_number - {a} <= 256 else 0",
     "RETURNDATASIZE": "len(f.returndata)",
-    "COINBASE": "f.env.ctx.coinbase.to_int()",
+    "COINBASE": "int.from_bytes(f.env.ctx.coinbase, 'big')",
     "TIMESTAMP": "f.env.ctx.timestamp",
     "NUMBER": "f.env.ctx.block_number",
     "GASLIMIT": "f.env.ctx.gas_limit",
@@ -701,7 +702,7 @@ def _address_from_word(word: int) -> Address:
 
 def contract_address(sender: Address, nonce: int) -> Address:
     """CREATE address derivation: keccak(rlp([sender, nonce]))[12:]."""
-    return Address(keccak(rlp_encode([bytes(sender), nonce]))[12:])
+    return Address(keccak(rlp_encode([sender, nonce]))[12:])
 
 
 def contract_address2(sender: Address, salt: int, initcode: bytes) -> Address:
@@ -711,7 +712,7 @@ def contract_address2(sender: Address, salt: int, initcode: bytes) -> Address:
     counterfactual-deployment primitive."""
     return Address(
         keccak(
-            b"\xff" + bytes(sender) + salt.to_bytes(32, "big") + keccak(initcode)
+            b"\xff" + sender + salt.to_bytes(32, "big") + keccak(initcode)
         )[12:]
     )
 
@@ -1163,7 +1164,7 @@ def _build_handlers() -> Dict[int, Handler]:
         f.gas += result.gas_left
         f.returndata = b"" if result.success else result.output
         f.logs.extend(result.logs)
-        s.append(result.created.to_int() if result.created else 0)
+        s.append(address_to_int(result.created) if result.created else 0)
 
     @h("CREATE")
     def _create(f: _Frame, s: List[int]) -> None:
@@ -1185,8 +1186,12 @@ def _build_handlers() -> Dict[int, Handler]:
             raise _FrameFailure("write protection: value transfer in static call")
 
         # one expansion, to the larger end of the two ranges (yellow paper
-        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing
-        f.charge_memory(0, max(in_off + in_size if in_size else 0, out_off + out_size if out_size else 0))
+        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing.  Memory
+        # grows to that end now: a callee that returns less than out_size
+        # leaves the tail unwritten, and it must not be charged again
+        end = max(in_off + in_size if in_size else 0, out_off + out_size if out_size else 0)
+        f.charge_memory(0, end)
+        f.memory.touch(0, end)
         extra = 0
         if value:
             extra += schedule.call_value_transfer

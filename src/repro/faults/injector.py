@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockProfile, TxProfileEntry
-from repro.common.hashing import Hash32
-from repro.common.types import Address
-from repro.state.access import FrozenRWSet, balance_key, storage_key
+from repro.common.types import Hash32, address_from_int
+from repro.state.access import FrozenRWSet, balance_key
 
 __all__ = [
     "FaultConfig",
@@ -217,7 +216,7 @@ class FaultInjector:
         """
         if kind not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind {kind!r}")
-        rng = _keyed_rng(self.config.seed, "corrupt", kind, bytes(block.hash).hex())
+        rng = _keyed_rng(self.config.seed, "corrupt", kind, block.hash.hex())
 
         if kind == "drop_profile":
             return dataclasses.replace(block, profile=None)
@@ -271,20 +270,15 @@ class FaultInjector:
     ) -> TxProfileEntry:
         reads, writes = list(entry.rw.reads), list(entry.rw.writes)
         if kind == "profile_read_add":
-            ghost = balance_key(Address.from_int(0xBAD0_0000 + rng.randrange(1 << 16)))
+            ghost = balance_key(address_from_int(0xBAD0_0000 + rng.randrange(1 << 16)))
             reads.append((ghost, 0))
         elif kind == "profile_read_drop":
             reads.pop(rng.randrange(len(reads)))
         elif kind == "profile_write_swap":
             i = rng.randrange(len(writes))
-            key, value = writes[i]
-            swapped = Address.from_int(0xBAD1_0000 + rng.randrange(1 << 16))
-            new_key = (
-                storage_key(swapped, key.slot)
-                if key.kind == "storage"
-                else key._replace(address=swapped)
-            )
-            writes[i] = (new_key, value)
+            (key_kind, _, slot), value = writes[i]
+            swapped = address_from_int(0xBAD1_0000 + rng.randrange(1 << 16))
+            writes[i] = ((key_kind, swapped, slot), value)
         elif kind == "profile_write_value":
             i = rng.randrange(len(writes))
             key, value = writes[i]
@@ -334,7 +328,7 @@ class FaultyChannel:
         self.backlog = []
 
         for block in blocks:
-            key = (self.endpoint, round_no, bytes(block.hash).hex())
+            key = (self.endpoint, round_no, block.hash.hex())
             if cfg.drop_rate > 0.0:
                 if _keyed_rng(cfg.seed, "drop", *key).random() < cfg.drop_rate:
                     self.dropped += 1

@@ -213,7 +213,7 @@ class ValidatorNode:
                 )
             if proposer and proposer in self.quarantined_proposers:
                 quarantined.append(block)
-                failure_by_hash[bytes(block.hash)] = ValidationFailure(
+                failure_by_hash[block.hash] = ValidationFailure(
                     FailureReason.PROPOSER_QUARANTINED,
                     detail=f"proposer {proposer} quarantined after "
                     f"{self._strikes.get(proposer, 0)} byzantine blocks",
@@ -253,11 +253,11 @@ class ValidatorNode:
             ):
                 additions.append((block, validation.post_state))
                 accepted.append(block)
-                failure_by_hash.setdefault(bytes(block.hash), None)
+                failure_by_hash.setdefault(block.hash, None)
             else:
                 rejected.append(block)
                 failure = validation.failure if validation is not None else None
-                failure_by_hash.setdefault(bytes(block.hash), failure)
+                failure_by_hash.setdefault(block.hash, failure)
                 self._record_strike(block, failure)
         rejected.extend(quarantined)
 
@@ -284,7 +284,7 @@ class ValidatorNode:
             rejected=rejected,
             new_head=new_head,
             quarantined=quarantined,
-            failures=[failure_by_hash.get(bytes(b.hash)) for b in blocks],
+            failures=[failure_by_hash.get(b.hash) for b in blocks],
             restored_txs=restored,
         )
 
@@ -326,11 +326,11 @@ class ValidatorNode:
         """
         if self.txpool is None or not rejected:
             return 0
-        committed = {bytes(tx.hash) for b in accepted for tx in b.transactions}
+        committed = {tx.hash for b in accepted for tx in b.transactions}
         restored = 0
         for block in rejected:
             for tx in block.transactions:
-                key = bytes(tx.hash)
+                key = tx.hash
                 if key in committed or key in self._restore_attempted:
                     continue
                 self._restore_attempted.add(key)

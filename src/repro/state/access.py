@@ -8,16 +8,16 @@ BlockPilot's two core mechanisms both consume read/write sets:
   the validator's applier re-checks re-executed sets against that profile
   (Algorithm 2).
 
-A :class:`StateKey` names one unit of state at the finest granularity the
+A :data:`StateKey` names one unit of state at the finest granularity the
 EVM can touch: an account's balance, nonce or code, or a single storage
 slot.  Account-level conflict grouping (used by the validator's scheduler,
-§4.3) is just ``key.address``.
+§4.3) is just the key's address, ``key[1]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, NamedTuple, Optional
+from typing import Any, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.common.types import Address
 
@@ -32,31 +32,28 @@ __all__ = [
 ]
 
 
-class StateKey(NamedTuple):
-    """One addressable unit of world state."""
+#: One addressable unit of world state: ``(kind, address, slot)``, where
+#: ``kind`` is ``'balance' | 'nonce' | 'code' | 'storage'`` and ``slot`` is
+#: set only for ``'storage'``.  A plain tuple of plain values, so the
+#: collector leaves it (and every rw-set pair holding it) untracked, and a
+#: pickle carries it with no class reference.
+StateKey = Tuple[str, Address, Optional[int]]
 
-    kind: str  # 'balance' | 'nonce' | 'code' | 'storage'
-    address: Address
-    slot: Optional[int]  # set only for kind == 'storage'
-
-
-# Built through ``tuple.__new__``: the NamedTuple's generated Python-level
-# ``__new__`` costs as much again, and an execution builds a dozen keys.
 
 def balance_key(address: Address) -> StateKey:
-    return tuple.__new__(StateKey, ("balance", address, None))
+    return ("balance", address, None)
 
 
 def nonce_key(address: Address) -> StateKey:
-    return tuple.__new__(StateKey, ("nonce", address, None))
+    return ("nonce", address, None)
 
 
 def code_key(address: Address) -> StateKey:
-    return tuple.__new__(StateKey, ("code", address, None))
+    return ("code", address, None)
 
 
 def storage_key(address: Address, slot: int) -> StateKey:
-    return tuple.__new__(StateKey, ("storage", address, slot))
+    return ("storage", address, slot)
 
 
 def recorded_code(code: bytes) -> int:
@@ -91,8 +88,8 @@ class ReadWriteSet:
 
     def touched_addresses(self) -> FrozenSet[Address]:
         """Account-level footprint (scheduler granularity, §4.3)."""
-        addrs = {k.address for k in self.reads}
-        addrs.update(k.address for k in self.writes)
+        addrs = {k[1] for k in self.reads}
+        addrs.update(k[1] for k in self.writes)
         return frozenset(addrs)
 
     def conflicts_with(self, other: "ReadWriteSet") -> bool:
@@ -137,8 +134,8 @@ class FrozenRWSet(NamedTuple):
         return self.writes
 
     def touched_addresses(self) -> FrozenSet[Address]:
-        addrs = {k.address for k, _ in self.reads}
-        addrs.update(k.address for k, _ in self.writes)
+        addrs = {k[1] for k, _ in self.reads}
+        addrs.update(k[1] for k, _ in self.writes)
         return frozenset(addrs)
 
 

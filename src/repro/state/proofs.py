@@ -167,7 +167,7 @@ def _decode(data: bytes, what: str) -> Any:
 
 def prove_account(snapshot: StateSnapshot, address: Address) -> List[bytes]:
     """Account proof against a snapshot's world-state root (eth_getProof)."""
-    return prove(snapshot._account_trie, bytes(address))
+    return prove(snapshot._account_trie, address)
 
 
 def prove_storage(
@@ -200,7 +200,7 @@ def verify_storage_proof(
     of the whole account).  Raises :class:`ProofError` if either proof
     fails to authenticate.
     """
-    body = verify_proof(state_root, keccak(bytes(address)), account_proof)
+    body = verify_proof(state_root, keccak(address), account_proof)
     if body is None:
         if storage_proof:
             raise ProofError("storage proof supplied for a non-existent account")

@@ -14,7 +14,7 @@ import hashlib
 import json
 from typing import Dict
 
-from repro.common.types import Address
+from repro.common.types import address_from_hex
 from repro.state.account import AccountData
 from repro.state.statedb import StateSnapshot, genesis_snapshot
 
@@ -88,7 +88,7 @@ def snapshot_from_json(text: str, *, verify_root: bool = True) -> StateSnapshot:
                 int(slot, 16): int(value)
                 for slot, value in entry.get("storage", {}).items()
             }
-            alloc[Address.from_hex(address_hex)] = AccountData(
+            alloc[address_from_hex(address_hex)] = AccountData(
                 nonce=int(entry.get("nonce", 0)),
                 balance=int(entry.get("balance", "0")),
                 code=bytes.fromhex(entry.get("code", "")),

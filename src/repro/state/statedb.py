@@ -90,7 +90,7 @@ def genesis_snapshot(
         if not storage_trie.is_empty():
             storage_tries[address] = storage_trie
         bodies.append(
-            (bytes(address), encode_account(data, storage_trie.root_hash()))
+            (address, encode_account(data, storage_trie.root_hash()))
         )
     return StateSnapshot(accounts, _EMPTY_TRIE.update_many(bodies), storage_tries)
 
@@ -359,13 +359,13 @@ class StateDB:
             if new_acct.is_empty():
                 # EIP-158 pruning: drop empty accounts entirely
                 accounts.pop(address, None)
-                account_updates.append((bytes(address), b""))
+                account_updates.append((address, b""))
                 storage_tries.pop(address, None)
                 continue
             accounts[address] = new_acct
             storage_root = storage_tries.get(address, _EMPTY_TRIE).root_hash()
             account_updates.append(
-                (bytes(address), encode_account(new_acct, storage_root))
+                (address, encode_account(new_acct, storage_root))
             )
 
         account_trie = self._base._account_trie.update_many(account_updates)

@@ -30,8 +30,8 @@ Design choices:
   memo is written later, so nodes are thread-safe by construction.
 * **Plain tuples** (layout at :data:`_Node`): CPython's collector untracks a
   tuple whose items are all untracked, never a class instance.  So a node
-  holds only its tag, exact ``bytes``, ``None`` and nodes — a ``Hash32`` or
-  ``Address`` inside keeps it and its ancestors on the collector's walk.
+  holds only its tag, exact ``bytes``, ``None`` and nodes — a ``bytes``
+  subclass inside keeps it and its ancestors on the collector's walk.
 * **byte-string keys and values.**  A trie turns a key into its path
   through :attr:`MPT.key_path`; :class:`SecureMPT`, the keccak-keyed variant
   the state uses, overrides that and nothing else.

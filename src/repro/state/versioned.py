@@ -49,18 +49,19 @@ def read_base_value(base: StateSnapshot, key: StateKey) -> Any:
     execution backends (:mod:`repro.exec`) build for worker tasks — any
     object exposing ``account(address)`` works as ``base``.
     """
-    acct = base.account(key.address)
-    if key.kind == "balance":
+    kind, address, slot = key
+    acct = base.account(address)
+    if kind == "balance":
         return acct.balance if acct else 0
-    if key.kind == "nonce":
+    if kind == "nonce":
         return acct.nonce if acct else 0
-    if key.kind == "code":
+    if kind == "code":
         return acct.code if acct else b""
-    if key.kind == "storage":
+    if kind == "storage":
         if acct is None:
             return 0
-        return acct.storage.get(key.slot, 0)
-    raise ValueError(f"unknown key kind {key.kind!r}")
+        return acct.storage.get(slot, 0)
+    raise ValueError(f"unknown key kind {kind!r}")
 
 
 class MultiVersionStore:
@@ -135,7 +136,7 @@ class KeyedView(Generic[W]):
     """The one keyed speculative view: StateDB interface over a write
     buffer, a journal and the rw-set recording rule.
 
-    Every interface call builds its :class:`StateKey` once and crosses one
+    Every interface call builds its :data:`StateKey` once and crosses one
     layer.  Writes go to a local buffer (read-your-own-write, invisible to
     others until commit) with journal marks, so reverting call frames
     restores the buffer exactly.  Recording follows the rule the validator's
@@ -204,7 +205,7 @@ class KeyedView(Generic[W]):
 
     def _set_balance(self, key: StateKey, value: int) -> None:
         if value < 0:
-            raise ValueError(f"negative balance for {key.address.hex()}")
+            raise ValueError(f"negative balance for {key[1].hex()}")
         self._write(key, value, value)
 
     def set_balance(self, address: Address, value: int) -> None:

@@ -250,8 +250,8 @@ class DiskStore:
         # 3. manifest advance — the commit point for this block
         if head:
             self.manifest.height = height
-            self.manifest.head_hash = bytes(block.hash).hex()
-            self.manifest.state_root = bytes(block.header.state_root).hex()
+            self.manifest.head_hash = block.hash.hex()
+            self.manifest.state_root = block.header.state_root.hex()
         self.manifest.log_bytes = self.log.size
         self.manifest.write(self.data_dir, fsync=self.fsync)
         self._count("store.manifest_writes")

@@ -29,9 +29,8 @@ import hashlib
 from typing import Any, List, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader, Receipt
-from repro.common.hashing import Hash32
 from repro.common.rlp import rlp_decode, rlp_decode_first, rlp_encode, rlp_int, rlp_list, rlp_string
-from repro.common.types import Address
+from repro.common.types import address, hash32
 from repro.evm.interpreter import Log
 from repro.txpool.transaction import Transaction
 
@@ -76,14 +75,14 @@ _HEADER_FIELDS = 12
 def header_to_items(header: BlockHeader) -> List[Any]:
     """The header as an RLP item list (field order is the wire format)."""
     return [
-        bytes(header.parent_hash),
+        header.parent_hash,
         header.number,
-        bytes(header.state_root),
-        bytes(header.transactions_root),
-        bytes(header.receipts_root),
+        header.state_root,
+        header.transactions_root,
+        header.receipts_root,
         header.gas_used,
         header.gas_limit,
-        bytes(header.coinbase),
+        header.coinbase,
         header.timestamp,
         header.proposer_id,
         header.extra,
@@ -99,14 +98,14 @@ def header_from_items(items: Sequence[Any]) -> BlockHeader:
     if len(items) != _HEADER_FIELDS:
         raise ValueError(f"header wants {_HEADER_FIELDS} fields, got {len(items)}")
     return BlockHeader(
-        parent_hash=Hash32(_as_bytes(items[0])),
+        parent_hash=hash32(_as_bytes(items[0])),
         number=_as_int(_as_bytes(items[1])),
-        state_root=Hash32(_as_bytes(items[2])),
-        transactions_root=Hash32(_as_bytes(items[3])),
-        receipts_root=Hash32(_as_bytes(items[4])),
+        state_root=hash32(_as_bytes(items[2])),
+        transactions_root=hash32(_as_bytes(items[3])),
+        receipts_root=hash32(_as_bytes(items[4])),
         gas_used=_as_int(_as_bytes(items[5])),
         gas_limit=_as_int(_as_bytes(items[6])),
-        coinbase=Address(_as_bytes(items[7])),
+        coinbase=address(_as_bytes(items[7])),
         timestamp=_as_int(_as_bytes(items[8])),
         proposer_id=_as_bytes(items[9]).decode("utf-8"),
         extra=_as_bytes(items[10]),
@@ -146,8 +145,8 @@ def tx_from_items(items: Sequence[Any]) -> Transaction:
         raise ValueError(f"transaction wants 8 fields, got {len(items)}")
     to_bytes = _as_bytes(items[1])
     return Transaction(
-        sender=Address(_as_bytes(items[0])),
-        to=Address(to_bytes) if to_bytes else None,
+        sender=address(_as_bytes(items[0])),
+        to=address(to_bytes) if to_bytes else None,
         value=_as_int(_as_bytes(items[2])),
         data=_as_bytes(items[3]),
         gas_limit=_as_int(_as_bytes(items[4])),
@@ -182,7 +181,7 @@ def receipt_from_items(items: Sequence[Any]) -> Receipt:
             raise ValueError(f"log wants 3 fields, got {len(fields)}")
         logs.append(
             Log(
-                address=Address(_as_bytes(fields[0])),
+                address=address(_as_bytes(fields[0])),
                 topics=tuple(
                     _as_int(_as_bytes(t)) for t in _as_list(fields[1])
                 ),
@@ -190,7 +189,7 @@ def receipt_from_items(items: Sequence[Any]) -> Receipt:
             )
         )
     return Receipt(
-        tx_hash=Hash32(_as_bytes(items[0])),
+        tx_hash=hash32(_as_bytes(items[0])),
         success=bool(_as_int(_as_bytes(items[1]))),
         gas_used=_as_int(_as_bytes(items[2])),
         cumulative_gas=_as_int(_as_bytes(items[3])),

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.chain.block import Block, build_receipts
 from repro.chain.blockchain import Blockchain, ChainError
+from repro.common.types import hash32_from_hex
 from repro.core.applier import Applier
 from repro.core.baselines import SerialExecutor
 from repro.state.statedb import StateSnapshot
@@ -85,7 +86,7 @@ class RecoveryResult:
         head = self.chain.head
         parts = [
             f"height={head.number}",
-            f"root={bytes(head.header.state_root).hex()[:12]}…",
+            f"root={head.header.state_root.hex()[:12]}…",
             f"replayed={self.replayed}",
             f"base={self.base_height}",
         ]
@@ -112,9 +113,7 @@ def _base_from_manifest(
             )
         return Blockchain(genesis_state), 0
 
-    from repro.common.hashing import Hash32
-
-    expect_root = Hash32(bytes.fromhex(ref.state_root))
+    expect_root = hash32_from_hex(ref.state_root)
     state = load_snapshot(
         data_dir, ref.file, expect_sha256=ref.sha256, expect_root=expect_root
     )
@@ -258,7 +257,7 @@ def _replay_one(
     skipped: List[str],
 ) -> int:
     """Re-execute and insert one logged block; returns 1 if replayed."""
-    label = f"block {block.number} {bytes(block.hash).hex()[:12]}"
+    label = f"block {block.number} {block.hash.hex()[:12]}"
     if block.number <= base_height:
         skipped.append(f"{label}: at or below snapshot horizon {base_height}")
         return 0

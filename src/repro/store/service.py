@@ -262,9 +262,9 @@ class NodeService:
                 continue
             # the proposer reorders (OCC commit order) and may drop txs,
             # so membership — not sequence equality — is the invariant
-            generated = {bytes(tx.hash) for tx in txs}
+            generated = {tx.hash for tx in txs}
             strangers = [
-                tx for tx in block.transactions if bytes(tx.hash) not in generated
+                tx for tx in block.transactions if tx.hash not in generated
             ]
             if strangers:
                 raise ConfigMismatchError(
@@ -336,7 +336,7 @@ class NodeService:
                 )
             telemetry.refresh(
                 height=resumed_from,
-                head=bytes(chain.head.hash).hex(),
+                head=chain.head.hash.hex(),
                 produced=0,
                 resumed_from=resumed_from,
             )
@@ -401,7 +401,7 @@ class NodeService:
                     )
                     telemetry.refresh(
                         height=new_head.number,
-                        head=bytes(new_head.hash).hex(),
+                        head=new_head.hash.hex(),
                         produced=produced,
                         resumed_from=resumed_from,
                     )
@@ -437,8 +437,8 @@ class NodeService:
         head = chain.head
         report = ServeReport(
             height=head.number,
-            head_hash=bytes(head.hash).hex(),
-            state_root=bytes(head.header.state_root).hex(),
+            head_hash=head.hash.hex(),
+            state_root=head.header.state_root.hex(),
             produced=produced,
             resumed_from=resumed_from,
             sealed=sealed_ok,

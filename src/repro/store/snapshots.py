@@ -93,6 +93,6 @@ def load_snapshot(
         raise SnapshotCorruptError(
             f"snapshot {filename} rebuilds to root "
             f"{snapshot.state_root().hex()[:16]}…, manifest expects "
-            f"{bytes(expect_root).hex()[:16]}…"
+            f"{expect_root.hex()[:16]}…"
         )
     return snapshot

@@ -31,7 +31,7 @@ follow Solidity: ``keccak(key_word ++ slot_word)``.
 from __future__ import annotations
 
 from repro.common.hashing import keccak
-from repro.common.types import Address
+from repro.common.types import Address, address_to_int
 from repro.evm.asm import Assembler
 
 __all__ = [
@@ -107,7 +107,7 @@ def mapping_slot(key: int, slot: int) -> int:
 
 
 def erc20_balance_slot(holder: Address) -> int:
-    return mapping_slot(holder.to_int(), ERC20_BALANCES_SLOT)
+    return mapping_slot(address_to_int(holder), ERC20_BALANCES_SLOT)
 
 
 def erc20_shard_counter_slot(shard: int) -> int:
@@ -120,7 +120,7 @@ def nft_owner_slot(token_id: int) -> int:
 
 
 def airdrop_claimed_slot(claimer: Address) -> int:
-    return mapping_slot(claimer.to_int(), AIRDROP_CLAIMED_SLOT)
+    return mapping_slot(address_to_int(claimer), AIRDROP_CLAIMED_SLOT)
 
 
 # --------------------------------------------------------------------- #
@@ -211,7 +211,7 @@ def erc20_code() -> bytes:
 def erc20_transfer_calldata(to: Address, amount: int) -> bytes:
     return (
         SEL_TRANSFER.to_bytes(4, "big")
-        + to.to_int().to_bytes(32, "big")
+        + address_to_int(to).to_bytes(32, "big")
         + amount.to_bytes(32, "big")
     )
 
@@ -219,7 +219,7 @@ def erc20_transfer_calldata(to: Address, amount: int) -> bytes:
 def erc20_mint_calldata(to: Address, amount: int) -> bytes:
     return (
         SEL_MINT.to_bytes(4, "big")
-        + to.to_int().to_bytes(32, "big")
+        + address_to_int(to).to_bytes(32, "big")
         + amount.to_bytes(32, "big")
     )
 
@@ -289,7 +289,7 @@ def erc20_counted_transfer_calldata(to: Address, amount: int, shard: int) -> byt
     shared one) — identical traffic, different conflict footprint."""
     return (
         SEL_TRANSFER.to_bytes(4, "big")
-        + to.to_int().to_bytes(32, "big")
+        + address_to_int(to).to_bytes(32, "big")
         + amount.to_bytes(32, "big")
         + shard.to_bytes(32, "big")
     )
@@ -345,7 +345,7 @@ def amm_code(token_out: Address) -> bytes:
     a.push(68)  # in_size
     a.push(0)  # in_off
     a.push(0)  # value
-    a.push(token_out.to_int())  # to
+    a.push(address_to_int(token_out))  # to
     a.push(200_000)  # gas
     a.op("CALL")
     a.op("ISZERO").jumpi_to("mintfailed")

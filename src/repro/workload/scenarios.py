@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.common.types import Address
+from repro.common.types import Address, address_from_int, address_to_int
 from repro.txpool.transaction import Transaction
 from repro.workload.contracts import (
     amm_swap_calldata,
@@ -149,10 +149,10 @@ def tx_fingerprint(tx: Transaction) -> bytes:
     """Canonical byte serialisation of everything that matters for
     equality — two streams are byte-identical iff their fingerprint
     sequences match."""
-    to = bytes(tx.to) if tx.to is not None else b"\xff" * 20
+    to = tx.to if tx.to is not None else b"\xff" * 20
     return b"".join(
         (
-            bytes(tx.sender),
+            tx.sender,
             to,
             tx.value.to_bytes(16, "big"),
             tx.gas_limit.to_bytes(8, "big"),
@@ -299,7 +299,7 @@ class CounterTokenStream(ScenarioStream):
                     )
                 )
             else:
-                shard = sender.to_int() % shards
+                shard = address_to_int(sender) % shards
                 txs.append(
                     Transaction(
                         sender=sender,
@@ -504,7 +504,7 @@ class StreamingLongTailGenerator(BlockWorkloadGenerator):
         u = self.rng.random()
         rank = int(math.exp(u * self._log_n1)) - 1
         rank = min(max(rank, 0), self.universe_size - 1)
-        return Address.from_int(LONG_TAIL_ACCOUNT_BASE + rank)
+        return address_from_int(LONG_TAIL_ACCOUNT_BASE + rank)
 
 
 class LongTailStream(ScenarioStream):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import List, Sequence
 
-from repro.common.types import Address
+from repro.common.types import address_from_hex
 from repro.txpool.transaction import Transaction
 
 __all__ = ["dump_trace", "load_trace", "save_trace_file", "load_trace_file", "TraceError"]
@@ -45,8 +45,8 @@ def _tx_to_dict(tx: Transaction) -> dict:
 def _tx_from_dict(obj: dict) -> Transaction:
     try:
         return Transaction(
-            sender=Address.from_hex(obj["sender"]),
-            to=Address.from_hex(obj["to"]) if obj["to"] is not None else None,
+            sender=address_from_hex(obj["sender"]),
+            to=address_from_hex(obj["to"]) if obj["to"] is not None else None,
             value=int(obj["value"]),
             data=bytes.fromhex(obj["data"]),
             gas_limit=int(obj["gas_limit"]),

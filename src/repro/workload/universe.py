@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.common.types import Address
+from repro.common.types import Address, address_from_int
 from repro.state.account import AccountData
 from repro.state.statedb import StateSnapshot, genesis_snapshot
 from repro.workload.contracts import (
@@ -92,11 +92,11 @@ class Universe:
 
 def _eoa_address(index: int) -> Address:
     # offset keeps EOAs clear of the low addresses used in tests
-    return Address.from_int(0x1000_0000 + index)
+    return address_from_int(0x1000_0000 + index)
 
 
 def _contract_address(kind: int, index: int) -> Address:
-    return Address.from_int(0xC0 << 152 | kind << 32 | index)
+    return address_from_int(0xC0 << 152 | kind << 32 | index)
 
 
 def build_universe(config: UniverseConfig | None = None) -> Universe:

@@ -20,6 +20,7 @@ from repro.common.hashing import keccak
 from repro.common.types import (
     Address,
     U256_MASK,
+    address_to_int,
     signed_to_u256,
     u256_add,
     u256_div,
@@ -587,7 +588,7 @@ def _build_dispatch() -> Dict[int, Handler]:
 
     @h("ADDRESS")
     def address(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.address.to_int())
+        f.stack.push(address_to_int(f.address))
 
     @h("BALANCE")
     def balance(evm, state, f, env, ctx, trace, depth, sch):
@@ -604,11 +605,11 @@ def _build_dispatch() -> Dict[int, Handler]:
 
     @h("ORIGIN")
     def origin(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(env.origin.to_int())
+        f.stack.push(address_to_int(env.origin))
 
     @h("CALLER")
     def caller(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(f.msg.sender.to_int())
+        f.stack.push(address_to_int(f.msg.sender))
 
     @h("CALLVALUE")
     def callvalue(evm, state, f, env, ctx, trace, depth, sch):
@@ -684,7 +685,7 @@ def _build_dispatch() -> Dict[int, Handler]:
 
     @h("COINBASE")
     def coinbase(evm, state, f, env, ctx, trace, depth, sch):
-        f.stack.push(ctx.coinbase.to_int())
+        f.stack.push(address_to_int(ctx.coinbase))
 
     @h("TIMESTAMP")
     def timestamp(evm, state, f, env, ctx, trace, depth, sch):
@@ -791,7 +792,7 @@ def _build_dispatch() -> Dict[int, Handler]:
         f.gas += result.gas_left
         f.returndata = b"" if result.success else result.output
         f.logs.extend(result.logs)
-        f.stack.push(result.created.to_int() if result.created else 0)
+        f.stack.push(address_to_int(result.created) if result.created else 0)
 
     @h("CREATE")
     def create(evm, state, f, env, ctx, trace, depth, sch):
@@ -827,9 +828,11 @@ def _build_dispatch() -> Dict[int, Handler]:
             raise _FrameFailure("write protection: value transfer in static call")
 
         # one expansion, to the larger end of the two ranges (yellow paper
-        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing
+        # μ′ᵢ = M(M(μᵢ, in), out)); an empty range expands nothing.  Memory
+        # grows to that end now, whatever the callee returns
         needed = max(_words(in_off, in_size), _words(out_off, out_size))
         f.use_gas(sch.memory_expansion_cost(f.memory.words, needed))
+        f.memory.touch(0, needed * 32)
         extra = 0
         if value:
             extra += sch.call_value_transfer

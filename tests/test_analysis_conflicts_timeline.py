@@ -41,7 +41,7 @@ class TestConflictAnalysis:
             | set(small_universe.airdrops)
             | set(small_universe.tokens)
         )
-        top_addresses = {key.address for key, _ in breakdown.hot_keys}
+        top_addresses = {address for (_, address, _), _ in breakdown.hot_keys}
         assert top_addresses & hot_contracts
 
     def test_conflicting_fraction_bounded(self, sealed):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.evm.asm import asm
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
 from repro.network.node import ProposerNode, ValidatorNode
@@ -19,8 +19,8 @@ from repro.state.statedb import genesis_snapshot
 from repro.txpool.transaction import Transaction
 
 ETHER = 10**18
-SENDER = Address.from_int(0x77)
-CONTRACT = Address.from_int(0x88)
+SENDER = address_from_int(0x77)
+CONTRACT = address_from_int(0x88)
 
 
 class TestSnapshotSerialization:
@@ -73,7 +73,7 @@ class TestSnapshotSerialization:
     )
     def test_property_round_trip(self, raw):
         alloc = {
-            Address.from_int(0x1000 + k): AccountData(balance=b, nonce=n)
+            address_from_int(0x1000 + k): AccountData(balance=b, nonce=n)
             for k, (b, n) in raw.items()
         }
         snap = genesis_snapshot(alloc)
@@ -84,7 +84,7 @@ class TestSnapshotSerialization:
 class TestEstimateGas:
     def test_plain_transfer_estimates_21000(self):
         snap = genesis_snapshot({SENDER: AccountData(balance=ETHER)})
-        tx = Transaction(SENDER, Address.from_int(0x99), 100, b"", 1_000_000, 0, 0)
+        tx = Transaction(SENDER, address_from_int(0x99), 100, b"", 1_000_000, 0, 0)
         estimate = EVM().estimate_gas(snap, tx, ExecutionContext())
         assert estimate == 21000
 
@@ -116,7 +116,7 @@ class TestEstimateGas:
 
     def test_estimation_does_not_mutate_state(self):
         snap = genesis_snapshot({SENDER: AccountData(balance=ETHER)})
-        tx = Transaction(SENDER, Address.from_int(0x99), 100, b"", 1_000_000, 0, 0)
+        tx = Transaction(SENDER, address_from_int(0x99), 100, b"", 1_000_000, 0, 0)
         root_before = snap.state_root()
         EVM().estimate_gas(snap, tx, ExecutionContext())
         assert snap.state_root() == root_before

@@ -20,7 +20,7 @@ The engine's contract (and what this module pins down):
 import pytest
 
 from repro.check.oracle import verify_commit_order, verify_schedule
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.blockstm import BlockSTMProposer
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
@@ -38,7 +38,7 @@ CTX = ExecutionContext(block_number=1, timestamp=12)
 
 
 def simple_world(n=12):
-    eoas = [Address.from_int(0x200 + i) for i in range(n)]
+    eoas = [address_from_int(0x200 + i) for i in range(n)]
     return eoas, genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
 
 

@@ -12,19 +12,19 @@ from repro.chain.block import (
     transactions_root,
 )
 from repro.chain.blockchain import Blockchain, ChainError, GENESIS_PARENT
-from repro.common.hashing import Hash32, hash_of
-from repro.common.types import Address
+from repro.common.hashing import hash_of
+from repro.common.types import address_from_int, hash32
 from repro.state.access import ReadWriteSet
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
 from repro.txpool.transaction import Transaction
 
-A1 = Address.from_int(1)
-COINBASE = Address.from_int(0xBB)
+A1 = address_from_int(1)
+COINBASE = address_from_int(0xBB)
 
 
 def make_tx(nonce=0):
-    return Transaction(A1, Address.from_int(2), 1, b"", 21000, 1, nonce)
+    return Transaction(A1, address_from_int(2), 1, b"", 21000, 1, nonce)
 
 
 def make_header(parent, state_root, txs=(), number=None):
@@ -152,7 +152,7 @@ class TestBlockchain:
             chain.add_block(block, state)
 
     def test_unknown_parent_rejected(self, chain, base_state):
-        orphan_header = make_header(Hash32(b"\x11" * 32), base_state.state_root())
+        orphan_header = make_header(hash32(b"\x11" * 32), base_state.state_root())
         with pytest.raises(ChainError, match="unknown parent"):
             chain.add_block(Block(orphan_header, ()), base_state)
 
@@ -213,4 +213,4 @@ class TestBlockchain:
         block, state = child_block(chain, chain.genesis, base_state)
         chain.add_block(block, state)
         assert chain.state_at(block.hash) is state
-        assert chain.state_at(Hash32(b"\x99" * 32)) is None
+        assert chain.state_at(hash32(b"\x99" * 32)) is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.bloom import BLOOM_BYTES, Bloom, bloom_from_logs
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.validator import ParallelValidator
 from repro.evm.interpreter import Log
 from repro.network.node import ProposerNode
@@ -49,7 +49,7 @@ class TestBloomSemantics:
             Bloom.from_bytes(b"\x00" * 10)
 
     def test_log_addresses_and_topics_indexed(self):
-        addr = Address.from_int(0xABC)
+        addr = address_from_int(0xABC)
         log = Log(addr, (0x1234, 0x5678), b"payload")
         bloom = bloom_from_logs([log])
         assert bloom.might_contain(bytes(addr))

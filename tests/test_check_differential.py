@@ -11,7 +11,7 @@ import pytest
 
 from repro.chain.block import BlockProfile
 from repro.check.differential import diff_block, diff_proposal
-from repro.common.types import Hash32
+from repro.common.types import hash32
 from repro.network.node import ProposerNode
 from repro.txpool.transaction import Transaction
 
@@ -52,7 +52,7 @@ class TestHonestBlocks:
 class TestHeaderTampering:
     def test_wrong_state_root_found(self, sealed, small_universe):
         header = dataclasses.replace(
-            sealed.block.header, state_root=Hash32(b"\x01" * 32)
+            sealed.block.header, state_root=hash32(b"\x01" * 32)
         )
         bad = dataclasses.replace(sealed.block, header=header)
         report = diff_block(bad, small_universe.genesis)

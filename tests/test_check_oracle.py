@@ -23,7 +23,7 @@ from repro.check.oracle import (
     verify_commit_order,
     verify_schedule,
 )
-from repro.common.types import Address
+from repro.common.types import address, address_from_int
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.evm.interpreter import ExecutionContext
 from repro.exec import ThreadBackend
@@ -33,15 +33,15 @@ from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
 
-K1 = balance_key(Address.from_int(1))
-K2 = storage_key(Address.from_int(2), 7)
+K1 = balance_key(address_from_int(1))
+K2 = storage_key(address_from_int(2), 7)
 
 
 def _ctx():
     return ExecutionContext(
         block_number=1,
         timestamp=1_000,
-        coinbase=Address(b"\xcc" * 20),
+        coinbase=address(b"\xcc" * 20),
         gas_limit=30_000_000,
     )
 

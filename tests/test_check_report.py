@@ -11,7 +11,7 @@ import pytest
 
 from repro.check.fuzzer import forge_lying_profile_block
 from repro.check.report import CheckLog, FootprintViolation
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.exec import SerialBackend, ThreadBackend
 
@@ -21,7 +21,7 @@ def _violation(component=0, address=None, block="deadbeef"):
         block=block,
         component=component,
         tx_indices=(0, 2),
-        address=address or Address.from_int(0xAB),
+        address=address or address_from_int(0xAB),
         declared=3,
     )
 
@@ -61,7 +61,7 @@ class TestCheckLogUnit:
     def test_describe_names_the_account(self):
         text = _violation().describe()
         assert "component 0" in text
-        assert Address.from_int(0xAB).hex()[:8] in text
+        assert address_from_int(0xAB).hex()[:8] in text
 
 
 class TestFootprintDetection:

@@ -12,7 +12,7 @@ from repro.common.rlp import (
     rlp_list,
     rlp_string,
 )
-from repro.common.types import Address, Hash32
+from repro.common.types import address, hash32
 
 
 class TestKnownVectors:
@@ -147,8 +147,8 @@ class TestFastPathsEqualReference:
     @pytest.mark.parametrize(
         "item",
         [
-            Address(b"\x11" * 20),
-            Hash32(b"\x22" * 32),
+            address(b"\x11" * 20),
+            hash32(b"\x22" * 32),
             _Bytes(b"\x05"),
             _Bytes(b"\x80"),
             bytearray(b"\x05"),
@@ -170,7 +170,7 @@ class TestFastPathsEqualReference:
             [b"a" * 54],  # 55-byte list payload: short form
             [b"a" * 55],  # 56-byte list payload: long form
             (b"cat", b"dog"),
-            [Address(b"\x11" * 20), (0, 0x80, [Hash32(b"\x22" * 32)]), "x", bytearray(b"\x7f")],
+            [address(b"\x11" * 20), (0, 0x80, [hash32(b"\x22" * 32)]), "x", bytearray(b"\x7f")],
         ],
         ids=repr,
     )
@@ -299,17 +299,16 @@ class TestHeaderRoundTripProperty:
     @staticmethod
     def _random_header(rng):
         from repro.chain.block import BlockHeader
-        from repro.common.types import Address, Hash32
 
         return BlockHeader(
-            parent_hash=Hash32(rng.randbytes(32)),
+            parent_hash=hash32(rng.randbytes(32)),
             number=rng.choice([0, 1, rng.randrange(1 << 32)]),
-            state_root=Hash32(rng.randbytes(32)),
-            transactions_root=Hash32(rng.randbytes(32)),
-            receipts_root=Hash32(rng.randbytes(32)),
+            state_root=hash32(rng.randbytes(32)),
+            transactions_root=hash32(rng.randbytes(32)),
+            receipts_root=hash32(rng.randbytes(32)),
             gas_used=rng.choice([0, rng.randrange(1 << 40)]),
             gas_limit=rng.randrange(1, 1 << 40),
-            coinbase=Address(rng.randbytes(20)),
+            coinbase=address(rng.randbytes(20)),
             timestamp=rng.choice([0, rng.randrange(1 << 40)]),
             proposer_id=rng.choice(["", "n", "node-%d" % rng.randrange(100)]),
             extra=rng.choice([b"", rng.randbytes(rng.randrange(1, 33))]),

@@ -5,9 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.types import (
-    Address,
-    Hash32,
     MAX_U256,
+    address,
+    address_from_hex,
+    address_from_int,
+    address_to_int,
+    hash32,
+    hash32_from_hex,
+    hex0x,
     to_u256,
     u256_add,
     u256_sub,
@@ -26,40 +31,40 @@ u256s = st.integers(min_value=0, max_value=MAX_U256)
 
 class TestAddress:
     def test_round_trip_int(self):
-        a = Address.from_int(0xDEADBEEF)
-        assert a.to_int() == 0xDEADBEEF
+        a = address_from_int(0xDEADBEEF)
+        assert address_to_int(a) == 0xDEADBEEF
         assert len(a) == 20
 
     def test_from_hex_with_prefix(self):
-        a = Address.from_hex("0x" + "ab" * 20)
+        a = address_from_hex("0x" + "ab" * 20)
         assert a == bytes.fromhex("ab" * 20)
-        assert a.hex0x() == "0x" + "ab" * 20
+        assert hex0x(a) == "0x" + "ab" * 20
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            Address(b"\x00" * 19)
+            address(b"\x00" * 19)
         with pytest.raises(ValueError):
-            Address(b"\x00" * 21)
+            address(b"\x00" * 21)
 
     def test_negative_int_rejected(self):
         with pytest.raises(ValueError):
-            Address.from_int(-1)
+            address_from_int(-1)
 
     def test_usable_as_dict_key(self):
-        a = Address.from_int(7)
-        b = Address.from_int(7)
+        a = address_from_int(7)
+        b = address_from_int(7)
         assert {a: 1}[b] == 1
 
 
 class TestHash32:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
-            Hash32(b"\x01" * 31)
-        h = Hash32(b"\x01" * 32)
-        assert h.hex0x().startswith("0x01")
+            hash32(b"\x01" * 31)
+        h = hash32(b"\x01" * 32)
+        assert hex0x(h).startswith("0x01")
 
     def test_from_hex(self):
-        h = Hash32.from_hex("0x" + "00" * 32)
+        h = hash32_from_hex("0x" + "00" * 32)
         assert h == b"\x00" * 32
 
 

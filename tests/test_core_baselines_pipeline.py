@@ -173,7 +173,7 @@ class TestPipeline:
     ):
         import dataclasses
 
-        from repro.common.types import Hash32
+        from repro.common.types import hash32
 
         node = ProposerNode("alice")
         txs1 = small_generator.generate_block_txs()
@@ -184,7 +184,7 @@ class TestPipeline:
         sealed2 = node.build_block(sealed1.block.header, sealed1.post_state, txs2)
         # corrupt the parent
         bad_header = dataclasses.replace(
-            sealed1.block.header, state_root=Hash32(b"\x01" * 32)
+            sealed1.block.header, state_root=hash32(b"\x01" * 32)
         )
         bad_parent = dataclasses.replace(sealed1.block, header=bad_header)
         # child still points at the ORIGINAL parent hash; rebuild child to

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.depgraph import build_dependency_graph
 from repro.core.scheduler import SCHEDULER_POLICIES, schedule_components
 
-A = [Address.from_int(i) for i in range(12)]
+A = [address_from_int(i) for i in range(12)]
 
 
 def fp(*indices):

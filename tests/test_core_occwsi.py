@@ -7,7 +7,7 @@ parallel schedule is serializable and the block order is its witness.
 """
 
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.evm.interpreter import EVM, ExecutionContext
@@ -21,7 +21,7 @@ CTX = ExecutionContext(block_number=1, timestamp=12)
 
 
 def simple_world(n=10):
-    eoas = [Address.from_int(0x100 + i) for i in range(n)]
+    eoas = [address_from_int(0x100 + i) for i in range(n)]
     return eoas, genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
 
 
@@ -198,7 +198,7 @@ class TestStatsAndDeterminism:
 
     def test_final_state_with_coinbase(self):
         eoas, base = simple_world()
-        coinbase = Address.from_int(0xFEE)
+        coinbase = address_from_int(0xFEE)
         txs = [payment(eoas[0], eoas[1], price=2)]
         result, _ = run_proposer(base, txs)
         state = result.final_state(coinbase=coinbase)

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.chain.block import Block, BlockProfile, TxProfileEntry
-from repro.common.types import Address
+from repro.common.types import address_from_int, hash32
 from repro.core.applier import Applier, ProfileMismatch
 from repro.core.baselines import SerialExecutor
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -85,9 +85,7 @@ def tamper(block: Block, **header_changes) -> Block:
 
 class TestRejection:
     def test_wrong_state_root_rejected(self, sealed, small_universe):
-        from repro.common.types import Hash32
-
-        bad = tamper(sealed.block, state_root=Hash32(b"\x01" * 32))
+        bad = tamper(sealed.block, state_root=hash32(b"\x01" * 32))
         res = ParallelValidator().validate_block(bad, small_universe.genesis)
         assert not res.accepted
         assert "state root" in res.reason
@@ -128,7 +126,7 @@ class TestRejection:
         entries = list(block.profile.entries)
         victim = entries[0]
         fake_rw = ReadWriteSet()
-        fake_rw.record_write(storage_key(Address.from_int(0x666), 1), 1)
+        fake_rw.record_write(storage_key(address_from_int(0x666), 1), 1)
         entries[0] = dataclasses.replace(victim, rw=fake_rw.freeze())
         lying = dataclasses.replace(block, profile=BlockProfile(tuple(entries)))
         res = ParallelValidator().validate_block(lying, small_universe.genesis)
@@ -148,7 +146,7 @@ class TestRejection:
         from repro.state.statedb import StateDB
 
         db = StateDB(small_universe.genesis)
-        db.add_balance(Address.from_int(0x1000_0000), 12345)
+        db.add_balance(address_from_int(0x1000_0000), 12345)
         divergent = db.commit()
         res = ParallelValidator().validate_block(sealed.block, divergent)
         assert not res.accepted
@@ -159,7 +157,7 @@ class TestRejection:
         block = sealed.block
         entries = list(block.profile.entries)
         fake_rw = ReadWriteSet()
-        fake_rw.record_write(storage_key(Address.from_int(0x666), 1), 1)
+        fake_rw.record_write(storage_key(address_from_int(0x666), 1), 1)
         entries[0] = dataclasses.replace(entries[0], rw=fake_rw.freeze())
         lying = dataclasses.replace(block, profile=BlockProfile(tuple(entries)))
         validator = ParallelValidator(config=ValidatorConfig(verify_profile=False))
@@ -245,7 +243,7 @@ class TestAdversarialProfileMatrix:
         victim = entries[0]
         padded = FrozenRWSet(
             reads=victim.rw.reads
-            + ((storage_key(Address.from_int(0x7777), 1), 0),),
+            + ((storage_key(address_from_int(0x7777), 1), 0),),
             writes=victim.rw.writes,
         )
         entries[0] = dataclasses.replace(victim, rw=padded)
@@ -277,8 +275,8 @@ class TestApplierUnit:
 
     def test_exact_match_passes(self):
         rw = ReadWriteSet()
-        rw.record_read(storage_key(Address.from_int(1), 0), 0)
-        rw.record_write(storage_key(Address.from_int(1), 0), 5)
+        rw.record_read(storage_key(address_from_int(1), 0), 0)
+        rw.record_write(storage_key(address_from_int(1), 0), 5)
         entry = self.make_entry(rw)
 
         class R:
@@ -289,9 +287,9 @@ class TestApplierUnit:
 
     def test_read_versions_not_compared(self):
         rw_prop = ReadWriteSet()
-        rw_prop.record_read(storage_key(Address.from_int(1), 0), version=7)
+        rw_prop.record_read(storage_key(address_from_int(1), 0), version=7)
         rw_val = ReadWriteSet()
-        rw_val.record_read(storage_key(Address.from_int(1), 0), version=0)
+        rw_val.record_read(storage_key(address_from_int(1), 0), version=0)
         entry = self.make_entry(rw_prop)
 
         class R:
@@ -303,7 +301,7 @@ class TestApplierUnit:
     def test_extra_read_rejected(self):
         entry = self.make_entry(ReadWriteSet())
         rw = ReadWriteSet()
-        rw.record_read(storage_key(Address.from_int(1), 0), 0)
+        rw.record_read(storage_key(address_from_int(1), 0), 0)
 
         class R:
             gas_used = 1000
@@ -314,9 +312,9 @@ class TestApplierUnit:
 
     def test_wrong_write_value_rejected(self):
         rw_prop = ReadWriteSet()
-        rw_prop.record_write(storage_key(Address.from_int(1), 0), 5)
+        rw_prop.record_write(storage_key(address_from_int(1), 0), 5)
         rw_val = ReadWriteSet()
-        rw_val.record_write(storage_key(Address.from_int(1), 0), 6)
+        rw_val.record_write(storage_key(address_from_int(1), 0), 6)
         entry = self.make_entry(rw_prop)
 
         class R:

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import Receipt
-from repro.common.hashing import Hash32, hash_of, keccak
+from repro.common.hashing import hash_of, keccak
 from repro.common.rlp import rlp_decode, rlp_encode, rlp_int, rlp_list, rlp_string
-from repro.common.types import Address
+from repro.common.types import address, hash32
 from repro.evm.interpreter import Log
 from repro.state.account import AccountData, encode_account
 from repro.state.trie import _extension, _leaf, _node_rlp, hp_encode
@@ -22,8 +22,8 @@ from repro.store.codec import encode_transaction
 from repro.txpool.transaction import Transaction
 
 u256 = st.one_of(st.sampled_from([0, 1, 0x7F, 0x80, 2**255, 2**256 - 1]), st.integers(0, 2**256 - 1))
-addresses = st.binary(min_size=20, max_size=20).map(Address)
-hashes = st.binary(min_size=32, max_size=32).map(Hash32)
+addresses = st.binary(min_size=20, max_size=20).map(address)
+hashes = st.binary(min_size=32, max_size=32).map(hash32)
 payloads = st.one_of(st.sampled_from([b"", b"\x00", b"\x7f", b"\x80", b"\xab" * 100]), st.binary(max_size=80))
 logs = st.builds(Log, addresses, st.lists(u256, max_size=4).map(tuple), payloads)
 transactions = st.builds(

@@ -3,19 +3,19 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import Assembler, asm
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
 from tests.test_evm_interpreter import CONTRACT, OTHER, SENDER, run_code, word
 
-LIB = Address.from_int(0xEEEE)
+LIB = address_from_int(0xEEEE)
 
 
 class TestDelegateCall:
     def delegate_to_lib(self, out_size=0):
         """DELEGATECALL LIB with no calldata."""
-        return [out_size, 0, 0, 0, LIB.to_int(), 200_000, "DELEGATECALL"]
+        return [out_size, 0, 0, 0, address_to_int(LIB), 200_000, "DELEGATECALL"]
 
     def test_writes_land_in_caller_storage(self):
         # library writes 7 to slot 1 — of the *caller's* storage
@@ -39,7 +39,7 @@ class TestDelegateCall:
             program, extra={LIB: AccountData(code=lib_code)}, value=0
         )
         assert result.success
-        assert word(result) == SENDER.to_int()
+        assert word(result) == address_to_int(SENDER)
 
     def test_empty_library_succeeds(self):
         program = asm(self.delegate_to_lib() + [0, "MSTORE", 32, 0, "RETURN"])
@@ -73,7 +73,7 @@ class TestReentrancy:
         a.push(1).push(0).op("SSTORE")
         # call OTHER (B) with no data
         a.push(0).push(0).push(0).push(0).push(0)
-        a.push(OTHER.to_int()).push(150_000).op("CALL").op("POP")
+        a.push(address_to_int(OTHER)).push(150_000).op("CALL").op("POP")
         a.op("STOP")
         a.label("reentered")
         a.push(0).op("SLOAD").push(1).op("SSTORE")
@@ -83,7 +83,7 @@ class TestReentrancy:
         # contract B: call back into A
         b = Assembler()
         b.push(0).push(0).push(0).push(0).push(0)
-        b.push(CONTRACT.to_int()).push(100_000).op("CALL").op("POP").op("STOP")
+        b.push(address_to_int(CONTRACT)).push(100_000).op("CALL").op("POP").op("STOP")
         b_code = b.assemble()
 
         result, state = run_code(a_code, extra={OTHER: AccountData(code=b_code)})
@@ -96,7 +96,7 @@ class TestReentrancy:
         Python stack or consuming unbounded gas."""
         a = Assembler()
         a.push(0).push(0).push(0).push(0).push(0)
-        a.push(CONTRACT.to_int()).push(10_000_000).op("CALL")
+        a.push(address_to_int(CONTRACT)).push(10_000_000).op("CALL")
         a.push(0).op("MSTORE").push(32).push(0).op("RETURN")
         result, _ = run_code(a.assemble(), gas=5_000_000)
         assert result.success  # outermost frame survives
@@ -107,7 +107,7 @@ class TestReentrancy:
         same whatever the gas limit — not a 64th of it per level."""
         a = Assembler()
         a.push(0).push(0).push(0).push(0).push(0)
-        a.push(CONTRACT.to_int()).op("GAS").op("CALL").op("STOP")
+        a.push(address_to_int(CONTRACT)).op("GAS").op("CALL").op("STOP")
         used = [run_code(a.assemble(), gas=gas)[0].gas_used for gas in (200_000, 2_000_000)]
         assert used[0] == used[1] <= 40_000
 
@@ -127,7 +127,7 @@ class TestStateDBJournalProperty:
     def test_full_revert_is_identity(self, ops):
         """Any op sequence followed by revert_to(0) leaves state (and its
         committed root) exactly as before."""
-        accounts = [Address.from_int(0x40 + i) for i in range(4)]
+        accounts = [address_from_int(0x40 + i) for i in range(4)]
         base = genesis_snapshot(
             {a: AccountData(balance=1000, storage={1: 7}) for a in accounts}
         )

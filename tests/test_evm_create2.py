@@ -2,7 +2,7 @@
 
 
 from repro.common.hashing import keccak
-from repro.common.types import Address
+from repro.common.types import address, address_from_int, address_to_int
 from repro.evm.asm import Assembler, asm
 from repro.evm.interpreter import contract_address2
 from tests.test_evm_interpreter import CONTRACT, run_code, word
@@ -31,7 +31,7 @@ class TestCreate2:
             create2_program(salt=42), data=INITCODE, gas=3_000_000
         )
         assert result.success
-        created = Address.from_int(word(result))
+        created = address_from_int(word(result))
         assert created == contract_address2(CONTRACT, 42, INITCODE)
         assert state.get_code(created) == b"\x01"
 
@@ -68,7 +68,7 @@ class TestCreate2:
         a = contract_address2(CONTRACT, 5, INITCODE)
         b = contract_address2(CONTRACT, 5, INITCODE)
         assert a == b
-        assert a == Address(
+        assert a == address(
             keccak(
                 b"\xff"
                 + bytes(CONTRACT)
@@ -84,7 +84,7 @@ class TestCreate2:
 
         creator = create2_program(salt=1, out_to_stack=False) + bytes([0x00])
         program = _asm(
-            [32, 0, 0, 0, OTHER.to_int(), 500_000, "STATICCALL"]
+            [32, 0, 0, 0, address_to_int(OTHER), 500_000, "STATICCALL"]
             + [0, "MSTORE", 32, 0, "RETURN"]
         )
         result, _ = run_code(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import hash_of
-from repro.common.types import Address
+from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import asm
 from repro.evm.disasm import disassemble, format_disassembly, reassembles_identically
 from repro.evm.interpreter import EVM, ExecutionContext, analyse
@@ -52,13 +52,13 @@ class TestExtCode:
     def test_extcodesize(self):
         extra = {OTHER: AccountData(code=b"\x01\x02\x03")}
         result, _ = run_code(
-            returns_top_of_stack([OTHER.to_int(), "EXTCODESIZE"]), extra=extra
+            returns_top_of_stack([address_to_int(OTHER), "EXTCODESIZE"]), extra=extra
         )
         assert word(result) == 3
 
     def test_extcodesize_empty_account(self):
         result, _ = run_code(
-            returns_top_of_stack([Address.from_int(0x1234).to_int(), "EXTCODESIZE"])
+            returns_top_of_stack([address_to_int(address_from_int(0x1234)), "EXTCODESIZE"])
         )
         assert word(result) == 0
 
@@ -66,7 +66,7 @@ class TestExtCode:
         extra = {OTHER: AccountData(code=bytes(range(1, 33)))}
         # copy other's code[0:32] to mem[0], return it
         program = asm(
-            [32, 0, 0, OTHER.to_int(), "EXTCODECOPY", 32, 0, "RETURN"]
+            [32, 0, 0, address_to_int(OTHER), "EXTCODECOPY", 32, 0, "RETURN"]
         )
         result, _ = run_code(program, extra=extra)
         assert result.success
@@ -74,7 +74,7 @@ class TestExtCode:
 
     def test_extcodecopy_pads_with_zeros(self):
         extra = {OTHER: AccountData(code=b"\xaa")}
-        program = asm([4, 0, 0, OTHER.to_int(), "EXTCODECOPY", 4, 0, "RETURN"])
+        program = asm([4, 0, 0, address_to_int(OTHER), "EXTCODECOPY", 4, 0, "RETURN"])
         result, _ = run_code(program, extra=extra)
         assert result.output == b"\xaa\x00\x00\x00"
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.hashing import keccak
-from repro.common.types import Address
+from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import Assembler, asm
 from repro.evm.interpreter import EVM, EVMConfig, ExecutionContext, InvalidTransaction
 from repro.evm.interpreter import contract_address
@@ -11,9 +11,9 @@ from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
 from repro.txpool.transaction import Transaction
 
-SENDER = Address.from_int(0xAAAA)
-CONTRACT = Address.from_int(0xCCCC)
-OTHER = Address.from_int(0xDDDD)
+SENDER = address_from_int(0xAAAA)
+CONTRACT = address_from_int(0xCCCC)
+OTHER = address_from_int(0xDDDD)
 ETHER = 10**18
 
 
@@ -164,9 +164,9 @@ class TestControlFlow:
 class TestEnvironment:
     def test_caller_and_address(self):
         result, _ = run_code(returns_top_of_stack(["CALLER"]))
-        assert word(result) == SENDER.to_int()
+        assert word(result) == address_to_int(SENDER)
         result, _ = run_code(returns_top_of_stack(["ADDRESS"]))
-        assert word(result) == CONTRACT.to_int()
+        assert word(result) == address_to_int(CONTRACT)
 
     def test_callvalue(self):
         result, _ = run_code(returns_top_of_stack(["CALLVALUE"]), value=123)
@@ -191,7 +191,7 @@ class TestEnvironment:
         assert word(result) == 77
 
     def test_balance_opcode(self):
-        program = returns_top_of_stack([CONTRACT.to_int(), "BALANCE"])
+        program = returns_top_of_stack([address_to_int(CONTRACT), "BALANCE"])
         result, _ = run_code(program, value=55)
         assert word(result) == 55  # value arrived before execution
 
@@ -279,7 +279,7 @@ class TestCalls:
     def call_program(self, callee_gas=100_000, value=0, out_size=32):
         """CALL OTHER with no calldata, copy out_size bytes of returndata."""
         return [
-            out_size, 0, 0, 0, value, OTHER.to_int(), callee_gas, "CALL",
+            out_size, 0, 0, 0, value, address_to_int(OTHER), callee_gas, "CALL",
         ]
 
     def test_call_executes_callee(self):
@@ -323,7 +323,7 @@ class TestCalls:
     def test_staticcall_blocks_writes(self):
         callee = self.make_callee([1, 5, "SSTORE", "STOP"])
         program = asm(
-            [32, 0, 0, 0, OTHER.to_int(), 100_000, "STATICCALL"]
+            [32, 0, 0, 0, address_to_int(OTHER), 100_000, "STATICCALL"]
             + [0, "MSTORE", 32, 0, "RETURN"]
         )
         result, state = run_code(program, extra=callee)
@@ -345,7 +345,7 @@ class TestCalls:
         # self-recursive contract: CALL itself forever
         a = Assembler()
         a.push(0).push(0).push(0).push(0).push(0)
-        a.push(CONTRACT.to_int()).push(500_000).op("CALL").op("POP").op("STOP")
+        a.push(address_to_int(CONTRACT)).push(500_000).op("CALL").op("POP").op("STOP")
         result, _ = run_code(a.assemble(), gas=10_000_000)
         # recursion terminates via depth limit / 63/64 rule without crashing
         assert result.success
@@ -371,8 +371,8 @@ class TestCreate:
         a.push(0).op("MSTORE").push(32).push(0).op("RETURN")
         result, state = run_code(a.assemble(), data=initcode, gas=3_000_000)
         assert result.success
-        created = Address.from_int(word(result))
-        assert created != Address.from_int(0)
+        created = address_from_int(word(result))
+        assert created != address_from_int(0)
         assert state.get_code(created) == b"\x00\x00"
 
     def test_top_level_create_transaction(self):
@@ -434,7 +434,7 @@ class TestApplyTransaction:
 
     def test_deferred_coinbase_not_credited_inline(self):
         state = make_state()
-        coinbase = Address.from_int(0xFEE)
+        coinbase = address_from_int(0xFEE)
         ctx = ExecutionContext(coinbase=coinbase)
         tx = Transaction(SENDER, OTHER, 0, b"", 21000, 2, 0)
         EVM().apply_transaction(state, tx, ctx)
@@ -442,7 +442,7 @@ class TestApplyTransaction:
 
     def test_inline_coinbase_credit_when_not_deferred(self):
         state = make_state()
-        coinbase = Address.from_int(0xFEE)
+        coinbase = address_from_int(0xFEE)
         ctx = ExecutionContext(coinbase=coinbase)
         evm = EVM(EVMConfig(defer_coinbase=False))
         tx = Transaction(SENDER, OTHER, 0, b"", 21000, 2, 0)

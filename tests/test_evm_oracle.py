@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import asm
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
 from repro.evm.opcodes import OPCODES
@@ -30,13 +30,13 @@ from repro.workload import contracts
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 from tests.evm_oracle import OracleEVM
 
-SENDER = Address.from_int(0xAAAA)
-CONTRACT = Address.from_int(0xCCCC)
-CALLEE = Address.from_int(0xDDDD)
+SENDER = address_from_int(0xAAAA)
+CONTRACT = address_from_int(0xCCCC)
+CALLEE = address_from_int(0xDDDD)
 CTX = ExecutionContext(
     block_number=300,
     timestamp=1_700_000_000,
-    coinbase=Address.from_int(0xC0),
+    coinbase=address_from_int(0xC0),
     recent_block_hashes=((299, b"\x11" * 32), (44, b"\x22" * 32)),
 )
 
@@ -51,7 +51,7 @@ words = st.one_of(
     st.integers(0, 96),
     st.integers(0, 96),
     st.sampled_from(BOUNDARY),
-    st.sampled_from([CALLEE.to_int(), CONTRACT.to_int(), SENDER.to_int()]),
+    st.sampled_from([address_to_int(CALLEE), address_to_int(CONTRACT), address_to_int(SENDER)]),
     st.integers(0, 2**256 - 1),
 )
 
@@ -73,7 +73,7 @@ def steps(draw) -> bytes:
     if op.name in ("CALL", "STATICCALL", "DELEGATECALL"):
         # bottom-to-top push order: the last operand pushed is the gas
         operands[-1] = draw(st.sampled_from([0, 700, 5_000, 50_000, 2**256 - 1]))
-        operands[-2] = draw(st.sampled_from([CALLEE.to_int(), CONTRACT.to_int(), 0x99]))
+        operands[-2] = draw(st.sampled_from([address_to_int(CALLEE), address_to_int(CONTRACT), 0x99]))
         for i in range(len(operands) - 2):
             operands[i] = draw(st.integers(0, 96))
     elif op.name in ("CREATE", "CREATE2"):
@@ -226,9 +226,9 @@ class TestAgainstParentStepper:
         (guards the generators against silently never reaching them)."""
         callee = asm([1, 0, "SSTORE", 0x2A, 0, "MSTORE", 32, 0, "LOG0", 32, 0, "RETURN"])
         initcode = contracts.deploy_initcode(callee)
-        program = [32, 0, 0, 0, 0, CALLEE.to_int(), 50_000, "CALL", "POP"]
-        program += [32, 0, 0, 0, CALLEE.to_int(), 50_000, "STATICCALL", "POP"]
-        program += [32, 0, 0, 0, CALLEE.to_int(), 50_000, "DELEGATECALL", "POP"]
+        program = [32, 0, 0, 0, 0, address_to_int(CALLEE), 50_000, "CALL", "POP"]
+        program += [32, 0, 0, 0, address_to_int(CALLEE), 50_000, "STATICCALL", "POP"]
+        program += [32, 0, 0, 0, address_to_int(CALLEE), 50_000, "DELEGATECALL", "POP"]
         program += [len(initcode), 0, 0, "CALLDATACOPY", len(initcode), 0, 0, "CREATE"]
         program += [0, "MSTORE", 7, len(initcode), 0, 0, "CREATE2", 32, "MSTORE", 64, 0, "RETURN"]
         genesis = make_genesis(asm(program), callee)
@@ -238,6 +238,34 @@ class TestAgainstParentStepper:
         # each CREATE counts twice: the instruction and the account creation
         assert dict(seen["trace"])["create"] == 4 and any(seen["output"])
         assert_same(genesis, tx)
+
+
+    @pytest.mark.parametrize("op", ["CALL", "STATICCALL", "DELEGATECALL"])
+    def test_a_short_return_leaves_the_charged_tail_backed(self, op):
+        """The call charges memory to its out-range's end and grows it there,
+        whatever the callee returns: after a 32-byte return into a 256-byte
+        out-range, MSIZE reads 256 and a load in the unwritten tail costs what
+        a load at offset 0 does — it is not charged the expansion again.  Run
+        twice per program, so the compiled runs are checked too."""
+        callee = asm([0x2A, 0, "MSTORE", 32, 0, "RETURN"])
+        value = [0] if op == "CALL" else []
+
+        def program(load_at):
+            return asm(
+                [256, 0, 0, 0, *value, address_to_int(CALLEE), 50_000, op, "POP"]
+                + ["MSIZE", 0, "MSTORE", load_at, "MLOAD", 32, "MSTORE", 64, 0, "RETURN"]
+            )
+
+        seen = {}
+        for load_at in (224, 0):
+            genesis = make_genesis(program(load_at), callee)
+            tx = make_tx(b"", 200_000, 0, 1)
+            for _ in range(2):
+                assert_same(genesis, tx)
+            seen[load_at] = observe(EVM(), genesis, tx)
+        tail, head = seen[224], seen[0]
+        assert tail["success"] and int.from_bytes(tail["output"][:32], "big") == 256
+        assert tail["gas_used"] == head["gas_used"]
 
 
 class TestWorkloadContracts:

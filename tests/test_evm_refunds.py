@@ -1,6 +1,7 @@
 """SSTORE clearing-refund tests (journaled across call frames)."""
 
 
+from repro.common.types import address_to_int
 from repro.evm.asm import asm
 from repro.evm.gas import DEFAULT_GAS_SCHEDULE as G
 from repro.state.account import AccountData
@@ -49,7 +50,7 @@ class TestRefunds:
         callee_clear_then_fail = asm([0, 5, "SSTORE", "POP"])  # POP underflows
         callee_clear_ok = asm([0, 5, "SSTORE", "STOP"])
         caller = asm(
-            [0, 0, 0, 0, 0, OTHER.to_int(), 100_000, "CALL", "POP", "STOP"]
+            [0, 0, 0, 0, 0, address_to_int(OTHER), 100_000, "CALL", "POP", "STOP"]
         )
         r_fail, _ = run_code(
             caller,

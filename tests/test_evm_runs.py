@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
+from repro.common.types import address_to_int
 from repro.evm import interpreter
 from repro.evm.asm import asm
 from repro.evm.disasm import format_disassembly
@@ -140,7 +141,7 @@ def bounded_steps(draw) -> bytes:
         return asm([draw(words), draw(st.sampled_from([0, 1, 2, 32])), kind])
     if kind == "STATICCALL":
         gas = draw(st.sampled_from([0, 3_000, 30_000]))
-        return asm([size, offset, size, offset, CALLEE.to_int(), gas, kind])
+        return asm([size, offset, size, offset, address_to_int(CALLEE), gas, kind])
     return asm([kind])
 
 
@@ -238,7 +239,7 @@ class TestRunBoundariesAreInvisible:
             if inner_gas is None:
                 genesis = make_genesis(code, b"")
             else:
-                caller = asm([0, 0, 0, 0, 0, CALLEE.to_int(), inner_gas, "CALL", 0, "MSTORE", 32, 0, "RETURN"])
+                caller = asm([0, 0, 0, 0, 0, address_to_int(CALLEE), inner_gas, "CALL", 0, "MSTORE", 32, 0, "RETURN"])
                 genesis = make_genesis(caller, code)
             success, _, output, _, error, _, trace = assert_invisible(genesis, b"", 100_000)
             inner_ok = success if inner_gas is None else output == word(1)
@@ -324,7 +325,7 @@ class TestBoundedRuns:
         assert run_heads(callee, [_BOUNDED]) == [0]
         outputs, worlds = {}, {}
         for op, value in (("STATICCALL", []), ("CALL", [0])):
-            caller = asm([0, 0, 0, 0, *value, CALLEE.to_int(), child_gas, op, 0, "MSTORE", 32, 0, "RETURN"])
+            caller = asm([0, 0, 0, 0, *value, address_to_int(CALLEE), child_gas, op, 0, "MSTORE", 32, 0, "RETURN"])
             worlds[op] = make_genesis(caller, callee)
             success, _, outputs[op], *_ = sweep(worlds[op])
             assert success

@@ -5,6 +5,7 @@ import io
 import multiprocessing.process
 import os
 import pickle
+import pickletools
 import signal
 import threading
 import time
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.__main__ import build_parser
 from repro.chain.blockchain import Blockchain
-from repro.common.types import Address
+from repro.common.types import address, address_from_int
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
@@ -157,8 +158,8 @@ class _FakeSnapshot:
 
 
 class TestFootprintGuards:
-    A = Address(b"\xaa" * 20)
-    B = Address(b"\xbb" * 20)
+    A = address(b"\xaa" * 20)
+    B = address(b"\xbb" * 20)
 
     def test_guarded_snapshot_allows_footprint(self):
         base = _FakeSnapshot({self.A: "acct-a"})
@@ -212,7 +213,7 @@ class TestCliSurface:
 
 def _ctx(number=1):
     return ExecutionContext(
-        block_number=number, timestamp=1_000, coinbase=Address(b"\xcc" * 20), gas_limit=30_000_000
+        block_number=number, timestamp=1_000, coinbase=address(b"\xcc" * 20), gas_limit=30_000_000
     )
 
 
@@ -274,6 +275,29 @@ class _CountingProxy(backend_module.ExecutionBackend):
 
     def close(self):
         self._inner.close()
+
+
+def _pickled_globals(blob):
+    """Every ``(module, name)`` a pickle refers to, read off its opcodes: a
+    protocol-4 ``STACK_GLOBAL`` takes the two strings pushed just before it,
+    either literally or fetched back from the memo."""
+    memo, strings, named = [], [], set()
+    value = None  # what the previous opcode pushed, when it was a string
+    for op, arg, _ in pickletools.genops(blob):
+        if op.name == "MEMOIZE":
+            memo.append(value)
+            continue
+        value = None
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "UNICODE"):
+            value = arg
+        elif op.name in ("BINGET", "LONG_BINGET", "GET"):
+            value = memo[int(arg)]
+        elif op.name == "STACK_GLOBAL":
+            named.add((strings[-2], strings[-1]))
+        elif op.name == "GLOBAL":
+            named.add(tuple(arg.split(" ", 1)))
+        strings.append(value)
+    return named
 
 
 def _drive(universe, generator, backend, blocks):
@@ -449,7 +473,7 @@ class TestLostWorker:
             assert backend.stats["workers_forked"] == 2
 
     def test_worker_refuses_a_state_it_does_not_hold(self, small_universe):
-        stranger = genesis_snapshot({Address(b"\x01" * 20): AccountData(balance=1)})
+        stranger = genesis_snapshot({address(b"\x01" * 20): AccountData(balance=1)})
         with ProcessBackend(2) as backend:
             backend.open(_propose_shared(small_universe.genesis))
             # desynchronise the parent's mirror: it now believes ``stranger`` was sent
@@ -549,6 +573,20 @@ class TestWhatCrosses:
         assert [shared.base for shared, _ in proxy.opens] == [genesis, genesis]
         assert all(sent < 2048 for _, sent in proxy.opens)
 
+    def test_a_dispatch_names_no_identifier_or_key_class(self, small_universe, small_generator):
+        """Addresses and hashes are plain ``bytes`` and state keys plain
+        tuples, so what ``ProcessBackend.map`` sends a worker holds pickle's
+        native byte strings and tuples: no class from ``repro.common.types``
+        or ``repro.state.access`` for the worker to look up."""
+        with _CountingProxy(ProcessBackend(2)) as proxy:
+            _drive(small_universe, small_generator, proxy, 2)
+        named = set()
+        for fn, payloads, _ in proxy.maps:
+            named |= _pickled_globals(pickle.dumps(("map", fn, payloads), pickle.HIGHEST_PROTOCOL))
+        # the scan sees globals: the task functions cross by reference
+        assert {("repro.exec.tasks", "run_propose_chunk"), ("repro.exec.tasks", "run_validate_lane")} <= named
+        assert not {module for module, _ in named} & {"repro.common.types", "repro.state.access"}
+
     def test_mainnet_block_syncs_less_than_twice_its_encoding(self):
         universe = build_universe()
         generator = BlockWorkloadGenerator(
@@ -572,7 +610,7 @@ class TestWhatCrosses:
 # the state delta                                                       #
 # --------------------------------------------------------------------- #
 
-_ADDRESSES = [Address.from_int(0x700 + i) for i in range(8)]
+_ADDRESSES = [address_from_int(0x700 + i) for i in range(8)]
 _accounts = st.builds(
     AccountData,
     nonce=st.integers(0, 3),

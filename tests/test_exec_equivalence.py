@@ -17,7 +17,7 @@ import pytest
 from repro.chain.block import BlockProfile, transactions_root
 from repro.chain.blockchain import Blockchain
 from repro.check.fuzzer import forge_lying_profile_block
-from repro.common.types import Address
+from repro.common.types import address, address_from_int
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.proposer import seal_block
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
@@ -48,7 +48,7 @@ ETHER = 10**18
 
 
 def _coinbase():
-    return Address(b"\xcc" * 20)
+    return address(b"\xcc" * 20)
 
 
 def _ctx(gas_limit=30_000_000):
@@ -89,7 +89,7 @@ def _with_invalid_tx(block, index):
 
 
 def _world(n=10):
-    eoas = [Address.from_int(0x900 + i) for i in range(n)]
+    eoas = [address_from_int(0x900 + i) for i in range(n)]
     return eoas, genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
 
 

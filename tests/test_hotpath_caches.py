@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.common.hashing import keccak
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.artifacts import ArtifactCache, BlockArtifacts, profile_footprints
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -99,7 +99,7 @@ class TestCommitEquivalence:
     @pytest.mark.parametrize("seed", [0, 9, 123])
     def test_randomized_commit_matches_from_scratch_rebuild(self, seed):
         rng = random.Random(seed)
-        addrs = [Address.from_int(1000 + i) for i in range(8)]
+        addrs = [address_from_int(1000 + i) for i in range(8)]
         alloc = {}
         for a in addrs:
             storage = {s: rng.randint(1, 50) for s in rng.sample(range(64), 24)}
@@ -136,7 +136,7 @@ class TestCommitEquivalence:
                 assert snapshot.storage_root(a) == rebuilt.storage_root(a)
 
     def test_noop_only_commit_keeps_root(self):
-        a = Address.from_int(42)
+        a = address_from_int(42)
         snapshot = genesis_snapshot(
             {a: AccountData(nonce=1, balance=100, code=b"", storage={7: 9})}
         )
@@ -148,8 +148,8 @@ class TestCommitEquivalence:
         assert committed.state_root() == snapshot.state_root()
 
     def test_eip158_empty_account_still_pruned(self):
-        a = Address.from_int(42)
-        b = Address.from_int(43)
+        a = address_from_int(42)
+        b = address_from_int(43)
         snapshot = genesis_snapshot(
             {a: AccountData(nonce=0, balance=5, code=b"", storage={})}
         )
@@ -168,7 +168,7 @@ class TestBaseReadCache:
 
     def test_cached_reads_match_read_base_value(self):
         rng = random.Random(3)
-        addrs = [Address.from_int(10 + i) for i in range(4)]
+        addrs = [address_from_int(10 + i) for i in range(4)]
         alloc = {
             a: AccountData(
                 nonce=i, balance=100 * (i + 1), code=b"", storage={1: i + 5}
@@ -178,7 +178,7 @@ class TestBaseReadCache:
         base = genesis_snapshot(alloc)
         store = MultiVersionStore(base)
         keys = []
-        for a in addrs + [Address.from_int(999)]:  # incl. an absent account
+        for a in addrs + [address_from_int(999)]:  # incl. an absent account
             keys += [balance_key(a), nonce_key(a), storage_key(a, 1), storage_key(a, 2)]
         rng.shuffle(keys)
         for key in keys * 3:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address_from_int, hash32
 from repro.network.node import ProposerNode, ValidatorNode
 from repro.state.proofs import (
     ProofError,
@@ -53,7 +53,7 @@ class TestGetLogs:
             assert fast == naive
 
     def test_absent_address_empty(self, grown_chain):
-        ghost = Address.from_int(0xDEAD0001)
+        ghost = address_from_int(0xDEAD0001)
         assert grown_chain.get_logs(address=ghost) == []
 
     def test_block_range(self, grown_chain):
@@ -113,7 +113,7 @@ class TestStorageProofs:
 
     def test_absent_account_proves_zero(self, grown_chain):
         snapshot = grown_chain.head_state
-        ghost = Address.from_int(0xDEAD0002)
+        ghost = address_from_int(0xDEAD0002)
         account_proof, storage_proof = prove_storage(snapshot, ghost, 0)
         assert storage_proof == []
         assert (
@@ -124,8 +124,6 @@ class TestStorageProofs:
         )
 
     def test_wrong_root_rejected(self, grown_chain, small_universe):
-        from repro.common.types import Hash32
-
         snapshot = grown_chain.head_state
         pool, _, _ = small_universe.amms[0]
         account_proof, storage_proof = prove_storage(
@@ -133,7 +131,7 @@ class TestStorageProofs:
         )
         with pytest.raises(ProofError):
             verify_storage_proof(
-                Hash32(b"\x01" * 32), pool, AMM_RESERVE0_SLOT,
+                hash32(b"\x01" * 32), pool, AMM_RESERVE0_SLOT,
                 account_proof, storage_proof,
             )
 

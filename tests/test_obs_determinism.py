@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.proposer import seal_block
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -205,7 +205,7 @@ class TestBackendDeterminism:
         return ExecutionContext(
             block_number=1,
             timestamp=1_000,
-            coinbase=Address(b"\xcc" * 20),
+            coinbase=address(b"\xcc" * 20),
             gas_limit=30_000_000,
         )
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.blockchain import Blockchain
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.proposer import seal_block
 from repro.core.validator import ParallelValidator, ValidatorConfig
@@ -24,8 +24,8 @@ from repro.txpool.transaction import Transaction
 
 ETHER = 10**18
 N_ACCOUNTS = 6
-ACCOUNTS = [Address.from_int(0x500 + i) for i in range(N_ACCOUNTS)]
-COUNTER = Address.from_int(0x7777)
+ACCOUNTS = [address_from_int(0x500 + i) for i in range(N_ACCOUNTS)]
+COUNTER = address_from_int(0x7777)
 #: bump(): slot0 += 1 — the purest §2.3 counter conflict
 COUNTER_CODE = asm([0, "SLOAD", 1, "ADD", 0, "SSTORE", "STOP"])
 CTX = ExecutionContext(block_number=1, timestamp=5)
@@ -126,7 +126,7 @@ class TestOCCWSIProperties:
         sealed = seal_block(
             result,
             chain.genesis.header,
-            coinbase=Address.from_int(0xFEE),
+            coinbase=address_from_int(0xFEE),
             timestamp=5,
             gas_limit=30_000_000,
         )

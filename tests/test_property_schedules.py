@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.depgraph import build_dependency_graph
 from repro.core.scheduler import SCHEDULER_POLICIES, schedule_components
 from repro.simcore.lanes import LaneGroup
 
-A = [Address.from_int(0x600 + i) for i in range(10)]
+A = [address_from_int(0x600 + i) for i in range(10)]
 
 
 @st.composite

@@ -13,16 +13,15 @@ import pickle
 import pytest
 
 from repro.chain.block import BlockHeader, Receipt, TxProfileEntry
-from repro.common.hashing import Hash32
-from repro.common.types import Address
+from repro.common.types import address, hash32
 from repro.evm.interpreter import Log
 from repro.simcore.costmodel import TraceCosts
 from repro.state.access import ReadWriteSet
 from repro.state.account import AccountData
 from repro.txpool.transaction import Transaction
 
-A, B = Address(b"\x01" * 20), Address(b"\x02" * 20)
-H = Hash32(b"\x07" * 32)
+A, B = address(b"\x01" * 20), address(b"\x02" * 20)
+H = hash32(b"\x07" * 32)
 
 
 def _tx(**overrides):

@@ -3,8 +3,9 @@
 A height that falls ``RESIDENT_HEIGHTS`` below the head is final: its
 blocks, states and transaction-index entries leave memory, queries about
 them answer ``None``, and a block built on one of them is an unknown
-parent.  Whole-run totals (uncles, canonical transactions) survive the
-drop.
+parent.  Totals (uncles, canonical transactions) survive the drop; they
+count from the chain's base, which is genesis unless the chain was resumed
+from a checkpoint.
 """
 
 import dataclasses
@@ -73,6 +74,25 @@ def test_uncle_totals_survive_the_window(small_universe, pairs):
     assert [u.hash for u in uncles] == [_sibling(pairs[depth - 1][0]).hash]
     assert chain.uncles_at(chain.base_height)
     assert chain.uncles_at(chain.base_height - 1) == []
+
+
+def test_a_checkpointed_chain_counts_from_its_checkpoint(small_universe, pairs):
+    """``from_checkpoint`` carries no totals (the manifest holds none): a
+    resumed chain counts uncles and canonical transactions above it only."""
+    full = Blockchain(small_universe.genesis)
+    for block, post_state in pairs:
+        full.add_block(block, post_state)
+    cut = RESIDENT_HEIGHTS
+    checkpoint, checkpoint_state = pairs[cut - 1]
+    resumed = Blockchain.from_checkpoint(checkpoint.header, checkpoint_state)
+    assert resumed.uncle_count() == resumed.canonical_tx_count() == 0
+    for block, post_state in pairs[cut:]:
+        resumed.add_block(block, post_state)
+        assert not resumed.add_block(_sibling(block), post_state)
+    assert resumed.head.hash == full.head.hash
+    assert resumed.canonical_tx_count() == sum(len(b) for b, _ in pairs[cut:])
+    assert resumed.canonical_tx_count() < full.canonical_tx_count()
+    assert resumed.uncle_count() == len(pairs) - cut
 
 
 def test_a_block_whose_parent_left_is_refused(small_universe, pairs):

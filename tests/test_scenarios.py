@@ -23,6 +23,7 @@ import pytest
 
 from repro.chain.blockchain import Blockchain
 from repro.check.oracle import verify_commit_order
+from repro.common.types import address_to_int
 from repro.core.occ_wsi import ProposerConfig
 from repro.network.node import ProposerNode
 from repro.workload.scenarios import (
@@ -208,7 +209,7 @@ class TestLongTail:
         assert isinstance(stream, LongTailStream)
         txs = stream.generate_block_txs()
         assert all(t.tag == "payment" for t in txs)
-        ranks = [t.to.to_int() - LONG_TAIL_ACCOUNT_BASE for t in txs]
+        ranks = [address_to_int(t.to) - LONG_TAIL_ACCOUNT_BASE for t in txs]
         assert all(0 <= r < 1_000_000 for r in ranks)
         # Zipf head *and* tail are both visited
         assert min(ranks) < 100

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_encode
-from repro.common.types import Address, Hash32
+from repro.common.types import address, hash32
 from repro.state.account import AccountData
 from repro.state.proofs import ProofError, prove_storage, verify_proof, verify_storage_proof
 from repro.state.statedb import genesis_snapshot
@@ -22,7 +22,7 @@ from repro.state.trie import bytes_to_nibbles, hp_encode
 def self_rooted(node):
     """A one-node proof and the root it authenticates against."""
     encoding = rlp_encode(node)
-    return Hash32(keccak(encoding)), [encoding]
+    return hash32(keccak(encoding)), [encoding]
 
 
 class TestMalformedNodes:
@@ -54,20 +54,20 @@ class TestMalformedNodes:
         ids=["list", "not-rlp", "list-storage-root", "short-storage-root"],
     )
     def test_storage_proof_over_a_malformed_account(self, value):
-        address = Address(b"\x07" * 20)
-        path = bytes_to_nibbles(keccak(bytes(address)))
+        account = address(b"\x07" * 20)
+        path = bytes_to_nibbles(keccak(account))
         root, account_proof = self_rooted([hp_encode(path, True), value])
         with pytest.raises(ProofError):
-            verify_storage_proof(root, address, 0, account_proof, [])
+            verify_storage_proof(root, account, 0, account_proof, [])
 
 
-ADDRESSES = [Address(bytes([i + 1]) * 20) for i in range(12)]
+ADDRESSES = [address(bytes([i + 1]) * 20) for i in range(12)]
 SNAPSHOT = genesis_snapshot(
     {
-        address: AccountData(
+        account: AccountData(
             nonce=i, balance=10**18 + i, storage={slot: 7 * slot + i + 1 for slot in range(3 * i)}
         )
-        for i, address in enumerate(ADDRESSES)
+        for i, account in enumerate(ADDRESSES)
     }
 )
 
@@ -75,9 +75,9 @@ SNAPSHOT = genesis_snapshot(
 @st.composite
 def mutated_proofs(draw):
     """An honest (account, storage) proof pair with one byte-level edit."""
-    address = draw(st.sampled_from(ADDRESSES + [Address(b"\xee" * 20)]))
+    account = draw(st.sampled_from(ADDRESSES + [address(b"\xee" * 20)]))
     slot = draw(st.integers(0, 40))
-    proofs = list(map(list, prove_storage(SNAPSHOT, address, slot)))
+    proofs = list(map(list, prove_storage(SNAPSHOT, account, slot)))
     which = draw(st.sampled_from([i for i, proof in enumerate(proofs) if proof]))
     proof = proofs[which]
     index = draw(st.integers(0, len(proof) - 1))
@@ -93,7 +93,7 @@ def mutated_proofs(draw):
     else:
         element = element[:at]
     proof[index] = element
-    return address, slot, proofs
+    return account, slot, proofs
 
 
 class TestProperties:

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
 
-A1 = Address.from_int(1)
-A2 = Address.from_int(2)
-A3 = Address.from_int(3)
+A1 = address_from_int(1)
+A2 = address_from_int(2)
+A3 = address_from_int(3)
 
 
 def make_base():

@@ -680,11 +680,11 @@ class TestBatchBudget:
         assert len(built) > 2 * len(fresh)
 
     def test_a_transfer_only_commit_is_one_account_trie_batch(self, monkeypatch):
-        from repro.common.types import Address
+        from repro.common.types import address
         from repro.state.account import AccountData
         from repro.state.statedb import StateDB, genesis_snapshot
 
-        alloc = {Address(bytes([i + 1]) * 20): AccountData(balance=10**9) for i in range(40)}
+        alloc = {address(bytes([i + 1]) * 20): AccountData(balance=10**9) for i in range(40)}
         genesis = genesis_snapshot(alloc)
         batches = []
         real = MPT.update_many
@@ -696,14 +696,14 @@ class TestBatchBudget:
         monkeypatch.setattr(MPT, "update_many", counting)
         db = StateDB(genesis)
         senders = list(alloc)[:25]
-        receivers = list(alloc)[20:] + [Address(b"\xee" * 20)]  # one fresh account
+        receivers = list(alloc)[20:] + [address(b"\xee" * 20)]  # one fresh account
         for sender, receiver in zip(senders, receivers):
             db.sub_balance(sender, 1000)
             db.add_balance(receiver, 1000)
             db.increment_nonce(sender)
-        db.add_balance(Address(b"\xdd" * 20), 0)  # touched and empty: an EIP-158 delete
+        db.add_balance(address(b"\xdd" * 20), 0)  # touched and empty: an EIP-158 delete
         committed = db.commit()
-        touched = set(senders) | set(receivers) | {Address(b"\xdd" * 20)}
+        touched = set(senders) | set(receivers) | {address(b"\xdd" * 20)}
         assert [len(batch) for batch in batches] == [len(touched)]
         assert sum(1 for _, value in batches[0] if not value) == 1
         monkeypatch.undo()
@@ -717,14 +717,14 @@ class TestBatchBudget:
         per committed transaction (seal, the validator's rebuild, the store's
         write-time round trip), never per root."""
         from repro.chain import block as block_mod
-        from repro.common.types import Address
+        from repro.common.types import address
         from repro.network.node import ProposerNode, ValidatorNode
         from repro.state.account import AccountData
         from repro.state.statedb import StateDB, genesis_snapshot
         from repro.store import open_store
         from repro.txpool.transaction import Transaction
 
-        accounts = [Address(bytes([i + 1]) * 20) for i in range(30)]
+        accounts = [address(bytes([i + 1]) * 20) for i in range(30)]
         genesis = genesis_snapshot({a: AccountData(balance=10**18) for a in accounts})
         txs = [
             Transaction(sender, receiver, 1000 + i, b"", 21_000, 7, 0)
@@ -765,17 +765,22 @@ class TestBatchBudget:
 
 def _tracked_for_good(*roots):
     """How many nodes of these tries the cyclic collector still walks once
-    collections stop untracking any.  CPython untracks a tuple whose items
-    are all untracked, children before parents — one level per collection,
-    so it takes about as many collections as the trie is deep."""
+    collections stop untracking any."""
+    return _still_tracked([node for root in roots for node in _nodes(root)])
+
+
+def _still_tracked(objects):
+    """How many of ``objects`` the collector still walks once collections
+    stop untracking any.  CPython untracks a tuple whose items are all
+    untracked, children before parents — one level per collection, so it
+    takes about as many collections as the nesting is deep."""
     import gc
 
-    nodes = [node for root in roots for node in _nodes(root)]
-    assert nodes
+    assert objects
     tracked = None
     while True:
         gc.collect()
-        now = sum(map(gc.is_tracked, nodes))
+        now = sum(map(gc.is_tracked, objects))
         if now == tracked:
             return now
         tracked = now
@@ -783,7 +788,31 @@ def _tracked_for_good(*roots):
 
 class TestNothingTracked:
     """Trie nodes are plain tuples of plain ``bytes``, ``int``, ``None`` and
-    other nodes, so none stays on the collector's walk."""
+    other nodes, so none stays on the collector's walk — and neither do the
+    identifiers and state keys every rw-set is made of."""
+
+    def test_identifiers_and_every_key_of_a_sealed_profile(self, small_universe, small_generator):
+        from repro.chain.blockchain import Blockchain
+        from repro.common.types import address, address_from_hex, address_from_int, hash32, hash32_from_hex
+        from repro.network.node import ProposerNode
+
+        identifiers = [
+            address(bytearray(20)), address_from_int(7), address_from_hex("ab" * 20),
+            hash32(bytearray(32)), hash32_from_hex("0x" + "cd" * 32),
+        ]
+        assert all(type(i) is bytes for i in identifiers)
+        assert _still_tracked(identifiers) == 0
+        genesis = small_universe.genesis
+        head = Blockchain(genesis).head
+        sealed = ProposerNode("untracked").build_block(
+            head.header, genesis, small_generator.generate_block_txs()
+        )
+        rws = [entry.rw for entry in sealed.block.profile.entries]
+        pairs = [pair for rw in rws for pair in (*rw.reads, *rw.writes)]
+        keys = [key for key, _ in pairs]
+        assert len(set(keys)) > 100
+        assert {kind for kind, _, _ in keys} == {"balance", "nonce", "code", "storage"}
+        assert _still_tracked(keys + pairs + [rw.reads for rw in rws] + [rw.writes for rw in rws]) == 0
 
     def test_genesis_account_and_storage_tries(self, small_universe):
         genesis = small_universe.genesis
@@ -822,10 +851,11 @@ class TestNothingTracked:
         assert _tracked_for_good(*(t._root for t in index_tries)) == 0
 
     def test_a_bytes_subclass_inside_keeps_its_node_and_every_node_above_it(self):
-        from repro.common.types import Hash32
+        class _B(bytes):
+            pass
 
         # an extension (the shared first nibble) over a branch over two leaves
-        trie = MPT().update_many([(b"\x01", b"a" * 40), (b"\x02", Hash32(b"\x11" * 32))])
+        trie = MPT().update_many([(b"\x01", b"a" * 40), (b"\x02", _B(b"\x11" * 32))])
         assert _tracked_for_good(trie._root) == 3  # all but the plain leaf
         assert _tracked_for_good(trie.set(b"\x02", b"b" * 40)._root) == 0
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.evm.interpreter import EVM, ExecutionContext
 from repro.exec import tasks
 from repro.exec.tasks import BlockSTMView
@@ -22,8 +22,8 @@ from repro.state.statedb import StateDB, genesis_snapshot
 from repro.state.versioned import MultiVersionStore, OCCStateView
 from repro.txpool.transaction import Transaction
 
-A1 = Address.from_int(1)
-A2 = Address.from_int(2)
+A1 = address_from_int(1)
+A2 = address_from_int(2)
 
 
 def make_store():
@@ -146,7 +146,7 @@ class TestOCCStateView:
     def test_account_exists(self):
         view = OCCStateView(make_store(), 0)
         assert view.account_exists(A1)
-        assert not view.account_exists(Address.from_int(999))
+        assert not view.account_exists(address_from_int(999))
 
 
 def recorders(version=0):
@@ -243,7 +243,7 @@ class TestRecordingState:
 # the keyed view against the validator's recording path                 #
 # --------------------------------------------------------------------- #
 
-A3 = Address.from_int(3)
+A3 = address_from_int(3)
 ADDRESSES = [A1, A2, A3]
 addresses = st.sampled_from(ADDRESSES)
 slots = st.integers(0, 4)
@@ -322,9 +322,10 @@ class TestKeyedViewAgainstRecordingState:
     @staticmethod
     def _current(reference, key):
         db = reference._inner
-        if key.kind == "storage":
-            return db.get_storage(key.address, key.slot)
-        return getattr(db, "get_" + key.kind)(key.address)
+        kind, address, slot = key
+        if kind == "storage":
+            return db.get_storage(address, slot)
+        return getattr(db, "get_" + kind)(address)
 
 
 class TestKeyBudget:
@@ -353,8 +354,8 @@ class TestKeyBudget:
         counting_view = type("CountingView", (OCCStateView,), {n: counted(n) for n in interface})
         monkeypatch.setattr(tasks, "OCCStateView", counting_view)
 
-        # keys are built by the four helpers (straight through
-        # ``tuple.__new__``, so there is no ``StateKey.__new__`` to count)
+        # keys are built by the four helpers (a key is a plain tuple, so
+        # there is no class constructor to count)
         def counting(helper):
             def build(*args):
                 made_keys.append(args)
@@ -366,7 +367,7 @@ class TestKeyBudget:
             monkeypatch.setattr(versioned, helper.__name__, counting(helper))
 
         store = MultiVersionStore(rich_base())
-        receiver = Address.from_int(77)  # no code: a plain value transfer
+        receiver = address_from_int(77)  # no code: a plain value transfer
         tx = Transaction(
             sender=A1, to=receiver, value=5, data=b"", gas_limit=21_000, gas_price=2, nonce=2
         )

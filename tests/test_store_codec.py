@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import Block, BlockHeader, Receipt
-from repro.common.hashing import Hash32
-from repro.common.types import Address
+from repro.common.types import ADDRESS_BYTES, WORD_BYTES, address, hash32
 from repro.evm.interpreter import Log
 from repro.store.codec import (
     chain_digest,
@@ -32,14 +31,14 @@ pytestmark = pytest.mark.store
 
 def _header(**overrides):
     base = dict(
-        parent_hash=Hash32(b"\x01" * 32),
+        parent_hash=hash32(b"\x01" * 32),
         number=7,
-        state_root=Hash32(b"\x02" * 32),
-        transactions_root=Hash32(b"\x03" * 32),
-        receipts_root=Hash32(b"\x04" * 32),
+        state_root=hash32(b"\x02" * 32),
+        transactions_root=hash32(b"\x03" * 32),
+        receipts_root=hash32(b"\x04" * 32),
         gas_used=12345,
         gas_limit=30_000_000,
-        coinbase=Address(b"\x05" * 20),
+        coinbase=address(b"\x05" * 20),
         timestamp=1_700_000_000,
         proposer_id="node-1",
         extra=b"hello",
@@ -76,8 +75,8 @@ class TestHeaderCodec:
 class TestTransactionCodec:
     def test_transfer_round_trip(self):
         tx = Transaction(
-            sender=Address(b"\xaa" * 20),
-            to=Address(b"\xbb" * 20),
+            sender=address(b"\xaa" * 20),
+            to=address(b"\xbb" * 20),
             value=10**18,
             data=b"\x00\x01",
             gas_limit=21_000,
@@ -91,7 +90,7 @@ class TestTransactionCodec:
 
     def test_create_round_trip_none_to(self):
         tx = Transaction(
-            sender=Address(b"\xaa" * 20),
+            sender=address(b"\xaa" * 20),
             to=None,
             value=0,
             data=b"\x60\x00",
@@ -105,8 +104,8 @@ class TestTransactionCodec:
 
     def test_empty_data_and_zero_value(self):
         tx = Transaction(
-            sender=Address(b"\xaa" * 20),
-            to=Address(b"\xbb" * 20),
+            sender=address(b"\xaa" * 20),
+            to=address(b"\xbb" * 20),
             value=0,
             data=b"",
             gas_limit=21_000,
@@ -212,9 +211,11 @@ def _altered(value):
 
 
 def _dropped(value):
-    """What a decoder that forgot the field would leave: the type's zero."""
-    if isinstance(value, (Hash32, Address)):
-        return type(value)(bytes(len(value)))
+    """What a decoder that forgot the field would leave: the type's zero —
+    for an identifier (an ``Address`` or ``Hash32``, plain ``bytes`` of a
+    fixed width), zero bytes of that width."""
+    if isinstance(value, bytes) and len(value) in (ADDRESS_BYTES, WORD_BYTES):
+        return bytes(len(value))
     return type(value)()
 
 
@@ -237,8 +238,8 @@ class TestVerifyRoundtripCoversEveryField:
         of those two."""
         txs = tuple(
             Transaction(
-                sender=Address(bytes([n]) * 20),
-                to=Address(bytes([n + 1]) * 20),
+                sender=address(bytes([n]) * 20),
+                to=address(bytes([n + 1]) * 20),
                 value=n + 5,
                 data=b"\xa9\x05\x9c\xbb" + bytes([n]) * 8,
                 gas_limit=60_000 + n,
@@ -367,8 +368,8 @@ class TestVerifyRoundtripCoversEveryField:
 _WORD = st.integers(min_value=0, max_value=2**256 - 1)
 _UINT = st.one_of(st.just(0), st.integers(min_value=0, max_value=2**64))
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
-_ADDRESS = st.binary(min_size=20, max_size=20).map(Address)
-_HASH = st.binary(min_size=32, max_size=32).map(Hash32)
+_ADDRESS = st.binary(min_size=20, max_size=20).map(address)
+_HASH = st.binary(min_size=32, max_size=32).map(hash32)
 
 _HEADERS = st.builds(
     BlockHeader,
@@ -452,8 +453,8 @@ class TestRoundTripIdentity:
     def test_edge_values(self):
         """Empty ``extra`` and ``proposer_id``, a creation (``to=None``), a
         log with full-width topics, zeros in every integer field."""
-        tx = Transaction(Address(bytes(20)), None, 0, b"", 1, 0, 0)
-        log = Log(Address(b"\xff" * 20), (0, 2**256 - 1, 2**255), b"")
+        tx = Transaction(address(bytes(20)), None, 0, b"", 1, 0, 0)
+        log = Log(address(b"\xff" * 20), (0, 2**256 - 1, 2**255), b"")
         receipt = Receipt(tx.hash, False, 0, 0, 1, (log,))
         header = _header(number=0, gas_used=0, gas_limit=0, timestamp=0, extra=b"", proposer_id="")
         _assert_round_trips(Block(header, (tx,), (receipt,)))

@@ -118,7 +118,7 @@ class TestTamperDetection:
         import dataclasses
 
         from repro.chain.block import Block
-        from repro.common.hashing import Hash32
+        from repro.common.types import hash32
         from repro.store.blocklog import BlockLog
         from repro.store.manifest import Manifest
 
@@ -134,7 +134,7 @@ class TestTamperDetection:
         # rewrite block 1 with a forged state root (valid CRC, valid RLP)
         data_dir = str(tmp_path / "node")
         forged_header = dataclasses.replace(
-            pairs[0][0].header, state_root=Hash32(b"\xee" * 32)
+            pairs[0][0].header, state_root=hash32(b"\xee" * 32)
         )
         forged = Block(
             forged_header, pairs[0][0].transactions, pairs[0][0].receipts

@@ -16,7 +16,7 @@ What "equivalent" means here, precisely:
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
 from repro.evm.interpreter import EVM, ExecutionContext
@@ -51,7 +51,7 @@ def receipts_by_hash(result):
 def commutative_workload(n=14, hot_share=0.5):
     """Plain transfers, half aimed at one hot receiver: contended but
     order-independent (sums commute)."""
-    eoas = [Address.from_int(0x300 + i) for i in range(n + 2)]
+    eoas = [address_from_int(0x300 + i) for i in range(n + 2)]
     base = genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
     hot = eoas[-1]
     txs = []
@@ -148,7 +148,7 @@ class TestHotspotProperties:
         import random
 
         rng = random.Random(seed)
-        eoas = [Address.from_int(0x400 + i) for i in range(n + 4)]
+        eoas = [address_from_int(0x400 + i) for i in range(n + 4)]
         base = genesis_snapshot({a: AccountData(balance=ETHER) for a in eoas})
         hot = eoas[-1]
         txs = [

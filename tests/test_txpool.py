@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
 
-A = Address.from_int(1)
-B = Address.from_int(2)
-C = Address.from_int(3)
+A = address_from_int(1)
+B = address_from_int(2)
+C = address_from_int(3)
 
 
 def tx(sender, nonce=0, price=10, tag=""):
     return Transaction(
         sender=sender,
-        to=Address.from_int(99),
+        to=address_from_int(99),
         value=0,
         data=b"",
         gas_limit=21000,
@@ -235,7 +235,7 @@ class TestOCCFlow:
         pool = TxPool()
         nonces = {}
         for sender_i, price in spec:
-            sender = Address.from_int(sender_i + 10)
+            sender = address_from_int(sender_i + 10)
             nonce = nonces.get(sender, 0)
             nonces[sender] = nonce + 1
             pool.add(tx(sender, nonce, price))
@@ -372,7 +372,7 @@ class TestIndexAndCompaction:
         pool = TxPool()
         # distinct senders keep the heap populated while sender A churns
         for i in range(8):
-            pool.add(tx(Address.from_int(50 + i), 0, price=1))
+            pool.add(tx(address_from_int(50 + i), 0, price=1))
         price = 100
         pool.add(tx(A, 0, price=price))
         for _ in range(12):

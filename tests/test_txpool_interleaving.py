@@ -13,17 +13,17 @@ import random
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.txpool.pool import PRICE_BUMP_PERCENT, TxPool
 from repro.txpool.transaction import Transaction
 
-SENDERS = [Address.from_int(100 + i) for i in range(6)]
+SENDERS = [address_from_int(100 + i) for i in range(6)]
 
 
 def tx(sender, nonce, price, tag=""):
     return Transaction(
         sender=sender,
-        to=Address.from_int(7),
+        to=address_from_int(7),
         value=0,
         data=b"",
         gas_limit=21000,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.types import Address
+from repro.common.types import address_from_int, address_to_int
 from repro.evm.interpreter import EVM, ExecutionContext
 from repro.state.statedb import StateDB
 from repro.txpool.transaction import Transaction
@@ -51,7 +51,7 @@ class TestERC20:
         sender = next(
             e for e in uni.eoas if db.get_storage(token, erc20_balance_slot(e)) > 0
         )
-        receiver = Address.from_int(0x9999)
+        receiver = address_from_int(0x9999)
         before = db.get_storage(token, erc20_balance_slot(sender))
         result = apply(uni, db, sender, token, erc20_transfer_calldata(receiver, 500))
         assert result.success, result.error
@@ -63,7 +63,7 @@ class TestERC20:
         uni = small_universe
         token = uni.tokens[0]
         db = StateDB(uni.genesis)
-        pauper = Address.from_int(0x8888)
+        pauper = address_from_int(0x8888)
         db.set_balance(pauper, 10**18)  # has ETH, no tokens
         result = apply(uni, db, pauper, token, erc20_transfer_calldata(uni.eoas[0], 1))
         assert not result.success
@@ -134,8 +134,8 @@ class TestNFT:
         r2 = apply(uni, db, uni.eoas[1], nft, nft_mint_calldata())
         assert r1.success and r2.success
         assert db.get_storage(nft, NFT_NEXT_ID_SLOT) == first_id + 2
-        assert db.get_storage(nft, nft_owner_slot(first_id)) == uni.eoas[0].to_int()
-        assert db.get_storage(nft, nft_owner_slot(first_id + 1)) == uni.eoas[1].to_int()
+        assert db.get_storage(nft, nft_owner_slot(first_id)) == address_to_int(uni.eoas[0])
+        assert db.get_storage(nft, nft_owner_slot(first_id + 1)) == address_to_int(uni.eoas[1])
 
 
 class TestAirdrop:

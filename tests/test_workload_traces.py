@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import Address
+from repro.common.types import address_from_int
 from repro.txpool.transaction import Transaction
 from repro.workload.traces import (
     TraceError,
@@ -17,8 +17,8 @@ from repro.workload.traces import (
 
 def tx(sender=1, to=2, value=0, data=b"", nonce=0, price=10, tag=""):
     return Transaction(
-        Address.from_int(sender),
-        Address.from_int(to) if to is not None else None,
+        address_from_int(sender),
+        address_from_int(to) if to is not None else None,
         value,
         data,
         60_000,

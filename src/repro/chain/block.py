@@ -12,7 +12,7 @@ from repro.common.rlp import rlp_int, rlp_list, rlp_string
 from repro.common.types import Address
 from repro.evm.interpreter import Log, TxResult
 from repro.state.access import FrozenRWSet
-from repro.state.trie import MPT
+from repro.state.trie import index_root
 from repro.txpool.transaction import Transaction
 
 __all__ = [
@@ -159,19 +159,11 @@ def build_receipts(
 
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:
     """Trie root over the block's transactions, keyed by index (yellow paper)."""
-    return _index_root(tx.hash for tx in transactions)
+    return index_root([tx.hash for tx in transactions])
 
 
 def receipts_root(receipts: Sequence[Receipt]) -> Hash32:
-    return _index_root(receipt.encode() for receipt in receipts)
-
-
-def _index_root(values: Iterable[bytes]) -> Hash32:
-    """Root of the trie that maps ``rlp(index)`` to the index-th value,
-    built in one batch."""
-    return MPT().update_many(
-        (rlp_int(index), value) for index, value in enumerate(values)
-    ).root_hash()
+    return index_root([receipt.encode() for receipt in receipts])
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,15 @@ canonical chain are tracked as uncle candidates (§3.4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.hashing import Hash32
 from repro.common.types import Address
-from repro.chain.block import Block, BlockHeader, receipts_root, transactions_root
+from repro.chain.block import Block, BlockHeader, Receipt, receipts_root, transactions_root
 from repro.state.statedb import StateSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.evm.interpreter import Log
     from repro.store.backend import StorageBackend
 
 __all__ = ["Blockchain", "ChainError", "RESIDENT_HEIGHTS"]
@@ -180,11 +181,11 @@ class Blockchain:
     def get_logs(
         self,
         *,
-        address: Optional[object] = None,
+        address: Optional[bytes] = None,
         topic: Optional[int] = None,
         from_block: int = 0,
         to_block: Optional[int] = None,
-    ):
+    ) -> List[Tuple[int, int, Log]]:
         """Query logs on the resident canonical chain (eth_getLogs).
 
         Uses each header's logs bloom to skip blocks that definitely do
@@ -195,7 +196,7 @@ class Blockchain:
 
         if to_block is None:
             to_block = self.head.number
-        matches = []
+        matches: List[Tuple[int, int, Log]] = []
         for block in self.canonical_chain():
             number = block.number
             if number < from_block or number > to_block:
@@ -217,7 +218,7 @@ class Blockchain:
                     matches.append((number, tx_index, log))
         return matches
 
-    def find_transaction(self, tx_hash: Hash32):
+    def find_transaction(self, tx_hash: Hash32) -> Optional[Tuple[Block, int, Optional[Receipt]]]:
         """Locate a transaction on the *canonical* chain.
 
         Returns ``(block, index, receipt_or_None)`` or ``None`` if the

@@ -14,7 +14,7 @@ cannot slip through.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.common.hashing import keccak
 from repro.evm.interpreter import Log
@@ -36,7 +36,7 @@ class Bloom:
         self._bits = value
 
     @staticmethod
-    def _bit_indexes(data: bytes):
+    def _bit_indexes(data: bytes) -> Iterator[int]:
         digest = keccak(data)
         for i in (0, 2, 4):
             yield ((digest[i] & 0x07) << 8) | digest[i + 1]
@@ -70,7 +70,7 @@ class Bloom:
             raise ValueError(f"bloom must be {BLOOM_BYTES} bytes")
         return cls(int.from_bytes(raw, "big"))
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other: object) -> bool:
         return isinstance(other, Bloom) and self._bits == other._bits
 
     def __hash__(self) -> int:

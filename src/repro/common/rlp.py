@@ -38,11 +38,11 @@ def _encode_length(length: int, offset: int) -> bytes:
     return bytes([offset + 55 + len(raw)]) + raw
 
 
-#: the prefixes of strings and lists with a payload under 256 bytes, by
-#: length — nearly every item a block encodes (trie nodes, account bodies,
-#: receipts, transactions) is that short
+#: the prefixes of strings with a payload under 256 bytes and of lists under
+#: 1 KiB, by length — nearly every item a block encodes (account bodies,
+#: receipts, transactions, trie nodes up to a full branch) is that short
 _STRING_PREFIX = [_encode_length(n, 0x80) for n in range(256)]
-_LIST_PREFIX = [_encode_length(n, 0xC0) for n in range(256)]
+_LIST_PREFIX = [_encode_length(n, 0xC0) for n in range(1024)]
 
 
 def rlp_string(data: bytes) -> bytes:
@@ -68,7 +68,7 @@ def rlp_list(encoded_items: Iterable[bytes]) -> bytes:
     """Wrap items that are *already RLP-encoded* under a list prefix."""
     body = b"".join(encoded_items)
     n = len(body)
-    return (_LIST_PREFIX[n] if n < 256 else _encode_length(n, 0xC0)) + body
+    return (_LIST_PREFIX[n] if n < 1024 else _encode_length(n, 0xC0)) + body
 
 
 def rlp_encode(item: RLPItem) -> bytes:

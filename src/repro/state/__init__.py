@@ -17,7 +17,7 @@ Layering (bottom up):
   recording wrapper that captures them for address-keyed states.
 """
 
-from repro.state.trie import MPT, EMPTY_ROOT
+from repro.state.trie import MPT, EMPTY_ROOT, index_root
 from repro.state.account import AccountData, EMPTY_ACCOUNT
 from repro.state.statedb import StateDB, StateSnapshot, genesis_snapshot
 from repro.state.versioned import KeyedView, MultiVersionStore, OCCStateView
@@ -36,6 +36,7 @@ from repro.state.access import (
 __all__ = [
     "MPT",
     "EMPTY_ROOT",
+    "index_root",
     "AccountData",
     "EMPTY_ACCOUNT",
     "StateDB",

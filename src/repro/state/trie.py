@@ -16,18 +16,24 @@ Design choices:
   once and applied in one descent (:func:`_update`): at a branch the sorted
   run splits by nibble, so a node that a hundred of the batch's keys pass
   through is rebuilt once, not copied a hundred times; an empty slot (or an
-  empty trie: genesis, a block's index tries) gets its run built bottom-up
-  (:func:`_build`); a subtree in which nothing changed comes back as is.
+  empty trie: genesis) gets its run built bottom-up (:func:`_build`); a
+  subtree in which nothing changed comes back as is.
 * **Byte-string paths.**  A nibble path is ``bytes``, one nibble per byte
   (``hexlify`` + ``translate``), in the batch — the descent passes an index
   into its paths instead of cutting them up — and in the nodes, so paths are
   compared, joined and hex-prefix packed by ``bytes`` methods.
-* **Yellow-paper encoding, referenced at birth.**  Paths are hex-prefix
-  (HP) encoded; a node's reference is its RLP if under 32 bytes, else
-  ``0xa0 || keccak(RLP)``.  The constructors (:func:`_leaf`,
-  :func:`_extension`, :func:`_branch`) compute it from the children's
-  references and store it in the node: each node built is hashed once, no
-  memo is written later, so nodes are thread-safe by construction.
+* **Yellow-paper encoding, referenced at birth: one wrap, one hash.**
+  Paths are hex-prefix (HP) encoded; a node's reference is its RLP if under
+  32 bytes, else ``0xa0 || keccak(RLP)``.  The constructors (:func:`_leaf`,
+  :func:`_extension`, :func:`_branch`) pack the HP path inline, put the
+  node's items under one list prefix and hash that once (:func:`_wrap`, the
+  one place a node's RLP is formed; proofs re-form it there unhashed), and
+  store the reference in the node: no memo is written later, so nodes are
+  thread-safe by construction.
+* **Index roots without a trie.**  A block's transactions and receipts
+  roots key the i-th value by ``rlp(i)``, so the trie's shape depends only
+  on the count: :func:`index_root` caches it per count and fills in the
+  values' references — same nodes, same root, no node built.
 * **Plain tuples** (layout at :data:`_Node`): CPython's collector untracks a
   tuple whose items are all untracked, never a class instance.  So a node
   holds only its tag, exact ``bytes``, ``None`` and nodes — a ``bytes``
@@ -41,14 +47,15 @@ from __future__ import annotations
 
 import hashlib
 from binascii import unhexlify
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from functools import lru_cache
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.common.hashing import keccak
-from repro.common.rlp import rlp_list, rlp_string
+from repro.common.rlp import _LIST_PREFIX, _encode_length, rlp_int, rlp_string
 from repro.common.types import Hash32
 from repro.state.cache import bytes_to_nibbles, keccak_path_cached
 
-__all__ = ["MPT", "SecureMPT", "EMPTY_ROOT"]
+__all__ = ["MPT", "SecureMPT", "EMPTY_ROOT", "index_root"]
 
 #: nibble value -> ASCII hex digit (the inverse of ``bytes_to_nibbles``)
 _NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
@@ -67,6 +74,21 @@ def hp_encode(path: bytes, is_leaf: bool) -> bytes:
     return nibbles_to_bytes(_HP_FLAG[is_leaf][len(path) & 1] + path)
 
 
+class _HexPrefix(Dict[int, bytes]):
+    """By path length, the hex digits that, put before a nibble path's, make
+    ``unhexlify`` return the RLP string of its hex-prefix encoding."""
+
+    def __init__(self, is_leaf: bool) -> None:
+        self.is_leaf = is_leaf
+
+    def __missing__(self, length: int) -> bytes:
+        digits = rlp_string(hp_encode(bytes(length), self.is_leaf)).hex().encode()
+        self[length] = head = digits[: len(digits) - length]
+        return head
+
+
+_HP_LEAF, _HP_EXTENSION = _HexPrefix(True), _HexPrefix(False)
+
 #: ``(_LEAF, ref, path, value)``, ``(_EXTENSION, ref, path, child)`` or
 #: ``(_BRANCH, ref, child_0, …, child_15, value or None)``, empty slots None
 _Node = Tuple[Any, ...]
@@ -82,38 +104,41 @@ _Item = Tuple[bytes, Union[bytes, _Node]]
 EMPTY_ROOT = keccak(rlp_string(b""))
 
 
-def _reference(rlp: bytes) -> bytes:
-    """How a node with this RLP appears inside its parent (yellow paper, D)."""
-    return rlp if len(rlp) < 32 else b"\xa0" + hashlib.sha3_256(rlp).digest()
+def _wrap(body: bytes, hashed: bool = True) -> bytes:
+    """The one place a node's RLP is formed: ``body`` (its items, already
+    encoded) under a list prefix.  Returns how the node appears inside its
+    parent (yellow paper, D) — the RLP if under 32 bytes, else ``0xa0 ||
+    keccak(RLP)`` — or, with ``hashed`` false, the RLP itself."""
+    n = len(body)
+    rlp = (_LIST_PREFIX[n] if n < 1024 else _encode_length(n, 0xC0)) + body
+    return b"\xa0" + hashlib.sha3_256(rlp).digest() if hashed and n > 30 else rlp
 
 
-def _leaf(path: bytes, value: bytes) -> _Node:
-    return (_LEAF, _reference(rlp_list((rlp_string(hp_encode(path, True)), rlp_string(value)))), path, value)
+def _leaf(path: bytes, value: bytes, hashed: bool = True) -> _Node:
+    hp = unhexlify(_HP_LEAF[len(path)] + path.translate(_NIBBLE_TO_HEX))
+    return (_LEAF, _wrap(hp + rlp_string(value), hashed), path, value)
 
 
-def _extension(path: bytes, child: _Node) -> _Node:
-    return (_EXTENSION, _reference(rlp_list((rlp_string(hp_encode(path, False)), child[1]))), path, child)
+def _extension(path: bytes, child: _Node, hashed: bool = True) -> _Node:
+    hp = unhexlify(_HP_EXTENSION[len(path)] + path.translate(_NIBBLE_TO_HEX))
+    return (_EXTENSION, _wrap(hp + child[1], hashed), path, child)
 
 
-def _branch(children: Sequence[Optional[_Node]], value: Optional[bytes]) -> _Node:
-    return (_BRANCH, _reference(_branch_rlp(children, value)), *children, value)
-
-
-def _branch_rlp(children: Sequence[Optional[_Node]], value: Optional[bytes]) -> bytes:
-    parts = [b"\x80" if child is None else child[1] for child in children]
-    parts.append(b"\x80" if value is None else rlp_string(value))
-    return rlp_list(parts)
+def _branch(children: Sequence[Optional[_Node]], value: Optional[bytes], hashed: bool = True) -> _Node:
+    body = b"".join([b"\x80" if child is None else child[1] for child in children])
+    body += b"\x80" if value is None else rlp_string(value)
+    return (_BRANCH, _wrap(body, hashed), *children, value)
 
 
 def _node_rlp(node: _Node) -> bytes:
-    """Canonical RLP of a node — what its reference embeds or hashes; only
+    """Canonical RLP of a node, re-formed unhashed by its constructor; only
     proofs, which carry node encodings, need it again."""
     kind = node[0]
     if kind == _BRANCH:
-        return _branch_rlp(node[2:18], node[18])
+        return _branch(node[2:18], node[18], False)[1]
     if kind == _LEAF:
-        return rlp_list((rlp_string(hp_encode(node[2], True)), rlp_string(node[3])))
-    return rlp_list((rlp_string(hp_encode(node[2], False)), node[3][1]))
+        return _leaf(node[2], node[3], False)[1]
+    return _extension(node[2], node[3], False)[1]
 
 
 def _get(node: Optional[_Node], path: bytes) -> Optional[bytes]:
@@ -173,6 +198,66 @@ def _build(items: Sequence[_Item], lo: int, hi: int, depth: int) -> _Node:
         children[nibble] = _build(items, lo, end, depth + 1)
         lo = end
     return _branch(children, value)
+
+
+@lru_cache(maxsize=256)
+def _index_program(n: int) -> Tuple[Tuple[Any, ...], ...]:
+    """The trie over the keys ``rlp(0..n-1)``, split as :func:`_build` does,
+    in post-order and by column: ``gap`` (the empty slots before the node in
+    its parent), ``head``, ``count``, ``tail``, ``index``.  A node's RLP body
+    is ``head``, the references of its ``count`` children and ``tail`` — for
+    a leaf, ``head`` and ``values[index]``.  Equal fields are shared."""
+    paths = sorted((bytes_to_nibbles(rlp_int(index)), index) for index in range(n))
+    program: List[Tuple[Any, ...]] = []
+    shared: Dict[Any, Any] = {}
+
+    def step(*fields: Any) -> None:
+        program.append(tuple(shared.setdefault(field, field) for field in fields))
+
+    def emit(lo: int, hi: int, depth: int, gap: bytes) -> None:
+        first, index = paths[lo]
+        if hi - lo == 1:
+            step(gap, rlp_string(hp_encode(first[depth:], True)), 0, b"", index)
+            return
+        last = paths[hi - 1][0]
+        split = depth
+        while split < len(first) and first[split] == last[split]:
+            split += 1
+        # index keys are never prefixes of each other: no branch holds a value
+        assert split < len(first), "an index key ends inside another"
+        if split > depth:
+            emit(lo, hi, split, b"")
+            step(gap, rlp_string(hp_encode(first[depth:split], False)), 1, b"", -1)
+            return
+        slot = count = 0
+        while lo < hi:
+            nibble = paths[lo][0][depth]
+            end = lo + 1
+            while end < hi and paths[end][0][depth] == nibble:
+                end += 1
+            emit(lo, end, depth + 1, b"\x80" * (nibble - slot))
+            slot, count, lo = nibble + 1, count + 1, end
+        step(gap, b"", count, b"\x80" * (17 - slot), -1)
+
+    if n:
+        emit(0, n, 0, b"")
+    return tuple(zip(*program))
+
+
+def index_root(values: Sequence[bytes]) -> Hash32:
+    """Root of the trie mapping ``rlp(index)`` to ``values[index]``, with no
+    trie built: each node's RLP is formed and hashed once, from the cached
+    shape.  Values must be non-empty — an :class:`MPT` drops a ``b""`` one."""
+    stack: List[bytes] = []
+    for gap, head, count, tail, index in zip(*_index_program(len(values))):
+        if count:
+            body = head + b"".join(stack[-count:]) + tail
+            del stack[-count:]
+        else:
+            body = head + rlp_string(values[index])
+        stack.append(gap + _wrap(body))
+    ref = stack[0] if stack else b"\x80"  # the empty trie is RLP's empty string
+    return Hash32(ref[1:]) if len(ref) == 33 else keccak(ref)
 
 
 def _update(

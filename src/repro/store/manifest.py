@@ -65,7 +65,7 @@ class SnapshotRef:
                 sha256=str(doc["sha256"]),
                 header=str(doc["header"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ManifestError(f"bad snapshot reference: {exc}") from exc
 
 
@@ -133,7 +133,8 @@ class Manifest:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # a non-UTF-8 byte is a ValueError, too deep a nesting a RecursionError
             raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != FORMAT:
             raise ManifestError(f"{path} is not a store manifest")
@@ -157,5 +158,5 @@ class Manifest:
                 clean=bool(doc["clean"]),
                 serve=dict(doc.get("serve") or {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ManifestError(f"malformed manifest {path}: {exc}") from exc

@@ -1,7 +1,7 @@
 """One block check per role.
 
-The proposer, the validator and recovery each build a block's receipts
-trie once, and each judges the receipts a block ships the same way: by
+The proposer, the validator and recovery each compute a block's receipts
+root once, and each judges the receipts a block ships the same way: by
 re-deriving them (``build_receipts``) and handing them to
 ``Applier.verify_block``, which rejects shipped receipts that differ with
 ``RECEIPT_MISMATCH``.
@@ -16,7 +16,7 @@ from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
 from repro.faults.errors import FailureReason
 from repro.network.node import ProposerNode, ValidatorNode
-from repro.state.trie import MPT
+from repro.state.trie import index_root
 from repro.store import DiskStore, ReplayDivergenceError, encode_header, recover
 from repro.store.blocklog import BlockLog
 from repro.store.manifest import Manifest
@@ -24,23 +24,19 @@ from repro.store.manifest import Manifest
 
 @pytest.fixture()
 def index_roots(monkeypatch):
-    """The root of every index trie ``repro.chain.block`` builds from here on."""
+    """Every index root ``repro.chain.block`` computes from here on."""
     roots = []
 
-    class Recorded(MPT):
-        __slots__ = ()
+    def recorded(values):
+        roots.append(index_root(values))
+        return roots[-1]
 
-        def update_many(self, items):
-            trie = super().update_many(items)
-            roots.append(trie.root_hash())
-            return trie
-
-    monkeypatch.setattr(block_mod, "MPT", Recorded)
+    monkeypatch.setattr(block_mod, "index_root", recorded)
     return roots
 
 
-def _receipt_tries(roots, blocks):
-    """How many receipts tries were built for each of ``blocks``."""
+def _receipts_roots(roots, blocks):
+    """How many receipts roots were computed for each of ``blocks``."""
     return [roots.count(block.header.receipts_root) for block in blocks]
 
 
@@ -72,7 +68,7 @@ class TestOneReceiptsTriePerRole:
             del index_roots[:]
             sealed = proposer.build_block(header, state, small_generator.generate_block_txs())
             assert sealed.block.receipts
-            assert _receipt_tries(index_roots, [sealed.block]) == [1]
+            assert _receipts_roots(index_roots, [sealed.block]) == [1]
             header, state = sealed.block.header, sealed.post_state
 
     def test_validate_block(self, small_universe, build_chain, index_roots):
@@ -81,7 +77,7 @@ class TestOneReceiptsTriePerRole:
         for block, post_state in pairs:
             del index_roots[:]
             assert ParallelValidator().validate_block(block, parent_state).accepted
-            assert _receipt_tries(index_roots, [block]) == [1]
+            assert _receipts_roots(index_roots, [block]) == [1]
             parent_state = post_state
 
     def test_receive_blocks(self, small_universe, build_chain, index_roots):
@@ -89,7 +85,7 @@ class TestOneReceiptsTriePerRole:
         node = ValidatorNode("one-check", small_universe.genesis)
         del index_roots[:]
         assert len(node.receive_blocks(blocks).accepted) == 2
-        assert _receipt_tries(index_roots, blocks) == [1, 1]
+        assert _receipts_roots(index_roots, blocks) == [1, 1]
 
     def test_recover(self, tmp_path, small_universe, build_chain, index_roots):
         pairs = build_chain(3)
@@ -97,7 +93,7 @@ class TestOneReceiptsTriePerRole:
         del index_roots[:]
         result = recover(str(tmp_path / "node"), small_universe.genesis, fsync=False)
         assert result.replayed == 3
-        assert _receipt_tries(index_roots, [block for block, _ in pairs]) == [1, 1, 1]
+        assert _receipts_roots(index_roots, [block for block, _ in pairs]) == [1, 1, 1]
 
 
 class TestShippedReceipts:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
-from repro.common.rlp import rlp_encode
+from repro.common.rlp import rlp_encode, rlp_int
 from repro.state.proofs import (
     ProofError,
     prove,
@@ -15,7 +15,7 @@ from repro.state.proofs import (
     verify_proof,
     verify_secure,
 )
-from repro.state.trie import _BRANCH, _EXTENSION, EMPTY_ROOT, MPT, SecureMPT, _node_rlp
+from repro.state.trie import _BRANCH, _EXTENSION, EMPTY_ROOT, MPT, SecureMPT, _node_rlp, index_root
 
 
 class TestBasicSemantics:
@@ -480,6 +480,62 @@ class TestAgainstIndependentReference:
         assert isinstance(extension[1], list)  # the branch is embedded, not hashed
 
 
+#: every index-trie length from empty to 300 — the keys cross ``rlp``'s
+#: one-byte / ``0x81`` boundary at 127/128 — and both sides of 255/256
+#: (``0x81`` / ``0x82``) and of 511/512 and 1023/1024
+_INDEX_LENGTHS = [*range(301), 511, 512, 1023, 1024]
+
+
+def _exactly(size):
+    return st.binary(min_size=size, max_size=size)
+
+
+#: one value of each length class: a single byte below and at or above
+#: ``0x80`` (its own RLP or a prefixed one), leaves just under and over the
+#: 32-byte inline boundary, RLP string prefixes either side of 55/56 bytes
+#: and a long-form one past 255
+_index_palettes = st.tuples(
+    st.integers(0, 0x7F).map(lambda b: bytes((b,))),
+    st.integers(0x80, 0xFF).map(lambda b: bytes((b,))),
+    *map(_exactly, (28, 29, 30, 31, 32, 33, 55, 56)),
+    st.binary(min_size=256, max_size=300),
+)
+
+
+def _children(node):
+    if node[0] == _EXTENSION:
+        return [node[3]]
+    if node[0] == _BRANCH:
+        return [child for child in node[2:18] if child is not None]
+    return []
+
+
+class TestIndexRoot:
+    """``index_root`` against the trie it stands in for, and against the
+    independent calculator, which shares no encoder with it."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(_index_palettes, st.integers(0, 2**32))
+    def test_equals_the_mpt_at_every_length(self, palette, seed):
+        rng = random.Random(seed)
+        ref_sizes = set()
+        for n in _INDEX_LENGTHS:
+            values = [rng.choice(palette) for _ in range(n)]
+            oracle = MPT().update_many((rlp_int(index), value) for index, value in enumerate(values))
+            assert index_root(values) == oracle.root_hash(), n
+            if oracle._root is not None:
+                ref_sizes.update(len(child[1]) < 32 for node in _nodes(oracle._root) for child in _children(node))
+        assert ref_sizes == {True, False}  # inline children and hashed ones
+
+    @settings(max_examples=8, deadline=None)
+    @given(_index_palettes, st.integers(0, 2**32))
+    def test_equals_the_independent_calculator(self, palette, seed):
+        rng = random.Random(seed)
+        for n in [*range(40), 127, 128, 129, 255, 256, 257]:
+            values = [rng.choice(palette) for _ in range(n)]
+            assert index_root(values) == reference_root({rlp_int(i): v for i, v in enumerate(values)}), n
+
+
 #: ``(key, value)`` batches over the same short keys; ``b""`` deletes, and a
 #: key may come up several times
 _batches = st.lists(st.tuples(_short_keys, st.one_of(st.just(b""), _values)), max_size=30)
@@ -821,34 +877,43 @@ class TestNothingTracked:
             genesis._account_trie._root, *(t._root for t in genesis._storage_tries.values())
         ) == 0
 
-    def test_tries_committed_by_a_block_and_its_index_tries(self, small_universe, small_generator, monkeypatch):
-        from repro.chain import block as block_mod
+    def test_tries_committed_by_a_block_and_its_index_programs(self, small_universe, small_generator, monkeypatch):
+        """The state tries a sealed and validated block commits are untracked;
+        its index roots build no trie — ``StateDB.commit`` is the only caller
+        of ``MPT.update_many`` — and the cached index programs are untracked."""
+        import os
+        import sys
+
         from repro.network.node import ProposerNode, ValidatorNode
+        from repro.state.trie import _index_program
 
-        index_tries = []
+        callers = []
+        update_many = MPT.update_many
 
-        class Recorded(MPT):
-            __slots__ = ()
+        def spied(self, items):
+            code = sys._getframe(1).f_code
+            callers.append((os.path.basename(code.co_filename), code.co_name))
+            return update_many(self, items)
 
-            def update_many(self, items):
-                index_tries.append(super().update_many(items))
-                return index_tries[-1]
-
-        monkeypatch.setattr(block_mod, "MPT", Recorded)
         validator = ValidatorNode("untracked", small_universe.genesis)
         head = validator.chain.head
+        monkeypatch.setattr(MPT, "update_many", spied)
         sealed = ProposerNode("untracked").build_block(
             head.header, validator.chain.state_at(head.hash), small_generator.generate_block_txs()
         )
         assert validator.receive_blocks([sealed.block]).accepted
-        header = sealed.block.header
-        assert {t.root_hash() for t in index_tries} >= {header.transactions_root, header.receipts_root}
+        assert callers and set(callers) == {("statedb.py", "commit")}
         genesis_tries = set(map(id, small_universe.genesis._storage_tries.values()))
         for state in (sealed.post_state, validator.chain.head_state):
             changed = [t for t in state._storage_tries.values() if id(t) not in genesis_tries]
             assert changed
             assert _tracked_for_good(state._account_trie._root, *(t._root for t in changed)) == 0
-        assert _tracked_for_good(*(t._root for t in index_tries)) == 0
+        block = sealed.block
+        assert _index_program.cache_info().currsize
+        program = _index_program(len(block.transactions))
+        assert index_root([tx.hash for tx in block.transactions]) == block.header.transactions_root
+        # a tuple is untracked only once every item in it is
+        assert _tracked_for_good(program) == 0
 
     def test_a_bytes_subclass_inside_keeps_its_node_and_every_node_above_it(self):
         class _B(bytes):

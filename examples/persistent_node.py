@@ -6,8 +6,8 @@ chain a disk life.  It walks the full durability story:
 
 1. grow a chain through the normal proposer→validator path with a
    `DiskStore` attached — every accepted block is committed to an
-   append-only checksummed log, the manifest rename being the atomic
-   commit point;
+   append-only checksummed log, the in-place write of one of the
+   manifest's two slots being the commit point;
 2. reopen the data dir and watch recovery re-execute and root-verify
    the log into a byte-identical chain;
 3. simulate a hard crash mid-append (a torn half-record past the
@@ -18,14 +18,13 @@ chain a disk life.  It walks the full durability story:
 Run:  python examples/persistent_node.py
 """
 
-import json
 import struct
 import tempfile
 from pathlib import Path
 
 from repro import BlockWorkloadGenerator, ProposerNode, ValidatorNode, build_universe
 from repro.faults.storage import flip_log_byte
-from repro.store import BlockLogCorruptError, StaleManifestError, open_store, recover
+from repro.store import BlockLogCorruptError, Manifest, StaleManifestError, open_store, recover
 
 
 def grow(chain, universe, generator, blocks):
@@ -52,9 +51,9 @@ def main() -> None:
     store.close()
     head_hash = bytes(chain.head.hash).hex()
     print(f"grew 6 blocks, sealed; head {head_hash[:16]}…")
-    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest = Manifest.load(str(data_dir))
     files = sorted(p.name for p in data_dir.iterdir())
-    print(f"on disk: {files}  (clean={manifest['clean']})\n")
+    print(f"on disk: {files}  (clean={manifest.clean})\n")
 
     # -- 2. recovery is a byte-identical rebuild ------------------------- #
     result = recover(str(data_dir), universe.genesis, fsync=False)
@@ -65,7 +64,7 @@ def main() -> None:
 
     # -- 3. a torn append past the manifest is healed -------------------- #
     # simulate dying mid-write: half a record lands after the last commit
-    log_file = data_dir / json.loads((data_dir / "manifest.json").read_text())["logFile"]
+    log_file = data_dir / Manifest.load(str(data_dir)).log_file
     with open(log_file, "ab") as fh:
         fh.write(struct.pack("<II", 4096, 0) + b"interrupted mid-flush")
     result = recover(str(data_dir), universe.genesis, fsync=False)

@@ -2,6 +2,7 @@
 
     python scripts/profile_e2e.py --workload mint-rush [--seed 42] [--top 30]
     python scripts/profile_e2e.py --workload mainnet --tree [--min 2.0]
+    python scripts/profile_e2e.py --workload longtail-payments --clock wall
 
 Prints, per function, the share of CPU-time samples with it on the stack
 (inclusive) and at the top (self); with ``--tree``, the inclusive shares as
@@ -43,7 +44,7 @@ import signal
 import sys
 import time
 from types import FrameType
-from typing import Any, Counter, Dict, List, Optional, Tuple
+from typing import Any, Callable, Counter, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
@@ -61,7 +62,7 @@ class Node:
         self.children: Dict[str, Node] = {}
 
 
-def print_tree(stacks: Counter[Tuple[str, ...]], total: int, min_pct: float) -> None:
+def print_tree(stacks: Counter[Tuple[str, ...]], total: float, min_pct: float) -> None:
     """Inclusive shares as a call tree rooted at the block loop."""
     root = Node()
     for stack, count in stacks.items():
@@ -105,10 +106,17 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=30)
     parser.add_argument("--tree", action="store_true", help="call tree instead of the flat list")
     parser.add_argument("--min", type=float, default=1.0, help="smallest share the tree prints (percent)")
+    parser.add_argument(
+        "--clock", choices=("cpu", "wall"), default="cpu", help="wall: also sample wall time, and rank by it"
+    )
     args = parser.parse_args()
 
-    stacks: Counter[Tuple[str, ...]] = collections.Counter()  # outermost frame first
-    in_kernel = in_gc = 0
+    # outermost frame first; CPU ticks count 1 each, wall samples their seconds
+    stacks: Counter[Tuple[str, ...]] = collections.Counter()
+    wall_stacks: Counter[Tuple[str, ...]] = collections.Counter()
+    dropped: Counter[str] = collections.Counter()  # ticks in the calibration kernel or a collection
+    wall_dropped: Counter[str] = collections.Counter()  # and seconds of wall samples there
+    last_wall = 0.0
     gc_runs, gc_cpu = [0, 0, 0], [0.0, 0.0, 0.0]  # collections and their CPU seconds, per generation
     gc_started: Optional[float] = None
     loop_cpu = 0.0
@@ -123,33 +131,49 @@ def main() -> int:
             gc_cpu[info["generation"]] += time.process_time() - gc_started
             gc_started = None
 
-    def on_tick(signum: int, frame: Optional[FrameType]) -> None:
-        nonlocal in_kernel, in_gc
-        if gc_started is not None:  # the tick fell into the collection just ending
-            in_gc += 1
-            return
-        stack = []
-        while frame is not None:
-            code = frame.f_code
-            stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
-            frame = frame.f_back
-        if any(name.startswith("kernel.py:") for name in stack):
-            in_kernel += 1
-        else:
-            stacks[tuple(reversed(stack))] += 1
+    def sampler(
+        into: Counter[Tuple[str, ...]], drop: Counter[str], weigh: Callable[[], float]
+    ) -> Callable[[int, Optional[FrameType]], None]:
+        def on_signal(signum: int, frame: Optional[FrameType]) -> None:
+            weight = weigh()
+            if gc_started is not None:  # the signal fell into the collection just ending
+                drop["gc"] += weight
+                return
+            stack = []
+            while frame is not None:
+                code = frame.f_code
+                stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
+                frame = frame.f_back
+            if any(name.startswith("kernel.py:") for name in stack):
+                drop["kernel"] += weight
+            else:
+                into[tuple(reversed(stack))] += weight
+
+        return on_signal
+
+    def since_last_wall() -> float:
+        nonlocal last_wall
+        now = time.perf_counter()
+        elapsed, last_wall = now - last_wall, now
+        return elapsed
 
     drive = lifecycle._drive_blocks
 
     def sampled_drive(*a: Any, **kw: Any) -> None:
-        nonlocal loop_cpu
+        nonlocal loop_cpu, last_wall
         censuses.append(census())
-        signal.signal(signal.SIGPROF, on_tick)
+        signal.signal(signal.SIGPROF, sampler(stacks, dropped, lambda: 1))
         gc.callbacks.append(on_gc)
         started = time.process_time()
         signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+        if args.clock == "wall":
+            signal.signal(signal.SIGALRM, sampler(wall_stacks, wall_dropped, since_last_wall))
+            last_wall = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
         try:
             drive(*a, **kw)
         finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.setitimer(signal.ITIMER_PROF, 0)
             loop_cpu = time.process_time() - started
             gc.callbacks.remove(on_gc)
@@ -164,10 +188,18 @@ def main() -> int:
         shutil.rmtree(root, ignore_errors=True)
 
     total = sum(stacks.values()) or 1
+    in_kernel, in_gc = dropped["kernel"], dropped["gc"]
     print(
         f"{args.workload} seed {args.seed}: {total} samples over {len(result.blocks)} blocks"
         f" (+{in_kernel} in the calibration kernel, +{in_gc} in a collection, dropped)"
     )
+    wall_total = sum(wall_stacks.values())
+    if args.clock == "wall":
+        print(
+            f"wall: {wall_total:.2f} s sampled"
+            f" (+{wall_dropped['kernel']:.2f} s in the calibration kernel,"
+            f" +{wall_dropped['gc']:.2f} s in a collection, dropped)"
+        )
     # the loop's CPU seconds less the calibration kernel's, by its share of ticks
     own_cpu = loop_cpu * (total + in_gc) / (total + in_gc + in_kernel)
     print(f"{'runs':>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own")
@@ -182,18 +214,35 @@ def main() -> int:
     for name, grew in growth.most_common(8):
         print(f"{boot[name]:8d} {end[name]:8d} {grew:+8d}  {name}")
     if args.tree:
-        print_tree(stacks, total, args.min)
+        if args.clock == "wall":
+            print_tree(wall_stacks, wall_total or 1.0, args.min)
+        else:
+            print_tree(stacks, total, args.min)
+    elif args.clock == "wall":
+        cpu_incl, cpu_self = shares(stacks)
+        wall_incl, wall_self = shares(wall_stacks)
+        print(f"{'wall':>6} {'self':>6} {'cpu':>6} {'self':>6}  function (inclusive and self %, ranked by wall)")
+        for name, share in wall_incl.most_common(args.top):
+            print(f"{share:6.1f} {wall_self[name]:6.1f} {cpu_incl[name]:6.1f} {cpu_self[name]:6.1f}  {name}")
     else:
-        inclusive: Counter[str] = collections.Counter()
-        own: Counter[str] = collections.Counter()
-        for stack, count in stacks.items():
-            own[stack[-1]] += count
-            for name in set(stack):
-                inclusive[name] += count
+        inclusive, own = shares(stacks)
         print(f"{'incl%':>6} {'self%':>6}  function")
-        for name, count in inclusive.most_common(args.top):
-            print(f"{100 * count / total:6.1f} {100 * own[name] / total:6.1f}  {name}")
+        for name, share in inclusive.most_common(args.top):
+            print(f"{share:6.1f} {own[name]:6.1f}  {name}")
     return 1 if result.problems else 0
+
+
+def shares(stacks: Counter[Tuple[str, ...]]) -> Tuple[Counter[str], Counter[str]]:
+    """Per function, the percentage of the samples' weight with it on the
+    stack (inclusive) and at the top (self)."""
+    total = sum(stacks.values()) or 1
+    inclusive: Counter[str] = collections.Counter()
+    own: Counter[str] = collections.Counter()
+    for stack, weight in stacks.items():
+        own[stack[-1]] += 100 * weight / total
+        for name in set(stack):
+            inclusive[name] += 100 * weight / total
+    return inclusive, own
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ identical on every run and platform.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -120,17 +119,17 @@ class CrashPlan:
 # --------------------------------------------------------------------------- #
 
 _LOG_NAME = "blocks.log"
-_MANIFEST_NAME = "manifest.json"
 
 
 def _log_path(data_dir: str) -> str:
     """The live log file — resolved via the manifest (compaction renames it)."""
-    manifest = os.path.join(data_dir, _MANIFEST_NAME)
+    from repro.store.errors import ManifestError
+    from repro.store.manifest import Manifest
+
     name = _LOG_NAME
     try:
-        with open(manifest, encoding="utf-8") as fh:
-            name = json.load(fh).get("logFile", _LOG_NAME)
-    except (OSError, json.JSONDecodeError):
+        name = Manifest.load(data_dir).log_file
+    except (OSError, ManifestError):
         pass
     return os.path.join(data_dir, name)
 
@@ -177,19 +176,19 @@ def corrupt_snapshot_file(data_dir: str, *, seed: int = 0) -> str:
     Returns the tampered filename.  Recovery must fail its digest check
     (:class:`SnapshotCorruptError`).
     """
-    with open(os.path.join(data_dir, _MANIFEST_NAME), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    snapshot = doc.get("snapshot")
-    if not snapshot:
+    from repro.store.manifest import Manifest
+
+    snapshot = Manifest.load(data_dir).snapshot
+    if snapshot is None:
         raise ValueError("manifest has no snapshot to corrupt")
-    path = os.path.join(data_dir, snapshot["file"])
+    path = os.path.join(data_dir, snapshot.file)
     with open(path, "r+b") as fh:
         data = fh.read()
         rng = _keyed_rng(seed, "corrupt_snapshot", len(data))
         offset = rng.randrange(len(data) // 4, 3 * len(data) // 4)
         fh.seek(offset)
         fh.write(bytes([data[offset] ^ 0xFF]))
-    return str(snapshot["file"])
+    return snapshot.file
 
 
 def lose_fsync_window(data_dir: str, *, records: int = 1) -> int:
@@ -225,15 +224,24 @@ def lose_fsync_window(data_dir: str, *, records: int = 1) -> int:
     return new_size
 
 
-def corrupt_manifest(data_dir: str) -> None:
-    """Invalidate the manifest's self-checksum (one flipped hex digit)."""
-    path = os.path.join(data_dir, _MANIFEST_NAME)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    checksum = doc.get("checksum", "")
-    if not checksum:
-        raise ValueError("manifest carries no checksum to corrupt")
-    doc["checksum"] = ("0" if checksum[0] != "0" else "1") + checksum[1:]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def corrupt_manifest(data_dir: str, *, slots: str = "both") -> None:
+    """Invalidate the self-checksum (one flipped hex digit) of both manifest
+    slots — recovery must raise :class:`ManifestError` — or of the
+    ``"newest"`` only, so recovery falls back to the other, one commit older.
+    """
+    from repro.store.manifest import SLOT, Manifest, manifest_path
+
+    if slots not in ("both", "newest"):
+        raise ValueError(f"slots must be 'both' or 'newest', not {slots!r}")
+    indices = (0, 1) if slots == "both" else (Manifest.load(data_dir).seq % 2,)
+    marker = b'"checksum":"'
+    with open(manifest_path(data_dir), "r+b") as fh:
+        data = bytearray(fh.read())
+        for index in indices:
+            at = data.find(marker, index * SLOT, (index + 1) * SLOT)
+            if at < 0:
+                raise ValueError(f"manifest slot {index} carries no checksum to corrupt")
+            at += len(marker)
+            data[at] = ord("0") if data[at] != ord("0") else ord("1")
+        fh.seek(0)
+        fh.write(data)

@@ -5,7 +5,7 @@ a durability seam without changing any existing caller:
 
 * :mod:`repro.store.backend` — the :class:`StorageBackend` protocol plus
   :class:`MemoryStore` (default no-op; today's behaviour) and
-  :class:`DiskStore` (append-only log + periodic snapshots + atomic
+  :class:`DiskStore` (append-only log + periodic snapshots + two-slot
   manifest commit point);
 * :mod:`repro.store.blocklog` — the length-prefixed, CRC-checksummed
   append-only block log with torn-tail detection;
@@ -13,7 +13,8 @@ a durability seam without changing any existing caller:
   transactions, receipts and whole blocks, plus :func:`chain_digest`
   (the byte-identity witness the kill-and-resume tests compare);
 * :mod:`repro.store.manifest` / :mod:`repro.store.snapshots` — the
-  atomically-renamed manifest and the checksummed state snapshots;
+  two-slot manifest, overwritten in place, and the checksummed state
+  snapshots;
 * :mod:`repro.store.recovery` — :func:`recover`, which rebuilds and
   *re-verifies* a chain from a data dir (every replayed block is
   re-executed and its state root checked);

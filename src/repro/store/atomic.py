@@ -1,9 +1,13 @@
 """Atomic file publication: the store's one write-temp → fsync → rename →
 fsync-directory sequence.
 
-The block log's compaction generations, the manifest and the snapshot files
-are all published through :func:`publish`, so a crash leaves either the old
-file or the complete new one — never a half-written one under the real name.
+The block log's compaction generations and the snapshot files are published
+through :func:`publish`, so a crash leaves either the old file or the complete
+new one — never a half-written one under the real name.  The manifest goes
+through it only when its two-slot file is created (or converted from the
+legacy single document); a block's commit overwrites one slot in place
+instead (:mod:`repro.store.manifest`), because a rename frees the replaced
+file's blocks, which some file systems make slow.
 """
 
 from __future__ import annotations

@@ -9,16 +9,19 @@ committed block.  Two implementations:
 * :class:`DiskStore` — the durable engine.  Every block appends one
   checksummed record to the block log; every ``snapshot_interval``
   canonical blocks a full state snapshot is written; and the manifest is
-  atomically advanced *after* the data it describes is fsynced, which
-  makes the manifest write the commit point:
+  advanced *after* the data it describes is fsynced, by overwriting the
+  older of its two slots in place, which makes that slot write the commit
+  point:
 
-  ``append (fsync) → [snapshot (fsync)] → manifest (rename) → [compact]``
+  ``append (fsync) → [snapshot (fsync)] → manifest slot (pwrite, fsync) → [compact]``
 
   A crash anywhere in that sequence loses at most the not-yet-manifested
   suffix, which recovery re-derives from the log itself.  Compaction
   rewrites the post-snapshot tail into a *new generation* log file and
-  repoints the manifest before deleting the old one, so even a crash
-  mid-compaction leaves one fully intact log on disk.
+  repoints *both* manifest slots before deleting the old one, so even a
+  crash mid-compaction leaves one fully intact log on disk, and neither
+  slot names a deleted file.  A block that is neither a snapshot nor a
+  compaction height renames and deletes nothing.
 
 The ``crash`` hook threads :class:`repro.faults.CrashPlan` through the
 commit path — the storage-fault tests die at exact bytes of this
@@ -89,7 +92,7 @@ class MemoryStore:
 
 
 class DiskStore:
-    """Append-only block log + periodic snapshots + atomic manifest."""
+    """Append-only block log + periodic snapshots + two-slot manifest."""
 
     def __init__(
         self,
@@ -158,13 +161,21 @@ class DiskStore:
         self.manifest.write(self.data_dir, fsync=self.fsync)
 
     def adopt(self, manifest: Manifest, log: BlockLog) -> None:
-        """Take over a recovered data dir (recovery already verified it)."""
+        """Take over a recovered data dir (recovery already verified it).
+
+        Once both manifest slots name the live log, what a crash stranded
+        is deleted: a log generation a killed compaction did not get to
+        remove, and the temp file of an interrupted publish."""
         self.manifest = manifest
         self.log = log
         log.metrics = self.metrics  # recovery opened it uninstrumented
         self.manifest.log_bytes = log.size
         self.manifest.clean = False
-        self.manifest.write(self.data_dir, fsync=self.fsync)
+        self.manifest.write(self.data_dir, fsync=self.fsync, both=True)
+        for name in os.listdir(self.data_dir):
+            stray_log = name.startswith("blocks") and name.endswith(".log")
+            if (stray_log and name != self.manifest.log_file) or name.endswith(".tmp"):
+                os.remove(os.path.join(self.data_dir, name))
 
     # ------------------------------------------------------------------ #
     # the commit path
@@ -281,10 +292,11 @@ class DiskStore:
         published with an atomic rename — a crashed earlier attempt at
         the same horizon may have left a partial (possibly torn) file at
         exactly this path, and appending to it would corrupt the
-        generation.  Only once the new file is fully durable is the
-        manifest repointed at it, and only then is the old generation
-        deleted.  Any crash in between leaves a manifest that references
-        exactly one intact log.
+        generation.  Only once the new file is fully durable are both
+        manifest slots repointed at it, and only then are the old
+        generation and the superseded snapshots deleted.  Any crash in
+        between leaves a manifest whose every slot references one intact
+        log.
         """
         assert self.log is not None
         old_path = self.log.path
@@ -309,7 +321,7 @@ class DiskStore:
         self.manifest.log_start_height = horizon + 1
         self.manifest.log_bytes = new_log.size
         self.manifest.log_file = new_name
-        self.manifest.write(self.data_dir, fsync=self.fsync)
+        self.manifest.write(self.data_dir, fsync=self.fsync, both=True)
         self.log.close()
         if os.path.abspath(old_path) != os.path.abspath(new_path):
             os.remove(old_path)

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.store.manifest import Manifest
+
 pytestmark = pytest.mark.store
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -181,8 +183,7 @@ class TestKillAndResumeWithTelemetry:
         assert "sealed=True" in final.stdout
         # cumulative counters re-seeded from the recovered height
         assert "blocks_total=8" in final.stdout
-        with open(data_dir / "manifest.json", encoding="utf-8") as fh:
-            assert json.load(fh)["height"] == 8
+        assert Manifest.load(str(data_dir)).height == 8
 
         # the healed event file parses end to end, and the resumed
         # session's records narrate the post-recovery suffix

@@ -104,6 +104,18 @@ class TestTamperDetection:
         with pytest.raises(ManifestError):
             recover(populated_dir, small_universe.genesis)
 
+    def test_corrupt_newest_manifest_slot_falls_back(self, populated_dir, small_universe):
+        """Only the newest slot damaged: the other, one commit older, wins,
+        and the replay past its ``logBytes`` reaches the same head."""
+        intact = recover(populated_dir, small_universe.genesis)
+        intact.log.close()
+        corrupt_manifest(populated_dir, slots="newest")
+        result = recover(populated_dir, small_universe.genesis)
+        result.log.close()
+        assert result.manifest.height == 3
+        assert result.chain.head.hash == intact.chain.head.hash
+        assert result.chain.height() == 4
+
     def test_missing_log_detected(self, populated_dir, small_universe):
         import os
 

@@ -7,7 +7,6 @@ head hash, which transitively commits to every header, transaction and
 receipt before it.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -16,6 +15,9 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.store.errors import ManifestError
+from repro.store.manifest import Manifest
 
 pytestmark = pytest.mark.store
 
@@ -60,8 +62,7 @@ def _serve(data_dir, *extra, crash=None, check=True, seed=None):
 
 
 def _manifest(data_dir):
-    with open(Path(data_dir) / "manifest.json", encoding="utf-8") as fh:
-        return json.load(fh)
+    return Manifest.load(str(data_dir))
 
 
 @pytest.fixture(scope="module")
@@ -78,16 +79,16 @@ class TestServeLifecycle:
         proc = _serve(data_dir, "--blocks", TARGET)
         assert "sealed=True" in proc.stdout
         manifest = _manifest(data_dir)
-        assert manifest["height"] == int(TARGET)
-        assert manifest["clean"] is True
-        assert manifest["headHash"] == golden["headHash"]
+        assert manifest.height == int(TARGET)
+        assert manifest.clean is True
+        assert manifest.head_hash == golden.head_hash
 
     def test_restart_of_sealed_dir_is_noop_run(self, tmp_path, golden):
         data_dir = tmp_path / "node"
         _serve(data_dir, "--blocks", TARGET)
         proc = _serve(data_dir, "--blocks", TARGET)
         assert "produced=0" in proc.stdout
-        assert _manifest(data_dir)["headHash"] == golden["headHash"]
+        assert _manifest(data_dir).head_hash == golden.head_hash
 
     def test_config_mismatch_refused(self, tmp_path):
         data_dir = tmp_path / "node"
@@ -123,9 +124,9 @@ class TestKillAndResume:
         final = _serve(data_dir, "--blocks", TARGET)
         assert "sealed=True" in final.stdout
         manifest = _manifest(data_dir)
-        assert manifest["height"] == int(TARGET)
-        assert manifest["headHash"] == golden["headHash"]
-        assert manifest["stateRoot"] == golden["stateRoot"]
+        assert manifest.height == int(TARGET)
+        assert manifest.head_hash == golden.head_hash
+        assert manifest.state_root == golden.state_root
 
     def test_crash_before_seal_resumes_clean(self, tmp_path, golden):
         data_dir = tmp_path / "node"
@@ -136,7 +137,7 @@ class TestKillAndResume:
         # all 8 blocks are durable; the resume only needs to seal
         final = _serve(data_dir, "--blocks", TARGET)
         assert "produced=0" in final.stdout
-        assert _manifest(data_dir)["headHash"] == golden["headHash"]
+        assert _manifest(data_dir).head_hash == golden.head_hash
 
 
 class TestSignals:
@@ -168,9 +169,9 @@ class TestSignals:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             try:
-                if _manifest(data_dir)["height"] >= height:
+                if _manifest(data_dir).height >= height:
                     return
-            except (OSError, json.JSONDecodeError, KeyError):
+            except (OSError, ManifestError):
                 pass
             time.sleep(0.1)
         raise AssertionError(f"height {height} not reached within {timeout}s")
@@ -191,7 +192,7 @@ class TestSignals:
                 proc.kill()
         assert proc.returncode == expected_code
         assert "sealed=True" in stdout
-        assert _manifest(data_dir)["clean"] is True
+        assert _manifest(data_dir).clean is True
 
 
 class TestKeyboardInterruptSatellite:

@@ -13,7 +13,6 @@ resumes; the final run must seal at the target with a head hash equal to
 an uninterrupted golden run's.
 """
 
-import json
 import os
 import random
 import subprocess
@@ -21,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.store.manifest import Manifest
 
 pytestmark = [pytest.mark.store, pytest.mark.soak, pytest.mark.slow]
 
@@ -67,15 +68,14 @@ def _serve(data_dir, *, crash=None, check=True):
 
 
 def _manifest(data_dir):
-    with open(Path(data_dir) / "manifest.json", encoding="utf-8") as fh:
-        return json.load(fh)
+    return Manifest.load(str(data_dir))
 
 
 def test_soak_kill_resume_matches_uninterrupted_golden(tmp_path):
     golden_dir = tmp_path / "golden"
     _serve(golden_dir)
     golden = _manifest(golden_dir)
-    assert golden["height"] == BLOCKS
+    assert golden.height == BLOCKS
 
     rng = random.Random(SEED)
     # seeded, strictly increasing kill heights spread over the run
@@ -92,10 +92,10 @@ def test_soak_kill_resume_matches_uninterrupted_golden(tmp_path):
     final = _serve(victim_dir)
     assert "sealed=True" in final.stdout
     manifest = _manifest(victim_dir)
-    assert manifest["height"] == BLOCKS
-    assert manifest["headHash"] == golden["headHash"], (
+    assert manifest.height == BLOCKS
+    assert manifest.head_hash == golden.head_hash, (
         "kill-and-resume chain diverged from the uninterrupted golden:\n"
-        f"golden root {golden['stateRoot']}\nvictim root {manifest['stateRoot']}"
+        f"golden root {golden.state_root}\nvictim root {manifest.state_root}"
     )
-    assert manifest["stateRoot"] == golden["stateRoot"]
-    assert manifest["clean"] is True
+    assert manifest.state_root == golden.state_root
+    assert manifest.clean is True

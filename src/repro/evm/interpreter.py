@@ -1,9 +1,9 @@
 """The EVM interpreter: message execution, gas accounting, tracing.
 
 The interpreter executes bytecode against any object implementing the
-StateDB interface (``get_balance`` / ``set_storage`` / ``snapshot`` /
-``revert_to`` ...), which is what lets the same machine run in every
-execution context the paper distinguishes:
+StateDB interface (``charge_sender`` / ``transfer`` / ``get_balance`` /
+``set_storage`` / ``snapshot`` / ``revert_to`` ...), which is what lets the
+same machine run in every execution context the paper distinguishes:
 
 * serial baseline execution over a :class:`~repro.state.statedb.StateDB`;
 * proposer OCC execution over an
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import linecache
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
@@ -106,7 +106,22 @@ State = Any
 
 
 class InvalidTransaction(Exception):
-    """Transaction cannot be included at all (bad nonce, unaffordable)."""
+    """Transaction cannot be included at all (bad nonce, unaffordable).
+
+    Raised by the state surfaces' ``charge_sender``; the constructors below
+    are the one place its messages are worded."""
+
+    @classmethod
+    def nonce_mismatch(cls, tx_nonce: int, account_nonce: int) -> "InvalidTransaction":
+        return cls(f"nonce mismatch: tx {tx_nonce}, account {account_nonce}")
+
+    @classmethod
+    def intrinsic_gas(cls, intrinsic: int, gas_limit: int) -> "InvalidTransaction":
+        return cls(f"intrinsic gas {intrinsic} exceeds limit {gas_limit}")
+
+    @classmethod
+    def insufficient_funds(cls) -> "InvalidTransaction":
+        return cls("insufficient funds for gas * price + value")
 
 
 class _FrameFailure(Exception):
@@ -164,17 +179,18 @@ class Log:
     data: bytes
 
 
-@dataclass
-class MessageResult:
+class MessageResult(NamedTuple):
+    """What one message call returns to its caller."""
+
     success: bool
     output: bytes
     gas_left: int
-    logs: List[Log] = field(default_factory=list)
+    logs: List[Log]
     error: Optional[str] = None
     created: Optional[Address] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TxResult:
     """Outcome of applying one transaction.
 
@@ -208,21 +224,32 @@ class EVMConfig:
     defer_coinbase: bool = True
 
 
-@dataclass
 class _TxEnv:
-    """What every frame of one transaction shares."""
+    """What every frame of one transaction shares (built only when a frame
+    runs: a transfer to an account without code needs none)."""
 
-    evm: "EVM"
-    ctx: ExecutionContext
-    schedule: GasSchedule
-    origin: Address
-    gas_price: int
-    #: executed-work counts per category, in first-occurrence order (the
-    #: cost model sums in that order and the sim goldens pin the last bit)
-    trace: Dict[str, int]
-    #: gas-refund ledger (SSTORE clears); entries from reverted frames are
-    #: discarded, mirroring geth's journaled refund counter
-    refunds: List[int] = field(default_factory=list)
+    __slots__ = ("evm", "ctx", "schedule", "origin", "gas_price", "trace", "refunds")
+
+    def __init__(
+        self,
+        evm: "EVM",
+        ctx: ExecutionContext,
+        schedule: GasSchedule,
+        origin: Address,
+        gas_price: int,
+        trace: Dict[str, int],
+    ) -> None:
+        self.evm = evm
+        self.ctx = ctx
+        self.schedule = schedule
+        self.origin = origin
+        self.gas_price = gas_price
+        #: executed-work counts per category, in first-occurrence order (the
+        #: cost model sums in that order and the sim goldens pin the last bit)
+        self.trace = trace
+        #: gas-refund ledger (SSTORE clears); entries from reverted frames are
+        #: discarded, mirroring geth's journaled refund counter
+        self.refunds: List[int] = []
 
 
 class _Frame:
@@ -739,49 +766,56 @@ class EVM:
         reverted/out-of-gas executions) with the sender charged.
         """
         schedule = self.config.schedule
-        sender = tx.sender
+        sender, to, value, data = tx.sender, tx.to, tx.value, tx.data
+        gas_limit, gas_price = tx.gas_limit, tx.gas_price
+        ig = intrinsic_gas(schedule, data, to is None)
+        state.charge_sender(sender, tx.nonce, ig, gas_limit, gas_limit * gas_price, value)
 
-        nonce = state.get_nonce(sender)
-        if nonce != tx.nonce:
-            raise InvalidTransaction(f"nonce mismatch: tx {tx.nonce}, account {nonce}")
-        is_create = tx.to is None
-        ig = intrinsic_gas(schedule, tx.data, is_create)
-        if ig > tx.gas_limit:
-            raise InvalidTransaction(f"intrinsic gas {ig} exceeds limit {tx.gas_limit}")
-        upfront = tx.gas_limit * tx.gas_price
-        if state.get_balance(sender) < upfront + tx.value:
-            raise InvalidTransaction("insufficient funds for gas * price + value")
+        # the depth-0 message: no Message, frame or _TxEnv unless code runs
+        gas = gas_limit - ig
+        trace: Dict[str, int] = {}
+        env: Optional[_TxEnv] = None
+        if to is None:
+            env = _TxEnv(self, ctx, schedule, sender, gas_price, trace)
+            message = Message(sender, None, value, data, gas)
+            success, output, gas, logs, error, created = self._execute_create(
+                state, message, env, 0, state.snapshot()
+            )
+        else:
+            mark = state.snapshot()
+            if value:
+                # cannot fall short: charge_sender checked upfront + value
+                state.transfer(sender, to, value)
+                trace["transfer"] = 1
+            code = state.get_code(to)
+            if code:
+                env = _TxEnv(self, ctx, schedule, sender, gas_price, trace)
+                frame = _Frame(state, env, 0, Message(sender, to, value, data, gas), code, to, False)
+                success, output, gas, logs, error, created = self._run_frame(frame, mark)
+            else:
+                success, output, logs, error, created = True, b"", [], None, None
 
-        state.increment_nonce(sender)
-        if upfront:
-            state.sub_balance(sender, upfront)
-
-        env = _TxEnv(self, ctx, schedule, sender, tx.gas_price, {})
-        msg = Message(sender, tx.to, tx.value, tx.data, tx.gas_limit - ig)
-        result = self._execute_message(state, msg, env, depth=0)
-
-        gas_used = tx.gas_limit - result.gas_left
-        if result.success and env.refunds:
+        gas_used = gas_limit - gas
+        if success and env is not None and env.refunds:
             # EIP-3529-era semantics predate the paper; we keep the
             # pre-London cap: refund at most half the gas consumed
-            gas_refund = min(sum(env.refunds), gas_used // schedule.refund_quotient)
-            gas_used -= gas_refund
-        refund = (tx.gas_limit - gas_used) * tx.gas_price
+            gas_used -= min(sum(env.refunds), gas_used // schedule.refund_quotient)
+        refund = (gas_limit - gas_used) * gas_price
         if refund:
             state.add_balance(sender, refund)
-        fee = gas_used * tx.gas_price
+        fee = gas_used * gas_price
         if fee and not self.config.defer_coinbase:
             state.add_balance(ctx.coinbase, fee)
 
         return TxResult(
-            success=result.success,
-            gas_used=gas_used,
-            output=result.output,
-            logs=result.logs if result.success else [],
-            error=result.error,
-            trace=TraceCosts(env.trace, gas_used=gas_used),
-            created=result.created,
-            fee=fee,
+            success,
+            gas_used,
+            output,
+            logs if success else [],
+            error,
+            TraceCosts(trace, gas_used),
+            created,
+            fee,
         )
 
     def estimate_gas(
@@ -825,7 +859,7 @@ class EVM:
         self, state: State, msg: Message, env: _TxEnv, depth: int, static: bool = False
     ) -> MessageResult:
         if depth > self.config.max_call_depth:
-            return MessageResult(False, b"", msg.gas, error="call depth exceeded")
+            return MessageResult(False, b"", msg.gas, [], "call depth exceeded")
 
         mark = state.snapshot()
 
@@ -834,16 +868,14 @@ class EVM:
 
         # value transfer (balance checked by callers; defensive check here)
         if msg.value:
-            if state.get_balance(msg.sender) < msg.value:
+            if not state.transfer(msg.sender, msg.to, msg.value):
                 state.revert_to(mark)
-                return MessageResult(False, b"", msg.gas, error="insufficient balance")
-            state.sub_balance(msg.sender, msg.value)
-            state.add_balance(msg.to, msg.value)
+                return MessageResult(False, b"", msg.gas, [], "insufficient balance")
             env.trace["transfer"] = env.trace.get("transfer", 0) + 1
 
         code = state.get_code(msg.to)
         if not code:
-            return MessageResult(True, b"", msg.gas)
+            return MessageResult(True, b"", msg.gas, [])
 
         return self._run_frame(_Frame(state, env, depth, msg, code, msg.to, static), mark)
 
@@ -864,15 +896,13 @@ class EVM:
             state.increment_nonce(msg.sender)
         if state.get_code(new_address):
             state.revert_to(mark)
-            return MessageResult(False, b"", 0, error="address collision")
+            return MessageResult(False, b"", 0, [], "address collision")
         trace["create"] = trace.get("create", 0) + 1
         state.create_account(new_address)
         if msg.value:
-            if state.get_balance(msg.sender) < msg.value:
+            if not state.transfer(msg.sender, new_address, msg.value):
                 state.revert_to(mark)
-                return MessageResult(False, b"", msg.gas, error="insufficient balance")
-            state.sub_balance(msg.sender, msg.value)
-            state.add_balance(new_address, msg.value)
+                return MessageResult(False, b"", msg.gas, [], "insufficient balance")
             trace["transfer"] = trace.get("transfer", 0) + 1
 
         # initcode reads calldata of the outer message per convention: we
@@ -881,21 +911,13 @@ class EVM:
         frame = _Frame(state, env, depth, init_msg, msg.data, new_address, static=False)
         result = self._run_frame(frame, mark)
         if not result.success:
-            return MessageResult(
-                False, result.output, result.gas_left, error=result.error
-            )
+            return MessageResult(False, result.output, result.gas_left, [], result.error)
         deposit_gas = 200 * len(result.output)
         if deposit_gas > result.gas_left:
             state.revert_to(mark)
-            return MessageResult(False, b"", 0, error="code deposit out of gas")
+            return MessageResult(False, b"", 0, [], "code deposit out of gas")
         state.set_code(new_address, result.output)
-        return MessageResult(
-            True,
-            b"",
-            result.gas_left - deposit_gas,
-            logs=result.logs,
-            created=new_address,
-        )
+        return MessageResult(True, b"", result.gas_left - deposit_gas, result.logs, None, new_address)
 
     def _run_frame(self, frame: _Frame, mark: int) -> MessageResult:
         """The dispatch loop: walk the analysed program of ``frame.code``.
@@ -1007,15 +1029,15 @@ class EVM:
                     pc = stack.pop()
                     if pc not in jumpdests:
                         raise _FrameFailure(f"invalid jump destination {pc}")
-            return MessageResult(True, frame.output, gas, logs=frame.logs)
+            return MessageResult(True, frame.output, gas, frame.logs)
         except _Revert as rv:
             frame.state.revert_to(mark)
             del env.refunds[refund_mark:]
-            return MessageResult(False, rv.output, frame.gas, error="revert")
+            return MessageResult(False, rv.output, frame.gas, [], "revert")
         except (OutOfGas, _FrameFailure, MemoryError, ValueError) as exc:
             frame.state.revert_to(mark)
             del env.refunds[refund_mark:]
-            return MessageResult(False, b"", 0, error=str(exc) or type(exc).__name__)
+            return MessageResult(False, b"", 0, [], str(exc) or type(exc).__name__)
 
 
 # ---------------------------------------------------------------------- #

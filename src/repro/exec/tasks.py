@@ -244,6 +244,10 @@ class ProposeTaskResult(NamedTuple):
     elapsed_us: float
 
 
+#: "key not in the overlay" marker: overlay values are ints and bytes
+_UNWRITTEN: Any = object()
+
+
 class _WaveOverlayStore:
     """Duck-typed ``MultiVersionStore`` over (base snapshot, overlay dict).
 
@@ -259,9 +263,15 @@ class _WaveOverlayStore:
         self._overlay = overlay
 
     def read_at(self, key: StateKey, version: int) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return read_base_value(self._base, key)
+        value = self._overlay.get(key, _UNWRITTEN)
+        if value is not _UNWRITTEN:
+            return value
+        # read_base_value, inlined: one Python call below the view's load
+        kind, address, slot = key
+        acct = self._base.account(address)
+        if acct is None:
+            return b"" if kind == "code" else 0
+        return acct.storage.get(slot, 0) if kind == "storage" else getattr(acct, kind)
 
 
 def speculate(
@@ -273,8 +283,8 @@ def speculate(
     reach it through :func:`run_propose_chunk` (``store`` is the round's
     overlay), the proposing session calls it directly for in-parent
     executions against the live :class:`MultiVersionStore`.  Writes stay
-    in the view's buffer; an invalid transaction is an outcome, not an
-    error.
+    in the view's buffer, which the result takes over; an invalid
+    transaction is an outcome, not an error.
     """
     view = OCCStateView(store, snapshot_version)
     start = time.perf_counter()
@@ -346,6 +356,8 @@ class BlockSTMView(KeyedView[Tuple[int, int]]):
     parent's cooperative re-validation checks against current memory.
     """
 
+    __slots__ = ("_base", "_overlay", "_mv", "_index")
+
     def __init__(
         self,
         base: StateSnapshot,
@@ -359,20 +371,25 @@ class BlockSTMView(KeyedView[Tuple[int, int]]):
         self._mv = mv
         self._index = index
 
-    def _load(self, key: StateKey) -> Tuple[Any, Tuple[int, int]]:
+    def _load(self, key: StateKey, record: bool = True) -> Any:
         source: Optional[MVEntry] = None
         for entry in self._mv.get(key, ()):
             if entry[0] >= self._index:
                 break
             source = entry
+        witness = _BASE_READ
         if source is not None:
             writer, incarnation, value, is_estimate = source
             if is_estimate:
                 raise EstimateRead(writer)
-            return value, (writer, incarnation)
-        if key in self._overlay:
-            return self._overlay[key], _BASE_READ
-        return read_base_value(self._base, key), _BASE_READ
+            witness = (writer, incarnation)
+        else:
+            value = self._overlay.get(key, _UNWRITTEN)
+            if value is _UNWRITTEN:
+                value = read_base_value(self._base, key)
+        if record and key not in self.reads and key not in self.writes:
+            self.reads[key] = witness
+        return value
 
     def reads_tuple(self) -> Tuple[Tuple[StateKey, int, int], ...]:
         """Recorded reads as ``(key, writer_index, incarnation)`` triples."""

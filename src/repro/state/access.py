@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.common.types import Address
+from repro.evm.interpreter import InvalidTransaction
 
 __all__ = [
     "StateKey",
@@ -62,7 +63,7 @@ def recorded_code(code: bytes) -> int:
     return int.from_bytes(code[:8].ljust(8, b"\0"), "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadWriteSet:
     """Reads and writes one transaction performed against pre-state.
 
@@ -146,76 +147,146 @@ class RecordingState:
     (``StateDB``, also over a guarded or sliced snapshot — the validator's
     re-execution path).  All mutations pass through; reads of keys this
     transaction already wrote are served by the underlying state but not
-    recorded as external reads.  The proposer's speculative views are keyed
-    already and apply the same recording rule themselves
-    (:class:`repro.state.versioned.KeyedView`), so they are never wrapped.
+    recorded as external reads.  A read is recorded before the inner state
+    serves it, so a guarded inner state that raises has still recorded it.
+    The proposer's speculative views are keyed already and apply the same
+    recording rule themselves (:class:`repro.state.versioned.KeyedView`),
+    so they are never wrapped.
     """
+
+    __slots__ = ("_inner", "_version", "rw", "_reads", "_writes")
 
     def __init__(self, inner: Any, version: int = 0) -> None:
         self._inner = inner
         self._version = version
-        self.rw = ReadWriteSet()
+        self._reads: Dict[StateKey, int] = {}
+        self._writes: Dict[StateKey, int] = {}
+        self.rw = ReadWriteSet(self._reads, self._writes)
+
+    def _record(self, key: StateKey) -> None:
+        if key not in self._writes and key not in self._reads:
+            self._reads[key] = self._version
 
     # reads ------------------------------------------------------------- #
+    # (the getters inline :meth:`_record`: a read is one call into the
+    # inner state)
 
     def account_exists(self, address: Address) -> bool:
-        self.rw.record_read(nonce_key(address), self._version)
+        self._record(("nonce", address, None))
         return self._inner.account_exists(address)
 
     def get_balance(self, address: Address) -> int:
-        self.rw.record_read(balance_key(address), self._version)
+        key = ("balance", address, None)
+        if key not in self._writes and key not in self._reads:
+            self._reads[key] = self._version
         return self._inner.get_balance(address)
 
     def get_nonce(self, address: Address) -> int:
-        self.rw.record_read(nonce_key(address), self._version)
+        key = ("nonce", address, None)
+        if key not in self._writes and key not in self._reads:
+            self._reads[key] = self._version
         return self._inner.get_nonce(address)
 
     def get_code(self, address: Address) -> bytes:
-        self.rw.record_read(code_key(address), self._version)
+        key = ("code", address, None)
+        if key not in self._writes and key not in self._reads:
+            self._reads[key] = self._version
         return self._inner.get_code(address)
 
     def get_storage(self, address: Address, slot: int) -> int:
-        self.rw.record_read(storage_key(address, slot), self._version)
+        key = ("storage", address, slot)
+        if key not in self._writes and key not in self._reads:
+            self._reads[key] = self._version
         return self._inner.get_storage(address, slot)
 
     # writes ------------------------------------------------------------ #
 
     def set_balance(self, address: Address, value: int) -> None:
-        self.rw.record_write(balance_key(address), value)
+        self._writes[("balance", address, None)] = value
         self._inner.set_balance(address, value)
 
     def add_balance(self, address: Address, amount: int) -> None:
         # read-modify-write calls build their key once, as the keyed views do
-        key = balance_key(address)
-        self.rw.record_read(key, self._version)
+        key = ("balance", address, None)
+        self._record(key)
         value = self._inner.get_balance(address) + amount
-        self.rw.record_write(key, value)
+        self._writes[key] = value
         self._inner.set_balance(address, value)
 
     def sub_balance(self, address: Address, amount: int) -> None:
         self.add_balance(address, -amount)
 
     def set_nonce(self, address: Address, value: int) -> None:
-        self.rw.record_write(nonce_key(address), value)
+        self._writes[("nonce", address, None)] = value
         self._inner.set_nonce(address, value)
 
     def increment_nonce(self, address: Address) -> None:
-        key = nonce_key(address)
-        self.rw.record_read(key, self._version)
+        key = ("nonce", address, None)
+        self._record(key)
         value = self._inner.get_nonce(address) + 1
-        self.rw.record_write(key, value)
+        self._writes[key] = value
         self._inner.set_nonce(address, value)
 
     def set_code(self, address: Address, code: bytes) -> None:
-        self.rw.record_write(code_key(address), recorded_code(code))
+        self._writes[("code", address, None)] = recorded_code(code)
         self._inner.set_code(address, code)
 
     def set_storage(self, address: Address, slot: int, value: int) -> None:
-        self.rw.record_write(storage_key(address, slot), value)
+        self._writes[("storage", address, slot)] = value
         self._inner.set_storage(address, slot, value)
 
     def create_account(self, address: Address) -> None:
         self._inner.create_account(address)
+
+    # the transaction envelope ------------------------------------------ #
+
+    def charge_sender(
+        self, sender: Address, nonce: int, intrinsic: int, gas_limit: int, upfront: int, value: int
+    ) -> None:
+        """The keyed views' :meth:`~repro.state.versioned.KeyedView.charge_sender`
+        over the inner state's getters and setters: the same checks in the
+        same precedence, the same recorded reads and writes in the same
+        order, each key loaded once."""
+        reads, writes, inner = self._reads, self._writes, self._inner
+        key = ("nonce", sender, None)
+        if key not in writes and key not in reads:
+            reads[key] = self._version
+        current = inner.get_nonce(sender)
+        if current != nonce:
+            raise InvalidTransaction.nonce_mismatch(nonce, current)
+        if intrinsic > gas_limit:
+            raise InvalidTransaction.intrinsic_gas(intrinsic, gas_limit)
+        funds_key = ("balance", sender, None)
+        if funds_key not in writes and funds_key not in reads:
+            reads[funds_key] = self._version
+        balance = inner.get_balance(sender)
+        if balance < upfront + value:
+            raise InvalidTransaction.insufficient_funds()
+        writes[key] = current + 1
+        inner.set_nonce(sender, current + 1)
+        if upfront:
+            writes[funds_key] = balance - upfront
+            inner.set_balance(sender, balance - upfront)
+
+    def transfer(self, sender: Address, to: Address, value: int) -> bool:
+        """Move ``value`` from ``sender`` to ``to``; False (and nothing
+        written) when the sender's balance falls short."""
+        reads, writes, inner = self._reads, self._writes, self._inner
+        key = ("balance", sender, None)
+        if key not in writes and key not in reads:
+            reads[key] = self._version
+        balance = inner.get_balance(sender)
+        if balance < value:
+            return False
+        writes[key] = balance - value
+        inner.set_balance(sender, balance - value)
+        key = ("balance", to, None)
+        if key not in writes and key not in reads:
+            reads[key] = self._version
+        balance = inner.get_balance(to) + value
+        writes[key] = balance
+        inner.set_balance(to, balance)
+        return True
 
     # journal passthrough ------------------------------------------------ #
 

@@ -71,34 +71,45 @@ def snapshot_to_json(snapshot: StateSnapshot, *, note: str = "") -> str:
 
 
 def snapshot_from_json(text: str, *, verify_root: bool = True) -> StateSnapshot:
-    """Rebuild a snapshot; verifies the recorded state root by default."""
+    """Rebuild a snapshot; verifies the recorded state root by default.
+
+    Any document either decodes or raises :class:`SnapshotFormatError` —
+    a wrong shape anywhere, a value out of range or a nesting too deep for
+    the parser included; no other exception leaves this function.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SnapshotFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "repro-state-snapshot":
         raise SnapshotFormatError("not a state snapshot document")
     if doc.get("version") != FORMAT_VERSION:
         raise SnapshotFormatError(f"unsupported version {doc.get('version')!r}")
+    accounts = doc.get("accounts")
+    if not isinstance(accounts, dict):
+        raise SnapshotFormatError("bad account record: accounts is not an object")
+    recorded = doc.get("stateRoot")
+    if recorded is not None and not isinstance(recorded, str):
+        raise SnapshotFormatError("stateRoot is not a string")
 
     alloc = {}
     try:
-        for address_hex, entry in doc["accounts"].items():
-            storage = {
-                int(slot, 16): int(value)
-                for slot, value in entry.get("storage", {}).items()
-            }
+        for address_hex, entry in accounts.items():
+            if not isinstance(entry, dict):
+                raise TypeError(f"account {address_hex} is not an object")
+            storage = entry.get("storage", {})
+            if not isinstance(storage, dict):
+                raise TypeError(f"storage of {address_hex} is not an object")
             alloc[address_from_hex(address_hex)] = AccountData(
                 nonce=int(entry.get("nonce", 0)),
                 balance=int(entry.get("balance", "0")),
                 code=bytes.fromhex(entry.get("code", "")),
-                storage=storage,
+                storage={int(slot, 16): int(value) for slot, value in storage.items()},
             )
-    except (KeyError, ValueError, TypeError) as exc:
+        snapshot = genesis_snapshot(alloc)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SnapshotFormatError(f"bad account record: {exc}") from exc
 
-    snapshot = genesis_snapshot(alloc)
-    recorded = doc.get("stateRoot")
     if verify_root and recorded is not None:
         if snapshot.state_root().hex() != recorded:
             raise SnapshotFormatError(

@@ -21,6 +21,7 @@ from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.common.rlp import rlp_int
 from repro.common.types import Address, Hash32
+from repro.evm.interpreter import InvalidTransaction
 from repro.state.account import AccountData, encode_account
 from repro.state.trie import SecureMPT
 
@@ -136,6 +137,8 @@ class StateDB:
     # ------------------------------------------------------------------ #
 
     def _overlay(self, address: Address) -> _Overlay:
+        # the writers inline the hit (``self._overlays.get(a) or
+        # self._overlay(a)``): a call only when an account is first touched
         ov = self._overlays.get(address)
         if ov is None:
             ov = _Overlay(self._base.account(address))
@@ -143,42 +146,41 @@ class StateDB:
             self._journal.append(("touch", address))
         return ov
 
-    def _peek(self, address: Address) -> Optional[_Overlay]:
-        return self._overlays.get(address)
-
     # ------------------------------------------------------------------ #
     # reads                                                              #
     # ------------------------------------------------------------------ #
+    # (each is the overlay, else one call of the base's ``account`` — a
+    # guarded base raises there)
 
     def account_exists(self, address: Address) -> bool:
-        ov = self._peek(address)
+        ov = self._overlays.get(address)
         if ov is not None:
             return ov.exists
         return self._base.account(address) is not None
 
     def get_balance(self, address: Address) -> int:
-        ov = self._peek(address)
+        ov = self._overlays.get(address)
         if ov is not None:
             return ov.balance
         acct = self._base.account(address)
         return acct.balance if acct else 0
 
     def get_nonce(self, address: Address) -> int:
-        ov = self._peek(address)
+        ov = self._overlays.get(address)
         if ov is not None:
             return ov.nonce
         acct = self._base.account(address)
         return acct.nonce if acct else 0
 
     def get_code(self, address: Address) -> bytes:
-        ov = self._peek(address)
+        ov = self._overlays.get(address)
         if ov is not None:
             return ov.code
         acct = self._base.account(address)
         return acct.code if acct else b""
 
     def get_storage(self, address: Address, slot: int) -> int:
-        ov = self._peek(address)
+        ov = self._overlays.get(address)
         if ov is not None:
             if slot in ov.storage:
                 return ov.storage[slot]
@@ -196,7 +198,7 @@ class StateDB:
     def set_balance(self, address: Address, value: int) -> None:
         if value < 0:
             raise ValueError(f"negative balance for {address.hex()}: {value}")
-        ov = self._overlay(address)
+        ov = self._overlays.get(address) or self._overlay(address)
         self._journal.append(("balance", address, ov.balance, ov.exists))
         ov.balance = value
         ov.exists = True
@@ -208,7 +210,7 @@ class StateDB:
         self.set_balance(address, self.get_balance(address) - amount)
 
     def set_nonce(self, address: Address, value: int) -> None:
-        ov = self._overlay(address)
+        ov = self._overlays.get(address) or self._overlay(address)
         self._journal.append(("nonce", address, ov.nonce, ov.exists))
         ov.nonce = value
         ov.exists = True
@@ -217,13 +219,13 @@ class StateDB:
         self.set_nonce(address, self.get_nonce(address) + 1)
 
     def set_code(self, address: Address, code: bytes) -> None:
-        ov = self._overlay(address)
+        ov = self._overlays.get(address) or self._overlay(address)
         self._journal.append(("code", address, ov.code, ov.exists))
         ov.code = code
         ov.exists = True
 
     def set_storage(self, address: Address, slot: int, value: int) -> None:
-        ov = self._overlay(address)
+        ov = self._overlays.get(address) or self._overlay(address)
         had = slot in ov.storage
         old = ov.storage.get(slot)
         self._journal.append(("storage", address, slot, old, had, ov.exists))
@@ -232,10 +234,57 @@ class StateDB:
 
     def create_account(self, address: Address) -> None:
         """Ensure an account exists (used by CREATE and genesis helpers)."""
-        ov = self._overlay(address)
+        ov = self._overlays.get(address) or self._overlay(address)
         if not ov.exists:
             self._journal.append(("exists", address, ov.exists))
             ov.exists = True
+
+    # ------------------------------------------------------------------ #
+    # the transaction envelope                                           #
+    # ------------------------------------------------------------------ #
+
+    def charge_sender(
+        self, sender: Address, nonce: int, intrinsic: int, gas_limit: int, upfront: int, value: int
+    ) -> None:
+        """The keyed views' :meth:`~repro.state.versioned.KeyedView.charge_sender`
+        on the overlay: the sender's account is read once, and only a
+        transaction that passes every check touches the overlay."""
+        ov = self._overlays.get(sender)
+        acct = None if ov is not None else self._base.account(sender)
+        current = ov.nonce if ov is not None else acct.nonce if acct else 0
+        if current != nonce:
+            raise InvalidTransaction.nonce_mismatch(nonce, current)
+        if intrinsic > gas_limit:
+            raise InvalidTransaction.intrinsic_gas(intrinsic, gas_limit)
+        balance = ov.balance if ov is not None else acct.balance if acct else 0
+        if balance < upfront + value:
+            raise InvalidTransaction.insufficient_funds()
+        journal = self._journal
+        if ov is None:
+            ov = self._overlays[sender] = _Overlay(acct)
+            journal.append(("touch", sender))
+        journal.append(("nonce", sender, current, ov.exists))
+        ov.nonce = current + 1
+        ov.exists = True
+        if upfront:
+            journal.append(("balance", sender, balance, True))
+            ov.balance = balance - upfront
+
+    def transfer(self, sender: Address, to: Address, value: int) -> bool:
+        """Move ``value`` from ``sender`` to ``to``; False when the sender's
+        balance falls short (the caller reverts what this touched)."""
+        ov = self._overlays.get(sender) or self._overlay(sender)
+        if ov.balance < value:
+            return False
+        journal = self._journal
+        journal.append(("balance", sender, ov.balance, ov.exists))
+        ov.balance -= value
+        ov.exists = True
+        ov = self._overlays.get(to) or self._overlay(to)
+        journal.append(("balance", to, ov.balance, ov.exists))
+        ov.balance += value
+        ov.exists = True
+        return True
 
     # ------------------------------------------------------------------ #
     # journal                                                            #

@@ -21,15 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, Generic, List, Tuple, TypeVar
 
 from repro.common.types import Address
-from repro.state.access import (
-    ReadWriteSet,
-    StateKey,
-    balance_key,
-    code_key,
-    nonce_key,
-    recorded_code,
-    storage_key,
-)
+from repro.evm.interpreter import InvalidTransaction
+from repro.state.access import ReadWriteSet, StateKey, recorded_code
 from repro.state.statedb import StateSnapshot
 
 __all__ = ["MultiVersionStore", "KeyedView", "OCCStateView", "read_base_value"]
@@ -42,26 +35,18 @@ W = TypeVar("W")
 _ABSENT: Any = object()
 
 
-def read_base_value(base: StateSnapshot, key: StateKey) -> Any:
+def read_base_value(base: Any, key: StateKey) -> Any:
     """Value of ``key`` in a committed snapshot (version-0 fallback).
 
-    Shared by :class:`MultiVersionStore` and the overlay stores the real
-    execution backends (:mod:`repro.exec`) build for worker tasks — any
-    object exposing ``account(address)`` works as ``base``.
+    The reference for the stores' inlined base reads: any object exposing
+    ``account(address)`` works as ``base``, and every read goes through it
+    once (a guarded base raises there).
     """
     kind, address, slot = key
     acct = base.account(address)
-    if kind == "balance":
-        return acct.balance if acct else 0
-    if kind == "nonce":
-        return acct.nonce if acct else 0
-    if kind == "code":
-        return acct.code if acct else b""
-    if kind == "storage":
-        if acct is None:
-            return 0
-        return acct.storage.get(slot, 0)
-    raise ValueError(f"unknown key kind {kind!r}")
+    if acct is None:
+        return b"" if kind == "code" else 0
+    return acct.storage.get(slot, 0) if kind == "storage" else getattr(acct, kind)
 
 
 class MultiVersionStore:
@@ -90,7 +75,12 @@ class MultiVersionStore:
             for i in range(len(entry) - 2, -1, -2):
                 if entry[i] <= version:
                     return entry[i + 1]
-        return read_base_value(self.base, key)
+        # read_base_value, inlined: one Python call below the view's load
+        kind, address, slot = key
+        acct = self.base.account(address)
+        if acct is None:
+            return b"" if kind == "code" else 0
+        return acct.storage.get(slot, 0) if kind == "storage" else getattr(acct, kind)
 
     def latest_version(self, key: StateKey) -> int:
         """Version of the most recent committed write to ``key`` (0 if none)."""
@@ -137,9 +127,11 @@ class KeyedView(Generic[W]):
     buffer, a journal and the rw-set recording rule.
 
     Every interface call builds its :data:`StateKey` once and crosses one
-    layer.  Writes go to a local buffer (read-your-own-write, invisible to
-    others until commit) with journal marks, so reverting call frames
-    restores the buffer exactly.  Recording follows the rule the validator's
+    layer: a buffered read is a dict lookup, an unbuffered one is
+    :meth:`_load` and the source below it.  Writes go to a local buffer
+    (read-your-own-write, invisible to others until commit) with journal
+    marks, so reverting call frames restores the buffer exactly.  Recording
+    follows the rule the validator's
     :class:`~repro.state.access.RecordingState` applies, so speculative
     profiles diff cleanly against the serial replay's recorded sets: the
     first external read of a key wins; a key this transaction wrote is never
@@ -149,9 +141,11 @@ class KeyedView(Generic[W]):
     missed one); code is recorded as a short int; ``account_exists``
     records the nonce key only.
 
-    Subclasses supply :meth:`_load` — where an unbuffered read comes from
-    and the witness ``W`` recorded for it.
+    Subclasses supply :meth:`_load` — where an unbuffered read comes from;
+    it records the witness ``W`` of the read itself.
     """
+
+    __slots__ = ("_buffer", "_journal", "reads", "writes")
 
     def __init__(self) -> None:
         self._buffer: Dict[StateKey, Any] = {}
@@ -161,18 +155,14 @@ class KeyedView(Generic[W]):
         #: rw-set writes (code as an int; kept across reverts)
         self.writes: Dict[StateKey, int] = {}
 
-    def _load(self, key: StateKey) -> Tuple[Any, W]:
-        """``(value, witness)`` of ``key`` as this transaction sees it."""
+    def _load(self, key: StateKey, record: bool = True) -> Any:
+        """Value of the unbuffered ``key`` as this transaction sees it;
+        records its witness unless ``record`` is off or the key is known."""
         raise NotImplementedError
 
     def _read(self, key: StateKey, record: bool = True) -> Any:
         value = self._buffer.get(key, _ABSENT)
-        if value is not _ABSENT:
-            return value
-        value, witness = self._load(key)
-        if record and key not in self.reads and key not in self.writes:
-            self.reads[key] = witness
-        return value
+        return self._load(key, record) if value is _ABSENT else value
 
     def _write(self, key: StateKey, value: Any, recorded: int) -> None:
         self.writes[key] = recorded
@@ -181,27 +171,37 @@ class KeyedView(Generic[W]):
         buffer[key] = value
 
     # -- StateDB interface ------------------------------------------------ #
+    # (the getters inline :meth:`_read`: an unbuffered read is ``_load``
+    # and the store's ``read_at``, whose base ``account`` may raise)
 
     def account_exists(self, address: Address) -> bool:
         # Existence approximated by non-default nonce/balance/code: in this
         # system accounts are funded at genesis or created by CREATE.
         return (
-            self._read(nonce_key(address)) != 0
-            or self._read(balance_key(address), record=False) != 0
-            or self._read(code_key(address), record=False) != b""
+            self._read(("nonce", address, None)) != 0
+            or self._read(("balance", address, None), record=False) != 0
+            or self._read(("code", address, None), record=False) != b""
         )
 
     def get_balance(self, address: Address) -> int:
-        return self._read(balance_key(address))
+        key = ("balance", address, None)
+        value = self._buffer.get(key, _ABSENT)
+        return self._load(key) if value is _ABSENT else value
 
     def get_nonce(self, address: Address) -> int:
-        return self._read(nonce_key(address))
+        key = ("nonce", address, None)
+        value = self._buffer.get(key, _ABSENT)
+        return self._load(key) if value is _ABSENT else value
 
     def get_code(self, address: Address) -> bytes:
-        return self._read(code_key(address))
+        key = ("code", address, None)
+        value = self._buffer.get(key, _ABSENT)
+        return self._load(key) if value is _ABSENT else value
 
     def get_storage(self, address: Address, slot: int) -> int:
-        return self._read(storage_key(address, slot))
+        key = ("storage", address, slot)
+        value = self._buffer.get(key, _ABSENT)
+        return self._load(key) if value is _ABSENT else value
 
     def _set_balance(self, key: StateKey, value: int) -> None:
         if value < 0:
@@ -209,33 +209,104 @@ class KeyedView(Generic[W]):
         self._write(key, value, value)
 
     def set_balance(self, address: Address, value: int) -> None:
-        self._set_balance(balance_key(address), value)
+        self._set_balance(("balance", address, None), value)
 
     def add_balance(self, address: Address, amount: int) -> None:
-        key = balance_key(address)
-        self._set_balance(key, self._read(key) + amount)
+        key = ("balance", address, None)
+        buffer = self._buffer
+        old = buffer.get(key, _ABSENT)
+        value = (self._load(key) if old is _ABSENT else old) + amount
+        if value < 0:
+            raise ValueError(f"negative balance for {address.hex()}")
+        # _write, inlined: the refund credits the sender through here
+        self.writes[key] = value
+        self._journal.append((key, old))
+        buffer[key] = value
 
     def sub_balance(self, address: Address, amount: int) -> None:
-        key = balance_key(address)
+        key = ("balance", address, None)
         self._set_balance(key, self._read(key) - amount)
 
     def set_nonce(self, address: Address, value: int) -> None:
-        self._write(nonce_key(address), value, value)
+        self._write(("nonce", address, None), value, value)
 
     def increment_nonce(self, address: Address) -> None:
-        key = nonce_key(address)
+        key = ("nonce", address, None)
         value = self._read(key) + 1
         self._write(key, value, value)
 
     def set_code(self, address: Address, code: bytes) -> None:
-        self._write(code_key(address), code, recorded_code(code))
+        self._write(("code", address, None), code, recorded_code(code))
 
     def set_storage(self, address: Address, slot: int, value: int) -> None:
-        self._write(storage_key(address, slot), value, value)
+        self._write(("storage", address, slot), value, value)
 
     def create_account(self, address: Address) -> None:
         # No-op: existence is implied by the first write to the account.
         return None
+
+    # -- the transaction envelope ----------------------------------------- #
+
+    def charge_sender(
+        self, sender: Address, nonce: int, intrinsic: int, gas_limit: int, upfront: int, value: int
+    ) -> None:
+        """Check and charge a transaction's sender in one call.
+
+        Checks the nonce, then ``intrinsic <= gas_limit``, then that the
+        balance covers ``upfront + value`` — raising
+        :class:`~repro.evm.interpreter.InvalidTransaction` at the first that
+        fails — then increments the nonce and debits ``upfront`` (no balance
+        write when it is zero).  Loads each key once; records the reads and
+        writes, in the order, of ``get_nonce`` / ``get_balance`` /
+        ``increment_nonce`` / ``sub_balance``.
+        """
+        buffer, journal, writes = self._buffer, self._journal, self.writes
+        key = ("nonce", sender, None)
+        current = buffer.get(key, _ABSENT)
+        if current is _ABSENT:
+            current = self._load(key)
+        if current != nonce:
+            raise InvalidTransaction.nonce_mismatch(nonce, current)
+        if intrinsic > gas_limit:
+            raise InvalidTransaction.intrinsic_gas(intrinsic, gas_limit)
+        funds_key = ("balance", sender, None)
+        balance = buffer.get(funds_key, _ABSENT)
+        if balance is _ABSENT:
+            balance = self._load(funds_key)
+        if balance < upfront + value:
+            raise InvalidTransaction.insufficient_funds()
+        # _write, inlined
+        writes[key] = current + 1
+        journal.append((key, buffer.get(key, _ABSENT)))
+        buffer[key] = current + 1
+        if upfront:
+            writes[funds_key] = balance - upfront
+            journal.append((funds_key, buffer.get(funds_key, _ABSENT)))
+            buffer[funds_key] = balance - upfront
+
+    def transfer(self, sender: Address, to: Address, value: int) -> bool:
+        """Move ``value`` from ``sender`` to ``to``; False (and nothing
+        written) when the sender's balance falls short.  Records what
+        ``get_balance`` / ``sub_balance`` / ``add_balance`` would."""
+        buffer, journal, writes = self._buffer, self._journal, self.writes
+        key = ("balance", sender, None)
+        old = buffer.get(key, _ABSENT)
+        balance = self._load(key) if old is _ABSENT else old
+        if balance < value:
+            return False
+        # _write, inlined (twice)
+        writes[key] = balance - value
+        journal.append((key, old))
+        buffer[key] = balance - value
+        key = ("balance", to, None)
+        old = buffer.get(key, _ABSENT)
+        balance = (self._load(key) if old is _ABSENT else old) + value
+        writes[key] = balance
+        journal.append((key, old))
+        buffer[key] = balance
+        return True
+
+    # -- journal ------------------------------------------------------------ #
 
     def snapshot(self) -> int:
         return len(self._journal)
@@ -255,7 +326,8 @@ class KeyedView(Generic[W]):
 
     @property
     def buffered_writes(self) -> Dict[StateKey, Any]:
-        return dict(self._buffer)
+        """The write buffer itself, not a copy: read it once the view is done."""
+        return self._buffer
 
 
 class OCCStateView(KeyedView[int]):
@@ -267,13 +339,27 @@ class OCCStateView(KeyedView[int]):
     version and validates :attr:`rw` against the reserve table.
     """
 
+    __slots__ = ("store", "snapshot_version", "_read_at")
+
     def __init__(self, store: Any, snapshot_version: int) -> None:
-        super().__init__()
+        # KeyedView.__init__, inlined: one view is built per execution
+        self._buffer = {}
+        self._journal = []
+        self.reads = {}
+        self.writes = {}
         #: a :class:`MultiVersionStore` or anything with its ``read_at``
         self.store = store
         self.snapshot_version = snapshot_version
-        self.rw = ReadWriteSet(self.reads, self.writes)
+        self._read_at = store.read_at
 
-    def _load(self, key: StateKey) -> Tuple[Any, int]:
+    @property
+    def rw(self) -> ReadWriteSet:
+        """The recorded read/write set (a view of :attr:`reads` / :attr:`writes`)."""
+        return ReadWriteSet(self.reads, self.writes)
+
+    def _load(self, key: StateKey, record: bool = True) -> Any:
         version = self.snapshot_version
-        return self.store.read_at(key, version), version
+        value = self._read_at(key, version)
+        if record and key not in self.reads and key not in self.writes:
+            self.reads[key] = version
+        return value

@@ -36,10 +36,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.common.types import Address
+from repro.common.types import Address, Hash32
 from repro.txpool.transaction import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TxPool"]
 
@@ -62,9 +65,9 @@ class TxPool:
     when present the pool counts heap compactions and RBF replacements.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics: Optional["MetricsRegistry"] = None) -> None:
         # ready transactions: max-heap on gas price (min-heap on negation)
-        self._ready: List[tuple] = []
+        self._ready: List[Tuple[int, int, Transaction]] = []
         self._counter = itertools.count()
         # parked: sender -> {nonce: tx} not yet ready
         self._parked: Dict[Address, Dict[int, Transaction]] = {}
@@ -73,13 +76,13 @@ class TxPool:
         # ready txs currently popped but not yet packed (in flight)
         self._in_flight: Dict[Address, Transaction] = {}
         # senders whose ready-nonce tx is in the heap or in flight
-        self._pending_ready: set = set()
+        self._pending_ready: Set[Address] = set()
         # lazily-invalidated heap entries (replaced by fee)
-        self._cancelled: set = set()
+        self._cancelled: Set[Hash32] = set()
         self._size = 0
         # ---- hot-path index layer (see module docstring) -------------- #
         # hash -> tx for everything queued (parked, ready, in flight)
-        self._index: Dict[bytes, Transaction] = {}
+        self._index: Dict[Hash32, Transaction] = {}
         # count of heap entries not in _cancelled
         self._live_ready = 0
         # sender -> its live (non-cancelled, non-in-flight) heap entry
@@ -141,7 +144,7 @@ class TxPool:
                 f"{new.gas_price} < bump threshold {threshold}"
             )
 
-    def _replace_parked(self, parked, tx: Transaction) -> None:
+    def _replace_parked(self, parked: Dict[int, Transaction], tx: Transaction) -> None:
         old = parked[tx.nonce]
         self._check_bump(old, tx)
         del self._index[old.hash]
@@ -174,7 +177,7 @@ class TxPool:
             self.metrics.counter("txpool.replacements").inc()
         self._maybe_compact()
 
-    def add_many(self, txs) -> None:
+    def add_many(self, txs: Iterable[Transaction]) -> None:
         for tx in txs:
             self.add(tx)
 
@@ -292,7 +295,7 @@ class TxPool:
 
     # ------------------------------------------------------------------ #
 
-    def contains(self, tx_hash) -> bool:
+    def contains(self, tx_hash: Hash32) -> bool:
         """Whether a transaction with this hash is queued or in flight.
 
         O(1): served from the hash index, which never carries cancelled
@@ -320,7 +323,7 @@ class TxPool:
             return False
         return True
 
-    def restore_many(self, txs) -> int:
+    def restore_many(self, txs: Iterable[Transaction]) -> int:
         """Restore a batch; returns how many actually re-entered the pool."""
         return sum(1 for tx in txs if self.restore(tx))
 

@@ -6,7 +6,10 @@ closure per opcode taking eight arguments, and a :class:`Stack` whose every
 ``push``/``pop`` re-checks bounds and re-masks to 256 bits.  It shares only
 value types, the gas schedule and :class:`~repro.evm.memory.Memory` with
 the code under test; ``tests/test_evm_oracle.py`` runs both over generated
-programs and compares everything a transaction can observe.  Not a test
+programs and compares everything a transaction can observe.  Its
+transaction envelope is the four-call one (``get_nonce`` / ``get_balance`` /
+``increment_nonce`` / ``sub_balance``, then ``sub_balance`` / ``add_balance``
+per transfer) that ``charge_sender`` and ``transfer`` replaced.  Not a test
 module itself (no ``test_`` prefix) and never imported from ``src/``.
 """
 
@@ -37,7 +40,6 @@ from repro.evm.interpreter import (
     InvalidTransaction,
     Log,
     Message,
-    MessageResult,
     TxResult,
     contract_address,
     contract_address2,
@@ -119,6 +121,16 @@ class _Revert(Exception):
     def __init__(self, output: bytes) -> None:
         super().__init__("revert")
         self.output = output
+
+
+@dataclass
+class MessageResult:
+    success: bool
+    output: bytes
+    gas_left: int
+    logs: List[Log] = field(default_factory=list)
+    error: Optional[str] = None
+    created: Optional[Address] = None
 
 
 @dataclass

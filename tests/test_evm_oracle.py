@@ -8,7 +8,9 @@ transaction can observe: success, gas, output, logs, created address, error
 class, final state, recorded rw-set, and ``trace.counts`` *in insertion
 order* (the cost model sums in that order; the sim goldens pin the last
 bit).  The same file holds the module docstring's promise that nothing but
-``InvalidTransaction`` escapes ``apply_transaction``.
+``InvalidTransaction`` escapes ``apply_transaction``, and
+``TestEnvelopeOnEverySurface``: the stepper's four-call sender prologue
+against the one ``charge_sender`` call, on every state surface.
 """
 
 import dataclasses
@@ -19,12 +21,21 @@ from hypothesis import strategies as st
 
 from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import asm
-from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
+from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, contract_address
 from repro.evm.opcodes import OPCODES
-from repro.exec.tasks import export_overlay
-from repro.state.access import RecordingState
+from repro.exec.tasks import (
+    BlockSTMView,
+    FootprintMiss,
+    GuardedSnapshot,
+    SliceSnapshot,
+    _WaveOverlayStore,
+    build_state_slice,
+    export_overlay,
+)
+from repro.state.access import RecordingState, balance_key, storage_key
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
+from repro.state.versioned import MultiVersionStore, OCCStateView
 from repro.txpool.transaction import Transaction
 from repro.workload import contracts
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
@@ -342,3 +353,159 @@ class TestOnlyInvalidTransactionEscapes:
             program = [operand] * op.pops + [op.name, 0, "MSTORE", 32, 0, "RETURN"]
             result = observe(EVM(), make_genesis(asm(program), b"\x00"), make_tx(b"", 300_000, 1, 0))
             assert result == "invalid" or len(result["output"]) in (0, 32)
+
+
+# ---------------------------------------------------------------------- #
+# the transaction envelope on every state surface                        #
+# ---------------------------------------------------------------------- #
+
+FRESH = address_from_int(0xF00D)  # no account at genesis
+OUTSIDER = address_from_int(0xBAD)  # funded, but outside every footprint
+#: what the guarded surfaces serve; anything else is a FootprintMiss, which
+#: both sides must raise at the same access
+FOOTPRINT = frozenset({SENDER, CONTRACT, CALLEE, FRESH, contract_address(SENDER, 0)})
+
+
+def _surfaces(genesis):
+    """Every state object ``apply_transaction`` runs on, as factories of a
+    fresh one: ``name -> () -> (state, rw_of, state_of)``.  What a surface
+    holds includes its journal's length (the mark a frame would take next),
+    so an extra no-op write shows too."""
+
+    def bare():
+        db = StateDB(genesis)
+        return db, lambda: None, lambda: (export_overlay(db), db.snapshot())
+
+    def recording(base):
+        def make():
+            db = StateDB(base())
+            rec = RecordingState(db)
+            return (
+                rec,
+                lambda: (list(rec.rw.reads.items()), list(rec.rw.writes.items())),
+                lambda: (export_overlay(db), db.snapshot()),
+            )
+
+        return make
+
+    def keyed(build):
+        def make():
+            view = build()
+            return (
+                view,
+                lambda: (list(view.reads.items()), list(view.writes.items())),
+                lambda: (list(view.buffered_writes.items()), view.snapshot()),
+            )
+
+        return make
+
+    # a committed prefix below the transaction: values it must read through
+    overlay = {balance_key(CALLEE): 99, storage_key(CONTRACT, 0): 5}
+    mv = {storage_key(CONTRACT, 1): ((0, 0, 123, False),)}
+    return {
+        "statedb": bare,
+        "recording": recording(lambda: genesis),
+        "recording-guarded": recording(lambda: GuardedSnapshot(genesis, FOOTPRINT)),
+        "recording-slice": recording(lambda: SliceSnapshot(build_state_slice(genesis, FOOTPRINT))),
+        "occ-store": keyed(lambda: OCCStateView(MultiVersionStore(genesis), 0)),
+        "occ-wave-overlay": keyed(lambda: OCCStateView(_WaveOverlayStore(genesis, overlay), 0)),
+        "block-stm": keyed(lambda: BlockSTMView(genesis, overlay, mv, 1)),
+    }
+
+
+SURFACES = list(_surfaces(None))
+
+
+def observe_on(evm, make, tx):
+    """Everything one execution shows on one surface — an invalid one too:
+    its message, and what it recorded and wrote before it was refused."""
+    state, rw_of, state_of = make()
+    try:
+        r = evm.apply_transaction(state, tx, CTX)
+    except InvalidTransaction as exc:
+        return ("invalid", str(exc), rw_of(), state_of())
+    except FootprintMiss as exc:
+        return ("footprint miss", exc.address, rw_of())
+    fields = dataclasses.asdict(r)
+    fields["error"] = error_class(r.error)
+    fields["trace"] = list(r.trace.counts.items())
+    return fields, rw_of(), state_of()
+
+
+def assert_same_on(surface, genesis, tx):
+    make = _surfaces(genesis)[surface]
+    new, old = observe_on(EVM(), make, tx), observe_on(OracleEVM(), make, tx)
+    assert new == old
+    return new
+
+
+def envelope_genesis(code=b"", callee=b""):
+    genesis = make_genesis(code, callee)
+    alloc = {address: genesis.account(address) for address in (SENDER, CONTRACT, CALLEE)}
+    alloc[OUTSIDER] = AccountData(balance=10**21)
+    return genesis_snapshot(alloc)
+
+
+def tx_from(sender=SENDER, to=FRESH, value=0, data=b"", gas_limit=60_000, gas_price=3, nonce=0):
+    return Transaction(sender=sender, to=to, value=value, data=data,
+                       gas_limit=gas_limit, gas_price=gas_price, nonce=nonce)
+
+
+#: (case id, transaction) — each a path through the envelope
+ENVELOPE_CASES = [
+    ("plain-transfer", tx_from(value=10**18)),
+    ("bad-nonce-and-no-funds", tx_from(value=10**30, nonce=1)),
+    ("intrinsic-over-limit-and-bad-nonce", tx_from(gas_limit=20_000, nonce=4)),
+    ("intrinsic-over-limit-and-no-funds", tx_from(gas_limit=20_000, value=10**30)),
+    ("gas-price-zero", tx_from(gas_price=0)),
+    ("gas-price-zero-with-value", tx_from(gas_price=0, value=7)),
+    ("value-to-self", tx_from(to=SENDER, value=10**18)),
+    ("funds-cover-gas-not-value", tx_from(value=10**21)),
+    ("create", tx_from(to=None, value=1, gas_limit=200_000,
+                       data=contracts.deploy_initcode(asm([1, 0, "SSTORE"])))),
+    ("call-with-value", tx_from(to=CONTRACT, value=5, data=b"\x01" * 36, gas_limit=200_000)),
+    ("call-gas-price-zero", tx_from(to=CONTRACT, gas_price=0, gas_limit=200_000)),
+]
+
+#: a contract that reads what the surfaces' committed prefixes hold, pays
+#: the callee and reverts half the time on calldata
+ENVELOPE_CODE = asm(
+    [0, "SLOAD", 1, "SLOAD", "ADD", 0, "SSTORE", address_to_int(CALLEE), "BALANCE", "POP",
+     0, 0, 0, 0, 1, address_to_int(CALLEE), 50_000, "CALL", "POP",
+     0, "CALLDATALOAD", ("jumpi", "bail"), "STOP", (":", "bail"), 0, 0, "REVERT"]
+)
+
+
+class TestEnvelopeOnEverySurface:
+    """The one sender call, the depth-0 transfer and the refund against the
+    parent's four-call prologue, on a fresh copy of each surface per side:
+    result fields, trace order, rw-set insertion order, what was written,
+    and the refusal message with what the refusal left recorded."""
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=[case for case, _ in ENVELOPE_CASES])
+    def test_each_envelope_path(self, surface, case):
+        name, tx = case
+        seen = assert_same_on(surface, envelope_genesis(ENVELOPE_CODE, b"\x00"), tx)
+        if name.startswith(("bad-nonce", "intrinsic-over-limit-and-bad")):
+            assert seen[1].startswith("nonce mismatch")
+        elif name.startswith("intrinsic"):
+            assert seen[1].startswith("intrinsic gas")
+        elif name.startswith("funds"):
+            assert seen[1].startswith("insufficient funds")
+        else:
+            assert seen[0]["gas_used"] > 0
+
+    @pytest.mark.parametrize("surface", ["recording-guarded", "recording-slice"])
+    def test_an_out_of_footprint_sender_is_a_footprint_miss(self, surface):
+        seen = assert_same_on(surface, envelope_genesis(), tx_from(sender=OUTSIDER, value=1))
+        assert seen[:2] == ("footprint miss", OUTSIDER)
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @settings(max_examples=40, **COMMON)
+    @given(programs, programs, st.binary(max_size=36), gas_limits,
+           st.sampled_from([0, 1, 10**18, 10**22]), st.sampled_from([0, 3]), st.sampled_from([0, 0, 1]))
+    def test_generated_programs(self, surface, code, callee, data, gas_limit, value, gas_price, nonce):
+        tx = tx_from(to=CONTRACT, value=value, data=data, gas_limit=gas_limit,
+                     gas_price=gas_price, nonce=nonce)
+        assert_same_on(surface, envelope_genesis(code, callee), tx)

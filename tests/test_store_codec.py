@@ -153,6 +153,7 @@ class TestBlockCodec:
         assert encode_block(block) == encode_block(block)
 
 
+@pytest.mark.robustness
 class TestDecodeBlockOnDamagedBytes:
     """ROADMAP 7(c), the block codec's slice: whatever bytes arrive,
     ``decode_block`` answers with a typed error (a ``ValueError`` —

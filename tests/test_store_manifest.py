@@ -11,7 +11,7 @@ import pytest
 from repro.store.errors import ManifestError
 from repro.store.manifest import SLOT, Manifest, SnapshotRef, manifest_path
 
-pytestmark = pytest.mark.store
+pytestmark = [pytest.mark.store, pytest.mark.robustness]
 
 #: values a field must not be trusted with: JSON's non-standard constants, a
 #: float literal that parses as infinity, a list, and a nesting deep enough

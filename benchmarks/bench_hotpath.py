@@ -1,15 +1,13 @@
-"""Hot-path caching & indexing microbenchmarks (ISSUE 4).
+"""Hot-path indexing and batching microbenchmarks.
 
-Three layers, three headline numbers — each a **deterministic op-count
-ratio** of the pre-overhaul algorithm to the indexed/batched/cached one,
-so the committed golden can gate regressions without wall-clock noise:
+Two layers, two headline numbers — each a **deterministic op-count
+ratio** of the pre-overhaul algorithm to the indexed/batched one, so the
+committed golden can gate regressions without wall-clock noise:
 
 * ``txpool.scan_speedup`` — linear pool scans (`contains`/`has_ready`
   as shipped before the hash index) vs the O(1) index and live counter;
 * ``commit.write_speedup`` — per-overlay-slot trie writes vs the batched
-  net-delta commit that drops no-op rewrites and untouched accounts;
-* ``artifacts.reuse_speedup`` — preparation-phase derivations (footprints
-  → graph) per consumer vs once per block via :class:`ArtifactCache`.
+  net-delta commit that drops no-op rewrites and untouched accounts.
 
 Every legacy replica is checked for *equivalence* before its cost is
 counted — a fast wrong path is not a data point.  (What the layers cost in
@@ -22,8 +20,6 @@ from benchmarks.world import Outcome, World
 from repro.analysis.report import format_table
 from repro.common.rlp import rlp_int
 from repro.common.types import address_from_int
-from repro.core.artifacts import ArtifactCache
-from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.state.account import AccountData, encode_account
 from repro.state.statedb import (
     StateDB,
@@ -34,8 +30,6 @@ from repro.state.statedb import (
 from repro.state.trie import EMPTY_ROOT, SecureMPT
 from repro.txpool.pool import PRICE_BUMP_PERCENT, TxPool
 from repro.txpool.transaction import Transaction
-
-LANE_SWEEP = (1, 2, 4, 8, 16)
 
 POOL_SENDERS = 150
 POOL_NONCES = 4
@@ -288,54 +282,16 @@ def bench_commit(rng):
     }
 
 
-# --------------------------------------------------------------------------- #
-# artifacts: preparation derivations per consumer vs once per block
-# --------------------------------------------------------------------------- #
-
-
-def bench_artifacts(entry):
-    cache = ArtifactCache()
-
-    cached_results = [
-        ParallelValidator(
-            config=ValidatorConfig(lanes=lanes), artifacts=cache
-        ).validate_block(entry.block, entry.parent_state)
-        for lanes in LANE_SWEEP
-    ]
-    plain_results = [
-        ParallelValidator(config=ValidatorConfig(lanes=lanes)).validate_block(
-            entry.block, entry.parent_state
-        )
-        for lanes in LANE_SWEEP
-    ]
-
-    for cached_res, plain_res in zip(cached_results, plain_results):
-        assert cached_res.accepted and plain_res.accepted
-        assert cached_res.makespan == plain_res.makespan
-        assert (
-            cached_res.post_state.state_root() == plain_res.post_state.state_root()
-        )
-
-    derivations = cache.hits + cache.misses  # what the uncached path computes
-    return {
-        "consumers": len(LANE_SWEEP),
-        "graph_builds_cached": cache.misses,
-        "reuse_speedup": round(derivations / cache.misses, 2),
-    }
-
-
 def run(world: World) -> Outcome:
     rng = random.Random(4242)
     headline = {
         "txpool": bench_txpool(rng),
         "commit": bench_commit(rng),
-        "artifacts": bench_artifacts(world.chain(1)[0]),
     }
     report = format_table(
         [
             {"layer": "txpool scan", "speedup": headline["txpool"]["scan_speedup"]},
             {"layer": "state commit", "speedup": headline["commit"]["write_speedup"]},
-            {"layer": "artifacts", "speedup": headline["artifacts"]["reuse_speedup"]},
         ],
         title="Hot-path layers — deterministic op-count speedups",
     )
@@ -345,14 +301,12 @@ def run(world: World) -> Outcome:
         "commit_accounts": COMMIT_ACCOUNTS,
         "commit_slots": COMMIT_SLOTS,
         "commit_rounds": COMMIT_ROUNDS,
-        "lane_sweep": list(LANE_SWEEP),
         "seed": 4242,
     }
     return Outcome(headline, report, config)
 
 
 def check(headline: dict) -> None:
-    # acceptance bar (ISSUE 4): ≥2x op reduction on every layer
+    # acceptance bar: ≥2x op reduction on every layer
     assert headline["txpool"]["scan_speedup"] >= 2.0
     assert headline["commit"]["write_speedup"] >= 2.0
-    assert headline["artifacts"]["reuse_speedup"] >= 2.0

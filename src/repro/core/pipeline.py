@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
-from repro.chain.blockchain import RESIDENT_HEIGHTS
 from repro.common.hashing import Hash32
-from repro.core.artifacts import ArtifactCache
 from repro.core.validator import (
     Distributor,
     ParallelValidator,
@@ -138,12 +136,6 @@ class ValidatorPipeline:
         #: the metrics registry (counters accumulate) but not the tracer.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        #: Shared preparation-artifact cache: the exec backend and the
-        #: validator's preparation phase both consume one derivation per
-        #: block, and losing fork siblings are invalidated on commit.  Sized
-        #: by the chain's resident window: a block below it has no parent
-        #: state left, so its artifacts can never be consulted again.
-        self.artifacts = ArtifactCache(maxsize=RESIDENT_HEIGHTS, metrics=metrics)
         self._validator = ParallelValidator(
             evm=self.evm,
             config=self.config,
@@ -151,13 +143,12 @@ class ValidatorPipeline:
             injector=injector,
             metrics=metrics,
             backend=backend,
-            artifacts=self.artifacts,
             distributor=distributor,
         )
 
     def close(self) -> None:
-        """Drop cached artifacts — bounds memory in long-running services."""
-        self.artifacts.clear()
+        """A no-op: the pipeline holds nothing between batches, and a
+        service closes it like every other role it owns."""
 
     # ------------------------------------------------------------------ #
 
@@ -205,7 +196,6 @@ class ValidatorPipeline:
                 # a sibling already committed at this height: abandon the
                 # in-flight fork block instead of burning lanes on it
                 results[i] = _abandoned_sibling(block)
-                self.artifacts.invalidate(block.hash)
                 continue
             if p is not None:
                 parent_result = results[p]
@@ -224,13 +214,6 @@ class ValidatorPipeline:
             )
             if result.accepted:
                 committed_heights.add(block.header.number)
-                # fork divergence: artifacts of losing siblings at this
-                # height can never be consulted again — drop them
-                self.artifacts.invalidate_siblings(
-                    block.header.number, block.hash
-                )
-            else:
-                self.artifacts.invalidate(block.hash)
 
         # ---- timing simulation over the shared worker pool ---------------- #
         timings, switches, pool = self._simulate(

@@ -517,10 +517,6 @@ class ProposeSession:
             if backend is not None:
                 metrics.gauge("proposer.wall_us").set(self.wall_us())
                 backend.publish(metrics, self._exec_stats0)
-            # NOTE: the global keccak memo is deliberately NOT published
-            # here — it persists across runs, so its cumulative counters
-            # would break metrics-replay determinism.  Use
-            # repro.state.cache.keccak_cache_stats() for ad-hoc inspection.
         return run_strict_checks(
             ProposalResult(
                 committed=self.committed,

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Protocol, Tuple
 from repro.chain.block import Block, BlockProfile, TxProfileEntry, build_receipts
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.applier import Applier, ProfileMismatch
-from repro.core.artifacts import ArtifactCache, BlockArtifacts, artifacts_for
+from repro.core.artifacts import BlockArtifacts, artifacts_for
 from repro.core.depgraph import DependencyGraph
 from repro.core.proposer import finalize_block_state
 from repro.core.scheduler import SchedulePlan
@@ -227,7 +227,6 @@ class ParallelValidator:
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional[ExecutionBackend] = None,
-        artifacts: Optional[ArtifactCache] = None,
         check_log: Any = None,
         probe: Any = None,
         distributor: Optional[Distributor] = None,
@@ -246,11 +245,6 @@ class ParallelValidator:
         #: execute on actual cores, all anomalies fall back to the serial
         #: reference loop below so results stay backend-independent.
         self.backend = backend
-        #: Optional shared preparation-artifact cache (footprints, dep
-        #: graph, schedules).  The pipeline supplies one so a block's
-        #: artifacts survive across validations (lane sweeps, re-validation);
-        #: without it each ``validate_block`` derives them once.
-        self.artifacts = artifacts
         #: Optional :class:`~repro.check.report.CheckLog`: the footprint
         #: race detector.  When attached, backend component tasks run in
         #: record mode and every out-of-footprint access becomes a typed
@@ -365,21 +359,23 @@ class ParallelValidator:
                     detail="injected worker crash",
                 ),
             )
+        # the block's one derivation of its plan artifacts (None without a
+        # usable profile): the component-execution gate and the preparation
+        # phase both read it
+        art = artifacts_for(block, config.granularity)
         # the one eligibility gate for component execution: a substrate to
-        # run on, a profile to plan from (``art`` is None without one), and
-        # the account-level partition — key-granular components may share
-        # accounts, so isolating them is unsound
-        art: Optional[BlockArtifacts] = None
+        # run on, a profile to plan from, and the account-level partition —
+        # key-granular components may share accounts, so isolating them is
+        # unsound
+        outcome: Optional[ParallelExecOutcome] = None
+        used_distributed = False
         if (
-            (self.distributor is not None or self.backend is not None)
+            art is not None
+            and (self.distributor is not None or self.backend is not None)
             and n > 0
             and config.granularity == "account"
             and not ladder.exhausted
         ):
-            art = artifacts_for(block, "account", cache=self.artifacts)
-        outcome: Optional[ParallelExecOutcome] = None
-        used_distributed = False
-        if art is not None:
             # under local fault injection the in-node paths own the retry
             # semantics: mixing them with follower scheduling would change
             # observable fault behaviour, so followers are skipped
@@ -442,12 +438,8 @@ class ParallelValidator:
         )
 
         # ----- preparation phase: dependency graph + schedule ------------- #
-        # (simulated prep_cost is the same whether the artifacts were
-        # cached or derived: the cache saves host CPU, not scheduler time)
         profile = block.profile
         prep_cost = model.schedule_per_tx * n + prefetch_cost
-        if art is None:
-            art = artifacts_for(block, config.granularity, cache=self.artifacts)
         if art is None and config.preexecute_fallback:
             # no profile: the validator pays a serial pre-execution to learn
             # the footprints (legacy-block path)

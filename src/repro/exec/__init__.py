@@ -18,7 +18,7 @@ from repro.exec.backend import (
     get_backend,
 )
 from repro.exec.hooks import IdentityProbe, ScheduleProbe
-from repro.exec.tasks import FootprintMiss, GuardedSnapshot, SliceSnapshot
+from repro.exec.tasks import FootprintMiss, GuardedSnapshot
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -30,7 +30,6 @@ __all__ = [
     "default_workers",
     "FootprintMiss",
     "GuardedSnapshot",
-    "SliceSnapshot",
     "ScheduleProbe",
     "IdentityProbe",
 ]

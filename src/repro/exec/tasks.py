@@ -26,7 +26,7 @@ Two task families:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.common.types import Address
 from repro.exec.backend import BackendError
@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "FootprintMiss",
     "GuardedSnapshot",
-    "SliceSnapshot",
     "build_state_slice",
     "export_overlay",
     "apply_overlay",
@@ -89,31 +88,33 @@ class FootprintMiss(Exception):
 
 
 class GuardedSnapshot:
-    """Read-only snapshot view restricted to an account footprint.
+    """Read-only account view restricted to an account footprint.
 
-    Used by every backend worker: the component reads the session's one
-    base state (the parent's :class:`StateSnapshot`, or a process worker's
-    resident copy of it), and the guard turns any access that would break
-    component isolation into a :class:`FootprintMiss`.
+    Used by every component executor over whichever accounts mapping it
+    holds: the parent's ``StateSnapshot.accounts``, a process worker's
+    resident copy of it, or a follower's shipped slice.  The guard turns
+    any access that would break component isolation into a
+    :class:`FootprintMiss`.
 
     ``recorder`` (when set) observes every out-of-footprint address; with
     ``strict=False`` the guard *records instead of raising* and serves the
     true base value, so the race detector can enumerate the complete
     violation set of a lying profile rather than stopping at the first
     miss.  Non-strict results are still discarded by the caller — the
-    guard only ever relaxes reporting, never commitment.
+    guard only ever relaxes reporting, never commitment.  A slice holds
+    only the footprint, so a guard over one always runs strict.
     """
 
-    __slots__ = ("_base", "_allowed", "_recorder", "_strict")
+    __slots__ = ("_accounts", "_allowed", "_recorder", "_strict")
 
     def __init__(
         self,
-        base: Any,
+        accounts: Mapping[Address, Optional[AccountData]],
         allowed: FrozenSet[Address],
         recorder: Optional[Callable[[Address], None]] = None,
         strict: bool = True,
     ) -> None:
-        self._base = base
+        self._accounts = accounts
         self._allowed = allowed
         self._recorder = recorder
         self._strict = strict
@@ -124,44 +125,14 @@ class GuardedSnapshot:
                 self._recorder(address)
             if self._strict:
                 raise FootprintMiss(address)
-        return self._base.account(address)
-
-
-class SliceSnapshot:
-    """Pickle-able state slice for follower nodes (shard RPC).
-
-    Holds exactly the accounts named by the component's profile footprint
-    (present-but-``None`` marks an account that does not exist in the
-    parent state); anything else raises :class:`FootprintMiss`, mirroring
-    :class:`GuardedSnapshot` semantics across the pickling boundary.
-    Unlike the guarded view, a slice cannot serve an out-of-footprint
-    value (it was never shipped), so misses always raise even when a
-    ``recorder`` observes them first.
-    """
-
-    __slots__ = ("_accounts", "_recorder")
-
-    def __init__(
-        self,
-        accounts: Dict[Address, Optional[AccountData]],
-        recorder: Optional[Callable[[Address], None]] = None,
-    ) -> None:
-        self._accounts = accounts
-        self._recorder = recorder
-
-    def account(self, address: Address) -> Optional[AccountData]:
-        try:
-            return self._accounts[address]
-        except KeyError:
-            if self._recorder is not None:
-                self._recorder(address)
-            raise FootprintMiss(address) from None
+        return self._accounts.get(address)
 
 
 def build_state_slice(
     base: StateSnapshot, addresses: FrozenSet[Address]
 ) -> Dict[Address, Optional[AccountData]]:
-    """Extract the pickle-able per-component account slice from a snapshot."""
+    """Extract the pickle-able per-component account slice from a snapshot
+    (``None`` marks an account absent from it)."""
     return {address: base.account(address) for address in sorted(addresses)}
 
 
@@ -571,12 +542,12 @@ def _run_component(evm: EVM, shared_base: Any, task: ComponentTask) -> Component
     recorder: Optional[Callable[[Address], None]] = (
         misses.append if task.record_misses else None
     )
-    if task.slice_accounts is not None:
-        base: Any = SliceSnapshot(task.slice_accounts, recorder=recorder)
-    else:
-        base = GuardedSnapshot(
-            shared_base, task.allowed, recorder=recorder, strict=not task.record_misses
-        )
+    accounts = task.slice_accounts
+    # a slice holds only the footprint, so it cannot serve a miss
+    strict = accounts is not None or not task.record_misses
+    if accounts is None:
+        accounts = shared_base.accounts
+    base: Any = GuardedSnapshot(accounts, task.allowed, recorder, strict)
     db = StateDB(base)
     results: List[TxResult] = []
     rwsets: List[ReadWriteSet] = []

@@ -87,12 +87,9 @@ class FollowerNode:
             tracer.for_process(follower_id) if tracer is not None else NULL_TRACER
         )
         self._shared = ValidateShared(evm_config)
-        #: assignments handled (including crashed ones) — observability
-        self.handled = 0
 
     def handle(self, assignment: ShardAssignment) -> Optional[ShardReply]:
         """Execute one assignment; ``None`` models a crashed follower."""
-        self.handled += 1
         fault = None
         if self.injector is not None and self.injector.injects_follower_faults:
             fault = self.injector.follower_fault(

@@ -1,7 +1,7 @@
 """The keccak memo behind the secure trie's keys.
 
-:func:`keccak_cached` is a process-wide memo of ``keccak(key)`` (ISSUE 4 /
-ARCHITECTURE §11).  Account addresses and storage-slot keys are re-hashed
+:func:`keccak_cached` is a process-wide memo of ``keccak(key)``
+(ARCHITECTURE §11).  Account addresses and storage-slot keys are re-hashed
 on every trie get/set and contract code on every re-encoded account body;
 the key space a workload touches is small and stable, so the memo turns
 each of those hashes into a dict lookup.  What the secure trie walks is the
@@ -11,7 +11,9 @@ digest's *nibble path*, so the same entry keeps that too
 This module deliberately imports nothing from ``statedb``/``versioned``/
 ``trie`` (they import *it*), keeping the state package's import DAG acyclic.
 Hash preimages never change, so no invalidation hooks are needed;
-boundedness alone controls memory.
+boundedness alone controls memory.  The memo keeps no hit or miss
+counters: they would be process-wide, so no per-run metric could publish
+them deterministically, and nothing else reads them.
 """
 
 from __future__ import annotations
@@ -23,30 +25,10 @@ from typing import Dict, Tuple
 from repro.common.types import Hash32
 
 __all__ = [
-    "CacheStats",
     "bytes_to_nibbles",
     "keccak_cached",
     "keccak_path_cached",
-    "keccak_cache_stats",
 ]
-
-
-class CacheStats:
-    """Mutable hit/miss/eviction counters for one cache instance."""
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 #: ASCII hex digit -> nibble value
@@ -69,19 +51,15 @@ _KECCAK_MEMO_MAX = 65536
 
 #: preimage -> (digest, nibble path of the digest)
 _keccak_memo: Dict[bytes, Tuple[Hash32, bytes]] = {}
-_keccak_stats = CacheStats()
 
 
 def _keccak_entry(data: bytes) -> Tuple[Hash32, bytes]:
     memo = _keccak_memo
     entry = memo.get(data)
     if entry is not None:
-        _keccak_stats.hits += 1
         return entry
-    _keccak_stats.misses += 1
     if len(memo) >= _KECCAK_MEMO_MAX:
         memo.clear()
-        _keccak_stats.evictions += 1
     digest = hashlib.sha3_256(data).digest()
     entry = memo[data] = (Hash32(digest), bytes_to_nibbles(digest))
     return entry
@@ -103,10 +81,3 @@ def keccak_path_cached(data: bytes) -> bytes:
     """``bytes_to_nibbles(keccak(data))`` from the same memo entry: the path
     under which the secure trie files ``data``."""
     return _keccak_entry(data)[1]
-
-
-def keccak_cache_stats() -> Dict[str, int]:
-    """Global keccak-memo counters (published as gauges by the proposer)."""
-    stats = _keccak_stats.as_dict()
-    stats["size"] = len(_keccak_memo)
-    return stats

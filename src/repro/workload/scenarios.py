@@ -46,6 +46,7 @@ seed.  Same scenario + same seed ⇒ byte-identical transaction stream
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -396,7 +397,7 @@ def nft_mint_rush_envelope(
 
 def build_mev_bundle(
     universe: Universe,
-    rng,
+    rng: random.Random,
     searcher: Address,
     *,
     hot_pool_bias: float = 0.7,
@@ -599,13 +600,17 @@ class DayInTheLifeStream(ScenarioStream):
 # --------------------------------------------------------------------- #
 
 
+#: ``(seed, txs_per_block, compact) -> stream``: how a scenario is built
+ScenarioFactory = Callable[[int, Optional[int], bool], ScenarioStream]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named scenario: summary line plus a stream factory."""
 
     name: str
     summary: str
-    factory: Callable[[int, Optional[int], bool], ScenarioStream]
+    factory: ScenarioFactory
 
 
 def _counter_universe(compact: bool) -> Universe:
@@ -640,7 +645,7 @@ def _sized(cfg: WorkloadConfig, txs_per_block: Optional[int]) -> WorkloadConfig:
     return replace(cfg, txs_per_block=txs_per_block, tx_count_jitter=0.0)
 
 
-def _counter_factory(partitioned: bool):
+def _counter_factory(partitioned: bool) -> ScenarioFactory:
     def factory(
         seed: int, txs_per_block: Optional[int], compact: bool
     ) -> ScenarioStream:
@@ -652,7 +657,9 @@ def _counter_factory(partitioned: bool):
     return factory
 
 
-def _burst_factory(envelope_fn: Callable[..., Callable[[int], WorkloadConfig]]):
+def _burst_factory(
+    envelope_fn: Callable[..., Callable[[int], WorkloadConfig]]
+) -> ScenarioFactory:
     def factory(
         seed: int, txs_per_block: Optional[int], compact: bool
     ) -> ScenarioStream:

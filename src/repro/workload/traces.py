@@ -15,7 +15,7 @@ recorded trace through the proposer and comparing state roots.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.common.types import address_from_hex
 from repro.txpool.transaction import Transaction
@@ -29,7 +29,7 @@ class TraceError(ValueError):
     """Malformed or unsupported trace document."""
 
 
-def _tx_to_dict(tx: Transaction) -> dict:
+def _tx_to_dict(tx: Transaction) -> Dict[str, Any]:
     return {
         "sender": tx.sender.hex(),
         "to": tx.to.hex() if tx.to is not None else None,
@@ -42,7 +42,12 @@ def _tx_to_dict(tx: Transaction) -> dict:
     }
 
 
-def _tx_from_dict(obj: dict) -> Transaction:
+def _tx_from_dict(obj: Any) -> Transaction:
+    if not isinstance(obj, dict):
+        raise TraceError("bad transaction record: not an object")
+    tag = obj.get("tag", "")
+    if not isinstance(tag, str):
+        raise TraceError("bad transaction record: tag is not a string")
     try:
         return Transaction(
             sender=address_from_hex(obj["sender"]),
@@ -52,9 +57,10 @@ def _tx_from_dict(obj: dict) -> Transaction:
             gas_limit=int(obj["gas_limit"]),
             gas_price=int(obj["gas_price"]),
             nonce=int(obj["nonce"]),
-            tag=obj.get("tag", ""),
+            tag=tag,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    # OverflowError: a number like 1e400 parses as an infinite float
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise TraceError(f"bad transaction record: {exc}") from exc
 
 
@@ -70,10 +76,15 @@ def dump_trace(blocks: Sequence[Sequence[Transaction]], *, note: str = "") -> st
 
 
 def load_trace(text: str) -> List[List[Transaction]]:
-    """Parse a trace document back into block transaction lists."""
+    """Parse a trace document back into block transaction lists.
+
+    Any document either parses or raises :class:`TraceError` — a wrong
+    shape anywhere, a value out of range or a nesting too deep for the
+    parser included; no other exception leaves this function.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise TraceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "repro-workload-trace":
         raise TraceError("not a workload trace document")
@@ -82,6 +93,8 @@ def load_trace(text: str) -> List[List[Transaction]]:
     blocks = doc.get("blocks")
     if not isinstance(blocks, list):
         raise TraceError("missing blocks array")
+    if not all(isinstance(block, list) for block in blocks):
+        raise TraceError("a block is not an array of transactions")
     return [[_tx_from_dict(tx) for tx in block] for block in blocks]
 
 
@@ -93,5 +106,10 @@ def save_trace_file(
 
 
 def load_trace_file(path: str) -> List[List[Transaction]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_trace(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"not UTF-8 text: {exc}") from exc
+    return load_trace(text)

@@ -122,7 +122,7 @@ class TestBrokenGuard:
         monkeypatch.setattr(
             GuardedSnapshot,
             "account",
-            lambda self, address: self._base.account(address),
+            lambda self, address: self._accounts.get(address),
         )
 
     def test_broken_guard_caught_and_shrunk(self, scenario, broken_guard):
@@ -146,7 +146,7 @@ class TestBrokenGuard:
         # repro is clean after the "fix" (monkeypatch scope ends per-step)
         schedule = FuzzSchedule(seed=7)
         original = GuardedSnapshot.account
-        GuardedSnapshot.account = lambda self, address: self._base.account(address)
+        GuardedSnapshot.account = lambda self, address: self._accounts.get(address)
         try:
             failure = run_schedule(scenario, schedule)
             assert failure is not None
@@ -164,7 +164,7 @@ class TestBrokenGuard:
 class TestReproArtifacts:
     def test_failures_round_trip_through_json(self, scenario, tmp_path):
         original = GuardedSnapshot.account
-        GuardedSnapshot.account = lambda self, address: self._base.account(address)
+        GuardedSnapshot.account = lambda self, address: self._accounts.get(address)
         try:
             result = fuzz_conformance(
                 scenario, 3, seed=11, max_failures=2, shrink=True

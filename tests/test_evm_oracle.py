@@ -27,7 +27,6 @@ from repro.exec.tasks import (
     BlockSTMView,
     FootprintMiss,
     GuardedSnapshot,
-    SliceSnapshot,
     _WaveOverlayStore,
     build_state_slice,
     export_overlay,
@@ -405,8 +404,10 @@ def _surfaces(genesis):
     return {
         "statedb": bare,
         "recording": recording(lambda: genesis),
-        "recording-guarded": recording(lambda: GuardedSnapshot(genesis, FOOTPRINT)),
-        "recording-slice": recording(lambda: SliceSnapshot(build_state_slice(genesis, FOOTPRINT))),
+        "recording-guarded": recording(lambda: GuardedSnapshot(genesis.accounts, FOOTPRINT)),
+        "recording-slice": recording(
+            lambda: GuardedSnapshot(build_state_slice(genesis, FOOTPRINT), FOOTPRINT)
+        ),
         "occ-store": keyed(lambda: OCCStateView(MultiVersionStore(genesis), 0)),
         "occ-wave-overlay": keyed(lambda: OCCStateView(_WaveOverlayStore(genesis, overlay), 0)),
         "block-stm": keyed(lambda: BlockSTMView(genesis, overlay, mv, 1)),

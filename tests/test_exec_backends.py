@@ -26,7 +26,6 @@ from repro.exec import (
     GuardedSnapshot,
     ProcessBackend,
     SerialBackend,
-    SliceSnapshot,
     ThreadBackend,
     get_backend,
 )
@@ -149,35 +148,36 @@ class TestMapContract:
         backend.close()
 
 
-class _FakeSnapshot:
-    def __init__(self, accounts):
-        self._accounts = accounts
-
-    def account(self, address):
-        return self._accounts.get(address)
-
-
 class TestFootprintGuards:
     A = address(b"\xaa" * 20)
     B = address(b"\xbb" * 20)
+    C = address(b"\xcc" * 20)
 
     def test_guarded_snapshot_allows_footprint(self):
-        base = _FakeSnapshot({self.A: "acct-a"})
-        view = GuardedSnapshot(base, frozenset([self.A]))
+        view = GuardedSnapshot({self.A: "acct-a"}, frozenset([self.A]))
         assert view.account(self.A) == "acct-a"
 
     def test_guarded_snapshot_rejects_outside_footprint(self):
-        view = GuardedSnapshot(_FakeSnapshot({}), frozenset([self.A]))
+        view = GuardedSnapshot({}, frozenset([self.A]))
         with pytest.raises(FootprintMiss) as exc:
             view.account(self.B)
         assert exc.value.address == self.B
 
     def test_slice_snapshot_mirrors_guard_semantics(self):
-        base = _FakeSnapshot({self.A: "acct-a"})
-        view = SliceSnapshot(build_state_slice(base, frozenset([self.A])))
-        assert view.account(self.A) == "acct-a"
-        with pytest.raises(FootprintMiss):
-            view.account(self.B)
+        """A guard over a follower's shipped slice reads exactly as one over
+        the whole state: footprint accounts (present or absent) are served,
+        anything else is a miss even when a recorder observes it first."""
+        footprint = frozenset([self.A, self.C])
+        base = genesis_snapshot({self.A: AccountData(balance=7), self.B: AccountData(balance=9)})
+        seen = []
+        sliced = GuardedSnapshot(build_state_slice(base, footprint), footprint, seen.append)
+        whole = GuardedSnapshot(base.accounts, footprint)
+        for view in (sliced, whole):
+            assert view.account(self.A) == base.account(self.A)
+            assert view.account(self.C) is None
+            with pytest.raises(FootprintMiss):
+                view.account(self.B)
+        assert seen == [self.B]
 
     def test_footprint_miss_not_swallowed_by_evm_frames(self):
         # the EVM frame loop catches ValueError/MemoryError as in-frame
@@ -240,7 +240,7 @@ class _NoStatePickler(pickle.Pickler):
     """``pickle.dumps`` that refuses to walk into a world state or a slice."""
 
     def reducer_override(self, obj):
-        if isinstance(obj, (StateSnapshot, SliceSnapshot)):
+        if isinstance(obj, (StateSnapshot, GuardedSnapshot)):
             raise AssertionError(f"a payload reaches a {type(obj).__name__}")
         return NotImplemented
 
@@ -554,7 +554,7 @@ class TestWhatCrosses:
     @pytest.mark.parametrize("strategy", ("occ-wsi", "two-phase", "block-stm"))
     def test_no_payload_reaches_a_state(self, small_universe, small_generator, strategy):
         """``_CountingProxy.map`` pickles every payload with a pickler that
-        raises on a ``StateSnapshot`` or a ``SliceSnapshot``."""
+        raises on a ``StateSnapshot`` or a ``GuardedSnapshot``."""
         genesis = small_universe.genesis
         chain = Blockchain(genesis)
         with _CountingProxy(ProcessBackend(2)) as proxy:

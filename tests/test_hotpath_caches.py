@@ -1,14 +1,14 @@
-"""Hot-path cache layer: equivalence and bookkeeping tests (ISSUE 4).
+"""Hot-path layer: equivalence tests, plus the one-derivation rule.
 
-Every cache here is an *optimisation over a pure function* — so the core of
-each test is equivalence against the uncached computation: ``keccak_cached``
+Every shortcut here is an *optimisation over a pure function* — so the core
+of each test is equivalence against the plain computation: ``keccak_cached``
 vs ``keccak``, ``update_many`` vs per-key set/delete, the batched
 ``StateDB.commit`` vs a from-scratch trie rebuild, the store's base reads
-vs ``read_base_value``, and a validator with an :class:`ArtifactCache`
-attached vs one without.  Bookkeeping (LRU order, eviction, fork-sibling
-invalidation, metrics counters) is checked alongside.
+vs ``read_base_value``.  A block's plan artifacts are not cached at all:
+``validate_block`` derives them once per validation, on every substrate.
 """
 
+import contextlib
 import dataclasses
 import random
 
@@ -16,17 +16,18 @@ import pytest
 
 from repro.common.hashing import keccak
 from repro.common.types import address_from_int
-from repro.core.artifacts import ArtifactCache, BlockArtifacts, profile_footprints
+from repro.core import artifacts as artifacts_module
+from repro.core.artifacts import BlockArtifacts, artifacts_for, profile_footprints
 from repro.core.pipeline import ValidatorPipeline
-from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.core.validator import ParallelValidator
+from repro.distributed import DistributedConfig, ShardCoordinator
+from repro.exec import SerialBackend, ThreadBackend
 from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode
-from repro.obs.metrics import MetricsRegistry
 from repro.state.access import balance_key, nonce_key, storage_key
 from repro.state.account import AccountData
 from repro.state.cache import (
     bytes_to_nibbles,
-    keccak_cache_stats,
     keccak_cached,
     keccak_path_cached,
 )
@@ -47,15 +48,6 @@ class TestKeccakMemo:
             assert keccak_cached(data) == keccak(data)
             # the same entry holds the digest's nibble path
             assert keccak_path_cached(data) == bytes_to_nibbles(keccak(data))
-
-    def test_stats_grow_and_report_size(self):
-        before = keccak_cache_stats()
-        preimage = random.Random(77).randbytes(32)
-        keccak_cached(preimage)
-        keccak_cached(preimage)
-        after = keccak_cache_stats()
-        assert after["hits"] >= before["hits"] + 1
-        assert after["size"] >= 1
 
 
 class TestUpdateMany:
@@ -211,127 +203,63 @@ class TestBlockArtifacts:
         with pytest.raises(ValueError):
             profile_footprints(profile, "bogus")
 
-    def test_plan_memoized_per_lane_count(self, sealed):
-        art = BlockArtifacts(sealed.block.profile, "account")
-        p4 = art.plan_for(4, "gas_lpt", 0)
-        assert art.plan_for(4, "gas_lpt", 0) is p4  # memo hit: same object
-        assert art.plan_for(8, "gas_lpt", 0) is not p4
-        assert art.component_footprints() is art.component_footprints()
-
-    def test_cache_hit_returns_same_artifacts(self, sealed):
-        cache = ArtifactCache()
-        first = cache.get(sealed.block, "account")
-        second = cache.get(sealed.block, "account")
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-        # a different granularity is a distinct entry
-        assert cache.get(sealed.block, "key") is not first
-        assert len(cache) == 2
-
     def test_profile_less_block_returns_none(self, sealed):
         stripped = dataclasses.replace(sealed.block, profile=None)
-        cache = ArtifactCache()
-        assert cache.get(stripped, "account") is None
-        assert len(cache) == 0
-
-    def test_invalidate_and_siblings(self, small_universe, small_generator, genesis_chain):
-        txs = small_generator.generate_block_txs()
-        forks = ForkSimulator(3, seed=8).propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
+        assert artifacts_for(stripped, "account") is None
+        short = dataclasses.replace(
+            sealed.block,
+            profile=dataclasses.replace(
+                sealed.block.profile, entries=sealed.block.profile.entries[:-1]
+            ),
         )
-        blocks = forks.blocks
-        cache = ArtifactCache()
-        for block in blocks:
-            assert cache.get(block, "account") is not None
-        winner = blocks[0]
-        dropped = cache.invalidate_siblings(winner.header.number, winner.hash)
-        assert dropped == len(blocks) - 1
-        assert len(cache) == 1
-        assert cache.invalidate(winner.hash) == 1
-        assert len(cache) == 0
-        assert cache.invalidations == len(blocks)
+        assert artifacts_for(short, "account") is None
+        assert artifacts_for(sealed.block, "account") is not None
 
-    def test_lru_eviction_bounded(self, small_universe, small_generator, genesis_chain):
-        txs = small_generator.generate_block_txs()
-        forks = ForkSimulator(3, seed=8).propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
-        )
-        cache = ArtifactCache(maxsize=2)
-        for block in forks.blocks:
-            cache.get(block, "account")
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        # the first block was evicted: asking again is a miss
-        misses = cache.misses
-        cache.get(forks.blocks[0], "account")
-        assert cache.misses == misses + 1
 
-    def test_eviction_forgets_the_height(self, sealed):
-        """An evicted block's height entry goes with its last entry, so
-        the height index stays bounded by ``maxsize``."""
-        cache = ArtifactCache(maxsize=4)
-        header = sealed.block.header
-        for number in range(1, cache.maxsize + 6):
-            block = dataclasses.replace(
-                sealed.block, header=dataclasses.replace(header, number=number)
-            )
-            cache.get(block, "account")
-        assert len(cache) == cache.maxsize
-        assert len(cache._heights) <= cache.maxsize
+@pytest.fixture()
+def derivations(monkeypatch):
+    """Count dependency-graph derivations: each is one ``BlockArtifacts``."""
+    calls = []
+    derive = artifacts_module.build_dependency_graph
 
-    def test_metrics_counters_published(self, sealed):
-        metrics = MetricsRegistry()
-        cache = ArtifactCache(metrics=metrics)
-        cache.get(sealed.block, "account")
-        cache.get(sealed.block, "account")
-        cache.invalidate(sealed.block.hash)
-        snap = metrics.snapshot()
-        assert snap["counters"]["artifacts.hits"] == 1
-        assert snap["counters"]["artifacts.misses"] == 1
-        assert snap["counters"]["artifacts.invalidations"] == 1
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(artifacts_module, "build_dependency_graph", spy)
+    return calls
 
 
 class TestValidatorWithArtifacts:
-    def test_cached_validation_identical_to_uncached(self, sealed, small_universe):
-        plain = ParallelValidator()
-        cached = ParallelValidator(artifacts=ArtifactCache())
-        r_plain = plain.validate_block(sealed.block, small_universe.genesis)
-        r1 = cached.validate_block(sealed.block, small_universe.genesis)
-        r2 = cached.validate_block(sealed.block, small_universe.genesis)  # cache hit
-        assert cached.artifacts.hits == 1
-        for res in (r1, r2):
-            assert res.accepted
-            assert res.makespan == r_plain.makespan
-            assert res.phases == r_plain.phases
-            assert res.post_state.state_root() == r_plain.post_state.state_root()
+    """``validate_block`` derives a block's artifacts exactly once, and the
+    component-execution gate and the preparation phase both read it."""
 
-    def test_lane_sweep_reuses_graph(self, sealed, small_universe):
-        cache = ArtifactCache()
-        roots = set()
-        for lanes in (1, 2, 8):
-            validator = ParallelValidator(
-                config=ValidatorConfig(lanes=lanes), artifacts=cache
-            )
-            res = validator.validate_block(sealed.block, small_universe.genesis)
-            assert res.accepted
-            roots.add(bytes(res.post_state.state_root()))
-        assert len(roots) == 1
-        assert cache.misses == 1 and cache.hits == 2  # one graph, three plans
-
-    def test_pipeline_invalidates_losing_fork_siblings(
-        self, small_universe, small_generator, genesis_chain
+    @pytest.mark.parametrize("substrate", ["none", "serial", "thread", "followers"])
+    def test_one_derivation_per_validation(
+        self, sealed, small_universe, derivations, substrate
     ):
-        txs = small_generator.generate_block_txs()
-        forks = ForkSimulator(2, seed=8).propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
-        )
-        parent_states = {genesis_chain.genesis.header.hash: small_universe.genesis}
-        pipe = ValidatorPipeline()
-        res = pipe.process_blocks(forks.blocks, parent_states)
+        distributor = None
+        if substrate == "followers":
+            distributor = ShardCoordinator(DistributedConfig(n_followers=2))
+        backend = {"serial": SerialBackend, "thread": ThreadBackend}.get(substrate)
+        with contextlib.ExitStack() as stack:
+            validator = ParallelValidator(
+                backend=None if backend is None else stack.enter_context(backend(2)),
+                distributor=distributor,
+            )
+            derivations.clear()
+            result = validator.validate_block(sealed.block, small_universe.genesis)
+        assert result.accepted
+        assert result.used_distributed == (substrate == "followers")
+        assert len(derivations) == 1
+
+    def test_one_derivation_per_pipeline_block(self, build_chain, small_universe, derivations):
+        blocks = [block for block, _ in build_chain(3)]
+        parent_states = {blocks[0].header.parent_hash: small_universe.genesis}
+        derivations.clear()
+        res = ValidatorPipeline().process_blocks(blocks, parent_states)
         assert res.all_accepted
-        # exactly one sibling survives per height in the artifact cache
-        assert len(pipe.artifacts) <= 1
-        assert pipe.artifacts.invalidations + pipe.artifacts.evictions >= 1
+        assert len(derivations) == len(blocks)
 
     def test_pipeline_results_unchanged_by_artifact_cache(
         self, small_universe, small_generator, genesis_chain

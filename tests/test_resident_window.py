@@ -107,16 +107,6 @@ def test_a_block_whose_parent_left_is_refused(small_universe, pairs):
     assert outcome.failures[0].reason is FailureReason.UNKNOWN_PARENT
 
 
-def test_pipeline_artifacts_stay_inside_the_window(small_universe, pairs):
-    validator = ValidatorNode("window", small_universe.genesis)
-    for block, _ in pairs[: RESIDENT_HEIGHTS + 4]:
-        assert validator.receive_blocks([block]).accepted
-    artifacts = validator.pipeline.artifacts
-    assert artifacts.maxsize == RESIDENT_HEIGHTS
-    assert len(artifacts) <= RESIDENT_HEIGHTS
-    assert len(artifacts._heights) <= RESIDENT_HEIGHTS
-
-
 def test_network_totals_are_whole_run_numbers(small_universe):
     """Every round forks: 24 rounds leave 24 uncles and 24 full blocks of
     transactions, though only the last window of heights is resident."""

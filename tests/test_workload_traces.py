@@ -1,7 +1,10 @@
-"""Trace serialization round-trip and replay-equivalence tests."""
+"""Trace serialization round-trip and replay-equivalence tests, and the
+loader's contract on damaged input: a trace or :class:`TraceError`."""
+
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.types import address_from_int
@@ -99,6 +102,107 @@ class TestValidation:
         )
         with pytest.raises(TraceError):
             load_trace(doc)
+
+
+def _valid_doc():
+    blocks = [[tx(tag="erc20"), tx(to=None, data=b"\x60\x00", nonce=1)], [tx(sender=3)]]
+    return json.loads(dump_trace(blocks, note="robustness"))
+
+
+def _doc_with(path, value):
+    doc = _valid_doc()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _loads_or_trace_error(text):
+    """The contract: block lists of transactions, or ``TraceError``
+    (``None``); any other exception fails the calling test by propagating."""
+    try:
+        blocks = load_trace(text)
+    except TraceError:
+        return None
+    assert all(isinstance(t, Transaction) for block in blocks for t in block)
+    repr(blocks)  # every field is of its declared type, so this formats
+    return blocks
+
+
+@pytest.mark.robustness
+class TestStrayExceptions:
+    """Each case escaped as another exception before the loader checked
+    shapes: ``TypeError`` for a block that is no array, ``OverflowError``
+    for an infinite number, ``RecursionError`` for the nesting,
+    ``UnicodeDecodeError`` for a file that is no text; a tag of another
+    type was accepted into a transaction whose ``repr`` raised."""
+
+    @pytest.mark.parametrize("block", [5, None, "abc", {"sender": "00"}], ids=["int", "null", "string", "object"])
+    def test_a_block_that_is_not_an_array(self, block):
+        with pytest.raises(TraceError):
+            load_trace(_doc_with(("blocks", 1), block))
+
+    @pytest.mark.parametrize("field", ["gas_limit", "nonce", "gas_price"])
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_a_number_no_integer_holds(self, field, literal):
+        text = _doc_with(("blocks", 0, 0, field), "@").replace('"@"', literal)
+        with pytest.raises(TraceError):
+            load_trace(text)
+
+    def test_a_document_nested_past_the_parser(self):
+        with pytest.raises(TraceError):
+            load_trace("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(TraceError):
+            load_trace(_doc_with(("blocks",), "@").replace('"@"', "[" * 100_000 + "]" * 100_000))
+
+    @pytest.mark.parametrize("tag", [["erc20"], 5, None, {"kind": "nft"}], ids=["list", "int", "null", "object"])
+    def test_a_tag_that_is_not_a_string(self, tag):
+        with pytest.raises(TraceError):
+            load_trace(_doc_with(("blocks", 0, 0, "tag"), tag))
+
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(dump_trace([[tx()]]).encode("utf-8").replace(b'"note"', b'"\xff\xfe"'))
+        with pytest.raises(TraceError):
+            load_trace_file(str(path))
+
+    def test_the_valid_document_still_loads(self):
+        blocks = load_trace(json.dumps(_valid_doc()))
+        assert [len(block) for block in blocks] == [2, 1]
+        assert blocks[0][0].tag == "erc20" and blocks[0][1].to is None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+@pytest.mark.robustness
+class TestEveryDocument:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), json_values)
+    def test_any_value_anywhere(self, data, value):
+        paths = [path for path in _paths(_valid_doc()) if path]
+        path = data.draw(st.sampled_from(paths))
+        _loads_or_trace_error(_doc_with(path, value))
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    def test_any_document(self, value):
+        _loads_or_trace_error(json.dumps(value))
 
 
 class TestReplayEquivalence:

@@ -26,7 +26,7 @@ if _SRC not in sys.path:  # a bare checkout: nothing installed, no PYTHONPATH
 
 from benchmarks.manifest import MANIFEST, RESULTS_DIR  # noqa: E402
 from benchmarks.world import World  # noqa: E402
-from repro.analysis.report import format_table  # noqa: E402
+from repro.obs.export import format_table  # noqa: E402
 
 
 def main(argv: Optional[List[str]] = None) -> int:

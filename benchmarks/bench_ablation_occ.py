@@ -16,9 +16,9 @@ Two design claims get quantified:
 import dataclasses
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.obs.export import format_table
 
 
 def run_profile(world: World, blocks: int) -> Outcome:

@@ -13,10 +13,10 @@ compares two schedules of one conflict rule on the simulated clock.
 """
 
 from benchmarks.world import THREAD_SWEEP, Outcome, World
-from repro.analysis.report import format_table
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.exec import SerialBackend
+from repro.obs.export import format_table
 
 
 def run(world: World, blocks: int) -> Outcome:

@@ -10,8 +10,8 @@ normalises the comparison this way.
 """
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.obs.export import format_table
 
 
 def run(world: World, blocks: int) -> Outcome:

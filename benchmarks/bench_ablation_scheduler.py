@@ -7,11 +7,11 @@ threads — quantifying how much of BlockPilot's validator win comes from
 the gas heuristic versus mere parallel structure.
 """
 
+from benchmarks.analysis import SweepPoint
 from benchmarks.world import Outcome, World
-from repro.analysis.metrics import SweepPoint
-from repro.analysis.report import format_table
 from repro.core.scheduler import SCHEDULER_POLICIES
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.obs.export import format_table
 
 
 def run(world: World, blocks: int) -> Outcome:

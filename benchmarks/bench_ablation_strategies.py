@@ -16,10 +16,10 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
 from repro.evm.interpreter import ExecutionContext
+from repro.obs.export import format_table
 from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario

@@ -24,12 +24,12 @@ propagation, caps it.
 
 import dataclasses
 
+from benchmarks.analysis import throughput_tps
 from benchmarks.world import Outcome, World
-from repro.analysis.metrics import throughput_tps
-from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
+from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import mainnet_scenario
 

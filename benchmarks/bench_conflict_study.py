@@ -8,9 +8,9 @@ by key kind, the hottest keys, and the share of transactions entangled
 in at least one conflict.
 """
 
+from benchmarks.analysis import analyze_block_conflicts
 from benchmarks.world import Outcome, World
-from repro.analysis.conflicts import analyze_block_conflicts
-from repro.analysis.report import format_table
+from repro.obs.export import format_table
 
 
 def run(world: World, blocks: int) -> Outcome:

@@ -8,9 +8,9 @@ must all produce the header root for every block in the chain.
 """
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.baselines import SerialExecutor, TwoPhaseOCCExecutor
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.obs.export import format_table
 
 
 def run(world: World, blocks: int) -> Outcome:

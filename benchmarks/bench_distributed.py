@@ -25,11 +25,11 @@ from statistics import mean
 from typing import Dict, List, Tuple
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
 from repro.distributed import DistributedConfig, ShardCoordinator
 from repro.network.node import ProposerNode
+from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
 from repro.workload.universe import Universe

@@ -13,12 +13,12 @@ it — the same downward trend the paper's argument rests on.
 
 import dataclasses
 
+from benchmarks.analysis import correlation
 from benchmarks.world import Outcome, World
-from repro.analysis.metrics import correlation
-from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
+from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import era_profile
 

@@ -8,11 +8,11 @@ Regenerated here: the same sweep over the generated chain.  The baseline
 is geth-style serial block building over the identical pending set.
 """
 
+from benchmarks.analysis import SweepPoint, format_histogram, scaling_sweep_table
 from benchmarks.world import THREAD_SWEEP, Outcome, World
-from repro.analysis.metrics import SweepPoint, scaling_sweep_table
-from repro.analysis.report import format_histogram, format_table
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
+from repro.obs.export import format_table
 
 PAPER_MEANS = {2: 1.82, 4: 2.60, 8: 3.56, 16: 4.89}
 

@@ -5,11 +5,11 @@ past ~6 threads (hotspot critical path); the two-phase OCC comparator
 [27] stays below BlockPilot throughout.
 """
 
+from benchmarks.analysis import SweepPoint
 from benchmarks.world import Outcome, World
-from repro.analysis.metrics import SweepPoint
-from repro.analysis.report import format_table
 from repro.core.baselines import TwoPhaseOCCExecutor
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.obs.export import format_table
 
 SWEEP = (2, 4, 6, 8, 12, 16)
 PAPER_MEANS = {2: 1.7, 4: 2.5, 8: 3.03, 16: 3.18}

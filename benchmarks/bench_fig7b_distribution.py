@@ -10,12 +10,12 @@ the tail is populated.
 
 import dataclasses
 
+from benchmarks.analysis import format_histogram, summarize_speedups
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_histogram, format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
-from repro.simcore.stats import summarize_speedups
+from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import hotspot_scenario
 

@@ -11,10 +11,10 @@ sibling blocks.
 """
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ValidatorConfig
 from repro.network.dissemination import ForkSimulator
+from repro.obs.export import format_table
 
 BLOCK_COUNTS = (1, 2, 3, 4, 5, 6, 8)
 PAPER = {1: 3.18, 2: "—", 4: 7.72, 8: "≈7 (slight dip)"}

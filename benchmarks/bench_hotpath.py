@@ -17,9 +17,9 @@ wall time is ``benchmarks/e2e``'s question, not this file's.)
 import random
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.common.rlp import rlp_int
 from repro.common.types import address_from_int
+from repro.obs.export import format_table
 from repro.state.account import AccountData, encode_account
 from repro.state.statedb import (
     StateDB,

@@ -23,10 +23,10 @@ import time
 from pathlib import Path
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.obs import NULL_EMITTER, NULL_TRACER, MetricsRegistry, Tracer, chrome_trace_json
 from repro.obs.events import read_events
+from repro.obs.export import format_table
 from repro.store.service import NodeService, ServeConfig
 
 GUARD_ITERATIONS = 200_000

@@ -17,9 +17,9 @@ blocks.
 """
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ValidatorConfig
+from repro.obs.export import format_table
 
 
 def run(world: World) -> Outcome:

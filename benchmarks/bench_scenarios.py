@@ -21,13 +21,13 @@ from statistics import mean
 from typing import List
 
 from benchmarks.world import Outcome, World
-from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.check.oracle import verify_commit_order
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
+from repro.obs.export import format_table
 from repro.workload.scenarios import get_scenario, scenario_names
 
 LANES = 16

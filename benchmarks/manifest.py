@@ -39,21 +39,21 @@ from benchmarks import bench_hotpath as hotpath
 from benchmarks import bench_obs_overhead as obs
 from benchmarks import bench_pipeline_sync as pipeline_sync
 from benchmarks import bench_scenarios as scenarios
-from benchmarks.world import Outcome, World
-from repro.analysis.report import write_report
-from repro.obs.baseline import (
+from benchmarks.analysis import write_report
+from benchmarks.baseline import (
     BaselineComparison,
     baseline_path,
     compare,
     load_baseline,
     write_baseline,
 )
+from benchmarks.world import Outcome, World
 
 #: where the committed goldens live, and where a run writes unless told otherwise
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 #: how far a directional headline key (the key-suffix rules of
-#: :func:`repro.obs.baseline.direction_of`) may move the wrong way
+#: :func:`benchmarks.baseline.direction_of`) may move the wrong way
 TOLERANCE = 0.05
 
 

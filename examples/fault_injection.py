@@ -16,23 +16,35 @@ Story in four acts:
 Run:  python examples/fault_injection.py
 """
 
+from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.faults.scenarios import build_env
-from repro.network.node import ValidatorNode
+from repro.network.node import ProposerNode, ValidatorNode
 from repro.txpool.pool import TxPool
+from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
+from repro.workload.universe import UniverseConfig, build_universe
 
 
 def main() -> None:
-    env = build_env(seed=0)
-    honest = env.honest.block
+    # a compact world and one honest block over its genesis
+    universe = build_universe(
+        UniverseConfig(n_eoas=120, n_tokens=4, n_amms=2, n_nfts=1, n_airdrops=1, seed=11)
+    )
+    generator = BlockWorkloadGenerator(
+        universe, WorkloadConfig(txs_per_block=24, tx_count_jitter=0.0, seed=5)
+    )
+    chain = Blockchain(universe.genesis)
+    parent_state = chain.head_state
+    honest = ProposerNode("proposer-0").build_block(
+        chain.head.header, parent_state, generator.generate_block_txs()
+    ).block
     print(f"honest block: {len(honest)} txs, root {honest.header.state_root.hex()[:12]}…")
 
     # --- act 1+2: one corrupted profile entry, one typed rejection ------ #
-    injector = env.injector
+    injector = FaultInjector(FaultConfig(seed=0))
     bad = injector.corrupt_block(honest, "profile_write_value")
     validator = ParallelValidator(config=ValidatorConfig(lanes=8))
-    result = validator.validate_block(bad, env.parent_state)
+    result = validator.validate_block(bad, parent_state)
     print("\ncorrupted profile (one write value off by a little):")
     print(f"  accepted        = {result.accepted}")
     print(f"  failure         = {result.failure}")
@@ -42,7 +54,7 @@ def main() -> None:
     pool = TxPool()
     node = ValidatorNode(
         "validator-0",
-        env.universe.genesis,
+        universe.genesis,
         config=ValidatorConfig(lanes=8),
         quarantine_threshold=2,
         txpool=pool,
@@ -60,7 +72,7 @@ def main() -> None:
 
     # --- act 4: worker crashes degrade, never corrupt ------------------- #
     print("\nworker-lane crashes (same block, increasing persistence):")
-    honest_result = validator.validate_block(honest, env.parent_state)
+    honest_result = validator.validate_block(honest, parent_state)
     for attempts, label in ((1, "transient (heals after 1 attempt)"),
                             (10**6, "permanent (never heals)")):
         faulty = ParallelValidator(
@@ -69,7 +81,7 @@ def main() -> None:
                 FaultConfig(seed=0, worker_fault_rate=1.0, worker_fault_attempts=attempts)
             ),
         )
-        res = faulty.validate_block(honest, env.parent_state)
+        res = faulty.validate_block(honest, parent_state)
         assert res.accepted
         assert res.post_state.state_root() == honest_result.post_state.state_root()
         print(

@@ -11,11 +11,11 @@ Run:  python examples/schedule_timeline.py
 """
 
 from repro import build_universe
-from repro.analysis.timeline import render_timeline
 from repro.chain.blockchain import Blockchain
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ValidatorConfig
 from repro.network.dissemination import ForkSimulator
+from repro.obs import Tracer, render_timeline
 from repro.workload.generator import BlockWorkloadGenerator
 
 
@@ -26,9 +26,10 @@ def main() -> None:
     txs = generator.generate_block_txs()
     parent_states = {chain.genesis.header.hash: universe.genesis}
 
-    pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16), record_trace=True)
-
     for count in (1, 4):
+        # the pool records each scheduled subgraph as a span on its lane
+        tracer = Tracer()
+        pipe = ValidatorPipeline(config=ValidatorConfig(lanes=16), tracer=tracer)
         forks = ForkSimulator(count, seed=13).propose_forks(
             chain.genesis.header, universe.genesis, txs
         )
@@ -38,15 +39,9 @@ def main() -> None:
             f"\n=== {count} concurrent block(s): speedup {result.speedup:.2f}x, "
             f"pool utilisation {result.stats.utilization:.0%} ==="
         )
-        # label each task cell with the block index it belongs to
-        print(
-            render_timeline(
-                result.lane_group,
-                width=68,
-                label_of=lambda tag: str(tag[0]) if tag else "#",
-            ),
-            end="",
-        )
+        # label each task cell with the block index it belongs to (its tag
+        # is the pair (block index, component))
+        print(render_timeline(tracer, width=68, label_of=lambda tag: tag[0]), end="")
 
     print(
         "\neach digit marks which block a lane was executing; '.' is idle."

@@ -3,26 +3,28 @@
 Usage::
 
     python -m repro demo                       # one propose/validate round
-    python -m repro proposer --lanes 2 4 8 16  # Fig. 6-style sweep
-    python -m repro validator --lanes 2 4 8 16 # Fig. 7(a)-style sweep
-    python -m repro pipeline --blocks 1 2 4 8  # Fig. 9-style sweep
-    python -m repro hotspot                    # Fig. 8-style sweep
+    python -m repro simulate --followers 3     # multi-round consensus
     python -m repro trace --out trace.json     # traced run -> Perfetto JSON
     python -m repro check                      # conformance oracles over a chain
     python -m repro check failing.json         # replay fuzzer repro schedules
     python -m repro fuzz --schedules 200       # schedule fuzzer (repro.check)
     python -m repro serve --data-dir ./node    # durable long-running node
+    python -m repro status --port 8545         # dashboard of a serving node
+
+The paper's figures are not subcommands: each is an experiment of the
+bench manifest (``python -m benchmarks list``), e.g. ``python -m
+benchmarks run fig6_proposer`` for the proposer thread sweep.
 
 All subcommands run on a freshly generated universe; ``--seed``,
 ``--txs-per-block`` and ``--blocks-per-point`` control workload size.
 
 ``--backend sim|serial|thread|process`` selects the execution substrate:
-``sim`` (default) keeps the simulated-clock event loop every figure script
-uses; the other three run the same algorithms on real cores (see
-:mod:`repro.exec`).  Proposer makespans stay simulated microseconds on
-every backend (:mod:`repro.core.session`, "the clock rule"), so the
-``proposer`` table is deterministic; OCC-WSI switches to its wave
-schedule there, which seals a different block than the async lanes.
+``sim`` (default) keeps the simulated-clock event loop every figure
+experiment uses; the other three run the same algorithms on real cores
+(see :mod:`repro.exec`).  Proposer makespans stay simulated microseconds
+on every backend (:mod:`repro.core.session`, "the clock rule"); OCC-WSI
+switches to its wave schedule there, which seals a different block than
+the async lanes.
 
 ``--strategy occ-wsi|two-phase|block-stm`` picks the proposer engine
 (see :mod:`repro.core.strategies`); every subcommand that builds blocks
@@ -41,27 +43,16 @@ import argparse
 import dataclasses
 import os
 import sys
-from statistics import mean
 
-from repro.analysis.report import format_table
 from repro.chain.blockchain import Blockchain
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import ProposerConfig
-from repro.core.strategies import STRATEGY_CHOICES, build_proposer
-from repro.core.pipeline import ValidatorPipeline
-from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.evm.interpreter import ExecutionContext
+from repro.core.strategies import STRATEGY_CHOICES
 from repro.exec import BACKEND_CHOICES, get_backend
-from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode, ValidatorNode
-from repro.txpool.pool import TxPool
+from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
-from repro.workload.scenarios import (
-    get_scenario,
-    hotspot_scenario,
-    mainnet_scenario,
-    scenario_names,
-)
+from repro.workload.scenarios import get_scenario, mainnet_scenario, scenario_names
 from repro.workload.universe import build_universe
 
 
@@ -86,10 +77,10 @@ def _setup(args):
     return universe, generator, chain
 
 
-def _proposer_config(args, **overrides) -> ProposerConfig:
+def _proposer_config(args) -> ProposerConfig:
     """The CLI's one ProposerConfig factory — every subcommand that builds
     blocks goes through it so ``--strategy`` is honoured everywhere."""
-    return ProposerConfig(strategy=args.strategy, **overrides)
+    return ProposerConfig(strategy=args.strategy)
 
 
 def cmd_demo(args) -> int:
@@ -119,100 +110,6 @@ def cmd_demo(args) -> int:
         )
     )
     return 0 if outcome.accepted else 1
-
-
-def cmd_proposer(args) -> int:
-    universe, generator, chain = _setup(args)
-    serial = SerialExecutor()
-    blocks = []
-    parent_header, parent_state = chain.genesis.header, universe.genesis
-    seal_node = ProposerNode("cli", config=_proposer_config(args))
-    for _ in range(args.blocks_per_point):
-        txs = generator.generate_block_txs()
-        sealed = seal_node.build_block(parent_header, parent_state, txs)
-        blocks.append((txs, parent_header, parent_state, sealed.block.header))
-        sres = serial.execute_block(sealed.block, parent_state)
-        parent_header, parent_state = sealed.block.header, sres.post_state
-
-    rows = []
-    for lanes in args.lanes:
-        engine = build_proposer(
-            _proposer_config(args, lanes=lanes), backend=args.exec_backend
-        )
-        speedups = []
-        for txs, ph, ps, header in blocks:
-            ctx = ExecutionContext(
-                block_number=header.number,
-                timestamp=header.timestamp,
-                coinbase=header.coinbase,
-                gas_limit=header.gas_limit,
-            )
-            pool = TxPool()
-            pool.add_many(sorted(txs, key=lambda t: t.nonce))
-            result = engine.propose(ps, pool, ctx)
-            pool2 = TxPool()
-            pool2.add_many(sorted(txs, key=lambda t: t.nonce))
-            sres = serial.propose_serial(ps, pool2, ctx)
-            speedups.append(sres.total_time / result.stats.makespan)
-        rows.append({"lanes": lanes, "mean_speedup": round(mean(speedups), 2)})
-    print(format_table(rows, title="proposer scalability (Fig. 6 shape)"))
-    return 0
-
-
-def cmd_validator(args) -> int:
-    universe, generator, chain = _setup(args)
-    serial = SerialExecutor()
-    proposer = ProposerNode("cli", config=_proposer_config(args))
-    blocks = []
-    parent_header, parent_state = chain.genesis.header, universe.genesis
-    for _ in range(args.blocks_per_point):
-        txs = generator.generate_block_txs()
-        sealed = proposer.build_block(parent_header, parent_state, txs)
-        blocks.append((sealed.block, parent_state))
-        sres = serial.execute_block(sealed.block, parent_state)
-        parent_header, parent_state = sealed.block.header, sres.post_state
-
-    rows = []
-    for lanes in args.lanes:
-        validator = ParallelValidator(
-            config=ValidatorConfig(lanes=lanes), backend=args.exec_backend
-        )
-        speedups = [
-            validator.validate_block(block, state).speedup
-            for block, state in blocks
-        ]
-        rows.append({"lanes": lanes, "mean_speedup": round(mean(speedups), 2)})
-    print(format_table(rows, title="validator scalability (Fig. 7a shape)"))
-
-    if args.followers > 0:
-        from repro.distributed import DistributedConfig, ShardCoordinator
-
-        dist_rows = []
-        for n in range(1, args.followers + 1):
-            coordinator = ShardCoordinator(DistributedConfig(n_followers=n))
-            pool = ParallelValidator(distributor=coordinator)
-            makespans, shards = [], []
-            for block, state in blocks:
-                res = pool.validate_block(block, state)
-                rec = coordinator.last_record
-                if not res.accepted or not res.used_distributed or rec is None:
-                    print(f"distributed validation declined: {res.reason}")
-                    return 1
-                makespans.append(rec.makespan_us)
-                shards.append(rec.n_shards)
-            dist_rows.append(
-                {
-                    "followers": n,
-                    "mean_makespan_us": round(mean(makespans), 1),
-                    "mean_shards": round(mean(shards), 1),
-                }
-            )
-        print(
-            format_table(
-                dist_rows, title="distributed validation (follower sweep)"
-            )
-        )
-    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -261,61 +158,6 @@ def cmd_simulate(args) -> int:
         dist = {k: v for k, v in counters.items() if k.startswith("dist.")}
         print(format_table([dist or {"dist.blocks": 0}], title="distributed counters"))
     return 0 if result.chains_agree else 1
-
-
-def cmd_pipeline(args) -> int:
-    universe, generator, chain = _setup(args)
-    txs = generator.generate_block_txs()
-    pipe = ValidatorPipeline(backend=args.exec_backend)
-    parent_states = {chain.genesis.header.hash: universe.genesis}
-    rows = []
-    for count in args.blocks:
-        forks = ForkSimulator(count, seed=args.seed).propose_forks(
-            chain.genesis.header, universe.genesis, txs
-        )
-        res = pipe.process_blocks(forks.blocks, parent_states)
-        rows.append(
-            {
-                "blocks": count,
-                "speedup": round(res.speedup, 2),
-                "ctx_switches": res.context_switches,
-            }
-        )
-    print(format_table(rows, title="multi-block pipeline (Fig. 9 shape)"))
-    return 0
-
-
-def cmd_hotspot(args) -> int:
-    universe, _, chain = _setup(args)
-    proposer = ProposerNode("cli", config=_proposer_config(args))
-    validator = ParallelValidator(
-        config=ValidatorConfig(lanes=16), backend=args.exec_backend
-    )
-    rows = []
-    for intensity in (0.0, 0.25, 0.5, 0.75, 1.0):
-        uni = dataclasses.replace(universe, nonces={})
-        generator = BlockWorkloadGenerator(
-            uni, hotspot_scenario(intensity, seed=args.seed)
-        )
-        ratios, speedups = [], []
-        for _ in range(args.blocks_per_point):
-            txs = generator.generate_block_txs()
-            sealed = proposer.build_block(
-                chain.genesis.header, universe.genesis, txs
-            )
-            res = validator.validate_block(sealed.block, universe.genesis)
-            ratios.append(res.graph.largest_component_ratio())
-            speedups.append(res.speedup)
-            uni.nonces.clear()
-        rows.append(
-            {
-                "intensity": intensity,
-                "max_subgraph": f"{mean(ratios):.1%}",
-                "speedup@16": round(mean(speedups), 2),
-            }
-        )
-    print(format_table(rows, title="hotspot effect (Fig. 8 shape)"))
-    return 0
 
 
 def cmd_trace(args) -> int:
@@ -606,16 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("demo", help="one propose/validate round trip")
-    p = sub.add_parser("proposer", help="Fig. 6-style thread sweep")
-    p.add_argument("--lanes", type=int, nargs="+", default=[2, 4, 8, 16])
-    p = sub.add_parser("validator", help="Fig. 7(a)-style thread sweep")
-    p.add_argument("--lanes", type=int, nargs="+", default=[2, 4, 8, 16])
-    p.add_argument(
-        "--followers",
-        type=int,
-        default=0,
-        help="also sweep distributed validation over 1..N follower nodes",
-    )
     p = sub.add_parser(
         "simulate", help="multi-round consensus simulation (repro.network)"
     )
@@ -628,9 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="shard validation across N follower nodes per validator",
     )
-    p = sub.add_parser("pipeline", help="Fig. 9-style block-count sweep")
-    p.add_argument("--blocks", type=int, nargs="+", default=[1, 2, 4, 8])
-    sub.add_parser("hotspot", help="Fig. 8-style intensity sweep")
     p = sub.add_parser("trace", help="traced run -> Chrome-trace JSON + flame")
     p.add_argument(
         "--mode",
@@ -780,11 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 COMMANDS = {
     "demo": cmd_demo,
-    "proposer": cmd_proposer,
-    "validator": cmd_validator,
     "simulate": cmd_simulate,
-    "pipeline": cmd_pipeline,
-    "hotspot": cmd_hotspot,
     "trace": cmd_trace,
     "check": cmd_check,
     "fuzz": cmd_fuzz,

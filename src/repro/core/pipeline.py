@@ -74,9 +74,6 @@ class PipelineResult:
     serial_time: float
     context_switches: int
     stats: RunStats
-    #: populated when the pipeline was built with ``record_trace=True`` —
-    #: feed it to repro.analysis.timeline.render_timeline for a Gantt view
-    lane_group: Optional[LaneGroup] = None
 
     @property
     def speedup(self) -> float:
@@ -108,8 +105,9 @@ class ValidatorPipeline:
     fork sibling at a height commits, abandon the other in-flight siblings
     at that height instead of validating them (frees worker lanes;
     abandoned blocks get SIBLING_ABANDONED) — off by default, since uncle
-    bookkeeping needs fully validated siblings.  ``record_trace`` keeps
-    per-lane ``(start, end, tag)`` intervals for timeline rendering.
+    bookkeeping needs fully validated siblings.  A ``tracer`` records
+    each scheduled subgraph as a span on its pool lane, which
+    :func:`repro.obs.export.render_timeline` paints as a Gantt view.
     """
 
     def __init__(
@@ -124,13 +122,11 @@ class ValidatorPipeline:
         distributor: Optional[Distributor] = None,
         *,
         abandon_siblings: bool = False,
-        record_trace: bool = False,
     ) -> None:
         self.evm = evm or EVM()
         self.config = config or ValidatorConfig()
         self.cost_model = cost_model or CostModel()
         self.abandon_siblings = abandon_siblings
-        self.record_trace = record_trace
         #: Pipeline spans live on the *global* pipeline clock; the inner
         #: per-block validator keeps its own standalone clock, so it gets
         #: the metrics registry (counters accumulate) but not the tracer.
@@ -264,7 +260,6 @@ class ValidatorPipeline:
             serial_time=serial_time,
             context_switches=switches,
             stats=stats,
-            lane_group=pool if self.record_trace else None,
         )
 
     # ------------------------------------------------------------------ #
@@ -308,12 +303,7 @@ class ValidatorPipeline:
         model = self.cost_model
         tracer = self.tracer
         trace_on = tracer.enabled
-        pool = LaneGroup(
-            self.config.lanes,
-            record_trace=self.record_trace,
-            tracer=tracer if trace_on else None,
-            span_namer=_subgraph_span_name,
-        )
+        pool = LaneGroup(self.config.lanes, tracer=tracer if trace_on else None)
         timings: List[Optional[BlockTiming]] = [None] * len(blocks)
 
         for i in order:
@@ -450,11 +440,6 @@ class ValidatorPipeline:
             )
 
         return [t for t in timings if t is not None], pool.total_context_switches, pool
-
-
-def _subgraph_span_name(tag: Any) -> str:
-    """Lane-span name for one scheduled subgraph: ``exec_subgraph``."""
-    return "exec_subgraph"
 
 
 def _skipped(block: Block, reason: str, code: FailureReason) -> ValidationResult:

@@ -13,12 +13,14 @@ Layout:
 * :mod:`repro.faults.injector` — the seeded :class:`FaultInjector` (block
   corruption, worker crashes/stalls) and :class:`FaultyChannel` (drop,
   duplicate, reorder, bounded delay);
-* :mod:`repro.faults.scenarios` — a named scenario per failure variant,
-  each driving the fault through the *public* validator/pipeline/node API;
 * :mod:`repro.faults.storage` — deterministic storage faults for the
   durability engine: :class:`CrashPlan` crash points fired inside the
   :mod:`repro.store` commit path, plus tamper helpers (torn tails, byte
   flips, lost fsync windows) for recovery-detection tests.
+
+The executable taxonomy — one scenario per failure variant, each driving
+its fault through the public validator / pipeline / node API — is a test
+fixture, ``tests/fault_scenarios.py``.
 """
 
 from repro.faults.errors import FailureReason, ValidationFailure

@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import throughput_tps
 from repro.chain.block import Block
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.validator import Distributor, ValidatorConfig
@@ -107,15 +106,15 @@ class NetworkResult:
 
     @property
     def parallel_tps(self) -> float:
-        makespan = sum(r.pipeline_makespan for r in self.rounds)
-        processed = sum(sum(r.block_txs) for r in self.rounds)
-        return throughput_tps(processed, makespan)
+        """Transactions per simulated second through the validator pipelines."""
+        makespan_us = sum(r.pipeline_makespan for r in self.rounds)
+        return sum(sum(r.block_txs) for r in self.rounds) / (makespan_us / 1_000_000.0)
 
     @property
     def serial_tps(self) -> float:
-        serial = sum(r.serial_time for r in self.rounds)
-        processed = sum(sum(r.block_txs) for r in self.rounds)
-        return throughput_tps(processed, serial)
+        """Transactions per simulated second, executed serially."""
+        serial_us = sum(r.serial_time for r in self.rounds)
+        return sum(sum(r.block_txs) for r in self.rounds) / (serial_us / 1_000_000.0)
 
 
 class NetworkSimulation:

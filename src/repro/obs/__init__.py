@@ -1,4 +1,4 @@
-"""Observability: sim-clock span tracing, metrics, exporters, baselines.
+"""Observability: sim-clock span tracing, metrics and exporters.
 
 Everything here runs on the **simulated** clock — span timestamps are the
 same microseconds the cost model charges, so traces from same-seed runs
@@ -9,9 +9,11 @@ are bit-identical and diffable.  The pieces:
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms with a
   plain-dict ``snapshot()``; the registry is the one place they live.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``) and a text flame summary.
-* :mod:`repro.obs.baseline` — machine-readable ``BENCH_<name>.json``
-  benchmark baselines and a regression comparator.
+  ``chrome://tracing``), a text flame summary, a lane timeline (Gantt)
+  and the fixed-width table every report prints.
+
+The ``BENCH_<name>.json`` goldens and their comparator belong to the
+experiment harness, ``benchmarks/baseline.py``.
 
 Live telemetry (the ``repro serve`` surfaces, one ``NULL_EMITTER`` guard
 away from free when off):
@@ -26,13 +28,6 @@ away from free when off):
   loop drives (metrics-delta event derivation + stall watchdog).
 """
 
-from repro.obs.baseline import (
-    BaselineComparison,
-    Delta,
-    compare,
-    load_baseline,
-    write_baseline,
-)
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
@@ -47,6 +42,8 @@ from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
     flame_summary,
+    format_table,
+    render_timeline,
     write_chrome_trace,
 )
 from repro.obs.httpd import StatusServer, render_prometheus
@@ -81,11 +78,8 @@ __all__ = [
     "chrome_trace_json",
     "flame_summary",
     "write_chrome_trace",
-    "write_baseline",
-    "load_baseline",
-    "compare",
-    "BaselineComparison",
-    "Delta",
+    "render_timeline",
+    "format_table",
     "EVENT_SCHEMA_VERSION",
     "EVENT_KINDS",
     "EventEmitter",

@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome trace-event JSON and a text flame summary.
+"""Exporters: Chrome trace-event JSON, a text flame summary, a lane
+timeline, and the fixed-width table every report prints.
 
 The Chrome format (loadable in Perfetto or ``chrome://tracing``) maps the
 simulation's structure onto the viewer's: one *process* per network node
@@ -15,7 +16,7 @@ contract the determinism tests pin.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span, Tracer
 
@@ -24,6 +25,8 @@ __all__ = [
     "chrome_trace_json",
     "write_chrome_trace",
     "flame_summary",
+    "render_timeline",
+    "format_table",
     "CONTROL_TID",
 ]
 
@@ -201,4 +204,66 @@ def flame_summary(tracer: Tracer, *, min_share: float = 0.0) -> str:
         lines.append("instant events:")
         for name, count in sorted(instants.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"  {name:<34} n={count:6d}")
+    return "\n".join(lines) + "\n"
+
+
+def render_timeline(
+    tracer: Tracer,
+    *,
+    width: int = 72,
+    label_of: Optional[Callable[[Any], Any]] = None,
+) -> str:
+    """Render the tracer's lane spans as one text bar per lane (a Gantt view).
+
+    Every finished span pinned to a lane (``Span.lane``) is painted: a
+    :class:`~repro.simcore.lanes.LaneGroup` built with ``tracer=`` emits
+    one per task it runs, with the task's ``tag`` attr.  ``.`` marks idle
+    time; a busy cell shows the first character of ``label_of(tag)`` if
+    given, else of the span's name.  The fastest way to *see* why a
+    schedule has the makespan it has (one long component pinning a lane,
+    idle tails, context-switch gaps).
+    """
+    if not tracer.enabled:
+        raise ValueError("render_timeline needs a recording Tracer, not the NullTracer")
+    bars: List[Tuple[int, float, float, str]] = []
+    for span in tracer.spans:
+        if span.lane is None or span.is_instant:
+            continue
+        label = label_of(span.attrs.get("tag")) if label_of is not None else span.name
+        bars.append((span.lane, span.start, span.start + span.duration, str(label)[:1] or "#"))
+    if not bars:
+        return "(empty timeline)\n"
+    makespan = max(end for _, _, end, _ in bars)
+    scale = width / makespan
+    cells = [["."] * width for _ in range(max(lane for lane, _, _, _ in bars) + 1)]
+    busy = [0.0] * len(cells)
+    for lane, start, end, label in bars:
+        a = min(width - 1, int(start * scale))
+        b = min(width, max(a + 1, int(end * scale)))
+        cells[lane][a:b] = [label] * (b - a)
+        busy[lane] += end - start
+    lines = [
+        f"lane {lane:2d} |{''.join(row)}| {busy[lane] / makespan:4.0%}"
+        for lane, row in enumerate(cells)
+    ]
+    lines.append(f"{'':8}0{' ' * (width - 10)}{makespan:9.1f}us")
+    return "\n".join(lines) + "\n"
+
+
+def format_table(rows: Sequence[Mapping], title: Optional[str] = None) -> str:
+    """Render dict rows as an aligned text table (column order from row 0)."""
+    if not rows:
+        return (title + "\n" if title else "") + "(no rows)\n"
+    columns = list(rows[0].keys())
+    widths = {
+        c: max(len(str(c)), *(len(str(r.get(c, ""))) for r in rows)) for c in columns
+    }
+    lines = []
+    if title:
+        lines.append(title)
+    header = "  ".join(str(c).rjust(widths[c]) for c in columns)
+    lines.append(header)
+    lines.append("-" * len(header))
+    for row in rows:
+        lines.append("  ".join(str(row.get(c, "")).rjust(widths[c]) for c in columns))
     return "\n".join(lines) + "\n"

@@ -83,8 +83,9 @@ class Histogram:
     """Fixed-bucket histogram over half-open buckets ``[e[i], e[i+1])``.
 
     Out-of-range samples clamp into the first/last bucket (the same
-    semantics as :func:`repro.simcore.stats.histogram`, so rendered and
-    snapshot histograms agree).  Placement is a :func:`bisect.bisect_right`
+    semantics as the experiment harness's ``histogram`` in
+    ``benchmarks/analysis.py``, so rendered and snapshot histograms
+    agree).  Placement is a :func:`bisect.bisect_right`
     over the sorted edges — O(log buckets) per sample.
     """
 

@@ -13,13 +13,16 @@ separates *what executes* from *how long it takes*:
   by an :class:`EventQueue` with stable tie-breaking.
 
 Everything here is deterministic: identical inputs produce identical
-schedules, makespans and speedups on any machine.
+schedules, makespans and speedups on any machine.  A run reports a
+:class:`RunStats`; aggregating many runs into the paper's speedup
+summaries and histograms is the experiment harness's job
+(``benchmarks/analysis.py``).
 """
 
 from repro.simcore.events import Event, EventQueue
 from repro.simcore.lanes import Lane, LaneGroup
 from repro.simcore.costmodel import CostModel, TraceCosts
-from repro.simcore.stats import RunStats, SpeedupSummary, summarize_speedups
+from repro.simcore.stats import RunStats
 
 __all__ = [
     "Event",
@@ -29,6 +32,4 @@ __all__ = [
     "CostModel",
     "TraceCosts",
     "RunStats",
-    "SpeedupSummary",
-    "summarize_speedups",
 ]

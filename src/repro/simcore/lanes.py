@@ -12,8 +12,11 @@ multi-block pipeline's 4→8-block dip (paper §5.6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Sequence
+
+#: Name of the span a traced :class:`LaneGroup` records per task it runs.
+TASK_SPAN = "exec_subgraph"
 
 
 def lpt_makespan(durations: Sequence[float], lanes: int) -> float:
@@ -37,12 +40,6 @@ class Lane:
     tasks_run: int = 0
     context_switches: int = 0
     context: Optional[Hashable] = None
-    #: Optional trace of (start, end, tag) tuples, kept only when the owning
-    #: group was built with ``record_trace=True``.
-    trace: list[tuple[float, float, Any]] = field(default_factory=list)
-    #: Ids of the tracer spans emitted for this lane's tasks, in run order
-    #: (populated only when the owning group carries a tracer).
-    span_ids: list[int] = field(default_factory=list)
 
     def run(
         self,
@@ -51,8 +48,6 @@ class Lane:
         not_before: float = 0.0,
         context: Optional[Hashable] = None,
         switch_penalty: float = 0.0,
-        tag: Any = None,
-        record: bool = False,
     ) -> tuple[float, float]:
         """Charge a task of ``duration`` to this lane.
 
@@ -73,32 +68,20 @@ class Lane:
         self.available_at = end
         self.busy_time += duration
         self.tasks_run += 1
-        if record:
-            self.trace.append((start, end, tag))
         return start, end
 
 
 class LaneGroup:
     """A pool of simulated lanes with earliest-available selection."""
 
-    def __init__(
-        self,
-        count: int,
-        *,
-        record_trace: bool = False,
-        tracer=None,
-        span_namer=None,
-    ) -> None:
+    def __init__(self, count: int, *, tracer=None) -> None:
         if count < 1:
             raise ValueError("LaneGroup needs at least one lane")
         self.lanes = [Lane(i) for i in range(count)]
-        self.record_trace = record_trace
         #: Optional :class:`repro.obs.tracer.Tracer`: every task run through
-        #: the group is emitted as a span (lane id = Chrome-trace thread)
-        #: and its span id is recorded on the lane.
+        #: the group is recorded as a :data:`TASK_SPAN` span on its lane
+        #: (lane id = Chrome-trace thread) carrying the task's ``tag``.
         self.tracer = tracer
-        #: Maps a task tag to the emitted span's name (default "task").
-        self.span_namer = span_namer
 
     def __len__(self) -> int:
         return len(self.lanes)
@@ -159,13 +142,9 @@ class LaneGroup:
             not_before=not_before,
             context=context,
             switch_penalty=switch_penalty,
-            tag=tag,
-            record=self.record_trace,
         )
         if self.tracer is not None and self.tracer.enabled:
-            name = self.span_namer(tag) if self.span_namer is not None else "task"
-            span = self.tracer.record(name, start, end, lane=lane.index, tag=tag)
-            lane.span_ids.append(span.id)
+            self.tracer.record(TASK_SPAN, start, end, lane=lane.index, tag=tag)
         return lane, start, end
 
     @property
@@ -196,5 +175,3 @@ class LaneGroup:
             lane.tasks_run = 0
             lane.context_switches = 0
             lane.context = None
-            lane.trace.clear()
-            lane.span_ids.clear()

@@ -1,11 +1,8 @@
-"""Run statistics and speedup aggregation used by benchmarks and tests."""
+"""Run statistics: what one simulated execution run reports."""
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 
 @dataclass
@@ -39,87 +36,3 @@ class RunStats:
         if self.makespan <= 0 or self.lanes <= 0:
             return 0.0
         return self.total_work / (self.makespan * self.lanes)
-
-    def speedup_over(self, serial: "RunStats | float") -> float:
-        """Speedup of this run relative to a serial run (or serial time)."""
-        serial_time = serial.makespan if isinstance(serial, RunStats) else float(serial)
-        if self.makespan <= 0:
-            raise ValueError("cannot compute speedup with zero makespan")
-        return serial_time / self.makespan
-
-
-@dataclass(frozen=True)
-class SpeedupSummary:
-    """Aggregate of per-block speedups for a configuration."""
-
-    count: int
-    mean: float
-    median: float
-    p10: float
-    p90: float
-    minimum: float
-    maximum: float
-    accelerated_fraction: float  # share of blocks with speedup > 1
-
-    def row(self) -> tuple:
-        return (
-            self.count,
-            round(self.mean, 3),
-            round(self.median, 3),
-            round(self.p10, 3),
-            round(self.p90, 3),
-            round(self.minimum, 3),
-            round(self.maximum, 3),
-            round(self.accelerated_fraction, 4),
-        )
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile on pre-sorted data, q in [0, 1]."""
-    if not sorted_values:
-        raise ValueError("percentile of empty data")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = q * (len(sorted_values) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    frac = pos - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
-
-
-def summarize_speedups(values: Iterable[float]) -> SpeedupSummary:
-    """Summarise a collection of per-block speedups."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("no speedup samples")
-    n = len(data)
-    return SpeedupSummary(
-        count=n,
-        mean=sum(data) / n,
-        median=_percentile(data, 0.5),
-        p10=_percentile(data, 0.1),
-        p90=_percentile(data, 0.9),
-        minimum=data[0],
-        maximum=data[-1],
-        accelerated_fraction=sum(1 for v in data if v > 1.0) / n,
-    )
-
-
-def histogram(values: Iterable[float], edges: Sequence[float]) -> list[int]:
-    """Count values into the half-open buckets ``[edges[i], edges[i+1])``.
-
-    Values below the first edge or at/above the last edge are clamped into
-    the first/last bucket so every sample is represented (benchmark
-    histograms must account for all blocks).
-    """
-    if len(edges) < 2:
-        raise ValueError("need at least two edges")
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"edges must be strictly increasing: {edges!r}")
-    counts = [0] * (len(edges) - 1)
-    last = len(counts) - 1
-    for v in values:
-        # bisect_right - 1 gives the bucket whose [lo, hi) contains v;
-        # min/max clamp out-of-range samples into the end buckets
-        counts[min(max(bisect_right(edges, v) - 1, 0), last)] += 1
-    return counts

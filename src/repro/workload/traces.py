@@ -42,6 +42,19 @@ def _tx_to_dict(tx: Transaction) -> Dict[str, Any]:
     }
 
 
+def _integer(obj: Dict[str, Any], field: str, *, digits: bool = False) -> int:
+    """A field holding a JSON integer (not a bool, not a float) or, with
+    ``digits``, a string of ASCII decimal digits: how ``dump_trace``
+    writes ``value``.  ``int()`` would truncate ``1.5`` and parse
+    ``True``, ``" 5"`` or ``"1_000"``; this refuses them."""
+    value = obj[field]
+    if type(value) is int:
+        return value
+    if digits and isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise TraceError(f"{field} is not an integer: {value!r}")
+
+
 def _tx_from_dict(obj: Any) -> Transaction:
     if not isinstance(obj, dict):
         raise TraceError("bad transaction record: not an object")
@@ -52,11 +65,11 @@ def _tx_from_dict(obj: Any) -> Transaction:
         return Transaction(
             sender=address_from_hex(obj["sender"]),
             to=address_from_hex(obj["to"]) if obj["to"] is not None else None,
-            value=int(obj["value"]),
+            value=_integer(obj, "value", digits=True),
             data=bytes.fromhex(obj["data"]),
-            gas_limit=int(obj["gas_limit"]),
-            gas_price=int(obj["gas_price"]),
-            nonce=int(obj["nonce"]),
+            gas_limit=_integer(obj, "gas_limit"),
+            gas_price=_integer(obj, "gas_price"),
+            nonce=_integer(obj, "nonce"),
             tag=tag,
         )
     # OverflowError: a number like 1e400 parses as an infinite float

@@ -1,23 +1,18 @@
-"""Tests for the analysis/report helpers."""
+"""Tests for the experiment harness's analysis helpers and the table renderer."""
 
 import os
 
 import pytest
 
-from repro.analysis.metrics import (
+from benchmarks.analysis import (
     SweepPoint,
     bucket_by_ratio,
     correlation,
-    scaling_sweep_table,
-)
-from repro.analysis.report import (
-    format_failures,
     format_histogram,
-    format_series,
-    format_table,
+    scaling_sweep_table,
     write_report,
 )
-from repro.simcore.stats import RunStats
+from repro.obs.export import format_table
 
 
 class TestMetrics:
@@ -73,35 +68,8 @@ class TestReport:
         assert lines[0].count("#") == 10  # fullest bucket at full width
         assert lines[1].count("#") < 10
 
-    def test_format_series(self):
-        out = format_series([1, 2], [1.5, 2.5], "x", "y", title="S")
-        assert "1.5" in out and "2.5" in out
-
     def test_write_report(self, tmp_path):
         path = write_report("unit", "hello\n", directory=str(tmp_path))
         assert os.path.exists(path)
         assert open(path).read() == "hello\n"
 
-    def test_format_failures_from_runstats(self):
-        stats = RunStats(makespan=10.0, total_work=10.0, lanes=2)
-        stats.failures = {"state_root_mismatch": 3, "profile_mismatch": 1}
-        stats.worker_faults = 2
-        stats.serial_fallbacks = 1
-        out = format_failures(stats)
-        lines = out.splitlines()
-        # sorted by count descending, with shares of the total
-        assert "state_root_mismatch" in lines[3] and "75%" in lines[3]
-        assert "profile_mismatch" in lines[4] and "25%" in lines[4]
-        assert "worker_faults: 2" in out
-        assert "serial_fallbacks: 1" in out
-        assert "exec_retries" not in out  # zero counters stay silent
-
-    def test_format_failures_from_mapping(self):
-        out = format_failures({"bad_block": 2}, title="rejections")
-        assert out.splitlines()[0] == "rejections"
-        assert "bad_block" in out and "100%" in out
-        assert "worker_faults" not in out
-
-    def test_format_failures_empty(self):
-        stats = RunStats(makespan=1.0, total_work=1.0, lanes=1)
-        assert "(no rows)" in format_failures(stats)

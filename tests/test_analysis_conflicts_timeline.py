@@ -4,10 +4,11 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.conflicts import analyze_block_conflicts
-from repro.analysis.timeline import render_timeline
+from benchmarks.analysis import analyze_block_conflicts
 from repro.network.node import ProposerNode
-from repro.simcore.lanes import LaneGroup
+from repro.obs.export import render_timeline
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.simcore.lanes import TASK_SPAN, LaneGroup
 
 
 @pytest.fixture()
@@ -69,72 +70,61 @@ class TestConflictAnalysis:
 
 
 class TestTimeline:
+    """The timeline paints a LaneGroup's schedule from its tracer's spans."""
+
+    @staticmethod
+    def traced(lanes):
+        tracer = Tracer()
+        return tracer, LaneGroup(lanes, tracer=tracer)
+
     def test_basic_rendering(self):
-        group = LaneGroup(2, record_trace=True)
+        tracer, group = self.traced(2)
         group.run_on_earliest(10.0, tag="a")
         group.run_on_earliest(5.0, tag="b")
         group.run_on_earliest(5.0, tag="c")
-        out = render_timeline(group, width=20)
+        out = render_timeline(tracer, width=20)
         lines = out.splitlines()
         assert lines[0].startswith("lane  0")
-        assert "#" in lines[0]
-        assert "100%" in lines[0]  # lane 0 busy for the whole span
+        assert "." not in lines[0]  # lane 0 busy for the whole span
+        assert "100%" in lines[0]
+        assert lines[1].startswith("lane  1")
 
     def test_labels(self):
-        group = LaneGroup(1, record_trace=True)
+        tracer, group = self.traced(1)
         group.run_on_earliest(4.0, tag="x")
-        out = render_timeline(group, width=10, label_of=lambda t: t.upper())
+        out = render_timeline(tracer, width=10, label_of=lambda t: t.upper())
         assert "X" in out
 
     def test_requires_recording(self):
         with pytest.raises(ValueError):
-            render_timeline(LaneGroup(1))
+            render_timeline(NULL_TRACER)
 
     def test_empty_group(self):
-        group = LaneGroup(1, record_trace=True)
-        assert "empty" in render_timeline(group)
+        tracer, _ = self.traced(1)
+        assert "empty" in render_timeline(tracer)
 
     def test_idle_gaps_visible(self):
-        group = LaneGroup(2, record_trace=True)
-        group.lanes[0].run(10.0, record=True)
-        group.lanes[1].run(2.0, record=True)
-        out = render_timeline(group, width=20)
+        tracer, group = self.traced(2)
+        group.run_on_earliest(10.0, tag="long")
+        group.run_on_earliest(2.0, tag="short")
+        out = render_timeline(tracer, width=20)
         lane1 = out.splitlines()[1]
         assert "." in lane1  # idle tail on the short lane
 
     def test_tracer_path_labels_cells_by_span_name(self):
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        group = LaneGroup(1, tracer=tracer, span_namer=lambda tag: str(tag))
+        tracer, group = self.traced(1)
         group.run_on_earliest(4.0, tag="exec")
-        out = render_timeline(group, width=10, tracer=tracer)
-        assert "e" in out  # first char of the span name "exec"
+        out = render_timeline(tracer, width=10)
+        assert TASK_SPAN[0] in out  # first char of the lane span's name
         assert "#" not in out
 
-    def test_tracer_and_trace_paths_paint_identical_bars(self):
-        """Same schedule, both recording sources: identical busy cells."""
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        group = LaneGroup(
-            2, record_trace=True, tracer=tracer, span_namer=lambda tag: "task"
-        )
-        for duration, tag in ((10.0, "a"), (5.0, "b"), (5.0, "c"), (3.0, "d")):
-            group.run_on_earliest(duration, tag=tag)
-
-        from_trace = render_timeline(group, width=24)
-        from_tracer = render_timeline(group, width=24, tracer=tracer)
-        # span name "task" paints "t" where the record_trace path paints
-        # "#"; normalising the label makes the two renders byte-identical
-        assert from_tracer.replace("t", "#") == from_trace
-
     def test_tracer_path_needs_no_record_trace(self):
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        group = LaneGroup(1, tracer=tracer)
+        """The lanes keep no interval log: the tracer's spans are the record,
+        and spans off any lane (phases, instants) are not painted."""
+        tracer, group = self.traced(1)
         group.run_on_earliest(2.0, tag="x")
-        assert group.lanes[0].trace == []  # nothing recorded on the lane
-        out = render_timeline(group, width=8, tracer=tracer)
-        assert "t" in out  # default span name "task"
+        tracer.record("prepare", 0.0, 8.0)
+        tracer.instant("serial_fallback", 1.0, lane=0)
+        assert not hasattr(group.lanes[0], "trace")
+        out = render_timeline(tracer, width=8)
+        assert out.splitlines()[0] == f"lane  0 |{TASK_SPAN[0] * 8}| 100%"

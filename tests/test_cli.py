@@ -15,13 +15,17 @@ class TestParser:
         assert args.seed == 42
         assert args.txs_per_block == 132
 
-    def test_lane_lists(self):
-        args = build_parser().parse_args(["proposer", "--lanes", "2", "8"])
-        assert args.lanes == [2, 8]
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("command", ["proposer", "validator", "pipeline", "hotspot"])
+    def test_figure_sweeps_are_not_subcommands(self, command, capsys):
+        """The figure sweeps run as manifest experiments (python -m benchmarks)."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
@@ -60,37 +64,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "round trip" in out
         assert "True" in out
-
-    def test_proposer_sweep(self, capsys):
-        assert main([*self.ARGS, "proposer", "--lanes", "1", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 6" in out
-        assert out.count("\n") >= 4
-
-    def test_proposer_sweep_on_a_backend_is_simulated_on_both_sides(self, capsys):
-        """sim serial µs / sim makespan µs: the table replays exactly and a
-        wave of 4 beats serial (a wall-clock denominator gives ~0.05x)."""
-        argv = [*self.ARGS, "--backend", "serial", "proposer", "--lanes", "1", "4"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-        speedup_at_4 = float(first.strip().splitlines()[-1].split()[-1])
-        assert speedup_at_4 > 1.0
-
-    def test_validator_sweep(self, capsys):
-        assert main([*self.ARGS, "validator", "--lanes", "1", "4"]) == 0
-        assert "Fig. 7a" in capsys.readouterr().out
-
-    def test_pipeline_sweep(self, capsys):
-        assert main([*self.ARGS, "pipeline", "--blocks", "1", "2"]) == 0
-        assert "Fig. 9" in capsys.readouterr().out
-
-    def test_hotspot_sweep(self, capsys):
-        assert main([*self.ARGS, "hotspot"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 8" in out
-        assert "%" in out
 
     def test_trace_round(self, capsys, tmp_path):
         import json

@@ -2,7 +2,7 @@
 
 Every :class:`FailureReason` variant must be reachable through the public
 validator surface (``validate_block`` / ``process_blocks`` /
-``receive_blocks``) — the scenario registry in ``repro.faults.scenarios``
+``receive_blocks``) — the scenario registry in ``tests/fault_scenarios.py``
 is the executable proof, and these tests pin it.
 """
 
@@ -11,7 +11,7 @@ import pytest
 pytestmark = pytest.mark.faults
 
 from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
-from repro.faults.scenarios import (
+from tests.fault_scenarios import (
     SCENARIO_FOR_REASON,
     SCENARIOS,
     build_env,

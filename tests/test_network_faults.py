@@ -12,13 +12,13 @@ pytestmark = pytest.mark.faults
 
 from repro.core.validator import ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.faults.scenarios import build_env
 from repro.network.dissemination import ForkSet, ForkSimulator
 from repro.network.node import ValidatorNode
 from repro.network.simnet import NetworkConfig, NetworkSimulation
 from repro.obs.metrics import MetricsRegistry
 from repro.txpool.pool import TxPool
 from repro.workload.universe import UniverseConfig, build_universe
+from tests.fault_scenarios import build_env
 
 
 def small_world(seed=5):

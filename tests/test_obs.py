@@ -4,6 +4,13 @@ import json
 
 import pytest
 
+from benchmarks.baseline import (
+    compare,
+    direction_of,
+    flatten_numbers,
+    load_baseline,
+    write_baseline,
+)
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -11,13 +18,9 @@ from repro.obs import (
     Tracer,
     chrome_trace_events,
     chrome_trace_json,
-    compare,
     flame_summary,
-    load_baseline,
-    write_baseline,
     write_chrome_trace,
 )
-from repro.obs.baseline import direction_of, flatten_numbers
 from repro.obs.export import CONTROL_TID
 from repro.obs.metrics import Counter, Gauge, Histogram
 
@@ -266,13 +269,6 @@ class TestBaselines:
         slight = {"name": "x", "headline": {"speedup": 3.9}}
         assert compare(old, slight, tolerance=0.05).ok
         assert not compare(old, slight, tolerance=0.01).ok
-
-    def test_compare_direction_override(self):
-        old = {"name": "x", "headline": {"widgets": 10.0}}
-        new = {"name": "x", "headline": {"widgets": 5.0}}
-        assert compare(old, new).ok  # informational by default
-        forced = compare(old, new, directions={"widgets": 1})
-        assert not forced.ok
 
     def test_self_compare_always_clean(self, tmp_path):
         path = write_baseline(

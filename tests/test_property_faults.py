@@ -23,7 +23,7 @@ from repro.faults.injector import (
     FaultInjector,
     FaultyChannel,
 )
-from repro.faults.scenarios import build_env
+from tests.fault_scenarios import build_env
 
 #: every corruption kind is applicable to the scenario block (24 real txs
 #: guarantee entries with reads and writes)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from benchmarks.analysis import histogram, summarize_speedups
 from repro.simcore.costmodel import CostModel, TraceCosts
-from repro.simcore.stats import RunStats, histogram, summarize_speedups
+from repro.simcore.stats import RunStats
 
 
 class TestCostModel:
@@ -51,20 +52,6 @@ class TestRunStats:
     def test_utilization(self):
         stats = RunStats(makespan=10.0, total_work=40.0, lanes=8)
         assert stats.utilization == 0.5
-
-    def test_speedup_over_stats(self):
-        serial = RunStats(makespan=100.0, total_work=100.0, lanes=1)
-        parallel = RunStats(makespan=25.0, total_work=100.0, lanes=8)
-        assert parallel.speedup_over(serial) == 4.0
-
-    def test_speedup_over_float(self):
-        parallel = RunStats(makespan=20.0, total_work=100.0, lanes=8)
-        assert parallel.speedup_over(60.0) == 3.0
-
-    def test_zero_makespan_rejected(self):
-        stats = RunStats(makespan=0.0, total_work=0.0, lanes=1)
-        with pytest.raises(ValueError):
-            stats.speedup_over(10.0)
 
 
 class TestSummaries:

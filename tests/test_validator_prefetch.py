@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import throughput_tps
+from benchmarks.analysis import throughput_tps
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
 

@@ -136,7 +136,9 @@ class TestStrayExceptions:
     shapes: ``TypeError`` for a block that is no array, ``OverflowError``
     for an infinite number, ``RecursionError`` for the nesting,
     ``UnicodeDecodeError`` for a file that is no text; a tag of another
-    type was accepted into a transaction whose ``repr`` raised."""
+    type was accepted into a transaction whose ``repr`` raised; a number
+    that is no integer was truncated (``1.5`` loaded as 1, ``true`` as 1)
+    and a string ``int()`` accepts (``" 5"``, ``"1_000"``) was parsed."""
 
     @pytest.mark.parametrize("block", [5, None, "abc", {"sender": "00"}], ids=["int", "null", "string", "object"])
     def test_a_block_that_is_not_an_array(self, block):
@@ -144,11 +146,23 @@ class TestStrayExceptions:
             load_trace(_doc_with(("blocks", 1), block))
 
     @pytest.mark.parametrize("field", ["gas_limit", "nonce", "gas_price"])
-    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity"])
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity", "1.5", "2.0", "true", "false", '"7"'])
     def test_a_number_no_integer_holds(self, field, literal):
         text = _doc_with(("blocks", 0, 0, field), "@").replace('"@"', literal)
         with pytest.raises(TraceError):
             load_trace(text)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, True, " 5", "5 ", "1_000", "+5", "\u0665"],
+        ids=["fraction", "true", "lead-space", "trail-space", "underscore", "plus", "arabic-digit"],
+    )
+    def test_a_value_that_is_neither_an_integer_nor_decimal_digits(self, value):
+        with pytest.raises(TraceError):
+            load_trace(_doc_with(("blocks", 0, 0, "value"), value))
+
+    def test_a_value_may_be_a_json_integer(self):
+        assert load_trace(_doc_with(("blocks", 0, 0, "value"), 7))[0][0].value == 7
 
     def test_a_document_nested_past_the_parser(self):
         with pytest.raises(TraceError):

@@ -2,7 +2,7 @@
 
 Benchmarks historically printed text tables nothing could diff; this
 module gives each one a JSON artifact carrying its headline numbers
-(speedups, makespans, abort rates) plus an optional metrics snapshot, and
+(speedups, makespans, abort rates) and the config that produced them, and
 a :func:`compare` helper that flags regressions between two baselines.
 ``python -m benchmarks --compare`` is the gate built on it.
 
@@ -93,7 +93,6 @@ def write_baseline(
     name: str,
     headline: Mapping,
     *,
-    metrics: Optional[Mapping] = None,
     config: Optional[Mapping] = None,
     directory: Optional[str] = None,
 ) -> str:
@@ -108,7 +107,6 @@ def write_baseline(
         "schema": SCHEMA_VERSION,
         "name": name,
         "headline": dict(headline),
-        "metrics": dict(metrics) if metrics else {},
         "config": dict(config) if config else {},
     }
     with open(path, "w", encoding="utf-8") as fh:

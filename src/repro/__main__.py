@@ -27,9 +27,11 @@ switches to its wave schedule there, which seals a different block than
 the async lanes.
 
 ``--strategy occ-wsi|two-phase|block-stm`` picks the proposer engine
-(see :mod:`repro.core.strategies`); every subcommand that builds blocks
-honours it, so ``python -m repro --strategy block-stm fuzz`` fuzzes the
-Block-STM scheduler's yield points.
+(see :mod:`repro.core.strategies`); ``demo``, ``trace``, ``check`` and
+``fuzz`` honour it, so ``python -m repro --strategy block-stm fuzz``
+fuzzes the Block-STM scheduler's yield points.  ``serve`` and
+``simulate`` always run OCC-WSI (``simulate`` also always runs on the
+``sim`` backend) and refuse any other value with exit status 2.
 
 ``--scenario <name>`` swaps the workload for a named scenario stream
 (see :mod:`repro.workload.scenarios`): conflict-taming counter variants,
@@ -618,8 +620,19 @@ COMMANDS = {
 }
 
 
+#: global flags a subcommand does not honour: it runs their defaults only
+UNHONOURED = {"serve": ("strategy",), "simulate": ("strategy", "backend")}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag in UNHONOURED.get(args.command, ()):
+        default = parser.get_default(flag)
+        if getattr(args, flag) != default:
+            parser.error(
+                f"--{flag} {getattr(args, flag)}: {args.command} always runs {default}"
+            )
     # one backend per invocation, shared by every engine the command builds
     args.exec_backend = get_backend(args.backend, args.workers)
     try:

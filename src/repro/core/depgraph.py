@@ -17,7 +17,7 @@ never the reverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.types import Address
 
@@ -83,20 +83,6 @@ class DependencyGraph:
         if not self.components:
             return 0
         return max(self.component_gas(i) for i in range(len(self.components)))
-
-    def to_networkx(self) -> Any:
-        """Export the conflict graph for analysis (nodes = tx indices).
-
-        Edges connect consecutive transactions within each subgraph — the
-        execution-order chain the scheduler enforces."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.tx_count))
-        for component in self.components:
-            for a, b in zip(component, component[1:]):
-                g.add_edge(a, b)
-        return g
 
 
 def build_dependency_graph(

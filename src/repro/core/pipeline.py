@@ -246,11 +246,9 @@ class ValidatorPipeline:
                 sum(1 for t in timings if not t.accepted)
             )
             metrics.counter("pipeline.context_switches").inc(switches)
-            # degradation counters: the seam live telemetry (repro.obs.live)
-            # diffs per block to derive retry/fallback/fault events
+            # serial fallbacks and worker faults are counted by the
+            # validator itself (validator.*); retries only here
             metrics.counter("pipeline.exec_retries").inc(stats.exec_retries)
-            metrics.counter("pipeline.serial_fallbacks").inc(stats.serial_fallbacks)
-            metrics.counter("pipeline.worker_faults").inc(stats.worker_faults)
             metrics.gauge("pipeline.makespan_us").set(makespan)
             metrics.gauge("pipeline.pool_utilization").set(pool.utilization())
         return PipelineResult(

@@ -25,7 +25,8 @@ away from free when off):
 * :mod:`repro.obs.httpd` — stdlib loopback HTTP endpoint: Prometheus
   text at ``/metrics``, JSON ``/status``, watchdog-fed ``/healthz``.
 * :mod:`repro.obs.live` — :class:`LiveTelemetry`, the façade the serve
-  loop drives (metrics-delta event derivation + stall watchdog).
+  loop drives with each sealed block's own results (events, SLO windows,
+  stall watchdog).
 """
 
 from repro.obs.events import (
@@ -47,13 +48,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.httpd import StatusServer, render_prometheus
-from repro.obs.live import (
-    WATCHED_COUNTERS,
-    LiveConfig,
-    LiveTelemetry,
-    MetricsDelta,
-    StallWatchdog,
-)
+from repro.obs.live import LiveTelemetry, StallWatchdog
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -93,9 +88,6 @@ __all__ = [
     "percentile",
     "StatusServer",
     "render_prometheus",
-    "LiveConfig",
     "LiveTelemetry",
-    "MetricsDelta",
     "StallWatchdog",
-    "WATCHED_COUNTERS",
 ]

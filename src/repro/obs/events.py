@@ -58,7 +58,6 @@ EVENT_KINDS = frozenset(
         "proposal_retry",
         "serial_fallback",
         "worker_fault",
-        "quarantine",
         "store_append",
         "store_snapshot",
         "store_compaction",

@@ -7,14 +7,12 @@ surfaces built in this package:
 * the rolling SLO windows (:mod:`repro.obs.slo`),
 * the HTTP status endpoint (:mod:`repro.obs.httpd`).
 
-It derives per-block figures from the **existing metrics seams**: the
-proposer/validator/pipeline/store already maintain counters in the shared
-:class:`~repro.obs.metrics.MetricsRegistry`, so :class:`MetricsDelta`
-diffs those counters between blocks instead of threading new hooks
-through every hot path.  The production default is a
-:data:`~repro.obs.events.NULL_EMITTER` and no HTTP server, which keeps
-the whole layer at the one-guard cost the observability overhead
-benchmark bounds below 3%.
+The serve loop hands :meth:`LiveTelemetry.block_sealed` each block's
+figures from the proposal and pipeline results it already holds, so
+nothing here re-reads or re-counts what the hot paths measured.  The
+production default is a :data:`~repro.obs.events.NULL_EMITTER` and no
+HTTP server, which keeps the whole layer at the one-guard cost the
+observability overhead benchmark bounds below 3%.
 
 Determinism contract: with the wall-clock sampler off (the default), the
 emitted event stream of a fixed-seed serve run is byte-identical across
@@ -29,63 +27,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.obs.events import (
-    NULL_EMITTER,
-    EventEmitter,
-    JsonlEventLog,
-)
+from repro.obs.events import NULL_EMITTER, EventEmitter, JsonlEventLog
 from repro.obs.httpd import StatusServer, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloWindows
 
-__all__ = [
-    "LiveConfig",
-    "StallWatchdog",
-    "MetricsDelta",
-    "LiveTelemetry",
-]
-
-#: Counter names the per-block delta scan watches (all maintained by the
-#: existing proposer/validator/pipeline/node/store instrumentation).
-WATCHED_COUNTERS: Tuple[str, ...] = (
-    "proposer.executions",
-    "proposer.aborts",
-    "pipeline.exec_retries",
-    "pipeline.serial_fallbacks",
-    "pipeline.worker_faults",
-    "node.proposers_quarantined",
-    "store.blocks_appended",
-    "store.bytes_appended",
-    "store.snapshots",
-    "store.compactions",
-)
-
-
-@dataclass(frozen=True)
-class LiveConfig:
-    """Everything that shapes one node's live telemetry."""
-
-    #: JSONL event log path (None = NullEmitter, the free default)
-    events_path: Optional[str] = None
-    rotate_bytes: int = 16 * 1024 * 1024
-    max_event_files: int = 4
-    event_fsync: bool = False
-    #: SLO window width in clock seconds and retained window count
-    window_s: float = 60.0
-    history: int = 30
-    #: sample SLO windows (and stamp events) on the wall clock instead of
-    #: the simulated one — serve-mode diagnostics only, breaks determinism
-    wall_clock: bool = False
-    #: HTTP status endpoint (None = off, 0 = ephemeral port)
-    http_port: Optional[int] = None
-    http_host: str = "127.0.0.1"
-    #: /healthz flips unhealthy after ``stall_factor * stall_interval_s``
-    #: wall seconds without a sealed block
-    stall_interval_s: float = 5.0
-    stall_factor: float = 4.0
+__all__ = ["StallWatchdog", "LiveTelemetry"]
 
 
 class StallWatchdog:
@@ -152,76 +101,41 @@ class StallWatchdog:
         }
 
 
-class MetricsDelta:
-    """Per-block counter deltas over the shared registry.
+class LiveTelemetry:
+    """The serve loop's one telemetry object (also the HTTP provider).
 
-    Reading the registry *is* the existing metrics seam: the hot paths
-    already pay for these counters, so live telemetry derives its events
-    from their movement instead of new instrumentation calls.
+    ``events_path`` turns on the JSONL event log (None = the free
+    NullEmitter); ``http_port`` the status endpoint (None = off, 0 =
+    ephemeral port).  ``wall_clock`` samples SLO windows (and stamps
+    events) on the wall clock instead of the simulated one — serve-mode
+    diagnostics only, it breaks determinism.  ``/healthz`` flips
+    unhealthy after ``stall_factor * stall_interval_s`` wall seconds
+    without a sealed block.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry,
-        names: Tuple[str, ...] = WATCHED_COUNTERS,
-    ) -> None:
-        self.registry = registry
-        self.names = names
-        self._last: Dict[str, int] = {}
-        self.rebase()
-
-    def _read(self) -> Dict[str, int]:
-        return {name: self.registry.counter_value(name) for name in self.names}
-
-    def rebase(self) -> None:
-        """Forget history (e.g. after recovery replayed into the counters)."""
-        self._last = self._read()
-
-    def delta(self) -> Dict[str, int]:
-        """Counter movement since the previous call (never negative)."""
-        current = self._read()
-        moved = {
-            name: max(current[name] - self._last.get(name, 0), 0)
-            for name in self.names
-        }
-        self._last = current
-        return moved
-
-
-class LiveTelemetry:
-    """The serve loop's one telemetry object (also the HTTP provider)."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
         *,
-        config: Optional[LiveConfig] = None,
-        emitter: Optional[EventEmitter] = None,
+        events_path: Optional[str] = None,
+        http_port: Optional[int] = None,
+        wall_clock: bool = False,
+        stall_interval_s: float = 5.0,
+        stall_factor: float = 4.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.config = config or LiveConfig()
         self.registry = registry
-        if emitter is not None:
-            self.emitter = emitter
-        elif self.config.events_path:
-            self.emitter = JsonlEventLog(
-                self.config.events_path,
-                rotate_bytes=self.config.rotate_bytes,
-                max_files=self.config.max_event_files,
-                wall_clock=clock if self.config.wall_clock else None,
-                fsync=self.config.event_fsync,
-            )
-        else:
-            self.emitter = NULL_EMITTER
-        self.slo = SloWindows(
-            window_s=self.config.window_s, history=self.config.history
+        self.http_port = http_port
+        self.wall_clock = wall_clock
+        self.emitter: EventEmitter = (
+            JsonlEventLog(events_path, wall_clock=clock if wall_clock else None)
+            if events_path
+            else NULL_EMITTER
         )
+        self.slo = SloWindows()
         self.watchdog = StallWatchdog(
-            interval_s=self.config.stall_interval_s,
-            factor=self.config.stall_factor,
-            clock=clock,
+            interval_s=stall_interval_s, factor=stall_factor, clock=clock
         )
-        self.scanner = MetricsDelta(registry)
         self.server: Optional[StatusServer] = None
         self.clock = clock
         self._lock = threading.Lock()
@@ -233,12 +147,10 @@ class LiveTelemetry:
     # ------------------------------------------------------------------ #
 
     def start_server(self) -> Optional[Tuple[str, int]]:
-        """Bind the status endpoint when the config asks for one."""
-        if self.config.http_port is None:
+        """Bind the status endpoint when ``http_port`` asks for one."""
+        if self.http_port is None:
             return None
-        self.server = StatusServer(
-            self, host=self.config.http_host, port=self.config.http_port
-        )
+        self.server = StatusServer(self, port=self.http_port)
         return self.server.start()
 
     def stop_server(self) -> None:
@@ -266,9 +178,6 @@ class LiveTelemetry:
         self.registry.counter("serve.blocks_total").inc(height)
         self.slo.total_blocks += height
         self.registry.gauge("serve.height").set(float(height))
-        # recovery replay already moved store/proposer counters; events
-        # must narrate post-recovery movement only
-        self.scanner.rebase()
 
     def serve_started(self, ts: float, *, height: int, resumed: bool) -> None:
         if self.emitter.enabled:
@@ -292,23 +201,24 @@ class LiveTelemetry:
         sim_ts: float,
         txs: int,
         gas_used: int,
+        executions: int,
+        aborts: int,
+        retries: int,
+        fallbacks: int,
+        worker_faults: int,
         seal_latency_us: float,
         wall_latency_us: Optional[float] = None,
         store_write_us: Optional[float] = None,
     ) -> None:
         """Fold one sealed block into every surface.
 
-        ``sim_ts``/``seal_latency_us`` are simulated (deterministic);
-        the wall variants only matter when the wall-clock sampler is on.
+        The counts are this block's own: the proposer's executions and
+        aborts, the validator pipeline's retries, serial fallbacks and
+        worker faults.  ``sim_ts``/``seal_latency_us`` are simulated
+        (deterministic); the wall variants only matter when the
+        wall-clock sampler is on.
         """
-        moved = self.scanner.delta()
-        aborts = moved["proposer.aborts"]
-        retries = moved["pipeline.exec_retries"]
-        fallbacks = moved["pipeline.serial_fallbacks"]
-        faults = moved["pipeline.worker_faults"]
-        quarantines = moved["node.proposers_quarantined"]
-
-        wall_mode = self.config.wall_clock
+        wall_mode = self.wall_clock
         ts = self.clock() - self._started_wall if wall_mode else sim_ts
         latency = (
             wall_latency_us
@@ -319,11 +229,11 @@ class LiveTelemetry:
             ts,
             seal_latency_us=latency,
             txs=txs,
-            executions=moved["proposer.executions"],
+            executions=executions,
             aborts=aborts,
             retries=retries,
             fallbacks=fallbacks,
-            worker_faults=faults,
+            worker_faults=worker_faults,
         )
         if store_write_us is not None:
             self.slo.observe_store_write(ts, store_write_us)
@@ -351,10 +261,8 @@ class LiveTelemetry:
                 emit("proposal_retry", sim_ts, height=height, count=retries)
             if fallbacks:
                 emit("serial_fallback", sim_ts, height=height, count=fallbacks)
-            if faults:
-                emit("worker_fault", sim_ts, height=height, count=faults)
-            if quarantines:
-                emit("quarantine", sim_ts, height=height, count=quarantines)
+            if worker_faults:
+                emit("worker_fault", sim_ts, height=height, count=worker_faults)
 
     def serve_stopped(
         self, ts: float, *, height: int, produced: int, sealed: bool

@@ -11,7 +11,6 @@ computes per-window:
 * abort rate (aborts / executions),
 * retry / serial-fallback / worker-fault counts,
 * store write latency percentiles (µs),
-* last-seen txpool depth,
 
 plus cumulative totals since the aggregator was created (or re-seeded
 after recovery).  Percentiles are nearest-rank over the raw samples of
@@ -54,7 +53,6 @@ class WindowStats:
     retries: int = 0
     fallbacks: int = 0
     worker_faults: int = 0
-    txpool_depth: Optional[float] = None
 
     @property
     def abort_rate(self) -> float:
@@ -79,7 +77,6 @@ class WindowStats:
             "store_p50_us": percentile(self.store_write_us, 0.50),
             "store_p95_us": percentile(self.store_write_us, 0.95),
             "store_p99_us": percentile(self.store_write_us, 0.99),
-            "txpool_depth": self.txpool_depth,
         }
 
 
@@ -152,9 +149,6 @@ class SloWindows:
 
     def observe_store_write(self, ts: float, latency_us: float) -> None:
         self._window_at(ts).store_write_us.append(float(latency_us))
-
-    def observe_txpool_depth(self, ts: float, depth: float) -> None:
-        self._window_at(ts).txpool_depth = float(depth)
 
     # ------------------------------------------------------------------ #
 

@@ -85,7 +85,7 @@ class _Scope:
         self._tracer._stack.append(self.span)
         return self.span
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __exit__(self, *exc: object) -> None:
         stack = self._tracer._stack
         assert stack and stack[-1] is self.span, "unbalanced tracer scopes"
         stack.pop()
@@ -217,16 +217,21 @@ class ProcessTracer:
     def spans(self) -> List[Span]:
         return self._root.spans
 
-    def record(self, name, start, end, *, lane=None, pid=None, parent=None, **attrs):
-        return self._root.record(
-            name, start, end, lane=lane, pid=self.pid, parent=parent, **attrs
-        )
+    # Tracer's keywords pass through; ``pid`` is always this view's own
 
-    def instant(self, name, ts, *, lane=None, pid=None, **attrs):
-        return self._root.instant(name, ts, lane=lane, pid=self.pid, **attrs)
+    def record(self, name: str, start: float, end: float, **kwargs: Any) -> Span:
+        kwargs["pid"] = self.pid
+        return self._root.record(name, start, end, **kwargs)
 
-    def scope(self, name, start, end=None, *, lane=None, pid=None, **attrs):
-        return self._root.scope(name, start, end, lane=lane, pid=self.pid, **attrs)
+    def instant(self, name: str, ts: float, **kwargs: Any) -> Span:
+        kwargs["pid"] = self.pid
+        return self._root.instant(name, ts, **kwargs)
+
+    def scope(
+        self, name: str, start: float, end: Optional[float] = None, **kwargs: Any
+    ) -> _Scope:
+        kwargs["pid"] = self.pid
+        return self._root.scope(name, start, end, **kwargs)
 
     def for_process(self, name: str) -> "ProcessTracer":
         return self._root.for_process(name)
@@ -243,7 +248,7 @@ class _NullScope:
     def __enter__(self) -> Span:
         return self.span
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __exit__(self, *exc: object) -> None:
         return None
 
 
@@ -262,19 +267,21 @@ class NullTracer:
         self.spans: List[Span] = []
         self.processes: Dict[int, str] = {}
 
-    def record(self, name, start, end, **kwargs) -> Span:
+    def record(self, name: str, start: float, end: float, **kwargs: Any) -> Span:
         return self._span
 
-    def instant(self, name, ts, **kwargs) -> Span:
+    def instant(self, name: str, ts: float, **kwargs: Any) -> Span:
         return self._span
 
-    def scope(self, name, start, end=None, **kwargs) -> _NullScope:
+    def scope(
+        self, name: str, start: float, end: Optional[float] = None, **kwargs: Any
+    ) -> _NullScope:
         return self._scope
 
     def for_process(self, name: str) -> "NullTracer":
         return self
 
-    def children_of(self, span_id) -> List[Span]:
+    def children_of(self, span_id: Optional[int]) -> List[Span]:
         return []
 
     def find(self, name: str) -> List[Span]:

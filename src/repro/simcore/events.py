@@ -45,12 +45,6 @@ class EventQueue:
             raise IndexError("pop from empty EventQueue")
         return heapq.heappop(self._heap)
 
-    def peek_time(self) -> float:
-        """Time of the earliest pending event."""
-        if not self._heap:
-            raise IndexError("peek on empty EventQueue")
-        return self._heap[0].time
-
     def __len__(self) -> int:
         return len(self._heap)
 

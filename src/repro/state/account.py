@@ -47,10 +47,6 @@ class AccountData:
         # contract's code does not change from one block to the next
         return keccak_cached(self.code) if self.code else EMPTY_HASH
 
-    @property
-    def is_contract(self) -> bool:
-        return bool(self.code)
-
     def is_empty(self) -> bool:
         """EIP-158 emptiness: no nonce, no balance, no code, no storage."""
         return (

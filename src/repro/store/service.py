@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.network.node import ProposerNode, ValidatorNode
-from repro.obs.live import LiveConfig, LiveTelemetry
+from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.store import open_store
 from repro.store.backend import DiskStore
@@ -88,9 +88,6 @@ class ServeConfig:
     status_port: Optional[int] = None
     #: sample SLO windows on the wall clock instead of the sim clock
     wall_clock_slo: bool = False
-    #: SLO window width (clock seconds) and retained window count
-    slo_window_s: float = 60.0
-    slo_history: int = 30
     #: /healthz flips unhealthy after stall_factor × stall_interval_s of
     #: wall-clock silence (no block sealed)
     stall_interval_s: float = 5.0
@@ -123,11 +120,12 @@ class ServeReport:
     sealed: bool
     stop_signal: Optional[int] = None
     healed: List[str] = field(default_factory=list)
-    # -- telemetry totals (cumulative: survive kill-and-resume) --------- #
     #: total blocks behind the head, counting recovered ones
     blocks_total: int = 0
+    #: proposer aborts and validator serial fallbacks of this session
     aborts: int = 0
     fallbacks: int = 0
+    # -- live telemetry ------------------------------------------------- #
     unhealthy_intervals: int = 0
     events_written: int = 0
     status_url: Optional[str] = None
@@ -166,9 +164,9 @@ class NodeService:
     ) -> None:
         self.config = config
         self.backend = backend
-        # telemetry derives its events from the metrics seams, so any
-        # live-telemetry feature needs a registry even if the caller
-        # didn't pass one
+        # the status endpoint serves the registry and telemetry keeps its
+        # serve.* counters there, so any live-telemetry feature needs one
+        # even if the caller didn't pass one
         if metrics is None and (config.events or config.status_port is not None):
             metrics = MetricsRegistry()
         self.metrics = metrics
@@ -185,18 +183,16 @@ class NodeService:
         if not cfg.events and cfg.status_port is None:
             return None
         assert self.metrics is not None
-        live = LiveConfig(
+        return LiveTelemetry(
+            self.metrics,
             events_path=(
                 os.path.join(cfg.data_dir, EVENTS_LOG_NAME) if cfg.events else None
             ),
-            window_s=cfg.slo_window_s,
-            history=cfg.slo_history,
-            wall_clock=cfg.wall_clock_slo,
             http_port=cfg.status_port,
+            wall_clock=cfg.wall_clock_slo,
             stall_interval_s=cfg.stall_interval_s,
             stall_factor=cfg.stall_factor,
         )
-        return LiveTelemetry(self.metrics, config=live)
 
     # ------------------------------------------------------------------ #
     # signals
@@ -352,10 +348,9 @@ class NodeService:
             backend=self.backend,
         )
 
-        produced = 0
+        produced = aborts = fallbacks = 0
         sealed_ok = False
         reported = time.perf_counter()
-        metrics = self.metrics
         try:
             while not self.stopping:
                 if cfg.max_height and chain.height() >= cfg.max_height:
@@ -379,22 +374,24 @@ class NodeService:
                         f"{failure.reason.value if failure else 'unknown'}"
                     )
                 produced += 1
+                proposed = sealed.proposal.stats
+                validated = outcome.pipeline
+                aborts += proposed.aborts
+                fallbacks += validated.stats.serial_fallbacks
                 if telemetry is not None:
                     new_head = chain.head
-                    # sim seal latency: proposer + pipeline makespans the
-                    # metrics seams recorded for exactly this block
-                    sim_latency = 0.0
-                    if metrics is not None:
-                        sim_latency = (
-                            metrics.gauge("proposer.makespan_us").value
-                            + metrics.gauge("pipeline.makespan_us").value
-                        )
                     telemetry.block_sealed(
                         height=new_head.number,
                         sim_ts=float(new_head.header.timestamp),
                         txs=len(sealed.block),
                         gas_used=sealed.proposal.gas_used,
-                        seal_latency_us=sim_latency,
+                        executions=proposed.tasks,
+                        aborts=proposed.aborts,
+                        retries=validated.stats.exec_retries,
+                        fallbacks=validated.stats.serial_fallbacks,
+                        worker_faults=validated.stats.worker_faults,
+                        # simulated: the proposer's then the pipeline's makespan
+                        seal_latency_us=proposed.makespan + validated.makespan,
                         wall_latency_us=(time.perf_counter() - block_started)
                         * 1e6,
                         store_write_us=store.last_commit_us,
@@ -444,20 +441,12 @@ class NodeService:
             sealed=sealed_ok,
             stop_signal=self._stop_signal,
             healed=list(recovery.healed),
+            blocks_total=resumed_from + produced,
+            aborts=aborts,
+            fallbacks=fallbacks,
             status_url=status_url,
         )
         if telemetry is not None:
-            report.blocks_total = telemetry.slo.total_blocks
-            report.aborts = telemetry.slo.total_aborts
-            report.fallbacks = telemetry.slo.total_fallbacks
             report.unhealthy_intervals = telemetry.watchdog.unhealthy_intervals
             report.events_written = getattr(telemetry.emitter, "seq", 0)
-        elif metrics is not None:
-            # non-instrumented serve: fall back to the raw counters so the
-            # exit line still carries totals
-            report.blocks_total = head.number
-            report.aborts = metrics.counter_value("proposer.aborts")
-            report.fallbacks = metrics.counter_value("pipeline.serial_fallbacks")
-        else:
-            report.blocks_total = head.number
         return report

@@ -54,7 +54,6 @@ __all__ = [
     "nft_mint_calldata",
     "airdrop_claim_calldata",
     "erc20_balance_slot",
-    "erc20_shard_counter_slot",
     "nft_owner_slot",
     "airdrop_claimed_slot",
     "mapping_slot",
@@ -108,11 +107,6 @@ def mapping_slot(key: int, slot: int) -> int:
 
 def erc20_balance_slot(holder: Address) -> int:
     return mapping_slot(address_to_int(holder), ERC20_BALANCES_SLOT)
-
-
-def erc20_shard_counter_slot(shard: int) -> int:
-    """Per-shard transfer-count slot of the partitioned-counter variant."""
-    return mapping_slot(shard, ERC20_COUNTER_SLOT)
 
 
 def nft_owner_slot(token_id: int) -> int:

@@ -86,9 +86,6 @@ class Universe:
         self.nonces[sender] = nonce + 1
         return nonce
 
-    def peek_nonce(self, sender: Address) -> int:
-        return self.nonces.get(sender, 0)
-
 
 def _eoa_address(index: int) -> Address:
     # offset keeps EOAs clear of the low addresses used in tests

@@ -107,3 +107,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "produced=0" in out
         assert "recovery:" in out
+
+
+class TestUnhonouredFlags:
+    """A global flag a subcommand would silently ignore is refused."""
+
+    def test_serve_refuses_strategy(self, capsys, tmp_path):
+        argv = [
+            "--txs-per-block", "12", "--strategy", "block-stm", "serve",
+            "--data-dir", str(tmp_path / "n"), "--blocks", "1", "--no-fsync",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--strategy block-stm" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--strategy", "two-phase"], ["--backend", "thread"]]
+    )
+    def test_simulate_refuses_strategy_and_backend(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--txs-per-block", "12", *flags, "simulate", "--rounds", "1"])
+        assert exit_info.value.code == 2
+        assert " ".join(flags) in capsys.readouterr().err

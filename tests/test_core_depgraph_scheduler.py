@@ -58,13 +58,6 @@ class TestDependencyGraph:
         g = build_dependency_graph([fp(0), fp(0), fp(0)])
         assert g.largest_component_ratio() == 1.0
 
-    def test_networkx_export(self):
-        g = build_dependency_graph([fp(0), fp(0), fp(1)])
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg.has_edge(0, 1)
-        assert not nxg.has_edge(0, 2)
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(

@@ -182,5 +182,4 @@ class TestStatsCounters:
             assert not validation.accepted
             assert validation.used_serial_fallback is serial_fallback
             assert result.stats.serial_fallbacks == fallbacks
-            assert metrics.counter_value("pipeline.serial_fallbacks") == fallbacks
             assert metrics.counter_value("validator.serial_fallbacks") == fallbacks

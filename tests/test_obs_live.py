@@ -1,15 +1,10 @@
-"""LiveTelemetry: metrics-delta events, counter re-seeding, registry helpers."""
+"""LiveTelemetry: per-block events, counter re-seeding, registry helpers."""
 
 import urllib.request
 
 import pytest
 
-from repro.obs.live import (
-    WATCHED_COUNTERS,
-    LiveConfig,
-    LiveTelemetry,
-    MetricsDelta,
-)
+from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry, flat_name
 from repro.store.service import NodeService, ServeConfig
 
@@ -54,32 +49,6 @@ class TestRegistryReset:
         assert registry.snapshot()["counters"]["c"] == 1
 
 
-class TestMetricsDelta:
-    def test_delta_reports_movement_once(self):
-        registry = MetricsRegistry()
-        scanner = MetricsDelta(registry)
-        registry.counter("proposer.aborts").inc(4)
-        moved = scanner.delta()
-        assert moved["proposer.aborts"] == 4
-        assert scanner.delta()["proposer.aborts"] == 0
-
-    def test_rebase_swallows_history(self):
-        registry = MetricsRegistry()
-        scanner = MetricsDelta(registry)
-        registry.counter("store.blocks_appended").inc(8)  # recovery replay
-        scanner.rebase()
-        assert scanner.delta()["store.blocks_appended"] == 0
-
-    def test_watched_set_covers_the_event_sources(self):
-        assert {
-            "proposer.aborts",
-            "pipeline.exec_retries",
-            "pipeline.serial_fallbacks",
-            "node.proposers_quarantined",
-            "store.blocks_appended",
-        } <= set(WATCHED_COUNTERS)
-
-
 class TestLiveTelemetry:
     def test_default_is_null_emitter(self):
         telemetry = LiveTelemetry(MetricsRegistry())
@@ -88,14 +57,18 @@ class TestLiveTelemetry:
 
     def test_block_sealed_derives_events_from_counter_motion(self, tmp_path):
         registry = MetricsRegistry()
-        telemetry = LiveTelemetry(
-            registry, config=LiveConfig(events_path=str(tmp_path / "e.jsonl"))
-        )
-        registry.counter("proposer.executions").inc(10)
-        registry.counter("proposer.aborts").inc(3)
-        registry.counter("pipeline.serial_fallbacks").inc(1)
+        telemetry = LiveTelemetry(registry, events_path=str(tmp_path / "e.jsonl"))
         telemetry.block_sealed(
-            height=1, sim_ts=12.0, txs=9, gas_used=1000, seal_latency_us=55.0
+            height=1,
+            sim_ts=12.0,
+            txs=9,
+            gas_used=1000,
+            executions=10,
+            aborts=3,
+            retries=0,
+            fallbacks=1,
+            worker_faults=0,
+            seal_latency_us=55.0,
         )
         telemetry.close()
         from repro.obs.events import read_events
@@ -105,20 +78,30 @@ class TestLiveTelemetry:
         assert kinds == ["block_sealed", "proposal_abort", "serial_fallback"]
         assert events[0]["aborts"] == 3
         assert telemetry.slo.total_aborts == 3
+        assert telemetry.slo.current.abort_rate == 0.3
         assert registry.snapshot()["counters"]["serve.blocks_total"] == 1
 
     def test_seed_totals_reseeds_cumulative_counters(self):
         registry = MetricsRegistry()
         telemetry = LiveTelemetry(registry)
-        registry.counter("store.blocks_appended").inc(6)  # recovery replay
         telemetry.seed_totals(6)
         assert registry.snapshot()["counters"]["serve.blocks_total"] == 6
         assert telemetry.slo.total_blocks == 6
-        # the replay movement must not surface as fresh events
         telemetry.block_sealed(
-            height=7, sim_ts=84.0, txs=1, gas_used=10, seal_latency_us=5.0
+            height=7,
+            sim_ts=84.0,
+            txs=1,
+            gas_used=10,
+            executions=2,
+            aborts=1,
+            retries=0,
+            fallbacks=0,
+            worker_faults=0,
+            seal_latency_us=5.0,
         )
         assert telemetry.slo.total_blocks == 7
+        # recovered blocks count towards blocks, never towards aborts
+        assert telemetry.slo.total_aborts == 1
         assert registry.snapshot()["counters"]["serve.blocks_total"] == 7
 
 

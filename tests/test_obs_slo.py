@@ -82,13 +82,14 @@ class TestSloWindows:
             "worker_faults": 1,
         }
 
-    def test_store_writes_and_txpool_depth(self):
+    def test_store_write_percentiles(self):
         slo = SloWindows(window_s=60.0)
         slo.observe_store_write(5.0, 111.0)
-        slo.observe_txpool_depth(6.0, 42)
+        slo.observe_store_write(6.0, 333.0)
         current = slo.current
-        assert current.store_write_us == [111.0]
-        assert current.txpool_depth == 42.0
+        assert current.store_write_us == [111.0, 333.0]
+        snap = current.snapshot()
+        assert (snap["store_p50_us"], snap["store_p99_us"]) == (111.0, 333.0)
 
     def test_snapshot_shape(self):
         slo = SloWindows(window_s=30.0, history=2)

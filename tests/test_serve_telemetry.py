@@ -1,13 +1,15 @@
-"""Live telemetry against the real serve subprocess.
+"""Live telemetry against the real serve loop.
 
-Two acceptance criteria from the observability PR land here:
+Three guarantees land here:
 
 * a running ``repro serve --status-port 0`` exposes valid Prometheus
   text, JSON status and a healthz probe over loopback, and a SIGTERM
   still seals cleanly;
 * a serve killed mid-run (with a torn telemetry tail on disk) resumes
   without telemetry interfering, and the resumed session's counters are
-  chain-cumulative, not session-local.
+  chain-cumulative, not session-local;
+* each block's narration carries that block's own proposer and pipeline
+  figures, so its sums agree with the registry the hot paths fed.
 """
 
 import json
@@ -23,7 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import MetricsRegistry
+from repro.obs.events import read_events
 from repro.store.manifest import Manifest
+from repro.store.service import NodeService, ServeConfig
 
 pytestmark = pytest.mark.store
 
@@ -187,8 +192,6 @@ class TestKillAndResumeWithTelemetry:
 
         # the healed event file parses end to end, and the resumed
         # session's records narrate the post-recovery suffix
-        from repro.obs.events import read_events
-
         events = read_events(str(events_path), strict=True)
         kinds = [e["kind"] for e in events]
         assert kinds.count("serve_start") == 2
@@ -214,8 +217,6 @@ class TestKillAndResumeWithTelemetry:
         event that did get written must match the clean run exactly, and
         only the crash height may be missing.
         """
-        from repro.obs.events import read_events
-
         clean_dir = tmp_path / "clean"
         _run(clean_dir, "--blocks", "6", "--events")
         crashed_dir = tmp_path / "crashed"
@@ -244,3 +245,73 @@ class TestKillAndResumeWithTelemetry:
         assert missing <= {3}  # only the crash height may have been eaten
         for height, event in crashed.items():
             assert event == clean[height], f"height {height} diverged"
+
+
+class TestBlockFactsReachTheNarration:
+    """The loop hands telemetry each block's results: a swapped or
+    mis-routed count shows up against the registry's own counters."""
+
+    def _config(self, data_dir, **extra):
+        return ServeConfig(
+            data_dir=str(data_dir),
+            txs_per_block=12,
+            scenario="counter-shared",
+            max_height=6,
+            snapshot_interval=4,
+            fsync=False,
+            **extra,
+        )
+
+    def test_block_sealed_matches_the_registry(self, tmp_path, monkeypatch):
+        metrics = MetricsRegistry()
+        # the makespan gauges hold exactly the block being sealed when the
+        # loop calls block_sealed; remember them per height
+        expected_latency = {}
+        build = NodeService._build_telemetry
+
+        def hooked(service):
+            telemetry = build(service)
+            sealed = telemetry.block_sealed
+
+            def block_sealed(**kw):
+                expected_latency[kw["height"]] = round(
+                    metrics.gauge("proposer.makespan_us").value
+                    + metrics.gauge("pipeline.makespan_us").value,
+                    3,
+                )
+                sealed(**kw)
+
+            telemetry.block_sealed = block_sealed
+            return telemetry
+
+        monkeypatch.setattr(NodeService, "_build_telemetry", hooked)
+        service = NodeService(self._config(tmp_path / "node", events=True), metrics=metrics)
+        report = service.run(handle_signals=False)
+
+        events = read_events(str(tmp_path / "node" / "events.jsonl"))
+        sealed = [e for e in events if e["kind"] == "block_sealed"]
+        assert [e["height"] for e in sealed] == list(range(1, 7))
+        aborts = metrics.counter_value("proposer.aborts")
+        assert aborts > 0  # counter-shared contends: the check has teeth
+        assert sum(e["aborts"] for e in sealed) == aborts == report.aborts
+        executions = sum(w.executions for w in service.telemetry.slo.windows())
+        assert executions == metrics.counter_value("proposer.executions")
+        assert executions > aborts
+        assert sum(e["retries"] for e in sealed) == metrics.counter_value(
+            "pipeline.exec_retries"
+        )
+        for event in sealed:
+            assert event["latency_us"] == expected_latency[event["height"]]
+
+    def test_totals_need_no_registry(self, tmp_path):
+        """A service built without a registry still reports its aborts."""
+        metrics = MetricsRegistry()
+        instrumented = NodeService(self._config(tmp_path / "a"), metrics=metrics)
+        with_registry = instrumented.run(handle_signals=False)
+        bare = NodeService(self._config(tmp_path / "b")).run(handle_signals=False)
+        assert bare.aborts == with_registry.aborts == metrics.counter_value(
+            "proposer.aborts"
+        )
+        assert bare.aborts > 0
+        assert bare.fallbacks == with_registry.fallbacks
+        assert bare.blocks_total == 6

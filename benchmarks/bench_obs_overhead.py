@@ -3,8 +3,9 @@
 Three claims behind the ``repro.obs`` layer:
 
 * **Off by default, free by default** — the production path runs with
-  :data:`~repro.obs.tracer.NULL_TRACER` and no metrics registry, so the
-  instrumentation reduces to boolean guards.  The guard microbenchmark
+  :data:`~repro.obs.tracer.NULL_TRACER` and
+  :data:`~repro.obs.metrics.NULL_METRICS`, so the instrumentation reduces
+  to boolean guards and no-op counter calls.  The guard microbenchmark
   bounds their cost below 3% of a block's validation wall time.
 * **Deterministic export** — the traced run's *simulated* timing is
   bit-identical to the untraced run (tracing rides the one timing walk; it
@@ -24,7 +25,14 @@ from pathlib import Path
 
 from benchmarks.world import Outcome, World
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.obs import NULL_EMITTER, NULL_TRACER, MetricsRegistry, Tracer, chrome_trace_json
+from repro.obs import (
+    NULL_EMITTER,
+    NULL_METRICS,
+    NULL_TRACER,
+    MetricsRegistry,
+    Tracer,
+    chrome_trace_json,
+)
 from repro.obs.events import read_events
 from repro.obs.export import format_table
 from repro.store.service import NodeService, ServeConfig
@@ -33,6 +41,10 @@ GUARD_ITERATIONS = 200_000
 #: generous upper bound on NullTracer/metrics guard evaluations per tx
 #: (occ-wsi loop + validator phases + scheduler are each a handful)
 GUARDS_PER_TX = 32
+#: generous upper bound on NULL_METRICS instrument calls per block: the
+#: counted facts of a whole node round (seal, propose, validate, pipeline,
+#: node, store) are a few dozen, and none is made per transaction
+COUNTS_PER_BLOCK = 64
 
 
 def _validate_all(validator, entries):
@@ -42,37 +54,44 @@ def _validate_all(validator, entries):
 
 
 def run_guards(world: World, blocks: int) -> Outcome:
-    """Default NullTracer instrumentation must cost <3% wall time."""
+    """Default NullTracer / NULL_METRICS instrumentation must cost <3% wall time."""
     entries = world.chain(blocks)
     untraced = ParallelValidator(config=ValidatorConfig(lanes=16))
 
-    # Measure the primitive the production path actually pays: one
-    # ``tracer.enabled`` / ``metrics is not None`` guard evaluation, plus
-    # the ``emitter.enabled`` guard the live-telemetry seams add.
+    # Measure the primitives the production path actually pays: one
+    # ``tracer.enabled`` / ``metrics.enabled`` guard evaluation plus the
+    # ``emitter.enabled`` guard the live-telemetry seams add, per guarded
+    # site; and one counted fact on NULL_METRICS, per unguarded site.
     tracer = NULL_TRACER
-    metrics = None
+    metrics = NULL_METRICS
     emitter = NULL_EMITTER
     start = time.perf_counter()
     for _ in range(GUARD_ITERATIONS):
         if tracer.enabled:
             raise AssertionError("NullTracer must be disabled")
-        if metrics is not None:
-            raise AssertionError
+        if metrics.enabled:
+            raise AssertionError("NullMetrics must be disabled")
         if emitter.enabled:
             raise AssertionError("NullEmitter must be disabled")
     guard_wall = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(GUARD_ITERATIONS):
+        metrics.counter("validator.blocks_accepted").inc()
+    count_wall = time.perf_counter() - start
+    start = time.perf_counter()
+    for _ in range(GUARD_ITERATIONS):
         pass
     empty_wall = time.perf_counter() - start
     guard_cost = max(guard_wall - empty_wall, 0.0) / GUARD_ITERATIONS
+    count_cost = max(count_wall - empty_wall, 0.0) / GUARD_ITERATIONS
 
     _validate_all(untraced, entries)  # warm up the interpreter path
     start = time.perf_counter()
     _validate_all(untraced, entries)
     base = time.perf_counter() - start
     txs = sum(len(e.block) for e in entries)
-    guard_share = (guard_cost * GUARDS_PER_TX * txs) / base
+    paid = guard_cost * GUARDS_PER_TX * txs + count_cost * COUNTS_PER_BLOCK * len(entries)
+    guard_share = paid / base
 
     report = format_table(
         [
@@ -80,6 +99,7 @@ def run_guards(world: World, blocks: int) -> Outcome:
                 "config": "NullTracer (default)",
                 "validate_s": round(base, 4),
                 "guard_ns": round(guard_cost * 1e9, 1),
+                "count_ns": round(count_cost * 1e9, 1),
                 "overhead": f"{guard_share:+.2%} (guard bound)",
             }
         ],

@@ -53,7 +53,6 @@ def main() -> None:
         "proposer.aborts",
         "proposer.commits",
         "validator.blocks_accepted",
-        "pipeline.blocks_accepted",
         "node.blocks_received",
     ):
         if name in snapshot["counters"]:

@@ -620,19 +620,22 @@ COMMANDS = {
 }
 
 
-#: global flags a subcommand does not honour: it runs their defaults only
-UNHONOURED = {"serve": ("strategy",), "simulate": ("strategy", "backend")}
+#: global flags a subcommand (or trace mode) does not honour: it runs their defaults only
+UNHONOURED = {
+    "serve": ("strategy",),
+    "simulate": ("strategy", "backend"),
+    "trace --mode network": ("strategy", "backend"),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in UNHONOURED.get(args.command, ()):
+    run = f"trace --mode {args.mode}" if args.command == "trace" else args.command
+    for flag in UNHONOURED.get(run, ()):
         default = parser.get_default(flag)
         if getattr(args, flag) != default:
-            parser.error(
-                f"--{flag} {getattr(args, flag)}: {args.command} always runs {default}"
-            )
+            parser.error(f"--{flag} {getattr(args, flag)}: {run} always runs {default}")
     # one backend per invocation, shared by every engine the command builds
     args.exec_backend = get_backend(args.backend, args.workers)
     try:

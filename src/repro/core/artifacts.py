@@ -22,6 +22,7 @@ from typing import Any, FrozenSet, Optional, Tuple
 from repro.chain.block import Block, BlockProfile
 from repro.core.depgraph import DependencyGraph, build_dependency_graph
 from repro.core.scheduler import SchedulePlan, schedule_components
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = [
     "BlockArtifacts",
@@ -75,7 +76,7 @@ class BlockArtifacts:
         self._comp_gas: Optional[Tuple[int, ...]] = None
 
     def plan_for(
-        self, lanes: int, policy: str, seed: int, metrics: Any = None
+        self, lanes: int, policy: str, seed: int, metrics: MetricsRegistry = NULL_METRICS
     ) -> SchedulePlan:
         """Schedule for ``lanes`` worker threads."""
         return schedule_components(self.graph, lanes, policy, seed, metrics=metrics)

@@ -41,7 +41,7 @@ from repro.evm.interpreter import EVM, ExecutionContext
 from repro.exec.backend import ExecutionBackend
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
 from repro.simcore.lanes import LaneGroup
@@ -131,7 +131,7 @@ class ValidatorPipeline:
         #: per-block validator keeps its own standalone clock, so it gets
         #: the metrics registry (counters accumulate) but not the tracer.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self._validator = ParallelValidator(
             evm=self.evm,
             config=self.config,
@@ -236,21 +236,17 @@ class ValidatorPipeline:
             stats.serial_fallbacks += r.used_serial_fallback
             if r.failure is not None:
                 stats.count_failure(r.failure.reason)
-        if self.metrics is not None:
-            metrics = self.metrics
-            metrics.counter("pipeline.blocks").inc(n)
-            metrics.counter("pipeline.blocks_accepted").inc(
-                sum(1 for t in timings if t.accepted)
-            )
-            metrics.counter("pipeline.blocks_rejected").inc(
-                sum(1 for t in timings if not t.accepted)
-            )
-            metrics.counter("pipeline.context_switches").inc(switches)
-            # serial fallbacks and worker faults are counted by the
-            # validator itself (validator.*); retries only here
-            metrics.counter("pipeline.exec_retries").inc(stats.exec_retries)
-            metrics.gauge("pipeline.makespan_us").set(makespan)
-            metrics.gauge("pipeline.pool_utilization").set(pool.utilization())
+        metrics = self.metrics
+        metrics.counter("pipeline.blocks").inc(n)
+        metrics.counter("pipeline.blocks_rejected").inc(
+            sum(1 for t in timings if not t.accepted)
+        )
+        metrics.counter("pipeline.context_switches").inc(switches)
+        # accepted blocks, serial fallbacks and worker faults are counted by
+        # the validator itself (validator.*); retries only here
+        metrics.counter("pipeline.exec_retries").inc(stats.exec_retries)
+        metrics.gauge("pipeline.makespan_us").set(makespan)
+        metrics.gauge("pipeline.pool_utilization").set(pool.utilization())
         return PipelineResult(
             results=[r for r in results],
             timings=timings,

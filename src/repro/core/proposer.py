@@ -25,7 +25,7 @@ from repro.chain.bloom import bloom_from_logs
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.common.types import Address
 from repro.core.session import ProposalResult, materialize_store
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.state.statedb import StateDB, StateSnapshot
 
 __all__ = ["SealedProposal", "seal_block", "finalize_block_state"]
@@ -148,10 +148,10 @@ def seal_block(
         logs_bloom=logs_bloom,
     )
     block = Block(header, txs, receipts, profile, uncles=tuple(uncles))
-    if metrics is not None:
-        metrics.counter("proposer.blocks_sealed").inc()
-        metrics.gauge("proposer.block_txs").set(len(txs))
-        metrics.gauge("proposer.block_gas").set(proposal.gas_used)
-        if profile is not None:
-            metrics.gauge("proposer.profile_entries").set(len(profile.entries))
+    metrics = metrics or NULL_METRICS
+    metrics.counter("proposer.blocks_sealed").inc()
+    metrics.gauge("proposer.block_txs").set(len(txs))
+    metrics.gauge("proposer.block_gas").set(proposal.gas_used)
+    if profile is not None:
+        metrics.gauge("proposer.profile_entries").set(len(profile.entries))
     return SealedProposal(block=block, post_state=post_state, proposal=proposal)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.depgraph import DependencyGraph
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = ["SchedulePlan", "schedule_components", "SCHEDULER_POLICIES"]
 
@@ -91,7 +92,7 @@ def schedule_components(
     lanes: int,
     policy: str = "gas_lpt",
     seed: int = 0,
-    metrics: Any = None,
+    metrics: MetricsRegistry = NULL_METRICS,
 ) -> SchedulePlan:
     """Assign subgraphs to ``lanes`` threads under the given policy.
 
@@ -129,7 +130,7 @@ def schedule_components(
         tuple(tx for comp in comps for tx in graph.components[comp])
         for comps in lane_components
     )
-    if metrics is not None:
+    if metrics.enabled:
         size_hist = metrics.histogram("scheduler.subgraph_size", _SUBGRAPH_SIZE_EDGES)
         for component in graph.components:
             size_hist.observe(len(component))

@@ -47,7 +47,7 @@ from repro.exec.tasks import (
     run_propose_chunk,
     speculate,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
 from repro.simcore.lanes import lpt_makespan
@@ -163,7 +163,7 @@ def run_strict_checks(
     result: ProposalResult,
     *,
     enabled: bool,
-    metrics: Optional[MetricsRegistry],
+    metrics: MetricsRegistry,
 ) -> ProposalResult:
     """Post-propose serializability gate shared by every proposer strategy.
 
@@ -179,11 +179,9 @@ def run_strict_checks(
     from repro.check.oracle import ScheduleViolationError, verify_commit_order
 
     report = verify_commit_order(result)
-    if metrics is not None:
-        metrics.counter("check.schedules_verified").inc()
-        if not report.ok:
-            metrics.counter("check.schedule_violations").inc(len(report.violations))
+    metrics.counter("check.schedules_verified").inc()
     if not report.ok:
+        metrics.counter("check.schedule_violations").inc(len(report.violations))
         raise ScheduleViolationError(report)
     return result
 
@@ -216,7 +214,7 @@ class ProposerEngine:
         #: Span sink; the NullTracer default keeps tracing at one flag
         #: check per recorded event.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         #: Optional real-parallelism backend (:mod:`repro.exec`); ``None``
         #: runs every task in the calling thread.  Block contents never
         #: depend on it for two-phase and Block-STM; OCC-WSI picks its
@@ -280,11 +278,9 @@ class ProposeSession:
         if self.backend is not None:
             self._exec_stats0 = self.backend.stats.copy()
             self.backend.open(self._shared)
-        self._depth_hist = (
-            self.metrics.histogram("proposer.txpool_depth", _DEPTH_EDGES)
-            if self.metrics is not None
-            else None
-        )
+        #: hoisted ``metrics.enabled``: :meth:`pop` observes the depth on it
+        self.metrics_on: bool = self.metrics.enabled
+        self._depth_hist = self.metrics.histogram("proposer.txpool_depth", _DEPTH_EDGES)
         self._wall0 = time.perf_counter()
         # one "propose" span parents every per-tx span of this run; opened
         # manually because the run ends in finish(), not in a with-block
@@ -308,7 +304,7 @@ class ProposeSession:
 
     def pop(self) -> Optional[Transaction]:
         """Next ready transaction by priority (it becomes in flight)."""
-        if self._depth_hist is not None:
+        if self.metrics_on:
             self._depth_hist.observe(len(self.pool))
         return self.pool.pop_best()
 
@@ -502,21 +498,21 @@ class ProposeSession:
         if backend is not None:
             stats.extra["backend"] = backend.name
             stats.extra["backend_workers"] = backend.workers
-        if metrics is not None:
-            metrics.counter("proposer.executions").inc(self.executions)
-            metrics.counter("proposer.aborts").inc(self.aborts)
-            metrics.counter("proposer.commits").inc(n_committed)
-            metrics.counter("proposer.invalid_dropped").inc(self.invalid_dropped)
-            metrics.counter("proposer.retries_exhausted").inc(self.retries_exhausted)
-            for name, value in (counters or {}).items():
-                metrics.counter(name).inc(value)
+        metrics.counter("proposer.executions").inc(self.executions)
+        metrics.counter("proposer.aborts").inc(self.aborts)
+        metrics.counter("proposer.commits").inc(n_committed)
+        metrics.counter("proposer.invalid_dropped").inc(self.invalid_dropped)
+        metrics.counter("proposer.retries_exhausted").inc(self.retries_exhausted)
+        for name, value in (counters or {}).items():
+            metrics.counter(name).inc(value)
+        if self.metrics_on:
             retry_hist = metrics.histogram("proposer.tx_aborts", _RETRY_EDGES)
             for count in self._retry_counts.values():
                 retry_hist.observe(count)
-            metrics.gauge("proposer.makespan_us").set(self.clock)
-            if backend is not None:
-                metrics.gauge("proposer.wall_us").set(self.wall_us())
-                backend.publish(metrics, self._exec_stats0)
+        metrics.gauge("proposer.makespan_us").set(self.clock)
+        if backend is not None:
+            metrics.gauge("proposer.wall_us").set(self.wall_us())
+            backend.publish(metrics, self._exec_stats0)
         return run_strict_checks(
             ProposalResult(
                 committed=self.committed,

@@ -40,7 +40,7 @@ from repro.exec.backend import ExecutionBackend
 from repro.exec.validating import ParallelExecOutcome, execute_block_parallel
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
 from repro.simcore.stats import RunStats
@@ -240,7 +240,7 @@ class ParallelValidator:
         self.injector = injector
         #: Span sink on the simulated clock (NullTracer default: free).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         #: Optional real-parallelism backend (:mod:`repro.exec`): components
         #: execute on actual cores, all anomalies fall back to the serial
         #: reference loop below so results stay backend-independent.
@@ -294,6 +294,9 @@ class ParallelValidator:
         def rejected(
             reason: str, failure: Optional[ValidationFailure] = None
         ) -> ValidationResult:
+            metrics.counter("validator.blocks_rejected").inc()
+            if failure is not None:
+                metrics.counter("validator.failure", failure.reason.value).inc()
             if tracer.enabled:
                 # failure spans carry the typed FailureReason so fault
                 # injection runs are diffable from the trace alone
@@ -305,10 +308,6 @@ class ParallelValidator:
                     reason=failure.reason.value if failure is not None else reason,
                     detail=reason,
                 )
-            if metrics is not None:
-                metrics.counter("validator.blocks_rejected").inc()
-                if failure is not None:
-                    metrics.counter("validator.failure", failure.reason.value).inc()
             result.reason, result.failure = reason, failure
             return result
 
@@ -496,21 +495,6 @@ class ParallelValidator:
         phases, stats = self._simulate_timing(
             block, plan, tx_costs, prep_cost, prefetch_cost, ladder
         )
-        if metrics is not None:
-            metrics.counter("validator.blocks_accepted").inc()
-            metrics.histogram("validator.prep_us", PHASE_US_EDGES).observe(
-                phases.prep_end
-            )
-            metrics.histogram("validator.exec_us", PHASE_US_EDGES).observe(
-                phases.exec_end - phases.prep_end
-            )
-            metrics.histogram("validator.validate_us", PHASE_US_EDGES).observe(
-                phases.validate_end - phases.exec_end
-            )
-            metrics.histogram("validator.commit_us", PHASE_US_EDGES).observe(
-                phases.commit_end - phases.validate_end
-            )
-
         if config.timeout_us is not None and phases.commit_end > config.timeout_us:
             return rejected(
                 f"validation timed out: {phases.commit_end:.1f}µs exceeds "
@@ -521,6 +505,19 @@ class ParallelValidator:
                 ),
             )
 
+        metrics.counter("validator.blocks_accepted").inc()
+        metrics.histogram("validator.prep_us", PHASE_US_EDGES).observe(
+            phases.prep_end
+        )
+        metrics.histogram("validator.exec_us", PHASE_US_EDGES).observe(
+            phases.exec_end - phases.prep_end
+        )
+        metrics.histogram("validator.validate_us", PHASE_US_EDGES).observe(
+            phases.validate_end - phases.exec_end
+        )
+        metrics.histogram("validator.commit_us", PHASE_US_EDGES).observe(
+            phases.commit_end - phases.validate_end
+        )
         result.accepted = True
         result.post_state = post_state
         result.phases = phases
@@ -568,6 +565,7 @@ class ParallelValidator:
                     consulted=True,
                 )
             worker_faults += 1
+            metrics.counter("validator.worker_faults").inc()
             if tracer.enabled:
                 tracer.instant(
                     "worker_fault",
@@ -577,20 +575,17 @@ class ParallelValidator:
                     tx=crash_tx,
                     reason=FailureReason.WORKER_FAULT.value,
                 )
-            if metrics is not None:
-                metrics.counter("validator.worker_faults").inc()
             retry_penalty += model.abort_overhead + model.retry_backoff * (2**attempt)
             if attempt >= self.config.max_parallel_retries:
                 break
             attempt += 1
         if self.config.serial_fallback:
             # degrade: one final serial pass, fault hooks disabled
+            metrics.counter("validator.serial_fallbacks").inc()
             if tracer.enabled:
                 tracer.instant(
                     "serial_fallback", 0.0, block=block.hash.hex()[:8], attempts=attempt + 1
                 )
-            if metrics is not None:
-                metrics.counter("validator.serial_fallbacks").inc()
             attempt += 1
         return FaultLadder(
             attempt, worker_faults, retry_penalty, (0.0,) * n,

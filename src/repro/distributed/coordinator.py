@@ -10,8 +10,8 @@ owns every failure mode:
 
 * **Crash** — no reply; the shard is re-assigned to the next live
   follower.  Exhausting re-assignments maps to ``WORKER_FAULT``.
-* **Straggler** — a verified reply past the deadline (``max(min_deadline,
-  straggler_factor × median round latency)``) is treated as lost and the
+* **Straggler** — a verified reply past the deadline (``max(MIN_DEADLINE_US,
+  STRAGGLER_FACTOR × median round latency)``) is treated as lost and the
   shard re-assigned; exhaustion maps to ``TIMEOUT``.
 * **Byzantine reply** — every reply is structurally checked (component
   set, result counts, overlay ⊆ footprint) and cross-checked per
@@ -59,7 +59,7 @@ from repro.exec.validating import ParallelExecOutcome, merge_components
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.state.statedb import StateSnapshot
 
@@ -71,6 +71,14 @@ __all__ = [
 ]
 
 
+#: a round's deadline is max(MIN_DEADLINE_US, STRAGGLER_FACTOR × median
+#: latency); replies past it are stragglers
+STRAGGLER_FACTOR = 3.0
+#: deadline floor, µs past the dispatch round's start — keeps tiny
+#: blocks from declaring every follower a straggler
+MIN_DEADLINE_US = 4000.0
+
+
 @dataclass(frozen=True)
 class DistributedConfig:
     """Coordinator knobs."""
@@ -78,11 +86,6 @@ class DistributedConfig:
     n_followers: int = 4
     #: how many times a failed shard is re-assigned before giving up
     max_reassignments: int = 2
-    #: deadline = max(min_deadline_us, straggler_factor × median latency)
-    straggler_factor: float = 3.0
-    #: deadline floor, µs past the dispatch round's start — keeps tiny
-    #: blocks from declaring every follower a straggler
-    min_deadline_us: float = 4000.0
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ class ShardCoordinator:
             )
         self.master_id = master_id
         self.injector = injector
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self._root_tracer = tracer
         self.tracer = (
             tracer.for_process(f"{master_id}/dist")
@@ -221,8 +224,7 @@ class ShardCoordinator:
         reply_at_of: Dict[int, float] = {}
         fail_kind: Dict[int, str] = {}
 
-        if self.metrics is not None:
-            self.metrics.counter("dist.blocks").inc()
+        self.metrics.counter("dist.blocks").inc()
 
         round_dispatch: Dict[int, float] = {}
 
@@ -250,8 +252,7 @@ class ShardCoordinator:
                 dispatch = max(busy[f], t0)
                 round_dispatch[sid] = dispatch
                 ship = model.shard_ship_us + model.shard_ship_per_tx * shard_txs[sid]
-                if self.metrics is not None:
-                    self.metrics.counter("dist.shards_shipped").inc()
+                self.metrics.counter("dist.shards_shipped").inc()
                 reply = follower.handle(assignment)
                 if reply is None:
                     # crash: the follower is gone for this block
@@ -261,8 +262,7 @@ class ShardCoordinator:
                     record.follower_faults += 1
                     note(sid, attempt, None, "crash")
                     continue
-                if self.metrics is not None:
-                    self.metrics.counter("dist.replies").inc()
+                self.metrics.counter("dist.replies").inc()
                 verdict = self._verify_reply(
                     validator, block, art, shards[sid], reply
                 )
@@ -271,8 +271,7 @@ class ShardCoordinator:
                     # profile, invalid tx): not a follower fault — decline
                     # and let the local reference path classify the block
                     record.fallback = "undistributable"
-                    if self.metrics is not None:
-                        self.metrics.counter("dist.declined").inc()
+                    self.metrics.counter("dist.declined").inc()
                     return None, None
                 exec_us = sum(
                     model.tx_cost(result.trace)
@@ -297,11 +296,9 @@ class ShardCoordinator:
             if round_ok:
                 latencies = sorted(at - t0 for at, _ in round_ok.values())
                 median = latencies[len(latencies) // 2]
-                deadline_at = t0 + max(
-                    cfg.min_deadline_us, cfg.straggler_factor * median
-                )
+                deadline_at = t0 + max(MIN_DEADLINE_US, STRAGGLER_FACTOR * median)
             else:
-                deadline_at = t0 + cfg.min_deadline_us
+                deadline_at = t0 + MIN_DEADLINE_US
 
             for sid, (reply_at, reply) in round_ok.items():
                 follower_id = followers[assigned[sid]].follower_id
@@ -338,16 +335,14 @@ class ShardCoordinator:
                         break
                     assigned[sid] = new_f
                     record.reassignments += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("dist.reassignments").inc()
+                    self.metrics.counter("dist.reassignments").inc()
                 if pool_exhausted:
                     break  # every follower crashed: exhaustion below
 
         if pending:
             failure = self._exhaustion_failure(pending, fail_kind)
             record.fallback = failure.reason.value
-            if self.metrics is not None:
-                self.metrics.counter("dist.fallbacks").inc()
+            self.metrics.counter("dist.fallbacks").inc()
             if self.tracer.enabled:
                 self.tracer.instant(
                     "dist.fallback",
@@ -367,9 +362,8 @@ class ShardCoordinator:
         record.makespan_us = (
             max(reply_at_of.values()) + model.dist_merge_per_tx * n
         )
-        if self.metrics is not None:
-            self.metrics.gauge("dist.makespan_us").set(record.makespan_us)
-            self.metrics.counter("dist.blocks_distributed").inc()
+        self.metrics.gauge("dist.makespan_us").set(record.makespan_us)
+        self.metrics.counter("dist.blocks_distributed").inc()
         return outcome, None
 
     # ------------------------------------------------------------------ #

@@ -85,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "EVM",
     "EVMConfig",
+    "MAX_CALL_DEPTH",
     "ExecutionContext",
     "Message",
     "MessageResult",
@@ -99,6 +100,9 @@ __all__ = [
 
 #: Yellow-paper operand stack limit.
 MAX_STACK_DEPTH = 1024
+
+#: Deepest message-call nesting a transaction may reach (mainnet allows 1024).
+MAX_CALL_DEPTH = 16
 
 #: Any object with the StateDB interface (duck-typed on purpose: StateDB,
 #: the keyed speculative views, RecordingState all qualify).
@@ -220,7 +224,6 @@ class EVMConfig:
     """
 
     schedule: GasSchedule = DEFAULT_GAS_SCHEDULE
-    max_call_depth: int = 16
     defer_coinbase: bool = True
 
 
@@ -858,7 +861,7 @@ class EVM:
     def _execute_message(
         self, state: State, msg: Message, env: _TxEnv, depth: int, static: bool = False
     ) -> MessageResult:
-        if depth > self.config.max_call_depth:
+        if depth > MAX_CALL_DEPTH:
             return MessageResult(False, b"", msg.gas, [], "call depth exceeded")
 
         mark = state.snapshot()

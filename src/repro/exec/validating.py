@@ -165,12 +165,10 @@ def execute_block_parallel(
         lane_outcomes = backend.map(run_validate_lane, lane_payloads)
     except BackendError:
         # a lost or wedged worker is a substrate anomaly like any other
-        if validator.metrics is not None:
-            validator.metrics.counter("validator.backend_worker_lost").inc()
+        validator.metrics.counter("validator.backend_worker_lost").inc()
         return None
     finally:
-        if validator.metrics is not None:
-            backend.publish(validator.metrics, stats0)
+        backend.publish(validator.metrics, stats0)
     wall_us = (time.perf_counter() - wall0) * 1e6
 
     anomalous = False
@@ -194,17 +192,15 @@ def execute_block_parallel(
                             ),
                         )
                     )
-                if validator.metrics is not None:
-                    validator.metrics.counter("check.footprint_violations").inc(
-                        len(outcome.misses)
-                    )
+                validator.metrics.counter("check.footprint_violations").inc(
+                    len(outcome.misses)
+                )
             if outcome.anomaly is not None:
                 # lying profile (footprint miss) or an invalid transaction:
                 # discard the attempt, let the serial reference loop decide
-                if validator.metrics is not None:
-                    validator.metrics.counter(
-                        f"validator.backend_{outcome.anomaly[0]}"
-                    ).inc()
+                validator.metrics.counter(
+                    f"validator.backend_{outcome.anomaly[0]}"
+                ).inc()
                 if check_log is None:
                     return None
                 # with a check log attached every lane is drained first so
@@ -242,10 +238,9 @@ def execute_block_parallel(
                         txs=len(outcome.results),
                     )
                     cursor += outcome.elapsed_us
-    if validator.metrics is not None:
-        validator.metrics.counter("validator.backend_blocks").inc()
-        validator.metrics.counter("validator.backend_components").inc(
-            len(graph.components)
-        )
-        validator.metrics.gauge("validator.backend_wall_us").set(wall_us)
+    validator.metrics.counter("validator.backend_blocks").inc()
+    validator.metrics.counter("validator.backend_components").inc(
+        len(graph.components)
+    )
+    validator.metrics.gauge("validator.backend_wall_us").set(wall_us)
     return merged

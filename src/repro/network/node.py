@@ -27,7 +27,7 @@ from repro.core.validator import Distributor, ValidatorConfig
 from repro.evm.interpreter import EVM, ExecutionContext
 from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.costmodel import CostModel
 from repro.state.statedb import StateSnapshot
@@ -65,7 +65,7 @@ class ProposerNode:
         # each node is one Chrome-trace "process"; its proposer spans
         # (execute/abort/commit per lane) live under that pid
         self.tracer = tracer.for_process(node_id) if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.engine = build_proposer(
             config,
             evm=evm,
@@ -166,7 +166,7 @@ class ValidatorNode:
         # recovered (and store-attached) chain instead of a fresh one
         self.chain = chain if chain is not None else Blockchain(genesis_state)
         self.tracer = tracer.for_process(node_id) if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.pipeline = ValidatorPipeline(
             evm=evm,
             config=config,
@@ -270,14 +270,13 @@ class ValidatorNode:
                 new_head = new_head or became_head
 
         restored = self._restore_transactions(accepted, rejected)
-        if self.metrics is not None:
-            self.metrics.counter("node.blocks_received").inc(len(blocks))
-            self.metrics.counter("node.blocks_accepted").inc(len(accepted))
-            self.metrics.counter("node.blocks_rejected").inc(len(rejected))
-            self.metrics.counter("node.blocks_quarantined").inc(len(quarantined))
-            self.metrics.counter("node.restored_txs").inc(restored)
-            if new_head:
-                self.metrics.gauge("node.height").set(float(self.chain.height()))
+        # accepted blocks are counted once, as validator.blocks_accepted
+        self.metrics.counter("node.blocks_received").inc(len(blocks))
+        self.metrics.counter("node.blocks_rejected").inc(len(rejected))
+        self.metrics.counter("node.blocks_quarantined").inc(len(quarantined))
+        self.metrics.counter("node.restored_txs").inc(restored)
+        if new_head:
+            self.metrics.gauge("node.height").set(float(self.chain.height()))
         return ReceiveOutcome(
             pipeline=result,
             accepted=accepted,
@@ -305,6 +304,7 @@ class ValidatorNode:
             and proposer not in self.quarantined_proposers
         ):
             self.quarantined_proposers.add(proposer)
+            self.metrics.counter("node.proposers_quarantined").inc()
             if self.tracer.enabled:
                 self.tracer.instant(
                     "proposer_quarantined",
@@ -312,8 +312,6 @@ class ValidatorNode:
                     proposer=proposer,
                     strikes=self._strikes[proposer],
                 )
-            if self.metrics is not None:
-                self.metrics.counter("node.proposers_quarantined").inc()
 
     def _restore_transactions(
         self, accepted: Sequence[Block], rejected: Sequence[Block]

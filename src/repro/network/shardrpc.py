@@ -33,7 +33,7 @@ from repro.exec.tasks import (
     run_validate_lane,
 )
 from repro.faults.injector import FaultInjector, _keyed_rng
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["ShardAssignment", "ShardReply", "FollowerNode"]
@@ -82,7 +82,7 @@ class FollowerNode:
     ) -> None:
         self.follower_id = follower_id
         self.injector = injector
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.tracer = (
             tracer.for_process(follower_id) if tracer is not None else NULL_TRACER
         )
@@ -99,8 +99,7 @@ class FollowerNode:
                 assignment.attempt,
             )
         if fault is not None and fault.crash:
-            if self.metrics is not None:
-                self.metrics.counter("dist.follower_crashes").inc()
+            self.metrics.counter("dist.follower_crashes").inc()
             if self.tracer.enabled:
                 self.tracer.instant(
                     "follower_crash",
@@ -116,12 +115,10 @@ class FollowerNode:
         stall_us = 0.0
         if fault is not None and fault.stall_us > 0.0:
             stall_us = fault.stall_us
-            if self.metrics is not None:
-                self.metrics.counter("dist.follower_stalls").inc()
+            self.metrics.counter("dist.follower_stalls").inc()
         if fault is not None and fault.byzantine:
             outcomes = self._tamper(assignment, outcomes)
-            if self.metrics is not None:
-                self.metrics.counter("dist.byzantine_replies").inc()
+            self.metrics.counter("dist.byzantine_replies").inc()
 
         return ShardReply(
             shard_id=assignment.shard_id,

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
-from repro.core.occ_wsi import ProposerConfig
-from repro.core.validator import Distributor, ValidatorConfig
+from repro.core.validator import Distributor
 from repro.faults.injector import FaultConfig, FaultInjector, FaultyChannel
 from repro.network.node import ProposerNode, ReceiveOutcome, ValidatorNode
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 from repro.workload.universe import Universe
@@ -50,8 +49,6 @@ class NetworkConfig:
     rounds: int = 5
     #: probability that a second proposer races the round winner
     fork_probability: float = 0.3
-    proposer_lanes: int = 16
-    validator_lanes: int = 16
     seed: int = 101
     #: indices into the proposer set whose sealed blocks get corrupted.
     #: Out-of-range indices are a configuration error and raise
@@ -136,7 +133,7 @@ class NetworkSimulation:
         self.faults = faults
         #: Root tracer: every node registers itself as one trace process.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.injector = FaultInjector(faults or FaultConfig(seed=self.config.seed))
         self.rng = random.Random(self.config.seed)
         #: ``generator`` overrides the default workload with any block
@@ -144,13 +141,9 @@ class NetworkSimulation:
         self.generator = generator or BlockWorkloadGenerator(
             universe, workload or WorkloadConfig(seed=self.config.seed)
         )
+        # every node runs its role's default config (16 lanes)
         self.proposers = [
-            ProposerNode(
-                f"proposer-{i}",
-                config=ProposerConfig(lanes=self.config.proposer_lanes),
-                tracer=self.tracer,
-                metrics=metrics,
-            )
+            ProposerNode(f"proposer-{i}", tracer=self.tracer, metrics=metrics)
             for i in range(self.config.n_proposers)
         ]
         for index in self.config.byzantine_proposers:
@@ -168,7 +161,6 @@ class NetworkSimulation:
             ValidatorNode(
                 f"validator-{i}",
                 universe.genesis,
-                config=ValidatorConfig(lanes=self.config.validator_lanes),
                 quarantine_threshold=self.config.quarantine_threshold,
                 tracer=self.tracer,
                 metrics=metrics,
@@ -293,20 +285,7 @@ class NetworkSimulation:
     ) -> ReceiveOutcome:
         """Hand a round's blocks to one validator, through its channel."""
         trace_on = self.tracer.enabled
-        if self.channels is None:
-            if trace_on:
-                for block in blocks:
-                    self.tracer.instant(
-                        "send",
-                        float(round_no),
-                        block=block.hash.hex()[:8],
-                        to=validator.node_id,
-                    )
-            if self.metrics is not None:
-                self.metrics.counter("net.blocks_sent").inc(len(blocks))
-                self.metrics.counter("net.blocks_delivered").inc(len(blocks))
-            return validator.receive_blocks(blocks)
-        deliveries = self.channels[validator.node_id].deliver(round_no, blocks)
+        self.metrics.counter("net.blocks_sent").inc(len(blocks))
         if trace_on:
             for block in blocks:
                 self.tracer.instant(
@@ -315,6 +294,12 @@ class NetworkSimulation:
                     block=block.hash.hex()[:8],
                     to=validator.node_id,
                 )
+        if self.channels is None:
+            self.metrics.counter("net.blocks_delivered").inc(len(blocks))
+            return validator.receive_blocks(blocks)
+        deliveries = self.channels[validator.node_id].deliver(round_no, blocks)
+        self.metrics.counter("net.blocks_delivered").inc(len(deliveries))
+        if trace_on:
             for block, arrival in deliveries:
                 self.tracer.instant(
                     "receive",
@@ -322,9 +307,6 @@ class NetworkSimulation:
                     block=block.hash.hex()[:8],
                     at=validator.node_id,
                 )
-        if self.metrics is not None:
-            self.metrics.counter("net.blocks_sent").inc(len(blocks))
-            self.metrics.counter("net.blocks_delivered").inc(len(deliveries))
         return validator.receive_blocks(
             [block for block, _ in deliveries],
             arrivals=[arrival for _, arrival in deliveries],
@@ -342,8 +324,7 @@ class NetworkSimulation:
                 # flushed retransmissions are deliveries like any other —
                 # without this the sent/delivered metrics can never
                 # reconcile even though every drop is retransmitted
-                if self.metrics is not None:
-                    self.metrics.counter("net.blocks_delivered").inc(len(leftovers))
+                self.metrics.counter("net.blocks_delivered").inc(len(leftovers))
                 outcome = validator.receive_blocks(
                     [block for block, _ in leftovers],
                     arrivals=[arrival for _, arrival in leftovers],

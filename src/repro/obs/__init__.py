@@ -8,6 +8,9 @@ are bit-identical and diffable.  The pieces:
   ``NullTracer`` default so uninstrumented hot paths pay one branch.
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms with a
   plain-dict ``snapshot()``; the registry is the one place they live.
+  Its free default, ``NULL_METRICS``, hands out shared no-op instruments,
+  so a counted fact is one line whether or not anyone listens, and a
+  per-transaction loop pays one ``metrics.enabled`` branch.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``), a text flame summary, a lane timeline (Gantt)
   and the fixed-width table every report prints.
@@ -53,6 +56,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    NULL_METRICS,
     MetricsRegistry,
     flat_name,
 )
@@ -65,6 +69,7 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "MetricsRegistry",
+    "NULL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",

@@ -10,6 +10,10 @@ nothing copies it onto ``RunStats``.
 Naming convention (see docs/ARCHITECTURE.md): dotted lowercase paths,
 ``<component>.<quantity>[_<unit>]`` — e.g. ``proposer.aborts``,
 ``validator.exec_us``, ``scheduler.subgraph_size``.
+
+:data:`NULL_METRICS` is "nobody listening": a component given
+``metrics=None`` stores it, so a counted fact is one line either way;
+per-transaction loops hoist its ``enabled`` flag like ``tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Sequence, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "flat_name"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetrics", "NULL_METRICS", "flat_name"]
 
 
 def flat_name(
@@ -125,6 +129,10 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry for a run's named metrics."""
 
+    #: ``False`` only on :class:`NullMetrics`: loops that would compute a
+    #: value per transaction just to observe it skip the work on this flag
+    enabled: bool = True
+
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -228,3 +236,42 @@ class MetricsRegistry:
         """One counter read by name, registering nothing (0 if it never moved)."""
         metric = self._counters.get(name)
         return metric.value if metric is not None else 0
+
+
+class _NullCounter(Counter):
+    def inc(self, n: int = 1) -> None:
+        pass
+
+
+class _NullGauge(Gauge):
+    def set(self, value: float) -> None:
+        pass
+
+
+class _NullHistogram(Histogram):
+    def observe(self, value: float) -> None:
+        pass
+
+
+class NullMetrics(MetricsRegistry):
+    """The free default: every lookup returns one shared no-op instrument
+    and nothing is registered, so :meth:`snapshot` stays empty."""
+
+    enabled: bool = False
+    _counter = _NullCounter("null")
+    _gauge = _NullGauge("null")
+    _histogram = _NullHistogram("null", (0.0, 1.0))
+
+    def counter(self, name: str, *parts: Union[str, int], **labels: Union[str, int]) -> Counter:
+        return self._counter
+
+    def gauge(self, name: str, *parts: Union[str, int], **labels: Union[str, int]) -> Gauge:
+        return self._gauge
+
+    def histogram(
+        self, name: str, edges: Sequence[float], *parts: Union[str, int], **labels: Union[str, int]
+    ) -> Histogram:
+        return self._histogram
+
+
+NULL_METRICS = NullMetrics()

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol
 
 from repro.chain.block import Block
 from repro.obs.events import NULL_EMITTER, EventEmitter
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.state.statedb import StateSnapshot
 from repro.store.blocklog import RECORD_HEADER, BlockLog, decode_record, write_log
 from repro.store.codec import decode_block, encode_block, encode_header, peek_block_number
@@ -45,7 +46,6 @@ from repro.store.snapshots import write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.storage import CrashPlan
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["StorageBackend", "MemoryStore", "DiskStore", "SNAPSHOT_US_EDGES"]
 
@@ -101,7 +101,7 @@ class DiskStore:
         snapshot_interval: int = 64,
         compact: bool = True,
         fsync: bool = True,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
         emitter: EventEmitter = NULL_EMITTER,
         crash: Optional["CrashPlan"] = None,
     ) -> None:
@@ -109,7 +109,7 @@ class DiskStore:
         self.snapshot_interval = snapshot_interval
         self.compact = compact
         self.fsync = fsync
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.emitter = emitter
         self.crash = crash
         self.manifest = Manifest()
@@ -181,10 +181,6 @@ class DiskStore:
     # the commit path
     # ------------------------------------------------------------------ #
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
     def on_block(self, block: Block, post_state: StateSnapshot, *, head: bool) -> None:
         if self.log is None:
             raise RuntimeError("DiskStore used before initialize()/adopt()")
@@ -211,8 +207,8 @@ class DiskStore:
         before = self.log.size
         self.log.append_payload(payload)
         appended = self.log.size - before
-        self._count("store.blocks_appended")
-        self._count("store.bytes_appended", appended)
+        self.metrics.counter("store.blocks_appended").inc()
+        self.metrics.counter("store.bytes_appended").inc(appended)
         if self.emitter.enabled:
             # header timestamps are the simulated clock, so the event
             # stream stays byte-identical across same-seed runs
@@ -243,11 +239,10 @@ class DiskStore:
                 sha256=digest,
                 header=encode_header(block.header).hex(),
             )
-            self._count("store.snapshots")
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "store.snapshot_us", SNAPSHOT_US_EDGES
-                ).observe((time.perf_counter() - snap_started) * 1e6)
+            self.metrics.counter("store.snapshots").inc()
+            self.metrics.histogram(
+                "store.snapshot_us", SNAPSHOT_US_EDGES
+            ).observe((time.perf_counter() - snap_started) * 1e6)
             if self.emitter.enabled:
                 self.emitter.emit(
                     "store_snapshot",
@@ -265,7 +260,7 @@ class DiskStore:
             self.manifest.state_root = block.header.state_root.hex()
         self.manifest.log_bytes = self.log.size
         self.manifest.write(self.data_dir, fsync=self.fsync)
-        self._count("store.manifest_writes")
+        self.metrics.counter("store.manifest_writes").inc()
         if crash is not None:
             crash.fire("after_manifest", height)
 
@@ -280,10 +275,9 @@ class DiskStore:
             )
 
         self.last_commit_us = (time.perf_counter() - started) * 1e6
-        if self.metrics is not None:
-            self.metrics.histogram("store.commit_us", SNAPSHOT_US_EDGES).observe(
-                self.last_commit_us
-            )
+        self.metrics.histogram("store.commit_us", SNAPSHOT_US_EDGES).observe(
+            self.last_commit_us
+        )
 
     def _compact(self, horizon: int, *, ts: float = 0.0) -> None:
         """Keep only records above ``horizon`` in a new-generation log file.
@@ -328,14 +322,13 @@ class DiskStore:
         self.log = new_log
         new_log.metrics = self.metrics
         self.generation += 1
-        self._count("store.compactions")
-        self._count("store.compacted_blocks", dropped)
-        if self.metrics is not None:
-            # per-generation label (flat dotted key via the label helper):
-            # store.compacted_blocks.gen.<n>
-            self.metrics.counter(
-                "store.compacted_blocks", gen=self.generation
-            ).inc(dropped)
+        self.metrics.counter("store.compactions").inc()
+        self.metrics.counter("store.compacted_blocks").inc(dropped)
+        # per-generation label (flat dotted key via the label helper):
+        # store.compacted_blocks.gen.<n>
+        self.metrics.counter(
+            "store.compacted_blocks", gen=self.generation
+        ).inc(dropped)
         if self.emitter.enabled:
             self.emitter.emit(
                 "store_compaction",

@@ -28,15 +28,13 @@ import os
 import struct
 import time
 import zlib
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.chain.block import Block
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.store.atomic import fsync_dir, publish
 from repro.store.codec import decode_block, encode_block
 from repro.store.errors import BlockLogCorruptError, TornTailError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["BlockLog", "LOG_MAGIC", "RECORD_HEADER", "IO_US_EDGES", "decode_record", "write_log"]
 
@@ -87,11 +85,11 @@ class BlockLog:
         path: str,
         *,
         fsync: bool = True,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.path = path
         self.fsync = fsync
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         fresh = not os.path.exists(path)
         self._fh: Optional[io.BufferedRandom] = open(  # noqa: SIM115 - long-lived
             path, "a+b"
@@ -145,7 +143,7 @@ class BlockLog:
         """
         assert self._fh is not None
         metrics = self.metrics
-        started = time.perf_counter() if metrics is not None else 0.0
+        started = time.perf_counter()
         record = _record(payload)
         offset = self._fh.seek(0, os.SEEK_END)
         if tear_after is not None:
@@ -153,17 +151,15 @@ class BlockLog:
         self._fh.write(record)
         self._fh.flush()
         if self.fsync:
-            sync_started = time.perf_counter() if metrics is not None else 0.0
+            sync_started = time.perf_counter()
             os.fsync(self._fh.fileno())
-            if metrics is not None:
-                metrics.histogram("store.fsync_us", IO_US_EDGES).observe(
-                    (time.perf_counter() - sync_started) * 1e6
-                )
-                metrics.counter("store.fsyncs").inc()
-        if metrics is not None:
-            metrics.histogram("store.append_us", IO_US_EDGES).observe(
-                (time.perf_counter() - started) * 1e6
+            metrics.histogram("store.fsync_us", IO_US_EDGES).observe(
+                (time.perf_counter() - sync_started) * 1e6
             )
+            metrics.counter("store.fsyncs").inc()
+        metrics.histogram("store.append_us", IO_US_EDGES).observe(
+            (time.perf_counter() - started) * 1e6
+        )
         return offset
 
     def truncate_to(self, offset: int) -> None:

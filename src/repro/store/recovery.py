@@ -31,13 +31,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.chain.block import Block, build_receipts
 from repro.chain.blockchain import Blockchain, ChainError
 from repro.common.types import hash32_from_hex
 from repro.core.applier import Applier
 from repro.core.baselines import SerialExecutor
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.state.statedb import StateSnapshot
 from repro.store.blocklog import BlockLog
 from repro.store.codec import decode_header
@@ -50,9 +51,6 @@ from repro.store.errors import (
 )
 from repro.store.manifest import Manifest, manifest_path
 from repro.store.snapshots import load_snapshot
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["RecoveryResult", "recover"]
 
@@ -142,7 +140,7 @@ def recover(
     genesis_state: Optional[StateSnapshot] = None,
     *,
     fsync: bool = True,
-    metrics: Optional["MetricsRegistry"] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> RecoveryResult:
     """Rebuild a verified :class:`Blockchain` from ``data_dir``.
 
@@ -300,10 +298,9 @@ def _replay_one(
 
 
 def _record_metrics(
-    metrics: Optional["MetricsRegistry"], result: RecoveryResult
+    metrics: Optional[MetricsRegistry], result: RecoveryResult
 ) -> None:
-    if metrics is None:
-        return
+    metrics = metrics or NULL_METRICS
     metrics.gauge("store.recovery_us").set(result.recovery_us)
     metrics.gauge("store.replay_len").set(float(result.replayed))
     metrics.counter("store.recoveries").inc()

@@ -110,7 +110,11 @@ class ServeConfig:
 
 @dataclass
 class ServeReport:
-    """What one serve session did."""
+    """What one serve session did.
+
+    ``height`` is the whole chain's; ``aborts`` and ``fallbacks`` cover
+    the ``produced`` blocks of this session only, not recovered ones.
+    """
 
     height: int
     head_hash: str
@@ -120,8 +124,6 @@ class ServeReport:
     sealed: bool
     stop_signal: Optional[int] = None
     healed: List[str] = field(default_factory=list)
-    #: total blocks behind the head, counting recovered ones
-    blocks_total: int = 0
     #: proposer aborts and validator serial fallbacks of this session
     aborts: int = 0
     fallbacks: int = 0
@@ -143,10 +145,9 @@ class ServeReport:
         )
         return (
             f"serve: height={self.height} produced={self.produced} "
+            f"aborts={self.aborts} fallbacks={self.fallbacks} "
             f"resumed_from={self.resumed_from} head={self.head_hash[:12]}… "
             f"sealed={self.sealed} stopped_by={how} "
-            f"blocks_total={self.blocks_total} aborts={self.aborts} "
-            f"fallbacks={self.fallbacks} "
             f"unhealthy_intervals={self.unhealthy_intervals}"
         )
 
@@ -441,7 +442,6 @@ class NodeService:
             sealed=sealed_ok,
             stop_signal=self._stop_signal,
             healed=list(recovery.healed),
-            blocks_total=resumed_from + produced,
             aborts=aborts,
             fallbacks=fallbacks,
             status_url=status_url,

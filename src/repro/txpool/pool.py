@@ -36,13 +36,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import Address, Hash32
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.txpool.transaction import Transaction
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TxPool"]
 
@@ -65,7 +63,7 @@ class TxPool:
     when present the pool counts heap compactions and RBF replacements.
     """
 
-    def __init__(self, metrics: Optional["MetricsRegistry"] = None) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         # ready transactions: max-heap on gas price (min-heap on negation)
         self._ready: List[Tuple[int, int, Transaction]] = []
         self._counter = itertools.count()
@@ -89,7 +87,7 @@ class TxPool:
         self._ready_entry: Dict[Address, Transaction] = {}
         #: heap rebuilds triggered by cancelled-entry pressure
         self.compactions = 0
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
 
     def __len__(self) -> int:
         return self._size
@@ -150,8 +148,7 @@ class TxPool:
         del self._index[old.hash]
         parked[tx.nonce] = tx
         self._index[tx.hash] = tx
-        if self.metrics is not None:
-            self.metrics.counter("txpool.replacements").inc()
+        self.metrics.counter("txpool.replacements").inc()
 
     def _replace_promoted(self, tx: Transaction) -> None:
         sender = tx.sender
@@ -173,8 +170,7 @@ class TxPool:
         self._live_ready += 1
         self._ready_entry[sender] = tx
         self._index[tx.hash] = tx
-        if self.metrics is not None:
-            self.metrics.counter("txpool.replacements").inc()
+        self.metrics.counter("txpool.replacements").inc()
         self._maybe_compact()
 
     def add_many(self, txs: Iterable[Transaction]) -> None:
@@ -217,8 +213,7 @@ class TxPool:
         heapq.heapify(self._ready)
         self._cancelled = set()
         self.compactions += 1
-        if self.metrics is not None:
-            self.metrics.counter("txpool.compactions").inc()
+        self.metrics.counter("txpool.compactions").inc()
 
     # ------------------------------------------------------------------ #
 

@@ -35,6 +35,7 @@ from repro.common.types import (
 )
 from repro.evm.gas import GasSchedule, OutOfGas
 from repro.evm.interpreter import (
+    MAX_CALL_DEPTH,
     EVMConfig,
     ExecutionContext,
     InvalidTransaction,
@@ -288,7 +289,7 @@ class OracleEVM:
         depth: int,
         static: bool = False,
     ) -> MessageResult:
-        if depth > self.config.max_call_depth:
+        if depth > MAX_CALL_DEPTH:
             return MessageResult(False, b"", msg.gas, error="call depth exceeded")
 
         mark = state.snapshot()

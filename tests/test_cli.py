@@ -131,3 +131,29 @@ class TestUnhonouredFlags:
             main(["--txs-per-block", "12", *flags, "simulate", "--rounds", "1"])
         assert exit_info.value.code == 2
         assert " ".join(flags) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--strategy", "block-stm"], ["--backend", "serial"]]
+    )
+    def test_network_trace_refuses_strategy_and_backend(self, flags, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, "trace", "--mode", "network", "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert " ".join(flags) in err and "trace --mode network" in err
+        assert not out.exists()
+
+    def test_round_trace_honours_strategy_and_backend(self, tmp_path):
+        import json
+
+        out = tmp_path / "t.json"
+        argv = [
+            "--txs-per-block", "12", "--strategy", "block-stm", "--backend", "serial",
+            "trace", "--rounds", "1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        (propose,) = [e for e in events if e["name"] == "propose"]
+        assert propose["args"]["strategy"] == "block-stm"
+        assert propose["args"]["backend"] == "serial"

@@ -183,3 +183,23 @@ class TestStatsCounters:
             assert validation.used_serial_fallback is serial_fallback
             assert result.stats.serial_fallbacks == fallbacks
             assert metrics.counter_value("validator.serial_fallbacks") == fallbacks
+
+    def test_timed_out_block_is_counted_rejected_only(self):
+        """The budget gate comes before acceptance is recorded: a timed-out
+        block is one rejection, never also an acceptance."""
+        from repro.core.validator import ParallelValidator, ValidatorConfig
+        from repro.obs.metrics import MetricsRegistry, flat_name
+
+        env = build_env(0)
+        metrics = MetricsRegistry()
+        validator = ParallelValidator(
+            config=ValidatorConfig(lanes=4, timeout_us=0.5), metrics=metrics
+        )
+        result = validator.validate_block(env.honest.block, env.parent_state)
+        assert result.failure.reason is FailureReason.TIMEOUT
+        assert metrics.counter_value("validator.blocks_accepted") == 0
+        assert metrics.counter_value("validator.blocks_rejected") == 1
+        timeouts = flat_name("validator.failure", FailureReason.TIMEOUT.value)
+        assert metrics.counter_value(timeouts) == 1
+        # nor are an accepted block's phase timings observed
+        assert "validator.exec_us" not in metrics.snapshot()["histograms"]

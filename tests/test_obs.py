@@ -12,6 +12,7 @@ from benchmarks.baseline import (
     write_baseline,
 )
 from repro.obs import (
+    NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
     NullTracer,
@@ -162,6 +163,36 @@ class TestMetrics:
         assert reg.counter_value("x") == 1
         assert reg.counter_value("never.moved") == 0
         assert reg.snapshot()["counters"] == {"x": 1}
+
+
+class TestNullMetrics:
+    def test_flags(self):
+        assert MetricsRegistry().enabled
+        assert not NULL_METRICS.enabled
+        assert isinstance(NULL_METRICS, MetricsRegistry)
+
+    def test_lookups_return_the_shared_no_op_instruments(self):
+        counter = NULL_METRICS.counter("a")
+        gauge = NULL_METRICS.gauge("b")
+        histogram = NULL_METRICS.histogram("c", (0, 1))
+        assert NULL_METRICS.counter("validator.failure", "timeout") is counter
+        assert NULL_METRICS.counter("store.compacted_blocks", gen=3) is counter
+        assert NULL_METRICS.gauge("b", "x", shard=1) is gauge
+        assert NULL_METRICS.histogram("other", (0, 5, 9), "y", gen=2) is histogram
+        counter.inc(7)
+        gauge.set(3.0)
+        histogram.observe(0.5)
+        assert counter.value == 0
+        assert (gauge.value, gauge.samples) == (0.0, 0)
+        assert (histogram.count, histogram.counts) == (0, [0])
+
+    def test_registers_nothing(self):
+        NULL_METRICS.counter("a").inc()
+        NULL_METRICS.gauge("a").set(1)  # another type under the same name
+        NULL_METRICS.histogram("a", (0, 1)).observe(0.5)
+        NULL_METRICS.reset()
+        assert NULL_METRICS.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert NULL_METRICS.counter_value("a") == 0
 
 
 class TestChromeExport:

@@ -7,14 +7,20 @@ byzantine corruption), whose failure events must carry the typed
 :class:`~repro.faults.errors.FailureReason` as a span attribute.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.chain.blockchain import Blockchain
 from repro.common.types import address
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
+from repro.core.pipeline import ValidatorPipeline
 from repro.core.proposer import seal_block
 from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.distributed import DistributedConfig, ShardCoordinator
 from repro.evm.interpreter import ExecutionContext
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
@@ -23,6 +29,7 @@ from repro.network.node import ProposerNode, ValidatorNode
 from repro.network.simnet import NetworkConfig, NetworkSimulation
 from repro.obs import MetricsRegistry, Tracer, chrome_trace_json
 from repro.obs.export import chrome_trace_events
+from repro.store import open_store
 from repro.txpool.pool import TxPool
 
 
@@ -100,7 +107,9 @@ class TestPipelineDeterminism:
         (json_a, snap_a), (json_b, snap_b) = run(), run()
         assert json_a == json_b
         assert snap_a == snap_b
-        assert snap_a["counters"]["pipeline.blocks_accepted"] == 1
+        # the node counts acceptance once, through its validator
+        assert snap_a["counters"]["validator.blocks_accepted"] == 1
+        assert snap_a["counters"]["pipeline.blocks"] == 1
 
 
 class TestFaultDeterminism:
@@ -303,3 +312,110 @@ class TestNetworkDeterminism:
         assert json_a == json_b
         assert snap_a == snap_b
         assert snap_a["counters"]["net.blocks_sent"] > 0
+
+
+def _propose(universe, block, metrics, tmp_path):
+    parent = Blockchain(universe.genesis).genesis.header
+    sealed = ProposerNode("alice", metrics=metrics).build_block(
+        parent, universe.genesis, block.transactions
+    )
+    return bytes(sealed.block.hash)
+
+
+def _receive(universe, block, metrics, tmp_path):
+    node = ValidatorNode("val", universe.genesis, metrics=metrics)
+    outcome = node.receive_blocks([block])
+    return [bytes(b.hash) for b in outcome.accepted], bytes(node.chain.head.hash)
+
+
+def _pipeline(universe, block, metrics, tmp_path):
+    result = ValidatorPipeline(metrics=metrics).process_blocks(
+        [block], {block.header.parent_hash: universe.genesis}
+    )
+    (validation,) = result.results
+    return validation.accepted, bytes(validation.post_state.state_root()), result.makespan
+
+
+def _validate(universe, block, metrics, tmp_path):
+    result = ParallelValidator(metrics=metrics).validate_block(block, universe.genesis)
+    return result.accepted, bytes(result.post_state.state_root()), result.phases
+
+
+def _distribute(universe, block, metrics, tmp_path):
+    coordinator = ShardCoordinator(DistributedConfig(n_followers=2), metrics=metrics)
+    result = ParallelValidator(distributor=coordinator).validate_block(
+        block, universe.genesis
+    )
+    assert result.used_distributed
+    return bytes(result.post_state.state_root()), coordinator.last_record.makespan_us
+
+
+def _pool(universe, block, metrics, tmp_path):
+    pool = TxPool(metrics=metrics)
+    pool.add_many(block.transactions)
+    first = block.transactions[0]
+    # replace-by-fee until the cancelled entries force a heap compaction
+    for price in (2, 4, 8):
+        pool.add(dataclasses.replace(first, gas_price=first.gas_price * price))
+    order = []
+    while (tx := pool.pop_best()) is not None:
+        order.append(tx.hash)
+        pool.mark_packed(tx)
+    return order, pool.compactions
+
+
+def _store(universe, block, metrics, tmp_path):
+    data_dir = tmp_path / ("observed" if metrics is not None else "bare")
+    result = ParallelValidator().validate_block(block, universe.genesis)
+    chain, store, _ = open_store(
+        str(data_dir), universe.genesis, snapshot_interval=1, fsync=False, metrics=metrics
+    )
+    chain.add_block(block, result.post_state)
+    store.seal()
+    store.close()
+    return {p.name: p.read_bytes() for p in sorted(data_dir.iterdir())}
+
+
+class TestUnobservedRunsMatchObservedOnes:
+    """``metrics=None`` (the NULL_METRICS default) changes nothing a run
+    produces: every component seals, validates and stores the same bytes
+    as with a registry attached, and only the registry sees the counts."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [_propose, _receive, _pipeline, _validate, _distribute, _pool, _store],
+        ids=[
+            "ProposerNode", "ValidatorNode", "ValidatorPipeline",
+            "ParallelValidator", "ShardCoordinator", "TxPool", "DiskStore",
+        ],
+    )
+    def test_same_output_with_and_without_a_registry(
+        self, run, sealed, small_universe, tmp_path
+    ):
+        block = sealed[0].block
+        registry = MetricsRegistry()
+        assert run(small_universe, block, None, tmp_path) == run(
+            small_universe, block, registry, tmp_path
+        )
+        assert any(registry.snapshot().values()), "the observed run counted nothing"
+
+
+def test_no_metrics_none_guards_outside_the_service():
+    """``metrics is (not) None`` is decided once, where a component stores
+    NULL_METRICS; only the serve loop still asks whether a caller passed a
+    registry (telemetry then builds one)."""
+    src = Path(repro.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() == "store/service.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value is None
+                and ast.unparse(node.left).split(".")[-1] == "metrics"
+            ):
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert found == []

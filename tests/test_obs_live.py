@@ -127,16 +127,16 @@ class TestResumedServeExposesCumulativeCounters:
             return service, report
 
         _, first = session(3)
-        assert first.blocks_total == 3 and first.produced == 3
+        assert first.height == 3 and first.produced == 3
 
         service, second = session(6)
         assert second.produced == 3  # only the new blocks this session
-        assert second.blocks_total == 6  # …but totals are cumulative
+        assert second.height == 6  # …but the counters are cumulative
         assert second.resumed_from == 3
         snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["serve.blocks_total"] == 6
         assert snapshot["gauges"]["serve.height"]["value"] == 6.0
-        assert "blocks_total=6" in second.summary()
+        assert "height=6 produced=3 aborts=" in second.summary()
 
     def test_metrics_endpoint_scrapes_mid_run(self, tmp_path):
         """Drive the provider exactly as the HTTP thread does mid-run."""

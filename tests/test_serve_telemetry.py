@@ -148,7 +148,7 @@ class TestServeStatusEndpointSmoke:
         stdout, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert "sealed=True" in stdout
-        assert "blocks_total=" in stdout
+        assert "height=" in stdout
 
     def test_status_cli_renders_dashboard(self, running):
         _, url = running
@@ -186,8 +186,7 @@ class TestKillAndResumeWithTelemetry:
 
         final = _run(data_dir, "--blocks", "8", "--events")
         assert "sealed=True" in final.stdout
-        # cumulative counters re-seeded from the recovered height
-        assert "blocks_total=8" in final.stdout
+        assert "height=8 produced=5" in final.stdout
         assert Manifest.load(str(data_dir)).height == 8
 
         # the healed event file parses end to end, and the resumed
@@ -314,4 +313,4 @@ class TestBlockFactsReachTheNarration:
         )
         assert bare.aborts > 0
         assert bare.fallbacks == with_registry.fallbacks
-        assert bare.blocks_total == 6
+        assert bare.height == 6

@@ -37,9 +37,9 @@ from repro.core import (
     schedule_components,
     seal_block,
 )
-from repro.evm import EVM, EVMConfig, ExecutionContext
+from repro.evm import EVM, ExecutionContext
 from repro.network import ForkSimulator, ProposerNode, ValidatorNode
-from repro.simcore import CostModel
+from repro.simcore import COST_MODEL, CostModel
 from repro.state import StateDB, StateSnapshot, genesis_snapshot, prove, verify_proof
 from repro.txpool import Transaction, TxPool
 from repro.workload import (
@@ -72,11 +72,11 @@ __all__ = [
     "schedule_components",
     "seal_block",
     "EVM",
-    "EVMConfig",
     "ExecutionContext",
     "ForkSimulator",
     "ProposerNode",
     "ValidatorNode",
+    "COST_MODEL",
     "CostModel",
     "StateDB",
     "StateSnapshot",

@@ -83,17 +83,14 @@ def diff_block(
     block: Block,
     parent_state: StateSnapshot,
     *,
-    evm: Optional[EVM] = None,
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
 ) -> DifferentialReport:
     """Re-execute ``block`` serially from ``parent_state`` and diff.
 
-    ``evm`` must be configured identically to the one that built the block
-    (the default :class:`EVM` matches the default pipeline); ``params``
-    must match the chain's reward schedule or the fee/reward finalization
-    will diverge on the state root alone.
+    ``params`` must match the chain's reward schedule or the fee/reward
+    finalization will diverge on the state root alone.
     """
-    evm = evm or EVM()
+    evm = EVM()
     report = DifferentialReport(ok=True, n_txs=len(block.transactions))
 
     try:
@@ -225,7 +222,6 @@ def diff_proposal(
     sealed: SealedProposal,
     parent_state: StateSnapshot,
     *,
-    evm: Optional[EVM] = None,
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
 ) -> DifferentialReport:
     """Diff a sealed proposal against serial replay *and* its own books.
@@ -238,7 +234,7 @@ def diff_proposal(
     refactor of the drivers could introduce without failing any
     state-root test.
     """
-    report = diff_block(sealed.block, parent_state, evm=evm, params=params)
+    report = diff_block(sealed.block, parent_state, params=params)
     proposal = sealed.proposal
     report.strategy = getattr(proposal, "strategy", "")
     committed = proposal.committed

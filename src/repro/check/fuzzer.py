@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.chain.block import Block, BlockProfile, TxProfileEntry
+from repro.chain.block import Block, BlockHeader, BlockProfile, TxProfileEntry
 from repro.chain.blockchain import Blockchain
 from repro.common.types import Address
 from repro.core.occ_wsi import ProposerConfig
@@ -255,7 +255,7 @@ class ConformanceScenario:
     #: the fuzzed verdict always equals the serial reference verdict.
     adversarial_blocks: List[Block] = field(default_factory=list)
 
-    _parent: Any = field(default=None, repr=False)
+    _parent: Optional[BlockHeader] = field(default=None, repr=False)
     _adversarial_ref: Optional[List[Tuple[bool, Optional[bytes]]]] = field(
         default=None, repr=False
     )
@@ -356,7 +356,7 @@ class ConformanceScenario:
 
     # -- cached reference artifacts -------------------------------------- #
 
-    def parent_header(self):
+    def parent_header(self) -> BlockHeader:
         if self._parent is None:
             self._parent = Blockchain(self.universe.genesis).head.header
         return self._parent

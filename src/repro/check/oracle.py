@@ -46,9 +46,13 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.state.access import StateKey
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (core imports this module)
+    from repro.chain.block import Block, BlockProfile
+    from repro.core.session import ProposalResult
 
 __all__ = [
     "ConflictEdge",
@@ -335,7 +339,9 @@ def _semantics_for(strategy: str) -> str:
     return "multiversion" if strategy == "block-stm" else "snapshot"
 
 
-def verify_schedule(block, profile=None, *, strategy: str = "") -> ScheduleReport:
+def verify_schedule(
+    block: Block, profile: Optional[BlockProfile] = None, *, strategy: str = ""
+) -> ScheduleReport:
     """Prove a sealed block's commit order conflict-serializable.
 
     ``block`` is a :class:`~repro.chain.block.Block`; ``profile`` defaults
@@ -370,7 +376,7 @@ def verify_schedule(block, profile=None, *, strategy: str = "") -> ScheduleRepor
     return report
 
 
-def verify_commit_order(result) -> ScheduleReport:
+def verify_commit_order(result: ProposalResult) -> ScheduleReport:
     """Prove a live :class:`ProposalResult`'s commit order serializable.
 
     Beyond the schedule check, cross-validates the multi-version store's

@@ -20,7 +20,7 @@ from repro.chain.block import Block
 from repro.chain.params import DEFAULT_CHAIN_PARAMS, ChainParams
 from repro.core.proposer import finalize_block_state
 from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction, TxResult
-from repro.simcore.costmodel import CostModel
+from repro.simcore.costmodel import COST_MODEL
 from repro.simcore.lanes import lpt_makespan
 from repro.state.access import ReadWriteSet, RecordingState
 from repro.state.statedb import StateDB, StateSnapshot
@@ -65,14 +65,8 @@ class SerialResult:
 class SerialExecutor:
     """Geth-like serial execution: one thread, block order."""
 
-    def __init__(
-        self,
-        evm: Optional[EVM] = None,
-        cost_model: Optional[CostModel] = None,
-        params: ChainParams = DEFAULT_CHAIN_PARAMS,
-    ) -> None:
-        self.evm = evm or EVM()
-        self.cost_model = cost_model or CostModel()
+    def __init__(self, params: ChainParams = DEFAULT_CHAIN_PARAMS) -> None:
+        self.evm = EVM()
         self.params = params
 
     def execute_block(
@@ -85,7 +79,7 @@ class SerialExecutor:
         """
         if ctx is None:
             ctx = _ctx_from_header(block)
-        model = self.cost_model
+        model = COST_MODEL
         db = StateDB(parent_state)
         tx_results: List[TxResult] = []
         tx_costs: List[float] = []
@@ -131,7 +125,7 @@ class SerialExecutor:
         until the gas limit; each commit pays the same ``commit_overhead``
         the parallel proposer's critical section does.
         """
-        model = self.cost_model
+        model = COST_MODEL
         db = StateDB(base)
         tx_results: List[TxResult] = []
         tx_costs: List[float] = []
@@ -144,9 +138,8 @@ class SerialExecutor:
             tx = pool.pop_best()
             if tx is None:
                 break
-            rec = RecordingState(db)
             try:
-                result = self.evm.apply_transaction(rec, tx, ctx)
+                result = self.evm.apply_transaction(db, tx, ctx)
             except InvalidTransaction:
                 pool.drop(tx)
                 invalid += 1
@@ -197,15 +190,8 @@ class TwoPhaseOCCResult:
 class TwoPhaseOCCExecutor:
     """Saraph & Herlihy's speculative two-phase scheduler [27]."""
 
-    def __init__(
-        self,
-        evm: Optional[EVM] = None,
-        cost_model: Optional[CostModel] = None,
-        lanes: int = 16,
-        params: ChainParams = DEFAULT_CHAIN_PARAMS,
-    ) -> None:
-        self.evm = evm or EVM()
-        self.cost_model = cost_model or CostModel()
+    def __init__(self, lanes: int = 16, params: ChainParams = DEFAULT_CHAIN_PARAMS) -> None:
+        self.evm = EVM()
         self.lanes = lanes
         self.params = params
 
@@ -214,7 +200,7 @@ class TwoPhaseOCCExecutor:
     ) -> TwoPhaseOCCResult:
         if ctx is None:
             ctx = _ctx_from_header(block)
-        model = self.cost_model
+        model = COST_MODEL
         n = len(block.transactions)
 
         # ---- phase 1: speculative execution against the parent snapshot --- #
@@ -251,23 +237,8 @@ class TwoPhaseOCCExecutor:
         phase1 = lpt_makespan(spec_cost, self.lanes)
 
         # ---- real execution, block order (ground-truth state) -------------- #
-        db = StateDB(parent_state)
-        tx_results: List[TxResult] = []
-        real_costs: List[float] = []
-        total_fees = 0
-        for tx in block.transactions:
-            result = self.evm.apply_transaction(db, tx, ctx)
-            tx_results.append(result)
-            real_costs.append(model.tx_cost(result.trace))
-            total_fees += result.fee
-        post_state = finalize_block_state(
-            db,
-            coinbase=block.header.coinbase,
-            total_fees=total_fees,
-            block_number=block.number,
-            uncles=block.uncles,
-            params=self.params,
-        )
+        truth = SerialExecutor(params=self.params).execute_block(block, parent_state, ctx)
+        real_costs = truth.tx_costs
 
         # ---- phase 2: serial re-execution of conflicted transactions ------- #
         phase2 = sum(real_costs[i] for i in sorted(conflicted))
@@ -286,11 +257,11 @@ class TwoPhaseOCCExecutor:
             + model.block_commit
         )
         return TwoPhaseOCCResult(
-            post_state=post_state,
+            post_state=truth.post_state,
             total_time=total,
             phase1_time=phase1,
             phase2_time=phase2,
             conflicted=sorted(conflicted),
-            tx_results=tx_results,
+            tx_results=truth.tx_results,
             serial_time=serial_time,
         )

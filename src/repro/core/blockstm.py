@@ -52,6 +52,7 @@ from repro.exec.tasks import (
     MVEntry,
     run_blockstm_task,
 )
+from repro.simcore.costmodel import COST_MODEL
 from repro.state.access import ReadWriteSet, StateKey
 from repro.state.statedb import StateSnapshot
 from repro.txpool.pool import TxPool
@@ -161,7 +162,7 @@ class BlockSTMProposer(ProposerEngine):
     ) -> _ChunkOutcome:
         """Converge one chunk: execute/suspend/validate to a fixpoint."""
         cfg = self.config
-        model = self.cost_model
+        model = COST_MODEL
         probe = self.probe
         tracer = self.tracer
         trace_on = tracer.enabled
@@ -335,7 +336,7 @@ class BlockSTMProposer(ProposerEngine):
     ) -> ProposalResult:
         """Build one block under the Block-STM collaborative scheduler."""
         cfg = self.config
-        model = self.cost_model
+        model = COST_MODEL
         session = ProposeSession(self, base, pool, ctx)
         store = session.store
         suspensions = 0

@@ -53,6 +53,7 @@ from repro.core.session import (
 from repro.evm.interpreter import ExecutionContext
 from repro.exec.hooks import apply_order
 from repro.exec.tasks import ProposeTaskResult
+from repro.simcore.costmodel import COST_MODEL
 from repro.simcore.events import EventQueue
 from repro.state.access import StateKey
 from repro.state.statedb import StateSnapshot
@@ -106,7 +107,7 @@ class OCCWSIProposer(ProposerEngine):
     def _propose_async(self, session: ProposeSession) -> ProposalResult:
         """Free-running simulated lanes over a discrete-event queue."""
         lanes = self.config.lanes
-        model = self.cost_model
+        model = COST_MODEL
         pool = session.pool
         trace_on = session.trace_on  # hoisted: the hot loop pays one check
         reserve = _ReserveTable(session)
@@ -192,7 +193,7 @@ class OCCWSIProposer(ProposerEngine):
         clock origin, so a wave's executions all start at the wave start.
         """
         lanes = self.config.lanes
-        model = self.cost_model
+        model = COST_MODEL
         # conformance yield points (repro.exec.hooks); None = production defaults
         probe = self.probe
         reserve = _ReserveTable(session)

@@ -37,13 +37,13 @@ from repro.core.validator import (
     ValidationResult,
     ValidatorConfig,
 )
-from repro.evm.interpreter import EVM, ExecutionContext
+from repro.evm.interpreter import ExecutionContext
 from repro.exec.backend import ExecutionBackend
 from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
+from repro.simcore.costmodel import COST_MODEL
 from repro.simcore.lanes import LaneGroup
 from repro.simcore.stats import RunStats
 from repro.state.statedb import StateSnapshot
@@ -112,9 +112,7 @@ class ValidatorPipeline:
 
     def __init__(
         self,
-        evm: Optional[EVM] = None,
         config: Optional[ValidatorConfig] = None,
-        cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -123,9 +121,7 @@ class ValidatorPipeline:
         *,
         abandon_siblings: bool = False,
     ) -> None:
-        self.evm = evm or EVM()
         self.config = config or ValidatorConfig()
-        self.cost_model = cost_model or CostModel()
         self.abandon_siblings = abandon_siblings
         #: Pipeline spans live on the *global* pipeline clock; the inner
         #: per-block validator keeps its own standalone clock, so it gets
@@ -133,9 +129,7 @@ class ValidatorPipeline:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics or NULL_METRICS
         self._validator = ParallelValidator(
-            evm=self.evm,
             config=self.config,
-            cost_model=self.cost_model,
             injector=injector,
             metrics=metrics,
             backend=backend,
@@ -294,7 +288,7 @@ class ValidatorPipeline:
         arrivals: Sequence[float],
         order: List[int],
     ) -> Tuple[List[BlockTiming], int, LaneGroup]:
-        model = self.cost_model
+        model = COST_MODEL
         tracer = self.tracer
         trace_on = tracer.enabled
         pool = LaneGroup(self.config.lanes, tracer=tracer if trace_on else None)

@@ -43,8 +43,11 @@ def finalize_block_state(
     """Apply end-of-block value flows — deferred fees and rewards — to the
     block's still-open ``db`` and commit it: one commit per block.
 
-    Fee payment is aggregated outside per-transaction write sets (see
-    :class:`~repro.evm.interpreter.EVMConfig`); block and uncle rewards
+    This is the only place a fee reaches the coinbase (§4.2): crediting it
+    inside each transaction would make *every* pair of transactions
+    conflict on the coinbase balance, so the interpreter returns each
+    transaction's fee (:attr:`~repro.evm.interpreter.TxResult.fee`) and
+    the block credits their sum once, here.  Block and uncle rewards
     follow :class:`~repro.chain.params.ChainParams`.  Proposers apply this
     when sealing (to the materialised proposal) and validators apply the
     identical update after re-execution (to the overlay they executed

@@ -49,7 +49,7 @@ from repro.exec.tasks import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
+from repro.simcore.costmodel import COST_MODEL
 from repro.simcore.lanes import lpt_makespan
 from repro.simcore.stats import RunStats
 from repro.state.access import ReadWriteSet, StateKey
@@ -200,17 +200,14 @@ class ProposerEngine:
 
     def __init__(
         self,
-        evm: Optional[EVM] = None,
         config: Optional[ProposerConfig] = None,
-        cost_model: Optional[CostModel] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional[ExecutionBackend] = None,
         probe: Optional[ScheduleProbe] = None,
     ) -> None:
-        self.evm = evm or EVM()
+        self.evm = EVM()
         self.config = config or ProposerConfig(strategy=self.strategy)
-        self.cost_model = cost_model or CostModel()
         #: Span sink; the NullTracer default keeps tracing at one flag
         #: check per recorded event.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -250,7 +247,7 @@ class ProposeSession:
         ctx: ExecutionContext,
     ) -> None:
         self.cfg = engine.config
-        self.model = engine.cost_model
+        self.model = COST_MODEL
         self.tracer = engine.tracer
         self.metrics = engine.metrics
         self.backend = engine.backend
@@ -274,7 +271,7 @@ class ProposeSession:
         self._round_version = 0
         self._retry_counts: Dict[bytes, int] = {}
         self._evm = engine.evm
-        self._shared = ProposeShared(engine.evm.config, base, ctx, kept=[0, {}])
+        self._shared = ProposeShared(base, ctx, kept=[0, {}])
         if self.backend is not None:
             self._exec_stats0 = self.backend.stats.copy()
             self.backend.open(self._shared)

@@ -34,11 +34,11 @@ from repro.core.session import (
     ProposerEngine,
     ProposeSession,
 )
-from repro.evm.interpreter import EVM, ExecutionContext
+from repro.evm.interpreter import ExecutionContext
 from repro.exec.backend import ExecutionBackend
 from repro.exec.hooks import ScheduleProbe
 from repro.obs.metrics import MetricsRegistry
-from repro.simcore.costmodel import CostModel
+from repro.simcore.costmodel import COST_MODEL
 from repro.state.access import ReadWriteSet
 from repro.state.statedb import StateSnapshot
 from repro.txpool.pool import TxPool
@@ -88,7 +88,7 @@ class TwoPhaseProposer(ProposerEngine):
         self, base: StateSnapshot, pool: TxPool, ctx: ExecutionContext
     ) -> ProposalResult:
         """Run speculative rounds until the gas limit or pool exhaustion."""
-        model = self.cost_model
+        model = COST_MODEL
         session = ProposeSession(self, base, pool, ctx)
         phase2_runs = 0
 
@@ -154,8 +154,6 @@ _ENGINES: Dict[str, Type[ProposerEngine]] = {
 def build_proposer(
     config: Optional[ProposerConfig] = None,
     *,
-    evm: Optional[EVM] = None,
-    cost_model: Optional[CostModel] = None,
     tracer: Any = None,
     metrics: Optional[MetricsRegistry] = None,
     backend: Optional[ExecutionBackend] = None,
@@ -176,9 +174,7 @@ def build_proposer(
             f"expected one of {', '.join(STRATEGY_CHOICES)}"
         ) from None
     return engine(
-        evm=evm,
         config=cfg,
-        cost_model=cost_model,
         tracer=tracer,
         metrics=metrics,
         backend=backend,

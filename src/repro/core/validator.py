@@ -42,7 +42,7 @@ from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
+from repro.simcore.costmodel import COST_MODEL
 from repro.simcore.stats import RunStats
 from repro.state.access import ReadWriteSet, RecordingState
 from repro.state.statedb import StateDB, StateSnapshot
@@ -220,9 +220,7 @@ class ParallelValidator:
 
     def __init__(
         self,
-        evm: Optional[EVM] = None,
         config: Optional[ValidatorConfig] = None,
-        cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -231,9 +229,8 @@ class ParallelValidator:
         probe: Any = None,
         distributor: Optional[Distributor] = None,
     ) -> None:
-        self.evm = evm or EVM()
+        self.evm = EVM()
         self.config = config or ValidatorConfig()
-        self.cost_model = cost_model or CostModel()
         self.applier = Applier()
         #: Optional fault source consulted during the execution phase.
         #: ``None`` (production) makes every fault hook a no-op.
@@ -281,7 +278,7 @@ class ParallelValidator:
                 coinbase=block.header.coinbase,
                 gas_limit=block.header.gas_limit,
             )
-        model = self.cost_model
+        model = COST_MODEL
         config = self.config
         n = len(block.transactions)
         tracer = self.tracer
@@ -544,7 +541,7 @@ class ParallelValidator:
         injector = self.injector
         if injector is None or not injector.injects_execution_faults:
             return FaultLadder(0, 0, 0.0, (0.0,) * n)
-        model = self.cost_model
+        model = COST_MODEL
         tracer = self.tracer
         metrics = self.metrics
         attempt = 0
@@ -629,7 +626,7 @@ class ParallelValidator:
         tracer attached it also records the span tree as it goes (a scope
         opens without an end and is closed once the walk knows it).
         """
-        model = self.cost_model
+        model = COST_MODEL
         tracer = self.tracer
         tracing = tracer.enabled
         n = len(tx_costs)

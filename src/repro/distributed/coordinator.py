@@ -61,6 +61,7 @@ from repro.faults.injector import FaultInjector
 from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
+from repro.simcore.costmodel import COST_MODEL
 from repro.state.statedb import StateSnapshot
 
 __all__ = [
@@ -125,8 +126,8 @@ class ShardCoordinator:
 
     Plugs into :class:`~repro.core.validator.ParallelValidator` as its
     ``distributor`` (the :class:`~repro.core.validator.Distributor`
-    protocol).  Follower nodes are built lazily from the validator's EVM
-    config so follower execution is configured identically to the master.
+    protocol).  Its follower nodes are built once, here; they run the same
+    lane task body as the master's backend workers.
     """
 
     def __init__(
@@ -143,37 +144,25 @@ class ShardCoordinator:
             raise ValueError(
                 f"n_followers must be >= 1, got {self.config.n_followers}"
             )
-        self.master_id = master_id
-        self.injector = injector
         self.metrics = metrics or NULL_METRICS
-        self._root_tracer = tracer
         self.tracer = (
             tracer.for_process(f"{master_id}/dist")
             if tracer is not None
             else NULL_TRACER
         )
-        self.followers: List[FollowerNode] = []
-        self._evm_config: Any = None
+        self.followers = [
+            FollowerNode(
+                f"{master_id}/follower-{i}",
+                injector=injector,
+                tracer=tracer,
+                metrics=self.metrics,
+            )
+            for i in range(self.config.n_followers)
+        ]
         #: record of the most recent distributed validation
         self.last_record: Optional[DistributedRecord] = None
 
     # ------------------------------------------------------------------ #
-
-    def _followers_for(self, validator: ParallelValidator) -> List[FollowerNode]:
-        evm_config = validator.evm.config
-        if not self.followers or self._evm_config is not evm_config:
-            self._evm_config = evm_config
-            self.followers = [
-                FollowerNode(
-                    f"{self.master_id}/follower-{i}",
-                    evm_config=evm_config,
-                    injector=self.injector,
-                    tracer=self._root_tracer,
-                    metrics=self.metrics,
-                )
-                for i in range(self.config.n_followers)
-            ]
-        return self.followers
 
     def execute(
         self,
@@ -186,7 +175,7 @@ class ShardCoordinator:
         """Validate ``block``'s execution across the follower pool (the
         :class:`~repro.core.validator.Distributor` contract)."""
         cfg = self.config
-        model = validator.cost_model
+        model = COST_MODEL
         n = len(block.transactions)
         # one shard per non-empty lane of the plan backend workers run
         component_gas = art.component_gas()
@@ -196,7 +185,7 @@ class ShardCoordinator:
             if lane
         ]
         shard_gas = tuple(sum(component_gas[c] for c in shard) for shard in shards)
-        followers = self._followers_for(validator)
+        followers = self.followers
 
         record = DistributedRecord(
             block_hash_hex=block.hash.hex(),

@@ -23,7 +23,6 @@ from repro.evm.opcodes import Op, OPCODES, opcode_by_name
 from repro.evm.gas import GasSchedule, DEFAULT_GAS_SCHEDULE, OutOfGas
 from repro.evm.interpreter import (
     EVM,
-    EVMConfig,
     ExecutionContext,
     Message,
     MessageResult,
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_GAS_SCHEDULE",
     "OutOfGas",
     "EVM",
-    "EVMConfig",
     "ExecutionContext",
     "Message",
     "MessageResult",

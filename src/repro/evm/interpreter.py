@@ -28,7 +28,7 @@ overflow, and a static frame for a run that writes — becomes one table
 entry that checks them once and one generated function that does the
 run's work.  Memory at a literal offset, SHA3 and LOG over a literal
 range, and SSTORE join a run too: the head prices what they can cost under
-the executing schedule (an SSTORE at its dearest, charged exactly inside).
+the gas schedule (an SSTORE at its dearest, charged exactly inside).
 When the check fails, the loop steps through the run's decoded entries
 instead, so what fails and how is the stepper's.
 Words on the operand stack are plain ints in ``[0, 2**256)``; handlers
@@ -84,7 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "EVM",
-    "EVMConfig",
     "MAX_CALL_DEPTH",
     "ExecutionContext",
     "Message",
@@ -210,21 +209,6 @@ class TxResult:
     trace: TraceCosts
     created: Optional[Address] = None
     fee: int = 0
-
-
-@dataclass(frozen=True)
-class EVMConfig:
-    """Interpreter policy knobs.
-
-    ``defer_coinbase`` matters for parallelism: crediting the fee to the
-    coinbase inside each transaction would make *every* pair of
-    transactions conflict on the coinbase balance.  Like other parallel-EVM
-    prototypes, fees are aggregated outside the per-transaction write set
-    and credited once at block sealing.
-    """
-
-    schedule: GasSchedule = DEFAULT_GAS_SCHEDULE
-    defer_coinbase: bool = True
 
 
 class _TxEnv:
@@ -749,10 +733,12 @@ def contract_address2(sender: Address, salt: int, initcode: bytes) -> Address:
 
 class EVM:
     """The virtual machine.  Stateless between calls; all world state lives
-    in the state object passed to each entry point."""
+    in the state object passed to each entry point.
 
-    def __init__(self, config: Optional[EVMConfig] = None) -> None:
-        self.config = config or EVMConfig()
+    Gas is priced from :data:`~repro.evm.gas.DEFAULT_GAS_SCHEDULE`, and the
+    fee is never credited here: :attr:`TxResult.fee` is returned for the
+    block to credit once at sealing (see
+    :func:`~repro.core.proposer.finalize_block_state`)."""
 
     # ------------------------------------------------------------------ #
     # transaction entry point                                            #
@@ -768,7 +754,7 @@ class EVM:
         otherwise always returns a :class:`TxResult` (``success=False`` for
         reverted/out-of-gas executions) with the sender charged.
         """
-        schedule = self.config.schedule
+        schedule = DEFAULT_GAS_SCHEDULE
         sender, to, value, data = tx.sender, tx.to, tx.value, tx.data
         gas_limit, gas_price = tx.gas_limit, tx.gas_price
         ig = intrinsic_gas(schedule, data, to is None)
@@ -806,10 +792,6 @@ class EVM:
         refund = (gas_limit - gas_used) * gas_price
         if refund:
             state.add_balance(sender, refund)
-        fee = gas_used * gas_price
-        if fee and not self.config.defer_coinbase:
-            state.add_balance(ctx.coinbase, fee)
-
         return TxResult(
             success,
             gas_used,
@@ -818,7 +800,7 @@ class EVM:
             error,
             TraceCosts(trace, gas_used),
             created,
-            fee,
+            gas_used * gas_price,
         )
 
     def estimate_gas(
@@ -845,7 +827,7 @@ class EVM:
         hi = ctx.gas_limit
         if not succeeds(hi):
             raise InvalidTransaction("transaction fails even at the block gas limit")
-        lo = intrinsic_gas(self.config.schedule, tx.data, tx.to is None)
+        lo = intrinsic_gas(DEFAULT_GAS_SCHEDULE, tx.data, tx.to is None)
         while lo < hi:
             mid = (lo + hi) // 2
             if succeeds(mid):

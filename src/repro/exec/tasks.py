@@ -32,7 +32,6 @@ from repro.common.types import Address
 from repro.exec.backend import BackendError
 from repro.evm.interpreter import (
     EVM,
-    EVMConfig,
     ExecutionContext,
     InvalidTransaction,
     TxResult,
@@ -183,7 +182,6 @@ class ProposeShared(NamedTuple):
     crosses per block is the state's root and, once, its delta.
     """
 
-    evm_config: Optional[EVMConfig]
     base: StateSnapshot
     ctx: ExecutionContext
     #: ``[next expected round, overlay]``: what a process worker keeps
@@ -278,7 +276,7 @@ def run_propose_chunk(shared: ProposeShared, chunk: ProposeChunk) -> List[Propos
         shared.kept[0] += 1
         shared.kept[1].update(overlay)
         overlay = shared.kept[1]
-    evm = EVM(shared.evm_config)
+    evm = EVM()
     store = _WaveOverlayStore(shared.base, overlay)
     return [speculate(evm, store, tx, shared.ctx, chunk.snapshot_version) for tx in chunk.txs]
 
@@ -408,7 +406,7 @@ class BlockSTMTaskResult(NamedTuple):
 
 def run_blockstm_task(shared: ProposeShared, task: BlockSTMTask) -> BlockSTMTaskResult:
     """Execute one incarnation against the wave's multi-version snapshot."""
-    evm = EVM(shared.evm_config)
+    evm = EVM()
     view = BlockSTMView(shared.base, task.overlay, task.mv, task.index)
     start = time.perf_counter()
     try:
@@ -451,11 +449,10 @@ def run_blockstm_task(shared: ProposeShared, task: BlockSTMTask) -> BlockSTMTask
 
 
 class ValidateShared(NamedTuple):
-    """Per-block validator session state: the EVM config and the parent
-    state every component of the block reads through its footprint guard
-    (``None`` on follower nodes, whose tasks carry state slices)."""
+    """Per-block validator session state: the parent state every component
+    of the block reads through its footprint guard (``None`` on follower
+    nodes, whose tasks carry state slices)."""
 
-    evm_config: Optional[EVMConfig]
     base: Optional[StateSnapshot] = None
 
 
@@ -592,5 +589,5 @@ def run_validate_lane(
     shared: ValidateShared, lane: Tuple[ComponentTask, ...]
 ) -> Tuple[ComponentOutcome, ...]:
     """Execute one worker lane's components sequentially (gas-LPT batch)."""
-    evm = EVM(shared.evm_config)
+    evm = EVM()
     return tuple(_run_component(evm, shared.base, task) for task in lane)

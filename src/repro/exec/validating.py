@@ -161,7 +161,7 @@ def execute_block_parallel(
     try:
         # the parent state rides on the shared object: in-memory workers read it
         # in place, process workers hold it by root (and were sent its delta)
-        backend.open(ValidateShared(validator.evm.config, parent_state))
+        backend.open(ValidateShared(parent_state))
         lane_outcomes = backend.map(run_validate_lane, lane_payloads)
     except BackendError:
         # a lost or wedged worker is a substrate anomaly like any other

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def _keyed_rng(seed: int, *key) -> random.Random:
+def _keyed_rng(seed: int, *key: object) -> random.Random:
     """An RNG whose stream depends only on (seed, key) — call-order free.
 
     Seeding :class:`random.Random` with a string hashes it through SHA-512

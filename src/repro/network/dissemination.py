@@ -17,10 +17,8 @@ from repro.chain.block import Block, BlockHeader
 from repro.common.types import Address
 from repro.core.occ_wsi import ProposerConfig
 from repro.core.proposer import SealedProposal
-from repro.evm.interpreter import EVM
 from repro.faults.injector import FaultInjector
 from repro.network.node import ProposerNode
-from repro.simcore.costmodel import CostModel
 from repro.state.statedb import StateSnapshot
 from repro.txpool.transaction import Transaction
 
@@ -54,8 +52,6 @@ class ForkSimulator:
         n_proposers: int,
         *,
         proposer_config: Optional[ProposerConfig] = None,
-        evm: Optional[EVM] = None,
-        cost_model: Optional[CostModel] = None,
         pool_overlap: float = 1.0,
         seed: int = 7,
         injector: Optional[FaultInjector] = None,
@@ -74,12 +70,7 @@ class ForkSimulator:
         self.byzantine = frozenset(byzantine)
         self.corruption = corruption
         self.proposers = [
-            ProposerNode(
-                f"proposer-{i}",
-                config=proposer_config,
-                evm=evm,
-                cost_model=cost_model,
-            )
+            ProposerNode(f"proposer-{i}", config=proposer_config)
             for i in range(n_proposers)
         ]
 

@@ -24,12 +24,11 @@ from repro.core.strategies import build_proposer
 from repro.core.pipeline import PipelineResult, ValidatorPipeline
 from repro.core.proposer import SealedProposal, seal_block
 from repro.core.validator import Distributor, ValidatorConfig
-from repro.evm.interpreter import EVM, ExecutionContext
+from repro.evm.interpreter import ExecutionContext
 from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.simcore.costmodel import CostModel
 from repro.state.statedb import StateSnapshot
 from repro.txpool.pool import TxPool
 from repro.txpool.transaction import Transaction
@@ -50,8 +49,6 @@ class ProposerNode:
         *,
         coinbase: Optional[Address] = None,
         config: Optional[ProposerConfig] = None,
-        evm: Optional[EVM] = None,
-        cost_model: Optional[CostModel] = None,
         params: ChainParams = DEFAULT_CHAIN_PARAMS,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -68,8 +65,6 @@ class ProposerNode:
         self.metrics = metrics or NULL_METRICS
         self.engine = build_proposer(
             config,
-            evm=evm,
-            cost_model=cost_model,
             tracer=self.tracer,
             metrics=metrics,
             backend=backend,
@@ -150,8 +145,6 @@ class ValidatorNode:
         genesis_state: StateSnapshot,
         *,
         config: Optional[ValidatorConfig] = None,
-        evm: Optional[EVM] = None,
-        cost_model: Optional[CostModel] = None,
         injector: Optional[FaultInjector] = None,
         quarantine_threshold: int = 3,
         txpool: Optional[TxPool] = None,
@@ -168,9 +161,7 @@ class ValidatorNode:
         self.tracer = tracer.for_process(node_id) if tracer is not None else NULL_TRACER
         self.metrics = metrics or NULL_METRICS
         self.pipeline = ValidatorPipeline(
-            evm=evm,
             config=config,
-            cost_model=cost_model,
             injector=injector,
             tracer=self.tracer,
             metrics=metrics,

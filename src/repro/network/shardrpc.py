@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.common.types import Hash32
-from repro.evm.interpreter import EVMConfig
 from repro.exec.tasks import (
     ComponentOutcome,
     ComponentTask,
@@ -75,7 +74,6 @@ class FollowerNode:
         self,
         follower_id: str,
         *,
-        evm_config: Optional[EVMConfig] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -86,7 +84,7 @@ class FollowerNode:
         self.tracer = (
             tracer.for_process(follower_id) if tracer is not None else NULL_TRACER
         )
-        self._shared = ValidateShared(evm_config)
+        self._shared = ValidateShared()
 
     def handle(self, assignment: ShardAssignment) -> Optional[ShardReply]:
         """Execute one assignment; ``None`` models a crashed follower."""

@@ -183,27 +183,6 @@ class MetricsRegistry:
         if name in self._counters or name in self._gauges or name in self._histograms:
             raise ValueError(f"metric {name!r} already registered with another type")
 
-    def reset(self) -> None:
-        """Zero every metric in place, keeping registrations (and therefore
-        any references instrumentation sites hold) valid.
-
-        Used between runs that share a registry — e.g. a resumed serve
-        session re-seeding cumulative counters after recovery replay.
-        """
-        for counter in self._counters.values():
-            counter.value = 0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-            gauge.minimum = None
-            gauge.maximum = None
-            gauge.samples = 0
-        for histogram in self._histograms.values():
-            histogram.counts = [0] * len(histogram.counts)
-            histogram.total = 0.0
-            histogram.count = 0
-            histogram.minimum = None
-            histogram.maximum = None
-
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:

@@ -7,7 +7,8 @@ separates *what executes* from *how long it takes*:
 
 * transactions really execute on the mini-EVM (producing state changes,
   read/write sets and an opcode trace);
-* their **cost** is derived from that trace by a :class:`CostModel`;
+* their **cost** is derived from that trace by the one :class:`CostModel`
+  calibration, :data:`COST_MODEL`;
 * costs are charged to simulated worker **lanes** (threads) managed by a
   :class:`LaneGroup`, and ordering between concurrent activities is resolved
   by an :class:`EventQueue` with stable tie-breaking.
@@ -21,7 +22,7 @@ summaries and histograms is the experiment harness's job
 
 from repro.simcore.events import Event, EventQueue
 from repro.simcore.lanes import Lane, LaneGroup
-from repro.simcore.costmodel import CostModel, TraceCosts
+from repro.simcore.costmodel import COST_MODEL, CostModel, TraceCosts
 from repro.simcore.stats import RunStats
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "EventQueue",
     "Lane",
     "LaneGroup",
+    "COST_MODEL",
     "CostModel",
     "TraceCosts",
     "RunStats",

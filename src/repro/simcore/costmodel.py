@@ -16,8 +16,8 @@ All durations are in microseconds of simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass, field
+from typing import Dict, Mapping
 
 from repro.common.records import record
 
@@ -63,8 +63,8 @@ class CostModel:
     """Simulated-time cost parameters (all microseconds).
 
     The defaults were calibrated so the benchmark harness reproduces the
-    paper's headline shapes (see EXPERIMENTS.md); every experiment can pass
-    its own instance to sweep them.
+    paper's headline shapes (see EXPERIMENTS.md).  Nothing varies them:
+    every role charges the one calibration, :data:`COST_MODEL`.
     """
 
     #: Fixed per-transaction overhead (pool pop, signature, receipt build).
@@ -125,14 +125,6 @@ class CostModel:
     #: Per-category execution weights.
     weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
-    def with_overrides(self, **kwargs: Any) -> "CostModel":
-        """Return a copy with selected fields replaced."""
-        if "weights" in kwargs:
-            merged = dict(self.weights)
-            merged.update(kwargs["weights"])
-            kwargs["weights"] = merged
-        return replace(self, **kwargs)
-
     def execution_cost(self, trace: TraceCosts) -> float:
         """Pure execution time of one transaction (no fixed overhead)."""
         total = 0.0
@@ -145,3 +137,7 @@ class CostModel:
     def tx_cost(self, trace: TraceCosts) -> float:
         """Full per-transaction lane time: overhead + execution."""
         return self.tx_overhead + self.execution_cost(trace)
+
+
+#: The one calibration every simulated-time charge reads (§5.4).
+COST_MODEL = CostModel()

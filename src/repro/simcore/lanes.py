@@ -74,7 +74,7 @@ class Lane:
 class LaneGroup:
     """A pool of simulated lanes with earliest-available selection."""
 
-    def __init__(self, count: int, *, tracer=None) -> None:
+    def __init__(self, count: int, *, tracer: Any = None) -> None:
         if count < 1:
             raise ValueError("LaneGroup needs at least one lane")
         self.lanes = [Lane(i) for i in range(count)]
@@ -167,11 +167,3 @@ class LaneGroup:
             return 0.0
         return self.total_busy / (span * len(self.lanes))
 
-    def reset(self) -> None:
-        """Return every lane to the idle state at time zero."""
-        for lane in self.lanes:
-            lane.available_at = 0.0
-            lane.busy_time = 0.0
-            lane.tasks_run = 0
-            lane.context_switches = 0
-            lane.context = None

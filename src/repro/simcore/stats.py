@@ -26,7 +26,7 @@ class RunStats:
     failures: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def count_failure(self, reason) -> None:
+    def count_failure(self, reason: object) -> None:
         """Tally one typed rejection (``reason`` is a FailureReason)."""
         key = getattr(reason, "value", str(reason))
         self.failures[key] = self.failures.get(key, 0) + 1

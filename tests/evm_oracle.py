@@ -33,10 +33,9 @@ from repro.common.types import (
     u256_sub,
     u256_to_signed,
 )
-from repro.evm.gas import GasSchedule, OutOfGas
+from repro.evm.gas import DEFAULT_GAS_SCHEDULE, GasSchedule, OutOfGas
 from repro.evm.interpreter import (
     MAX_CALL_DEPTH,
-    EVMConfig,
     ExecutionContext,
     InvalidTransaction,
     Log,
@@ -205,8 +204,7 @@ def _address_from_word(word: int) -> Address:
 class OracleEVM:
     """The parent commit's ``EVM``: same entry point, same results."""
 
-    def __init__(self, config: Optional[EVMConfig] = None) -> None:
-        self.config = config or EVMConfig()
+    def __init__(self) -> None:
         self._dispatch = _build_dispatch()
 
     # ------------------------------------------------------------------ #
@@ -221,7 +219,7 @@ class OracleEVM:
         otherwise always returns a :class:`TxResult` (``success=False`` for
         reverted/out-of-gas executions) with the sender charged.
         """
-        schedule = self.config.schedule
+        schedule = DEFAULT_GAS_SCHEDULE
         trace: Dict[str, int] = {}
         sender = tx.sender
 
@@ -261,8 +259,6 @@ class OracleEVM:
         if refund:
             state.add_balance(sender, refund)
         fee = gas_used * tx.gas_price
-        if fee and not self.config.defer_coinbase:
-            state.add_balance(ctx.coinbase, fee)
 
         return TxResult(
             success=result.success,
@@ -365,7 +361,7 @@ class OracleEVM:
     def _run_frame(
         self, state, frame: _Frame, env, ctx, trace, depth: int, mark: int
     ) -> MessageResult:
-        schedule = self.config.schedule
+        schedule = DEFAULT_GAS_SCHEDULE
         dispatch = self._dispatch
         code = frame.code
         code_len = len(code)

@@ -8,6 +8,7 @@ from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
 from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode
+from repro.simcore.costmodel import COST_MODEL
 from repro.txpool.pool import TxPool
 
 
@@ -28,7 +29,7 @@ class TestSerialExecutor:
     def test_total_time_is_sum_of_parts(self, sealed, small_universe):
         serial = SerialExecutor()
         res = serial.execute_block(sealed.block, small_universe.genesis)
-        model = serial.cost_model
+        model = COST_MODEL
         expected = (
             sum(res.tx_costs)
             + model.applier_per_tx * len(res.tx_results)

@@ -270,7 +270,7 @@ class TestBitIdentity:
             follower_outcomes.extend(reply.outcomes)
 
         with SerialBackend() as backend:
-            backend.open(ValidateShared(None, universe.genesis))
+            backend.open(ValidateShared(universe.genesis))
             lane_outcomes = [
                 outcome
                 for lane in backend.map(

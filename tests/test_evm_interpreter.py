@@ -5,7 +5,8 @@ import pytest
 from repro.common.hashing import keccak
 from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import Assembler, asm
-from repro.evm.interpreter import EVM, EVMConfig, ExecutionContext, InvalidTransaction
+from repro.core.proposer import finalize_block_state
+from repro.evm.interpreter import EVM, ExecutionContext, InvalidTransaction
 from repro.evm.interpreter import contract_address
 from repro.state.account import AccountData
 from repro.state.statedb import StateDB, genesis_snapshot
@@ -440,14 +441,20 @@ class TestApplyTransaction:
         EVM().apply_transaction(state, tx, ctx)
         assert state.get_balance(coinbase) == 0  # deferred (default config)
 
-    def test_inline_coinbase_credit_when_not_deferred(self):
+    def test_block_credits_each_fee_once(self):
+        """Fees reach the coinbase once, as their sum, when the block is
+        finalised (§4.2) — never inside a transaction."""
         state = make_state()
         coinbase = address_from_int(0xFEE)
         ctx = ExecutionContext(coinbase=coinbase)
-        evm = EVM(EVMConfig(defer_coinbase=False))
-        tx = Transaction(SENDER, OTHER, 0, b"", 21000, 2, 0)
-        evm.apply_transaction(state, tx, ctx)
-        assert state.get_balance(coinbase) == 42000
+        fees = 0
+        for nonce in range(2):
+            tx = Transaction(SENDER, OTHER, 0, b"", 21000, 2, nonce)
+            fees += EVM().apply_transaction(state, tx, ctx).fee
+            assert state.get_balance(coinbase) == 0
+        post = finalize_block_state(state, coinbase=coinbase, total_fees=fees)
+        assert fees == 2 * 42000
+        assert post.account(coinbase).balance == fees
 
     def test_failed_tx_still_pays_fee(self):
         state = make_state(asm([0, 0, "REVERT"]))

@@ -218,7 +218,7 @@ def _ctx(number=1):
 
 
 def _propose_shared(base):
-    return ProposeShared(None, base, _ctx(), kept=[0, {}])
+    return ProposeShared(base, _ctx(), kept=[0, {}])
 
 
 def _wait_dead(pid):

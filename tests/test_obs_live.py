@@ -30,25 +30,6 @@ class TestFlatName:
         assert registry.snapshot()["counters"]["store.compacted_blocks.gen.2"] == 5
 
 
-class TestRegistryReset:
-    def test_reset_zeroes_in_place(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        gauge = registry.gauge("g")
-        hist = registry.histogram("h", (0.0, 1.0, 2.0))
-        counter.inc(3)
-        gauge.set(9.0)
-        hist.observe(0.5)
-        registry.reset()
-        # held references stay live — the same objects, zeroed
-        assert counter is registry.counter("c") and counter.value == 0
-        assert gauge is registry.gauge("g") and gauge.value == 0.0
-        assert gauge.samples == 0 and gauge.minimum is None
-        assert hist.count == 0 and hist.counts == [0, 0]
-        counter.inc()
-        assert registry.snapshot()["counters"]["c"] == 1
-
-
 class TestLiveTelemetry:
     def test_default_is_null_emitter(self):
         telemetry = LiveTelemetry(MetricsRegistry())

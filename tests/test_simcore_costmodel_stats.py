@@ -27,16 +27,6 @@ class TestCostModel:
         model = CostModel()
         assert model.execution_cost(TraceCosts({"mystery": 1000})) == 0.0
 
-    def test_with_overrides_weights_merge(self):
-        model = CostModel().with_overrides(weights={"storage_read": 100.0})
-        assert model.weights["storage_read"] == 100.0
-        assert model.weights["base"] == CostModel().weights["base"]
-
-    def test_with_overrides_scalar(self):
-        model = CostModel().with_overrides(tx_overhead=0.0)
-        assert model.tx_overhead == 0.0
-        assert CostModel().tx_overhead != 0.0  # original untouched
-
     def test_trace_merge(self):
         a = TraceCosts({"base": 1, "sha3": 2}, gas_used=100)
         b = TraceCosts({"base": 3}, gas_used=50)

@@ -140,9 +140,3 @@ class TestLaneGroup:
         with pytest.raises(ValueError):
             LaneGroup(0)
 
-    def test_reset(self):
-        group = LaneGroup(2)
-        group.run_on_earliest(5.0)
-        group.reset()
-        assert group.makespan == 0.0
-        assert group.total_busy == 0.0

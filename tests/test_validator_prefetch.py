@@ -5,6 +5,7 @@ import pytest
 from benchmarks.analysis import throughput_tps
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.network.node import ProposerNode
+from repro.simcore.costmodel import COST_MODEL
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ class TestPrefetchModel:
         prefetch cost, so speedup compares like with like."""
         warm = ParallelValidator(config=ValidatorConfig(prefetch=True))
         r = warm.validate_block(sealed.block, small_universe.genesis)
-        model = warm.cost_model
+        model = COST_MODEL
         base = (
             sum(r.tx_costs)
             + model.applier_per_tx * len(r.tx_costs)

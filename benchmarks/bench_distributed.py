@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 from benchmarks.world import Outcome, World
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
-from repro.distributed import DistributedConfig, ShardCoordinator
+from repro.distributed import ShardCoordinator
 from repro.network.node import ProposerNode
 from repro.obs.export import format_table
 from repro.workload.generator import BlockWorkloadGenerator
@@ -96,7 +96,7 @@ def run(world: World, txs_per_block: int, blocks_per_point: int) -> Outcome:
 
         per_count: dict = {}
         for followers in FOLLOWER_SWEEP:
-            coordinator = ShardCoordinator(DistributedConfig(n_followers=followers))
+            coordinator = ShardCoordinator(followers)
             pool = ParallelValidator(distributor=coordinator)
             makespans, shards, balances = [], [], []
             for block, expected in zip(blocks, fingerprints):

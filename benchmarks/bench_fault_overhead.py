@@ -111,7 +111,7 @@ def run_degradation(world: World, blocks: int) -> Outcome:
             FaultConfig(seed=7, worker_fault_rate=rate, stall_rate=rate)
         )
         validator = ParallelValidator(
-            config=ValidatorConfig(lanes=16, max_parallel_retries=2),
+            config=ValidatorConfig(lanes=16),
             injector=injector,
         )
         makespan = faults = retries = fallbacks = 0.0

@@ -49,13 +49,7 @@ class BenchBlock:
 
     def ctx(self) -> ExecutionContext:
         """The context the block was proposed under."""
-        header = self.block.header
-        return ExecutionContext(
-            block_number=header.number,
-            timestamp=header.timestamp,
-            coinbase=header.coinbase,
-            gas_limit=header.gas_limit,
-        )
+        return ExecutionContext.from_header(self.block.header)
 
     def fresh_pool(self) -> TxPool:
         """A pool holding exactly the block's pending set."""

@@ -76,7 +76,7 @@ def main() -> None:
     for attempts, label in ((1, "transient (heals after 1 attempt)"),
                             (10**6, "permanent (never heals)")):
         faulty = ParallelValidator(
-            config=ValidatorConfig(lanes=8, max_parallel_retries=2),
+            config=ValidatorConfig(lanes=8),
             injector=FaultInjector(
                 FaultConfig(seed=0, worker_fault_rate=1.0, worker_fault_attempts=attempts)
             ),
@@ -87,7 +87,7 @@ def main() -> None:
         print(
             f"  {label}:\n"
             f"    worker_faults={res.worker_faults}  attempts={res.exec_attempts}"
-            f"  serial_fallback={res.used_serial_fallback}"
+            f"  serial_pass={res.used_serial_fallback}"
             f"  commit_end={res.phases.commit_end:.0f}us"
             f"  (honest {honest_result.phases.commit_end:.0f}us)"
         )

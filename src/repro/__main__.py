@@ -625,17 +625,28 @@ UNHONOURED = {
     "serve": ("strategy",),
     "simulate": ("strategy", "backend"),
     "trace --mode network": ("strategy", "backend"),
+    "fuzz": ("backend", "workers"),
+    "check <repro>": ("backend", "workers"),
 }
+#: what a run does in place of an unhonoured flag, where that is not the flag's default
+RUNS_INSTEAD = dict.fromkeys(
+    ("fuzz", "check <repro>"), "the thread backend on its scenario's workers"
+)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = f"trace --mode {args.mode}" if args.command == "trace" else args.command
+    run = args.command
+    if run == "trace":
+        run = f"trace --mode {args.mode}"
+    elif run == "check" and args.repro:
+        run = "check <repro>"
     for flag in UNHONOURED.get(run, ()):
         default = parser.get_default(flag)
         if getattr(args, flag) != default:
-            parser.error(f"--{flag} {getattr(args, flag)}: {run} always runs {default}")
+            runs = RUNS_INSTEAD.get(run, default)
+            parser.error(f"--{flag} {getattr(args, flag)}: {run} always runs {runs}")
     # one backend per invocation, shared by every engine the command builds
     args.exec_backend = get_backend(args.backend, args.workers)
     try:

@@ -100,12 +100,7 @@ def diff_block(
     if block.receipts and receipts_root(block.receipts) != block.header.receipts_root:
         report.add("structure", -1, "receipts root mismatch")
 
-    ctx = ExecutionContext(
-        block_number=block.header.number,
-        timestamp=block.header.timestamp,
-        coinbase=block.header.coinbase,
-        gas_limit=block.header.gas_limit,
-    )
+    ctx = ExecutionContext.from_header(block.header)
 
     db = StateDB(parent_state)
     total_fees = 0

@@ -63,7 +63,6 @@ class ValidationOutcome:
 
     accepted: bool
     reason: Optional[str] = None
-    failed_tx: Optional[int] = None
     failure: Optional[ValidationFailure] = None
 
 

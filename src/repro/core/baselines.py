@@ -35,16 +35,6 @@ __all__ = [
 ]
 
 
-def _ctx_from_header(block: Block) -> ExecutionContext:
-    """Execution context implied by a sealed block's header."""
-    return ExecutionContext(
-        block_number=block.header.number,
-        timestamp=block.header.timestamp,
-        coinbase=block.header.coinbase,
-        gas_limit=block.header.gas_limit,
-    )
-
-
 @dataclass
 class SerialResult:
     """Outcome of a serial run (block validation or block building)."""
@@ -78,7 +68,7 @@ class SerialExecutor:
         serial validator would reject such a block outright.
         """
         if ctx is None:
-            ctx = _ctx_from_header(block)
+            ctx = ExecutionContext.from_header(block.header)
         model = COST_MODEL
         db = StateDB(parent_state)
         tx_results: List[TxResult] = []
@@ -199,7 +189,7 @@ class TwoPhaseOCCExecutor:
         self, block: Block, parent_state: StateSnapshot, ctx: Optional[ExecutionContext] = None
     ) -> TwoPhaseOCCResult:
         if ctx is None:
-            ctx = _ctx_from_header(block)
+            ctx = ExecutionContext.from_header(block.header)
         model = COST_MODEL
         n = len(block.transactions)
 

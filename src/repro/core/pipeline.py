@@ -91,7 +91,7 @@ class PipelineResult:
 
     @property
     def rejection_rate(self) -> float:
-        """Fraction of the batch that was rejected or abandoned."""
+        """Fraction of the batch that was rejected."""
         if not self.timings:
             return 0.0
         return sum(1 for t in self.timings if not t.accepted) / len(self.timings)
@@ -101,11 +101,8 @@ class ValidatorPipeline:
     """Multi-block concurrent validation over a shared worker pool.
 
     ``config`` is the per-block validator's; its ``lanes`` is the width of
-    the pool every in-flight block shares.  ``abandon_siblings``: once one
-    fork sibling at a height commits, abandon the other in-flight siblings
-    at that height instead of validating them (frees worker lanes;
-    abandoned blocks get SIBLING_ABANDONED) — off by default, since uncle
-    bookkeeping needs fully validated siblings.  A ``tracer`` records
+    the pool every in-flight block shares.  Every fork sibling is validated
+    in full: uncle bookkeeping needs them.  A ``tracer`` records
     each scheduled subgraph as a span on its pool lane, which
     :func:`repro.obs.export.render_timeline` paints as a Gantt view.
     """
@@ -118,11 +115,8 @@ class ValidatorPipeline:
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional[ExecutionBackend] = None,
         distributor: Optional[Distributor] = None,
-        *,
-        abandon_siblings: bool = False,
     ) -> None:
         self.config = config or ValidatorConfig()
-        self.abandon_siblings = abandon_siblings
         #: Pipeline spans live on the *global* pipeline clock; the inner
         #: per-block validator keeps its own standalone clock, so it gets
         #: the metrics registry (counters accumulate) but not the tracer.
@@ -178,15 +172,9 @@ class ValidatorPipeline:
 
         # ---- real validation, in dependency order ----------------------- #
         results: List[Optional[ValidationResult]] = [None] * n
-        committed_heights: set = set()
         for i in order:
             block = blocks[i]
             p = parent_index[i]
-            if self.abandon_siblings and block.header.number in committed_heights:
-                # a sibling already committed at this height: abandon the
-                # in-flight fork block instead of burning lanes on it
-                results[i] = _abandoned_sibling(block)
-                continue
             if p is not None:
                 parent_result = results[p]
                 if parent_result is None or not parent_result.accepted:
@@ -199,11 +187,9 @@ class ValidatorPipeline:
                 if parent_state is None:
                     results[i] = _rejected_unknown_parent(block)
                     continue
-            result = results[i] = self._validator.validate_block(
+            results[i] = self._validator.validate_block(
                 block, parent_state, ctx  # ctx=None derives from each header
             )
-            if result.accepted:
-                committed_heights.add(block.header.number)
 
         # ---- timing simulation over the shared worker pool ---------------- #
         timings, switches, pool = self._simulate(
@@ -444,11 +430,3 @@ def _rejected_for_parent(block: Block) -> ValidationResult:
 
 def _rejected_unknown_parent(block: Block) -> ValidationResult:
     return _skipped(block, "unknown parent state", FailureReason.UNKNOWN_PARENT)
-
-
-def _abandoned_sibling(block: Block) -> ValidationResult:
-    return _skipped(
-        block,
-        f"abandoned: sibling committed at height {block.header.number}",
-        FailureReason.SIBLING_ABANDONED,
-    )

@@ -62,6 +62,13 @@ PHASE_US_EDGES = (
     6400.0, 12800.0, 25600.0, 51200.0, 102400.0, 1e9,
 )
 
+#: How many times a block whose execution hit a transient worker fault (an
+#: injected lane crash) is re-attempted in parallel, with exponential
+#: ``CostModel.retry_backoff``, before it degrades to serial re-execution
+#: (the Block-STM guarantee: a faulty lane costs throughput, never
+#: correctness).
+MAX_PARALLEL_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class ValidatorConfig:
@@ -89,19 +96,6 @@ class ValidatorConfig:
     #: exact state keys as the unit — finer, more parallel, but unsound
     #: for account-root maintenance; provided as an ablation.
     granularity: str = "account"
-    #: How many times a block whose execution hit a transient worker
-    #: fault (an injected lane crash) is re-attempted in
-    #: parallel (with exponential ``CostModel.retry_backoff``) before
-    #: degrading.
-    max_parallel_retries: int = 2
-    #: After retry exhaustion, fall back to serial re-execution of the
-    #: block (the Block-STM guarantee: correctness preserved, throughput
-    #: sacrificed).  When off, the block is rejected with WORKER_FAULT.
-    serial_fallback: bool = True
-    #: Simulated-time budget (µs) for one block's validation; ``None``
-    #: disables the check.  A block whose commit time exceeds it is
-    #: rejected with TIMEOUT — stalled workers can push a block over.
-    timeout_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         # a local misconfiguration, not any block's fault: refuse it here
@@ -182,27 +176,21 @@ class FaultLadder(NamedTuple):
     retry_penalty: float
     #: per-transaction injected stall on the executing attempt (µs)
     stalls: Tuple[float, ...]
-    #: set when ``max_parallel_retries`` ran out: the first crashing
-    #: transaction of the last crashed attempt
-    crash_tx: Optional[int] = None
+    #: ``MAX_PARALLEL_RETRIES`` ran out: the executing attempt is the
+    #: injector-free serial pass
+    exhausted: bool = False
     #: an execution-fault injector was consulted at all
     consulted: bool = False
-
-    @property
-    def exhausted(self) -> bool:
-        """Only serial degradation (or rejection) is left."""
-        return self.crash_tx is not None
 
 
 class Distributor(Protocol):
     """A shard coordinator :class:`ParallelValidator` can hand a block to.
 
     :mod:`repro.distributed` implements it; core never imports that
-    package.  ``(outcome, None)`` is consumed exactly like a backend
-    result; ``(None, None)`` declines the block (the local paths own it);
-    ``(None, failure)`` means follower faults exhausted re-assignment —
-    the validator re-executes locally, or rejects with ``failure`` when
-    ``serial_fallback`` is off.
+    package.  An outcome is consumed exactly like a backend result;
+    ``None`` — the block declined, or follower faults exhausted
+    re-assignment — leaves the block to the local paths, which re-execute
+    it.
     """
 
     def execute(
@@ -212,7 +200,7 @@ class Distributor(Protocol):
         parent_state: StateSnapshot,
         ctx: ExecutionContext,
         art: BlockArtifacts,
-    ) -> Tuple[Optional[ParallelExecOutcome], Optional[ValidationFailure]]: ...
+    ) -> Optional[ParallelExecOutcome]: ...
 
 
 class ParallelValidator:
@@ -272,12 +260,7 @@ class ParallelValidator:
         (COINBASE/NUMBER/TIMESTAMP reads) would diverge.
         """
         if ctx is None:
-            ctx = ExecutionContext(
-                block_number=block.header.number,
-                timestamp=block.header.timestamp,
-                coinbase=block.header.coinbase,
-                gas_limit=block.header.gas_limit,
-            )
+            ctx = ExecutionContext.from_header(block.header)
         model = COST_MODEL
         config = self.config
         n = len(block.transactions)
@@ -340,21 +323,11 @@ class ParallelValidator:
         # leak: nothing has executed yet).  A healed ladder executes once,
         # on whichever substrate is attached; an exhausted one degrades to
         # the injector-free serial reference loop (Block-STM's guarantee: a
-        # faulty lane costs throughput, never correctness) or rejects.
+        # faulty lane costs throughput, never correctness).
         ladder = self._fault_ladder(block)
         result.worker_faults = ladder.worker_faults
         result.exec_attempts = ladder.attempt + 1
-        result.used_serial_fallback = ladder.exhausted and config.serial_fallback
-        if ladder.exhausted and not config.serial_fallback:
-            return rejected(
-                f"worker fault at tx {ladder.crash_tx} persisted through "
-                f"{ladder.attempt + 1} parallel attempts",
-                ValidationFailure(
-                    FailureReason.WORKER_FAULT,
-                    tx_index=ladder.crash_tx,
-                    detail="injected worker crash",
-                ),
-            )
+        result.used_serial_fallback = ladder.exhausted
         # the block's one derivation of its plan artifacts (None without a
         # usable profile): the component-execution gate and the preparation
         # phase both read it
@@ -376,17 +349,10 @@ class ParallelValidator:
             # semantics: mixing them with follower scheduling would change
             # observable fault behaviour, so followers are skipped
             if self.distributor is not None and not ladder.consulted:
-                outcome, dist_failure = self.distributor.execute(
+                outcome = self.distributor.execute(
                     self, block, parent_state, ctx, art
                 )
                 used_distributed = outcome is not None
-                if dist_failure is not None and not config.serial_fallback:
-                    # follower faults exhausted re-assignment and local
-                    # re-execution is disabled: surface the typed failure
-                    return rejected(
-                        f"distributed validation failed: {dist_failure.detail}",
-                        dist_failure,
-                    )
             if outcome is None and self.backend is not None:
                 outcome = execute_block_parallel(
                     self, block, parent_state, ctx, self.backend, art
@@ -492,15 +458,6 @@ class ParallelValidator:
         phases, stats = self._simulate_timing(
             block, plan, tx_costs, prep_cost, prefetch_cost, ladder
         )
-        if config.timeout_us is not None and phases.commit_end > config.timeout_us:
-            return rejected(
-                f"validation timed out: {phases.commit_end:.1f}µs exceeds "
-                f"budget {config.timeout_us:.1f}µs",
-                ValidationFailure(
-                    FailureReason.TIMEOUT,
-                    detail=f"makespan {phases.commit_end:.1f}µs",
-                ),
-            )
 
         metrics.counter("validator.blocks_accepted").inc()
         metrics.histogram("validator.prep_us", PHASE_US_EDGES).observe(
@@ -534,8 +491,8 @@ class ParallelValidator:
         first crash per attempt in block order is what interleaving the
         consults with execution would observe.  Each crashed attempt costs
         ``abort_overhead`` plus an exponential ``retry_backoff``; past
-        ``max_parallel_retries`` the ladder is exhausted and (when serial
-        fallback is on) one further, injector-free attempt is granted.
+        ``MAX_PARALLEL_RETRIES`` the ladder is exhausted and one further,
+        injector-free serial attempt is granted.
         """
         n = len(block.transactions)
         injector = self.injector
@@ -570,23 +527,21 @@ class ParallelValidator:
                     block=block.hash.hex()[:8],
                     attempt=attempt,
                     tx=crash_tx,
-                    reason=FailureReason.WORKER_FAULT.value,
+                    reason="worker_fault",
                 )
             retry_penalty += model.abort_overhead + model.retry_backoff * (2**attempt)
-            if attempt >= self.config.max_parallel_retries:
+            if attempt >= MAX_PARALLEL_RETRIES:
                 break
             attempt += 1
-        if self.config.serial_fallback:
-            # degrade: one final serial pass, fault hooks disabled
-            metrics.counter("validator.serial_fallbacks").inc()
-            if tracer.enabled:
-                tracer.instant(
-                    "serial_fallback", 0.0, block=block.hash.hex()[:8], attempts=attempt + 1
-                )
-            attempt += 1
+        # degrade: one final serial pass, fault hooks disabled
+        metrics.counter("validator.serial_fallbacks").inc()
+        if tracer.enabled:
+            tracer.instant(
+                "serial_fallback", 0.0, block=block.hash.hex()[:8], attempts=attempt + 1
+            )
         return FaultLadder(
-            attempt, worker_faults, retry_penalty, (0.0,) * n,
-            crash_tx=crash_tx, consulted=True,
+            attempt + 1, worker_faults, retry_penalty, (0.0,) * n,
+            exhausted=True, consulted=True,
         )
 
     def _execute_reference(

@@ -10,30 +10,26 @@ into exactly what single-node validation would have produced —
 bit-identical state roots and receipts by construction, because components
 are account-disjoint.
 
-Stragglers past the deadline are re-assigned; follower crashes and
-byzantine replies map onto the typed
-:class:`~repro.faults.errors.FailureReason` taxonomy with serial
-re-execution as the last-resort fallback — follower faults cost
-throughput, never correctness.
+Crashed, straggling and byzantine shards are re-assigned; a shard that
+stays unresolved leaves the block to local re-execution — follower faults
+cost throughput, never correctness.
 
 A follower pool is a :class:`~repro.core.validator.ParallelValidator` with
 a coordinator attached::
 
-    coordinator = ShardCoordinator(DistributedConfig(n_followers=4))
+    coordinator = ShardCoordinator(4)
     validator = ParallelValidator(distributor=coordinator)
     result = validator.validate_block(block, parent_state)
     record = coordinator.last_record
 """
 
 from repro.distributed.coordinator import (
-    DistributedConfig,
     DistributedRecord,
     ShardAttempt,
     ShardCoordinator,
 )
 
 __all__ = [
-    "DistributedConfig",
     "DistributedRecord",
     "ShardAttempt",
     "ShardCoordinator",

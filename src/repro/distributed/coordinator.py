@@ -9,23 +9,23 @@ replies into exactly what single-node validation would have produced, and
 owns every failure mode:
 
 * **Crash** — no reply; the shard is re-assigned to the next live
-  follower.  Exhausting re-assignments maps to ``WORKER_FAULT``.
+  follower.
 * **Straggler** — a verified reply past the deadline (``max(MIN_DEADLINE_US,
   STRAGGLER_FACTOR × median round latency)``) is treated as lost and the
-  shard re-assigned; exhaustion maps to ``TIMEOUT``.
+  shard re-assigned.
 * **Byzantine reply** — every reply is structurally checked (component
   set, result counts, overlay ⊆ footprint) and cross-checked per
   transaction against the block profile (Algorithm 2).  A tampered reply
-  is discarded and the shard re-assigned; exhaustion maps to
-  ``WORKER_FAULT`` with a byzantine detail.  Deliberately *not* a
-  ``BYZANTINE_REASONS`` member: those quarantine the block's *proposer*,
-  and a lying follower must not get an honest proposer quarantined.
+  is discarded and the shard re-assigned.
 
-Failures surface as ``(None, ValidationFailure)`` from
-:meth:`ShardCoordinator.execute`; the validator then falls back to local
-re-execution (serial fallback), so follower faults cost throughput, never
-correctness.  The coordinator also *declines* — ``(None, None)`` — a
-block whose shard could not execute cleanly (lying profile, invalid
+A shard still unresolved after ``MAX_REASSIGNMENTS`` re-assignments makes
+:meth:`ShardCoordinator.execute` return ``None``, with the dominant fault
+kind (``byzantine``, then ``crash``, then ``straggler``) in
+:attr:`DistributedRecord.fallback`; the validator then re-executes the
+block locally, so follower faults cost throughput, never correctness —
+and a lying follower can never get an honest proposer quarantined.  The
+coordinator also *declines* — ``None``, ``fallback="undistributable"`` —
+a block whose shard could not execute cleanly (lying profile, invalid
 transaction): that is the block's fault, and the local reference path
 classifies it.  Whether a block is handed over at all is the validator's
 gate, not the coordinator's (it needs a plannable profile, account
@@ -56,7 +56,6 @@ from repro.core.validator import ParallelValidator
 from repro.evm.interpreter import ExecutionContext
 from repro.exec.tasks import build_component_tasks
 from repro.exec.validating import ParallelExecOutcome, merge_components
-from repro.faults.errors import FailureReason, ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -65,7 +64,6 @@ from repro.simcore.costmodel import COST_MODEL
 from repro.state.statedb import StateSnapshot
 
 __all__ = [
-    "DistributedConfig",
     "ShardAttempt",
     "DistributedRecord",
     "ShardCoordinator",
@@ -78,15 +76,9 @@ STRAGGLER_FACTOR = 3.0
 #: deadline floor, µs past the dispatch round's start — keeps tiny
 #: blocks from declaring every follower a straggler
 MIN_DEADLINE_US = 4000.0
-
-
-@dataclass(frozen=True)
-class DistributedConfig:
-    """Coordinator knobs."""
-
-    n_followers: int = 4
-    #: how many times a failed shard is re-assigned before giving up
-    max_reassignments: int = 2
+#: how many times a failed shard is re-assigned before the block falls
+#: back to local re-execution
+MAX_REASSIGNMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,9 @@ class DistributedRecord:
     makespan_us: float = 0.0
     reassignments: int = 0
     follower_faults: int = 0
-    #: set when distribution failed and the block fell back to local
-    #: re-execution: the typed reason's value
+    #: set when the block fell back to local re-execution: the dominant
+    #: follower fault kind (``"byzantine"`` | ``"crash"`` |
+    #: ``"straggler"``), or ``"undistributable"`` for a declined block
     fallback: Optional[str] = None
 
 
@@ -132,18 +125,16 @@ class ShardCoordinator:
 
     def __init__(
         self,
-        config: Optional[DistributedConfig] = None,
+        n_followers: int,
         *,
         master_id: str = "master",
         injector: Optional[FaultInjector] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.config = config or DistributedConfig()
-        if self.config.n_followers < 1:
-            raise ValueError(
-                f"n_followers must be >= 1, got {self.config.n_followers}"
-            )
+        if n_followers < 1:
+            raise ValueError(f"n_followers must be >= 1, got {n_followers}")
+        self.n_followers = n_followers
         self.metrics = metrics or NULL_METRICS
         self.tracer = (
             tracer.for_process(f"{master_id}/dist")
@@ -157,7 +148,7 @@ class ShardCoordinator:
                 tracer=tracer,
                 metrics=self.metrics,
             )
-            for i in range(self.config.n_followers)
+            for i in range(n_followers)
         ]
         #: record of the most recent distributed validation
         self.last_record: Optional[DistributedRecord] = None
@@ -171,17 +162,17 @@ class ShardCoordinator:
         parent_state: StateSnapshot,
         ctx: ExecutionContext,
         art: BlockArtifacts,
-    ) -> Tuple[Optional[ParallelExecOutcome], Optional[ValidationFailure]]:
+    ) -> Optional[ParallelExecOutcome]:
         """Validate ``block``'s execution across the follower pool (the
         :class:`~repro.core.validator.Distributor` contract)."""
-        cfg = self.config
+        n_followers = self.n_followers
         model = COST_MODEL
         n = len(block.transactions)
         # one shard per non-empty lane of the plan backend workers run
         component_gas = art.component_gas()
         shards = [
             tuple(sorted(lane))
-            for lane in art.plan_for(cfg.n_followers, "gas_lpt", 0).lane_components
+            for lane in art.plan_for(n_followers, "gas_lpt", 0).lane_components
             if lane
         ]
         shard_gas = tuple(sum(component_gas[c] for c in shard) for shard in shards)
@@ -191,7 +182,7 @@ class ShardCoordinator:
             block_hash_hex=block.hash.hex(),
             n_txs=n,
             n_shards=len(shards),
-            n_followers=cfg.n_followers,
+            n_followers=n_followers,
             shard_gas=shard_gas,
         )
         self.last_record = record
@@ -205,9 +196,9 @@ class ShardCoordinator:
 
         # ---- simulated dispatch/reply timeline --------------------------- #
         t0 = model.schedule_per_tx * n  # partition happens in the prep phase
-        busy = [t0] * cfg.n_followers
+        busy = [t0] * n_followers
         dead: set = set()
-        assigned = {sid: sid % cfg.n_followers for sid in range(len(shards))}
+        assigned = {sid: sid % n_followers for sid in range(len(shards))}
         pending = list(range(len(shards)))
         resolved: Dict[int, ShardReply] = {}
         reply_at_of: Dict[int, float] = {}
@@ -225,7 +216,7 @@ class ShardCoordinator:
                 )
             )
 
-        for attempt in range(cfg.max_reassignments + 1):
+        for attempt in range(MAX_REASSIGNMENTS + 1):
             if not pending:
                 break
             round_ok: Dict[int, Tuple[float, ShardReply]] = {}
@@ -261,7 +252,7 @@ class ShardCoordinator:
                     # and let the local reference path classify the block
                     record.fallback = "undistributable"
                     self.metrics.counter("dist.declined").inc()
-                    return None, None
+                    return None
                 exec_us = sum(
                     model.tx_cost(result.trace)
                     for outcome in reply.outcomes
@@ -315,7 +306,7 @@ class ShardCoordinator:
                     )
 
             # re-assign whatever failed this round to the next live follower
-            if pending and attempt < cfg.max_reassignments:
+            if pending and attempt < MAX_REASSIGNMENTS:
                 pool_exhausted = False
                 for sid in pending:
                     new_f = self._next_live(assigned[sid], dead)
@@ -329,18 +320,20 @@ class ShardCoordinator:
                     break  # every follower crashed: exhaustion below
 
         if pending:
-            failure = self._exhaustion_failure(pending, fail_kind)
-            record.fallback = failure.reason.value
+            # the dominant unresolved fault: the validator re-executes locally
+            kinds = [fail_kind[sid] for sid in pending]
+            kind = next(k for k in ("byzantine", "crash", "straggler") if k in kinds)
+            record.fallback = kind
             self.metrics.counter("dist.fallbacks").inc()
             if self.tracer.enabled:
                 self.tracer.instant(
                     "dist.fallback",
                     0.0,
                     block=block.hash.hex()[:8],
-                    reason=failure.reason.value,
-                    detail=failure.detail,
+                    reason=kind,
+                    shard=pending[kinds.index(kind)],
                 )
-            return None, failure
+            return None
 
         # ---- aggregate: merge per-shard outcomes in component order ------ #
         outcome = merge_components(
@@ -353,7 +346,7 @@ class ShardCoordinator:
         )
         self.metrics.gauge("dist.makespan_us").set(record.makespan_us)
         self.metrics.counter("dist.blocks_distributed").inc()
-        return outcome, None
+        return outcome
 
     # ------------------------------------------------------------------ #
 
@@ -364,44 +357,12 @@ class ShardCoordinator:
         the attempt counter still advances, so the re-dispatch rolls fresh
         faults.
         """
-        n = self.config.n_followers
+        n = self.n_followers
         for step in range(1, n + 1):
             candidate = (current + step) % n
             if candidate not in dead:
                 return candidate
         return None
-
-    def _exhaustion_failure(
-        self, pending: List[int], fail_kind: Dict[int, str]
-    ) -> ValidationFailure:
-        """Map the dominant unresolved fault onto the typed taxonomy."""
-        kinds = [fail_kind.get(sid, "crash") for sid in pending]
-        if "byzantine" in kinds:
-            sid = pending[kinds.index("byzantine")]
-            return ValidationFailure(
-                FailureReason.WORKER_FAULT,
-                detail=(
-                    f"byzantine shard reply for shard {sid} persisted through "
-                    f"{self.config.max_reassignments + 1} assignments"
-                ),
-            )
-        if "crash" in kinds:
-            sid = pending[kinds.index("crash")]
-            return ValidationFailure(
-                FailureReason.WORKER_FAULT,
-                detail=(
-                    f"follower crash on shard {sid} persisted through "
-                    f"{self.config.max_reassignments + 1} assignments"
-                ),
-            )
-        sid = pending[0]
-        return ValidationFailure(
-            FailureReason.TIMEOUT,
-            detail=(
-                f"shard {sid} straggled past the deadline on every "
-                f"assignment ({self.config.max_reassignments + 1} attempts)"
-            ),
-        )
 
     def _verify_reply(
         self,

@@ -73,12 +73,13 @@ from repro.common.types import (
     u256_exp,
     u256_to_signed,
 )
-from repro.evm.gas import DEFAULT_GAS_SCHEDULE, GasSchedule, OutOfGas, intrinsic_gas
+from repro.evm.gas import DEFAULT_GAS_SCHEDULE, OutOfGas, intrinsic_gas
 from repro.evm.memory import MAX_MEMORY_BYTES, Memory
 from repro.evm.opcodes import LOG0, OPCODES, PUSH1, opcode_by_name
 from repro.simcore.costmodel import TraceCosts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.chain.block import BlockHeader
     from repro.state.statedb import StateSnapshot
     from repro.txpool.transaction import Transaction
 
@@ -156,6 +157,17 @@ class ExecutionContext:
     #: block number (Ethereum exposes the latest 256)
     recent_block_hashes: Tuple[Tuple[int, bytes], ...] = ()
 
+    @classmethod
+    def from_header(cls, header: "BlockHeader") -> "ExecutionContext":
+        """The context a sealed block's header records: the one it was
+        proposed under, and so the one it re-executes under."""
+        return cls(
+            block_number=header.number,
+            timestamp=header.timestamp,
+            coinbase=header.coinbase,
+            gas_limit=header.gas_limit,
+        )
+
     def block_hash(self, number: int) -> int:
         for n, h in self.recent_block_hashes:
             if n == number:
@@ -215,20 +227,18 @@ class _TxEnv:
     """What every frame of one transaction shares (built only when a frame
     runs: a transfer to an account without code needs none)."""
 
-    __slots__ = ("evm", "ctx", "schedule", "origin", "gas_price", "trace", "refunds")
+    __slots__ = ("evm", "ctx", "origin", "gas_price", "trace", "refunds")
 
     def __init__(
         self,
         evm: "EVM",
         ctx: ExecutionContext,
-        schedule: GasSchedule,
         origin: Address,
         gas_price: int,
         trace: Dict[str, int],
     ) -> None:
         self.evm = evm
         self.ctx = ctx
-        self.schedule = schedule
         self.origin = origin
         self.gas_price = gas_price
         #: executed-work counts per category, in first-occurrence order (the
@@ -300,7 +310,7 @@ class _Frame:
             current = len(self.memory)
             if end > current:
                 self.use_gas(
-                    self.env.schedule.memory_expansion_cost(current // 32, (end + 31) // 32)
+                    DEFAULT_GAS_SCHEDULE.memory_expansion_cost(current // 32, (end + 31) // 32)
                 )
 
 
@@ -692,7 +702,7 @@ def compile_runs(code: bytes) -> Tuple[Instr, ...]:
             continue
         if bounded:
             stores = counts.get("storage_write", 0)
-            stack.body[:0] = ["m = f.memory.buffer"] * bool(words) + ["g = f.env.schedule"] * bool(stores)
+            stack.body[:0] = ["m = f.memory.buffer"] * bool(words) + ["g = DEFAULT_GAS_SCHEDULE"] * bool(stores)
             bounds = (cost, words, counts.get("sha3_word", 0), logged, stores, bool(stores or "log" in counts))
             entry = (_BOUNDED, _no_handler, bounds)
         else:
@@ -765,7 +775,7 @@ class EVM:
         trace: Dict[str, int] = {}
         env: Optional[_TxEnv] = None
         if to is None:
-            env = _TxEnv(self, ctx, schedule, sender, gas_price, trace)
+            env = _TxEnv(self, ctx, sender, gas_price, trace)
             message = Message(sender, None, value, data, gas)
             success, output, gas, logs, error, created = self._execute_create(
                 state, message, env, 0, state.snapshot()
@@ -778,7 +788,7 @@ class EVM:
                 trace["transfer"] = 1
             code = state.get_code(to)
             if code:
-                env = _TxEnv(self, ctx, schedule, sender, gas_price, trace)
+                env = _TxEnv(self, ctx, sender, gas_price, trace)
                 frame = _Frame(state, env, 0, Message(sender, to, value, data, gas), code, to, False)
                 success, output, gas, logs, error, created = self._run_frame(frame, mark)
             else:
@@ -917,7 +927,7 @@ class EVM:
 
         A ``_RUN`` entry makes the same three checks for its whole run at
         once and its function does the work.  A ``_BOUNDED`` entry adds to
-        its static gas what its content can cost under ``env.schedule`` —
+        its static gas what its content can cost under the gas table —
         the memory expansion to its end from the current size (the charges
         of its instructions telescope to that), SHA3 words and LOG bytes,
         and ``sstore_set`` per SSTORE, reserved: the function charges each
@@ -929,7 +939,7 @@ class EVM:
         """
         env = frame.env
         trace = env.trace
-        schedule = env.schedule
+        schedule = DEFAULT_GAS_SCHEDULE
         buffer = frame.memory.buffer
         program = analyse(frame.code)
         instrs = program.compiled
@@ -1070,14 +1080,14 @@ def _build_handlers() -> Dict[int, Handler]:
     def _exp(f: _Frame, s: List[int]) -> None:
         base = s.pop()
         exponent = s[-1]
-        f.use_gas(f.env.schedule.exp_cost(exponent))
+        f.use_gas(DEFAULT_GAS_SCHEDULE.exp_cost(exponent))
         s[-1] = u256_exp(base, exponent)
 
     @h("SHA3")
     def _sha3(f: _Frame, s: List[int]) -> None:
         offset = s.pop()
         size = s[-1]
-        f.use_gas(f.env.schedule.sha3_cost(size))
+        f.use_gas(DEFAULT_GAS_SCHEDULE.sha3_cost(size))
         f.charge_memory(offset, size)
         trace = f.env.trace
         trace["sha3_word"] = trace.get("sha3_word", 0) + (size + 31) // 32
@@ -1089,7 +1099,7 @@ def _build_handlers() -> Dict[int, Handler]:
         """The shared body of the ``*COPY`` family: zero-padded slice of
         ``source`` into memory, copy gas then expansion gas."""
         dst, src, size = s.pop(), s.pop(), s.pop()
-        f.use_gas(f.env.schedule.copy_cost(size))
+        f.use_gas(DEFAULT_GAS_SCHEDULE.copy_cost(size))
         f.charge_memory(dst, size)
         f.memory.write(dst, source[src : src + size].ljust(size, b"\x00"))
 
@@ -1105,7 +1115,7 @@ def _build_handlers() -> Dict[int, Handler]:
     def _extcodecopy(f: _Frame, s: List[int]) -> None:
         address = _address_from_word(s.pop())
         dst, src, size = s.pop(), s.pop(), s.pop()
-        f.use_gas(f.env.schedule.copy_cost(size))
+        f.use_gas(DEFAULT_GAS_SCHEDULE.copy_cost(size))
         f.charge_memory(dst, size)
         code = f.state.get_code(address)
         f.memory.write(dst, code[src : src + size].ljust(size, b"\x00"))
@@ -1141,7 +1151,7 @@ def _build_handlers() -> Dict[int, Handler]:
         if f.static:
             raise _FrameFailure("write protection: SSTORE in static call")
         slot, value = s.pop(), s.pop()
-        state, schedule = f.state, f.env.schedule
+        state, schedule = f.state, DEFAULT_GAS_SCHEDULE
         current = state.get_storage(f.address, slot)
         f.use_gas(schedule.sstore_cost(current, value))
         if current != 0 and value == 0:
@@ -1159,7 +1169,7 @@ def _build_handlers() -> Dict[int, Handler]:
             raise _FrameFailure("write protection: CREATE in static call")
         value, offset, size = s.pop(), s.pop(), s.pop()
         salt = s.pop() if salted else None
-        schedule = f.env.schedule
+        schedule = DEFAULT_GAS_SCHEDULE
         f.charge_memory(offset, size)
         initcode = f.memory.read(offset, size)
         if salted:
@@ -1187,7 +1197,7 @@ def _build_handlers() -> Dict[int, Handler]:
         value = s.pop() if kind == "call" else 0
         in_off, in_size = s.pop(), s.pop()
         out_off, out_size = s.pop(), s.pop()
-        state, env, schedule = f.state, f.env, f.env.schedule
+        state, env, schedule = f.state, f.env, DEFAULT_GAS_SCHEDULE
 
         if value and f.static:
             raise _FrameFailure("write protection: value transfer in static call")
@@ -1264,7 +1274,7 @@ def _build_handlers() -> Dict[int, Handler]:
                 raise _FrameFailure("write protection: LOG in static call")
             offset, size = s.pop(), s.pop()
             topics = tuple([s.pop() for _ in range(n)])
-            f.use_gas(f.env.schedule.log_data_byte * size)
+            f.use_gas(DEFAULT_GAS_SCHEDULE.log_data_byte * size)
             f.charge_memory(offset, size)
             f.logs.append(Log(f.address, topics, f.memory.read(offset, size)))
 

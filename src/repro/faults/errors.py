@@ -1,8 +1,11 @@
 """The typed validation-failure taxonomy.
 
 Every way a block can fail validation gets one :class:`FailureReason`
-variant; the validator, pipeline and node attach a
-:class:`ValidationFailure` to each rejection so benchmarks can count
+variant, and each is a fault of the block, of its parent or of its
+proposer: a local fault (a crashed or stalled worker lane, a lost or
+lying follower) costs throughput, never a verdict, because the validator
+then re-executes the block itself.  The validator, pipeline and node
+attach a :class:`ValidationFailure` to each rejection so benchmarks can count
 *why* blocks were thrown out, not just that they were.  The string
 ``reason`` fields on ``ValidationResult``/``ValidationOutcome`` are kept
 for human consumption and backward compatibility; the enum is the
@@ -26,7 +29,7 @@ __all__ = [
 
 
 class FailureReason(enum.Enum):
-    """Why a block was rejected (or abandoned) by the validator stack."""
+    """Why a block was rejected by the validator stack."""
 
     #: Structural violation: tx root mismatch, profile misaligned,
     #: gas-limit overflow, bad uncles, invalid transaction, missing profile.
@@ -42,18 +45,10 @@ class FailureReason(enum.Enum):
     RECEIPT_MISMATCH = "receipt_mismatch"
     #: Recomputed state root disagrees with the header.
     STATE_ROOT_MISMATCH = "state_root_mismatch"
-    #: A worker lane crashed and parallel retries were exhausted (with
-    #: serial fallback disabled — otherwise the block degrades, not fails).
-    WORKER_FAULT = "worker_fault"
-    #: Simulated validation time exceeded the configured budget.
-    TIMEOUT = "timeout"
     #: The block's parent state is not known to the pipeline.
     UNKNOWN_PARENT = "unknown_parent"
     #: The block's parent was itself rejected in the same batch.
     PARENT_REJECTED = "parent_rejected"
-    #: A same-height sibling committed first and this block was abandoned
-    #: to free worker lanes (``ValidatorPipeline(abandon_siblings=True)``).
-    SIBLING_ABANDONED = "sibling_abandoned"
     #: The proposer was quarantined after repeated profile-check failures.
     PROPOSER_QUARANTINED = "proposer_quarantined"
 

@@ -13,9 +13,10 @@ Three fault families:
   entries (add/remove/swap accounts, wrong values), a mutated claimed
   state root, a truncated or reordered transaction list.
 * **Execution faults** — :meth:`FaultInjector.execution_fault` makes a
-  worker lane crash (``FailureReason.WORKER_FAULT``) on a
-  chosen transaction for its first ``worker_fault_attempts`` attempts
-  (transient), or stall for a configurable simulated delay.
+  worker lane crash on a chosen transaction for its first
+  ``worker_fault_attempts`` attempts (transient), or stall for a
+  configurable simulated delay.  Neither refuses a block: the validator
+  retries, then re-executes serially.
 * **Network faults** — :class:`FaultyChannel` wraps block delivery with
   message drop, duplication, reordering and bounded delay, replacing the
   zero-latency logical-round model when enabled.
@@ -63,7 +64,8 @@ class FaultConfig:
     worker_fault_rate: float = 0.0
     #: The crash fires on attempts ``0 .. worker_fault_attempts-1`` and
     #: then heals (transient).  Set it above the validator's
-    #: ``max_parallel_retries`` to make the fault effectively permanent.
+    #: ``MAX_PARALLEL_RETRIES`` to make the fault outlast every parallel
+    #: retry, so the block degrades to serial re-execution.
     worker_fault_attempts: int = 1
     #: Probability that a transaction's worker stalls (slow disk, GC pause).
     stall_rate: float = 0.0

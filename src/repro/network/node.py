@@ -118,7 +118,7 @@ class ReceiveOutcome:
     #: Typed failure per input block, aligned with the ``blocks`` argument
     #: (None for accepted blocks).
     failures: List[Optional[ValidationFailure]] = field(default_factory=list)
-    #: Transactions from rejected/abandoned blocks returned to the node's
+    #: Transactions from rejected blocks returned to the node's
     #: pending pool this batch (0 when the node has no pool attached).
     restored_txs: int = 0
 
@@ -134,7 +134,7 @@ class ValidatorNode:
       blocks are rejected with ``PROPOSER_QUARANTINED`` without burning
       validation work.
     * **Transaction recovery** — when a ``txpool`` is attached, the
-      transactions of rejected/abandoned blocks are returned to it
+      transactions of rejected blocks are returned to it
       exactly once (fork siblings carrying the same tx do not duplicate
       it, and txs already committed by an accepted sibling stay out).
     """

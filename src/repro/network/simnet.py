@@ -178,10 +178,10 @@ class NetworkSimulation:
         """A per-validator follower pool, or ``None`` when followers == 0."""
         if self.config.followers <= 0:
             return None
-        from repro.distributed import DistributedConfig, ShardCoordinator
+        from repro.distributed import ShardCoordinator
 
         return ShardCoordinator(
-            DistributedConfig(n_followers=self.config.followers),
+            self.config.followers,
             master_id=master_id,
             injector=self.injector if self.faults is not None else None,
             tracer=self.tracer,

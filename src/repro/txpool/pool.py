@@ -299,7 +299,7 @@ class TxPool:
         return tx_hash in self._index
 
     def restore(self, tx: Transaction) -> bool:
-        """Return a transaction from a rejected/abandoned block to the pool.
+        """Return a transaction from a rejected block to the pool.
 
         Exactly-once semantics: a transaction already queued or in flight
         (e.g. the same tx carried by two fork siblings), already packed

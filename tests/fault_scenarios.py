@@ -11,7 +11,8 @@ enum variant is reachable this way.
 
 Degradation scenarios (``degrade_serial_fallback``, ``degrade_transient``)
 end in *acceptance*: they demonstrate the Block-STM guarantee that worker
-faults cost throughput, never correctness.
+faults cost throughput, never correctness — no reason in the taxonomy is
+a local fault.
 """
 
 from __future__ import annotations
@@ -164,31 +165,6 @@ def _corruption_scenario(name: str, kind: str, expected: FailureReason):
 # per-reason scenarios
 
 
-def _run_worker_fault(env: ScenarioEnv) -> ScenarioOutcome:
-    # permanent crash, no serial fallback: retries exhaust, block rejected
-    injector = FaultInjector(
-        FaultConfig(seed=env.seed, worker_fault_rate=1.0, worker_fault_attempts=10**6)
-    )
-    validator = env.fresh_validator(
-        injector=injector, max_parallel_retries=1, serial_fallback=False
-    )
-    result = validator.validate_block(env.honest.block, env.parent_state)
-    return _single(
-        env,
-        "worker_fault",
-        FailureReason.WORKER_FAULT,
-        result,
-        worker_faults=result.worker_faults,
-    )
-
-
-def _run_timeout(env: ScenarioEnv) -> ScenarioOutcome:
-    # an honest block against an impossible simulated-time budget
-    validator = env.fresh_validator(timeout_us=0.5)
-    result = validator.validate_block(env.honest.block, env.parent_state)
-    return _single(env, "timeout", FailureReason.TIMEOUT, result)
-
-
 def _run_unknown_parent(env: ScenarioEnv) -> ScenarioOutcome:
     pipeline = ValidatorPipeline(config=ValidatorConfig(lanes=_LANES))
     result = pipeline.process_blocks([env.honest.block], parent_states={})
@@ -216,27 +192,6 @@ def _run_parent_rejected(env: ScenarioEnv) -> ScenarioOutcome:
     return ScenarioOutcome(
         name="parent_rejected",
         expected=FailureReason.PARENT_REJECTED,
-        failures=list(result.failures),
-        accepted=[r is not None and r.accepted for r in result.results],
-    )
-
-
-def _run_sibling_abandoned(env: ScenarioEnv) -> ScenarioOutcome:
-    # two honest same-height siblings; with abandon_siblings the pipeline
-    # drops the second once the first commits
-    rival = ProposerNode("proposer-1")
-    txs = env.generator.generate_block_txs()
-    first = env.proposer.build_block(env.parent_header, env.parent_state, txs).block
-    second = rival.build_block(env.parent_header, env.parent_state, txs).block
-    pipeline = ValidatorPipeline(
-        config=ValidatorConfig(lanes=_LANES), abandon_siblings=True
-    )
-    result = pipeline.process_blocks(
-        [first, second], parent_states={env.genesis_hash: env.parent_state}
-    )
-    return ScenarioOutcome(
-        name="sibling_abandoned",
-        expected=FailureReason.SIBLING_ABANDONED,
         failures=list(result.failures),
         accepted=[r is not None and r.accepted for r in result.results],
     )
@@ -278,9 +233,7 @@ def _run_degrade_serial_fallback(env: ScenarioEnv) -> ScenarioOutcome:
     injector = FaultInjector(
         FaultConfig(seed=env.seed, worker_fault_rate=1.0, worker_fault_attempts=10**6)
     )
-    validator = env.fresh_validator(
-        injector=injector, max_parallel_retries=2, serial_fallback=True
-    )
+    validator = env.fresh_validator(injector=injector)
     result = validator.validate_block(env.honest.block, env.parent_state)
     honest = env.fresh_validator().validate_block(env.honest.block, env.parent_state)
     return _single(
@@ -288,7 +241,7 @@ def _run_degrade_serial_fallback(env: ScenarioEnv) -> ScenarioOutcome:
         "degrade_serial_fallback",
         None,
         result,
-        used_serial_fallback=result.used_serial_fallback,
+        serial_pass=result.used_serial_fallback,
         worker_faults=result.worker_faults,
         exec_attempts=result.exec_attempts,
         state_root=(
@@ -305,14 +258,14 @@ def _run_degrade_transient(env: ScenarioEnv) -> ScenarioOutcome:
     injector = FaultInjector(
         FaultConfig(seed=env.seed, worker_fault_rate=1.0, worker_fault_attempts=1)
     )
-    validator = env.fresh_validator(injector=injector, max_parallel_retries=2)
+    validator = env.fresh_validator(injector=injector)
     result = validator.validate_block(env.honest.block, env.parent_state)
     return _single(
         env,
         "degrade_transient",
         None,
         result,
-        used_serial_fallback=result.used_serial_fallback,
+        serial_pass=result.used_serial_fallback,
         worker_faults=result.worker_faults,
         exec_attempts=result.exec_attempts,
     )
@@ -347,18 +300,6 @@ SCENARIOS: Dict[str, FaultScenario] = {
             "state_root_mismatch", "state_root", FailureReason.STATE_ROOT_MISMATCH
         ),
         FaultScenario(
-            "worker_fault",
-            FailureReason.WORKER_FAULT,
-            "permanent lane crash with serial fallback disabled",
-            _run_worker_fault,
-        ),
-        FaultScenario(
-            "timeout",
-            FailureReason.TIMEOUT,
-            "honest block against an impossible time budget",
-            _run_timeout,
-        ),
-        FaultScenario(
             "unknown_parent",
             FailureReason.UNKNOWN_PARENT,
             "block whose parent state the pipeline does not know",
@@ -369,12 +310,6 @@ SCENARIOS: Dict[str, FaultScenario] = {
             FailureReason.PARENT_REJECTED,
             "child of a block rejected in the same batch",
             _run_parent_rejected,
-        ),
-        FaultScenario(
-            "sibling_abandoned",
-            FailureReason.SIBLING_ABANDONED,
-            "same-height sibling dropped after the first commits",
-            _run_sibling_abandoned,
         ),
         FaultScenario(
             "proposer_quarantined",

@@ -133,6 +133,22 @@ class TestUnhonouredFlags:
         assert " ".join(flags) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command",
+        [["fuzz", "--schedules", "1", "--txs", "8"], ["check", "repro.json"]],
+        ids=["fuzz", "check-repro"],
+    )
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "serial"], ["--workers", "3"]], ids=["backend", "workers"]
+    )
+    def test_thread_backend_runs_refuse_backend_and_workers(self, command, flags, capsys):
+        """The fuzzer and its repro replay always drive the thread backend."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, *command])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert " ".join(flags) in err and "the thread backend" in err
+
+    @pytest.mark.parametrize(
         "flags", [["--strategy", "block-stm"], ["--backend", "serial"]]
     )
     def test_network_trace_refuses_strategy_and_backend(self, flags, capsys, tmp_path):

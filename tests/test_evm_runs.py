@@ -69,7 +69,7 @@ def execute(genesis, data, gas, *, compiled, evm=EVM, value=0, callee=None):
         analyse(code).compiled = given if isinstance(given, tuple) else tables(code)[bool(compiled)]
     state = StateDB(genesis)
     machine = evm()
-    env = _TxEnv(machine, CTX, DEFAULT_GAS_SCHEDULE, SENDER, 1, {})
+    env = _TxEnv(machine, CTX, SENDER, 1, {})
     r = machine._execute_message(state, Message(SENDER, CONTRACT, value, data, gas), env, depth=0)
     shown = (r.success, r.gas_left, r.output, r.logs, r.error, list(env.refunds), list(env.trace.items()))
     return shown, export_overlay(state)

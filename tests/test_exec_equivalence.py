@@ -23,7 +23,7 @@ from repro.core.proposer import seal_block
 from repro.core.strategies import STRATEGY_CHOICES, build_proposer
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.evm.interpreter import EVM, ExecutionContext
-from repro.distributed import DistributedConfig, ShardCoordinator
+from repro.distributed import ShardCoordinator
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
 from repro.faults.injector import FaultConfig, FaultInjector
@@ -492,11 +492,11 @@ class TestFaultEquivalence:
                 results[name] = validator.validate_block(block, universe.genesis)
         return results
 
-    def _observe_everywhere(self, block, universe, fault_config, **cfg):
+    def _observe_everywhere(self, block, universe, fault_config):
         """Validate on sim | serial | thread | 2 followers, each with its own
         registry and tracer; returns ``{substrate: (result, worker_faults
         counter, fault-ladder trace instants)}``."""
-        config = ValidatorConfig(lanes=4, **cfg)
+        config = ValidatorConfig(lanes=4)
         observed = {}
 
         def observe(name, validate):
@@ -527,7 +527,7 @@ class TestFaultEquivalence:
                     ).validate_block(block, universe.genesis),
                 )
         def follower_pool(**kw):
-            coordinator = ShardCoordinator(DistributedConfig(n_followers=2), **kw)
+            coordinator = ShardCoordinator(2, **kw)
             return ParallelValidator(config=config, distributor=coordinator, **kw)
 
         observe(
@@ -537,33 +537,26 @@ class TestFaultEquivalence:
         return observed
 
     @pytest.mark.parametrize(
-        "case, fault_config, cfg, expected_faults",
+        "case, fault_config, expected_faults",
         [
             # (a) transient: heals on the second attempt
-            ("heals", dict(worker_fault_rate=1.0, worker_fault_attempts=1), {}, 1),
-            # (b) exhausted ladder, serial fallback on / off — the parent
-            # commit counted 6 on every backend here, 3 on the sim path
-            ("exhausted", dict(worker_fault_rate=0.2, worker_fault_attempts=10), {}, 3),
-            (
-                "exhausted-reject",
-                dict(worker_fault_rate=0.2, worker_fault_attempts=10),
-                {"serial_fallback": False},
-                3,
-            ),
+            ("heals", dict(worker_fault_rate=1.0, worker_fault_attempts=1), 1),
+            # (b) exhausted ladder: degrades to the serial pass
+            ("exhausted", dict(worker_fault_rate=0.2, worker_fault_attempts=10), 3),
             # (c) transient fault, then the component attempt trips over a
             # lying profile and the reference loop takes the block
-            ("lying", dict(worker_fault_rate=1.0, worker_fault_attempts=1), {}, 1),
+            ("lying", dict(worker_fault_rate=1.0, worker_fault_attempts=1), 1),
         ],
     )
     def test_worker_faults_counted_once_on_every_substrate(
-        self, small_universe, case, fault_config, cfg, expected_faults
+        self, small_universe, case, fault_config, expected_faults
     ):
         if case == "lying":
             block = forge_lying_profile_block(small_universe)
         else:
             block = _sealed_block(small_universe, _txs(small_universe, n=40))
         observed = self._observe_everywhere(
-            block, small_universe, FaultConfig(seed=0, **fault_config), **cfg
+            block, small_universe, FaultConfig(seed=0, **fault_config)
         )
         ref_result, ref_counter, ref_instants = observed["sim"]
         assert ref_result.worker_faults == expected_faults

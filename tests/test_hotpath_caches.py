@@ -20,7 +20,7 @@ from repro.core import artifacts as artifacts_module
 from repro.core.artifacts import BlockArtifacts, artifacts_for, profile_footprints
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.validator import ParallelValidator
-from repro.distributed import DistributedConfig, ShardCoordinator
+from repro.distributed import ShardCoordinator
 from repro.exec import SerialBackend, ThreadBackend
 from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode
@@ -240,7 +240,7 @@ class TestValidatorWithArtifacts:
     ):
         distributor = None
         if substrate == "followers":
-            distributor = ShardCoordinator(DistributedConfig(n_followers=2))
+            distributor = ShardCoordinator(2)
         backend = {"serial": SerialBackend, "thread": ThreadBackend}.get(substrate)
         with contextlib.ExitStack() as stack:
             validator = ParallelValidator(

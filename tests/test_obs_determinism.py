@@ -20,7 +20,7 @@ from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.proposer import seal_block
 from repro.core.validator import ParallelValidator, ValidatorConfig
-from repro.distributed import DistributedConfig, ShardCoordinator
+from repro.distributed import ShardCoordinator
 from repro.evm.interpreter import ExecutionContext
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.faults.errors import FailureReason
@@ -122,7 +122,7 @@ class TestFaultDeterminism:
             tracer = Tracer()
             metrics = MetricsRegistry()
             validator = ParallelValidator(
-                config=ValidatorConfig(lanes=8, max_parallel_retries=2),
+                config=ValidatorConfig(lanes=8),
                 injector=FaultInjector(
                     FaultConfig(seed=7, worker_fault_rate=0.3)
                 ),
@@ -141,7 +141,7 @@ class TestFaultDeterminism:
         faults = tracer_a.find("worker_fault")
         assert faults, "0.3 fault rate must fire on this block"
         for span in faults:
-            assert span.attrs["reason"] == FailureReason.WORKER_FAULT.value
+            assert span.attrs["reason"] == "worker_fault"
         assert snap_a["counters"]["validator.worker_faults"] == len(faults)
 
     def test_byzantine_rejection_span_carries_failure_reason(
@@ -342,7 +342,7 @@ def _validate(universe, block, metrics, tmp_path):
 
 
 def _distribute(universe, block, metrics, tmp_path):
-    coordinator = ShardCoordinator(DistributedConfig(n_followers=2), metrics=metrics)
+    coordinator = ShardCoordinator(2, metrics=metrics)
     result = ParallelValidator(distributor=coordinator).validate_block(
         block, universe.genesis
     )

@@ -6,11 +6,14 @@ root and the bytes of its ``events.jsonl`` are literals.  A change that
 means to move nothing (a refactor, a deleted setting) must leave all three
 as they are; one that moves them must say why and re-pin them here.
 
-The signature check beside it pins what the roles no longer accept: the
+The signature checks beside it pin what the roles no longer accept: the
 interpreter and the simulated clock's calibration are one fixed object
-each, built by the role, not a parameter.
+each, built by the role, not a parameter; and no local fault (a crashed
+lane, a lost follower, a slow block, a committed sibling) refuses an
+honest block, so no switch selects such a refusal.
 """
 
+import dataclasses
 import hashlib
 import inspect
 
@@ -23,9 +26,11 @@ from repro.core.occ_wsi import OCCWSIProposer
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.session import ProposerEngine
 from repro.core.strategies import TwoPhaseProposer, build_proposer
-from repro.core.validator import ParallelValidator
+from repro.core.validator import ParallelValidator, ValidatorConfig
+from repro.distributed import coordinator
 from repro.distributed.coordinator import ShardCoordinator
 from repro.exec import ThreadBackend
+from repro.faults.errors import FailureReason
 from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode, ValidatorNode
 from repro.network.shardrpc import FollowerNode
@@ -110,3 +115,20 @@ ROLES = [
 def test_roles_take_no_interpreter_or_calibration(role):
     params = set(inspect.signature(role).parameters)
     assert not params & {"evm", "cost_model", "evm_config"}
+
+
+def test_no_local_fault_refuses_an_honest_block():
+    fields = [field.name for field in dataclasses.fields(ValidatorConfig)]
+    assert fields == [
+        "lanes", "policy", "seed", "verify_profile", "preexecute_fallback",
+        "params", "prefetch", "granularity",
+    ]
+    assert list(inspect.signature(ValidatorPipeline).parameters) == [
+        "config", "injector", "tracer", "metrics", "backend", "distributor",
+    ]
+    assert list(inspect.signature(ShardCoordinator).parameters) == [
+        "n_followers", "master_id", "injector", "tracer", "metrics",
+    ]
+    assert coordinator.__all__ == ["ShardAttempt", "DistributedRecord", "ShardCoordinator"]
+    # each reason left is a fault of the block, of its parent or of its proposer
+    assert len(FailureReason) == 9

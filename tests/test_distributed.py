@@ -31,6 +31,8 @@ from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.node import ProposerNode
 from repro.network.shardrpc import FollowerNode, ShardAssignment
 from repro.network.simnet import NetworkConfig, NetworkSimulation
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import (
     hotspot_scenario,
@@ -330,8 +332,38 @@ def sealed_block(small_universe):
     )
 
 
+def _observe_fallback(universe, block, fault_config):
+    """Validate ``block`` on a 4-follower pool with its own registry and
+    tracer; returns ``(result, record, dist.fallbacks counter,
+    dist.fallback instant attrs)``."""
+    metrics, tracer = MetricsRegistry(), Tracer()
+    injector = FaultInjector(fault_config)
+    coordinator = ShardCoordinator(
+        4, injector=injector, tracer=tracer, metrics=metrics
+    )
+    pool = ParallelValidator(injector=injector, distributor=coordinator)
+    result = pool.validate_block(block, universe.genesis)
+    instants = [span.attrs for span in tracer.find("dist.fallback")]
+    fallbacks = metrics.counter_value("dist.fallbacks")
+    return result, coordinator.last_record, fallbacks, instants
+
+
 @pytest.mark.faults
 class TestFollowerFaultMatrix:
+    def test_total_crash_maps_to_worker_fault(self, small_universe, sealed_block):
+        """A worker fault (here: the whole pool crashed) maps to local
+        re-execution, its kind on the record, counter and trace instant."""
+        result, record, fallbacks, instants = _observe_fallback(
+            small_universe, sealed_block, FaultConfig(seed=3, follower_crash_rate=1.0)
+        )
+        assert result.accepted and not result.used_distributed
+        assert result.failure is None
+        assert record.fallback == "crash"
+        assert fallbacks == 1
+        assert [attrs["reason"] for attrs in instants] == ["crash"]
+        # the whole pool died on first contact: one fault per follower
+        assert record.follower_faults == 4
+
     def test_crash_degrades_to_serial_fallback(self, small_universe, sealed_block):
         reference = ParallelValidator().validate_block(
             sealed_block, small_universe.genesis
@@ -340,11 +372,8 @@ class TestFollowerFaultMatrix:
         pool = _follower_pool(4, injector=injector)
         result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted and not result.used_distributed
+        assert pool.distributor.last_record.fallback == "crash"
         assert _fingerprint(result) == _fingerprint(reference)
-        record = pool.distributor.last_record
-        assert record.fallback == "crash"
-        # the whole pool died on first contact: one fault per follower
-        assert record.follower_faults == 4
 
     def test_byzantine_reply_survived_by_fallback(
         self, small_universe, sealed_block
@@ -355,11 +384,23 @@ class TestFollowerFaultMatrix:
         injector = FaultInjector(FaultConfig(seed=3, follower_byzantine_rate=1.0))
         pool = _follower_pool(4, injector=injector)
         result = pool.validate_block(sealed_block, small_universe.genesis)
+        assert result.accepted
+        assert _fingerprint(result) == _fingerprint(reference)
+
+    def test_byzantine_reply_maps_to_worker_fault(
+        self, small_universe, sealed_block
+    ):
+        result, record, fallbacks, instants = _observe_fallback(
+            small_universe,
+            sealed_block,
+            FaultConfig(seed=3, follower_byzantine_rate=1.0),
+        )
         # a lying follower must never strike the (honest) proposer
         assert result.accepted and not result.used_distributed
-        assert _fingerprint(result) == _fingerprint(reference)
-        record = pool.distributor.last_record
+        assert result.failure is None
         assert record.fallback == "byzantine"
+        assert fallbacks == 1
+        assert [attrs["reason"] for attrs in instants] == ["byzantine"]
         assert {a.status for a in record.attempts} == {"byzantine"}
 
     def test_straggler_exhaustion_falls_back_as_straggler(

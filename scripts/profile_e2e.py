@@ -21,9 +21,10 @@ arrives during a collection is handled at the first bytecode after it, which
 is a ``gc.callbacks`` hook — charged to whichever function that is, a whole
 generation-2 pause reads as that hook's "self" time and generations 0 and 1
 show nowhere.  So each collection is timed through ``gc.callbacks`` (CPU
-seconds) and printed as its own ``gc gen0|gen1|gen2`` row — count, total ms,
-share of the node's own CPU time in the loop — and ticks that fell into one
-are dropped from the function shares.  Under those rows, a census of the heap
+seconds) and printed as its own ``gc gen0|gen1|gen2`` row — count, count per
+block, total ms, share of the node's own CPU time in the loop, under a header
+naming ``gc.get_threshold()`` — and ticks that fell into one are dropped from
+the function shares.  Under those rows, a census of the heap
 a collection walks: the objects the collector tracks when the loop starts
 (after boot) and when it ends, and the growth between the two, in all and
 for the eight types that grew most.  Each census first collects
@@ -124,11 +125,13 @@ def main() -> int:
 
     def on_gc(phase: str, info: Dict[str, int]) -> None:
         nonlocal gc_started
+        # the thread's clock: while ITIMER_PROF is armed the process clock
+        # advances in whole scheduler ticks (~4 ms), longer than a collection
         if phase == "start":
-            gc_started = time.process_time()
+            gc_started = time.thread_time()
         elif gc_started is not None:
             gc_runs[info["generation"]] += 1
-            gc_cpu[info["generation"]] += time.process_time() - gc_started
+            gc_cpu[info["generation"]] += time.thread_time() - gc_started
             gc_started = None
 
     def sampler(
@@ -202,10 +205,15 @@ def main() -> int:
         )
     # the loop's CPU seconds less the calibration kernel's, by its share of ticks
     own_cpu = loop_cpu * (total + in_gc) / (total + in_gc + in_kernel)
-    print(f"{'runs':>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own")
+    # the schedule the node's boot set, which the loop ran under
+    print(
+        f"{'runs':>6} {'/block':>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own,"
+        f" threshold {gc.get_threshold()}"
+    )
     for generation, (runs, seconds) in enumerate(zip(gc_runs, gc_cpu)):
         share = 100 * seconds / own_cpu if own_cpu else 0.0
-        print(f"{runs:6d} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
+        per_block = runs / len(result.blocks) if result.blocks else 0.0
+        print(f"{runs:6d} {per_block:6.2f} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
     boot, end = censuses
     print(f"{'boot':>8} {'end':>8} {'growth':>8}  live objects the collector tracks at the start and end of the loop")
     print(f"{sum(boot.values()):8d} {sum(end.values()):8d} {sum(end.values()) - sum(boot.values()):+8d}  all")

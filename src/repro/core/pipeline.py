@@ -87,7 +87,7 @@ class PipelineResult:
     @property
     def failures(self) -> List[Optional[ValidationFailure]]:
         """Per-block typed failures (None for accepted blocks)."""
-        return [r.failure if r is not None else None for r in self.results]
+        return [r.failure for r in self.results]
 
     @property
     def rejection_rate(self) -> float:
@@ -171,25 +171,28 @@ class ValidatorPipeline:
         order = self._topo_order(parent_index, arrivals)
 
         # ---- real validation, in dependency order ----------------------- #
-        results: List[Optional[ValidationResult]] = [None] * n
+        # a parent comes before its children in ``order``, so its verdict is
+        # in ``by_index`` by the time a child looks it up
+        by_index: Dict[int, ValidationResult] = {}
         for i in order:
             block = blocks[i]
             p = parent_index[i]
             if p is not None:
-                parent_result = results[p]
-                if parent_result is None or not parent_result.accepted:
-                    results[i] = _rejected_for_parent(block)
+                parent_result = by_index[p]
+                if not parent_result.accepted:
+                    by_index[i] = _rejected_for_parent(block)
                     continue
                 parent_state = parent_result.post_state
                 assert parent_state is not None  # accepted results carry it
             else:
                 parent_state = parent_states.get(block.header.parent_hash)
                 if parent_state is None:
-                    results[i] = _rejected_unknown_parent(block)
+                    by_index[i] = _rejected_unknown_parent(block)
                     continue
-            results[i] = self._validator.validate_block(
+            by_index[i] = self._validator.validate_block(
                 block, parent_state, ctx  # ctx=None derives from each header
             )
+        results = [by_index[i] for i in range(n)]
 
         # ---- timing simulation over the shared worker pool ---------------- #
         timings, switches, pool = self._simulate(
@@ -197,20 +200,16 @@ class ValidatorPipeline:
         )
 
         makespan = max((t.commit_end for t in timings), default=0.0)
-        serial_time = sum(
-            r.serial_time for r in results if r is not None and r.serial_time
-        )
-        total_work = sum(sum(r.tx_costs) for r in results if r is not None)
+        serial_time = sum(r.serial_time for r in results)
+        total_work = sum(sum(r.tx_costs) for r in results)
         stats = RunStats(
             makespan=makespan,
             total_work=total_work,
             lanes=self.config.lanes,
-            tasks=sum(len(r.tx_costs) for r in results if r is not None),
+            tasks=sum(len(r.tx_costs) for r in results),
             context_switches=switches,
         )
         for r in results:
-            if r is None:
-                continue
             stats.worker_faults += r.worker_faults
             stats.exec_retries += r.exec_attempts - 1
             stats.serial_fallbacks += r.used_serial_fallback
@@ -228,7 +227,7 @@ class ValidatorPipeline:
         metrics.gauge("pipeline.makespan_us").set(makespan)
         metrics.gauge("pipeline.pool_utilization").set(pool.utilization())
         return PipelineResult(
-            results=[r for r in results],
+            results=results,
             timings=timings,
             makespan=makespan,
             serial_time=serial_time,
@@ -269,7 +268,7 @@ class ValidatorPipeline:
     def _simulate(
         self,
         blocks: Sequence[Block],
-        results: List[Optional[ValidationResult]],
+        results: List[ValidationResult],
         parent_index: List[Optional[int]],
         arrivals: Sequence[float],
         order: List[int],
@@ -286,18 +285,18 @@ class ValidatorPipeline:
             p = parent_index[i]
             parent_timing = timings[p] if p is not None else None
 
-            if result is None or result.plan is None:
+            if result.plan is None:
                 # rejected before scheduling: charge only the arrival
                 t = arrivals[i]
                 if trace_on:
-                    failure = result.failure if result is not None else None
+                    assert result.failure is not None  # every rejection is typed
                     tracer.instant(
                         "validation_failure",
                         t,
                         block=block.hash.hex()[:8],
                         number=block.header.number,
-                        reason=failure.reason.value if failure is not None else "?",
-                        detail=(result.reason if result is not None else None) or "",
+                        reason=result.failure.reason.value,
+                        detail=result.reason or "",
                     )
                 timings[i] = BlockTiming(i, arrivals[i], t, t, t, t, accepted=False)
                 continue
@@ -389,7 +388,7 @@ class ValidatorPipeline:
                     tracer.instant(
                         "serial_fallback", prep_end, block=block.hash.hex()[:8]
                     )
-                if not result.accepted and result.failure is not None:
+                if result.failure is not None:
                     # scheduled but rejected (e.g. a lying profile caught by
                     # Algorithm 2): surface the typed reason in the trace
                     tracer.instant(

@@ -136,8 +136,7 @@ class ValidationResult:
     serial_time: float = 0.0
     stats: Optional[RunStats] = None
     prep_cost: float = 0.0
-    #: Typed classification of the rejection (None when accepted or when
-    #: the failure is a local misconfiguration rather than the block's).
+    #: Typed classification of the rejection (None when accepted).
     failure: Optional[ValidationFailure] = None
     #: Transient worker crashes observed while (re-)executing this block.
     worker_faults: int = 0
@@ -271,12 +270,9 @@ class ParallelValidator:
         # it as far as it got, acceptance completes it
         result = ValidationResult(accepted=False, reason=None)
 
-        def rejected(
-            reason: str, failure: Optional[ValidationFailure] = None
-        ) -> ValidationResult:
+        def rejected(reason: str, failure: ValidationFailure) -> ValidationResult:
             metrics.counter("validator.blocks_rejected").inc()
-            if failure is not None:
-                metrics.counter("validator.failure", failure.reason.value).inc()
+            metrics.counter("validator.failure", failure.reason.value).inc()
             if tracer.enabled:
                 # failure spans carry the typed FailureReason so fault
                 # injection runs are diffable from the trace alone
@@ -285,7 +281,7 @@ class ParallelValidator:
                     0.0,
                     block=block.hash.hex()[:8],
                     number=block.number,
-                    reason=failure.reason.value if failure is not None else reason,
+                    reason=failure.reason.value,
                     detail=reason,
                 )
             result.reason, result.failure = reason, failure
@@ -450,6 +446,7 @@ class ParallelValidator:
             block, post_state, build_receipts(block.transactions, tx_results)
         )
         if not verdict.accepted:
+            assert verdict.failure is not None  # the applier types every refusal
             return rejected(
                 verdict.reason or "block verification failed", verdict.failure
             )

@@ -172,7 +172,7 @@ def _run_unknown_parent(env: ScenarioEnv) -> ScenarioOutcome:
         name="unknown_parent",
         expected=FailureReason.UNKNOWN_PARENT,
         failures=list(result.failures),
-        accepted=[r is not None and r.accepted for r in result.results],
+        accepted=[r.accepted for r in result.results],
     )
 
 
@@ -193,7 +193,7 @@ def _run_parent_rejected(env: ScenarioEnv) -> ScenarioOutcome:
         name="parent_rejected",
         expected=FailureReason.PARENT_REJECTED,
         failures=list(result.failures),
-        accepted=[r is not None and r.accepted for r in result.results],
+        accepted=[r.accepted for r in result.results],
     )
 
 

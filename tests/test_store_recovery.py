@@ -1,11 +1,13 @@
 """Recovery edge cases: fresh dirs, snapshots, forks, double restarts."""
 
+import gc
 import os
 
 import pytest
 
 from repro.chain.blockchain import Blockchain
 from repro.store import (
+    GC_GEN0_THRESHOLD,
     DiskStore,
     Manifest,
     StoreError,
@@ -254,3 +256,20 @@ class TestDoubleRestart:
         final = recover(str(tmp_path / "node"), small_universe.genesis)
         assert final.chain.height() == 4
         assert final.was_clean_shutdown is True
+
+
+class TestCollectorSchedule:
+    def test_open_store_sets_the_generation0_threshold(self, tmp_path, small_universe):
+        """The durable node's boot sets the collector's schedule; a process
+        starts on CPython's default, so the test starts there too."""
+        found = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        try:
+            _, store, _ = open_store(
+                str(tmp_path / "node"), small_universe.genesis, fsync=False
+            )
+            store.close()
+            assert gc.get_threshold() == (GC_GEN0_THRESHOLD, 10, 10)
+            assert GC_GEN0_THRESHOLD > 700
+        finally:
+            gc.set_threshold(*found)

@@ -40,7 +40,7 @@ from repro.core import (
 from repro.evm import EVM, ExecutionContext
 from repro.network import ForkSimulator, ProposerNode, ValidatorNode
 from repro.simcore import COST_MODEL, CostModel
-from repro.state import StateDB, StateSnapshot, genesis_snapshot, prove, verify_proof
+from repro.state import StateDB, StateSnapshot, genesis_snapshot
 from repro.txpool import Transaction, TxPool
 from repro.workload import (
     BlockWorkloadGenerator,
@@ -81,8 +81,6 @@ __all__ = [
     "StateDB",
     "StateSnapshot",
     "genesis_snapshot",
-    "prove",
-    "verify_proof",
     "Transaction",
     "TxPool",
     "BlockWorkloadGenerator",

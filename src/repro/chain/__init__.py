@@ -8,7 +8,7 @@ validators re-execute and compare both (Algorithm 2).
 
 :class:`Blockchain` stores competing blocks at the same height — the fork
 situation that gives validators more work than proposers (§3.4) — and
-tracks which non-canonical siblings become uncles.
+counts the non-canonical siblings as uncles.
 """
 
 from repro.chain.block import (

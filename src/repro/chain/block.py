@@ -68,8 +68,8 @@ class Receipt:
     """Per-transaction outcome included in the block's receipt trie.
 
     Carries the transaction's logs (Ethereum receipts do), so the receipt
-    root commits to event data and :meth:`Blockchain.get_logs` can serve
-    queries from stored blocks."""
+    root commits to event data and the validator can rebuild the header's
+    logs bloom from them."""
 
     tx_hash: Hash32
     success: bool

@@ -5,27 +5,27 @@ every known block in the last :data:`RESIDENT_HEIGHTS` heights below the
 head — canonical or not — which is what the validator pipeline needs to
 execute same-height fork blocks concurrently against their common parent
 state (paper §4.3, Figure 5).  A height that leaves the window is final:
-its blocks, states and tx-index entries are dropped, a block whose parent
-left is refused as an unknown parent, and queries below the window return
-``None``.  History below the window is not queryable in memory; the block
-log of an attached store is durability, not a read path.
+its blocks and states are dropped, a block whose parent left is refused as
+an unknown parent, and queries below the window return ``None``.  History
+below the window is not queryable in memory; the block log of an attached
+store is durability, not a read path.
 
 Fork choice is longest-chain with first-seen tie-breaking (Ethereum PoW's
 effective behaviour for equal difficulty).  Siblings displaced from the
-canonical chain are tracked as uncle candidates (§3.4).
+canonical chain stay resident at their height and are counted as uncles
+(§3.4).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.hashing import Hash32
 from repro.common.types import Address
-from repro.chain.block import Block, BlockHeader, Receipt, receipts_root, transactions_root
+from repro.chain.block import Block, BlockHeader, receipts_root, transactions_root
 from repro.state.statedb import StateSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.evm.interpreter import Log
     from repro.store.backend import StorageBackend
 
 __all__ = ["Blockchain", "ChainError", "RESIDENT_HEIGHTS"]
@@ -76,10 +76,6 @@ class Blockchain:
         self._blocks: Dict[Hash32, Block] = {base.hash: base}
         self._states: Dict[Hash32, StateSnapshot] = {base.hash: base_state}
         self._by_height: Dict[int, List[Hash32]] = {base.number: [base.hash]}
-        # tx hash -> (block hash, index) for canonical-and-fork lookup
-        self._tx_index: Dict[Hash32, List[tuple]] = {}
-        self._arrival: Dict[Hash32, int] = {base.hash: 0}
-        self._arrival_counter = 1
         self._head: Hash32 = base.hash
         #: oldest resident height — the genesis or snapshot height at
         #: first, then advanced as the head leaves it RESIDENT_HEIGHTS
@@ -169,72 +165,6 @@ class Blockchain:
             cursor = self._blocks.get(cursor.header.parent_hash)
         return cursor.hash if cursor is not None else None
 
-    def uncles_at(self, number: int) -> List[Block]:
-        """Known same-height siblings of the canonical block (§3.4)."""
-        canonical = self.canonical_hash_at(number)
-        return [
-            self._blocks[h]
-            for h in self._by_height.get(number, [])
-            if h != canonical
-        ]
-
-    def get_logs(
-        self,
-        *,
-        address: Optional[bytes] = None,
-        topic: Optional[int] = None,
-        from_block: int = 0,
-        to_block: Optional[int] = None,
-    ) -> List[Tuple[int, int, Log]]:
-        """Query logs on the resident canonical chain (eth_getLogs).
-
-        Uses each header's logs bloom to skip blocks that definitely do
-        not match — the standard light-scan path.  Returns
-        ``(block_number, tx_index, log)`` tuples in chain order.
-        """
-        from repro.chain.bloom import Bloom
-
-        if to_block is None:
-            to_block = self.head.number
-        matches: List[Tuple[int, int, Log]] = []
-        for block in self.canonical_chain():
-            number = block.number
-            if number < from_block or number > to_block:
-                continue
-            if address is not None or topic is not None:
-                bloom = Bloom.from_bytes(block.header.logs_bloom)
-                if address is not None and not bloom.might_contain(address):
-                    continue
-                if topic is not None and not bloom.might_contain(
-                    topic.to_bytes(32, "big")
-                ):
-                    continue
-            for tx_index, receipt in enumerate(block.receipts):
-                for log in receipt.logs:
-                    if address is not None and log.address != address:
-                        continue
-                    if topic is not None and topic not in log.topics:
-                        continue
-                    matches.append((number, tx_index, log))
-        return matches
-
-    def find_transaction(self, tx_hash: Hash32) -> Optional[Tuple[Block, int, Optional[Receipt]]]:
-        """Locate a transaction on the *canonical* chain.
-
-        Returns ``(block, index, receipt_or_None)`` or ``None`` if the
-        transaction is unknown or only lives on non-canonical branches
-        (the eth_getTransactionByHash contract).
-        """
-        locations = self._tx_index.get(tx_hash)
-        if not locations:
-            return None
-        for block_hash, index in locations:
-            block = self._blocks[block_hash]
-            if self.canonical_hash_at(block.number) == block_hash:
-                receipt = block.receipts[index] if block.receipts else None
-                return block, index, receipt
-        return None
-
     def uncle_count(self) -> int:
         """Fork siblings seen above the chain's base, resident or not: over
         the whole run from genesis, but only since the checkpoint for a
@@ -276,10 +206,6 @@ class Blockchain:
         self._blocks[block.hash] = block
         self._states[block.hash] = post_state
         self._by_height.setdefault(block.number, []).append(block.hash)
-        for index, tx in enumerate(block.transactions):
-            self._tx_index.setdefault(tx.hash, []).append((block.hash, index))
-        self._arrival[block.hash] = self._arrival_counter
-        self._arrival_counter += 1
 
         # fork choice: longest chain, earliest arrival breaks ties.
         # Persist before publishing: if the store raises (disk full, I/O
@@ -301,16 +227,9 @@ class Blockchain:
         canonical = self.canonical_hash_at(number)
         hashes = self._by_height.pop(number)
         self._final_uncles += len(hashes) - 1
-        tx_index = self._tx_index
         for block_hash in hashes:
             block = self._blocks.pop(block_hash)
             if block_hash == canonical:
                 self._final_txs += len(block)
             del self._states[block_hash]
-            del self._arrival[block_hash]
-            for index, tx in enumerate(block.transactions):
-                locations = tx_index[tx.hash]
-                locations.remove((block_hash, index))
-                if not locations:
-                    del tx_index[tx.hash]
         self.base_height = number + 1

@@ -54,27 +54,8 @@ class Bloom:
         for topic in log.topics:
             self.add(topic.to_bytes(32, "big"))
 
-    def union(self, other: "Bloom") -> "Bloom":
-        return Bloom(self._bits | other._bits)
-
-    @property
-    def value(self) -> int:
-        return self._bits
-
     def to_bytes(self) -> bytes:
         return self._bits.to_bytes(BLOOM_BYTES, "big")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Bloom":
-        if len(raw) != BLOOM_BYTES:
-            raise ValueError(f"bloom must be {BLOOM_BYTES} bytes")
-        return cls(int.from_bytes(raw, "big"))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bloom) and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash(self._bits)
 
     def bit_count(self) -> int:
         return bin(self._bits).count("1")

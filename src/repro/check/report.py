@@ -76,20 +76,6 @@ class CheckLog:
             counts[violation.block] = counts.get(violation.block, 0) + 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "footprint_violations": [
-                {
-                    "block": v.block,
-                    "component": v.component,
-                    "tx_indices": list(v.tx_indices),
-                    "address": v.address.hex(),
-                    "declared": v.declared,
-                }
-                for v in self.footprint_violations
-            ],
-        }
-
     def summary(self) -> str:
         if self.clean:
             return "repro.check.report: clean (0 footprint violations)"

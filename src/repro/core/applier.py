@@ -59,11 +59,18 @@ class ProfileMismatch(Exception):
 
 @dataclass(frozen=True)
 class ValidationOutcome:
-    """Applier verdict for a whole block."""
+    """Applier verdict for a whole block: accepted unless it carries a
+    typed ``failure``."""
 
-    accepted: bool
-    reason: Optional[str] = None
     failure: Optional[ValidationFailure] = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.failure is None
+
+    @property
+    def reason(self) -> Optional[str]:
+        return None if self.failure is None else self.failure.detail
 
 
 class Applier:
@@ -122,9 +129,7 @@ class Applier:
         receipts the block ships must equal them field for field."""
 
         def failed(reason: str, code: FailureReason) -> ValidationOutcome:
-            return ValidationOutcome(
-                False, reason, failure=ValidationFailure(code, detail=reason)
-            )
+            return ValidationOutcome(ValidationFailure(code, detail=reason))
 
         header = block.header
         bloom = bloom_from_logs(
@@ -148,4 +153,4 @@ class Applier:
             )
         if computed_state.state_root() != header.state_root:
             return failed("state root mismatch", FailureReason.STATE_ROOT_MISMATCH)
-        return ValidationOutcome(True)
+        return ValidationOutcome()

@@ -171,11 +171,6 @@ class TwoPhaseOCCResult:
     def speedup(self) -> float:
         return self.serial_time / self.total_time if self.total_time > 0 else 1.0
 
-    @property
-    def conflict_fraction(self) -> float:
-        n = len(self.tx_results)
-        return len(self.conflicted) / n if n else 0.0
-
 
 class TwoPhaseOCCExecutor:
     """Saraph & Herlihy's speculative two-phase scheduler [27]."""

@@ -78,12 +78,6 @@ class DependencyGraph:
             return 0.0
         return max(len(c) for c in self.components) / self.tx_count
 
-    def critical_path_gas(self) -> int:
-        """Gas of the heaviest subgraph — the lower bound on parallel time."""
-        if not self.components:
-            return 0
-        return max(self.component_gas(i) for i in range(len(self.components)))
-
 
 def build_dependency_graph(
     footprints: Sequence[FrozenSet[Address]],

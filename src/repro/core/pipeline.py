@@ -89,13 +89,6 @@ class PipelineResult:
         """Per-block typed failures (None for accepted blocks)."""
         return [r.failure for r in self.results]
 
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of the batch that was rejected."""
-        if not self.timings:
-            return 0.0
-        return sum(1 for t in self.timings if not t.accepted) / len(self.timings)
-
 
 class ValidatorPipeline:
     """Multi-block concurrent validation over a shared worker pool.
@@ -277,13 +270,15 @@ class ValidatorPipeline:
         tracer = self.tracer
         trace_on = tracer.enabled
         pool = LaneGroup(self.config.lanes, tracer=tracer if trace_on else None)
-        timings: List[Optional[BlockTiming]] = [None] * len(blocks)
+        # a parent comes before its children in ``order``, so its timing is
+        # in ``by_index`` by the time a child looks it up
+        by_index: Dict[int, BlockTiming] = {}
 
         for i in order:
             result = results[i]
             block = blocks[i]
             p = parent_index[i]
-            parent_timing = timings[p] if p is not None else None
+            parent_timing = by_index[p] if p is not None else None
 
             if result.plan is None:
                 # rejected before scheduling: charge only the arrival
@@ -298,7 +293,7 @@ class ValidatorPipeline:
                         reason=result.failure.reason.value,
                         detail=result.reason or "",
                     )
-                timings[i] = BlockTiming(i, arrivals[i], t, t, t, t, accepted=False)
+                by_index[i] = BlockTiming(i, arrivals[i], t, t, t, t, accepted=False)
                 continue
 
             # execution may begin once the parent's execution produced its
@@ -312,9 +307,7 @@ class ValidatorPipeline:
             # communication overhead: every result shipped to this block's
             # applier competes with other in-flight blocks' traffic
             inflight = sum(
-                1
-                for t in timings
-                if t is not None and t.accepted and t.exec_end > ready
+                1 for t in by_index.values() if t.accepted and t.exec_end > ready
             )
             ship = model.result_ship_per_tx * inflight
 
@@ -402,7 +395,7 @@ class ValidatorPipeline:
                 block_scope.span.end = commit_end
                 block_scope.__exit__(None, None, None)
 
-            timings[i] = BlockTiming(
+            by_index[i] = BlockTiming(
                 index=i,
                 arrival=arrivals[i],
                 prep_end=prep_end,
@@ -412,7 +405,8 @@ class ValidatorPipeline:
                 accepted=result.accepted,
             )
 
-        return [t for t in timings if t is not None], pool.total_context_switches, pool
+        timings = [by_index[i] for i in range(len(blocks))]
+        return timings, pool.total_context_switches, pool
 
 
 def _skipped(block: Block, reason: str, code: FailureReason) -> ValidationResult:

@@ -37,13 +37,6 @@ class SchedulePlan:
     lane_txs: Tuple[Tuple[int, ...], ...]
     policy: str
 
-    def lane_of_tx(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for lane, txs in enumerate(self.lane_txs):
-            for tx in txs:
-                out[tx] = lane
-        return out
-
 
 def _order_gas_lpt(graph: DependencyGraph, lanes: int, seed: int) -> List[int]:
     """Heaviest subgraph first ("the subgraph with the heaviest path is

@@ -442,14 +442,11 @@ class ParallelValidator:
             uncles=block.uncles,
             params=params,
         )
-        verdict = self.applier.verify_block(
+        failure = self.applier.verify_block(
             block, post_state, build_receipts(block.transactions, tx_results)
-        )
-        if not verdict.accepted:
-            assert verdict.failure is not None  # the applier types every refusal
-            return rejected(
-                verdict.reason or "block verification failed", verdict.failure
-            )
+        ).failure
+        if failure is not None:
+            return rejected(failure.detail, failure)
 
         # ----- timing simulation ------------------------------------------- #
         phases, stats = self._simulate_timing(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import linecache
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
@@ -80,7 +80,6 @@ from repro.simcore.costmodel import TraceCosts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.chain.block import BlockHeader
-    from repro.state.statedb import StateSnapshot
     from repro.txpool.transaction import Transaction
 
 __all__ = [
@@ -812,39 +811,6 @@ class EVM:
             created,
             gas_used * gas_price,
         )
-
-    def estimate_gas(
-        self, state_snapshot: "StateSnapshot", tx: "Transaction", ctx: ExecutionContext
-    ) -> int:
-        """Binary-search the lowest gas limit at which ``tx`` succeeds.
-
-        The eth_estimateGas pattern: execution is retried against fresh
-        overlays of ``state_snapshot`` (a committed StateSnapshot), so the
-        caller's state is never touched.  Raises
-        :class:`InvalidTransaction` if the transaction cannot succeed even
-        at the block gas limit.
-        """
-        from repro.state.statedb import StateDB
-
-        def succeeds(gas_limit: int) -> bool:
-            probe = replace(tx, gas_limit=gas_limit)
-            try:
-                result = self.apply_transaction(StateDB(state_snapshot), probe, ctx)
-            except InvalidTransaction:
-                return False
-            return result.success
-
-        hi = ctx.gas_limit
-        if not succeeds(hi):
-            raise InvalidTransaction("transaction fails even at the block gas limit")
-        lo = intrinsic_gas(DEFAULT_GAS_SCHEDULE, tx.data, tx.to is None)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if succeeds(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return hi
 
     # ------------------------------------------------------------------ #
     # message execution                                                  #

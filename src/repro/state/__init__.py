@@ -21,7 +21,6 @@ from repro.state.trie import MPT, EMPTY_ROOT, index_root
 from repro.state.account import AccountData, EMPTY_ACCOUNT
 from repro.state.statedb import StateDB, StateSnapshot, genesis_snapshot
 from repro.state.versioned import KeyedView, MultiVersionStore, OCCStateView
-from repro.state.proofs import prove, verify_proof, prove_secure, verify_secure, ProofError
 from repro.state.serialize import snapshot_to_json, snapshot_from_json, SnapshotFormatError
 from repro.state.access import (
     StateKey,
@@ -52,11 +51,6 @@ __all__ = [
     "nonce_key",
     "code_key",
     "storage_key",
-    "prove",
-    "verify_proof",
-    "prove_secure",
-    "verify_secure",
-    "ProofError",
     "snapshot_to_json",
     "snapshot_from_json",
     "SnapshotFormatError",

@@ -27,9 +27,8 @@ Design choices:
   32 bytes, else ``0xa0 || keccak(RLP)``.  The constructors (:func:`_leaf`,
   :func:`_extension`, :func:`_branch`) pack the HP path inline, put the
   node's items under one list prefix and hash that once (:func:`_wrap`, the
-  one place a node's RLP is formed; proofs re-form it there unhashed), and
-  store the reference in the node: no memo is written later, so nodes are
-  thread-safe by construction.
+  one place a node's RLP is formed), and store the reference in the node:
+  no memo is written later, so nodes are thread-safe by construction.
 * **Index roots without a trie.**  A block's transactions and receipts
   roots key the i-th value by ``rlp(i)``, so the trie's shape depends only
   on the count: :func:`index_root` caches it per count and fills in the
@@ -104,41 +103,30 @@ _Item = Tuple[bytes, Union[bytes, _Node]]
 EMPTY_ROOT = keccak(rlp_string(b""))
 
 
-def _wrap(body: bytes, hashed: bool = True) -> bytes:
+def _wrap(body: bytes) -> bytes:
     """The one place a node's RLP is formed: ``body`` (its items, already
     encoded) under a list prefix.  Returns how the node appears inside its
-    parent (yellow paper, D) — the RLP if under 32 bytes, else ``0xa0 ||
-    keccak(RLP)`` — or, with ``hashed`` false, the RLP itself."""
+    parent (yellow paper, D): the RLP if under 32 bytes, else ``0xa0 ||
+    keccak(RLP)``."""
     n = len(body)
     rlp = (_LIST_PREFIX[n] if n < 1024 else _encode_length(n, 0xC0)) + body
-    return b"\xa0" + hashlib.sha3_256(rlp).digest() if hashed and n > 30 else rlp
+    return b"\xa0" + hashlib.sha3_256(rlp).digest() if n > 30 else rlp
 
 
-def _leaf(path: bytes, value: bytes, hashed: bool = True) -> _Node:
+def _leaf(path: bytes, value: bytes) -> _Node:
     hp = unhexlify(_HP_LEAF[len(path)] + path.translate(_NIBBLE_TO_HEX))
-    return (_LEAF, _wrap(hp + rlp_string(value), hashed), path, value)
+    return (_LEAF, _wrap(hp + rlp_string(value)), path, value)
 
 
-def _extension(path: bytes, child: _Node, hashed: bool = True) -> _Node:
+def _extension(path: bytes, child: _Node) -> _Node:
     hp = unhexlify(_HP_EXTENSION[len(path)] + path.translate(_NIBBLE_TO_HEX))
-    return (_EXTENSION, _wrap(hp + child[1], hashed), path, child)
+    return (_EXTENSION, _wrap(hp + child[1]), path, child)
 
 
-def _branch(children: Sequence[Optional[_Node]], value: Optional[bytes], hashed: bool = True) -> _Node:
+def _branch(children: Sequence[Optional[_Node]], value: Optional[bytes]) -> _Node:
     body = b"".join([b"\x80" if child is None else child[1] for child in children])
     body += b"\x80" if value is None else rlp_string(value)
-    return (_BRANCH, _wrap(body, hashed), *children, value)
-
-
-def _node_rlp(node: _Node) -> bytes:
-    """Canonical RLP of a node, re-formed unhashed by its constructor; only
-    proofs, which carry node encodings, need it again."""
-    kind = node[0]
-    if kind == _BRANCH:
-        return _branch(node[2:18], node[18], False)[1]
-    if kind == _LEAF:
-        return _leaf(node[2], node[3], False)[1]
-    return _extension(node[2], node[3], False)[1]
+    return (_BRANCH, _wrap(body), *children, value)
 
 
 def _get(node: Optional[_Node], path: bytes) -> Optional[bytes]:

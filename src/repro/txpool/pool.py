@@ -318,10 +318,6 @@ class TxPool:
             return False
         return True
 
-    def restore_many(self, txs: Iterable[Transaction]) -> int:
-        """Restore a batch; returns how many actually re-entered the pool."""
-        return sum(1 for tx in txs if self.restore(tx))
-
     def in_flight_count(self) -> int:
         return len(self._in_flight)
 

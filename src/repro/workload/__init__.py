@@ -41,13 +41,6 @@ from repro.workload.generator import (
     WorkloadConfig,
     BlockWorkloadGenerator,
 )
-from repro.workload.traces import (
-    dump_trace,
-    load_trace,
-    save_trace_file,
-    load_trace_file,
-    TraceError,
-)
 from repro.workload.scenarios import (
     SCENARIOS,
     mainnet_scenario,
@@ -89,9 +82,4 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "tx_fingerprint",
-    "dump_trace",
-    "load_trace",
-    "save_trace_file",
-    "load_trace_file",
-    "TraceError",
 ]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.types import Address, address_from_int, address_to_int
 from repro.txpool.transaction import Transaction
@@ -217,15 +217,6 @@ class ScenarioStream:
 
     def generate_blocks(self, n_blocks: int) -> List[List[Transaction]]:
         return [self.generate_block_txs() for _ in range(n_blocks)]
-
-    def iter_blocks(
-        self, n_blocks: Optional[int] = None
-    ) -> Iterator[List[Transaction]]:
-        """Lazy block iterator (unbounded when ``n_blocks`` is None)."""
-        produced = 0
-        while n_blocks is None or produced < n_blocks:
-            yield self.generate_block_txs()
-            produced += 1
 
 
 # --------------------------------------------------------------------- #

@@ -177,8 +177,8 @@ class TestBlockchain:
         b2, s2 = child_block(chain, chain.genesis, base_state, nudge=1)
         chain.add_block(b1, s1)
         chain.add_block(b2, s2)
-        uncles = chain.uncles_at(1)
-        assert [u.hash for u in uncles] == [b2.hash]
+        assert chain.canonical_hash_at(1) == b1.hash
+        assert [b.hash for b in chain.blocks_at_height(1)] == [b1.hash, b2.hash]
         assert chain.uncle_count() == 1
 
     def test_canonical_chain_walks_parents(self, chain, base_state):
@@ -201,7 +201,9 @@ class TestBlockchain:
         assert chain.add_block(b3, s3) is True
         assert chain.head is b3
         assert chain.canonical_hash_at(1) == b2.hash
-        assert [u.hash for u in chain.uncles_at(1)] == [b1.hash]
+        # the displaced block stays resident as the sibling
+        assert chain.block(b1.hash) is b1
+        assert chain.uncle_count() == 1
 
     def test_number_gap_rejected(self, chain, base_state):
         state = chain.head_state

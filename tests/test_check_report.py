@@ -48,16 +48,6 @@ class TestCheckLogUnit:
         log.record_footprint(_violation(block="bbbb"))
         assert log.by_block() == {"aaaa": 2, "bbbb": 1}
 
-    def test_to_dict_round_trips_fields(self):
-        violation = _violation()
-        log = CheckLog()
-        log.record_footprint(violation)
-        payload = log.to_dict()["footprint_violations"][0]
-        assert payload["component"] == violation.component
-        assert payload["tx_indices"] == list(violation.tx_indices)
-        assert payload["address"] == violation.address.hex()
-        assert payload["declared"] == violation.declared
-
     def test_describe_names_the_account(self):
         text = _violation().describe()
         assert "component 0" in text

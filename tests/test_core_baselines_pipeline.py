@@ -77,7 +77,7 @@ class TestTwoPhaseOCC:
     def test_conflicted_fraction_reasonable(self, sealed, small_universe):
         r = TwoPhaseOCCExecutor().execute_block(sealed.block, small_universe.genesis)
         # hotspot workload: some but not all txs conflict
-        assert 0.0 < r.conflict_fraction < 1.0
+        assert 0 < len(r.conflicted) < len(r.tx_results)
 
     def test_phase_decomposition(self, sealed, small_universe):
         r = TwoPhaseOCCExecutor().execute_block(sealed.block, small_universe.genesis)

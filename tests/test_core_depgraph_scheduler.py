@@ -42,13 +42,11 @@ class TestDependencyGraph:
         g = build_dependency_graph([])
         assert g.components == ()
         assert g.largest_component_ratio() == 0.0
-        assert g.critical_path_gas() == 0
 
     def test_gas_accounting(self):
         g = build_dependency_graph([fp(0), fp(0), fp(1)], gas=[10, 20, 5])
         assert g.component_gas(0) == 30
         assert g.component_gas(1) == 5
-        assert g.critical_path_gas() == 30
 
     def test_gas_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -148,8 +146,8 @@ class TestScheduler:
     def test_lane_of_tx_mapping(self):
         graph = self.make_graph([(2, 5), (1, 9)])
         plan = schedule_components(graph, 2)
-        mapping = plan.lane_of_tx()
-        assert set(mapping) == {0, 1, 2}
+        # every transaction runs on exactly one lane
+        assert sorted(tx for lane in plan.lane_txs for tx in lane) == [0, 1, 2]
 
     def test_gas_lpt_beats_round_robin_on_skew(self):
         """On heavily skewed components, gas-LPT's makespan estimate wins."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.common.hashing import hash_of
 from repro.common.types import address_from_int, address_to_int
 from repro.evm.asm import asm
-from repro.evm.disasm import disassemble, format_disassembly, reassembles_identically
+from tests.disasm import disassemble, format_disassembly, reassembles_identically
 from repro.evm.interpreter import EVM, ExecutionContext, analyse
 from repro.state.account import AccountData
 from repro.txpool.transaction import Transaction

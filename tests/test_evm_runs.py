@@ -24,7 +24,7 @@ from repro.common.hashing import keccak
 from repro.common.types import address_to_int
 from repro.evm import interpreter
 from repro.evm.asm import asm
-from repro.evm.disasm import format_disassembly
+from tests.disasm import format_disassembly
 from repro.evm.gas import DEFAULT_GAS_SCHEDULE
 from repro.evm.interpreter import EVM, Message, _BOUNDED, _RUN, _TxEnv, analyse, compile_runs
 from repro.exec.tasks import export_overlay

@@ -1,7 +1,7 @@
 """The resident window: the chain and the validator keep a fixed span of heights.
 
 A height that falls ``RESIDENT_HEIGHTS`` below the head is final: its
-blocks, states and transaction-index entries leave memory, queries about
+blocks and states leave memory, queries about
 them answer ``None``, and a block built on one of them is an unknown
 parent.  Totals (uncles, canonical transactions) survive the drop; they
 count from the chain's base, which is genesis unless the chain was resumed
@@ -53,10 +53,11 @@ def test_chain_keeps_resident_heights_plus_the_head(small_universe, pairs):
     assert chain.state_at(pruned.hash) is None
     assert chain.block(pruned.hash) is None
     assert chain.canonical_hash_at(pruned.number) is None
-    assert chain.find_transaction(pruned.transactions[0].hash) is None
+    assert chain.blocks_at_height(pruned.number) == []
     # a resident block still answers every query
     kept = pairs[-1][0]
-    assert chain.find_transaction(kept.transactions[0].hash)[0] is kept
+    assert chain.block(kept.hash) is kept
+    assert chain.blocks_at_height(kept.number) == [kept]
     assert chain.canonical_hash_at(kept.number) == kept.hash
     # the whole run's canonical transactions, not only the resident ones
     assert chain.canonical_tx_count() == sum(len(b) for b, _ in pairs)
@@ -70,10 +71,12 @@ def test_uncle_totals_survive_the_window(small_universe, pairs):
         assert not chain.add_block(_sibling(block), post_state)
     assert chain.uncle_count() == BLOCKS
     depth = chain.height() - DEFAULT_CHAIN_PARAMS.max_uncle_depth
-    uncles = chain.uncles_at(depth)
-    assert [u.hash for u in uncles] == [_sibling(pairs[depth - 1][0]).hash]
-    assert chain.uncles_at(chain.base_height)
-    assert chain.uncles_at(chain.base_height - 1) == []
+    canonical, sibling = pairs[depth - 1][0], _sibling(pairs[depth - 1][0])
+    assert chain.canonical_hash_at(depth) == canonical.hash
+    assert [b.hash for b in chain.blocks_at_height(depth)] == [canonical.hash, sibling.hash]
+    assert chain.block(sibling.hash) is not None
+    assert len(chain.blocks_at_height(chain.base_height)) == 2
+    assert chain.blocks_at_height(chain.base_height - 1) == []
 
 
 def test_a_checkpointed_chain_counts_from_its_checkpoint(small_universe, pairs):

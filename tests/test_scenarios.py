@@ -17,7 +17,6 @@ The scenario-specific claims pinned here:
 """
 
 import tracemalloc
-from itertools import islice
 
 import pytest
 
@@ -63,13 +62,6 @@ class TestRegistry:
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="counter-shared"):
             get_scenario("no-such-scenario")
-
-    def test_iter_blocks_is_lazy_and_unbounded(self):
-        stream = get_scenario("long-tail", seed=1, txs_per_block=5, compact=True)
-        blocks = list(islice(stream.iter_blocks(), 3))
-        assert [len(b) for b in blocks] == [5, 5, 5]
-        assert stream.height == 3
-        assert len(stream.generate_blocks(2)) == 2
 
 
 class TestCounterStreams:
@@ -232,8 +224,8 @@ class TestLongTail:
         stream = LongTailStream(universe, universe_size=1_000_000)
         tracemalloc.start()
         try:
-            for txs in stream.iter_blocks(5):
-                assert len(txs) > 0
+            for _ in range(5):
+                assert len(stream.generate_block_txs()) > 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

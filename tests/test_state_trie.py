@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
 from repro.common.rlp import rlp_encode, rlp_int
-from repro.state.proofs import (
-    ProofError,
-    prove,
-    prove_secure,
-    verify_proof,
-    verify_secure,
-)
-from repro.state.trie import _BRANCH, _EXTENSION, EMPTY_ROOT, MPT, SecureMPT, _node_rlp, index_root
+from repro.state.trie import _BRANCH, _EXTENSION, EMPTY_ROOT, MPT, SecureMPT, index_root
+from tests.trie_witness import check_node_references
 
 
 class TestBasicSemantics:
@@ -244,73 +238,6 @@ class TestUpdateMany:
         assert batched.root_hash() == sequential.root_hash()
 
 
-class TestProofs:
-    def _populated(self):
-        trie = MPT()
-        for i in range(20):
-            trie = trie.set(f"key-{i}".encode(), f"value-{i}".encode())
-        return trie
-
-    def test_inclusion_proof_round_trips(self):
-        trie = self._populated()
-        root = trie.root_hash()
-        for i in (0, 7, 19):
-            key = f"key-{i}".encode()
-            proof = prove(trie, key)
-            assert verify_proof(root, key, proof) == f"value-{i}".encode()
-
-    def test_exclusion_proof_returns_none(self):
-        trie = self._populated()
-        proof = prove(trie, b"absent")
-        assert verify_proof(trie.root_hash(), b"absent", proof) is None
-
-    def test_empty_trie_exclusion(self):
-        assert verify_proof(EMPTY_ROOT, b"anything", []) is None
-
-    def test_tampered_node_rejected(self):
-        trie = self._populated()
-        proof = prove(trie, b"key-3")
-        tampered = list(proof)
-        tampered[0] = tampered[0][:-1] + bytes([tampered[0][-1] ^ 0x01])
-        with pytest.raises(ProofError):
-            verify_proof(trie.root_hash(), b"key-3", tampered)
-
-    def test_truncated_proof_rejected(self):
-        trie = self._populated()
-        proof = prove(trie, b"key-3")
-        assert len(proof) > 1, "need a multi-node path to truncate"
-        with pytest.raises(ProofError):
-            verify_proof(trie.root_hash(), b"key-3", proof[:-1])
-
-    def test_proof_against_wrong_root_rejected(self):
-        trie = self._populated()
-        other = trie.set(b"key-0", b"changed")
-        proof = prove(trie, b"key-0")
-        with pytest.raises(ProofError):
-            verify_proof(other.root_hash(), b"key-0", proof)
-
-    def test_secure_proofs_round_trip(self):
-        trie = SecureMPT()
-        for i in range(10):
-            trie = trie.set(f"acct{i}".encode(), f"data{i}".encode())
-        root = trie.root_hash()
-        proof = prove_secure(trie, b"acct4")
-        assert verify_secure(root, b"acct4", proof) == b"data4"
-        assert verify_secure(root, b"ghost", prove_secure(trie, b"ghost")) is None
-
-    @settings(max_examples=30, deadline=None)
-    @given(key_value_dicts())
-    def test_every_key_proves_for_any_mapping(self, mapping):
-        trie = MPT()
-        for key, value in mapping.items():
-            trie = trie.set(key, value)
-        root = trie.root_hash()
-        for key, value in mapping.items():
-            assert verify_proof(root, key, prove(trie, key)) == value
-        missing = b"\xff" * 9  # longer than any generated key
-        assert verify_proof(root, missing, prove(trie, missing)) is None
-
-
 class TestSecureMPT:
     def test_get_set(self):
         t = SecureMPT().set(b"account1", b"data")
@@ -423,22 +350,15 @@ class TestAgainstIndependentReference:
     @given(_op_sequences)
     def test_mpt_root_and_proofs(self, ops):
         trie, model = _apply(MPT(), ops)
-        root = trie.root_hash()
-        assert root == reference_root(model)
-        for key, value in model.items():
-            assert verify_proof(root, key, prove(trie, key)) == value
-        for _, key, _ in ops:
-            if key not in model:
-                assert verify_proof(root, key, prove(trie, key)) is None
+        assert trie.root_hash() == reference_root(model)
+        check_node_references(trie)
 
     @settings(max_examples=60, deadline=None)
     @given(_op_sequences)
     def test_secure_root_and_proofs(self, ops):
         trie, model = _apply(SecureMPT(), ops)
-        root = trie.root_hash()
-        assert root == reference_root({keccak(k): v for k, v in model.items()})
-        for key, value in model.items():
-            assert verify_secure(root, key, prove_secure(trie, key)) == value
+        assert trie.root_hash() == reference_root({keccak(k): v for k, v in model.items()})
+        check_node_references(trie)
 
     def test_roots_are_read_before_and_after_an_update(self):
         """A cached reference must not leak into the rewritten path."""
@@ -448,6 +368,16 @@ class TestAgainstIndependentReference:
         model[b"\x07\x07"] = b"w"
         del model[b"\x08\x08"]
         assert trie.root_hash() == reference_root(model)
+
+    def test_the_witness_catches_a_stale_reference(self):
+        trie, _ = _apply(MPT(), [(False, bytes([i, i]), b"v" * 40) for i in range(40)])
+        check_node_references(trie)
+        root = trie._root
+        child = next(c for c in root[2:18] if c is not None)
+        stale = (child[0], b"\xa0" + bytes(32), *child[2:])
+        broken = MPT((*root[:2], *[stale if c is child else c for c in root[2:18]], root[18]))
+        with pytest.raises(AssertionError, match="stale reference"):
+            check_node_references(broken)
 
     @pytest.mark.parametrize(
         "mapping",
@@ -461,8 +391,7 @@ class TestAgainstIndependentReference:
     def test_inline_shapes(self, mapping):
         trie, _ = _apply(MPT(), [(False, k, v) for k, v in mapping.items()])
         assert trie.root_hash() == reference_root(mapping)
-        for key, value in mapping.items():
-            assert verify_proof(trie.root_hash(), key, prove(trie, key)) == value
+        check_node_references(trie)
 
     @pytest.mark.parametrize("value_len", range(26, 33))
     def test_leaf_at_the_32_byte_boundary(self, value_len):
@@ -471,7 +400,7 @@ class TestAgainstIndependentReference:
         mapping = {b"\x01": b"v" * value_len, b"\x11": b"w"}
         trie, _ = _apply(MPT(), [(False, k, v) for k, v in mapping.items()])
         assert trie.root_hash() == reference_root(mapping)
-        assert verify_proof(trie.root_hash(), b"\x01", prove(trie, b"\x01")) == mapping[b"\x01"]
+        check_node_references(trie)
 
     def test_the_strategy_reaches_inline_nodes_at_and_below_the_root(self):
         assert len(rlp_encode(_ref_struct([(_ref_nibbles(b"\x01"), b"a")]))) < 32
@@ -579,7 +508,7 @@ class TestBatchEqualsFold:
         assert len(batched) == len(expected)
         for key in set(expected).union(key for key, _ in batch):
             assert batched.get(key) == expected.get(key)
-            assert verify_proof(root, key, prove(batched, key)) == expected.get(key)
+        check_node_references(batched)
         # the receiver is untouched, whatever it shares with the result
         assert base.root_hash() == reference_root(model)
         assert list(base.items()) == sorted(model.items())
@@ -593,8 +522,7 @@ class TestBatchEqualsFold:
         root = batched.root_hash()
         assert root == _fold(base, batch).root_hash()
         assert root == reference_root({keccak(k): v for k, v in expected.items()})
-        for key, _ in batch:
-            assert verify_secure(root, key, prove_secure(batched, key)) == expected.get(key)
+        check_node_references(batched)
 
     @settings(max_examples=100, deadline=None)
     @given(_op_sequences, st.lists(_short_keys, max_size=10))
@@ -728,8 +656,12 @@ class TestBatchBudget:
         fresh = [node for node in _nodes(updated._root) if id(node) not in shared]
         assert len(built) == len(fresh)
         assert {id(node) for node in built} == {id(node) for node in fresh}
-        # every node here encodes to 32 bytes or more, so each is hashed
-        assert sorted(hashed) == sorted(_node_rlp(node) for node in fresh)
+        # every node here encodes to 32 bytes or more, so each is hashed:
+        # the references of the fresh nodes, checked against an independent
+        # encoding, are the digests of what was hashed
+        preimages = list(hashed)
+        check_node_references(updated)
+        assert sorted(b"\xa0" + keccak(p) for p in preimages) == sorted(node[1] for node in fresh)
         # the same pairs one at a time copy the path from the root per key
         del built[:]
         assert _fold(base, batch).root_hash() == updated.root_hash()

@@ -273,7 +273,7 @@ class TestRestore:
         shared = tx(A, 0, price=15)
         sibling_a = [shared, tx(B, 0)]
         sibling_b = [shared, tx(C, 0)]
-        restored = pool.restore_many(sibling_a) + pool.restore_many(sibling_b)
+        restored = sum(pool.restore(t) for t in sibling_a + sibling_b)
         assert restored == 3  # shared counted once
         assert len(pool) == 3
 

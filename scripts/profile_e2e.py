@@ -30,8 +30,13 @@ a collection walks: the objects the collector tracks when the loop starts
 for the eight types that grew most.  Each census first collects
 until a collection untracks nothing more, so it counts live objects only —
 not whatever garbage generation 0 held at that moment — and reads the same
-from run to run.  The timer ticks with the scheduler (~4 ms), so one
-pass gives a few hundred samples: read shares, not digits.
+from run to run.  Then the memory layer table: this process's peak RSS
+(``ru_maxrss``) when the loop starts and when it ends, the height and stage
+(generate / build / receive, or the calibration kernel) at which it last
+rose, and per stage the MB it added to that peak and to the resident set
+over the loop — a peak set at boot reads as no rise at all.  The timer
+ticks with the scheduler (~4 ms), so one pass gives a few hundred samples:
+read shares, not digits.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import argparse
 import collections
 import gc
 import os
+import resource
 import shutil
 import signal
 import sys
@@ -100,6 +106,73 @@ def census() -> Counter[str]:
         del objects  # else the next list holds this one, and the count grows by one a round
 
 
+PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def max_rss_mb() -> float:
+    """This process's peak resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def rss_mb() -> float:
+    """This process's resident set now."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * PAGE_MB
+
+
+class RssWatch:
+    """Which stage of which block raised the process's peak RSS.  Each stage
+    is wrapped on its owner's instance and ``ru_maxrss`` read around it, with
+    the resident set itself: a stage can set a new peak with a transient on
+    top of what an earlier stage left live, so the two columns differ."""
+
+    STAGES = ("generate", "build", "receive", "kernel")
+
+    def __init__(self) -> None:
+        self.start = self.end = self.rss_start = self.rss_end = 0.0
+        self.height = 0
+        self.peak_rise: Dict[str, float] = dict.fromkeys(self.STAGES, 0.0)
+        self.rss_change: Dict[str, float] = dict.fromkeys(self.STAGES, 0.0)
+        self.last: Optional[Tuple[int, str]] = None
+
+    def attach(self, node: Any, kernel: Any) -> None:
+        chain = node.chain
+
+        def watched(stage: str, call: Callable[..., Any]) -> Callable[..., Any]:
+            def rss_watched(*args: Any, **kwargs: Any) -> Any:
+                if stage == "generate":  # each block starts here, on its parent
+                    self.height = chain.head.number + 1
+                peak, now = max_rss_mb(), rss_mb()
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    self.rss_change[stage] += rss_mb() - now
+                    rise = max_rss_mb() - peak
+                    if rise > 0:
+                        self.peak_rise[stage] += rise
+                        self.last = (self.height, stage)
+
+            return rss_watched
+
+        node.generator.generate_block_txs = watched("generate", node.generator.generate_block_txs)
+        node.proposer.build_block = watched("build", node.proposer.build_block)
+        node.validator.receive_blocks = watched("receive", node.validator.receive_blocks)
+        kernel.run = watched("kernel", kernel.run)
+
+    def report(self) -> None:
+        where = f"height {self.last[0]} in {self.last[1]}" if self.last else "boot (no rise in the loop)"
+        print(
+            f"peak RSS {self.start:.1f} MB when the loop starts, {self.end:.1f} MB when it ends;"
+            f" last rose at {where}"
+        )
+        print(f"{'peak+':>8} {'rss+':>8}  MB each stage added to the peak and to the resident set, over the loop")
+        for stage in self.STAGES:
+            print(f"{self.peak_rise[stage]:8.1f} {self.rss_change[stage]:8.1f}  {stage}")
+        other_peak = self.end - self.start - sum(self.peak_rise.values())
+        other_rss = self.rss_end - self.rss_start - sum(self.rss_change.values())
+        print(f"{other_peak:8.1f} {other_rss:8.1f}  other (between the stages)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="mainnet")
@@ -122,6 +195,7 @@ def main() -> int:
     gc_started: Optional[float] = None
     loop_cpu = 0.0
     censuses: List[Counter[str]] = []  # at the start and at the end of the loop
+    rss = RssWatch()
 
     def on_gc(phase: str, info: Dict[str, int]) -> None:
         nonlocal gc_started
@@ -145,7 +219,8 @@ def main() -> int:
             stack = []
             while frame is not None:
                 code = frame.f_code
-                stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
+                if code.co_name != "rss_watched":  # the RSS table's wrapper is not the node's
+                    stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
                 frame = frame.f_back
             if any(name.startswith("kernel.py:") for name in stack):
                 drop["kernel"] += weight
@@ -162,9 +237,11 @@ def main() -> int:
 
     drive = lifecycle._drive_blocks
 
-    def sampled_drive(*a: Any, **kw: Any) -> None:
+    def sampled_drive(node: Any, blocks: int, kernel: Any, *a: Any, **kw: Any) -> None:
         nonlocal loop_cpu, last_wall
         censuses.append(census())
+        rss.attach(node, kernel)
+        rss.start, rss.rss_start = max_rss_mb(), rss_mb()
         signal.signal(signal.SIGPROF, sampler(stacks, dropped, lambda: 1))
         gc.callbacks.append(on_gc)
         started = time.process_time()
@@ -174,10 +251,11 @@ def main() -> int:
             last_wall = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
         try:
-            drive(*a, **kw)
+            drive(node, blocks, kernel, *a, **kw)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.setitimer(signal.ITIMER_PROF, 0)
+            rss.end, rss.rss_end = max_rss_mb(), rss_mb()
             loop_cpu = time.process_time() - started
             gc.callbacks.remove(on_gc)
             censuses.append(census())
@@ -221,6 +299,7 @@ def main() -> int:
     growth.subtract(boot)
     for name, grew in growth.most_common(8):
         print(f"{boot[name]:8d} {end[name]:8d} {grew:+8d}  {name}")
+    rss.report()
     if args.tree:
         if args.clock == "wall":
             print_tree(wall_stacks, wall_total or 1.0, args.min)

@@ -1,16 +1,18 @@
-"""State snapshot import/export (JSON genesis files).
+"""State snapshot export/import as a JSON document.
 
 Geth ships genesis allocations as JSON; this module does the same for
-:class:`~repro.state.statedb.StateSnapshot`, so worlds can be archived,
+:class:`~repro.state.statedb.StateSnapshot`, so a world can be archived,
 diffed (``python -m json.tool`` first: a document is one line), or
-hand-authored.  Round-tripping preserves the state root exactly (the
-tests assert it), which makes exported snapshots usable as fixtures for
-cross-version regression checks.
+hand-authored.  Round-tripping preserves the state root exactly (the tests
+assert it).
+
+This is an export format only: the store does not write it, its snapshots
+are the binary record of :mod:`repro.store.snapshots`.  The pair is kept for
+the ``state.genesis_root_ms`` probe of ``benchmarks/e2e``, which imports it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict
 
@@ -22,18 +24,7 @@ __all__ = [
     "snapshot_to_json",
     "snapshot_from_json",
     "SnapshotFormatError",
-    "text_digest",
 ]
-
-
-def text_digest(text: str) -> str:
-    """SHA-256 of a serialised document's bytes (UTF-8).
-
-    The integrity digest recorded for snapshot files by
-    :mod:`repro.store`: an exported world is re-importable iff its bytes
-    still hash to what the manifest remembered.
-    """
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 FORMAT_VERSION = 1
 

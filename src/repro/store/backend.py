@@ -42,7 +42,7 @@ from repro.store.blocklog import RECORD_HEADER, BlockLog, decode_record, write_l
 from repro.store.codec import decode_block, encode_block, encode_header, peek_block_number
 from repro.store.errors import StoreError
 from repro.store.manifest import Manifest, SnapshotRef
-from repro.store.snapshots import write_snapshot
+from repro.store.snapshots import SNAPSHOT_SUFFIX, write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.storage import CrashPlan
@@ -346,7 +346,7 @@ class DiskStore:
         for name in os.listdir(self.data_dir):
             if (
                 name.startswith("snapshot_")
-                and name.endswith(".json")
+                and name.endswith(SNAPSHOT_SUFFIX)
                 and name != keep
             ):
                 os.remove(os.path.join(self.data_dir, name))

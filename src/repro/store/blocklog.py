@@ -243,10 +243,6 @@ class BlockLog:
         for offset, payload in self.scan_records(start=start):
             yield offset, decode_record(payload, offset, decode_block)
 
-    def read_all(self) -> List[Block]:
-        """Every intact block in append order (strict: any tail damage raises)."""
-        return [block for _, block in self.scan()]
-
     # ------------------------------------------------------------------ #
     # compaction
     # ------------------------------------------------------------------ #

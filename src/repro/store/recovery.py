@@ -76,10 +76,6 @@ class RecoveryResult:
     #: horizon, duplicates) — recorded, never silently dropped.
     skipped: List[str] = field(default_factory=list)
 
-    @property
-    def was_clean_shutdown(self) -> bool:
-        return self.manifest.clean and not self.healed
-
     def summary(self) -> str:
         head = self.chain.head
         parts = [

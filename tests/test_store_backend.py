@@ -33,7 +33,7 @@ class TestInitialize:
     def test_fresh_dir_layout(self, tmp_path, small_universe):
         chain, store = _open_disk_chain(tmp_path / "node", small_universe.genesis)
         files = sorted(os.listdir(tmp_path / "node"))
-        assert files == ["blocks.log", "manifest.json", "snapshot_00000000.json"]
+        assert files == ["blocks.log", "manifest.json", "snapshot_00000000.snap"]
         manifest = Manifest.load(str(tmp_path / "node"))
         assert manifest.height == 0
         assert manifest.clean is False  # open store = not sealed
@@ -80,7 +80,7 @@ class TestCommitPath:
             chain.add_block(block, post_state)
         manifest = Manifest.load(str(tmp_path / "node"))
         assert manifest.snapshot.height == 4
-        assert manifest.snapshot.file == "snapshot_00000004.json"
+        assert manifest.snapshot.file == "snapshot_00000004.snap"
         assert manifest.snapshot.state_root == bytes(
             pairs[3][1].state_root()
         ).hex()
@@ -130,15 +130,26 @@ class TestCompaction:
         # blocks 1-4 superseded by the height-4 snapshot: only 5 remains
         assert manifest.log_file == "blocks_00000004.log"
         assert manifest.log_start_height == 5
-        assert [b.number for b in store.log.read_all()] == [5]
+        assert [b.number for _, b in store.log.scan()] == [5]
         # only the live generation and the referenced snapshot survive
         files = sorted(os.listdir(tmp_path / "node"))
         assert files == [
             "blocks_00000004.log",
             "manifest.json",
-            "snapshot_00000004.json",
+            "snapshot_00000004.snap",
         ]
         store.close()
+
+    def test_superseded_snapshots_are_deleted(self, tmp_path, small_universe, build_chain):
+        chain, store = _open_disk_chain(
+            tmp_path / "node", small_universe.genesis, snapshot_interval=2
+        )
+        for block, post_state in build_chain(6):
+            chain.add_block(block, post_state)
+        store.close()
+        snapshots = [n for n in os.listdir(tmp_path / "node") if n.startswith("snapshot_")]
+        assert snapshots == [Manifest.load(str(tmp_path / "node")).snapshot.file]
+        assert snapshots == ["snapshot_00000006.snap"]
 
     def test_retry_clobbers_stale_partial_generation(
         self, tmp_path, small_universe, build_chain
@@ -158,7 +169,7 @@ class TestCompaction:
         remnant.write_bytes(LOG_MAGIC + b"\x99\x00\x00\x00\xde\xad")
         for pair in pairs[1:]:
             chain.add_block(*pair)
-        assert [b.number for b in store.log.read_all()] == [3]
+        assert [b.number for _, b in store.log.scan()] == [3]
         store.close()
         result = recover(str(tmp_path / "node"), small_universe.genesis)
         assert result.chain.height() == 3
@@ -175,7 +186,7 @@ class TestCompaction:
         )
         for block, post_state in build_chain(4):
             chain.add_block(block, post_state)
-        assert [b.number for b in store.log.read_all()] == [1, 2, 3, 4]
+        assert [b.number for _, b in store.log.scan()] == [1, 2, 3, 4]
         assert Manifest.load(str(tmp_path / "node")).log_file == "blocks.log"
         store.close()
 
@@ -259,7 +270,7 @@ class TestCompactionCopiesBytes:
         assert decoded == ["encode", 5]
         assert store.manifest.log_file == "blocks_00000004.log"
         assert open(store.log.path, "rb").read() == LOG_MAGIC + sibling_record
-        assert [b.hash for b in store.log.read_all()] == [pairs[4][0].hash]
+        assert [b.hash for _, b in store.log.scan()] == [pairs[4][0].hash]
         store.close()
 
     @pytest.mark.parametrize(
@@ -333,7 +344,7 @@ class TestVerifyWrites:
         with pytest.raises(StoreError, match="disk full"):
             chain.add_block(block, post_state)
         monkeypatch.undo()
-        assert store.log.read_all() == []
+        assert list(store.log.scan()) == []
         assert Manifest.load(str(tmp_path / "node")).height == 0
         # the block is resident as a sibling, but never became canonical
         assert block.hash in chain
@@ -392,7 +403,7 @@ class TestVerifyWrites:
             chain.add_block(block, post_state)
         assert calls == [1, 2, 3]
         monkeypatch.undo()
-        assert [b.number for b in store.log.read_all()] == [1, 2, 3]
+        assert [b.number for _, b in store.log.scan()] == [1, 2, 3]
         store.close()
 
 

@@ -55,7 +55,7 @@ class TestAppendScan:
     def test_fresh_log_is_magic_only(self, tmp_path):
         with BlockLog(str(tmp_path / "blocks.log"), fsync=False) as log:
             assert log.size == len(LOG_MAGIC)
-            assert log.read_all() == []
+            assert list(log.scan()) == []
 
     def test_reopen_appends_after_existing_records(self, tmp_path, blocks):
         path = str(tmp_path / "blocks.log")
@@ -63,7 +63,7 @@ class TestAppendScan:
             log.append(blocks[0])
         with BlockLog(path, fsync=False) as log:
             log.append(blocks[1])
-            assert [b.hash for b in log.read_all()] == [
+            assert [b.hash for _, b in log.scan()] == [
                 blocks[0].hash,
                 blocks[1].hash,
             ]
@@ -129,10 +129,10 @@ class TestTornTail:
             torn_at = log.size
             log.append(blocks[1], tear_after=3)  # even the header is torn
             log.truncate_to(torn_at)
-            assert [b.hash for b in log.read_all()] == [blocks[0].hash]
+            assert [b.hash for _, b in log.scan()] == [blocks[0].hash]
             # the healed log accepts fresh appends
             log.append(blocks[1])
-            assert len(log.read_all()) == 2
+            assert len(list(log.scan())) == 2
 
     def test_cannot_truncate_into_magic(self, tmp_path, blocks):
         with BlockLog(str(tmp_path / "blocks.log"), fsync=False) as log:
@@ -180,5 +180,5 @@ class TestRewrite:
             for b in blocks:
                 log.append(b)
             log.rewrite(blocks[2:])
-            assert [b.hash for b in log.read_all()] == [blocks[2].hash]
+            assert [b.hash for _, b in log.scan()] == [blocks[2].hash]
         assert not os.path.exists(path + ".tmp")

@@ -202,7 +202,7 @@ class TestStraysAfterACrash:
             chain.add_block(*pairs[3])
         monkeypatch.undo()
         assert {"blocks.log", "blocks_00000004.log"} <= set(os.listdir(data_dir))
-        (data_dir / "snapshot_00000008.json.tmp").write_bytes(b"half a snap")
+        (data_dir / "snapshot_00000008.snap.tmp").write_bytes(b"half a snap")
         (data_dir / "events.jsonl").write_bytes(b"")
 
         chain, store, result = open_store(
@@ -213,8 +213,8 @@ class TestStraysAfterACrash:
             "blocks_00000004.log",
             "events.jsonl",
             "manifest.json",
-            "snapshot_00000000.json",
-            "snapshot_00000004.json",
+            "snapshot_00000000.snap",
+            "snapshot_00000004.snap",
         ]
         for pair in pairs[4:]:
             chain.add_block(*pair)
@@ -224,5 +224,5 @@ class TestStraysAfterACrash:
             "blocks_00000012.log",
             "events.jsonl",
             "manifest.json",
-            "snapshot_00000012.json",
+            "snapshot_00000012.snap",
         ]

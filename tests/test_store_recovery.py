@@ -1,15 +1,19 @@
 """Recovery edge cases: fresh dirs, snapshots, forks, double restarts."""
 
+import dataclasses
 import gc
+import hashlib
 import os
 
 import pytest
 
 from repro.chain.blockchain import Blockchain
+from repro.state.serialize import snapshot_to_json
 from repro.store import (
     GC_GEN0_THRESHOLD,
     DiskStore,
     Manifest,
+    SnapshotCorruptError,
     StoreError,
     chain_digest,
     encode_header,
@@ -57,7 +61,7 @@ class TestRoundTrip:
         result = recover(str(tmp_path / "node"), small_universe.genesis)
         assert result.fresh is False
         assert result.replayed == 4
-        assert result.was_clean_shutdown is False  # never sealed
+        assert not (result.manifest.clean and not result.healed)  # never sealed
         assert chain_digest(result.chain.canonical_chain()) == chain_digest(
             original.canonical_chain()
         )
@@ -73,7 +77,7 @@ class TestRoundTrip:
         store.seal()
         store.close()
         result = recover(str(tmp_path / "node"), small_universe.genesis)
-        assert result.was_clean_shutdown is True
+        assert result.manifest.clean and not result.healed
         assert result.chain.height() == 2
 
     def test_recovery_verifies_roots_by_reexecution(
@@ -143,6 +147,27 @@ class TestSnapshotBoot:
         assert result.base_height == 0
         assert result.replayed == 3
         assert result.chain.height() == 3
+
+    def test_a_json_snapshot_from_an_older_version_is_refused(
+        self, tmp_path, small_universe, build_chain
+    ):
+        """Earlier versions wrote the snapshot as a JSON document: its
+        digest still matches, but the store reads one format and names the
+        other unsupported rather than falling back to a second reader."""
+        data_dir = tmp_path / "node"
+        _populate(data_dir, small_universe.genesis, build_chain(2), snapshot_interval=0)
+        manifest = Manifest.load(str(data_dir))
+        os.remove(data_dir / manifest.snapshot.file)
+        raw = snapshot_to_json(small_universe.genesis, note="height=0").encode()
+        (data_dir / "snapshot_00000000.json").write_bytes(raw)
+        manifest.snapshot = dataclasses.replace(
+            manifest.snapshot,
+            file="snapshot_00000000.json",
+            sha256=hashlib.sha256(raw).hexdigest(),
+        )
+        manifest.write(str(data_dir), fsync=False, both=True)
+        with pytest.raises(SnapshotCorruptError, match="unsupported format"):
+            recover(str(data_dir), small_universe.genesis)
 
 
 class TestForks:
@@ -255,7 +280,7 @@ class TestDoubleRestart:
         store.close()
         final = recover(str(tmp_path / "node"), small_universe.genesis)
         assert final.chain.height() == 4
-        assert final.was_clean_shutdown is True
+        assert final.manifest.clean and not final.healed
 
 
 class TestCollectorSchedule:

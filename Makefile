@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint coverage bench bench-compare bench-e2e-quick bench-e2e-compare ab-e2e profile-e2e trace-demo examples clean
+.PHONY: install test test-all test-fast serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint coverage bench bench-compare bench-e2e-quick bench-e2e-compare ab-e2e profile-e2e census trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -97,6 +97,12 @@ ab-e2e:
 # W=mint-rush, or as a call tree: make profile-e2e W=mainnet ARGS="--tree --min 2"
 profile-e2e:
 	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet) $(ARGS)
+
+# who reaches what in src/repro: with no ARGS, the public names, fields and
+# keyword parameters only tests reach (leads, not verdicts); with names,
+# each one's references split by tree: make census ARGS="uncle_count"
+census:
+	$(PYTHON) scripts/census.py $(ARGS)
 
 trace-demo:
 	$(PYTHON) -m repro --txs-per-block 60 trace --mode round --rounds 2 \

@@ -24,7 +24,7 @@ paper-versus-measured record of every figure.
 """
 
 from repro.common import Address, Hash32
-from repro.chain import Block, BlockHeader, BlockProfile, Blockchain, ChainParams, ETHEREUM_POW_PARAMS
+from repro.chain import Block, BlockHeader, BlockProfile, Blockchain, ChainParams
 from repro.core import (
     OCCWSIProposer,
     ProposerConfig,
@@ -60,7 +60,6 @@ __all__ = [
     "BlockProfile",
     "Blockchain",
     "ChainParams",
-    "ETHEREUM_POW_PARAMS",
     "OCCWSIProposer",
     "ProposerConfig",
     "ParallelValidator",

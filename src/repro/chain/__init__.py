@@ -21,7 +21,7 @@ from repro.chain.block import (
     receipts_root,
 )
 from repro.chain.blockchain import Blockchain, ChainError
-from repro.chain.params import ChainParams, DEFAULT_CHAIN_PARAMS, ETHEREUM_POW_PARAMS
+from repro.chain.params import ChainParams, DEFAULT_CHAIN_PARAMS
 
 __all__ = [
     "Block",
@@ -35,5 +35,4 @@ __all__ = [
     "ChainError",
     "ChainParams",
     "DEFAULT_CHAIN_PARAMS",
-    "ETHEREUM_POW_PARAMS",
 ]

@@ -178,7 +178,6 @@ class Block:
     transactions: Tuple[Transaction, ...]
     receipts: Tuple[Receipt, ...] = ()
     profile: Optional[BlockProfile] = None
-    uncles: Tuple[BlockHeader, ...] = ()
 
     @property
     def hash(self) -> Hash32:

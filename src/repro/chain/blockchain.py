@@ -1,4 +1,4 @@
-"""The block store: canonical chain, forks, uncles, per-block state.
+"""The block store: canonical chain, forks, per-block state.
 
 The chain keeps a fixed window of heights resident: the post-state of
 every known block in the last :data:`RESIDENT_HEIGHTS` heights below the
@@ -13,7 +13,7 @@ store is durability, not a read path.
 Fork choice is longest-chain with first-seen tie-breaking (Ethereum PoW's
 effective behaviour for equal difficulty).  Siblings displaced from the
 canonical chain stay resident at their height and are counted as uncles
-(§3.4).
+(§3.4) — a fork statistic; no block embeds or rewards them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ __all__ = ["Blockchain", "ChainError", "RESIDENT_HEIGHTS"]
 GENESIS_PARENT = Hash32(b"\x00" * 32)
 
 #: Heights kept resident below the head (the head's height plus this many
-#: more).  Larger than ``DEFAULT_CHAIN_PARAMS.max_uncle_depth`` so every
-#: uncle a proposer may still include stays resident.
+#: more).  Deep enough that a fork sibling several blocks behind the head
+#: still finds its parent state and is validated, not refused as an
+#: unknown parent.
 RESIDENT_HEIGHTS = 8
 
 

@@ -197,8 +197,6 @@ def diff_block(
         db,
         coinbase=block.header.coinbase,
         total_fees=total_fees,
-        block_number=block.number,
-        uncles=block.uncles,
         params=params,
     )
     serial_root = serial_post.state_root()

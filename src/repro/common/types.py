@@ -68,11 +68,6 @@ def hash32_from_hex(text: str) -> Hash32:
     return hash32(bytes.fromhex(text[2:] if text[:2] in ("0x", "0X") else text))
 
 
-def hex0x(value: bytes) -> str:
-    """``0x``-prefixed hex of an address or digest."""
-    return "0x" + value.hex()
-
-
 def to_u256(value: int) -> int:
     """Reduce an arbitrary Python int into the unsigned 256-bit ring."""
     return value & U256_MASK

@@ -87,8 +87,6 @@ class SerialExecutor:
             db,
             coinbase=block.header.coinbase,
             total_fees=total_fees,
-            block_number=block.number,
-            uncles=block.uncles,
             params=self.params,
         )
         return SerialResult(

@@ -95,7 +95,7 @@ class ValidatorPipeline:
 
     ``config`` is the per-block validator's; its ``lanes`` is the width of
     the pool every in-flight block shares.  Every fork sibling is validated
-    in full: uncle bookkeeping needs them.  A ``tracer`` records
+    in full: any of them may yet become canonical.  A ``tracer`` records
     each scheduled subgraph as a span on its pool lane, which
     :func:`repro.obs.export.render_timeline` paints as a Gantt view.
     """

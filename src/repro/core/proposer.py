@@ -10,7 +10,7 @@ about their transactions in the block profile" (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.chain.block import (
     Block,
@@ -36,8 +36,6 @@ def finalize_block_state(
     *,
     coinbase: Address,
     total_fees: int,
-    block_number: int = 0,
-    uncles: Sequence[BlockHeader] = (),
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
 ) -> StateSnapshot:
     """Apply end-of-block value flows — deferred fees and rewards — to the
@@ -47,21 +45,15 @@ def finalize_block_state(
     inside each transaction would make *every* pair of transactions
     conflict on the coinbase balance, so the interpreter returns each
     transaction's fee (:attr:`~repro.evm.interpreter.TxResult.fee`) and
-    the block credits their sum once, here.  Block and uncle rewards
-    follow :class:`~repro.chain.params.ChainParams`.  Proposers apply this
+    the block credits their sum once, here, with the block reward of
+    :class:`~repro.chain.params.ChainParams`.  Proposers apply this
     when sealing (to the materialised proposal) and validators apply the
     identical update after re-execution (to the overlay they executed
     into), so state roots stay comparable.
     """
-    proposer_credit = (
-        total_fees + params.block_reward + params.nephew_reward(len(uncles))
-    )
+    proposer_credit = total_fees + params.block_reward
     if proposer_credit:
         db.add_balance(coinbase, proposer_credit)
-    for uncle in uncles:
-        reward = params.uncle_reward(block_number, uncle.number)
-        if reward:
-            db.add_balance(uncle.coinbase, reward)
     return db.commit()
 
 
@@ -83,7 +75,6 @@ def seal_block(
     gas_limit: int,
     proposer_id: str = "",
     include_profile: bool = True,
-    uncles: Sequence[BlockHeader] = (),
     params: ChainParams = DEFAULT_CHAIN_PARAMS,
     metrics: Optional[MetricsRegistry] = None,
 ) -> SealedProposal:
@@ -116,20 +107,10 @@ def seal_block(
             )
         )
 
-    if len(uncles) > params.max_uncles:
-        raise ValueError(f"too many uncles: {len(uncles)} > {params.max_uncles}")
-    block_number = parent.number + 1
-    for uncle in uncles:
-        if not params.validate_uncle(block_number, uncle.number):
-            raise ValueError(
-                f"uncle at height {uncle.number} out of range for block {block_number}"
-            )
     post_state = finalize_block_state(
         materialize_store(proposal.base, proposal.store),
         coinbase=coinbase,
         total_fees=proposal.total_fees,
-        block_number=block_number,
-        uncles=uncles,
         params=params,
     )
 
@@ -139,7 +120,7 @@ def seal_block(
 
     header = BlockHeader(
         parent_hash=parent.hash,
-        number=block_number,
+        number=parent.number + 1,
         state_root=post_state.state_root(),
         transactions_root=transactions_root(txs),
         receipts_root=receipts_root(receipts),
@@ -150,7 +131,7 @@ def seal_block(
         proposer_id=proposer_id,
         logs_bloom=logs_bloom,
     )
-    block = Block(header, txs, receipts, profile, uncles=tuple(uncles))
+    block = Block(header, txs, receipts, profile)
     metrics = metrics or NULL_METRICS
     metrics.counter("proposer.blocks_sealed").inc()
     metrics.gauge("proposer.block_txs").set(len(txs))

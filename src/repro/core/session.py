@@ -72,6 +72,10 @@ __all__ = [
 _DEPTH_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1 << 30)
 #: Fixed buckets for per-transaction abort/retry counts.
 _RETRY_EDGES = (0, 1, 2, 3, 4, 6, 8, 12, 16, 32, 1 << 20)
+#: Safety valve: abandon a transaction after this many aborts (a real
+#: proposer would rather ship the block than spin; never hit in practice
+#: because the pool drains).
+MAX_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,6 @@ class ProposerConfig:
     #: :mod:`repro.core.blockstm`).  Consumed by
     #: :func:`repro.core.strategies.build_proposer`.
     strategy: str = "occ-wsi"
-    #: Safety valve: abandon a transaction after this many aborts (a real
-    #: proposer would rather ship the block than spin; never hit in
-    #: practice because the pool drains).
-    max_retries: int = 1000
     #: Run the serializability oracle (:mod:`repro.check.oracle`) over every
     #: proposal before returning it, raising
     #: :class:`~repro.check.oracle.ScheduleViolationError` if the committed
@@ -417,10 +417,10 @@ class ProposeSession:
 
     def abort(self, tx: Transaction) -> int:
         """A stale read: back to the pool (``PushHeap``), or dropped once
-        ``max_retries`` is spent.  Returns the transaction's abort count."""
+        :data:`MAX_RETRIES` is spent.  Returns the transaction's abort count."""
         self.aborts += 1
         retries = self._retry_counts[tx.hash] = self._retry_counts.get(tx.hash, 0) + 1
-        if retries >= self.cfg.max_retries:
+        if retries >= MAX_RETRIES:
             self.pool.drop(tx)
             self.retries_exhausted += 1
         else:

@@ -83,7 +83,7 @@ class ValidatorConfig:
     #: When a block arrives without a profile, derive footprints by serial
     #: pre-execution in the preparation phase instead of rejecting.
     preexecute_fallback: bool = False
-    #: Consensus constants (rewards, uncle policy) — must equal the
+    #: Consensus constants (the block reward) — must equal the
     #: proposer's or state roots diverge, as on a real network.
     params: ChainParams = DEFAULT_CHAIN_PARAMS
     #: Prefetch all storage slots named in the block profile before
@@ -300,19 +300,11 @@ class ParallelValidator:
         except ValueError as exc:
             return malformed(f"structure: {exc}")
 
-        params = config.params
         if block.header.gas_used > block.header.gas_limit:
             return malformed(
                 f"block gas {block.header.gas_used} exceeds limit "
                 f"{block.header.gas_limit}"
             )
-        if len(block.uncles) > params.max_uncles:
-            return malformed(f"too many uncles: {len(block.uncles)}")
-        for uncle in block.uncles:
-            if not params.validate_uncle(block.number, uncle.number):
-                return malformed(
-                    f"uncle at height {uncle.number} invalid for block {block.number}"
-                )
 
         # ----- execute: one fault ladder, one plan, any substrate --------- #
         # Injected worker crashes are resolved first (no partial commits can
@@ -438,9 +430,7 @@ class ParallelValidator:
             outcome.db,
             coinbase=block.header.coinbase,
             total_fees=sum(tx_result.fee for tx_result in tx_results),
-            block_number=block.number,
-            uncles=block.uncles,
-            params=params,
+            params=config.params,
         )
         failure = self.applier.verify_block(
             block, post_state, build_receipts(block.transactions, tx_results)

@@ -32,7 +32,7 @@ class FailureReason(enum.Enum):
     """Why a block was rejected by the validator stack."""
 
     #: Structural violation: tx root mismatch, profile misaligned,
-    #: gas-limit overflow, bad uncles, invalid transaction, missing profile.
+    #: gas-limit overflow, invalid transaction, missing profile.
     MALFORMED_BLOCK = "malformed_block"
     #: Re-executed read key set disagrees with the block profile.
     PROFILE_READ_MISMATCH = "profile_read_mismatch"

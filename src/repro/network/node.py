@@ -78,7 +78,6 @@ class ProposerNode:
         *,
         timestamp: Optional[int] = None,
         include_profile: bool = True,
-        uncles: Sequence[BlockHeader] = (),
     ) -> SealedProposal:
         """Select, execute in parallel, and seal the next block."""
         pool = TxPool()
@@ -98,7 +97,6 @@ class ProposerNode:
             gas_limit=self.engine.config.gas_limit,
             proposer_id=self.node_id,
             include_profile=include_profile,
-            uncles=uncles,
             params=self.params,
             metrics=self.metrics,
         )

@@ -10,8 +10,8 @@ it at commit.
 
 from __future__ import annotations
 
-from dataclasses import field, replace
-from typing import Any, Mapping
+from dataclasses import field
+from typing import Mapping
 
 from repro.common.hashing import EMPTY_HASH
 from repro.common.records import record
@@ -55,9 +55,6 @@ class AccountData:
             and not self.code
             and not self.storage
         )
-
-    def with_(self, **kwargs: Any) -> "AccountData":
-        return replace(self, **kwargs)
 
 
 EMPTY_ACCOUNT = AccountData()

@@ -40,7 +40,6 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.state.statedb import StateSnapshot
 from repro.store.blocklog import RECORD_HEADER, BlockLog, decode_record, write_log
 from repro.store.codec import decode_block, encode_block, encode_header, peek_block_number
-from repro.store.errors import StoreError
 from repro.store.manifest import Manifest, SnapshotRef
 from repro.store.snapshots import SNAPSHOT_SUFFIX, write_snapshot
 
@@ -184,13 +183,6 @@ class DiskStore:
     def on_block(self, block: Block, post_state: StateSnapshot, *, head: bool) -> None:
         if self.log is None:
             raise RuntimeError("DiskStore used before initialize()/adopt()")
-        if block.uncles:
-            # the codec does not carry uncle headers: a logged copy would
-            # replay without their rewards and fail recovery
-            raise StoreError(
-                f"block {block.number} carries {len(block.uncles)} uncle "
-                "header(s), which the block log cannot persist"
-            )
         started = time.perf_counter()
         height = block.number
         crash = self.crash

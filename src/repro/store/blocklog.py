@@ -28,7 +28,7 @@ import os
 import struct
 import time
 import zlib
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Tuple, TypeVar
 
 from repro.chain.block import Block
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -242,18 +242,3 @@ class BlockLog:
         that does not decode raises :class:`BlockLogCorruptError` too."""
         for offset, payload in self.scan_records(start=start):
             yield offset, decode_record(payload, offset, decode_block)
-
-    # ------------------------------------------------------------------ #
-    # compaction
-    # ------------------------------------------------------------------ #
-
-    def rewrite(self, blocks: List[Block]) -> int:
-        """Atomically replace the log's contents with ``blocks`` (a crash
-        leaves either the old log or the new one — never a hybrid).
-        Returns the new file size.
-        """
-        write_log(self.path, map(encode_block, blocks), fsync=self.fsync)
-        if self._fh is not None:
-            self._fh.close()
-        self._fh = open(self.path, "a+b")
-        return self._fh.seek(0, os.SEEK_END)

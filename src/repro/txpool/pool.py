@@ -318,9 +318,6 @@ class TxPool:
             return False
         return True
 
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
-
     def has_ready(self) -> bool:
         """True when ``pop_best`` would return a transaction right now.
 

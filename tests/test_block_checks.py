@@ -5,20 +5,27 @@ root once, and each judges the receipts a block ships the same way: by
 re-deriving them (``build_receipts``) and handing them to
 ``Applier.verify_block``, which rejects shipped receipts that differ with
 ``RECEIPT_MISMATCH``.
+
+Every other field of a block is authenticated too, by the header's roots
+or by re-execution: a forged body that keeps the block hash is rejected
+with a typed failure or is harmless.
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.chain import block as block_mod
+from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator
-from repro.faults.errors import FailureReason
+from repro.faults.errors import FailureReason, ValidationFailure
 from repro.network.node import ProposerNode, ValidatorNode
 from repro.state.trie import index_root
 from repro.store import DiskStore, ReplayDivergenceError, encode_header, recover
-from repro.store.blocklog import BlockLog
+from repro.store.blocklog import write_log
+from repro.store.codec import encode_block
 from repro.store.manifest import Manifest
 
 
@@ -119,14 +126,86 @@ class TestShippedReceipts:
         pairs = build_chain(2)
         data_dir = tmp_path / "node"
         _disk_chain(data_dir, small_universe.genesis, pairs)
-        log = BlockLog(str(data_dir / "blocks.log"), fsync=False)
-        log.rewrite([pairs[0][0], _with_tampered_log(pairs[1][0])])
-        size = log.size
-        log.close()
+        log_path = str(data_dir / "blocks.log")
+        forged = [pairs[0][0], _with_tampered_log(pairs[1][0])]
+        write_log(log_path, map(encode_block, forged), fsync=False)
         manifest = Manifest.load(str(data_dir))
-        manifest.log_bytes = size
+        manifest.log_bytes = os.path.getsize(log_path)
         manifest.write(str(data_dir), fsync=False)
 
         with pytest.raises(ReplayDivergenceError, match="shipped receipts") as excinfo:
             recover(str(data_dir), small_universe.genesis, fsync=False)
         assert excinfo.value.height == 2
+
+
+def _drop_last_transaction(block):
+    return dataclasses.replace(block, transactions=block.transactions[:-1])
+
+
+def _alter_receipt_gas(block):
+    receipts = list(block.receipts)
+    receipts[0] = dataclasses.replace(receipts[0], gas_used=receipts[0].gas_used + 1)
+    return dataclasses.replace(block, receipts=tuple(receipts))
+
+
+def _drop_profile(block):
+    return dataclasses.replace(block, profile=None)
+
+
+def _alter_profile_write(block):
+    entries = list(block.profile.entries)
+    index = next(i for i, entry in enumerate(entries) if entry.rw.writes)
+    rw = entries[index].rw
+    (key, value), *rest = rw.writes
+    forged = rw._replace(writes=((key, value + 1), *rest))
+    entries[index] = dataclasses.replace(entries[index], rw=forged)
+    profile = dataclasses.replace(block.profile, entries=tuple(entries))
+    return dataclasses.replace(block, profile=profile)
+
+
+#: How each field of a ``Block`` besides its header is forged without
+#: changing the block hash.  A field missing here fails the test below:
+#: a new field must show how a validator authenticates it.
+FORGERIES = {
+    "transactions": (_drop_last_transaction,),
+    "receipts": (_alter_receipt_gas,),
+    "profile": (_drop_profile, _alter_profile_write),
+}
+
+BODY_FIELDS = [field.name for field in dataclasses.fields(Block) if field.name != "header"]
+
+
+@pytest.mark.robustness
+class TestForgedBodies:
+    def test_every_forgery_names_a_field(self):
+        assert set(FORGERIES) <= set(BODY_FIELDS)
+
+    @pytest.mark.parametrize("name", BODY_FIELDS)
+    def test_a_durable_validator_refuses_or_ignores_a_forged_field(
+        self, tmp_path, small_universe, build_chain, name
+    ):
+        """Delivered to a ``ValidatorNode`` over a ``DiskStore`` chain, a
+        forged block ends accepted with the honest post-state root or
+        rejected with a typed ``ValidationFailure``; nothing escapes."""
+        if name not in FORGERIES:
+            pytest.fail(f"Block.{name} declares no forgery: how is it authenticated?")
+        block, post_state = build_chain(1)[0]
+        for forge in FORGERIES[name]:
+            forged = forge(block)
+            assert forged.hash == block.hash
+            data_dir = tmp_path / forge.__name__
+            store = DiskStore(str(data_dir), fsync=False, snapshot_interval=0)
+            chain = Blockchain(small_universe.genesis, store=store)
+            store.initialize(encode_header(chain.genesis.header), small_universe.genesis)
+            node = ValidatorNode("forged", small_universe.genesis, chain=chain)
+            try:
+                outcome = node.receive_blocks([forged])
+            except Exception as exc:
+                pytest.fail(f"{forge.__name__}: {type(exc).__name__} escaped: {exc}")
+            finally:
+                store.close()
+            if outcome.accepted:
+                assert chain.head_state.state_root() == post_state.state_root()
+            else:
+                assert isinstance(outcome.failures[0], ValidationFailure), forge.__name__
+                assert chain.head.number == 0

@@ -12,7 +12,6 @@ from repro.common.types import (
     address_to_int,
     hash32,
     hash32_from_hex,
-    hex0x,
     to_u256,
     u256_add,
     u256_sub,
@@ -38,7 +37,7 @@ class TestAddress:
     def test_from_hex_with_prefix(self):
         a = address_from_hex("0x" + "ab" * 20)
         assert a == bytes.fromhex("ab" * 20)
-        assert hex0x(a) == "0x" + "ab" * 20
+        assert "0x" + a.hex() == "0x" + "ab" * 20
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +60,7 @@ class TestHash32:
         with pytest.raises(ValueError):
             hash32(b"\x01" * 31)
         h = hash32(b"\x01" * 32)
-        assert hex0x(h).startswith("0x01")
+        assert h.hex().startswith("01")
 
     def test_from_hex(self):
         h = hash32_from_hex("0x" + "00" * 32)

@@ -8,6 +8,7 @@ parallel schedule is serializable and the block order is its witness.
 
 
 from repro.common.types import address_from_int
+from repro.core import session
 from repro.core.baselines import SerialExecutor
 from repro.core.occ_wsi import OCCWSIProposer, ProposerConfig
 from repro.evm.interpreter import EVM, ExecutionContext
@@ -106,11 +107,12 @@ class TestConflicts:
         result, _ = run_proposer(base, txs, lanes=1)
         assert result.stats.aborts == 0
 
-    def test_retries_exhausted_drops_tx(self):
+    def test_retries_exhausted_drops_tx(self, monkeypatch):
+        monkeypatch.setattr(session, "MAX_RETRIES", 1)
         eoas, base = simple_world()
         hot = eoas[9]
         txs = [payment(eoas[i], hot) for i in range(6)]
-        result, _ = run_proposer(base, txs, lanes=6, max_retries=1)
+        result, _ = run_proposer(base, txs, lanes=6)
         assert result.retries_exhausted > 0
         assert len(result.committed) + result.retries_exhausted == 6
 

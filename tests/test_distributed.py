@@ -291,8 +291,6 @@ class TestBitIdentity:
                 outcome.db,
                 coinbase=block.header.coinbase,
                 total_fees=sum(r.fee for r in outcome.tx_results),
-                block_number=block.number,
-                uncles=block.uncles,
                 params=DEFAULT_CHAIN_PARAMS,
             )
             assert post_state.state_root() == reference.post_state.state_root()

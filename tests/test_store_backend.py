@@ -351,26 +351,6 @@ class TestVerifyWrites:
         assert chain.head.number == 0
         store.close()
 
-    def test_a_block_with_uncles_is_refused_before_the_append(
-        self, tmp_path, small_universe, build_chain
-    ):
-        """The codec carries no uncle headers: a logged copy would replay
-        without their rewards, so the store refuses it outright."""
-        import dataclasses
-
-        chain, store = _open_disk_chain(
-            tmp_path / "node", small_universe.genesis, snapshot_interval=0
-        )
-        (block, post_state), (child, child_state) = build_chain(2)
-        chain.add_block(block, post_state)
-        size = store.log.size
-        with_uncle = dataclasses.replace(child, uncles=(block.header,))
-        with pytest.raises(StoreError, match="uncle"):
-            chain.add_block(with_uncle, child_state)
-        assert store.log.size == size
-        assert chain.head.hash == block.hash
-        store.close()
-
     @pytest.mark.parametrize("fsync", [True, False])
     def test_block_is_encoded_once_per_commit(
         self, tmp_path, small_universe, build_chain, monkeypatch, fsync

@@ -1,6 +1,5 @@
 """Block log framing: append/scan round trips, torn tails, corruption."""
 
-import os
 import zlib
 
 import pytest
@@ -171,14 +170,3 @@ class TestInteriorCorruption:
             with pytest.raises(TornTailError) as excinfo:
                 list(log.scan())
         assert excinfo.value.offset == last
-
-
-class TestRewrite:
-    def test_rewrite_keeps_only_given_blocks(self, tmp_path, blocks):
-        path = str(tmp_path / "blocks.log")
-        with BlockLog(path, fsync=False) as log:
-            for b in blocks:
-                log.append(b)
-            log.rewrite(blocks[2:])
-            assert [b.hash for _, b in log.scan()] == [blocks[2].hash]
-        assert not os.path.exists(path + ".tmp")

@@ -128,10 +128,12 @@ class TestTamperDetection:
     ):
         """A record that decodes but lies about its state root is caught."""
         import dataclasses
+        import os
 
         from repro.chain.block import Block
         from repro.common.types import hash32
-        from repro.store.blocklog import BlockLog
+        from repro.store.blocklog import write_log
+        from repro.store.codec import encode_block
         from repro.store.manifest import Manifest
 
         pairs = build_chain(2)
@@ -151,14 +153,12 @@ class TestTamperDetection:
         forged = Block(
             forged_header, pairs[0][0].transactions, pairs[0][0].receipts
         )
-        log = BlockLog(f"{data_dir}/blocks.log", fsync=False)
-        log.rewrite([forged])
-        size = log.size
-        log.close()
+        log_path = f"{data_dir}/blocks.log"
+        write_log(log_path, map(encode_block, [forged]), fsync=False)
         manifest = Manifest.load(data_dir)
         manifest.head_hash = bytes(forged.hash).hex()
         manifest.state_root = bytes(forged_header.state_root).hex()
-        manifest.log_bytes = size
+        manifest.log_bytes = os.path.getsize(log_path)
         manifest.write(data_dir, fsync=False)
 
         with pytest.raises(ReplayDivergenceError) as excinfo:

@@ -294,7 +294,8 @@ class TestRestore:
         pool.add(t0)
         pool.pop_best()  # t0 now in flight
         assert not pool.restore(t0)
-        assert pool.in_flight_count() == 1
+        # still held, but not ready: in flight
+        assert len(pool) == 1 and pool.contains(t0.hash) and not pool.has_ready()
 
     def test_restore_later_nonce_parks(self):
         """Restoring nonce 1 while 0 is committed promotes it to ready."""

@@ -82,7 +82,7 @@ class PoolModel:
 def check(pool, model):
     pool.check_invariants()
     assert len(pool) == len(model.queued)
-    assert pool.in_flight_count() == len(model.in_flight)
+    assert all(pool.contains(t.hash) for t in model.in_flight.values())
     for t in model.queued.values():
         assert pool.contains(t.hash)
     for t in model.packed[-3:] + model.dropped[-3:]:

@@ -99,7 +99,8 @@ profile-e2e:
 	$(PYTHON) scripts/profile_e2e.py --workload $(or $(W),mainnet) $(ARGS)
 
 # who reaches what in src/repro: with no ARGS, the public names, fields and
-# keyword parameters only tests reach (leads, not verdicts); with names,
+# keyword parameters only tests reach (leads, not verdicts); ARGS=--knobs,
+# the *Config / *Params fields nothing outside tests sets; with names,
 # each one's references split by tree: make census ARGS="uncle_count"
 census:
 	$(PYTHON) scripts/census.py $(ARGS)

@@ -1,13 +1,18 @@
 """Who reaches what: a census of the names ``src/repro`` defines.
 
     python scripts/census.py            # leads: names only tests reach
+    python scripts/census.py --knobs    # leads: settings nothing sets
     python scripts/census.py NAME ...   # each name's references, by tree
 
 The first form lists each public function, class, method, constant, field
 and keyword parameter of ``src/repro`` that no file outside ``tests/``
 reaches, apart from its own module: a word use reaches a name, a keyword
 in a call of its function reaches a parameter, a constructor keyword or
-attribute read reaches a field.  Leads to check by hand, not verdicts.
+attribute read reaches a field.  ``--knobs`` lists each field of a
+``*Config`` / ``*Params`` class that no constructor keyword and no
+``replace(..., field=)`` outside ``tests/`` and its own module sets: a
+field every caller leaves at its default, however often it is read.
+Leads to check by hand, not verdicts.
 """
 
 from __future__ import annotations
@@ -84,6 +89,17 @@ def leads() -> None:
                 print(f"{kind:9} {module}:{qualified}")
 
 
+def knobs() -> None:
+    calls = {path: _uses(path)[1] for tree, path in _files() if tree != "tests"}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        sets = set().union(*(c for other, c in calls.items() if other != path))
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for kind, qualified, name, owner in _definitions(path):
+            knob = kind == "field" and owner.endswith(("Config", "Params"))
+            if knob and not {(owner, name), ("replace", name)} & sets:
+                print(f"knob      {module}:{qualified}")
+
+
 def references(names) -> None:
     for name in names:
         found = {tree: [] for tree in TREES}
@@ -97,4 +113,7 @@ def references(names) -> None:
 
 
 if __name__ == "__main__":
-    references(sys.argv[1:]) if sys.argv[1:] else leads()
+    if sys.argv[1:] == ["--knobs"]:
+        knobs()
+    else:
+        references(sys.argv[1:]) if sys.argv[1:] else leads()

@@ -105,7 +105,6 @@ class SerialExecutor:
         ctx: ExecutionContext,
         *,
         gas_limit: int = 30_000_000,
-        max_txs: Optional[int] = None,
     ) -> SerialResult:
         """Serial block building (the proposer baseline of Fig. 6).
 
@@ -122,7 +121,7 @@ class SerialExecutor:
         invalid = 0
         cur_gas = 0
         time = 0.0
-        while cur_gas < gas_limit and (max_txs is None or len(packed) < max_txs):
+        while cur_gas < gas_limit:
             tx = pool.pop_best()
             if tx is None:
                 break

@@ -56,7 +56,6 @@ class BlockTiming:
     """Simulated phase completion times for one block in the pipeline."""
 
     index: int
-    arrival: float
     prep_end: float
     exec_end: float
     validate_end: float
@@ -134,21 +133,15 @@ class ValidatorPipeline:
         blocks: Sequence[Block],
         parent_states: Mapping[Hash32, StateSnapshot],
         ctx: Optional[ExecutionContext] = None,
-        arrivals: Optional[Sequence[float]] = None,
     ) -> PipelineResult:
         """Validate a batch of blocks through the pipeline.
 
         ``parent_states`` supplies the post-state of every parent that is
         *outside* the batch (keyed by block hash); parents inside the batch
-        are resolved from their own validation.  ``arrivals`` gives each
-        block's network arrival time (default: all at time zero — the
-        same-height burst of Fig. 9).
+        are resolved from their own validation.  Every block arrives at
+        time zero — the same-height burst of Fig. 9.
         """
         n = len(blocks)
-        if arrivals is None:
-            arrivals = [0.0] * n
-        if len(arrivals) != n:
-            raise ValueError("arrivals must align with blocks")
 
         # resolve each block's parent: either an in-batch index or a snapshot
         hash_to_index: Dict[bytes, int] = {}
@@ -159,9 +152,9 @@ class ValidatorPipeline:
         for block in blocks:
             parent_index.append(hash_to_index.get(block.header.parent_hash))
 
-        # topological execution order (parents before children); arrival
-        # order breaks ties so the schedule is deterministic
-        order = self._topo_order(parent_index, arrivals)
+        # topological execution order (parents before children); position
+        # in the batch breaks ties so the schedule is deterministic
+        order = self._topo_order(parent_index)
 
         # ---- real validation, in dependency order ----------------------- #
         # a parent comes before its children in ``order``, so its verdict is
@@ -188,9 +181,7 @@ class ValidatorPipeline:
         results = [by_index[i] for i in range(n)]
 
         # ---- timing simulation over the shared worker pool ---------------- #
-        timings, switches, pool = self._simulate(
-            blocks, results, parent_index, arrivals, order
-        )
+        timings, switches, pool = self._simulate(blocks, results, parent_index, order)
 
         makespan = max((t.commit_end for t in timings), default=0.0)
         serial_time = sum(r.serial_time for r in results)
@@ -231,9 +222,7 @@ class ValidatorPipeline:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _topo_order(
-        parent_index: List[Optional[int]], arrivals: Sequence[float]
-    ) -> List[int]:
+    def _topo_order(parent_index: List[Optional[int]]) -> List[int]:
         n = len(parent_index)
         indegree = [0] * n
         children: Dict[int, List[int]] = {}
@@ -241,10 +230,7 @@ class ValidatorPipeline:
             if p is not None:
                 indegree[i] += 1
                 children.setdefault(p, []).append(i)
-        ready = sorted(
-            (i for i in range(n) if indegree[i] == 0),
-            key=lambda i: (arrivals[i], i),
-        )
+        ready = [i for i in range(n) if indegree[i] == 0]
         order: List[int] = []
         while ready:
             i = ready.pop(0)
@@ -253,7 +239,7 @@ class ValidatorPipeline:
                 indegree[c] -= 1
                 if indegree[c] == 0:
                     ready.append(c)
-            ready.sort(key=lambda j: (arrivals[j], j))
+            ready.sort()
         if len(order) != n:
             raise ValueError("parent links form a cycle")
         return order
@@ -263,7 +249,6 @@ class ValidatorPipeline:
         blocks: Sequence[Block],
         results: List[ValidationResult],
         parent_index: List[Optional[int]],
-        arrivals: Sequence[float],
         order: List[int],
     ) -> Tuple[List[BlockTiming], int, LaneGroup]:
         model = COST_MODEL
@@ -281,26 +266,23 @@ class ValidatorPipeline:
             parent_timing = by_index[p] if p is not None else None
 
             if result.plan is None:
-                # rejected before scheduling: charge only the arrival
-                t = arrivals[i]
+                # rejected before scheduling: no time charged
                 if trace_on:
                     assert result.failure is not None  # every rejection is typed
                     tracer.instant(
                         "validation_failure",
-                        t,
+                        0.0,
                         block=block.hash.hex()[:8],
                         number=block.header.number,
                         reason=result.failure.reason.value,
                         detail=result.reason or "",
                     )
-                by_index[i] = BlockTiming(i, arrivals[i], t, t, t, t, accepted=False)
+                by_index[i] = BlockTiming(i, 0.0, 0.0, 0.0, 0.0, accepted=False)
                 continue
 
             # execution may begin once the parent's execution produced its
             # post-state (Figure 5: exec of N'+1 overlaps validation of N')
-            ready = arrivals[i]
-            if parent_timing is not None:
-                ready = max(ready, parent_timing.exec_end)
+            ready = parent_timing.exec_end if parent_timing is not None else 0.0
 
             prep_end = ready + result.prep_cost
 
@@ -314,7 +296,7 @@ class ValidatorPipeline:
             block_scope = (
                 tracer.scope(
                     "block",
-                    arrivals[i],
+                    0.0,
                     block=block.hash.hex()[:8],
                     number=block.header.number,
                     txs=len(result.tx_costs),
@@ -397,7 +379,6 @@ class ValidatorPipeline:
 
             by_index[i] = BlockTiming(
                 index=i,
-                arrival=arrivals[i],
                 prep_end=prep_end,
                 exec_end=block_exec_end,
                 validate_end=validate_end,

@@ -84,7 +84,6 @@ class ProposerConfig:
 
     lanes: int = 16
     gas_limit: int = 30_000_000
-    max_txs: Optional[int] = None
     #: Intra-block execution strategy (``repro.core.strategies``):
     #: ``"occ-wsi"`` (Algorithm 1, :mod:`repro.core.occ_wsi`),
     #: ``"two-phase"`` (Saraph & Herlihy speculative rounds) or
@@ -294,10 +293,8 @@ class ProposeSession:
     # -- budget and pool hand-off --------------------------------------- #
 
     def full(self) -> bool:
-        """Whether the block's gas or transaction budget is spent."""
-        if self.cur_gas >= self.cfg.gas_limit:
-            return True
-        return self.cfg.max_txs is not None and len(self.committed) >= self.cfg.max_txs
+        """Whether the block's gas budget is spent."""
+        return self.cur_gas >= self.cfg.gas_limit
 
     def pop(self) -> Optional[Transaction]:
         """Next ready transaction by priority (it becomes in flight)."""

@@ -2,7 +2,7 @@
 
 The paper's applier (Algorithm 2) assumes honest blocks; this package
 exercises the *other* path: lying profiles, corrupted blocks, crashing
-workers and flaky channels.  The design target is Block-STM's guarantee —
+workers and faulty followers.  The design target is Block-STM's guarantee —
 an adversarial proposer can at worst degrade performance, never
 correctness (see PAPERS.md).
 
@@ -11,8 +11,7 @@ Layout:
 * :mod:`repro.faults.errors` — :class:`FailureReason`/:class:`ValidationFailure`,
   the structured rejection taxonomy threaded through the validator stack;
 * :mod:`repro.faults.injector` — the seeded :class:`FaultInjector` (block
-  corruption, worker crashes/stalls) and :class:`FaultyChannel` (drop,
-  duplicate, reorder, bounded delay);
+  corruption, worker crashes/stalls, follower crashes/stalls/lies);
 * :mod:`repro.faults.storage` — deterministic storage faults for the
   durability engine: :class:`CrashPlan` crash points fired inside the
   :mod:`repro.store` commit path, plus tamper helpers (torn tails, byte
@@ -24,7 +23,7 @@ fixture, ``tests/fault_scenarios.py``.
 """
 
 from repro.faults.errors import FailureReason, ValidationFailure
-from repro.faults.injector import FaultConfig, FaultInjector, FaultyChannel
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.storage import CrashPlan
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "ValidationFailure",
     "FaultConfig",
     "FaultInjector",
-    "FaultyChannel",
     "CrashPlan",
 ]

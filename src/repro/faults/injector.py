@@ -1,12 +1,12 @@
 """Deterministic, seeded fault injection.
 
 One seed drives every fault decision, and each decision is keyed by
-*where* it applies (block hash, transaction index, attempt, round,
-endpoint) rather than by call order — so a scenario replays bit-identically
+*where* it applies (block hash, transaction index, attempt, shard,
+follower) rather than by call order — so a scenario replays bit-identically
 no matter how the caller interleaves queries, and two validators fed the
 same faulty traffic observe the same faults.
 
-Three fault families:
+Two fault families, plus the follower faults of distributed validation:
 
 * **Proposal corruption** — :meth:`FaultInjector.corrupt_block` tampers a
   sealed block the way a byzantine proposer would: lying profile rs/ws
@@ -17,9 +17,11 @@ Three fault families:
   ``worker_fault_attempts`` attempts (transient), or stall for a
   configurable simulated delay.  Neither refuses a block: the validator
   retries, then re-executes serially.
-* **Network faults** — :class:`FaultyChannel` wraps block delivery with
-  message drop, duplication, reordering and bounded delay, replacing the
-  zero-latency logical-round model when enabled.
+* **Follower faults** — :meth:`FaultInjector.follower_fault` makes a
+  follower of a distributed validator crash, stall or return a tampered
+  shard reply for one assignment.
+
+Block delivery itself is not faulted: blocks arrive in logical rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockProfile, TxProfileEntry
 from repro.common.types import Hash32, address_from_int
@@ -38,7 +40,6 @@ __all__ = [
     "ExecutionFault",
     "FollowerFault",
     "FaultInjector",
-    "FaultyChannel",
     "CORRUPTION_KINDS",
     "PROFILE_CORRUPTION_KINDS",
 ]
@@ -71,12 +72,6 @@ class FaultConfig:
     stall_rate: float = 0.0
     #: Simulated duration of one stall, in µs (charged to the tx's cost).
     stall_delay_us: float = 400.0
-    # --- network faults (FaultyChannel) ------------------------------- #
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    reorder_rate: float = 0.0
-    #: Upper bound on per-message delivery delay, in µs (0 = no delay).
-    max_delay_us: float = 0.0
     # --- follower faults (distributed shard validation) --------------- #
     #: Probability a follower crashes on a given shard assignment (the
     #: reply never arrives; the coordinator re-assigns after the deadline).
@@ -295,76 +290,3 @@ class FaultInjector:
             entry, rw=FrozenRWSet(reads=tuple(reads), writes=tuple(writes))
         )
 
-
-class FaultyChannel:
-    """Unreliable block delivery to one endpoint (drop/dup/reorder/delay).
-
-    A dropped block lands in a backlog and is retransmitted with the next
-    round's batch; retransmissions are never dropped again (retry-until-ack
-    collapsed to one guaranteed retry), so delivery is eventual and the
-    drain in :meth:`flush` bounds how far behind an endpoint can fall.
-    """
-
-    def __init__(self, config: FaultConfig, endpoint: str) -> None:
-        self.config = config
-        self.endpoint = endpoint
-        self.backlog: List[Block] = []
-        self.delivered = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-
-    def deliver(
-        self, round_no: int, blocks: Sequence[Block]
-    ) -> List[Tuple[Block, float]]:
-        """Pass one round's blocks through the channel.
-
-        Returns ``(block, arrival_time_us)`` pairs — backlog
-        retransmissions first, then this round's survivors, optionally
-        reordered as one batch.
-        """
-        cfg = self.config
-        out: List[Tuple[Block, float]] = []
-        for block in self.backlog:  # guaranteed retransmissions
-            out.append((block, cfg.max_delay_us))
-        self.backlog = []
-
-        for block in blocks:
-            key = (self.endpoint, round_no, block.hash.hex())
-            if cfg.drop_rate > 0.0:
-                if _keyed_rng(cfg.seed, "drop", *key).random() < cfg.drop_rate:
-                    self.dropped += 1
-                    self.backlog.append(block)
-                    continue
-            delay = 0.0
-            if cfg.max_delay_us > 0.0:
-                delay = _keyed_rng(cfg.seed, "delay", *key).random() * cfg.max_delay_us
-                if delay > 0.0:
-                    self.delayed += 1
-            out.append((block, delay))
-            if cfg.duplicate_rate > 0.0:
-                if _keyed_rng(cfg.seed, "dup", *key).random() < cfg.duplicate_rate:
-                    self.duplicated += 1
-                    out.append((block, max(delay, cfg.max_delay_us)))
-
-        if cfg.reorder_rate > 0.0 and len(out) > 1:
-            roll = _keyed_rng(cfg.seed, "reorder", self.endpoint, round_no)
-            if roll.random() < cfg.reorder_rate:
-                roll.shuffle(out)
-        self.delivered += len(out)
-        return out
-
-    def flush(self) -> List[Tuple[Block, float]]:
-        """Drain the backlog (end-of-run retransmission sweep)."""
-        out = [(block, self.config.max_delay_us) for block in self.backlog]
-        self.backlog = []
-        self.delivered += len(out)
-        return out
-
-    def counters(self) -> dict:
-        return {
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-        }

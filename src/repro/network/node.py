@@ -172,12 +172,7 @@ class ValidatorNode:
         self._strikes: Dict[str, int] = {}
         self._restore_attempted: Set[bytes] = set()
 
-    def receive_blocks(
-        self,
-        blocks: Sequence[Block],
-        *,
-        arrivals: Optional[Sequence[float]] = None,
-    ) -> ReceiveOutcome:
+    def receive_blocks(self, blocks: Sequence[Block]) -> ReceiveOutcome:
         """Validate a batch of (possibly same-height) blocks, extend the chain.
 
         Parent states are resolved from this node's chain; blocks whose
@@ -186,16 +181,14 @@ class ValidatorNode:
         tracer = self.tracer
         trace_on = tracer.enabled
         admitted: List[Block] = []
-        admitted_arrivals: List[float] = []
         failure_by_hash: Dict[bytes, Optional[ValidationFailure]] = {}
         quarantined: List[Block] = []
-        for index, block in enumerate(blocks):
-            arrival = arrivals[index] if arrivals is not None else 0.0
+        for block in blocks:
             proposer = block.header.proposer_id
             if trace_on:
                 tracer.instant(
                     "block_received",
-                    arrival,
+                    0.0,
                     block=block.hash.hex()[:8],
                     number=block.header.number,
                     proposer=proposer,
@@ -210,25 +203,20 @@ class ValidatorNode:
                 if trace_on:
                     tracer.instant(
                         "quarantine_reject",
-                        arrival,
+                        0.0,
                         block=block.hash.hex()[:8],
                         proposer=proposer,
                         reason=FailureReason.PROPOSER_QUARANTINED.value,
                     )
                 continue
             admitted.append(block)
-            admitted_arrivals.append(arrival)
 
         parent_states: Dict[Hash32, StateSnapshot] = {}
         for block in admitted:
             snapshot = self.chain.state_at(block.header.parent_hash)
             if snapshot is not None:
                 parent_states[block.header.parent_hash] = snapshot
-        result = self.pipeline.process_blocks(
-            admitted,
-            parent_states,
-            arrivals=admitted_arrivals if arrivals is not None else None,
-        )
+        result = self.pipeline.process_blocks(admitted, parent_states)
 
         accepted: List[Block] = []
         rejected: List[Block] = []
@@ -250,8 +238,8 @@ class ValidatorNode:
                 self._record_strike(block, failure)
         rejected.extend(quarantined)
 
-        # Parents first: a reordered delivery can place a child before its
-        # in-batch parent, and heights strictly increase along a chain.
+        # Parents first: a batch may place a child before its in-batch
+        # parent, and heights strictly increase along a chain.
         additions.sort(key=lambda pair: pair[0].header.number)
         for block, post_state in additions:
             if block.hash not in self.chain:

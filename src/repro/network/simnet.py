@@ -7,15 +7,13 @@ and the network's chains stay in consensus.  Collected statistics give the
 system-level view the paper motivates with — execution-layer TPS under
 serial vs parallel validation, uncle rates, validator occupancy.
 
-This is a logical-round model (no message latency) by default:
-dissemination details are out of the paper's scope, and the interesting
+This is a logical-round model (no message latency, no loss): every
+validator receives each round's blocks as one same-height batch.
+Dissemination details are out of the paper's scope, and the interesting
 contention — multiple same-height blocks hitting each validator — is
-produced directly by the fork probability.  Passing a ``FaultConfig``
-replaces the perfect channel with a :class:`FaultyChannel` per validator
-(drop, duplication, reordering, bounded delay, with guaranteed
-retransmission of drops the following round), and
-``byzantine_proposers`` makes chosen proposers publish corrupted blocks —
-the adversarial workload the hardened validator stack is built for.
+produced directly by the fork probability.  ``byzantine_proposers`` makes
+chosen proposers publish corrupted blocks — the adversarial workload the
+hardened validator stack is built for.
 
 With ``followers > 0`` every validator becomes the master of its own
 follower pool (:mod:`repro.distributed`): received blocks are partitioned
@@ -32,7 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.core.validator import Distributor
-from repro.faults.injector import FaultConfig, FaultInjector, FaultyChannel
+from repro.faults.injector import FaultConfig, FaultInjector
+from repro.network.dissemination import race
 from repro.network.node import ProposerNode, ReceiveOutcome, ValidatorNode
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -86,14 +85,12 @@ class NetworkResult:
     chains_agree: bool
     #: typed rejection counts seen by validator 0 (reason value -> count)
     failure_counts: Dict[str, int] = field(default_factory=dict)
-    #: summed FaultyChannel counters (None on the perfect channel)
-    channel_counters: Optional[Dict[str, int]] = None
     #: proposers validator 0 has quarantined by the end of the run
     quarantined: List[str] = field(default_factory=list)
     #: transactions actually on the reference chain at the end of the run
     #: (``Blockchain.canonical_tx_count()``, not per-round guesses — under
-    #: reordering/corruption the round's first block need not be the one
-    #: that committed)
+    #: corruption the round's first block need not be the one that
+    #: committed)
     canonical_txs: int = 0
 
     @property
@@ -124,17 +121,15 @@ class NetworkSimulation:
         config: Optional[NetworkConfig] = None,
         workload: Optional[WorkloadConfig] = None,
         generator: Optional[Any] = None,
-        faults: Optional[FaultConfig] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.universe = universe
         self.config = config or NetworkConfig()
-        self.faults = faults
         #: Root tracer: every node registers itself as one trace process.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics or NULL_METRICS
-        self.injector = FaultInjector(faults or FaultConfig(seed=self.config.seed))
+        self.injector = FaultInjector(FaultConfig(seed=self.config.seed))
         self.rng = random.Random(self.config.seed)
         #: ``generator`` overrides the default workload with any block
         #: source exposing ``generate_block_txs`` (e.g. a scenario stream)
@@ -168,11 +163,6 @@ class NetworkSimulation:
             )
             for i in range(self.config.n_validators)
         ]
-        self.channels: Optional[Dict[str, FaultyChannel]] = (
-            {v.node_id: FaultyChannel(faults, v.node_id) for v in self.validators}
-            if faults is not None
-            else None
-        )
 
     def _build_distributor(self, master_id: str) -> Optional[Distributor]:
         """A per-validator follower pool, or ``None`` when followers == 0."""
@@ -183,7 +173,6 @@ class NetworkSimulation:
         return ShardCoordinator(
             self.config.followers,
             master_id=master_id,
-            injector=self.injector if self.faults is not None else None,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -210,15 +199,15 @@ class NetworkSimulation:
                 )
                 contenders.append(rival)
 
-            blocks = []
-            for node in contenders:
-                view = list(txs)
-                self.rng.shuffle(view)
-                view.sort(key=lambda t: t.nonce)
-                block = node.build_block(parent.header, parent_state, view).block
-                if node.node_id in self.byzantine_ids:
-                    block = self.injector.corrupt_block(block, cfg.corruption)
-                blocks.append(block)
+            blocks = [
+                self.injector.corrupt_block(sealed.block, cfg.corruption)
+                if node.node_id in self.byzantine_ids
+                else sealed.block
+                for node, sealed in zip(
+                    contenders,
+                    race(contenders, parent.header, parent_state, txs, self.rng),
+                )
+            ]
 
             speedups = []
             makespans = []
@@ -233,21 +222,16 @@ class NetworkSimulation:
                 if validator is self.validators[0]:
                     self._count_failures(failure_counts, outcome)
 
-            # On the perfect channel every validator sees the same batch, so
-            # acceptance must be unanimous; byzantine blocks are rejected by
-            # everyone (the corruption is deterministic), honest ones by
-            # no one.  Under channel faults delivery differs per validator
-            # within a round, so the invariant moves to end-of-run agreement.
-            if self.channels is None:
-                honest = sum(
-                    1 for b in blocks
-                    if b.header.proposer_id not in self.byzantine_ids
+            # Every validator sees the same batch, so acceptance must be
+            # unanimous; byzantine blocks are rejected by everyone (the
+            # corruption is deterministic), honest ones by no one.
+            honest = sum(
+                1 for b in blocks if b.header.proposer_id not in self.byzantine_ids
+            )
+            if len(set(accepted_counts)) != 1 or accepted_counts[0] > honest:
+                raise AssertionError(
+                    f"validators disagree on acceptance: {accepted_counts}"
                 )
-                expected = honest if self.byzantine_ids else len(blocks)
-                if len(set(accepted_counts)) != 1 or accepted_counts[0] > expected:
-                    raise AssertionError(
-                        f"validators disagree on acceptance: {accepted_counts}"
-                    )
 
             records.append(
                 RoundRecord(
@@ -261,8 +245,6 @@ class NetworkSimulation:
                 )
             )
 
-        channel_counters = self._drain_channels(failure_counts)
-
         heads = {v.chain.head.hash for v in self.validators}
         roots = {v.chain.head_state.state_root() for v in self.validators}
         reference = self.validators[0].chain
@@ -273,7 +255,6 @@ class NetworkSimulation:
             uncle_count=reference.uncle_count(),
             chains_agree=len(heads) == 1 and len(roots) == 1,
             failure_counts=failure_counts,
-            channel_counters=channel_counters,
             quarantined=sorted(self.validators[0].quarantined_proposers),
             canonical_txs=reference.canonical_tx_count(),
         )
@@ -283,10 +264,9 @@ class NetworkSimulation:
     def _deliver(
         self, validator: ValidatorNode, round_no: int, blocks: Sequence[Block]
     ) -> ReceiveOutcome:
-        """Hand a round's blocks to one validator, through its channel."""
-        trace_on = self.tracer.enabled
+        """Hand a round's blocks to one validator as one batch."""
         self.metrics.counter("net.blocks_sent").inc(len(blocks))
-        if trace_on:
+        if self.tracer.enabled:
             for block in blocks:
                 self.tracer.instant(
                     "send",
@@ -294,48 +274,7 @@ class NetworkSimulation:
                     block=block.hash.hex()[:8],
                     to=validator.node_id,
                 )
-        if self.channels is None:
-            self.metrics.counter("net.blocks_delivered").inc(len(blocks))
-            return validator.receive_blocks(blocks)
-        deliveries = self.channels[validator.node_id].deliver(round_no, blocks)
-        self.metrics.counter("net.blocks_delivered").inc(len(deliveries))
-        if trace_on:
-            for block, arrival in deliveries:
-                self.tracer.instant(
-                    "receive",
-                    arrival,
-                    block=block.hash.hex()[:8],
-                    at=validator.node_id,
-                )
-        return validator.receive_blocks(
-            [block for block, _ in deliveries],
-            arrivals=[arrival for _, arrival in deliveries],
-        )
-
-    def _drain_channels(
-        self, failure_counts: Dict[str, int]
-    ) -> Optional[Dict[str, int]]:
-        """Deliver every backlogged retransmission, then sum channel stats."""
-        if self.channels is None:
-            return None
-        for validator in self.validators:
-            leftovers = self.channels[validator.node_id].flush()
-            if leftovers:
-                # flushed retransmissions are deliveries like any other —
-                # without this the sent/delivered metrics can never
-                # reconcile even though every drop is retransmitted
-                self.metrics.counter("net.blocks_delivered").inc(len(leftovers))
-                outcome = validator.receive_blocks(
-                    [block for block, _ in leftovers],
-                    arrivals=[arrival for _, arrival in leftovers],
-                )
-                if validator is self.validators[0]:
-                    self._count_failures(failure_counts, outcome)
-        totals: Dict[str, int] = {}
-        for channel in self.channels.values():
-            for key, value in channel.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return validator.receive_blocks(blocks)
 
     @staticmethod
     def _count_failures(counts: Dict[str, int], outcome: ReceiveOutcome) -> None:

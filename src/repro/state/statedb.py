@@ -79,6 +79,11 @@ def genesis_snapshot(
     storage_tries: Dict[Address, SecureMPT] = {}
     bodies = []
     for address, data in (alloc or {}).items():
+        if not all(data.storage.values()):
+            # a zero slot is an absent slot: an account of zero slots only
+            # is empty, and stays out of the world trie
+            storage = {slot: value for slot, value in data.storage.items() if value}
+            data = AccountData(data.nonce, data.balance, data.code, storage)
         if data.is_empty():
             continue
         accounts[address] = data
@@ -86,7 +91,6 @@ def genesis_snapshot(
         storage_trie = _EMPTY_TRIE.update_many(
             (_slot_key(slot), rlp_int(value))
             for slot, value in data.storage.items()
-            if value
         )
         if not storage_trie.is_empty():
             storage_tries[address] = storage_trie

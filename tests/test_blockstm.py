@@ -89,12 +89,6 @@ class TestPacking:
         assert 2 <= len(result.committed) <= 3
         assert len(pool) == 6 - len(result.committed)
 
-    def test_max_txs_respected(self):
-        eoas, base = simple_world()
-        txs = [payment(eoas[i], eoas[i + 6]) for i in range(6)]
-        result, _ = run_blockstm(base, txs, max_txs=3)
-        assert len(result.committed) == 3
-
     def test_same_sender_nonce_order_in_block(self):
         eoas, base = simple_world()
         txs = [payment(eoas[0], eoas[1], nonce=n, price=10 + n) for n in range(4)]

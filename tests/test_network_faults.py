@@ -1,9 +1,9 @@
-"""Network-level fault injection: byzantine proposers, lossy channels.
+"""Network-level fault injection: byzantine proposers.
 
 The headline robustness claims, end to end: honest validators stay in
 consensus while byzantine siblings are rejected (and their proposers
-quarantined), lossy channels only delay agreement (retransmission makes
-delivery eventual), and every run replays bit-identically from its seed.
+quarantined), and rejected blocks hand their transactions back to the
+pool exactly once.
 """
 
 import pytest
@@ -11,11 +11,8 @@ import pytest
 pytestmark = pytest.mark.faults
 
 from repro.core.validator import ValidatorConfig
-from repro.faults.injector import FaultConfig, FaultInjector
-from repro.network.dissemination import ForkSet, ForkSimulator
 from repro.network.node import ValidatorNode
 from repro.network.simnet import NetworkConfig, NetworkSimulation
-from repro.obs.metrics import MetricsRegistry
 from repro.txpool.pool import TxPool
 from repro.workload.universe import UniverseConfig, build_universe
 from tests.fault_scenarios import build_env
@@ -71,76 +68,12 @@ class TestByzantineNetwork:
         result = NetworkSimulation(small_world(), config=cfg).run()
         assert result.chains_agree
         assert result.failure_counts == {}
-        assert result.channel_counters is None
         assert result.quarantined == []
         assert result.final_height == 3
 
 
-class TestFaultyChannel:
-    FAULTS = FaultConfig(
-        seed=9,
-        drop_rate=0.3,
-        duplicate_rate=0.2,
-        reorder_rate=0.5,
-        max_delay_us=500.0,
-    )
-
-    def test_lossy_channel_reaches_agreement(self):
-        cfg = NetworkConfig(rounds=5, fork_probability=0.5, seed=101)
-        result = NetworkSimulation(
-            small_world(), config=cfg, faults=self.FAULTS
-        ).run()
-        # drops only delay blocks (retransmission + end-of-run flush), so
-        # every validator converges on the same head and root
-        assert result.chains_agree
-        counters = result.channel_counters
-        assert counters["dropped"] >= 1
-        assert counters["delivered"] >= cfg.rounds
-
-    def test_lossy_run_is_deterministic(self):
-        cfg = NetworkConfig(rounds=5, fork_probability=0.5, seed=101)
-
-        def run():
-            r = NetworkSimulation(
-                small_world(), config=cfg, faults=self.FAULTS
-            ).run()
-            return (r.final_root_hex, r.final_height, r.channel_counters)
-
-        assert run() == run()
-
-
 class TestNetworkAccounting:
     """Regression tests for the sim-accounting bugs (ISSUE 9 satellites)."""
-
-    def test_sent_delivered_reconcile_after_flush(self):
-        """Every sent block is eventually delivered exactly once (drops are
-        guaranteed retransmissions), plus one extra delivery per duplicate —
-        so the global counters must reconcile once the end-of-run flush has
-        drained the backlogs.  The flush path used to skip the
-        ``net.blocks_delivered`` increment, leaving the books permanently
-        short by however many blocks the final rounds dropped."""
-        metrics = MetricsRegistry()
-        cfg = NetworkConfig(rounds=5, fork_probability=0.5, seed=101)
-        # seed 10 @ 50% drops leaves a non-empty backlog for the final
-        # flush, so the reconciliation below genuinely covers the flush path
-        faults = FaultConfig(
-            seed=10,
-            drop_rate=0.5,
-            duplicate_rate=0.2,
-            reorder_rate=0.5,
-            max_delay_us=500.0,
-        )
-        sim = NetworkSimulation(
-            small_world(), config=cfg, faults=faults, metrics=metrics
-        )
-        result = sim.run()
-        counters = result.channel_counters
-        assert counters["dropped"] >= 1  # the flush path was exercised
-        sent = metrics.counter("net.blocks_sent").value
-        delivered = metrics.counter("net.blocks_delivered").value
-        assert delivered == sent + counters["duplicated"]
-        # the channels' own books agree with the global metric
-        assert delivered == counters["delivered"]
 
     def test_total_txs_counts_canonical_blocks(self):
         """``total_txs`` must count the blocks that actually committed, not
@@ -177,39 +110,6 @@ class TestNetworkAccounting:
         cfg = NetworkConfig(n_proposers=3, byzantine_proposers=(-1,))
         with pytest.raises(ValueError, match="out of range"):
             NetworkSimulation(small_world(), config=cfg)
-
-    def test_forkset_published_defaults_to_sealed_blocks(self):
-        """ForkSet normalises ``published=None`` to the sealed blocks (the
-        typed Optional default replacing the old ``type: ignore`` hack)."""
-        env = build_env(0)
-        sim = ForkSimulator(2, seed=3)
-        txs = env.generator.generate_block_txs()
-        forks = sim.propose_forks(env.parent_header, env.parent_state, txs)
-        defaulted = ForkSet(proposals=forks.proposals)
-        assert defaulted.published == [p.block for p in forks.proposals]
-        assert defaulted.blocks == defaulted.published
-
-
-class TestForkSimulatorByzantine:
-    def test_byzantine_sibling_is_corrupted_copy(self):
-        env = build_env(0)
-        sim = ForkSimulator(
-            2,
-            seed=3,
-            injector=env.injector,
-            byzantine=(1,),
-            corruption="state_root",
-        )
-        txs = env.generator.generate_block_txs()
-        forks = sim.propose_forks(env.parent_header, env.parent_state, txs)
-        honest_pub, byz_pub = forks.blocks
-        assert honest_pub is forks.proposals[0].block
-        assert byz_pub is not forks.proposals[1].block
-        assert byz_pub.header.state_root != forks.proposals[1].block.header.state_root
-
-    def test_byzantine_requires_injector(self):
-        with pytest.raises(ValueError, match="FaultInjector"):
-            ForkSimulator(2, byzantine=(0,))
 
 
 class TestTxRecovery:

@@ -1,10 +1,19 @@
 """Node roles and fork dissemination tests."""
 
-import pytest
+import dataclasses
+import tempfile
+from collections import Counter
 
-from repro.core.occ_wsi import ProposerConfig
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chain.blockchain import Blockchain
 from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode, ValidatorNode
+from repro.store.backend import DiskStore
+from repro.store.codec import encode_header
+from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 
 
 class TestProposerNode:
@@ -105,30 +114,68 @@ class TestForkSimulator:
             res = validator.validate_block(block, small_universe.genesis)
             assert res.accepted, res.reason
 
-    def test_partial_overlap_produces_smaller_blocks(
-        self, small_universe, small_generator, genesis_chain
-    ):
-        txs = small_generator.generate_block_txs()
-        full = ForkSimulator(2, seed=2, pool_overlap=1.0).propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
-        )
-        partial = ForkSimulator(2, seed=2, pool_overlap=0.5).propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
-        )
-        assert sum(len(b) for b in partial.blocks) < sum(len(b) for b in full.blocks)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ForkSimulator(0)
-        with pytest.raises(ValueError):
-            ForkSimulator(2, pool_overlap=0.0)
 
-    def test_proposer_config_propagates(
-        self, small_universe, small_generator, genesis_chain
-    ):
-        txs = small_generator.generate_block_txs()
-        sim = ForkSimulator(1, proposer_config=ProposerConfig(lanes=2, max_txs=5))
-        forks = sim.propose_forks(
-            genesis_chain.genesis.header, small_universe.genesis, txs
-        )
-        assert len(forks.blocks[0]) == 5
+
+@pytest.fixture(scope="module")
+def lineage(_universe_base):
+    """``(genesis state, [parent, child, sibling], in-order chain)``: two
+    height-1 siblings, a height-2 child of the first, and the chain a node
+    builds from them delivered in that order."""
+    universe = dataclasses.replace(_universe_base, nonces={})
+    generator = BlockWorkloadGenerator(
+        universe, WorkloadConfig(txs_per_block=12, tx_count_jitter=0.0, seed=5)
+    )
+    genesis = Blockchain(universe.genesis).genesis
+    forks = ForkSimulator(2, seed=4).propose_forks(
+        genesis.header, universe.genesis, generator.generate_block_txs()
+    )
+    parent, sibling = forks.proposals
+    child = ProposerNode("proposer-0").build_block(
+        parent.block.header, parent.post_state, generator.generate_block_txs()
+    )
+    blocks = [parent.block, child.block, sibling.block]
+    in_order = ValidatorNode("reference", universe.genesis)
+    in_order.receive_blocks(blocks)
+    return universe.genesis, blocks, in_order.chain
+
+
+#: every order of parent (0), child (1) and sibling (2), with up to three
+#: repeats of any of them
+BATCHES = st.lists(st.sampled_from(range(3)), max_size=3).flatmap(
+    lambda repeats: st.permutations([0, 1, 2, *repeats])
+)
+
+
+@pytest.mark.robustness
+class TestDeliveryOrder:
+    """A batch may hold a child before its parent, or one block twice; a
+    block may come again after it was accepted.  None of it changes the
+    chain the in-order batch builds, and a durable chain logs each block
+    once."""
+
+    @staticmethod
+    def _deliver(genesis_state, batches, data_dir):
+        store = DiskStore(data_dir, fsync=False, snapshot_interval=0)
+        chain = Blockchain(genesis_state, store=store)
+        store.initialize(encode_header(chain.genesis.header), genesis_state)
+        node = ValidatorNode("v", genesis_state, chain=chain)
+        outcomes = [node.receive_blocks(batch) for batch in batches]
+        logged = Counter(block.hash for _, block in store.log.scan())
+        store.close()
+        return chain, outcomes, logged
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=BATCHES, again=st.sampled_from(range(3)))
+    def test_any_order_builds_the_in_order_chain(self, lineage, batch, again):
+        genesis_state, blocks, expected = lineage
+        with tempfile.TemporaryDirectory() as data_dir:
+            chain, outcomes, logged = self._deliver(
+                genesis_state, [[blocks[i] for i in batch], [blocks[again]]], data_dir
+            )
+        assert chain.head.hash == expected.head.hash == blocks[1].hash
+        assert chain.head_state.state_root() == expected.head_state.state_root()
+        assert all(not outcome.rejected for outcome in outcomes)
+        assert logged == Counter(block.hash for block in blocks)

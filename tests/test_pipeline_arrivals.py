@@ -1,52 +1,12 @@
-"""Pipeline behaviour under staggered block arrivals and edge inputs."""
+"""Pipeline behaviour on mixed-height batches and edge inputs."""
 
 import pytest
 
 from repro.core.pipeline import ValidatorPipeline
-from repro.network.dissemination import ForkSimulator
 from repro.network.node import ProposerNode, ValidatorNode
 
 
-@pytest.fixture()
-def fork_pair(small_universe, small_generator, genesis_chain):
-    txs = small_generator.generate_block_txs()
-    forks = ForkSimulator(2, seed=8).propose_forks(
-        genesis_chain.genesis.header, small_universe.genesis, txs
-    )
-    parent_states = {genesis_chain.genesis.header.hash: small_universe.genesis}
-    return forks.blocks, parent_states
-
-
 class TestArrivals:
-    def test_late_arrival_delays_that_block_only(self, fork_pair):
-        blocks, parent_states = fork_pair
-        pipe = ValidatorPipeline()
-        burst = pipe.process_blocks(blocks, parent_states, arrivals=[0.0, 0.0])
-        staggered = pipe.process_blocks(
-            blocks, parent_states, arrivals=[0.0, 5000.0]
-        )
-        assert staggered.all_accepted
-        t0, t1 = staggered.timings
-        assert t0.commit_end == pytest.approx(burst.timings[0].commit_end, rel=0.05)
-        assert t1.prep_end >= 5000.0
-        assert staggered.makespan > burst.makespan
-
-    def test_arrival_length_mismatch_rejected(self, fork_pair):
-        blocks, parent_states = fork_pair
-        with pytest.raises(ValueError):
-            ValidatorPipeline().process_blocks(blocks, parent_states, arrivals=[0.0])
-
-    def test_widely_spaced_arrivals_approach_serial_sum(self, fork_pair):
-        """With arrivals far apart there is no overlap to exploit: the
-        pipeline's speedup collapses toward the single-block speedup."""
-        blocks, parent_states = fork_pair
-        pipe = ValidatorPipeline()
-        burst = pipe.process_blocks(blocks, parent_states)
-        spaced = pipe.process_blocks(
-            blocks, parent_states, arrivals=[0.0, 100_000.0]
-        )
-        assert spaced.speedup < burst.speedup
-
     def test_empty_batch(self):
         pipe = ValidatorPipeline()
         res = pipe.process_blocks([], {})
@@ -73,11 +33,10 @@ class TestMixedHeightsWithArrivals:
         sealed2 = node.build_block(sealed1.block.header, sealed1.post_state, txs2)
 
         pipe = ValidatorPipeline()
-        # deliver the child "before" the parent
+        # the child comes before its parent in the batch
         res = pipe.process_blocks(
             [sealed2.block, sealed1.block],
             {genesis_chain.genesis.header.hash: small_universe.genesis},
-            arrivals=[0.0, 50.0],
         )
         assert res.all_accepted
         child_t, parent_t = res.timings

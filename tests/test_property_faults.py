@@ -17,12 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.errors import FailureReason
-from repro.faults.injector import (
-    CORRUPTION_KINDS,
-    FaultConfig,
-    FaultInjector,
-    FaultyChannel,
-)
+from repro.faults.injector import CORRUPTION_KINDS, FaultConfig, FaultInjector
 from tests.fault_scenarios import build_env
 
 #: every corruption kind is applicable to the scenario block (24 real txs
@@ -134,52 +129,3 @@ class TestDeterminism:
             injector.execution_fault(block_hash, 0, i) for i in reversed(range(20))
         ]
         assert forward == list(reversed(backward))
-
-
-class TestChannelDeterminism:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=SEEDS, drop=st.floats(0, 0.5), dup=st.floats(0, 0.5))
-    def test_channel_replays_identically(self, seed, drop, dup):
-        cfg = FaultConfig(
-            seed=seed,
-            drop_rate=drop,
-            duplicate_rate=dup,
-            reorder_rate=0.5,
-            max_delay_us=300.0,
-        )
-
-        class Msg:
-            def __init__(self, h):
-                self.hash = bytes([h]) * 32
-
-        def run():
-            channel = FaultyChannel(cfg, "validator-0")
-            out = []
-            for round_no in range(5):
-                batch = [Msg(round_no * 3 + i) for i in range(3)]
-                out.append(
-                    [(m.hash, d) for m, d in channel.deliver(round_no, batch)]
-                )
-            out.append([(m.hash, d) for m, d in channel.flush()])
-            return out, channel.counters()
-
-        assert run() == run()
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=SEEDS)
-    def test_dropped_messages_eventually_delivered(self, seed):
-        """Retransmission: with flush, every message reaches the endpoint."""
-        cfg = FaultConfig(seed=seed, drop_rate=0.6)
-
-        class Msg:
-            def __init__(self, h):
-                self.hash = bytes([h]) * 32
-
-        channel = FaultyChannel(cfg, "validator-0")
-        sent, got = set(), set()
-        for round_no in range(6):
-            batch = [Msg(round_no * 2 + i) for i in range(2)]
-            sent.update(m.hash for m in batch)
-            got.update(m.hash for m, _ in channel.deliver(round_no, batch))
-        got.update(m.hash for m, _ in channel.flush())
-        assert got == sent

@@ -174,6 +174,13 @@ class TestCommit:
         assert snap.account(A3) is None
         assert snap.state_root() == base.state_root()
 
+    def test_genesis_of_zero_slots_only_is_empty(self):
+        """A zero slot is an absent slot, at genesis as after a commit: an
+        alloc entry of zero slots only is an empty account."""
+        snap = genesis_snapshot({A3: AccountData(storage={1: 0})})
+        assert snap.state_root() == genesis_snapshot({}).state_root()
+        assert dict(snap.accounts) == {}
+
     def test_base_snapshot_untouched_by_commit(self):
         base = make_base()
         db = StateDB(base)

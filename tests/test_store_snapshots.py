@@ -103,15 +103,16 @@ class TestRoundTrip:
         assert dict(rebuilt.accounts) == dict(state.accounts)
 
     def test_zero_slots_round_trip(self):
-        """A genesis may hold zero-valued slots: they are in its accounts
-        though not in its tries, and an account of nothing else is still
-        in the world trie."""
+        """A genesis drops zero-valued slots, and with them an account of
+        nothing else; what is left round-trips."""
         state = genesis_snapshot(
             {
                 CONTRACT: AccountData(code=b"\x60\x00", storage={1: 42, 2: 0}),
                 HOLDER: AccountData(storage={3: 0}),
             }
         )
+        assert dict(state.accounts[CONTRACT].storage) == {1: 42}
+        assert HOLDER not in state.accounts
         rebuilt = decode_snapshot(_raw(state))
         assert rebuilt.state_root() == state.state_root()
         assert dict(rebuilt.accounts) == dict(state.accounts)

@@ -3,6 +3,7 @@
     python scripts/profile_e2e.py --workload mint-rush [--seed 42] [--top 30]
     python scripts/profile_e2e.py --workload mainnet --tree [--min 2.0]
     python scripts/profile_e2e.py --workload longtail-payments --clock wall
+    python scripts/profile_e2e.py --workload mainnet --phase recover [--tree]
 
 Prints, per function, the share of CPU-time samples with it on the stack
 (inclusive) and at the top (self); with ``--tree``, the inclusive shares as
@@ -13,7 +14,11 @@ instance), the tree can.  A sampler charges no per-call
 cost, so — unlike cProfile, which inflates this code base's many small
 calls and mis-ranks its layers — the shares are those of an unprofiled run.
 Only the block loop is sampled (not boot, genesis, shutdown, recovery), and
-only this process (not a pool's workers).  Samples that land in the
+only this process (not a pool's workers) — or, with ``--phase recover``,
+only ``recover()``: after the pass's own recovery, the pass's data dir is
+recovered again, sampled, until at least :data:`RECOVER_SAMPLES` samples are
+in, and the same flat list or tree is printed, rooted at ``recover`` (the
+block loop's tables do not apply and are left out).  Samples that land in the
 benchmark's calibration kernel (``kernel.py``, a fifth of a ``mainnet``
 pass) are the instrument, not the program: they are dropped, so shares are
 of the node's own time.  The collector is reported apart, too: a signal that
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import gc
 import os
 import resource
@@ -51,7 +57,7 @@ import signal
 import sys
 import time
 from types import FrameType
-from typing import Any, Callable, Counter, Dict, List, Optional, Tuple
+from typing import Any, Callable, Counter, Dict, Iterator, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
@@ -69,16 +75,23 @@ class Node:
         self.children: Dict[str, Node] = {}
 
 
-def print_tree(stacks: Counter[Tuple[str, ...]], total: float, min_pct: float) -> None:
-    """Inclusive shares as a call tree rooted at the block loop."""
+#: ``--phase recover`` recovers the data dir until this many samples are in
+RECOVER_SAMPLES = 200
+
+#: the function each phase samples under (a frame's qualified name)
+ROOTS = {"loop": "_drive_blocks", "recover": "recover"}
+
+
+def print_tree(stacks: Counter[Tuple[str, ...]], total: float, min_pct: float, top: str) -> None:
+    """Inclusive shares as a call tree rooted at the sampled phase's ``top``."""
     root = Node()
     for stack, count in stacks.items():
         names = [name.split(":", 1)[1] for name in stack]
-        if "_drive_blocks" not in names:
-            continue  # the tick fell between arming the timer and the loop
+        if top not in names:
+            continue  # the tick fell between arming the timer and the phase
         node = root
         node.count += count
-        for name in stack[names.index("_drive_blocks") + 1 :]:
+        for name in stack[names.index(top) + 1 :]:
             node = node.children.setdefault(name, Node())
             node.count += count
 
@@ -88,7 +101,7 @@ def print_tree(stacks: Counter[Tuple[str, ...]], total: float, min_pct: float) -
                 print(f"{100 * child.count / total:6.1f}  {'  ' * depth}{name}")
                 walk(child, depth + 1)
 
-    print(f"{'incl%':>6}  call tree under _drive_blocks ({100 * root.count / total:.1f}% of samples)")
+    print(f"{'incl%':>6}  call tree under {top} ({100 * root.count / total:.1f}% of samples)")
     walk(root, 0)
 
 
@@ -183,7 +196,11 @@ def main() -> int:
     parser.add_argument(
         "--clock", choices=("cpu", "wall"), default="cpu", help="wall: also sample wall time, and rank by it"
     )
+    parser.add_argument(
+        "--phase", choices=sorted(ROOTS), default="loop", help="recover: sample recover() on the pass's data dir"
+    )
     args = parser.parse_args()
+    top = ROOTS[args.phase]
 
     # outermost frame first; CPU ticks count 1 each, wall samples their seconds
     stacks: Counter[Tuple[str, ...]] = collections.Counter()
@@ -217,12 +234,17 @@ def main() -> int:
                 drop["gc"] += weight
                 return
             stack = []
+            inside = 0  # frames below the phase's root (innermost first)
             while frame is not None:
                 code = frame.f_code
                 if code.co_name != "rss_watched":  # the RSS table's wrapper is not the node's
                     stack.append(f"{os.path.basename(code.co_filename)}:{code.co_qualname}")
+                if code.co_qualname == top and not inside:
+                    inside = len(stack)
                 frame = frame.f_back
-            if any(name.startswith("kernel.py:") for name in stack):
+            # recovery runs inside the kernel's ``timed``: only a kernel frame
+            # under the root is the instrument
+            if any(name.startswith("kernel.py:") for name in stack[:inside]):
                 drop["kernel"] += weight
             else:
                 into[tuple(reversed(stack))] += weight
@@ -235,13 +257,9 @@ def main() -> int:
         elapsed, last_wall = now - last_wall, now
         return elapsed
 
-    drive = lifecycle._drive_blocks
-
-    def sampled_drive(node: Any, blocks: int, kernel: Any, *a: Any, **kw: Any) -> None:
+    @contextlib.contextmanager
+    def sampling() -> Iterator[None]:
         nonlocal loop_cpu, last_wall
-        censuses.append(census())
-        rss.attach(node, kernel)
-        rss.start, rss.rss_start = max_rss_mb(), rss_mb()
         signal.signal(signal.SIGPROF, sampler(stacks, dropped, lambda: 1))
         gc.callbacks.append(on_gc)
         started = time.process_time()
@@ -251,16 +269,48 @@ def main() -> int:
             last_wall = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
         try:
-            drive(node, blocks, kernel, *a, **kw)
+            yield
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.setitimer(signal.ITIMER_PROF, 0)
-            rss.end, rss.rss_end = max_rss_mb(), rss_mb()
             loop_cpu = time.process_time() - started
             gc.callbacks.remove(on_gc)
+
+    drive = lifecycle._drive_blocks
+
+    def sampled_drive(node: Any, blocks: int, kernel: Any, *a: Any, **kw: Any) -> None:
+        censuses.append(census())
+        rss.attach(node, kernel)
+        rss.start, rss.rss_start = max_rss_mb(), rss_mb()
+        try:
+            with sampling():
+                drive(node, blocks, kernel, *a, **kw)
+        finally:
+            rss.end, rss.rss_end = max_rss_mb(), rss_mb()
             censuses.append(census())
 
-    lifecycle._drive_blocks = sampled_drive  # run_pass looks the name up at call time
+    real_recover = lifecycle.recover
+    recoveries = 0
+
+    def sampled_recover(data_dir: str, genesis: Any, **kw: Any) -> Any:
+        """The pass's own recovery, then as many sampled ones of its data
+        dir (sealed and complete, so each rebuilds the same chain) as it
+        takes to collect :data:`RECOVER_SAMPLES`."""
+        nonlocal recoveries
+        result = real_recover(data_dir, genesis, **kw)
+        with sampling():
+            while sum(stacks.values()) < RECOVER_SAMPLES:
+                again = real_recover(data_dir, genesis, **kw)
+                if again.log is not None:
+                    again.log.close()
+                recoveries += 1
+        return result
+
+    # run_pass looks both names up at call time
+    if args.phase == "recover":
+        lifecycle.recover = sampled_recover
+    else:
+        lifecycle._drive_blocks = sampled_drive
     workload = WORKLOADS[args.workload]
     root = lifecycle.make_root()
     try:
@@ -270,8 +320,11 @@ def main() -> int:
 
     total = sum(stacks.values()) or 1
     in_kernel, in_gc = dropped["kernel"], dropped["gc"]
+    # what the samples cover: the loop's blocks, or the sampled recover() calls
+    units = recoveries if args.phase == "recover" else len(result.blocks)
+    unit, plural = ("recovery", "recoveries") if args.phase == "recover" else ("block", "blocks")
     print(
-        f"{args.workload} seed {args.seed}: {total} samples over {len(result.blocks)} blocks"
+        f"{args.workload} seed {args.seed}: {total} samples over {units} {plural}"
         f" (+{in_kernel} in the calibration kernel, +{in_gc} in a collection, dropped)"
     )
     wall_total = sum(wall_stacks.values())
@@ -281,30 +334,24 @@ def main() -> int:
             f" (+{wall_dropped['kernel']:.2f} s in the calibration kernel,"
             f" +{wall_dropped['gc']:.2f} s in a collection, dropped)"
         )
-    # the loop's CPU seconds less the calibration kernel's, by its share of ticks
+    # the sampled CPU seconds less the calibration kernel's, by its share of ticks
     own_cpu = loop_cpu * (total + in_gc) / (total + in_gc + in_kernel)
     # the schedule the node's boot set, which the loop ran under
     print(
-        f"{'runs':>6} {'/block':>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own,"
+        f"{'runs':>6} {'/' + unit:>6} {'ms':>8} {'own%':>6}  collector, of {own_cpu:.2f} CPU s of the node's own,"
         f" threshold {gc.get_threshold()}"
     )
     for generation, (runs, seconds) in enumerate(zip(gc_runs, gc_cpu)):
         share = 100 * seconds / own_cpu if own_cpu else 0.0
-        per_block = runs / len(result.blocks) if result.blocks else 0.0
-        print(f"{runs:6d} {per_block:6.2f} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
-    boot, end = censuses
-    print(f"{'boot':>8} {'end':>8} {'growth':>8}  live objects the collector tracks at the start and end of the loop")
-    print(f"{sum(boot.values()):8d} {sum(end.values()):8d} {sum(end.values()) - sum(boot.values()):+8d}  all")
-    growth = end.copy()
-    growth.subtract(boot)
-    for name, grew in growth.most_common(8):
-        print(f"{boot[name]:8d} {end[name]:8d} {grew:+8d}  {name}")
-    rss.report()
+        per_unit = runs / units if units else 0.0
+        print(f"{runs:6d} {per_unit:6.2f} {1000 * seconds:8.1f} {share:6.1f}  gc gen{generation}")
+    if args.phase == "loop":
+        loop_tables(censuses, rss)
     if args.tree:
         if args.clock == "wall":
-            print_tree(wall_stacks, wall_total or 1.0, args.min)
+            print_tree(wall_stacks, wall_total or 1.0, args.min, top)
         else:
-            print_tree(stacks, total, args.min)
+            print_tree(stacks, total, args.min, top)
     elif args.clock == "wall":
         cpu_incl, cpu_self = shares(stacks)
         wall_incl, wall_self = shares(wall_stacks)
@@ -317,6 +364,18 @@ def main() -> int:
         for name, share in inclusive.most_common(args.top):
             print(f"{share:6.1f} {own[name]:6.1f}  {name}")
     return 1 if result.problems else 0
+
+
+def loop_tables(censuses: List[Counter[str]], rss: RssWatch) -> None:
+    """The block loop's census of tracked objects and its memory table."""
+    boot, end = censuses
+    print(f"{'boot':>8} {'end':>8} {'growth':>8}  live objects the collector tracks at the start and end of the loop")
+    print(f"{sum(boot.values()):8d} {sum(end.values()):8d} {sum(end.values()) - sum(boot.values()):+8d}  all")
+    growth = end.copy()
+    growth.subtract(boot)
+    for name, grew in growth.most_common(8):
+        print(f"{boot[name]:8d} {end[name]:8d} {grew:+8d}  {name}")
+    rss.report()
 
 
 def shares(stacks: Counter[Tuple[str, ...]]) -> Tuple[Counter[str], Counter[str]]:

@@ -148,11 +148,37 @@ def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def _decode_list(data: bytes, start: int, end: int) -> list:
-    items = []
+    items: list = []
+    append = items.append
+    size = len(data)
     pos = start
     while pos < end:
+        # a single byte, a short string or a short list (nearly every item a
+        # record holds) is decoded here, with :func:`_decode_at`'s checks; a
+        # long item goes there
+        prefix = data[pos]
+        if prefix < 0x80:
+            append(data[pos : pos + 1])
+            pos += 1
+            continue
+        if prefix <= 0xB7:
+            following = pos + prefix - 0x7F
+            if following > size:
+                raise RLPDecodeError("string runs past end of input")
+            if prefix == 0x81 and data[pos + 1] < 0x80:
+                raise RLPDecodeError("non-canonical single-byte encoding")
+            append(data[pos + 1 : following])
+            pos = following
+            continue
+        if 0xC0 <= prefix <= 0xF7:
+            following = pos + prefix - 0xBF
+            if following > size:
+                raise RLPDecodeError("list runs past end of input")
+            append(_decode_list(data, pos + 1, following))
+            pos = following
+            continue
         item, pos = _decode_at(data, pos)
-        items.append(item)
+        append(item)
     if pos != end:
         raise RLPDecodeError("list payload length mismatch")
     return items

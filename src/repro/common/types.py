@@ -37,7 +37,7 @@ def address(value: bytes) -> Address:
     """``value`` as an :data:`Address`: exactly 20 bytes, as exact ``bytes``."""
     if len(value) != ADDRESS_BYTES:
         raise ValueError(f"Address must be {ADDRESS_BYTES} bytes, got {len(value)}")
-    return Address(bytes(value))
+    return Address(value if type(value) is bytes else bytes(value))
 
 
 def address_from_int(value: int) -> Address:
@@ -60,7 +60,7 @@ def hash32(value: bytes) -> Hash32:
     """``value`` as a :data:`Hash32`: exactly 32 bytes, as exact ``bytes``."""
     if len(value) != WORD_BYTES:
         raise ValueError(f"Hash32 must be {WORD_BYTES} bytes, got {len(value)}")
-    return Hash32(bytes(value))
+    return Hash32(value if type(value) is bytes else bytes(value))
 
 
 def hash32_from_hex(text: str) -> Hash32:

@@ -73,31 +73,59 @@ class StateSnapshot:
 
 def genesis_snapshot(
     alloc: Optional[Mapping[Address, AccountData]] = None,
+    base: Optional[StateSnapshot] = None,
 ) -> StateSnapshot:
-    """Build the initial snapshot from an allocation of pre-funded accounts."""
+    """Build the snapshot that holds exactly ``alloc``'s accounts.
+
+    Without a ``base`` every trie is one bottom-up build from its sorted run
+    of keys.  With one, the tries are the base's updated by the difference
+    between ``base.accounts`` and ``alloc``: an account whose storage equals
+    the base's keeps the base's storage trie object, any other applies only
+    its changed, added and removed slots, and an account equal to the base's
+    keeps its account-trie entry.  An MPT is canonical, so both builds have
+    the same root and a build near the base re-hashes only what differs.
+    """
+    base_accounts: Mapping[Address, AccountData] = base.accounts if base else {}
+    base_tries: Mapping[Address, SecureMPT] = base._storage_tries if base else {}
     accounts: Dict[Address, AccountData] = {}
     storage_tries: Dict[Address, SecureMPT] = {}
     bodies = []
     for address, data in (alloc or {}).items():
-        if not all(data.storage.values()):
+        storage = data.storage
+        if not all(storage.values()):
             # a zero slot is an absent slot: an account of zero slots only
             # is empty, and stays out of the world trie
-            storage = {slot: value for slot, value in data.storage.items() if value}
+            storage = {slot: value for slot, value in storage.items() if value}
             data = AccountData(data.nonce, data.balance, data.code, storage)
         if data.is_empty():
             continue
+        prior = base_accounts.get(address)
+        if prior is None:
+            storage_trie = _EMPTY_TRIE.update_many(
+                (_slot_key(slot), rlp_int(value)) for slot, value in storage.items()
+            )
+        elif storage == prior.storage:
+            storage_trie = base_tries.get(address, _EMPTY_TRIE)
+            if (data.nonce, data.balance, data.code) == (prior.nonce, prior.balance, prior.code):
+                data = prior  # the base's account, whose trie entry is still exact
+        else:
+            old = prior.storage
+            updates = [
+                (_slot_key(slot), rlp_int(value))
+                for slot, value in storage.items()
+                if old.get(slot) != value
+            ]
+            updates.extend((_slot_key(slot), b"") for slot in old if slot not in storage)
+            storage_trie = base_tries.get(address, _EMPTY_TRIE).update_many(updates)
         accounts[address] = data
-        # each trie is one bottom-up build from its sorted run of keys
-        storage_trie = _EMPTY_TRIE.update_many(
-            (_slot_key(slot), rlp_int(value))
-            for slot, value in data.storage.items()
-        )
         if not storage_trie.is_empty():
             storage_tries[address] = storage_trie
-        bodies.append(
-            (address, encode_account(data, storage_trie.root_hash()))
-        )
-    return StateSnapshot(accounts, _EMPTY_TRIE.update_many(bodies), storage_tries)
+        if data is not prior:
+            bodies.append((address, encode_account(data, storage_trie.root_hash())))
+    # a base account the allocation leaves out (or leaves empty) is deleted
+    bodies.extend((address, b"") for address in base_accounts if address not in accounts)
+    account_trie = base._account_trie if base else _EMPTY_TRIE
+    return StateSnapshot(accounts, account_trie.update_many(bodies), storage_tries)
 
 
 class _Overlay:

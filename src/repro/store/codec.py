@@ -11,7 +11,7 @@ hinges on two conventions:
 
 * integers ride through :mod:`repro.common.rlp` big-endian with no
   leading zeros (zero is the empty string), so ``decode(encode(0))`` is
-  ``b""`` and :func:`_as_int` maps it back to ``0``;
+  ``b""`` and ``int.from_bytes`` maps it back to ``0``;
 * zero-length byte fields (``extra=b""``, an empty ``proposer_id``)
   encode to the canonical empty string ``0x80`` and decode to ``b""`` —
   the property test in ``tests/test_common_rlp.py`` pins this round trip
@@ -26,7 +26,8 @@ the log has already been committed.  Decoded blocks carry
 from __future__ import annotations
 
 import hashlib
-from typing import Any, List, Sequence, Tuple
+from itertools import repeat
+from typing import Any, List, Sequence
 
 from repro.chain.block import Block, BlockHeader, Receipt
 from repro.common.rlp import rlp_decode, rlp_decode_first, rlp_encode, rlp_int, rlp_list, rlp_string
@@ -48,21 +49,34 @@ __all__ = [
 ]
 
 
-def _as_int(data: bytes) -> int:
-    """Decode a canonical RLP integer payload (empty string = zero)."""
-    return int.from_bytes(data, "big")
+# The decoder yields exact ``bytes`` and lists, nothing else.  A record's
+# fields are checked a list at a time: its length, then the types of all of
+# its byte-string fields in one scan, so a field is used as it comes.
 
-
-def _as_bytes(item: Any) -> bytes:
-    if not isinstance(item, (bytes, bytearray)):
-        raise ValueError(f"expected bytes, decoded {type(item).__name__}")
-    return bytes(item)
+#: ``_ONLY_BYTES(types)``: every type is ``bytes``
+_ONLY_BYTES = frozenset((bytes,)).issuperset
 
 
 def _as_list(item: Any) -> List[Any]:
-    if not isinstance(item, list):
+    if type(item) is not list:
         raise ValueError(f"expected list, decoded {type(item).__name__}")
     return item
+
+
+def _fields(item: Any, count: int, what: str) -> List[Any]:
+    """``item`` as a list of exactly ``count`` fields."""
+    items = _as_list(item)
+    if len(items) != count:
+        raise ValueError(f"{what} wants {count} fields, got {len(items)}")
+    return items
+
+
+def _all_bytes(items: Sequence[Any]) -> Sequence[bytes]:
+    """``items``, once every one is a byte string."""
+    if not _ONLY_BYTES(map(type, items)):
+        wrong = next(item for item in items if type(item) is not bytes)
+        raise ValueError(f"expected bytes, decoded {type(wrong).__name__}")
+    return items
 
 
 # --------------------------------------------------------------------------- #
@@ -94,27 +108,29 @@ def encode_header(header: BlockHeader) -> bytes:
     return rlp_encode(header_to_items(header))
 
 
-def header_from_items(items: Sequence[Any]) -> BlockHeader:
-    if len(items) != _HEADER_FIELDS:
-        raise ValueError(f"header wants {_HEADER_FIELDS} fields, got {len(items)}")
+def header_from_items(item: Any) -> BlockHeader:
+    (
+        parent_hash, number, state_root, transactions_root, receipts_root, gas_used,
+        gas_limit, coinbase, timestamp, proposer_id, extra, logs_bloom,
+    ) = _all_bytes(_fields(item, _HEADER_FIELDS, "header"))
     return BlockHeader(
-        parent_hash=hash32(_as_bytes(items[0])),
-        number=_as_int(_as_bytes(items[1])),
-        state_root=hash32(_as_bytes(items[2])),
-        transactions_root=hash32(_as_bytes(items[3])),
-        receipts_root=hash32(_as_bytes(items[4])),
-        gas_used=_as_int(_as_bytes(items[5])),
-        gas_limit=_as_int(_as_bytes(items[6])),
-        coinbase=address(_as_bytes(items[7])),
-        timestamp=_as_int(_as_bytes(items[8])),
-        proposer_id=_as_bytes(items[9]).decode("utf-8"),
-        extra=_as_bytes(items[10]),
-        logs_bloom=_as_bytes(items[11]),
+        parent_hash=hash32(parent_hash),
+        number=int.from_bytes(number, "big"),
+        state_root=hash32(state_root),
+        transactions_root=hash32(transactions_root),
+        receipts_root=hash32(receipts_root),
+        gas_used=int.from_bytes(gas_used, "big"),
+        gas_limit=int.from_bytes(gas_limit, "big"),
+        coinbase=address(coinbase),
+        timestamp=int.from_bytes(timestamp, "big"),
+        proposer_id=proposer_id.decode("utf-8"),
+        extra=extra,
+        logs_bloom=logs_bloom,
     )
 
 
 def decode_header(data: bytes) -> BlockHeader:
-    return header_from_items(_as_list(rlp_decode(data)))
+    return header_from_items(rlp_decode(data))
 
 
 # --------------------------------------------------------------------------- #
@@ -140,24 +156,24 @@ def encode_transaction(tx: Transaction) -> bytes:
     )
 
 
-def tx_from_items(items: Sequence[Any]) -> Transaction:
-    if len(items) != 8:
-        raise ValueError(f"transaction wants 8 fields, got {len(items)}")
-    to_bytes = _as_bytes(items[1])
+def tx_from_items(item: Any) -> Transaction:
+    sender, to, value, data, gas_limit, gas_price, nonce, tag = _all_bytes(
+        _fields(item, 8, "transaction")
+    )
     return Transaction(
-        sender=address(_as_bytes(items[0])),
-        to=address(to_bytes) if to_bytes else None,
-        value=_as_int(_as_bytes(items[2])),
-        data=_as_bytes(items[3]),
-        gas_limit=_as_int(_as_bytes(items[4])),
-        gas_price=_as_int(_as_bytes(items[5])),
-        nonce=_as_int(_as_bytes(items[6])),
-        tag=_as_bytes(items[7]).decode("utf-8"),
+        address(sender),
+        address(to) if to else None,
+        int.from_bytes(value, "big"),
+        data,
+        int.from_bytes(gas_limit, "big"),
+        int.from_bytes(gas_price, "big"),
+        int.from_bytes(nonce, "big"),
+        tag.decode("utf-8"),
     )
 
 
 def decode_transaction(data: bytes) -> Transaction:
-    return tx_from_items(_as_list(rlp_decode(data)))
+    return tx_from_items(rlp_decode(data))
 
 
 # --------------------------------------------------------------------------- #
@@ -171,35 +187,28 @@ def encode_receipt(receipt: Receipt) -> bytes:
     return receipt.encode()
 
 
-def receipt_from_items(items: Sequence[Any]) -> Receipt:
-    if len(items) != 6:
-        raise ValueError(f"receipt wants 6 fields, got {len(items)}")
-    logs: List[Log] = []
-    for raw in _as_list(items[5]):
-        fields = _as_list(raw)
-        if len(fields) != 3:
-            raise ValueError(f"log wants 3 fields, got {len(fields)}")
-        logs.append(
-            Log(
-                address=address(_as_bytes(fields[0])),
-                topics=tuple(
-                    _as_int(_as_bytes(t)) for t in _as_list(fields[1])
-                ),
-                data=_as_bytes(fields[2]),
-            )
-        )
+def log_from_items(item: Any) -> Log:
+    emitter, topics, data = _fields(item, 3, "log")
+    _all_bytes((emitter, data))
+    words = _all_bytes(_as_list(topics))
+    return Log(address(emitter), tuple(map(int.from_bytes, words, repeat("big"))), data)
+
+
+def receipt_from_items(item: Any) -> Receipt:
+    items = _fields(item, 6, "receipt")
+    tx_hash, success, gas_used, cumulative_gas, log_count = _all_bytes(items[:5])
     return Receipt(
-        tx_hash=hash32(_as_bytes(items[0])),
-        success=bool(_as_int(_as_bytes(items[1]))),
-        gas_used=_as_int(_as_bytes(items[2])),
-        cumulative_gas=_as_int(_as_bytes(items[3])),
-        log_count=_as_int(_as_bytes(items[4])),
-        logs=tuple(logs),
+        hash32(tx_hash),
+        bool(int.from_bytes(success, "big")),
+        int.from_bytes(gas_used, "big"),
+        int.from_bytes(cumulative_gas, "big"),
+        int.from_bytes(log_count, "big"),
+        tuple(map(log_from_items, _as_list(items[5]))),
     )
 
 
 def decode_receipt(data: bytes) -> Receipt:
-    return receipt_from_items(_as_list(rlp_decode(data)))
+    return receipt_from_items(rlp_decode(data))
 
 
 # --------------------------------------------------------------------------- #
@@ -219,20 +228,11 @@ def encode_block(block: Block) -> bytes:
 
 
 def decode_block(data: bytes) -> Block:
-    items = _as_list(rlp_decode(data))
-    if len(items) != 3:
-        raise ValueError(f"block wants 3 fields, got {len(items)}")
-    header = header_from_items(_as_list(items[0]))
-    transactions: Tuple[Transaction, ...] = tuple(
-        tx_from_items(_as_list(raw)) for raw in _as_list(items[1])
-    )
-    receipts: Tuple[Receipt, ...] = tuple(
-        receipt_from_items(_as_list(raw)) for raw in _as_list(items[2])
-    )
+    header, transactions, receipts = _fields(rlp_decode(data), 3, "block")
     return Block(
-        header=header,
-        transactions=transactions,
-        receipts=receipts,
+        header=header_from_items(header),
+        transactions=tuple(map(tx_from_items, _as_list(transactions))),
+        receipts=tuple(map(receipt_from_items, _as_list(receipts))),
         profile=None,
     )
 
@@ -242,7 +242,7 @@ def peek_block_number(data: bytes) -> int:
     (compaction wants one integer per record, not every transaction and
     receipt).  Raises ``ValueError``, as :func:`decode_block` would, unless
     ``data`` starts with a well-formed header."""
-    return header_from_items(_as_list(rlp_decode_first(data))).number
+    return header_from_items(rlp_decode_first(data)).number
 
 
 def chain_digest(blocks: Sequence[Block], *, skip: int = 0) -> str:

@@ -109,7 +109,11 @@ def _base_from_manifest(
 
     expect_root = hash32_from_hex(ref.state_root)
     state = load_snapshot(
-        data_dir, ref.file, expect_sha256=ref.sha256, expect_root=expect_root
+        data_dir,
+        ref.file,
+        expect_sha256=ref.sha256,
+        expect_root=expect_root,
+        base=genesis_state,
     )
     header = decode_header(bytes.fromhex(ref.header))
     if header.number != ref.height:
@@ -140,8 +144,10 @@ def recover(
 ) -> RecoveryResult:
     """Rebuild a verified :class:`Blockchain` from ``data_dir``.
 
-    ``genesis_state`` seeds a fresh chain when the dir is empty (and is
-    the fallback base when a manifest carries no snapshot).  The returned
+    ``genesis_state`` seeds a fresh chain when the dir is empty, is the
+    fallback base when a manifest carries no snapshot, and is the state a
+    snapshot's tries are rebuilt over (only what changed since genesis is
+    re-hashed; the roots are checked all the same).  The returned
     chain has **no store attached** — callers wire one up afterwards
     (see :func:`repro.store.open_store`, which owns that handoff).
 

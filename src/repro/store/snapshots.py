@@ -8,9 +8,9 @@ big-endian::
     account  address (20) | nonce u64 | balance (32) | code length u32 | code
              | slots u32 | slot keys (32 × slots) | slot values (32 × slots)
 
-Slot keys are strictly ascending and no account is empty (a state holds
-none): an encoding has one form, so a decoded file is exactly the state
-:func:`write_snapshot` wrote.
+Slot keys are strictly ascending, no slot holds zero and no account is
+empty (a state holds neither): an encoding has one form, so a decoded file
+is exactly the state :func:`write_snapshot` wrote.
 
 :func:`write_snapshot` hands :func:`repro.store.atomic.publish` a generator
 of the account records joined into chunks of ~32 KiB, updating the SHA-256
@@ -24,11 +24,17 @@ file, or a copy of it.
 * the file's SHA-256 against the digest the manifest recorded (bit rot,
   tampering);
 * a strict decode — magic and version, every count and length against the
-  bytes left, ascending unique addresses and slot keys, no empty account,
-  no trailing bytes;
+  bytes left, ascending unique addresses and slot keys, no zero slot, no
+  empty account, no trailing bytes;
 * the rebuilt trie's state root against the file's recorded root and the
   root the manifest pinned for that height (a *valid-looking but wrong*
   snapshot).
+
+The tries are rebuilt over the state the caller passes as ``base``
+(recovery passes its genesis), not from empty tries: only what differs from
+the base is re-hashed.  An MPT is canonical, so the root is the one the
+file's contents have whatever the base, and both root checks still cover
+every byte of the file.
 
 Any failure is a :class:`SnapshotCorruptError`; a snapshot written by a
 version that used another format (the JSON document) is refused as one.
@@ -41,7 +47,7 @@ import os
 import struct
 from itertools import repeat
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.hashing import Hash32
 from repro.common.types import Address
@@ -116,11 +122,15 @@ def snapshot_chunks(snapshot: StateSnapshot) -> Iterator[bytes]:
     yield b"".join(batch)
 
 
-def decode_snapshot(raw: bytes, name: str = "snapshot") -> StateSnapshot:
+def decode_snapshot(
+    raw: bytes, name: str = "snapshot", base: Optional[StateSnapshot] = None
+) -> StateSnapshot:
     """Strictly decode one file's bytes and check the rebuilt root against
     the one it records; every bad input is a :class:`SnapshotCorruptError`,
     found in time linear in ``len(raw)`` (a count is checked against the
-    bytes left before anything is sliced)."""
+    bytes left before anything is sliced).  The tries are rebuilt over
+    ``base`` (:func:`~repro.state.statedb.genesis_snapshot`), so a file near
+    that state re-hashes only what differs from it."""
 
     def corrupt(why: str) -> SnapshotCorruptError:
         return SnapshotCorruptError(f"snapshot {name}: {why}")
@@ -160,14 +170,17 @@ def decode_snapshot(raw: bytes, name: str = "snapshot") -> StateSnapshot:
             keys = _ints(raw[pos : pos + 32 * slots])
             if not all(map(int.__lt__, keys, keys[1:])):
                 raise corrupt(f"slots of {address.hex()} are out of order or repeated")
-            storage = dict(zip(keys, _ints(raw[pos + 32 * slots : pos + 64 * slots])))
+            values = _ints(raw[pos + 32 * slots : pos + 64 * slots])
+            if not all(values):
+                raise corrupt(f"a slot of {address.hex()} holds zero")
+            storage = dict(zip(keys, values))
             pos += 64 * slots
         elif not (nonce or balance_int or code):
             raise corrupt(f"account {address.hex()} is empty")
         alloc[address] = AccountData(nonce, balance_int, code, storage)
     if pos != end:
         raise corrupt(f"{end - pos} trailing bytes")
-    snapshot = genesis_snapshot(alloc)
+    snapshot = genesis_snapshot(alloc, base)
     if snapshot.state_root() != recorded:
         raise corrupt(
             f"rebuilds to root {snapshot.state_root().hex()[:16]}…, "
@@ -204,8 +217,10 @@ def load_snapshot(
     *,
     expect_sha256: str,
     expect_root: Hash32,
+    base: Optional[StateSnapshot] = None,
 ) -> StateSnapshot:
-    """Load and fully verify one snapshot file.
+    """Load and fully verify one snapshot file, rebuilding its tries over
+    ``base`` (see :func:`decode_snapshot`).
 
     Raises :class:`SnapshotCorruptError` on any mismatch — digest, record
     shape, rebuilt root vs the file, or rebuilt root vs the root the
@@ -224,7 +239,7 @@ def load_snapshot(
             f"snapshot {filename} digest mismatch: "
             f"manifest records {expect_sha256[:16]}…, file hashes {actual[:16]}…"
         )
-    snapshot = decode_snapshot(raw, filename)
+    snapshot = decode_snapshot(raw, filename, base)
     if snapshot.state_root() != expect_root:
         raise SnapshotCorruptError(
             f"snapshot {filename} rebuilds to root "

@@ -1,6 +1,8 @@
 """StateDB tests: overlay reads, journal/revert, commit and root hashing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import address_from_int
 from repro.state.account import AccountData
@@ -206,3 +208,94 @@ class TestCommit:
         snap = db.commit()
         assert snap.storage_root(A2) != base.storage_root(A2)
         assert snap.storage_root(A1) == base.storage_root(A1)
+
+
+# --------------------------------------------------------------------------- #
+# genesis_snapshot over a base: the delta build against the from-scratch one
+# --------------------------------------------------------------------------- #
+
+#: small slot and value ranges, so a draw often changes, zeroes or re-adds a
+#: slot the base holds
+_SLOTS = st.dictionaries(st.integers(0, 6), st.integers(0, 3), max_size=5)
+_ACCOUNTS = st.builds(
+    AccountData,
+    nonce=st.integers(0, 2),
+    balance=st.integers(0, 3),
+    code=st.sampled_from([b"", b"\x00", b"\x60\x00"]),
+    storage=_SLOTS,
+)
+
+
+@st.composite
+def _base_and_target(draw):
+    """A base allocation and a target drawn from it: each base account is
+    kept as is, dropped, or edited (nonce, balance, code, and slots added,
+    changed, removed or set to zero); new accounts join."""
+    base_alloc = draw(st.dictionaries(st.integers(1, 8), _ACCOUNTS, max_size=6))
+    target = {}
+    for key, data in base_alloc.items():
+        fate = draw(st.sampled_from(["keep", "drop", "edit"]))
+        if fate == "keep":
+            target[key] = data
+        elif fate == "edit":
+            storage = dict(data.storage)
+            for slot in draw(st.lists(st.sampled_from(sorted(storage)), unique=True)) if storage else ():
+                storage[slot] = draw(st.integers(0, 3))  # 0: the slot is deleted
+            for slot in draw(st.lists(st.sampled_from(sorted(storage)), unique=True)) if storage else ():
+                del storage[slot]
+            storage.update(draw(_SLOTS))
+            target[key] = AccountData(
+                draw(st.sampled_from([data.nonce, data.nonce + 1])),
+                draw(st.sampled_from([data.balance, data.balance + 1])),
+                draw(st.sampled_from([data.code, b"\x60\x01"])),
+                storage,
+            )
+    for key, data in draw(st.dictionaries(st.integers(9, 14), _ACCOUNTS, max_size=4)).items():
+        target[key] = data
+    return _alloc(base_alloc), _alloc(target)
+
+
+def _alloc(raw):
+    return {address_from_int(key): data for key, data in raw.items()}
+
+
+class TestGenesisOverABase:
+    @settings(max_examples=200, deadline=None)
+    @given(_base_and_target())
+    def test_the_delta_build_equals_the_scratch_build(self, allocs):
+        base_alloc, target = allocs
+        base = genesis_snapshot(base_alloc)
+        delta = genesis_snapshot(target, base)
+        scratch = genesis_snapshot(target)
+        assert delta.state_root() == scratch.state_root()
+        assert dict(delta.accounts) == dict(scratch.accounts)
+        for address in scratch.accounts:
+            assert delta.storage_root(address) == scratch.storage_root(address)
+        # the saving: an account left as the base holds it keeps its trie
+        for address, data in target.items():
+            if data is base_alloc.get(address) and address in base._storage_tries:
+                assert delta._storage_tries[address] is base._storage_tries[address]
+
+    def test_an_untouched_contract_keeps_the_base_trie(self):
+        base = make_base()
+        delta = genesis_snapshot({A2: base.accounts[A2], A3: AccountData(balance=1)}, base)
+        assert delta._storage_tries[A2] is base._storage_tries[A2]
+        assert delta.accounts[A2] is base.accounts[A2]
+        assert A1 not in delta.accounts
+        assert delta.state_root() == genesis_snapshot(
+            {A2: base.accounts[A2], A3: AccountData(balance=1)}
+        ).state_root()
+
+    def test_a_zero_slot_over_a_base_slot_deletes_it(self):
+        base = make_base()
+        target = {
+            A1: base.accounts[A1],
+            A2: AccountData(balance=500, code=b"\x00", storage={1: 0, 2: 9}),
+        }
+        delta = genesis_snapshot(target, base)
+        assert dict(delta.accounts[A2].storage) == {2: 9}
+        assert delta.state_root() == genesis_snapshot(target).state_root()
+        assert delta.storage_root(A2) == genesis_snapshot(target).storage_root(A2)
+
+    def test_no_allocation_over_a_base_is_the_empty_state(self):
+        assert genesis_snapshot({}, make_base()).state_root() == genesis_snapshot({}).state_root()

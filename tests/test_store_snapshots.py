@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from repro.common.types import address_from_int
 from repro.state.account import AccountData
-from repro.state.statedb import StateSnapshot, genesis_snapshot
+from repro.chain.blockchain import Blockchain
+from repro.state.statedb import StateDB, StateSnapshot, genesis_snapshot
+from repro.store import DiskStore, encode_header, recover
 from repro.store.errors import SnapshotCorruptError
 from repro.store.snapshots import (
     ACCOUNT,
@@ -85,14 +87,22 @@ def _decodes_or_corrupt(raw):
     return snapshot
 
 
-def _load(tmp_path, raw, *, root=None):
+def _load(tmp_path, raw, *, root=None, base=None):
     (tmp_path / "snap").write_bytes(raw)
     return load_snapshot(
         str(tmp_path),
         "snap",
         expect_sha256=hashlib.sha256(raw).hexdigest(),
         expect_root=root if root is not None else _state().state_root(),
+        base=base,
     )
+
+
+def _later_state():
+    """``_state()`` a block later: one slot changed, ``HOLDER`` untouched."""
+    db = StateDB(_state())
+    db.set_storage(CONTRACT, 1, 43)
+    return db.commit()
 
 
 class TestRoundTrip:
@@ -219,8 +229,12 @@ class TestDamagedFiles:
             ((_record(CONTRACT, code=b"\x00", slots=((1, 5), (1, 5))),), "slots .* out of order"),
             ((_record(CONTRACT, code=b"\x00", slots=((2, 5), (1, 5))),), "slots .* out of order"),
             ((_record(HOLDER),), "is empty"),
+            ((_record(CONTRACT, code=b"\x00", slots=((1, 5), (2, 0))),), "holds zero"),
         ],
-        ids=["repeated-address", "descending-address", "repeated-slot", "descending-slot", "empty-account"],
+        ids=[
+            "repeated-address", "descending-address", "repeated-slot", "descending-slot", "empty-account",
+            "zero-slot",
+        ],
     )
     def test_records_in_one_form_only(self, records, why):
         with pytest.raises(SnapshotCorruptError, match=why):
@@ -247,6 +261,80 @@ class TestDamagedFiles:
         assert len(raw) < 200
         assert peak < 64 * 1024
         assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.robustness
+class TestDamagedFilesOverABase:
+    """A file loaded over a base re-hashes only what differs from it; a
+    tampered file with its digest refreshed still fails a root check."""
+
+    def test_the_valid_file_loads_over_its_genesis(self, tmp_path):
+        later = _later_state()
+        loaded = _load(tmp_path, _raw(later), root=later.state_root(), base=_state())
+        assert loaded.state_root() == later.state_root()
+        assert dict(loaded.accounts) == dict(later.accounts)
+
+    def test_a_changed_slot_put_back_to_genesis_is_refused(self, tmp_path):
+        later = _later_state()
+        raw = _raw(later)
+        changed, genesis_value = (43).to_bytes(32, "big"), (42).to_bytes(32, "big")
+        assert raw.count(changed) == 1
+        with pytest.raises(SnapshotCorruptError, match="rebuilds to root"):
+            _load(
+                tmp_path,
+                raw.replace(changed, genesis_value),
+                root=later.state_root(),
+                base=_state(),
+            )
+
+    def test_a_genesis_account_left_out_is_refused(self, tmp_path):
+        """The base holds ``HOLDER`` as the file's state does, so only its
+        delete moves the root away from the one the file records."""
+        later = _later_state()
+        raw = _raw(later)
+        holder = _record(HOLDER, nonce=3, balance=5 * 10**18)  # sorts first
+        assert raw[HEADER.size :].startswith(holder)
+        header = HEADER.pack(MAGIC, FORMAT_VERSION, later.state_root(), len(later.accounts) - 1)
+        with pytest.raises(SnapshotCorruptError, match="rebuilds to root"):
+            _load(
+                tmp_path,
+                header + raw[HEADER.size + len(holder) :],
+                root=later.state_root(),
+                base=_state(),
+            )
+
+
+def _other_genesis(genesis):
+    """A genesis that differs from ``genesis`` in every account."""
+    return genesis_snapshot(
+        {
+            address: AccountData(data.nonce, data.balance + 1, data.code, {**data.storage, 2**100: 1})
+            for address, data in genesis.accounts.items()
+        }
+    )
+
+
+@pytest.mark.robustness
+@pytest.mark.parametrize("interval", [0, 2], ids=["genesis-snapshot", "height-4-snapshot"])
+@pytest.mark.parametrize("other", ["empty", "every-account-changed"])
+def test_recovery_under_another_genesis_reaches_the_same_head(
+    tmp_path, small_universe, build_chain, interval, other
+):
+    """The base only decides what is re-hashed: every snapshot file holds a
+    whole state, so a directory recovered with a genesis other than its own
+    rebuilds the same states and reaches the same head."""
+    genesis = small_universe.genesis
+    store = DiskStore(str(tmp_path), fsync=False, snapshot_interval=interval)
+    chain = Blockchain(genesis, store=store)
+    store.initialize(encode_header(chain.genesis.header), genesis)
+    for block, post_state in build_chain(5):
+        chain.add_block(block, post_state)
+    store.close()
+    base = genesis_snapshot({}) if other == "empty" else _other_genesis(genesis)
+    result = recover(str(tmp_path), base, fsync=False)
+    result.log.close()
+    assert result.chain.head.hash == chain.head.hash
+    assert result.chain.head.header.state_root == chain.head.header.state_root
 
 
 @pytest.mark.robustness

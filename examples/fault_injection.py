@@ -7,8 +7,9 @@ Story in four acts:
    a tampered write-set profile.
 2. The validator re-executes, catches the lie, and rejects with a typed
    `ValidationFailure` naming exactly which check failed.
-3. The liar keeps at it and gets quarantined; its transactions return to
-   the pending pool (exactly once) so honest proposers can pack them.
+3. The same lie, relayed three times to a validator node, is refused
+   three times; the rejections leave nothing behind, so the honest block
+   (same hash: the profile is outside it) is accepted right after them.
 4. A crashing worker lane shows graceful degradation: transient faults
    heal via parallel retry, permanent ones fall back to serial
    re-execution — same state root, more simulated time.
@@ -20,7 +21,6 @@ from repro.chain.blockchain import Blockchain
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.node import ProposerNode, ValidatorNode
-from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 from repro.workload.universe import UniverseConfig, build_universe
 
@@ -50,25 +50,19 @@ def main() -> None:
     print(f"  failure         = {result.failure}")
     print(f"  reason enum     = {result.failure.reason!r}")
 
-    # --- act 3: repeat liar quarantined, txs recovered ------------------ #
-    pool = TxPool()
-    node = ValidatorNode(
-        "validator-0",
-        universe.genesis,
-        config=ValidatorConfig(lanes=8),
-        quarantine_threshold=2,
-        txpool=pool,
-    )
-    print("\nsame liar, three deliveries (quarantine threshold 2):")
+    # --- act 3: a rejection leaves nothing behind ---------------------- #
+    node = ValidatorNode("validator-0", universe.genesis, config=ValidatorConfig(lanes=8))
+    print("\nsame lie, three deliveries, then the honest block:")
     for attempt in range(3):
         outcome = node.receive_blocks([bad])
-        failure = outcome.failures[0]
-        print(
-            f"  delivery {attempt + 1}: reason={failure.reason}"
-            f"  restored_txs={outcome.restored_txs}"
-            f"  quarantined={sorted(node.quarantined_proposers)}"
-        )
-    print(f"  pending pool now holds {len(pool)} recovered txs")
+        assert not outcome.accepted
+        print(f"  delivery {attempt + 1}: rejected, reason={outcome.failures[0].reason}")
+    outcome = node.receive_blocks([honest])
+    assert outcome.accepted and node.chain.head.hash == honest.hash
+    print(
+        f"  honest block:  accepted, height {node.chain.height()}"
+        f"  (same hash as the lie: {bad.hash == honest.hash})"
+    )
 
     # --- act 4: worker crashes degrade, never corrupt ------------------- #
     print("\nworker-lane crashes (same block, increasing persistence):")

@@ -22,9 +22,8 @@ A shard still unresolved after ``MAX_REASSIGNMENTS`` re-assignments makes
 :meth:`ShardCoordinator.execute` return ``None``, with the dominant fault
 kind (``byzantine``, then ``crash``, then ``straggler``) in
 :attr:`DistributedRecord.fallback`; the validator then re-executes the
-block locally, so follower faults cost throughput, never correctness —
-and a lying follower can never get an honest proposer quarantined.  The
-coordinator also *declines* — ``None``, ``fallback="undistributable"`` —
+block locally, so follower faults cost throughput, never correctness.
+The coordinator also *declines* — ``None``, ``fallback="undistributable"`` —
 a block whose shard could not execute cleanly (lying profile, invalid
 transaction): that is the block's fault, and the local reference path
 classifies it.  Whether a block is handed over at all is the validator's
@@ -56,7 +55,6 @@ from repro.core.validator import ParallelValidator
 from repro.evm.interpreter import ExecutionContext
 from repro.exec.tasks import build_component_tasks
 from repro.exec.validating import ParallelExecOutcome, merge_components
-from repro.faults.injector import FaultInjector
 from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -128,7 +126,6 @@ class ShardCoordinator:
         n_followers: int,
         *,
         master_id: str = "master",
-        injector: Optional[FaultInjector] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -142,13 +139,7 @@ class ShardCoordinator:
             else NULL_TRACER
         )
         self.followers = [
-            FollowerNode(
-                f"{master_id}/follower-{i}",
-                injector=injector,
-                tracer=tracer,
-                metrics=self.metrics,
-            )
-            for i in range(n_followers)
+            FollowerNode(f"{master_id}/follower-{i}") for i in range(n_followers)
         ]
         #: record of the most recent distributed validation
         self.last_record: Optional[DistributedRecord] = None
@@ -353,9 +344,8 @@ class ShardCoordinator:
     def _next_live(self, current: int, dead: set) -> Optional[int]:
         """Round-robin to the next non-crashed follower (None if none).
 
-        May return ``current`` itself when it is the only live follower —
-        the attempt counter still advances, so the re-dispatch rolls fresh
-        faults.
+        May return ``current`` itself when it is the only live follower;
+        the re-dispatch then carries the next attempt number.
         """
         n = self.n_followers
         for step in range(1, n + 1):

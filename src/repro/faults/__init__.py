@@ -1,8 +1,8 @@
 """Byzantine fault injection and the typed validation-failure taxonomy.
 
 The paper's applier (Algorithm 2) assumes honest blocks; this package
-exercises the *other* path: lying profiles, corrupted blocks, crashing
-workers and faulty followers.  The design target is Block-STM's guarantee —
+exercises the *other* path: lying profiles, corrupted blocks and
+crashing workers.  The design target is Block-STM's guarantee —
 an adversarial proposer can at worst degrade performance, never
 correctness (see PAPERS.md).
 
@@ -11,7 +11,7 @@ Layout:
 * :mod:`repro.faults.errors` — :class:`FailureReason`/:class:`ValidationFailure`,
   the structured rejection taxonomy threaded through the validator stack;
 * :mod:`repro.faults.injector` — the seeded :class:`FaultInjector` (block
-  corruption, worker crashes/stalls, follower crashes/stalls/lies);
+  corruption, worker crashes/stalls);
 * :mod:`repro.faults.storage` — deterministic storage faults for the
   durability engine: :class:`CrashPlan` crash points fired inside the
   :mod:`repro.store` commit path, plus tamper helpers (torn tails, byte
@@ -19,7 +19,9 @@ Layout:
 
 The executable taxonomy — one scenario per failure variant, each driving
 its fault through the public validator / pipeline / node API — is a test
-fixture, ``tests/fault_scenarios.py``.
+fixture, ``tests/fault_scenarios.py``, together with the fakes that drive
+faults the node itself never injects: a lying proposer and a crashing,
+stalling or lying follower.
 """
 
 from repro.faults.errors import FailureReason, ValidationFailure

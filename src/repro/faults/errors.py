@@ -4,7 +4,10 @@ Every way a block can fail validation gets one :class:`FailureReason`
 variant, and each is a fault of the block, of its parent or of its
 proposer: a local fault (a crashed or stalled worker lane, a lost or
 lying follower) costs throughput, never a verdict, because the validator
-then re-executes the block itself.  The validator, pipeline and node
+then re-executes the block itself.  A rejection is a verdict on one
+block and nothing more: no node keeps a record of it against the
+proposer the header names, because nothing authenticates that name or
+the profile.  The validator, pipeline and node
 attach a :class:`ValidationFailure` to each rejection so benchmarks can count
 *why* blocks were thrown out, not just that they were.  The string
 ``reason`` fields on ``ValidationResult``/``ValidationOutcome`` are kept
@@ -21,11 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = [
-    "FailureReason",
-    "ValidationFailure",
-    "BYZANTINE_REASONS",
-]
+__all__ = ["FailureReason", "ValidationFailure"]
 
 
 class FailureReason(enum.Enum):
@@ -49,25 +48,9 @@ class FailureReason(enum.Enum):
     UNKNOWN_PARENT = "unknown_parent"
     #: The block's parent was itself rejected in the same batch.
     PARENT_REJECTED = "parent_rejected"
-    #: The proposer was quarantined after repeated profile-check failures.
-    PROPOSER_QUARANTINED = "proposer_quarantined"
 
     def __str__(self) -> str:  # stable, compact (used in reports/counters)
         return self.value
-
-
-#: Reasons that indicate a *lying proposer* (profile or header claims that
-#: execution disproved) — the strikes that drive proposer quarantine.
-BYZANTINE_REASONS = frozenset(
-    {
-        FailureReason.PROFILE_READ_MISMATCH,
-        FailureReason.PROFILE_WRITE_MISMATCH,
-        FailureReason.PROFILE_GAS_MISMATCH,
-        FailureReason.RECEIPT_MISMATCH,
-        FailureReason.STATE_ROOT_MISMATCH,
-        FailureReason.MALFORMED_BLOCK,
-    }
-)
 
 
 @dataclass(frozen=True)

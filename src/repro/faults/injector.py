@@ -1,12 +1,12 @@
 """Deterministic, seeded fault injection.
 
 One seed drives every fault decision, and each decision is keyed by
-*where* it applies (block hash, transaction index, attempt, shard,
-follower) rather than by call order — so a scenario replays bit-identically
-no matter how the caller interleaves queries, and two validators fed the
-same faulty traffic observe the same faults.
+*where* it applies (block hash, transaction index, attempt) rather than
+by call order — so a scenario replays bit-identically no matter how the
+caller interleaves queries, and two validators fed the same faulty
+traffic observe the same faults.
 
-Two fault families, plus the follower faults of distributed validation:
+Two fault families:
 
 * **Proposal corruption** — :meth:`FaultInjector.corrupt_block` tampers a
   sealed block the way a byzantine proposer would: lying profile rs/ws
@@ -17,11 +17,10 @@ Two fault families, plus the follower faults of distributed validation:
   ``worker_fault_attempts`` attempts (transient), or stall for a
   configurable simulated delay.  Neither refuses a block: the validator
   retries, then re-executes serially.
-* **Follower faults** — :meth:`FaultInjector.follower_fault` makes a
-  follower of a distributed validator crash, stall or return a tampered
-  shard reply for one assignment.
 
 Block delivery itself is not faulted: blocks arrive in logical rounds.
+Follower faults (a crashed, stalled or lying follower of a distributed
+validator) are a test-side fake follower in ``tests/fault_scenarios.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.state.access import FrozenRWSet, balance_key
 __all__ = [
     "FaultConfig",
     "ExecutionFault",
-    "FollowerFault",
     "FaultInjector",
     "CORRUPTION_KINDS",
     "PROFILE_CORRUPTION_KINDS",
@@ -57,7 +55,8 @@ def _keyed_rng(seed: int, *key: object) -> random.Random:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Knobs for every injectable fault family (all off by default)."""
+    """Knobs for the execution faults (all off by default); proposal
+    corruption takes its kind per :meth:`FaultInjector.corrupt_block` call."""
 
     seed: int = 0
     # --- execution faults (validator worker lanes) -------------------- #
@@ -72,17 +71,6 @@ class FaultConfig:
     stall_rate: float = 0.0
     #: Simulated duration of one stall, in µs (charged to the tx's cost).
     stall_delay_us: float = 400.0
-    # --- follower faults (distributed shard validation) --------------- #
-    #: Probability a follower crashes on a given shard assignment (the
-    #: reply never arrives; the coordinator re-assigns after the deadline).
-    follower_crash_rate: float = 0.0
-    #: Probability a follower stalls (slow node) before replying.
-    follower_stall_rate: float = 0.0
-    #: Simulated duration of one follower stall, in µs — sized to blow the
-    #: coordinator's straggler deadline, not just pad the makespan.
-    follower_stall_us: float = 50_000.0
-    #: Probability a follower returns a tampered (byzantine) shard reply.
-    follower_byzantine_rate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,15 +79,6 @@ class ExecutionFault:
 
     crash: bool = False
     stall_us: float = 0.0
-
-
-@dataclass(frozen=True)
-class FollowerFault:
-    """What the injector decided for one shard assignment to a follower."""
-
-    crash: bool = False
-    stall_us: float = 0.0
-    byzantine: bool = False
 
 
 #: Corruption kinds that tamper the block profile (lying proposer).
@@ -161,46 +140,6 @@ class FaultInjector:
             if roll.random() < cfg.stall_rate:
                 stall = cfg.stall_delay_us
         return ExecutionFault(crash=crash, stall_us=stall)
-
-    # --- follower faults ---------------------------------------------- #
-
-    @property
-    def injects_follower_faults(self) -> bool:
-        """Whether any follower-fault family is active."""
-        cfg = self.config
-        return (
-            cfg.follower_crash_rate > 0.0
-            or cfg.follower_stall_rate > 0.0
-            or cfg.follower_byzantine_rate > 0.0
-        )
-
-    def follower_fault(
-        self, block_hash: Hash32, shard_id: int, follower_id: str, attempt: int
-    ) -> FollowerFault:
-        """Decide crash/stall/byzantine for one shard assignment.
-
-        Keyed by (block, shard, follower, attempt): a crashing follower
-        crashes for that shard regardless of when it is asked, and a
-        re-assignment of the same shard to a *different* follower rolls
-        fresh faults — so re-assignment genuinely routes around a bad node
-        rather than replaying its fate.
-        """
-        cfg = self.config
-        key = (bytes(block_hash).hex(), shard_id, follower_id, attempt)
-        crash = False
-        if cfg.follower_crash_rate > 0.0:
-            roll = _keyed_rng(cfg.seed, "follower_crash", *key)
-            crash = roll.random() < cfg.follower_crash_rate
-        stall = 0.0
-        if cfg.follower_stall_rate > 0.0:
-            roll = _keyed_rng(cfg.seed, "follower_stall", *key)
-            if roll.random() < cfg.follower_stall_rate:
-                stall = cfg.follower_stall_us
-        byzantine = False
-        if cfg.follower_byzantine_rate > 0.0:
-            roll = _keyed_rng(cfg.seed, "follower_byz", *key)
-            byzantine = roll.random() < cfg.follower_byzantine_rate
-        return FollowerFault(crash=crash, stall_us=stall, byzantine=byzantine)
 
     # --- proposal corruption ------------------------------------------ #
 

@@ -2,18 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.blockchain import Blockchain
@@ -25,7 +15,7 @@ from repro.core.pipeline import PipelineResult, ValidatorPipeline
 from repro.core.proposer import SealedProposal, seal_block
 from repro.core.validator import Distributor, ValidatorConfig
 from repro.evm.interpreter import ExecutionContext
-from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
+from repro.faults.errors import ValidationFailure
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -110,31 +100,19 @@ class ReceiveOutcome:
     accepted: List[Block]
     rejected: List[Block]
     new_head: bool
-    #: Blocks refused without validation because their proposer is
-    #: quarantined (also included in ``rejected``).
-    quarantined: List[Block] = field(default_factory=list)
     #: Typed failure per input block, aligned with the ``blocks`` argument
     #: (None for accepted blocks).
-    failures: List[Optional[ValidationFailure]] = field(default_factory=list)
-    #: Transactions from rejected blocks returned to the node's
-    #: pending pool this batch (0 when the node has no pool attached).
-    restored_txs: int = 0
+    failures: List[Optional[ValidationFailure]]
 
 
 class ValidatorNode:
     """A validating node: owns a chain, pipelines received blocks (§4.3).
 
-    Hardening on top of the paper's validator:
-
-    * **Proposer quarantine** — a proposer whose blocks accumulate
-      ``quarantine_threshold`` byzantine failures (lying profiles, bad
-      roots, malformed bodies) is refused outright from then on; its
-      blocks are rejected with ``PROPOSER_QUARANTINED`` without burning
-      validation work.
-    * **Transaction recovery** — when a ``txpool`` is attached, the
-      transactions of rejected blocks are returned to it
-      exactly once (fork siblings carrying the same tx do not duplicate
-      it, and txs already committed by an accepted sibling stay out).
+    Each block is judged on its own: a rejection changes nothing on the
+    node but the verdict it returns.  The node keeps no memory of who
+    sent a rejected block — nothing authenticates the header's
+    ``proposer_id`` or the profile, so a relay could forge either — and
+    hands no transaction anywhere.
     """
 
     def __init__(
@@ -144,8 +122,6 @@ class ValidatorNode:
         *,
         config: Optional[ValidatorConfig] = None,
         injector: Optional[FaultInjector] = None,
-        quarantine_threshold: int = 3,
-        txpool: Optional[TxPool] = None,
         chain: Optional[Blockchain] = None,
         tracer: Any = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -166,11 +142,6 @@ class ValidatorNode:
             backend=backend,
             distributor=distributor,
         )
-        self.quarantine_threshold = quarantine_threshold
-        self.txpool = txpool
-        self.quarantined_proposers: Set[str] = set()
-        self._strikes: Dict[str, int] = {}
-        self._restore_attempted: Set[bytes] = set()
 
     def receive_blocks(self, blocks: Sequence[Block]) -> ReceiveOutcome:
         """Validate a batch of (possibly same-height) blocks, extend the chain.
@@ -179,64 +150,37 @@ class ValidatorNode:
         parents are unknown are rejected (no orphan pool in this model).
         """
         tracer = self.tracer
-        trace_on = tracer.enabled
-        admitted: List[Block] = []
-        failure_by_hash: Dict[bytes, Optional[ValidationFailure]] = {}
-        quarantined: List[Block] = []
-        for block in blocks:
-            proposer = block.header.proposer_id
-            if trace_on:
+        if tracer.enabled:
+            for block in blocks:
                 tracer.instant(
                     "block_received",
                     0.0,
                     block=block.hash.hex()[:8],
                     number=block.header.number,
-                    proposer=proposer,
+                    proposer=block.header.proposer_id,
                 )
-            if proposer and proposer in self.quarantined_proposers:
-                quarantined.append(block)
-                failure_by_hash[block.hash] = ValidationFailure(
-                    FailureReason.PROPOSER_QUARANTINED,
-                    detail=f"proposer {proposer} quarantined after "
-                    f"{self._strikes.get(proposer, 0)} byzantine blocks",
-                )
-                if trace_on:
-                    tracer.instant(
-                        "quarantine_reject",
-                        0.0,
-                        block=block.hash.hex()[:8],
-                        proposer=proposer,
-                        reason=FailureReason.PROPOSER_QUARANTINED.value,
-                    )
-                continue
-            admitted.append(block)
 
         parent_states: Dict[Hash32, StateSnapshot] = {}
-        for block in admitted:
+        for block in blocks:
             snapshot = self.chain.state_at(block.header.parent_hash)
             if snapshot is not None:
                 parent_states[block.header.parent_hash] = snapshot
-        result = self.pipeline.process_blocks(admitted, parent_states)
+        result = self.pipeline.process_blocks(blocks, parent_states)
 
         accepted: List[Block] = []
         rejected: List[Block] = []
+        # by position, not by hash: a forged copy keeps its original's hash
+        failures: List[Optional[ValidationFailure]] = []
         new_head = False
         additions: List[Tuple[Block, StateSnapshot]] = []
-        for block, validation in zip(admitted, result.results):
-            if (
-                validation is not None
-                and validation.accepted
-                and validation.post_state is not None
-            ):
+        for block, validation in zip(blocks, result.results):
+            if validation.accepted and validation.post_state is not None:
                 additions.append((block, validation.post_state))
                 accepted.append(block)
-                failure_by_hash.setdefault(block.hash, None)
+                failures.append(None)
             else:
                 rejected.append(block)
-                failure = validation.failure if validation is not None else None
-                failure_by_hash.setdefault(block.hash, failure)
-                self._record_strike(block, failure)
-        rejected.extend(quarantined)
+                failures.append(validation.failure)
 
         # Parents first: a batch may place a child before its in-batch
         # parent, and heights strictly increase along a chain.
@@ -246,12 +190,9 @@ class ValidatorNode:
                 became_head = self.chain.add_block(block, post_state)
                 new_head = new_head or became_head
 
-        restored = self._restore_transactions(accepted, rejected)
         # accepted blocks are counted once, as validator.blocks_accepted
         self.metrics.counter("node.blocks_received").inc(len(blocks))
         self.metrics.counter("node.blocks_rejected").inc(len(rejected))
-        self.metrics.counter("node.blocks_quarantined").inc(len(quarantined))
-        self.metrics.counter("node.restored_txs").inc(restored)
         if new_head:
             self.metrics.gauge("node.height").set(float(self.chain.height()))
         return ReceiveOutcome(
@@ -259,56 +200,5 @@ class ValidatorNode:
             accepted=accepted,
             rejected=rejected,
             new_head=new_head,
-            quarantined=quarantined,
-            failures=[failure_by_hash.get(b.hash) for b in blocks],
-            restored_txs=restored,
+            failures=failures,
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _record_strike(
-        self, block: Block, failure: Optional[ValidationFailure]
-    ) -> None:
-        """Count byzantine rejections per proposer; quarantine repeat liars."""
-        if failure is None or failure.reason not in BYZANTINE_REASONS:
-            return
-        proposer = block.header.proposer_id
-        if not proposer or self.quarantine_threshold <= 0:
-            return
-        self._strikes[proposer] = self._strikes.get(proposer, 0) + 1
-        if (
-            self._strikes[proposer] >= self.quarantine_threshold
-            and proposer not in self.quarantined_proposers
-        ):
-            self.quarantined_proposers.add(proposer)
-            self.metrics.counter("node.proposers_quarantined").inc()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "proposer_quarantined",
-                    0.0,
-                    proposer=proposer,
-                    strikes=self._strikes[proposer],
-                )
-
-    def _restore_transactions(
-        self, accepted: Sequence[Block], rejected: Sequence[Block]
-    ) -> int:
-        """Return rejected blocks' transactions to the pool, exactly once.
-
-        A tx committed by an accepted sibling (or already on the canonical
-        chain) stays out; a tx carried by several rejected siblings is
-        re-added at most once, and never twice across batches.
-        """
-        if self.txpool is None or not rejected:
-            return 0
-        committed = {tx.hash for b in accepted for tx in b.transactions}
-        restored = 0
-        for block in rejected:
-            for tx in block.transactions:
-                key = tx.hash
-                if key in committed or key in self._restore_attempted:
-                    continue
-                self._restore_attempted.add(key)
-                if self.txpool.restore(tx):
-                    restored += 1
-        return restored

@@ -11,9 +11,9 @@ This is a logical-round model (no message latency, no loss): every
 validator receives each round's blocks as one same-height batch.
 Dissemination details are out of the paper's scope, and the interesting
 contention — multiple same-height blocks hitting each validator — is
-produced directly by the fork probability.  ``byzantine_proposers`` makes
-chosen proposers publish corrupted blocks — the adversarial workload the
-hardened validator stack is built for.
+produced directly by the fork probability.  A proposer in ``proposers``
+may be swapped for one that publishes corrupted blocks (a test-side
+fake); every validator then rejects them alike.
 
 With ``followers > 0`` every validator becomes the master of its own
 follower pool (:mod:`repro.distributed`): received blocks are partitioned
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chain.block import Block
 from repro.core.validator import Distributor
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.network.dissemination import race
 from repro.network.node import ProposerNode, ReceiveOutcome, ValidatorNode
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -49,15 +48,6 @@ class NetworkConfig:
     #: probability that a second proposer races the round winner
     fork_probability: float = 0.3
     seed: int = 101
-    #: indices into the proposer set whose sealed blocks get corrupted.
-    #: Out-of-range indices are a configuration error and raise
-    #: ``ValueError`` at construction (a typo'd adversary must not silently
-    #: run the honest scenario).
-    byzantine_proposers: Tuple[int, ...] = ()
-    #: which corruption a byzantine proposer applies (see CORRUPTION_KINDS)
-    corruption: str = "profile_write_value"
-    #: byzantine strikes before a validator refuses a proposer outright
-    quarantine_threshold: int = 3
     #: follower nodes per validator for distributed sharded validation
     #: (0 = single-node validation, the seed behaviour)
     followers: int = 0
@@ -85,12 +75,9 @@ class NetworkResult:
     chains_agree: bool
     #: typed rejection counts seen by validator 0 (reason value -> count)
     failure_counts: Dict[str, int] = field(default_factory=dict)
-    #: proposers validator 0 has quarantined by the end of the run
-    quarantined: List[str] = field(default_factory=list)
     #: transactions actually on the reference chain at the end of the run
-    #: (``Blockchain.canonical_tx_count()``, not per-round guesses — under
-    #: corruption the round's first block need not be the one that
-    #: committed)
+    #: (``Blockchain.canonical_tx_count()``, not per-round guesses — the
+    #: round's first block need not be the one that committed)
     canonical_txs: int = 0
 
     @property
@@ -129,7 +116,6 @@ class NetworkSimulation:
         #: Root tracer: every node registers itself as one trace process.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics or NULL_METRICS
-        self.injector = FaultInjector(FaultConfig(seed=self.config.seed))
         self.rng = random.Random(self.config.seed)
         #: ``generator`` overrides the default workload with any block
         #: source exposing ``generate_block_txs`` (e.g. a scenario stream)
@@ -141,22 +127,12 @@ class NetworkSimulation:
             ProposerNode(f"proposer-{i}", tracer=self.tracer, metrics=metrics)
             for i in range(self.config.n_proposers)
         ]
-        for index in self.config.byzantine_proposers:
-            if not 0 <= index < len(self.proposers):
-                raise ValueError(
-                    f"byzantine_proposers index {index} out of range for "
-                    f"{len(self.proposers)} proposers"
-                )
-        self.byzantine_ids = {
-            self.proposers[i].node_id for i in self.config.byzantine_proposers
-        }
         if self.config.followers < 0:
             raise ValueError(f"followers must be >= 0, got {self.config.followers}")
         self.validators = [
             ValidatorNode(
                 f"validator-{i}",
                 universe.genesis,
-                quarantine_threshold=self.config.quarantine_threshold,
                 tracer=self.tracer,
                 metrics=metrics,
                 distributor=self._build_distributor(f"validator-{i}"),
@@ -200,12 +176,9 @@ class NetworkSimulation:
                 contenders.append(rival)
 
             blocks = [
-                self.injector.corrupt_block(sealed.block, cfg.corruption)
-                if node.node_id in self.byzantine_ids
-                else sealed.block
-                for node, sealed in zip(
-                    contenders,
-                    race(contenders, parent.header, parent_state, txs, self.rng),
+                sealed.block
+                for sealed in race(
+                    contenders, parent.header, parent_state, txs, self.rng
                 )
             ]
 
@@ -223,12 +196,8 @@ class NetworkSimulation:
                     self._count_failures(failure_counts, outcome)
 
             # Every validator sees the same batch, so acceptance must be
-            # unanimous; byzantine blocks are rejected by everyone (the
-            # corruption is deterministic), honest ones by no one.
-            honest = sum(
-                1 for b in blocks if b.header.proposer_id not in self.byzantine_ids
-            )
-            if len(set(accepted_counts)) != 1 or accepted_counts[0] > honest:
+            # unanimous.
+            if len(set(accepted_counts)) != 1:
                 raise AssertionError(
                     f"validators disagree on acceptance: {accepted_counts}"
                 )
@@ -255,7 +224,6 @@ class NetworkSimulation:
             uncle_count=reference.uncle_count(),
             chains_agree=len(heads) == 1 and len(roots) == 1,
             failure_counts=failure_counts,
-            quarantined=sorted(self.validators[0].quarantined_proposers),
             canonical_txs=reference.canonical_tx_count(),
         )
 

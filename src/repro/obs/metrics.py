@@ -211,11 +211,6 @@ class MetricsRegistry:
         }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def counter_value(self, name: str) -> int:
-        """One counter read by name, registering nothing (0 if it never moved)."""
-        metric = self._counters.get(name)
-        return metric.value if metric is not None else 0
-
 
 class _NullCounter(Counter):
     def inc(self, n: int = 1) -> None:

@@ -147,7 +147,7 @@ class Tracer:
         pid: int = 0,
         **attrs: Any,
     ) -> Span:
-        """Record a zero-width event (abort, fault, quarantine, message)."""
+        """Record a zero-width event (abort, fault, fallback, message)."""
         return self.record(name, ts, ts, lane=lane, pid=pid, **attrs)
 
     def scope(

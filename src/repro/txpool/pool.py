@@ -12,13 +12,12 @@ transaction to the ready set without disturbing its parked successors.
 Hot-path index layer
 --------------------
 
-The proposer's wake loop calls :meth:`has_ready` on every free lane and
-fork cleanup calls :meth:`contains`/:meth:`restore` per transaction, so
-both must be cheap on long-lived pools.  The pool therefore maintains,
+The proposer's wake loop calls :meth:`has_ready` on every free lane, so
+it must be cheap on long-lived pools.  The pool therefore maintains,
 alongside the heap:
 
 * ``_index`` — hash → transaction for everything queued or in flight,
-  making :meth:`contains` (and the :meth:`restore` duplicate check) O(1);
+  making :meth:`contains` O(1);
 * ``_live_ready`` — a count of non-cancelled heap entries, making
   :meth:`has_ready` O(1) instead of a heap scan per proposer wake;
 * ``_ready_entry`` — sender → its live heap entry, making replace-by-fee
@@ -297,26 +296,6 @@ class TxPool:
         (replaced-by-fee) entries.
         """
         return tx_hash in self._index
-
-    def restore(self, tx: Transaction) -> bool:
-        """Return a transaction from a rejected block to the pool.
-
-        Exactly-once semantics: a transaction already queued or in flight
-        (e.g. the same tx carried by two fork siblings), already packed
-        (its sender's nonce moved past it), or unable to re-enter (stale
-        nonce, underpriced duplicate) is skipped.  Returns whether the
-        transaction was actually re-added.
-        """
-        if self.contains(tx.hash):
-            return False
-        ready = self._ready_nonce.get(tx.sender)
-        if ready is not None and tx.nonce < ready:
-            return False  # a block carrying this nonce already committed
-        try:
-            self.add(tx)
-        except ValueError:
-            return False
-        return True
 
     def has_ready(self) -> bool:
         """True when ``pop_best`` would return a transaction right now.

@@ -2,9 +2,9 @@
 
 Each scenario builds a small honest world, applies exactly one fault
 through the injector, and drives the result through the *public* validator
-surface (``ParallelValidator.validate_block``,
-``ValidatorPipeline.process_blocks`` or ``ValidatorNode.receive_blocks``)
-— never by constructing failures directly.  The registry doubles as the
+surface (``ParallelValidator.validate_block`` or
+``ValidatorPipeline.process_blocks``) — never by constructing failures
+directly.  The registry doubles as the
 taxonomy's executable specification: ``run_scenario(name)`` reproduces a
 failure deterministically from its seed, and the test suite asserts every
 enum variant is reachable this way.
@@ -13,20 +13,30 @@ Degradation scenarios (``degrade_serial_fallback``, ``degrade_transient``)
 end in *acceptance*: they demonstrate the Block-STM guarantee that worker
 faults cost throughput, never correctness — no reason in the taxonomy is
 a local fault.
+
+The module also holds the fakes for faults the node never injects
+itself: :class:`LyingProposer` (swapped into
+``NetworkSimulation.proposers``) publishes corrupted blocks, and
+:class:`FaultyFollower` (swapped into ``ShardCoordinator.followers`` by
+:func:`faulty_followers`) crashes, stalls or lies on seeded rolls.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chain.blockchain import Blockchain
 from repro.core.pipeline import ValidatorPipeline
 from repro.core.proposer import SealedProposal
 from repro.core.validator import ParallelValidator, ValidatorConfig
 from repro.faults.errors import FailureReason, ValidationFailure
-from repro.faults.injector import FaultConfig, FaultInjector
-from repro.network.node import ProposerNode, ValidatorNode
+from repro.distributed import ShardCoordinator
+from repro.exec.tasks import ComponentOutcome
+from repro.faults.injector import FaultConfig, FaultInjector, _keyed_rng
+from repro.network.node import ProposerNode
+from repro.network.shardrpc import FollowerNode, ShardAssignment, ShardReply
 from repro.workload.generator import BlockWorkloadGenerator, WorkloadConfig
 from repro.workload.universe import UniverseConfig, build_universe
 
@@ -38,6 +48,10 @@ __all__ = [
     "SCENARIO_FOR_REASON",
     "build_env",
     "run_scenario",
+    "LyingProposer",
+    "lying_proposer",
+    "FaultyFollower",
+    "faulty_followers",
 ]
 
 #: Worker lanes used by every scenario validator (small => fast tests).
@@ -197,32 +211,6 @@ def _run_parent_rejected(env: ScenarioEnv) -> ScenarioOutcome:
     )
 
 
-def _run_proposer_quarantined(env: ScenarioEnv) -> ScenarioOutcome:
-    # the same lying proposer strikes out, then even its blocks are refused
-    node = ValidatorNode(
-        "validator-0",
-        env.universe.genesis,
-        config=ValidatorConfig(lanes=_LANES),
-        quarantine_threshold=2,
-    )
-    bad = env.injector.corrupt_block(env.honest.block, "profile_write_value")
-    strikes = []
-    for _ in range(2):  # each delivery is one byzantine strike
-        outcome = node.receive_blocks([bad])
-        strikes.append(outcome.failures[0])
-    final = node.receive_blocks([bad])  # now refused without validation
-    return ScenarioOutcome(
-        name="proposer_quarantined",
-        expected=FailureReason.PROPOSER_QUARANTINED,
-        failures=list(final.failures),
-        accepted=[False],
-        extra={
-            "strike_reasons": [f.reason for f in strikes if f],
-            "quarantined": sorted(node.quarantined_proposers),
-        },
-    )
-
-
 # --------------------------------------------------------------------- #
 # degradation scenarios (expected = None: they must end accepted)
 
@@ -312,12 +300,6 @@ SCENARIOS: Dict[str, FaultScenario] = {
             _run_parent_rejected,
         ),
         FaultScenario(
-            "proposer_quarantined",
-            FailureReason.PROPOSER_QUARANTINED,
-            "repeat byzantine proposer refused without validation",
-            _run_proposer_quarantined,
-        ),
-        FaultScenario(
             "degrade_serial_fallback",
             None,
             "permanent crashes degrade to serial re-execution, still commit",
@@ -342,3 +324,126 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioOutcome:
     """Build a fresh environment and execute one registered scenario."""
     scenario = SCENARIOS[name]
     return scenario.run(build_env(seed))
+
+
+# --------------------------------------------------------------------- #
+# fakes for the faults a node never injects itself
+
+
+class LyingProposer(ProposerNode):
+    """A byzantine proposer: seals an honest block, publishes a copy
+    tampered with ``FaultInjector.corrupt_block(block, kind)``.
+
+    Swap one into ``NetworkSimulation.proposers[i]`` under the node id it
+    replaces; the corruption is keyed by ``seed`` and the block hash, so
+    every validator sees the identical lie.
+    """
+
+    def __init__(self, node_id: str, *, kind: str, seed: int = 0, **node: Any) -> None:
+        super().__init__(node_id, **node)
+        self.kind = kind
+        self.injector = FaultInjector(FaultConfig(seed=seed))
+
+    def build_block(self, *args: Any, **kwargs: Any) -> SealedProposal:
+        sealed = super().build_block(*args, **kwargs)
+        return dataclasses.replace(
+            sealed, block=self.injector.corrupt_block(sealed.block, self.kind)
+        )
+
+
+def lying_proposer(sim: Any, index: int, kind: str = "profile_write_value") -> Any:
+    """Swap ``sim.proposers[index]`` (a ``NetworkSimulation``'s) for a
+    :class:`LyingProposer` with the same id, seeded by the run's seed."""
+    honest = sim.proposers[index]
+    sim.proposers[index] = LyingProposer(
+        honest.node_id,
+        kind=kind,
+        seed=sim.config.seed,
+        tracer=sim.tracer,
+        metrics=sim.metrics,
+    )
+    return sim
+
+
+class FaultyFollower(FollowerNode):
+    """A follower that crashes, stalls or returns a tampered reply.
+
+    Each fault is a seeded roll keyed by (block, shard, follower,
+    attempt): a follower fails a shard the same way whenever it is asked,
+    and a re-assignment (the next attempt) rolls afresh.
+    """
+
+    def __init__(
+        self,
+        follower_id: str,
+        *,
+        seed: int = 0,
+        crash_rate: float = 0.0,
+        stall_rate: float = 0.0,
+        stall_us: float = 50_000.0,
+        byzantine_rate: float = 0.0,
+    ) -> None:
+        super().__init__(follower_id)
+        self.seed = seed
+        self.rates = {"crash": crash_rate, "stall": stall_rate, "byz": byzantine_rate}
+        #: sized to blow the coordinator's straggler deadline
+        self.stall_us = stall_us
+
+    def _key(self, assignment: ShardAssignment) -> Tuple[object, ...]:
+        return (
+            bytes(assignment.block_hash).hex(),
+            assignment.shard_id,
+            self.follower_id,
+            assignment.attempt,
+        )
+
+    def _rolls(self, fault: str, assignment: ShardAssignment) -> bool:
+        rate = self.rates[fault]
+        if rate <= 0.0:
+            return False
+        roll = _keyed_rng(self.seed, f"follower_{fault}", *self._key(assignment))
+        return roll.random() < rate
+
+    def handle(self, assignment: ShardAssignment) -> Optional[ShardReply]:
+        if self._rolls("crash", assignment):
+            return None
+        reply = super().handle(assignment)
+        assert reply is not None
+        if self._rolls("stall", assignment):
+            reply = dataclasses.replace(reply, stall_us=self.stall_us)
+        if self._rolls("byz", assignment):
+            reply = dataclasses.replace(
+                reply, outcomes=self._tamper(assignment, reply.outcomes)
+            )
+        return reply
+
+    def _tamper(
+        self,
+        assignment: ShardAssignment,
+        outcomes: Tuple[ComponentOutcome, ...],
+    ) -> Tuple[ComponentOutcome, ...]:
+        """Change one transaction's ``gas_used``: the master's Algorithm-2
+        cross-check against the block profile must flag the reply."""
+        rng = _keyed_rng(self.seed, "follower_tamper", *self._key(assignment))
+        candidates = [i for i, o in enumerate(outcomes) if o.results]
+        if not candidates:
+            return outcomes
+        ci = rng.choice(candidates)
+        outcome = outcomes[ci]
+        ti = rng.randrange(len(outcome.results))
+        results = list(outcome.results)
+        results[ti] = dataclasses.replace(
+            results[ti], gas_used=results[ti].gas_used + 1 + rng.randrange(1000)
+        )
+        tampered = outcome._replace(results=tuple(results))
+        return outcomes[:ci] + (tampered,) + outcomes[ci + 1 :]
+
+
+def faulty_followers(coordinator: ShardCoordinator, **faults: Any) -> ShardCoordinator:
+    """Replace every follower of ``coordinator`` by a :class:`FaultyFollower`
+    with the same id and the given ``seed``/rates."""
+    coordinator.followers = [
+        FaultyFollower(follower.follower_id, **faults)
+        for follower in coordinator.followers
+    ]
+    return coordinator

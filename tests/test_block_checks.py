@@ -13,8 +13,11 @@ with a typed failure or is harmless.
 
 import dataclasses
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain import block as block_mod
 from repro.chain.block import Block
@@ -209,3 +212,55 @@ class TestForgedBodies:
             else:
                 assert isinstance(outcome.failures[0], ValidationFailure), forge.__name__
                 assert chain.head.number == 0
+
+    def test_forged_copies_leave_nothing_behind(self, small_universe, build_chain):
+        """Forged copies of an honest block, each delivered one or more
+        times in any order, are each refused with a typed failure; the
+        honest block delivered after them is accepted as if they had
+        never come.  A rejection is a verdict on one block, not a strike
+        against the proposer its header names."""
+        block, post_state = build_chain(1)[0]
+        forges = [forge for field_forges in FORGERIES.values() for forge in field_forges]
+
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(
+            st.lists(st.sampled_from(forges), max_size=4).flatmap(
+                lambda repeats: st.permutations(forges + repeats)
+            )
+        )
+        def deliver(order):
+            with tempfile.TemporaryDirectory() as data_dir:
+                store = DiskStore(data_dir, fsync=False, snapshot_interval=0)
+                chain = Blockchain(small_universe.genesis, store=store)
+                store.initialize(
+                    encode_header(chain.genesis.header), small_universe.genesis
+                )
+                node = ValidatorNode("forged", small_universe.genesis, chain=chain)
+                try:
+                    for forge in order:
+                        outcome = node.receive_blocks([forge(block)])
+                        assert not outcome.accepted, forge.__name__
+                        assert isinstance(outcome.failures[0], ValidationFailure)
+                    honest = node.receive_blocks([block])
+                finally:
+                    store.close()
+                assert honest.failures == [None], honest.failures
+                assert chain.head.hash == block.hash
+                assert chain.head_state.state_root() == post_state.state_root()
+
+        deliver()
+
+    def test_a_forged_copy_beside_its_block_gets_its_own_verdict(
+        self, small_universe, build_chain
+    ):
+        """A forged copy keeps its original's hash, so the per-block
+        verdicts of a batch holding both follow positions, not hashes."""
+        block, _ = build_chain(1)[0]
+        forged = _alter_profile_write(block)
+        for batch in ([forged, block], [block, forged]):
+            node = ValidatorNode("forged", small_universe.genesis)
+            outcome = node.receive_blocks(batch)
+            assert outcome.accepted == [block] and outcome.rejected == [forged]
+            verdicts = [failure is None for failure in outcome.failures]
+            assert verdicts == [b is block for b in batch]
+            assert node.chain.head.hash == block.hash

@@ -39,6 +39,8 @@ from repro.workload.scenarios import (
     mainnet_scenario,
     payment_heavy_scenario,
 )
+from tests.counters import counter
+from tests.fault_scenarios import FaultyFollower, faulty_followers
 
 pytestmark = pytest.mark.distributed
 
@@ -48,11 +50,14 @@ pytestmark = pytest.mark.distributed
 # --------------------------------------------------------------------- #
 
 
-def _follower_pool(n_followers, *, injector=None):
-    """A master validator with ``n_followers`` followers attached; its
-    coordinator (and ``last_record``) is ``pool.distributor``."""
-    coordinator = ShardCoordinator(n_followers, injector=injector)
-    return ParallelValidator(injector=injector, distributor=coordinator)
+def _follower_pool(n_followers, **faults):
+    """A master validator with ``n_followers`` followers attached — each a
+    ``FaultyFollower`` when ``faults`` are given; its coordinator (and
+    ``last_record``) is ``pool.distributor``."""
+    coordinator = ShardCoordinator(n_followers)
+    if faults:
+        faulty_followers(coordinator, **faults)
+    return ParallelValidator(distributor=coordinator)
 
 
 def _plan_shards(block, n_followers):
@@ -330,19 +335,18 @@ def sealed_block(small_universe):
     )
 
 
-def _observe_fallback(universe, block, fault_config):
-    """Validate ``block`` on a 4-follower pool with its own registry and
-    tracer; returns ``(result, record, dist.fallbacks counter,
-    dist.fallback instant attrs)``."""
+def _observe_fallback(universe, block, **faults):
+    """Validate ``block`` on a pool of 4 faulty followers with its own
+    registry and tracer; returns ``(result, record, dist.fallbacks
+    counter, dist.fallback instant attrs)``."""
     metrics, tracer = MetricsRegistry(), Tracer()
-    injector = FaultInjector(fault_config)
-    coordinator = ShardCoordinator(
-        4, injector=injector, tracer=tracer, metrics=metrics
+    coordinator = faulty_followers(
+        ShardCoordinator(4, tracer=tracer, metrics=metrics), **faults
     )
-    pool = ParallelValidator(injector=injector, distributor=coordinator)
+    pool = ParallelValidator(distributor=coordinator)
     result = pool.validate_block(block, universe.genesis)
     instants = [span.attrs for span in tracer.find("dist.fallback")]
-    fallbacks = metrics.counter_value("dist.fallbacks")
+    fallbacks = counter(metrics, "dist.fallbacks")
     return result, coordinator.last_record, fallbacks, instants
 
 
@@ -352,7 +356,7 @@ class TestFollowerFaultMatrix:
         """A worker fault (here: the whole pool crashed) maps to local
         re-execution, its kind on the record, counter and trace instant."""
         result, record, fallbacks, instants = _observe_fallback(
-            small_universe, sealed_block, FaultConfig(seed=3, follower_crash_rate=1.0)
+            small_universe, sealed_block, seed=3, crash_rate=1.0
         )
         assert result.accepted and not result.used_distributed
         assert result.failure is None
@@ -366,8 +370,7 @@ class TestFollowerFaultMatrix:
         reference = ParallelValidator().validate_block(
             sealed_block, small_universe.genesis
         )
-        injector = FaultInjector(FaultConfig(seed=3, follower_crash_rate=1.0))
-        pool = _follower_pool(4, injector=injector)
+        pool = _follower_pool(4, seed=3, crash_rate=1.0)
         result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted and not result.used_distributed
         assert pool.distributor.last_record.fallback == "crash"
@@ -379,8 +382,7 @@ class TestFollowerFaultMatrix:
         reference = ParallelValidator().validate_block(
             sealed_block, small_universe.genesis
         )
-        injector = FaultInjector(FaultConfig(seed=3, follower_byzantine_rate=1.0))
-        pool = _follower_pool(4, injector=injector)
+        pool = _follower_pool(4, seed=3, byzantine_rate=1.0)
         result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted
         assert _fingerprint(result) == _fingerprint(reference)
@@ -391,9 +393,10 @@ class TestFollowerFaultMatrix:
         result, record, fallbacks, instants = _observe_fallback(
             small_universe,
             sealed_block,
-            FaultConfig(seed=3, follower_byzantine_rate=1.0),
+            seed=3,
+            byzantine_rate=1.0,
         )
-        # a lying follower must never strike the (honest) proposer
+        # a lying follower never costs the (honest) block its verdict
         assert result.accepted and not result.used_distributed
         assert result.failure is None
         assert record.fallback == "byzantine"
@@ -410,8 +413,7 @@ class TestFollowerFaultMatrix:
         # no re-assignment, and a seed chosen so some-but-not-most shards
         # stall: the median-based deadline then flags the stalled replies
         monkeypatch.setattr(coordinator_module, "MAX_REASSIGNMENTS", 0)
-        injector = FaultInjector(FaultConfig(seed=1, follower_stall_rate=0.4))
-        pool = _follower_pool(4, injector=injector)
+        pool = _follower_pool(4, seed=1, stall_rate=0.4)
         result = pool.validate_block(sealed_block, small_universe.genesis)
         assert result.accepted and not result.used_distributed
         assert _fingerprint(result) == _fingerprint(reference)
@@ -425,10 +427,7 @@ class TestFollowerFaultMatrix:
         )
         recovered = 0
         for seed in range(12):
-            injector = FaultInjector(
-                FaultConfig(seed=seed, follower_crash_rate=0.3)
-            )
-            pool = _follower_pool(4, injector=injector)
+            pool = _follower_pool(4, seed=seed, crash_rate=0.3)
             result = pool.validate_block(sealed_block, small_universe.genesis)
             record = pool.distributor.last_record
             assert result.accepted
@@ -439,10 +438,11 @@ class TestFollowerFaultMatrix:
 
     def test_reassignment_rolls_fresh_faults(self):
         """The fault key includes the attempt, so a re-dispatch re-rolls."""
-        injector = FaultInjector(FaultConfig(seed=0, follower_crash_rate=0.5))
+        follower = FaultyFollower("f-0", seed=0, crash_rate=0.5)
         block_hash = b"\x07" * 32
         rolls = {
-            attempt: injector.follower_fault(block_hash, 0, "f-0", attempt).crash
+            attempt: follower.handle(ShardAssignment(block_hash, 0, attempt, ()))
+            is None
             for attempt in range(32)
         }
         assert set(rolls.values()) == {True, False}
@@ -454,7 +454,7 @@ class TestFollowerFaultMatrix:
 
         The tampered entries make honest follower replies look byzantine;
         exhaustion falls back to local validation, which rejects with the
-        proper profile reason so quarantine strikes the right party.
+        proper profile reason.
         """
         block = _seal_block(
             small_universe,

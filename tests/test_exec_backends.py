@@ -47,6 +47,7 @@ from repro.txpool.pool import TxPool
 from repro.workload.generator import BlockWorkloadGenerator
 from repro.workload.scenarios import mainnet_scenario
 from repro.workload.universe import build_universe
+from tests.counters import counter
 
 pytestmark = pytest.mark.exec
 
@@ -383,7 +384,7 @@ class TestResidentWorkers:
         assert {name: counters["exec." + name] for name in gained} == dict(gained)
         assert gained["messages"] == 2 * (1 + result.stats.extra["waves"])
         assert gained["bytes_out"] > 0 and gained["bytes_in"] > 0 and gained["sync_full"] == 1
-        assert metrics.counter_value("exec.messages") == gained["messages"]
+        assert counter(metrics, "exec.messages") == gained["messages"]
         assert "metrics" not in result.stats.extra  # the registry is the one place they live
 
 
@@ -449,7 +450,7 @@ class TestLostWorker:
                 config=ValidatorConfig(lanes=4), backend=backend, metrics=metrics
             )
             reference = validator.validate_block(block, genesis)
-            assert reference.accepted and metrics.counter_value("validator.backend_blocks") == 1
+            assert reference.accepted and counter(metrics, "validator.backend_blocks") == 1
             release.clear()
             monkeypatch.setattr(validating_module, "run_validate_lane", wedged)
             survived = validator.validate_block(block, genesis)
@@ -458,8 +459,8 @@ class TestLostWorker:
             assert survived.post_state.state_root() == reference.post_state.state_root()
             assert survived.tx_results == reference.tx_results
             assert survived.phases == reference.phases
-            assert metrics.counter_value("validator.backend_worker_lost") == 1
-            assert metrics.counter_value("validator.backend_blocks") == 1  # the reference loop took it
+            assert counter(metrics, "validator.backend_worker_lost") == 1
+            assert counter(metrics, "validator.backend_blocks") == 1  # the reference loop took it
 
     def test_task_exception_reaches_the_parent_and_spares_the_pool(self):
         with ProcessBackend(2) as backend:
@@ -497,25 +498,21 @@ class TestLostWorker:
         txs = small_generator.generate_block_txs()
         block = ProposerNode("honest").build_block(Blockchain(genesis).head.header, genesis, txs).block
         metrics = MetricsRegistry()
-
-        def counter(name):
-            return metrics.snapshot()["counters"].get(name, 0)
-
         with ProcessBackend(2) as backend:
             validator = ParallelValidator(
                 config=ValidatorConfig(lanes=4), backend=backend, metrics=metrics
             )
             reference = validator.validate_block(block, genesis)
-            assert reference.accepted and counter("validator.backend_blocks") == 1
+            assert reference.accepted and counter(metrics, "validator.backend_blocks") == 1
             _kill_a_worker(backend)
             survived = validator.validate_block(block, genesis)
             assert survived.accepted, survived.reason
             assert survived.post_state.state_root() == reference.post_state.state_root()
-            assert counter("validator.backend_worker_lost") == 1
-            assert counter("validator.backend_blocks") == 1  # the reference loop took it
+            assert counter(metrics, "validator.backend_worker_lost") == 1
+            assert counter(metrics, "validator.backend_blocks") == 1  # the reference loop took it
             assert validator.validate_block(block, genesis).accepted
-            assert counter("validator.backend_blocks") == 2  # fresh workers took this one
-            assert counter("exec.workers_forked") == 4
+            assert counter(metrics, "validator.backend_blocks") == 2  # fresh workers took this one
+            assert counter(metrics, "exec.workers_forked") == 4
 
             _kill_a_worker(backend)
             pool = TxPool()

@@ -526,9 +526,11 @@ class TestFaultEquivalence:
                         config=config, backend=backend, **kw
                     ).validate_block(block, universe.genesis),
                 )
-        def follower_pool(**kw):
+        def follower_pool(injector, **kw):
             coordinator = ShardCoordinator(2, **kw)
-            return ParallelValidator(config=config, distributor=coordinator, **kw)
+            return ParallelValidator(
+                config=config, distributor=coordinator, injector=injector, **kw
+            )
 
         observe(
             "followers",

@@ -1,16 +1,17 @@
 """The typed failure taxonomy, exercised end to end.
 
 Every :class:`FailureReason` variant must be reachable through the public
-validator surface (``validate_block`` / ``process_blocks`` /
-``receive_blocks``) — the scenario registry in ``tests/fault_scenarios.py``
-is the executable proof, and these tests pin it.
+validator surface (``validate_block`` / ``process_blocks``) — the
+scenario registry in ``tests/fault_scenarios.py`` is the executable proof,
+and these tests pin it.
 """
 
 import pytest
 
 pytestmark = pytest.mark.faults
 
-from repro.faults.errors import BYZANTINE_REASONS, FailureReason, ValidationFailure
+from repro.faults.errors import FailureReason, ValidationFailure
+from tests.counters import counter
 from tests.fault_scenarios import (
     SCENARIO_FOR_REASON,
     SCENARIOS,
@@ -62,7 +63,7 @@ class TestByzantineRejections:
         outcome = run_scenario(name)
         assert outcome.accepted == [False]
         assert outcome.failures[0] is not None
-        assert outcome.failures[0].reason in BYZANTINE_REASONS
+        assert outcome.failures[0].reason == SCENARIOS[name].reason
 
 
 class TestGracefulDegradation:
@@ -101,28 +102,6 @@ class TestGracefulDegradation:
         assert degraded.phases.commit_end > honest.phases.commit_end
         assert degraded.stats.serial_fallbacks == 1
         assert honest.stats.serial_fallbacks == 0
-
-
-class TestQuarantine:
-    def test_strikes_then_refusal(self):
-        outcome = run_scenario("proposer_quarantined")
-        assert outcome.extra["quarantined"] == ["proposer-0"]
-        assert all(r in BYZANTINE_REASONS for r in outcome.extra["strike_reasons"])
-        assert outcome.failures[0].reason == FailureReason.PROPOSER_QUARANTINED
-
-    def test_honest_proposer_never_quarantined(self):
-        from repro.core.validator import ValidatorConfig
-        from repro.network.node import ValidatorNode
-
-        env = build_env(0)
-        node = ValidatorNode(
-            "validator-0",
-            env.universe.genesis,
-            config=ValidatorConfig(lanes=4),
-            quarantine_threshold=1,
-        )
-        outcome = node.receive_blocks([env.honest.block])
-        assert outcome.accepted and not node.quarantined_proposers
 
 
 class TestDeterminism:
@@ -185,4 +164,4 @@ class TestStatsCounters:
         assert not validation.accepted
         assert validation.used_serial_fallback is True
         assert result.stats.serial_fallbacks == 1
-        assert metrics.counter_value("validator.serial_fallbacks") == 1
+        assert counter(metrics, "validator.serial_fallbacks") == 1

@@ -31,6 +31,7 @@ from repro.obs import MetricsRegistry, Tracer, chrome_trace_json
 from repro.obs.export import chrome_trace_events
 from repro.store import open_store
 from repro.txpool.pool import TxPool
+from tests.fault_scenarios import lying_proposer
 
 
 @pytest.fixture()
@@ -294,7 +295,6 @@ class TestNetworkDeterminism:
             n_validators=2,
             rounds=2,
             fork_probability=1.0,
-            byzantine_proposers=(1,),
             seed=17,
         )
 
@@ -305,7 +305,7 @@ class TestNetworkDeterminism:
             sim = NetworkSimulation(
                 universe, config=config, tracer=tracer, metrics=metrics
             )
-            sim.run()
+            lying_proposer(sim, 1).run()
             return chrome_trace_json(tracer), metrics.snapshot()
 
         (json_a, snap_a), (json_b, snap_b) = run(), run()

@@ -127,8 +127,8 @@ def test_no_local_fault_refuses_an_honest_block():
         "config", "injector", "tracer", "metrics", "backend", "distributor",
     ]
     assert list(inspect.signature(ShardCoordinator).parameters) == [
-        "n_followers", "master_id", "injector", "tracer", "metrics",
+        "n_followers", "master_id", "tracer", "metrics",
     ]
     assert coordinator.__all__ == ["ShardAttempt", "DistributedRecord", "ShardCoordinator"]
     # each reason left is a fault of the block, of its parent or of its proposer
-    assert len(FailureReason) == 9
+    assert len(FailureReason) == 8

@@ -29,6 +29,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.events import read_events
 from repro.store.manifest import Manifest
 from repro.store.service import NodeService, ServeConfig
+from tests.counters import counter
 
 pytestmark = pytest.mark.store
 
@@ -290,14 +291,14 @@ class TestBlockFactsReachTheNarration:
         events = read_events(str(tmp_path / "node" / "events.jsonl"))
         sealed = [e for e in events if e["kind"] == "block_sealed"]
         assert [e["height"] for e in sealed] == list(range(1, 7))
-        aborts = metrics.counter_value("proposer.aborts")
+        aborts = counter(metrics, "proposer.aborts")
         assert aborts > 0  # counter-shared contends: the check has teeth
         assert sum(e["aborts"] for e in sealed) == aborts == report.aborts
         executions = sum(w.executions for w in service.telemetry.slo.windows())
-        assert executions == metrics.counter_value("proposer.executions")
+        assert executions == counter(metrics, "proposer.executions")
         assert executions > aborts
-        assert sum(e["retries"] for e in sealed) == metrics.counter_value(
-            "pipeline.exec_retries"
+        assert sum(e["retries"] for e in sealed) == counter(
+            metrics, "pipeline.exec_retries"
         )
         for event in sealed:
             assert event["latency_us"] == expected_latency[event["height"]]
@@ -308,8 +309,8 @@ class TestBlockFactsReachTheNarration:
         instrumented = NodeService(self._config(tmp_path / "a"), metrics=metrics)
         with_registry = instrumented.run(handle_signals=False)
         bare = NodeService(self._config(tmp_path / "b")).run(handle_signals=False)
-        assert bare.aborts == with_registry.aborts == metrics.counter_value(
-            "proposer.aborts"
+        assert bare.aborts == with_registry.aborts == counter(
+            metrics, "proposer.aborts"
         )
         assert bare.aborts > 0
         assert bare.fallbacks == with_registry.fallbacks

@@ -250,72 +250,6 @@ class TestOCCFlow:
         assert seen == nonces
 
 
-class TestRestore:
-    """Exactly-once return of rejected-block transactions (fork cleanup)."""
-
-    def test_restore_reenters_pool(self):
-        pool = TxPool()
-        t = tx(A, 0)
-        assert pool.restore(t)
-        assert pool.contains(t.hash)
-        assert len(pool) == 1
-
-    def test_restore_is_idempotent(self):
-        pool = TxPool()
-        t = tx(A, 0)
-        assert pool.restore(t)
-        assert not pool.restore(t)  # already queued
-        assert len(pool) == 1
-
-    def test_restore_across_fork_siblings_once(self):
-        """Two rejected siblings carry the same tx: it re-enters once."""
-        pool = TxPool()
-        shared = tx(A, 0, price=15)
-        sibling_a = [shared, tx(B, 0)]
-        sibling_b = [shared, tx(C, 0)]
-        restored = sum(pool.restore(t) for t in sibling_a + sibling_b)
-        assert restored == 3  # shared counted once
-        assert len(pool) == 3
-
-    def test_restore_skips_already_packed_nonce(self):
-        """A tx whose nonce a committed block consumed must stay out."""
-        pool = TxPool()
-        t0 = tx(A, 0)
-        pool.add(t0)
-        popped = pool.pop_best()
-        pool.mark_packed(popped)  # nonce 0 committed
-        assert not pool.restore(t0)
-        assert not pool.restore(tx(A, 0, price=99))  # same nonce, any price
-        assert len(pool) == 0
-
-    def test_restore_skips_in_flight(self):
-        pool = TxPool()
-        t0 = tx(A, 0)
-        pool.add(t0)
-        pool.pop_best()  # t0 now in flight
-        assert not pool.restore(t0)
-        # still held, but not ready: in flight
-        assert len(pool) == 1 and pool.contains(t0.hash) and not pool.has_ready()
-
-    def test_restore_later_nonce_parks(self):
-        """Restoring nonce 1 while 0 is committed promotes it to ready."""
-        pool = TxPool()
-        pool.add(tx(A, 0))
-        popped = pool.pop_best()
-        pool.mark_packed(popped)
-        assert pool.restore(tx(A, 1))
-        ready = pool.pop_best()
-        assert ready is not None and ready.nonce == 1
-
-    def test_contains_covers_parked_and_ready(self):
-        pool = TxPool()
-        t0, t1 = tx(A, 0), tx(A, 1)
-        pool.add(t0)
-        pool.add(t1)  # t1 parked behind t0
-        assert pool.contains(t0.hash) and pool.contains(t1.hash)
-        assert not pool.contains(tx(B, 0).hash)
-
-
 class TestReplaceByFeeBoundary:
     """Regression for the RBF off-by-one: the documented threshold is
     ``old + old*10//100`` *inclusive* (geth semantics).  The pre-fix
@@ -359,6 +293,14 @@ class TestIndexAndCompaction:
     """The hot-path index layer: O(1) contains/has_ready, lazy-cancelled
     compaction, and the re-derived invariants that specify them."""
 
+    def test_contains_covers_parked_and_ready(self):
+        pool = TxPool()
+        t0, t1 = tx(A, 0), tx(A, 1)
+        pool.add(t0)
+        pool.add(t1)  # t1 parked behind t0
+        assert pool.contains(t0.hash) and pool.contains(t1.hash)
+        assert not pool.contains(tx(B, 0).hash)
+
     def test_cancelled_hash_never_reported(self):
         pool = TxPool()
         old = tx(A, 0, price=10)
@@ -366,8 +308,6 @@ class TestIndexAndCompaction:
         pool.add(tx(A, 0, price=20))
         assert not pool.contains(old.hash)
         pool.check_invariants()
-        # a cancelled entry must not block a fork-cleanup restore either
-        assert not pool.restore(old)  # stale: live replacement queued
 
     def test_compaction_triggers_under_rbf_churn(self):
         pool = TxPool()

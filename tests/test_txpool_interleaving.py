@@ -5,8 +5,8 @@ re-derivation of the hash index, live-ready counter, ready-entry map and
 compaction bound that specifies the pool's O(1) hot paths — plus checks
 against an independent model of what should be queued.  Sequences mix
 ``add`` (fresh nonces and RBF at/below/above the bump threshold),
-``pop_best``, ``push_back``, ``mark_packed``, ``drop`` and fork-style
-``restore``, so index bookkeeping is exercised across every transition.
+``pop_best``, ``push_back``, ``mark_packed`` and ``drop``, so index
+bookkeeping is exercised across every transition.
 """
 
 import random
@@ -46,37 +46,10 @@ class PoolModel:
         self.next_nonce = {s: 0 for s in SENDERS}  # next fresh nonce per sender
         self.packed = []  # committed txs, in commit order
         self.dropped = []  # invalidated txs (drop cascades)
-        # mirror of the pool's per-sender ready-nonce record: set on first
-        # add, advanced by mark_packed, *erased* by drop (pool semantics:
-        # a dropped sender's history is forgotten)
-        self.ready_nonce = {}
-
-    def hashes(self):
-        return {t.hash for t in self.queued.values()}
 
     def min_queued_nonce(self, sender):
         nonces = [n for (s, n) in self.queued if s == sender]
         return min(nonces) if nonces else None
-
-    def note_add(self, t):
-        self.queued[(t.sender, t.nonce)] = t
-        if t.sender not in self.ready_nonce:
-            self.ready_nonce[t.sender] = t.nonce
-
-    def expected_restore(self, t):
-        """Mirror TxPool.restore's decision from model state alone."""
-        if t.hash in self.hashes():
-            return False  # still queued or in flight (fork-sibling dup)
-        floor = self.ready_nonce.get(t.sender)
-        if floor is not None and t.nonce < floor:
-            return False  # a committed block already consumed this nonce
-        old = self.queued.get((t.sender, t.nonce))
-        if old is not None:  # same nonce queued under a different hash: RBF
-            if self.in_flight.get(t.sender) is old:
-                return False
-            threshold = bump_threshold(old.gas_price)
-            return t.gas_price >= threshold and t.gas_price > old.gas_price
-        return True
 
 
 def check(pool, model):
@@ -86,8 +59,7 @@ def check(pool, model):
     for t in model.queued.values():
         assert pool.contains(t.hash)
     for t in model.packed[-3:] + model.dropped[-3:]:
-        if t.hash not in model.hashes():  # same tx may have been restored
-            assert not pool.contains(t.hash)
+        assert not pool.contains(t.hash)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
@@ -98,14 +70,14 @@ def test_random_interleaving_preserves_invariants(seed):
 
     for step in range(300):
         op = rng.choice(
-            ["add", "add", "add", "rbf", "pop", "push_back", "pack", "drop", "restore"]
+            ["add", "add", "add", "rbf", "pop", "push_back", "pack", "drop"]
         )
         if op == "add":
             sender = rng.choice(SENDERS)
             nonce = model.next_nonce[sender]
             t = tx(sender, nonce, rng.randint(1, 1000), tag=f"s{step}")
             pool.add(t)
-            model.note_add(t)
+            model.queued[(sender, nonce)] = t
             model.next_nonce[sender] = nonce + 1
         elif op == "rbf":
             candidates = [
@@ -151,7 +123,6 @@ def test_random_interleaving_preserves_invariants(seed):
             pool.mark_packed(t)
             del model.queued[(sender, t.nonce)]
             model.packed.append(t)
-            model.ready_nonce[sender] = t.nonce + 1
         elif op == "drop":
             if not model.in_flight:
                 continue
@@ -160,31 +131,6 @@ def test_random_interleaving_preserves_invariants(seed):
             pool.drop(t)
             for key in [k for k in model.queued if k[0] == sender]:
                 model.dropped.append(model.queued.pop(key))
-            model.ready_nonce.pop(sender, None)
-        elif op == "restore":
-            bucket = rng.random()
-            if bucket < 0.4 and model.packed:
-                t = rng.choice(model.packed)
-            elif bucket < 0.7 and model.queued:
-                # fork siblings carrying a queued tx: exactly-once
-                t = rng.choice(sorted(model.queued.values(), key=lambda x: x.hash))
-            elif model.dropped:
-                t = model.dropped[-1]
-            else:
-                continue
-            expected = model.expected_restore(t)
-            assert pool.restore(t) == expected
-            if expected:
-                if model.dropped and model.dropped[-1] is t:
-                    model.dropped.pop()
-                model.note_add(t)
-                mine = [n for (s, n) in model.queued if s == t.sender]
-                if max(mine) == t.nonce:
-                    # keep future fresh nonces contiguous with the restored
-                    # one — otherwise later adds park behind a permanent
-                    # gap (valid pool state, but the drain below expects
-                    # every queued tx to eventually become ready)
-                    model.next_nonce[t.sender] = t.nonce + 1
         check(pool, model)
 
     # drain: everything reachable must come out in per-sender nonce order
@@ -202,8 +148,8 @@ def test_random_interleaving_preserves_invariants(seed):
         del model.queued[(t.sender, t.nonce)]
         drained_floor[t.sender] = t.nonce + 1
         check(pool, model)
-    # anything left behind is gap-parked: a drop/restore interleaving left
-    # a nonce hole below it, so it can never become ready (pool semantics —
+    # anything left behind is gap-parked: an interleaving left a nonce
+    # hole below it, so it can never become ready (pool semantics —
     # geth holds such txs until timeout).  It must still be indexed, just
     # never reported ready.
     assert not pool.has_ready()
